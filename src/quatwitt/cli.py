@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import polys as P
 from .errors import QuatWittError, SchemaViolation
-from .fields import FACTOR_BOUND, Fp, QQ, QT, Place
+from .fields import Fp, QQ, QT, Place
 from .funcfield import FunctionFieldForm, conic_parametrize, psi_split, residue
 from .hermitian import AntiHermForm, morita_transfer
 from .invariants import LambdaInvariant, invariant_equal, lambda_herm
@@ -37,9 +37,17 @@ def _field_spec(text: str):
         return QQ
     if text == "Qt":
         return QT
-    if text.startswith("F"):
+    if text[:1] == "F" and text[1:].isdigit():
         return Fp(int(text[1:]))
     raise SchemaViolation(f"unknown field {text!r}")
+
+
+def _rational(text: str, flag: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaViolation(f"{flag}: not a rational number: {text!r}") \
+            from None
 
 
 def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
@@ -53,7 +61,6 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
                     help="quaternion algebra parameters (default -1 -1)")
     ap.add_argument("--seed", type=int, default=d(0))
     ap.add_argument("--search-bound", type=int, default=d(8))
-    ap.add_argument("--factor-bound", type=int, default=d(FACTOR_BOUND))
     ap.add_argument("--output", choices=["text", "json"], default=d("text"))
 
 
@@ -109,16 +116,16 @@ def _emit(doc, mode: str):
 def _parse_place(text: str) -> Place:
     if text == "inf":
         return Place("infinite")
-    coeffs = [Fraction(c) for c in text.split(",")]
+    coeffs = [_rational(c, "--place") for c in text.split(",")]
     return Place("poly", pi=P.monic(P.poly(coeffs)))
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    field = _field_spec(args.field)
-    A = QuatAlgebra(Fraction(args.quat[0]), Fraction(args.quat[1]))
     mode = args.output
     try:
+        field = _field_spec(args.field)
+        A = QuatAlgebra(*(_rational(v, "--quat") for v in args.quat))
         if args.command == "prod":
             x = parse_input(args.lhs, algebra=A, field=field)
             y = parse_input(args.rhs, algebra=A, field=field)
@@ -173,14 +180,7 @@ def main(argv=None) -> int:
                 raise SchemaViolation("psi expects a mixed class")
             _emit(serialize(psi_split(x, conic_parametrize(A))), mode)
         elif args.command == "check":
-            cfg = RunConfig(
-                field=args.field,
-                quat=(Fraction(args.quat[0]), Fraction(args.quat[1])),
-                seed=args.seed,
-                search_bound=args.search_bound,
-                factor_bound=args.factor_bound,
-                output=mode,
-            )
+            cfg = RunConfig(seed=args.seed, search_bound=args.search_bound)
             rep = run_suite(args.suite, cfg)
             sys.stdout.write(emit_report(rep, mode))
             return rep.exit_code

@@ -69,6 +69,10 @@ class AsymmetryDetected(QuatWittError):
     pass
 
 
+class VerificationFailed(QuatWittError):
+    """An exact check of a computed result failed."""
+
+
 class PfisterRecognitionFailure(QuatWittError):
     pass
 

@@ -12,16 +12,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import polys as P
 from .errors import (
     MissingFactorization,
     NoGoodSpecializationPoint,
+    NotNilpotent,
     NotSplit,
     SearchBoundExceeded,
     UnsupportedResidueField,
+    VerificationFailed,
     ZeroElement,
 )
 from .fields import Place, QT, square_class, squarefree_part
@@ -279,28 +281,19 @@ def _quadratic_square(pi: P.Poly, z: P.Poly) -> bool:
         if s == 0:
             return False
         disc = beta * beta - 4 * c0
-        if s > 0 and _fraction_sqrt(s) is not None:
+        if s > 0 and P._fraction_sqrt(s) is not None:
             return True
-        return s * disc > 0 and _fraction_sqrt(s * disc) is not None
+        return s * disc > 0 and P._fraction_sqrt(s * disc) is not None
     norm = s * s - beta * s * t + c0 * t * t
-    w = _fraction_sqrt(norm)
+    w = P._fraction_sqrt(norm)
     if w is None:
         return False
     trace = 2 * s - beta * t
     for sign in (1, -1):
         v = trace + 2 * sign * w
-        if v > 0 and _fraction_sqrt(v) is not None:
+        if v > 0 and P._fraction_sqrt(v) is not None:
             return True
     return False
-
-
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
@@ -459,7 +452,8 @@ def conic_parametrize(A: QuatAlgebra) -> ConicData:
     x_t = x0 + s
     y_t = y0 + t * s
     check = -a * x_t * x_t - b * y_t * y_t + a * b
-    assert check.is_zero(), "parametrization does not satisfy the conic"
+    if not check.is_zero():
+        raise VerificationFailed("parametrization does not satisfy the conic")
     return ConicData(a, b, (x0, y0), x_t, y_t)
 
 
@@ -470,7 +464,8 @@ def omega_bar(A: QuatAlgebra, conic: Optional[ConicData] = None) -> Quaternion:
     one = RationalFunction.from_const(1)
     zero = RationalFunction.from_const(0)
     w = Quaternion((zero, conic.x_t, conic.y_t, one), A)
-    assert (w * w).is_zero()
+    if not (w * w).is_zero():
+        raise NotNilpotent("omega_bar does not square to 0")
     return w
 
 

@@ -22,6 +22,7 @@ from .errors import (
     NotPureInvertible,
     NotSplit,
     SearchBoundExceeded,
+    VerificationFailed,
 )
 from .fields import SquareClass, square_class
 from .quadforms import QuadForm, qf
@@ -510,7 +511,8 @@ def hyperbolicity_certificate(h: AntiHermForm,
     for x in witness:
         for y in witness:
             val = gram_eval(list(x), list(y))
-            assert val.is_zero(), "witness failed exact verification"
+            if not val.is_zero():
+                raise VerificationFailed("witness failed exact verification")
     return HyperbolicityResult("hyperbolic", tuple(witness))
 
 

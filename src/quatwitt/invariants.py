@@ -18,14 +18,7 @@ from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLarge, LengthMismatch, RankMismatch
-from .fields import (
-    REAL_PLACE,
-    finite_place,
-    hilbert_symbol,
-    is_padic_square,
-    relevant_primes,
-    square_class,
-)
+from .fields import REAL_PLACE, finite_place, hilbert_symbol, relevant_primes
 from .hermitian import AntiHermForm, herm_invariants
 from .mixed import (
     MixedClass,
@@ -35,18 +28,15 @@ from .mixed import (
     mixed_odd,
     mixed_one,
     mixed_zero,
-    witt_equal_cls,
 )
 from .quadforms import (
     WittClass,
-    hasse_at,
-    hyperbolic,
+    _square_class_candidates,
+    local_anisotropic_dim,
     qf,
     signature,
-    signed_disc,
     witt_class,
     witt_equal,
-    witt_zero,
 )
 from .quaternions import QuatAlgebra, Quaternion, is_split, norm_forms
 
@@ -162,17 +152,6 @@ def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
 # membership in n_Q W(k)
 
 
-def _local_zero(cls: WittClass, p: int) -> bool:
-    """Whether the class restricts to 0 in W(Q_p)."""
-    q = cls.anis
-    if q.dim % 2:
-        return False
-    if not is_padic_square(signed_disc(q).repr, p):
-        return False
-    v = finite_place(p)
-    return hasse_at(q, v) == hasse_at(hyperbolic(q.dim // 2), v)
-
-
 def nq_membership(x: WittClass, A: QuatAlgebra, max_terms: int = 2) -> str:
     """Tri-state membership of x in the ideal n_Q W(Q):
     "member", "nonmember" or "unknown".
@@ -197,11 +176,13 @@ def nq_membership(x: WittClass, A: QuatAlgebra, max_terms: int = 2) -> str:
     elif signature(x.anis) % 4:
         return "nonmember"
     primes = relevant_primes(list(x.anis.reps()) + [a, b])
+    # the class must restrict to 0 in W(Q_p) wherever the algebra splits
     for p in primes:
-        if hilbert_symbol(a, b, finite_place(p)) == 1 and not _local_zero(x, p):
+        if hilbert_symbol(a, b, finite_place(p)) == 1 \
+                and local_anisotropic_dim(x.anis, p):
             return "nonmember"
     # bounded positive search
-    cands = _signed_candidates(primes)
+    cands = _square_class_candidates(primes)
     nqf = nq.anis
     for k in range(1, max_terms + 1):
         for combo in itertools.combinations_with_replacement(cands, k):
@@ -209,17 +190,6 @@ def nq_membership(x: WittClass, A: QuatAlgebra, max_terms: int = 2) -> str:
             if witt_equal(x.anis, nqf.tensor(y)):
                 return "member"
     return "unknown"
-
-
-def _signed_candidates(primes: Sequence[int]) -> List[int]:
-    out = []
-    for k in range(len(primes) + 1):
-        for combo in itertools.combinations(primes, k):
-            v = 1
-            for p in combo:
-                v *= p
-            out.extend([v, -v])
-    return sorted(out, key=abs)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +282,7 @@ def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,
 
 def _provably_distinct(x: MixedClass, y: MixedClass) -> bool:
     """Sound, cheap distinctness screens (a subset of mixed_equal)."""
-    if not witt_equal_cls(x.even, y.even):
+    if x.even != y.even:
         return True
     if (x.odd.rank + y.odd.rank) % 2:
         return True

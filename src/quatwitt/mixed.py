@@ -29,7 +29,6 @@ from .quadforms import (
     pfister,
     qf,
     witt_class,
-    witt_equal,
     witt_zero,
 )
 from .quaternions import QuatAlgebra, Quaternion, find_nilpotent, is_split, norm_forms
@@ -103,7 +102,7 @@ class MixedClass:
             for zt in other.odd.diag:
                 term = witt_class(twisted_trace_form(zs, zt))
                 check = odd_product_closed_form(zs, zt)
-                if not witt_equal_cls(term, check):
+                if term != check:
                     raise AsymmetryDetected(
                         "twisted trace form disagrees with its closed form"
                     )
@@ -124,10 +123,6 @@ class MixedClass:
 
     def __repr__(self):
         return f"Mixed(even={self.even!r}, odd={self.odd!r})"
-
-
-def witt_equal_cls(x: WittClass, y: WittClass) -> bool:
-    return witt_equal(x.anis, y.anis)
 
 
 def mixed(algebra: QuatAlgebra, even: Optional[WittClass] = None,
@@ -188,7 +183,7 @@ def mixed_equal(x: MixedClass, y: MixedClass, search_bound: int = 8) -> str:
     tries to certify equality.
     """
     x._check(y)
-    if not witt_equal_cls(x.even, y.even):
+    if x.even != y.even:
         return "distinct"
     diff = x.odd.perp(y.odd.neg())
     if is_split(x.algebra):

@@ -1,17 +1,19 @@
 """Quadratic forms and the Witt ring W(k) for k = Q or F_p.
 
-Diagonal forms carry square-class entries.  Witt equality over Q is decided
-completely through the classical invariants (dimension, signature, signed
-discriminant, Hasse symbols at the relevant places); over F_p the pair
-(dim mod 2, signed discriminant) classifies W(F_p).
+Diagonal forms carry square-class entries.  Over F_p the pair (dim mod 2,
+signed discriminant) classifies W(F_p).
 
-The anisotropic kernel is computed by invariant-driven reduction: opposite
-pairs cancel, isotropic ternary subforms collapse to their discriminant
-slot, isotropic quaternary subforms are replaced by a binary realization
-found among square classes supported on the entries.  A certified isotropic
-vector search remains as a fallback for indefinite forms of larger rank;
-it only runs once isotropy has already been proved by Hasse-Minkowski,
-so termination is guaranteed.
+Over Q one local classification does the work (Serre, *A Course in
+Arithmetic*, Ch. IV).  A diagonal of squarefree entries is summarised by its
+dimension, discriminant, signature and Hasse symbols at 2 and at the primes
+of its entries; these give the dimension of its anisotropic part over every
+Q_p.  By Hasse-Minkowski the anisotropic kernel over Q has the largest of
+the local dimensions and the signature, which decides isotropy and Witt
+equality.  The kernel is built slot by slot: while k >= 2 slots remain, the
+first candidate square class c with dim(x - <c>) = k - 1 is a value of the
+kernel, so <c> splits off.  Candidates are the entries, the square classes
+on the primes of x, and those times one further prime; Dirichlet's theorem
+puts a value of the kernel among the last, so the search always ends.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateForm,
@@ -29,7 +31,6 @@ from .errors import (
     FieldMismatch,
     NonSymmetricMatrix,
     PfisterRecognitionFailure,
-    SearchBoundExceeded,
     UnsupportedField,
     ZeroSlot,
 )
@@ -39,16 +40,15 @@ from .fields import (
     Place,
     QQ,
     SquareClass,
+    factorize,
     finite_place,
     hilbert_symbol,
     is_padic_square,
+    is_prime,
     relevant_primes,
     square_class,
     squarefree_part,
 )
-
-_AUX_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 # ---------------------------------------------------------------------------
 # diagonal forms
@@ -129,17 +129,11 @@ def signed_disc(q: QuadForm) -> SquareClass:
 
 
 def hasse_at(q: QuadForm, v: Place) -> int:
-    # the pair product is permutation invariant, so sort for cache hits
-    return _hasse_cached(tuple(sorted(q.reps())), v)
-
-
-@lru_cache(maxsize=None)
-def _hasse_cached(reps: Tuple[int, ...], v: Place) -> int:
-    out = 1
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            out *= hilbert_symbol(reps[i], reps[j], v)
-    return out
+    if v.kind == "real":
+        return _hyperbolic_hasse(sum(1 for r in q.reps() if r < 0), v)
+    if v.kind != "finite":
+        raise UnsupportedField(f"Hasse symbol of a form over Q at {v}")
+    return _local_q(q).hasse.get(v, 1)
 
 
 def _support_primes(*forms: QuadForm) -> List[int]:
@@ -170,36 +164,114 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
 
 
 # ---------------------------------------------------------------------------
-# isotropy over Q (Hasse-Minkowski)
+# local classification over Q_p
 
 
-def _plain_disc(reps: Sequence[int]) -> int:
-    d = 1
+class _Local(NamedTuple):
+    """Invariants of a diagonal of squarefree integers: dimension, plain
+    discriminant, signature, and the Hasse symbols at 2 and at the odd
+    primes of the entries (the symbol is 1 at every other prime)."""
+
+    dim: int
+    disc: int
+    sig: int
+    hasse: Dict[Place, int]
+
+
+_NO_ENTRIES = _Local(0, 1, 0, {finite_place(2): 1})
+
+
+def _sq_mul(a: int, b: int) -> int:
+    """Squarefree representative of ab, for squarefree a and b."""
+    g = gcd(a, b)
+    return a * b // (g * g)
+
+
+def _hasse_with(loc: _Local, c: int):
+    """The Hasse symbols (v, s_v) of x + <c>, one place at a time: s_v
+    picks up (disc x, c)_v, and an odd prime new in c enters with 1."""
+    new = [finite_place(p) for p, _ in factorize(c)[1]]
+    new = [v for v in new if v not in loc.hasse]
+    for v in itertools.chain(loc.hasse, new):
+        yield v, loc.hasse.get(v, 1) * hilbert_symbol(loc.disc, c, v)
+
+
+def _adjoin(loc: _Local, c: int) -> _Local:
+    """Invariants of x + <c> from those of x, for a squarefree integer c."""
+    return _Local(loc.dim + 1, _sq_mul(loc.disc, c),
+                  loc.sig + (1 if c > 0 else -1), dict(_hasse_with(loc, c)))
+
+
+@lru_cache(maxsize=None)
+def _local_data(reps: Tuple[int, ...]) -> _Local:
+    loc = _NO_ENTRIES
     for r in reps:
-        # entries are squarefree, so the class of d*r is d*r / gcd^2
-        g = gcd(abs(d), abs(r))
-        d = d * r // (g * g)
-    return d
+        loc = _adjoin(loc, r)
+    return loc
 
 
-def _locally_isotropic(reps: Sequence[int], p: int) -> bool:
-    """Isotropy over Q_p for dim <= 4 diagonal forms (squarefree entries)."""
-    n = len(reps)
-    d = _plain_disc(reps)
-    v = finite_place(p)
-    if n == 2:
-        return is_padic_square(-d, p)
-    eps = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            eps *= hilbert_symbol(reps[i], reps[j], v)
-    if n == 3:
-        return hilbert_symbol(-1, -d, v) == eps
-    if n == 4:
-        if not is_padic_square(d, p):
-            return True
-        return eps == hilbert_symbol(-1, -1, v)
-    raise ValueError("local test only for dim 2..4")
+def _local_q(q: QuadForm) -> _Local:
+    # the invariants do not depend on the order, so sort for cache hits
+    return _local_data(tuple(sorted(q.reps())))
+
+
+def _signed(n: int, disc: int) -> int:
+    """Signed discriminant (-1)^(n(n-1)/2) disc."""
+    return -disc if n * (n - 1) // 2 % 2 else disc
+
+
+def _hyperbolic_hasse(m: int, v: Place) -> int:
+    """Hasse symbol of m hyperbolic planes, (-1, -1)_v^(m(m-1)/2)."""
+    return hilbert_symbol(-1, -1, v) if m * (m - 1) // 2 % 2 else 1
+
+
+def _local_dim(n: int, disc: int, s: int, v: Place) -> int:
+    """Dimension of the anisotropic part over Q_p of a form of dimension
+    n, discriminant disc and Hasse symbol s at v = p.
+
+    Even dimension: 2 if the signed discriminant d is not a square, else 0
+    or 4 as s does or does not match hyperbolic space.  Odd dimension: 1
+    exactly when the form is hyperbolic space plus <d>."""
+    d = _signed(n, disc)
+    if n % 2 == 0:
+        if not is_padic_square(d, v.p):
+            return 2
+        return 0 if s == _hyperbolic_hasse(n // 2, v) else 4
+    h = _hyperbolic_hasse((n + 1) // 2, v)
+    return 1 if s * hilbert_symbol(disc, -d, v) == h else 3
+
+
+def _anis_dim(loc: _Local) -> int:
+    """Dimension of the anisotropic kernel over Q.
+
+    By Hasse-Minkowski it is the largest local one.  A prime outside
+    loc.hasse sees only unit entries, so it gives 1 (odd dimension) or at
+    most 2 (even), and 2 only when d != 1, which a prime of d, the prime 2
+    or the signature also shows."""
+    return max([abs(loc.sig)] + [_local_dim(loc.dim, loc.disc, s, v)
+                                 for v, s in loc.hasse.items()])
+
+
+def _splits_off(loc: _Local, c: int, k: int) -> bool:
+    """Whether the k-dimensional kernel of x represents c.
+
+    It does exactly when x - <c> has kernel dimension k - 1 rather than
+    k + 1, so the first place that reaches k decides against c."""
+    if abs(loc.sig - (1 if c > 0 else -1)) >= k:
+        return False
+    disc = _sq_mul(loc.disc, -c)
+    return all(_local_dim(loc.dim + 1, disc, s, v) < k
+               for v, s in _hasse_with(loc, -c))
+
+
+def local_anisotropic_dim(q: QuadForm, p: int) -> int:
+    """Dimension of the anisotropic kernel of q over Q_p."""
+    loc, v = _local_q(q), finite_place(p)
+    return _local_dim(loc.dim, loc.disc, loc.hasse.get(v, 1), v)
+
+
+# ---------------------------------------------------------------------------
+# isotropy over Q (Hasse-Minkowski)
 
 
 def is_isotropic(q: QuadForm) -> bool:
@@ -218,10 +290,7 @@ def is_isotropic(q: QuadForm) -> bool:
     if n == 2:
         g = gcd(abs(reps[0]), abs(reps[1]))
         return -reps[0] * reps[1] == g * g
-    for p in _support_primes(q):
-        if not _locally_isotropic(reps, p):
-            return False
-    return True
+    return _anis_dim(_local_q(q)) < n
 
 
 # ---------------------------------------------------------------------------
@@ -240,19 +309,9 @@ def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
     if q1.field.kind != "Q":
         raise UnsupportedField("use funcfield.kt_witt_equal over Q(t)")
     q = q1.perp(q2.neg())
-    n = q.dim
-    if n % 2:
+    if q.dim % 2 or signature(q) != 0 or not signed_disc(q).is_one():
         return False
-    if signature(q) != 0:
-        return False
-    if not signed_disc(q).is_one():
-        return False
-    h = hyperbolic(n // 2)
-    for p in _support_primes(q):
-        v = finite_place(p)
-        if hasse_at(q, v) != hasse_at(h, v):
-            return False
-    return True
+    return _anis_dim(_local_q(q)) == 0
 
 
 def is_witt_zero(q: QuadForm) -> bool:
@@ -275,11 +334,11 @@ def diagonalize(gram: Sequence[Sequence], field: FieldSpec = QQ) -> QuadForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise NonSymmetricMatrix("matrix is not symmetric")
-    diag = _diagonalize_inplace(g, allow_degenerate=False)
+    diag = _diagonalize_inplace(g)
     return qf(diag, field)
 
 
-def _diagonalize_inplace(g: List[List[Fraction]], allow_degenerate: bool):
+def _diagonalize_inplace(g: List[List[Fraction]]):
     """Symmetric Gauss reduction; returns the nonzero diagonal values."""
     n = len(g)
     diag = []
@@ -307,8 +366,6 @@ def _diagonalize_inplace(g: List[List[Fraction]], allow_degenerate: bool):
                 if found:
                     break
             if piv is None:
-                if allow_degenerate:
-                    return diag
                 raise DegenerateForm("Gram matrix is degenerate")
         rows.remove(piv)
         d = g[piv][piv]
@@ -328,16 +385,6 @@ def _diagonalize_inplace(g: List[List[Fraction]], allow_degenerate: bool):
 # anisotropic kernel
 
 
-def _cancel_pairs(reps: List[int]) -> List[int]:
-    out: List[int] = []
-    for r in reps:
-        if -r in out:
-            out.remove(-r)
-        else:
-            out.append(r)
-    return out
-
-
 def _square_class_candidates(primes: Sequence[int]) -> List[int]:
     """All square classes supported on the given primes (with sign)."""
     out = []
@@ -351,152 +398,19 @@ def _square_class_candidates(primes: Sequence[int]) -> List[int]:
     return sorted(out, key=abs)
 
 
-def _binary_realization(target: QuadForm) -> Optional[List[int]]:
-    """Find <x, y> Witt-equal to target (a class of anisotropic dim 2),
-    searching x over square classes supported on the target's primes."""
-    d = signed_disc(target).repr  # = -xy up to squares
-    primes = [p for p in _support_primes(target) ]
-    for aux in _AUX_PRIMES:
-        if aux not in primes and len(primes) < 11:
-            primes_ext = primes + [aux]
-        else:
-            primes_ext = primes
-        for x in _square_class_candidates(primes_ext):
-            g = gcd(abs(d), abs(x))
-            y = -d * x // (g * g)
-            cand = qf([x, y])
-            if witt_equal(cand, target):
-                return [x, y]
-        primes = primes_ext
-    return None
-
-
-def _find_isotropic_vector(reps: Sequence[int]) -> Optional[List[Fraction]]:
-    """Explicit isotropic vector for a form already proved isotropic."""
-    n = len(reps)
-    # ternary subforms via a Holzer-bounded search
-    for combo in itertools.combinations(range(n), 3):
-        sub = qf([reps[i] for i in combo])
-        if not is_isotropic(sub):
-            continue
-        sol = _solve_conic(*(reps[i] for i in combo))
-        if sol is not None:
-            vec = [Fraction(0)] * n
-            for idx, c in zip(combo, sol):
-                vec[idx] = Fraction(c)
-            return vec
-    # meet-in-the-middle over the definite halves
-    pos = [i for i in range(n) if reps[i] > 0]
-    neg = [i for i in range(n) if reps[i] < 0]
-    for h in (2, 4, 8, 16, 32):
-        table = {}
-        for x in _height_vectors(len(pos), h):
-            val = sum(reps[i] * c * c for i, c in zip(pos, x))
-            if val:
-                table.setdefault(val, x)
-        for y in _height_vectors(len(neg), h):
-            val = -sum(reps[i] * c * c for i, c in zip(neg, y))
-            if val and val in table:
-                vec = [Fraction(0)] * n
-                for i, c in zip(pos, table[val]):
-                    vec[i] = Fraction(c)
-                for i, c in zip(neg, y):
-                    vec[i] = Fraction(c)
-                return vec
-    return None
-
-
-def _height_vectors(n: int, h: int):
-    if n == 0:
-        return
-    for tup in itertools.product(range(0, h + 1), repeat=n):
-        if any(tup):
-            yield tup
-
-
-def _solve_conic(a: int, b: int, c: int) -> Optional[Tuple[int, int, int]]:
-    """Nontrivial zero of a x^2 + b y^2 + c z^2; Holzer's bound guarantees
-    a solution with |x| <= sqrt|bc|, |y| <= sqrt|ac|, |z| <= sqrt|ab|."""
-    ybound = _isqrt(abs(a * c)) + 1
-    zbound = _isqrt(abs(a * b)) + 1
-    for z in range(zbound + 1):
-        for y in range(ybound + 1):
-            if y == 0 and z == 0:
-                continue
-            rhs = -(b * y * y + c * z * z)
-            if rhs % a:
-                continue
-            t = rhs // a
-            if t < 0:
-                continue
-            x = _isqrt(t)
-            if x * x == t:
-                return (x, y, z)
-    return None
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
-
-
-def _split_hyperbolic(reps: Sequence[int], vec: Sequence[Fraction]) -> List[int]:
-    """Split a hyperbolic plane off diag(reps) along the isotropic vec and
-    return a diagonalization of the orthogonal complement."""
-    n = len(reps)
-
-    def bil(x, y):
-        return sum(Fraction(reps[i]) * x[i] * y[i] for i in range(n))
-
-    u1 = [Fraction(v) for v in vec]
-    k = next(i for i in range(n) if reps[i] * u1[i] != 0)
-    w = [Fraction(0)] * n
-    w[k] = Fraction(1)
-    beta = bil(u1, w)
-    u2 = [w[i] - bil(w, w) / (2 * beta) * u1[i] for i in range(n)]
-    # project the standard basis onto the orthogonal complement of <u1,u2>
-    proj = []
-    for s in range(n):
-        e = [Fraction(0)] * n
-        e[s] = Fraction(1)
-        c1 = bil(e, u2) / beta
-        c2 = bil(e, u1) / beta
-        proj.append([e[i] - c1 * u1[i] - c2 * u2[i] for i in range(n)])
-    gram = [[bil(proj[s], proj[t]) for t in range(n)] for s in range(n)]
-    diag = _diagonalize_inplace(gram, allow_degenerate=True)
-    if len(diag) != n - 2:
-        raise DegenerateForm("hyperbolic splitting lost rank")
-    return [squarefree_part(Fraction(d).numerator * Fraction(d).denominator)
-            for d in diag]
-
-
-def _common_value_split(reps: List[int]) -> Optional[List[int]]:
-    """Reduce an isotropic form whose 3- and 4-dim subforms are all
-    anisotropic: pick c represented by some binary slot and by the negated
-    complement, replace the slot by <c, a1 a2 c> and the complement by
-    <-c> plus its anisotropic kernel, and cancel the <c, -c> pair."""
-    primes = list(_support_primes(qf(reps)))
-    for aux in (None,) + _AUX_PRIMES:
-        if aux is not None:
-            if aux in primes or len(primes) >= 9:
-                continue
-            primes = primes + [aux]
-        for combo in itertools.combinations(range(len(reps)), 2):
-            a1, a2 = reps[combo[0]], reps[combo[1]]
-            rest = [reps[i] for i in range(len(reps)) if i not in combo]
-            for c in _square_class_candidates(primes):
-                if not is_isotropic(qf([a1, a2, -c])):
-                    continue
-                if not is_isotropic(qf(rest + [c])):
-                    continue
-                d = (square_class(a1) * square_class(a2)
-                     * square_class(c)).repr
-                kern = _anisotropic_reps_q_cached(
-                    tuple(sorted(squarefree_part(r) for r in rest + [c]))
-                )
-                return [d] + list(kern)
-    return None
+def _kernel_candidates(entries: Sequence[int], loc: _Local):
+    """The entries, the square classes on the primes of loc, then those
+    classes times each further prime in increasing order.  The kernel
+    represents a value of the last kind: Dirichlet's theorem gives a prime
+    in any class mod 8 times the odd primes of loc (Serre, Ch. III, 2.2)."""
+    yield from entries
+    primes = [v.p for v in loc.hasse]
+    base = _square_class_candidates(primes)
+    yield from base
+    for q in itertools.count(3, 2):
+        if q not in primes and is_prime(q):
+            for s in base:
+                yield s * q
 
 
 def _anisotropic_reps_q(reps: List[int]) -> List[int]:
@@ -506,55 +420,22 @@ def _anisotropic_reps_q(reps: List[int]) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _anisotropic_reps_q_cached(reps_key) -> tuple:
-    reps = list(reps_key)
-    while True:
-        reps = _cancel_pairs(reps)
-        q = qf(reps)
-        if not is_isotropic(q):
-            return tuple(sorted(reps, key=lambda r: (abs(r), r)))
-        reduced = False
-        # isotropic ternary subform: collapses to its discriminant slot
-        for combo in itertools.combinations(range(len(reps)), 3):
-            sub = [reps[i] for i in combo]
-            if is_isotropic(qf(sub)):
-                rest = [reps[i] for i in range(len(reps)) if i not in combo]
-                reps = rest + [_plain_disc([-sub[0], sub[1], sub[2]])]
-                reduced = True
-                break
-        if reduced:
-            continue
-        # isotropic quaternary subform: binary realization by invariants
-        for combo in itertools.combinations(range(len(reps)), 4):
-            sub = qf([reps[i] for i in combo])
-            if not is_isotropic(sub):
-                continue
-            if is_witt_zero(sub):
-                reps = [reps[i] for i in range(len(reps)) if i not in combo]
-                reduced = True
-                break
-            binary = _binary_realization(sub)
-            if binary is not None:
-                rest = [reps[i] for i in range(len(reps)) if i not in combo]
-                reps = rest + binary
-                reduced = True
-                break
-        if reduced:
-            continue
-        # dim >= 5 with no small isotropic subform: find a value c that a
-        # binary slot <a1, a2> and the negated complement both represent,
-        # then <a1, a2> = <c, a1 a2 c> and complement = <-c> + its kernel
-        if len(reps) >= 5:
-            split = _common_value_split(reps)
-            if split is not None:
-                reps = split
-                continue
-        # fallback: certified isotropic vector plus Gram splitting
-        vec = _find_isotropic_vector(reps)
-        if vec is None:
-            raise SearchBoundExceeded(
-                f"no isotropic vector found for proven-isotropic {reps}"
-            )
-        reps = _split_hyperbolic(reps, vec)
+    loc = _local_data(reps_key)
+    n = _anis_dim(loc)
+    if n == len(reps_key):
+        out = list(reps_key)
+    else:
+        # a value c of the k-dimensional kernel of x splits it as
+        # <c> + kernel of x - <c>
+        out = []
+        for k in range(n, 1, -1):
+            c = next(c for c in _kernel_candidates(reps_key, loc)
+                     if _splits_off(loc, c, k))
+            out.append(c)
+            loc = _adjoin(loc, -c)
+        if n:
+            out.append(_signed(loc.dim, loc.disc))
+    return tuple(sorted(out, key=lambda r: (abs(r), r)))
 
 
 def _anisotropic_reps_fp(reps: List[int], field: FieldSpec):
@@ -612,9 +493,9 @@ class WittClass:
         return witt_equal(self.anis, other.anis)
 
     def __hash__(self):
-        # classes over Q are determined by these coarse invariants plus
-        # Hasse data; hashing on the coarse part keeps eq/hash consistent
-        return hash((self.anis.field, self.anis.dim % 2))
+        # Witt invariants of the class, so Witt-equal classes hash equal
+        sig = signature(self.anis) if self.field.kind == "Q" else None
+        return hash((self.field, self.dim % 2, signed_disc(self.anis), sig))
 
     def __repr__(self):
         return f"W{self.anis!r}"

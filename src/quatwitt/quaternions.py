@@ -17,6 +17,7 @@ from typing import Tuple
 from .errors import (
     AlgebraMismatch,
     GenericBasisUnavailable,
+    NotNilpotent,
     NotSplit,
     SearchBoundExceeded,
     UnsupportedField,
@@ -181,7 +182,8 @@ def find_nilpotent(A: QuatAlgebra, height_bound: int = 40) -> Quaternion:
                 continue
             if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
                 z0 = A.pure(Fraction(c1), Fraction(c2), Fraction(c3))
-                assert (z0 * z0).is_zero()
+                if not (z0 * z0).is_zero():
+                    raise NotNilpotent(f"{z0!r} does not square to 0")
                 return z0
     raise SearchBoundExceeded(f"no nilpotent of height <= {height_bound}")
 

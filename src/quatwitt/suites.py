@@ -13,11 +13,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from . import polys as P
 from .errors import UnknownSuite
-from .fields import FACTOR_BOUND
 from .funcfield import (
     FunctionFieldForm,
     Place,
@@ -77,12 +76,8 @@ SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
 
 @dataclass
 class RunConfig:
-    field: str = "Q"
-    quat: Tuple[Fraction, Fraction] = (Fraction(-1), Fraction(-1))
     seed: int = 0
     search_bound: int = 8
-    factor_bound: int = FACTOR_BOUND
-    output: str = "text"
 
 
 @dataclass

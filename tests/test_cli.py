@@ -94,6 +94,19 @@ def test_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--field", "F4"],
+    ["--field", "Fx"],
+    ["--quat", "0", "1"],
+    ["--quat", "a", "1"],
+])
+def test_bad_global_flags_exit_2(capsys, flags):
+    code, _, err = _run(capsys, flags + ["decide", '{"diag": [1]}',
+                                         '{"diag": [1]}'])
+    assert code == 2
+    assert "error:" in err
+
+
 def test_global_flags_both_sides(capsys):
     doc = '{"odd": [["0", "0", "0", "1"]]}'
     _, before, _ = _run(capsys, ["--quat", "1", "1", "--output", "json",

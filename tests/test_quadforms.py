@@ -115,6 +115,36 @@ def test_witt_class_hard_reduction():
     assert witt_equal(q, k.perp(hyperbolic(1)))
 
 
+def test_witt_class_dim8_kernel():
+    # indefinite of dim 8 whose kernel needs a slot outside its primes
+    q = qf([1, 17, -43, -23, 41, -1, -22, -53])
+    k = witt_class(q).anis
+    assert k.dim == 2
+    assert not is_isotropic(k)
+    assert witt_equal(q, k)
+
+
+def test_witt_class_fp():
+    rng = random.Random(7)
+    for p in (3, 5, 7):
+        F = Fp(p)
+        for _ in range(30):
+            dim = rng.randint(1, 6)
+            q = qf([rng.randint(1, p - 1) for _ in range(dim)], F)
+            k = witt_class(q).anis
+            assert k.dim <= 2 and k.dim % 2 == q.dim % 2
+            assert signed_disc(k) == signed_disc(q)
+
+
+def test_witt_class_hash():
+    # Witt-equal classes from different inputs; <1, 1> and <2, 2> also
+    # keep different kernels
+    assert hash(witt_class(qf([1, 1]))) == hash(witt_class(qf([2, 2])))
+    assert hash(witt_class(qf([1, -1, 5]))) == hash(witt_class(qf([5])))
+    classes = [witt_class(qf(d)) for d in ([1], [2], [3], [-1], [1, 1])]
+    assert len({hash(c) for c in classes}) > 2
+
+
 def test_witt_zero():
     assert is_witt_zero(qf([1, -1, 2, -2]))
     assert not is_witt_zero(qf([1, 1]))
