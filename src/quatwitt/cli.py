@@ -20,16 +20,22 @@ import sys
 from fractions import Fraction
 
 from . import polys as P
-from .errors import QuatWittError, SchemaViolation
+from .errors import QuatWittError, SchemaViolation, UnsupportedField
 from .fields import Fp, QQ, QT, Place
-from .funcfield import FunctionFieldForm, conic_parametrize, psi_split, residue
-from .hermitian import AntiHermForm, morita_transfer
+from .funcfield import (
+    FunctionFieldForm,
+    conic_parametrize,
+    kt_witt_equal,
+    psi_split,
+    residue,
+)
+from .hermitian import DEFAULT_SEARCH_BOUND, AntiHermForm, morita_transfer
 from .invariants import LambdaInvariant, invariant_equal, lambda_herm
 from .mixed import MixedClass, mixed_equal
-from .quadforms import QuadForm, witt_equal
+from .quadforms import QuadForm, witt_equal, witt_zero
 from .quaternions import QuatAlgebra, find_nilpotent
 from .serialize import parse_input, serialize
-from .suites import RunConfig, Report, emit_report, run_suite
+from .suites import RunConfig, emit_report, run_suite
 
 
 def _field_spec(text: str):
@@ -60,7 +66,8 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
                     metavar=("a", "b"),
                     help="quaternion algebra parameters (default -1 -1)")
     ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--search-bound", type=int, default=d(8))
+    ap.add_argument("--search-bound", type=int,
+                    default=d(DEFAULT_SEARCH_BOUND))
     ap.add_argument("--output", choices=["text", "json"], default=d("text"))
 
 
@@ -120,6 +127,22 @@ def _parse_place(text: str) -> Place:
     return Place("poly", pi=P.monic(P.poly(coeffs)))
 
 
+def _parse(text: str, A: QuatAlgebra, field):
+    """parse_input, refusing a --field that the input's shape ignores:
+    quaternionic inputs live over Q, Q(t) forms over Q or Q(t)."""
+    x = parse_input(text, algebra=A, field=field)
+    if isinstance(x, (MixedClass, AntiHermForm, LambdaInvariant)):
+        allowed = ("Q",)
+    elif isinstance(x, FunctionFieldForm):
+        allowed = ("Q", "Qt")
+    else:
+        return x
+    if field.kind not in allowed:
+        raise UnsupportedField(
+            f"--field {field!r} does not apply to {type(x).__name__} input")
+    return x
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     mode = args.output
@@ -127,32 +150,32 @@ def main(argv=None) -> int:
         field = _field_spec(args.field)
         A = QuatAlgebra(*(_rational(v, "--quat") for v in args.quat))
         if args.command == "prod":
-            x = parse_input(args.lhs, algebra=A, field=field)
-            y = parse_input(args.rhs, algebra=A, field=field)
+            x = _parse(args.lhs, A, field)
+            y = _parse(args.rhs, A, field)
             if not isinstance(x, MixedClass) or not isinstance(y, MixedClass):
                 raise SchemaViolation("prod expects two mixed classes")
             _emit(serialize(x * y), mode)
         elif args.command == "lambda":
-            h = parse_input(args.form, algebra=A, field=field)
+            h = _parse(args.form, A, field)
             if not isinstance(h, AntiHermForm):
                 raise SchemaViolation("lambda expects an anti-hermitian form")
             _emit(serialize(lambda_herm(args.degree, h)), mode)
         elif args.command == "transfer":
-            h = parse_input(args.form, algebra=A, field=field)
+            h = _parse(args.form, A, field)
             if not isinstance(h, AntiHermForm):
                 raise SchemaViolation("transfer expects an anti-hermitian form")
             z0 = find_nilpotent(A)
             _emit(serialize(morita_transfer(h, z0)), mode)
         elif args.command == "residue":
-            q = parse_input(args.form, algebra=A, field=field)
+            q = _parse(args.form, A, field)
             if not isinstance(q, FunctionFieldForm):
                 raise SchemaViolation("residue expects a Q(t) form")
             out = residue(q, _parse_place(args.place))
             _emit({"first": serialize(out.even.anis),
                    "second": serialize(out.odd.anis)}, mode)
         elif args.command == "decide":
-            x = parse_input(args.lhs, algebra=A, field=field)
-            y = parse_input(args.rhs, algebra=A, field=field)
+            x = _parse(args.lhs, A, field)
+            y = _parse(args.rhs, A, field)
             if type(x) is not type(y):
                 raise SchemaViolation("decide expects two inputs of one shape")
             if isinstance(x, QuadForm):
@@ -160,22 +183,20 @@ def main(argv=None) -> int:
             elif isinstance(x, MixedClass):
                 verdict = mixed_equal(x, y, search_bound=args.search_bound)
             elif isinstance(x, FunctionFieldForm):
-                from .funcfield import kt_witt_equal
-
                 verdict = "equal" if kt_witt_equal(x, y) else "distinct"
             elif isinstance(x, LambdaInvariant):
                 verdict = invariant_equal(x, y)
             elif isinstance(x, AntiHermForm):
                 verdict = mixed_equal(
-                    MixedClass(_zero_even(), x, A),
-                    MixedClass(_zero_even(), y, A),
+                    MixedClass(witt_zero(), x, A),
+                    MixedClass(witt_zero(), y, A),
                     search_bound=args.search_bound,
                 )
             else:
                 raise SchemaViolation("undecidable input shape")
             _emit({"result": verdict}, mode)
         elif args.command == "psi":
-            x = parse_input(args.input, algebra=A, field=field)
+            x = _parse(args.input, A, field)
             if not isinstance(x, MixedClass):
                 raise SchemaViolation("psi expects a mixed class")
             _emit(serialize(psi_split(x, conic_parametrize(A))), mode)
@@ -188,12 +209,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _zero_even():
-    from .quadforms import witt_zero
-
-    return witt_zero()
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ specialization decide Witt equality over Q(t).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -26,20 +25,19 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-from .fields import Place, QT, square_class, squarefree_part
+from .fields import Place, square_class, squarefree_part
 from .mixed import MixedClass, mixed
-from .hermitian import AntiHermForm, morita_transfer_entries
+from .hermitian import morita_transfer_entries
 from .polys import RationalFunction
 from .quadforms import (
     GroupRingElem,
     QuadForm,
-    WittClass,
+    is_witt_zero,
     pfister,
     qf,
     witt_class,
-    witt_zero,
 )
-from .quaternions import QuatAlgebra, Quaternion, is_split, norm_forms
+from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
 
 INFINITE_PLACE = Place("infinite")
 
@@ -385,8 +383,6 @@ def kt_witt_equal(q1: FunctionFieldForm, q2: FunctionFieldForm) -> bool:
     if diff.dim == 0:
         return True
     c = good_points(diff)[0]
-    from .quadforms import is_witt_zero
-
     return is_witt_zero(diff.specialize(c))
 
 
@@ -430,13 +426,9 @@ def _conic_point(A: QuatAlgebra, height_bound: int = 60):
     norm form with nonzero ij-coordinate."""
     a, b = A.a, A.b
     for h in range(1, height_bound + 1):
-        for c3 in range(1, h + 1):
-            for c1 in range(-h, h + 1):
-                for c2 in range(-h, h + 1):
-                    if max(abs(c1), abs(c2), c3) != h:
-                        continue
-                    if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
-                        return (Fraction(c1, c3), Fraction(c2, c3))
+        for c3, c1, c2 in height_shell(h, 3):
+            if c3 >= 1 and -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
+                return (Fraction(c1, c3), Fraction(c2, c3))
     raise SearchBoundExceeded("no conic point within the height bound")
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .errors import (
     AlgebraMismatch,
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .fields import SquareClass, square_class
 from .quadforms import QuadForm, qf
-from .quaternions import QuatAlgebra, Quaternion, is_split
+from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
 
 DEFAULT_SEARCH_BOUND = 8
 
@@ -96,6 +97,12 @@ def _check_skew(gram, algebra):
                 )
 
 
+def _identity(algebra: QuatAlgebra, n: int):
+    zero = algebra.element(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+    return [[algebra.one() if s == t else zero for t in range(n)]
+            for s in range(n)]
+
+
 def _quat_inv(x: Quaternion) -> Quaternion:
     n = x.nrd()
     if not n:
@@ -103,21 +110,82 @@ def _quat_inv(x: Quaternion) -> Quaternion:
     return x.conj().scale(1 / n)
 
 
+def _normalized(c) -> bool:
+    """gcd 1 and first nonzero coordinate positive: one integer tuple per
+    line through the origin."""
+    return gcd(*c) == 1 and next(v for v in c if v) > 0
+
+
+def _quaternion(algebra: QuatAlgebra, c) -> Quaternion:
+    return algebra.element(*(Fraction(v) for v in c))
+
+
+def _height_box(bound: int):
+    """Integer 4-tuples of height <= bound in lexicographic order (not by
+    height: the isotropy tables keep the first quaternion per value, so
+    this order fixes the witnesses)."""
+    return sorted(itertools.chain.from_iterable(
+        height_shell(h, 4) for h in range(bound + 1)))
+
+
+def _raw_quaternions(algebra: QuatAlgebra, bound: int):
+    """All integer quaternions of height <= bound, zero included."""
+    return [_quaternion(algebra, c) for c in _height_box(bound)]
+
+
 def _small_quaternions(algebra: QuatAlgebra, bound: int):
-    """Normalized integer quaternions: gcd 1, first nonzero coord > 0."""
-    rng = range(-bound, bound + 1)
-    for c in itertools.product(rng, repeat=4):
-        if not any(c):
-            continue
-        g = 0
-        for v in c:
-            g = gcd(g, abs(v))
-        if g != 1:
-            continue
-        first = next(v for v in c if v)
-        if first < 0:
-            continue
-        yield algebra.element(*(Fraction(v) for v in c))
+    """The normalized integer quaternions of height <= bound."""
+    return [_quaternion(algebra, c) for c in _height_box(bound)
+            if _normalized(c)]
+
+
+def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
+    """Hermitian Gram-Schmidt of a spanning list of vectors under the
+    sesquilinear form `pair`; returns (orthogonal vectors, their values).
+
+    The pivot is the first vector with an invertible value.  Failing that,
+    v_s + v_t q for the first (s, t) in permutations order and the first
+    normalized q by height 1..mix_bound.  Leftover vectors that all pair
+    to zero are dropped, since no mixing can help; SearchBoundExceeded
+    when mixing finds no pivot.
+    """
+    pool = [v for v in vectors if not all(c.is_zero() for c in v)]
+    basis, values = [], []
+    while pool:
+        piv = next((k for k, v in enumerate(pool)
+                    if pair(v, v).is_invertible()), None)
+        if piv is None:
+            if all(pair(x, y).is_zero() for x in pool for y in pool):
+                break
+            piv = _mixed_pivot(pair, pool, algebra, mix_bound)
+        v = pool.pop(piv)
+        d = pair(v, v)
+        basis.append(v)
+        values.append(d)
+        dinv = _quat_inv(d)
+        projected = []
+        for x in pool:
+            c = dinv * pair(v, x)
+            w = [xk - vk * c for xk, vk in zip(x, v)]
+            if not all(q.is_zero() for q in w):
+                projected.append(w)
+        pool = projected
+    return basis, values
+
+
+def _mixed_pivot(pair, pool, algebra, mix_bound) -> int:
+    """Replace pool[s] by the first invertible v_s + v_t q; returns s."""
+    for s, t in itertools.permutations(range(len(pool)), 2):
+        for h in range(1, mix_bound + 1):
+            for c in height_shell(h, 4):
+                if not _normalized(c):
+                    continue
+                q = _quaternion(algebra, c)
+                cand = [x + y * q for x, y in zip(pool[s], pool[t])]
+                if pair(cand, cand).is_invertible():
+                    pool[s] = cand
+                    return s
+    raise SearchBoundExceeded("no invertible pivot within search bound")
 
 
 def herm_diagonalize(h_or_gram, algebra: Optional[QuatAlgebra] = None,
@@ -127,62 +195,26 @@ def herm_diagonalize(h_or_gram, algebra: Optional[QuatAlgebra] = None,
     Returns (AntiHermForm, U) where the columns of U express the new
     orthogonal basis in the original coordinates, so that
     gamma(U)^T G U is diagonal (checked by the certificate helper).
-    Diagonal AntiHermForm input passes straight through.
+    Diagonal AntiHermForm input passes straight through.  Raises
+    DegenerateForm when the vectors left over span a radical, and
+    SearchBoundExceeded when no mixing of height <= search_bound yields an
+    invertible pivot.
     """
     if isinstance(h_or_gram, AntiHermForm):
-        n = h_or_gram.rank
-        alg = h_or_gram.algebra
-        ident = [[alg.one() if s == t else alg.element(0, 0, 0, 0)
-                  for t in range(n)] for s in range(n)]
-        return h_or_gram, ident
+        return h_or_gram, _identity(h_or_gram.algebra, h_or_gram.rank)
     gram = [list(row) for row in h_or_gram]
     if algebra is None:
         algebra = gram[0][0].algebra
     _check_skew(gram, algebra)
     n = len(gram)
-    zero = algebra.element(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
-    basis = [[algebra.one() if s == t else zero for t in range(n)]
-             for s in range(n)]  # basis[k] = current k-th vector, old coords
-    entries = []
-    picked: List[List[Quaternion]] = []
-    active = list(range(n))
-    while active:
-        piv = None
-        for k in active:
-            val = _gram_eval(gram, basis[k], basis[k])
-            if val.is_invertible():
-                piv = k
-                break
-        if piv is None:
-            piv = _make_pivot(gram, basis, active, algebra, search_bound)
-        v = basis[piv]
-        d = _gram_eval(gram, v, v)
-        if not d.is_invertible():
-            raise DegenerateForm("no invertible pivot available")
-        entries.append(d)
-        picked.append(v)
-        active.remove(piv)
-        dinv = _quat_inv(d)
-        for k in active:
-            c = dinv * _gram_eval(gram, v, basis[k])
-            basis[k] = [basis[k][s] - v[s] * c for s in range(n)]
+    picked, entries = _orthogonalize(partial(_gram_eval, gram),
+                                     _identity(algebra, n), algebra,
+                                     search_bound)
+    if len(entries) < n:
+        raise DegenerateForm("the Gram matrix has a nonzero radical")
     form = AntiHermForm(tuple(entries), algebra)
     u = [[picked[col][row] for col in range(n)] for row in range(n)]
     return form, u
-
-
-def _make_pivot(gram, basis, active, algebra, search_bound):
-    """All active diagonal values are non-invertible: mix two basis vectors
-    with a small quaternion coefficient until one becomes invertible."""
-    for s, t in itertools.permutations(active, 2):
-        for b in range(1, search_bound + 1):
-            for q in _small_quaternions(algebra, b):
-                cand = [basis[s][k] + basis[t][k] * q
-                        for k in range(len(gram))]
-                if _gram_eval(gram, cand, cand).is_invertible():
-                    basis[s] = cand
-                    return s
-    raise SearchBoundExceeded("no invertible pivot within search bound")
 
 
 def certificate_ok(gram, u, form: AntiHermForm) -> bool:
@@ -301,7 +333,7 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     of height <= bound; values are matched up to square scaling."""
     alg = h.algebra
     r = h.rank
-    quats = list(_small_quaternions(alg, bound))
+    quats = _small_quaternions(alg, bound)
     tables = []
     for z in h.diag:
         table = {}
@@ -324,15 +356,6 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
                 vec[t] = q.scale(lam)
                 return vec
     return None
-
-
-def _raw_quaternions(algebra: QuatAlgebra, bound: int):
-    """All integer quaternions of height <= bound, zero included."""
-    rng = range(-bound, bound + 1)
-    out = []
-    for c in itertools.product(rng, repeat=4):
-        out.append(algebra.element(*(Fraction(v) for v in c)))
-    return out
 
 
 def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
@@ -434,8 +457,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
     r0 = h.rank
     zero = alg.element(0, 0, 0, 0)
     # work with the Gram (diagonal) and a basis in original coordinates
-    basis = [[alg.one() if s == t else zero for t in range(r0)]
-             for s in range(r0)]
+    basis = _identity(alg, r0)
     diag = list(h.diag)
     witness = []
 
@@ -472,21 +494,9 @@ def hyperbolicity_certificate(h: AntiHermForm,
                 v[k] = v[k] + basis[idx][k] * found[idx]
         witness.append(tuple(v))
         # find w in the current span with h(v, w) invertible
-        w = None
-        for idx in range(m):
-            cand = basis[idx]
-            if gram_eval(v, cand).is_invertible():
-                w = cand
-                break
-        if w is None:
-            for idx in range(m):
-                for q in _small_quaternions(alg, 2):
-                    cand = [basis[idx][k] * q for k in range(r0)]
-                    if gram_eval(v, cand).is_invertible():
-                        w = cand
-                        break
-                if w is not None:
-                    break
+        cands = itertools.chain(basis, ([c * q for c in x] for x in basis
+                                        for q in _small_quaternions(alg, 2)))
+        w = next((x for x in cands if gram_eval(v, x).is_invertible()), None)
         if w is None:
             return HyperbolicityResult("unknown")
         beta = gram_eval(v, w)
@@ -501,10 +511,10 @@ def hyperbolicity_certificate(h: AntiHermForm,
             proj = [x[k] - v[k] * acoef - w[k] * bcoef for k in range(r0)]
             new_basis.append(proj)
         # re-diagonalize the projected span; rank drops by exactly 2
-        reduced = _rediagonalize(gram_eval, new_basis, alg, bound)
-        if reduced is None:
+        try:
+            basis, diag = _orthogonalize(gram_eval, new_basis, alg, 1)
+        except SearchBoundExceeded:
             return HyperbolicityResult("unknown")
-        basis, diag = reduced
         if len(diag) != m - 2:
             raise DegenerateForm("hyperbolic split lost the wrong rank")
     # exact verification of the witness
@@ -514,57 +524,3 @@ def hyperbolicity_certificate(h: AntiHermForm,
             if not val.is_zero():
                 raise VerificationFailed("witness failed exact verification")
     return HyperbolicityResult("hyperbolic", tuple(witness))
-
-
-def _rediagonalize(gram_eval, vectors, alg, bound):
-    """Gram-Schmidt a spanning (possibly dependent) list of vectors against
-    the ambient form; returns (orthogonal basis, diagonal values)."""
-    basis = []
-    diag = []
-    pool = [v for v in vectors if not all(c.is_zero() for c in v)]
-    while pool:
-        piv = None
-        for v in pool:
-            if gram_eval(v, v).is_invertible():
-                piv = v
-                break
-        if piv is None:
-            mixed = False
-            for s in range(len(pool)):
-                for t in range(len(pool)):
-                    if s == t:
-                        continue
-                    for q in _small_quaternions(alg, 1):
-                        cand = [pool[s][k] + pool[t][k] * q
-                                for k in range(len(pool[s]))]
-                        if gram_eval(cand, cand).is_invertible():
-                            pool[s] = cand
-                            piv = cand
-                            mixed = True
-                            break
-                    if mixed:
-                        break
-                if mixed:
-                    break
-            if piv is None:
-                # remaining vectors span nothing nondegenerate: done if they
-                # all pair to zero with each other
-                for s in range(len(pool)):
-                    for t in range(len(pool)):
-                        if not gram_eval(pool[s], pool[t]).is_zero():
-                            return None
-                break
-        d = gram_eval(piv, piv)
-        basis.append(piv)
-        diag.append(d)
-        dinv = _quat_inv(d)
-        nxt = []
-        for v in pool:
-            if v is piv:
-                continue
-            c = dinv * gram_eval(piv, v)
-            w = [v[k] - piv[k] * c for k in range(len(v))]
-            if not all(x.is_zero() for x in w):
-                nxt.append(w)
-        pool = nxt
-    return basis, diag

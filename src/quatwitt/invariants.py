@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLarge, LengthMismatch, RankMismatch
 from .fields import REAL_PLACE, finite_place, hilbert_symbol, relevant_primes
-from .hermitian import AntiHermForm, herm_invariants
+from .hermitian import AntiHermForm
 from .mixed import (
     MixedClass,
     mixed,
@@ -28,6 +27,7 @@ from .mixed import (
     mixed_odd,
     mixed_one,
     mixed_zero,
+    screened_distinct,
 )
 from .quadforms import (
     WittClass,
@@ -38,7 +38,7 @@ from .quadforms import (
     witt_class,
     witt_equal,
 )
-from .quaternions import QuatAlgebra, Quaternion, is_split, norm_forms
+from .quaternions import QuatAlgebra, draw_pure, norm_forms
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
@@ -261,32 +261,9 @@ def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,
     A = alpha.algebra
     rng = random.Random(seed)
     for _ in range(n_samples):
-        coords = []
-        entries = []
-        for _slot in range(alpha.r):
-            while True:
-                c = tuple(rng.randint(-height, height) for _ in range(3))
-                if not any(c):
-                    continue
-                z = A.pure(Fraction(c[0]), Fraction(c[1]), Fraction(c[2]))
-                if z.is_invertible():
-                    coords.append(c)
-                    entries.append(z)
-                    break
-        h = AntiHermForm(tuple(entries), A)
-        val = eval_invariant(alpha, h)
-        if _provably_distinct(val, claimed):
-            return SampleCheck("refuted", point=tuple(coords))
+        h = AntiHermForm(tuple(draw_pure(rng, A, height)
+                               for _slot in range(alpha.r)), A)
+        if screened_distinct(eval_invariant(alpha, h), claimed):
+            point = tuple(tuple(int(c) for c in z.coords[1:]) for z in h.diag)
+            return SampleCheck("refuted", point=point)
     return SampleCheck("consistent")
-
-
-def _provably_distinct(x: MixedClass, y: MixedClass) -> bool:
-    """Sound, cheap distinctness screens (a subset of mixed_equal)."""
-    if x.even != y.even:
-        return True
-    if (x.odd.rank + y.odd.rank) % 2:
-        return True
-    if x.odd.rank or y.odd.rank:
-        if herm_invariants(x.odd).disc != herm_invariants(y.odd).disc:
-            return True
-    return False

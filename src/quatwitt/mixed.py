@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .errors import AlgebraMismatch, AsymmetryDetected, NotSplit
+from .errors import AlgebraMismatch, AsymmetryDetected
 from .fields import square_class
 from .hermitian import (
+    DEFAULT_SEARCH_BOUND,
     AntiHermForm,
-    HyperbolicityResult,
     herm_invariants,
     hyperbolicity_certificate,
     morita_transfer,
@@ -26,12 +26,20 @@ from .quadforms import (
     QuadForm,
     WittClass,
     diagonalize,
+    is_witt_zero,
     pfister,
     qf,
     witt_class,
     witt_zero,
 )
-from .quaternions import QuatAlgebra, Quaternion, find_nilpotent, is_split, norm_forms
+from .quaternions import (
+    QuatAlgebra,
+    Quaternion,
+    find_nilpotent,
+    is_split,
+    norm_forms,
+    random_pure,
+)
 
 BASIS_NAMES = ("1", "i", "j", "ij")
 
@@ -156,8 +164,6 @@ PROBE_SEEDS = (11, 23, 57)
 
 
 def _probe_set(A: QuatAlgebra):
-    from .quaternions import random_pure
-
     i, j, ij = A.i(), A.j(), A.ij()
     fixed = [i, j, ij, i + j, i - j, i + ij, i - ij, j + ij, j - ij]
     probes = [z for z in fixed if z.is_invertible()]
@@ -174,7 +180,18 @@ def phi_z0(x: MixedClass, z0: Optional[Quaternion] = None) -> WittClass:
     return x.even + witt_class(morita_transfer(x.odd, z0))
 
 
-def mixed_equal(x: MixedClass, y: MixedClass, search_bound: int = 8) -> str:
+def screened_distinct(x: MixedClass, y: MixedClass) -> bool:
+    """Sound, cheap distinctness screens: even parts, odd-rank parity and
+    the reduced-norm discriminant of the odd parts."""
+    if x.even != y.even:
+        return True
+    if (x.odd.rank + y.odd.rank) % 2:
+        return True
+    return herm_invariants(x.odd).disc != herm_invariants(y.odd).disc
+
+
+def mixed_equal(x: MixedClass, y: MixedClass,
+                search_bound: int = DEFAULT_SEARCH_BOUND) -> str:
     """Tiered decision: returns "equal", "distinct" or "unknown".
 
     Even parts are compared exactly.  Split odd parts go through Morita
@@ -183,20 +200,13 @@ def mixed_equal(x: MixedClass, y: MixedClass, search_bound: int = 8) -> str:
     tries to certify equality.
     """
     x._check(y)
-    if x.even != y.even:
-        return "distinct"
     diff = x.odd.perp(y.odd.neg())
     if is_split(x.algebra):
-        z0 = find_nilpotent(x.algebra)
-        q = morita_transfer(diff, z0)
-        from .quadforms import is_witt_zero
-
+        if x.even != y.even:
+            return "distinct"
+        q = morita_transfer(diff, find_nilpotent(x.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
-    if len(x.odd.diag) % 2 != len(y.odd.diag) % 2:
-        return "distinct"
-    dx = herm_invariants(x.odd).disc
-    dy = herm_invariants(y.odd).disc
-    if dx != dy:
+    if screened_distinct(x, y):
         return "distinct"
     cert = hyperbolicity_certificate(diff, bound=search_bound)
     if cert.status == "hyperbolic":

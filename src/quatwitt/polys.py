@@ -9,7 +9,9 @@ field Q(t) used by the residue and generic-splitting code.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+
+from .errors import MissingFactorization
 
 Poly = tuple  # tuple[Fraction, ...]
 
@@ -183,15 +185,15 @@ def _divisors(n: int):
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Irreducibility over Q, decided for degree <= 3 only."""
-    d = degree(p)
-    if d <= 0:
+    """Irreducibility over Q, decided by factor_poly; MissingFactorization
+    when that meets a cofactor beyond its reach (degree five or more)."""
+    if degree(p) <= 0:
         return False
-    if d == 1:
-        return True
-    if d in (2, 3):
-        return not rational_roots(p)
-    raise NotImplementedError("irreducibility only decided up to degree 3")
+    try:
+        _, factors = factor_poly(p)
+    except NotImplementedError as exc:
+        raise MissingFactorization(str(exc)) from exc
+    return len(factors) == 1 and factors[0][1] == 1
 
 
 def _compose_shift(p: Poly, s: Fraction) -> Poly:
@@ -207,8 +209,6 @@ def _fraction_sqrt(x: Fraction):
     """Exact square root of a nonnegative rational, or None."""
     if x < 0:
         return None
-    from math import isqrt
-
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn != x.numerator or rd * rd != x.denominator:
         return None

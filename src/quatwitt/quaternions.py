@@ -24,7 +24,7 @@ from .errors import (
     ZeroArgument,
 )
 from .fields import QQ, FieldSpec, square_class
-from .quadforms import QuadForm, is_isotropic, qf
+from .quadforms import is_isotropic, qf
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,14 @@ def is_split(A: QuatAlgebra) -> bool:
     return is_isotropic(norm_forms(A)["n_Q"])
 
 
+def height_shell(h: int, n: int):
+    """The integer n-tuples whose largest absolute entry is exactly h, in
+    lexicographic order; the shells h = 0, 1, 2, ... cover Z^n once."""
+    for c in itertools.product(range(-h, h + 1), repeat=n):
+        if h in c or -h in c:
+            yield c
+
+
 def find_nilpotent(A: QuatAlgebra, height_bound: int = 40) -> Quaternion:
     """Nonzero pure z0 with z0^2 = 0, by lexicographic height search on the
     pure norm form; the result is verified by squaring."""
@@ -175,11 +183,7 @@ def find_nilpotent(A: QuatAlgebra, height_bound: int = 40) -> Quaternion:
         raise NotSplit(f"{A!r} is a division algebra")
     a, b = A.a, A.b
     for h in range(1, height_bound + 1):
-        for c1, c2, c3 in itertools.product(range(-h, h + 1), repeat=3):
-            if max(abs(c1), abs(c2), abs(c3)) != h:
-                continue
-            if c1 == 0 and c2 == 0 and c3 == 0:
-                continue
+        for c1, c2, c3 in height_shell(h, 3):
             if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
                 z0 = A.pure(Fraction(c1), Fraction(c2), Fraction(c3))
                 if not (z0 * z0).is_zero():
@@ -188,14 +192,19 @@ def find_nilpotent(A: QuatAlgebra, height_bound: int = 40) -> Quaternion:
     raise SearchBoundExceeded(f"no nilpotent of height <= {height_bound}")
 
 
-def random_pure(A: QuatAlgebra, seed: int, height_bound: int = 10) -> Quaternion:
-    """Deterministic-given-seed invertible pure quaternion with integer
-    coordinates of absolute value <= height_bound."""
-    rng = random.Random(seed)
+def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:
+    """Invertible pure quaternion with integer coordinates of absolute value
+    <= height, drawn from rng (three randint calls per attempt)."""
     while True:
-        c = [rng.randint(-height_bound, height_bound) for _ in range(3)]
+        c = [rng.randint(-height, height) for _ in range(3)]
         if not any(c):
             continue
         z = A.pure(Fraction(c[0]), Fraction(c[1]), Fraction(c[2]))
         if z.is_invertible():
             return z
+
+
+def random_pure(A: QuatAlgebra, seed: int, height_bound: int = 10) -> Quaternion:
+    """Deterministic-given-seed invertible pure quaternion with integer
+    coordinates of absolute value <= height_bound."""
+    return draw_pure(random.Random(seed), A, height_bound)

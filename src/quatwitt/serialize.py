@@ -19,12 +19,12 @@ from fractions import Fraction
 from typing import Optional
 
 from . import polys as P
-from .errors import SchemaViolation
+from .errors import MissingFactorization, NotPureInvertible, SchemaViolation
 from .fields import QQ, FieldSpec
 from .funcfield import FFEntry, FunctionFieldForm, ff_entry
 from .hermitian import AntiHermForm
 from .invariants import LambdaInvariant
-from .mixed import MixedClass, mixed
+from .mixed import MixedClass
 from .quadforms import QuadForm, qf, witt_class
 from .quaternions import QuatAlgebra, Quaternion
 
@@ -65,8 +65,6 @@ def parse_hermform(doc: dict, A: QuatAlgebra, ptr: str = "") -> AntiHermForm:
     entries = [
         parse_quaternion(c, A, f"{ptr}/herm_diag/{i}") for i, c in enumerate(diag)
     ]
-    from .errors import NotPureInvertible
-
     try:
         return AntiHermForm(tuple(entries), A)
     except NotPureInvertible as exc:
@@ -126,7 +124,11 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if not f.get("irreducible"):
                 raise SchemaViolation("factor lacks irreducibility flag",
                                       fptr + "/irreducible")
-            if not P.is_irreducible(pol):
+            try:
+                irreducible = P.is_irreducible(pol)
+            except MissingFactorization as exc:
+                raise SchemaViolation(str(exc), fptr + "/poly") from exc
+            if not irreducible:
                 raise SchemaViolation("factor is not irreducible",
                                       fptr + "/poly")
             exp = f.get("exp", 1)

@@ -11,14 +11,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional
 
 from . import polys as P
 from .errors import UnknownSuite
 from .funcfield import (
-    FunctionFieldForm,
     Place,
     conic_parametrize,
     ff_form,
@@ -31,6 +29,7 @@ from .funcfield import (
     w0_membership,
 )
 from .hermitian import (
+    DEFAULT_SEARCH_BOUND,
     AntiHermForm,
     hyperbolicity_certificate,
     morita_gram,
@@ -39,7 +38,6 @@ from .hermitian import (
 from .invariants import (
     LambdaInvariant,
     chi,
-    eval_invariant,
     int_multiple,
     is_constant_invariant,
     invariant_equal,
@@ -68,7 +66,7 @@ from .quadforms import (
     witt_equal,
     witt_zero,
 )
-from .quaternions import QuatAlgebra, Quaternion, find_nilpotent, is_split
+from .quaternions import QuatAlgebra, draw_pure, find_nilpotent
 
 DIVISION_ALGEBRAS = [(-1, -1)]
 SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
@@ -77,7 +75,7 @@ SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
 @dataclass
 class RunConfig:
     seed: int = 0
-    search_bound: int = 8
+    search_bound: int = DEFAULT_SEARCH_BOUND
 
 
 @dataclass
@@ -126,16 +124,6 @@ def _case(cases: List[dict], cid: str, ok: Optional[bool],
     cases.append(c)
 
 
-def _rand_pure(rng: random.Random, A: QuatAlgebra, height: int = 9) -> Quaternion:
-    while True:
-        c = [rng.randint(-height, height) for _ in range(3)]
-        if not any(c):
-            continue
-        z = A.pure(*(Fraction(v) for v in c))
-        if z.is_invertible():
-            return z
-
-
 def _rand_form(rng: random.Random, dim: int, bound: int) -> QuadForm:
     vals = []
     while len(vals) < dim:
@@ -149,7 +137,7 @@ def _rand_mixed(rng: random.Random, A: QuatAlgebra,
                 odd_rank: int = 1) -> MixedClass:
     even = witt_class(_rand_form(rng, rng.randint(0, 2), 10)) \
         if rng.random() < 0.8 else witt_zero()
-    odd = tuple(_rand_pure(rng, A, 5) for _ in range(odd_rank))
+    odd = tuple(draw_pure(rng, A, 5) for _ in range(odd_rank))
     return mixed(A, even=even, odd_entries=odd)
 
 
@@ -190,7 +178,7 @@ def _suite_products(cfg: RunConfig) -> Report:
     for a, b in DIVISION_ALGEBRAS + SPLIT_ALGEBRAS[:2]:
         A = QuatAlgebra(a, b)
         for k in range(170):
-            z1, z2 = _rand_pure(rng, A), _rand_pure(rng, A)
+            z1, z2 = draw_pure(rng, A, 9), draw_pure(rng, A, 9)
             tt = witt_class(twisted_trace_form(z1, z2))
             cf = odd_product_closed_form(z1, z2)
             ok = tt == cf
@@ -225,7 +213,7 @@ def _suite_morita(cfg: RunConfig) -> Report:
         A = QuatAlgebra(a, b)
         z0 = find_nilpotent(A)
         for k in range(200):
-            z = _rand_pure(rng, A)
+            z = draw_pure(rng, A, 9)
             h = AntiHermForm((z,), A)
             q = morita_transfer(h, z0)
             t = (z * z0).trd()
@@ -247,7 +235,7 @@ def _suite_lambda(cfg: RunConfig) -> Report:
     for a, b in DIVISION_ALGEBRAS + SPLIT_ALGEBRAS[:1]:
         A = QuatAlgebra(a, b)
         for k in range(120):
-            z = _rand_pure(rng, A)
+            z = draw_pure(rng, A, 9)
             h = AntiHermForm((z,), A)
             lam = lambda_all(h)
             ok = (
@@ -263,7 +251,7 @@ def _suite_lambda(cfg: RunConfig) -> Report:
     # sum formula on rank-2 forms, even-decidable slices
     A = QuatAlgebra(-1, -1)
     for k in range(100):
-        z1, z2 = _rand_pure(rng, A, 5), _rand_pure(rng, A, 5)
+        z1, z2 = draw_pure(rng, A, 5), draw_pure(rng, A, 5)
         h1 = AntiHermForm((z1,), A)
         h2 = AntiHermForm((z2,), A)
         h = h1.perp(h2)
@@ -293,7 +281,7 @@ def _suite_relations(cfg: RunConfig) -> Report:
         for r in (1, 2, 3):
             for k in range(50):
                 h = AntiHermForm(
-                    tuple(_rand_pure(rng, A, 6) for _ in range(r)), A
+                    tuple(draw_pure(rng, A, 6) for _ in range(r)), A
                 )
                 lam = lambda_all(h)
                 for i in range(r + 1):

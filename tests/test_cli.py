@@ -84,6 +84,60 @@ def test_decide(capsys):
     assert json.loads(out)["result"] == "distinct"
 
 
+def _ff_doc(coeffs):
+    return json.dumps({"entries": [{"unit": "1", "factors": [
+        {"poly": coeffs, "exp": 1, "irreducible": True}]}]})
+
+
+def test_residue_quartic_and_quintic_factors(capsys):
+    # t^4 + 2 is irreducible (Eisenstein at 2): decided, not refused
+    code, out, _ = _run(capsys, [
+        "--output", "json", "residue", _ff_doc(["2", "0", "0", "0", "1"]),
+        "--place", "inf",
+    ])
+    assert code == 0
+    assert set(json.loads(out)) == {"first", "second"}
+    # t^4 + 4 = (t^2 + 2t + 2)(t^2 - 2t + 2) is flagged irreducible wrongly
+    code, _, err = _run(capsys, [
+        "residue", _ff_doc(["4", "0", "0", "0", "1"]), "--place", "inf",
+    ])
+    assert code == 2
+    assert "/entries/0/factors/0/poly" in err
+    # t^5 + t + 3 has no rational root: beyond the factorizer's reach
+    code, _, err = _run(capsys, [
+        "residue", _ff_doc(["3", "1", "0", "0", "0", "1"]), "--place", "inf",
+    ])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "/entries/0/factors/0/poly" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--field", "F5", "decide", '{"even": ["1"]}',
+     '{"even": ["2", "3", "5"]}', "--quat", "1", "1"],
+    ["--field", "Qt", "lambda", "1", '{"herm_diag": [["0", "1", "0", "0"]]}'],
+    ["--field", "F3", "decide", '{"r": 1, "coeffs": [{}, {}, {}]}',
+     '{"r": 1, "coeffs": [{}, {}, {}]}'],
+    ["--field", "F7", "residue", '{"entries": [[0, 1], 1]}', "--place", "0,1"],
+])
+def test_ignored_field_exits_2(capsys, argv):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_field_accepted_where_read(capsys):
+    for field in ("Q", "Qt"):
+        code, _, _ = _run(capsys, ["--field", field, "residue",
+                                   '{"entries": [[0, 1], 1]}', "--place", "0,1"])
+        assert code == 0
+    code, out, _ = _run(capsys, ["--field", "F5", "--output", "json", "decide",
+                                 '{"diag": [1]}', '{"diag": [4]}'])
+    assert code == 0
+    assert json.loads(out)["result"] == "equal"
+
+
 def test_errors_exit_2(capsys):
     code, _, err = _run(capsys, ["prod", '{"diag": [1]}', '{"diag": [1]}'])
     assert code == 2

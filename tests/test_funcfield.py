@@ -102,9 +102,12 @@ def test_kt_witt_equal_and_specialization():
 
 
 def test_conic_parametrization_identity():
-    for a, b in [(1, 1), (2, 7), (5, -1)]:
+    points = {(1, 1): (-1, 0), (2, 7): (F(-7, 3), F(-2, 3)),
+              (5, -1): (-2, -5)}
+    for (a, b), point in points.items():
         A = QuatAlgebra(a, b)
         conic = conic_parametrize(A)
+        assert conic.point == point
         x, y = conic.x_t, conic.y_t
         lhs = x * x * (-a) + y * y * (-b)
         assert lhs == RationalFunction.from_const(F(-a * b))

@@ -1,11 +1,12 @@
 """Anti-hermitian forms: diagonalization, Morita transfer, hyperbolicity."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from quatwitt.errors import NotSplit
+from quatwitt.errors import DegenerateForm, NotSplit
 from quatwitt.hermitian import (
     AntiHermForm,
     herm_diag,
@@ -56,6 +57,17 @@ def test_herm_diagonalize_gram():
             form, u = herm_diagonalize(gram, A)
             assert form.rank == 2
             assert certificate_ok(gram, u, form)
+        # both diagonal values vanish: the pivot comes from mixing e1 + e2 q
+        one, zero = A.one(), A.element(0, 0, 0, 0)
+        gram = [[zero, one], [-one, zero]]
+        form, u = herm_diagonalize(gram, A)
+        assert form.rank == 2
+        assert certificate_ok(gram, u, form)
+        # the zero Gram is refused at once, without a mixing search
+        start = time.perf_counter()
+        with pytest.raises(DegenerateForm):
+            herm_diagonalize([[zero, zero], [zero, zero]], A)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_morita_transfer_formula():

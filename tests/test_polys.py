@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from quatwitt import polys as P
+from quatwitt.errors import MissingFactorization
 from quatwitt.polys import RationalFunction
 
 
@@ -69,9 +70,11 @@ def test_factor_quartic_cases():
     q = P.pmul(P.poly([F(1), F(0), F(1)]), P.poly([F(2), F(1), F(1)]))
     _, fs = P.factor_poly(q)
     assert sorted(P.degree(f) for f, _ in fs) == [2, 2]
+    assert not P.is_irreducible(q)
     # t^4 + 1 is irreducible over Q
     _, fs = P.factor_poly(P.poly([F(1), F(0), F(0), F(0), F(1)]))
     assert [(P.degree(f), e) for f, e in fs] == [(4, 1)]
+    assert P.is_irreducible(P.poly([F(1), F(0), F(0), F(0), F(1)]))
     # (t^2 + 1)^2 is a repeated factor
     _, fs = P.factor_poly(P.ppow(P.poly([F(1), F(0), F(1)]), 2))
     assert [(P.degree(f), e) for f, e in fs] == [(2, 2)]
@@ -83,6 +86,8 @@ def test_factor_poly_degree_limit():
     assert not P.rational_roots(p)
     with pytest.raises(NotImplementedError):
         P.factor_poly(p)
+    with pytest.raises(MissingFactorization):
+        P.is_irreducible(p)
 
 
 def test_rational_function_arithmetic():

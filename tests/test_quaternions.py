@@ -1,5 +1,6 @@
 """Quaternion algebra arithmetic and the canonical involution."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from quatwitt.quadforms import qf, witt_equal
 from quatwitt.quaternions import (
     QuatAlgebra,
     find_nilpotent,
+    height_shell,
     is_split,
     norm_forms,
     quat_arith,
@@ -81,10 +83,21 @@ def test_is_split():
     assert not is_split(QuatAlgebra(-1, -7))
 
 
+def test_height_shell():
+    assert list(height_shell(0, 3)) == [(0, 0, 0)]
+    for n in (1, 2, 3):
+        for h in (1, 2):
+            box = itertools.product(range(-h, h + 1), repeat=n)
+            assert list(height_shell(h, n)) == \
+                [c for c in box if max(map(abs, c)) == h]
+
+
 def test_find_nilpotent():
-    for A in (M2, QuatAlgebra(2, 7), QuatAlgebra(5, -1)):
-        z0 = find_nilpotent(A)
-        assert not z0.is_zero()
+    expected = {(1, 1): (0, -1, 0, -1), (2, 7): (0, -7, -6, -5),
+                (5, -1): (0, -2, -5, -1)}
+    for (a, b), coords in expected.items():
+        z0 = find_nilpotent(QuatAlgebra(a, b))
+        assert z0.coords == coords
         assert (z0 * z0).is_zero()
     with pytest.raises(NotSplit):
         find_nilpotent(H)
