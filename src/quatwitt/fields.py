@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 from typing import Optional, Tuple
 
 from .errors import (
@@ -22,6 +23,8 @@ from .errors import (
 
 TRIAL_DIVISION_BOUND = 10**6
 FACTOR_BOUND = 10**18
+# Each cache holds at least 4x the entries that `quatwitt check all` or a
+# benchmark run fills, so neither evicts; the bound caps a long-lived process.
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +69,7 @@ def Fp(p: int) -> FieldSpec:
 # integer factorization (trial division only)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**11)
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division; n must stay within the
     range where trial division to 10^6 is conclusive."""
@@ -86,8 +89,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
-def factorize(n: int, bound: int = FACTOR_BOUND):
+@lru_cache(maxsize=2**17)
+def factorize(n: int):
     """Factor a nonzero integer: returns (sign, [(prime, exponent), ...]).
 
     Pure trial division up to 10^6; anything with a cofactor that cannot
@@ -95,8 +98,8 @@ def factorize(n: int, bound: int = FACTOR_BOUND):
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
-    if abs(n) > bound:
-        raise FactorizationLimitExceeded(f"|{n}| exceeds bound {bound}")
+    if abs(n) > FACTOR_BOUND:
+        raise FactorizationLimitExceeded(f"|{n}| exceeds bound {FACTOR_BOUND}")
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors = []
@@ -127,7 +130,7 @@ def _trial_primes():
         step = 6 - step
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def squarefree_part(n: int) -> int:
     """Squarefree integer representing the square class of n != 0."""
     sign, factors = factorize(n)
@@ -157,11 +160,7 @@ class SquareClass:
         if self.field != other.field:
             raise UnsupportedField("square classes over different fields")
         if self.field.kind == "Q":
-            # both reps are squarefree, so no fresh factorization is needed
-            from math import gcd
-
-            g = gcd(abs(self.repr), abs(other.repr))
-            return SquareClass(self.repr * other.repr // (g * g), self.field)
+            return SquareClass(sq_mul(self.repr, other.repr), self.field)
         return square_class(self.repr * other.repr, self.field)
 
     def __neg__(self) -> "SquareClass":
@@ -169,6 +168,23 @@ class SquareClass:
 
     def is_one(self) -> bool:
         return self.repr == 1
+
+
+def sq_mul(a: int, b: int) -> int:
+    """Squarefree representative of ab, for squarefree integers a and b;
+    no fresh factorization is needed."""
+    g = gcd(a, b)
+    return a * b // (g * g)
+
+
+def rational_sqrt(x: Fraction):
+    """Exact square root of a nonnegative rational, or None."""
+    if x < 0:
+        return None
+    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
+    if rn * rn != x.numerator or rd * rd != x.denominator:
+        return None
+    return Fraction(rn, rd)
 
 
 def square_class(x, field: FieldSpec = QQ) -> SquareClass:
@@ -209,7 +225,7 @@ def smallest_nonresidue(p: int) -> int:
 # symbols
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**15)
 def legendre_symbol(a: int, p: int) -> int:
     """(a|p) in {-1, 0, 1} via Euler's criterion; p must be an odd prime."""
     if p == 2 or not is_prime(p):
@@ -252,79 +268,72 @@ def finite_place(p: int) -> Place:
     return Place("finite", p=p)
 
 
-def _val_and_unit(x: Fraction, p: int):
-    """x = p^v * u with u a p-unit; returns (v, u) as (int, Fraction)."""
+def _val_and_unit(n: int, p: int):
+    """n = p^v * u with p not dividing u; returns (v, u)."""
     v = 0
-    num, den = x.numerator, x.denominator
-    while num % p == 0:
-        num //= p
+    while n % p == 0:
+        n //= p
         v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    return v, n
 
 
-def _unit_mod(u: Fraction, m: int) -> int:
-    """u mod m for a fraction whose denominator is invertible mod m."""
-    return (u.numerator * pow(u.denominator, -1, m)) % m
+def _class_int(x) -> int:
+    """An integer in the square class of the rational x: n/d and n*d
+    differ by the square d^2."""
+    if isinstance(x, int):
+        return x
+    x = Fraction(x)
+    return x.numerator * x.denominator
 
 
 def hilbert_symbol(a, b, v: Place) -> int:
     """Hilbert symbol (a, b)_v over the completion of Q at v."""
-    # the symbol only depends on square classes, so reduce fractions to
-    # integers n*d for fast cache keys
-    if not isinstance(a, int):
-        a = Fraction(a)
-        a = a.numerator * a.denominator
-    if not isinstance(b, int):
-        b = Fraction(b)
-        b = b.numerator * b.denominator
+    a, b = _class_int(a), _class_int(b)
     if a == 0 or b == 0:
         raise ZeroArgument("Hilbert symbol needs nonzero arguments")
-    return _hilbert_symbol_cached(a, b, v)
-
-
-@lru_cache(maxsize=None)
-def _hilbert_symbol_cached(a: int, b: int, v: Place) -> int:
-    a, b = Fraction(a), Fraction(b)
     if v.kind == "real":
-        return -1 if a < 0 and b < 0 else 1
+        return hilbert_symbol_p(a, b, -1)
     if v.kind != "finite":
         raise UnsupportedField(f"Hilbert symbol undefined at {v}")
-    p = v.p
+    return hilbert_symbol_p(a, b, v.p)
+
+
+@lru_cache(maxsize=2**20)
+def hilbert_symbol_p(a: int, b: int, p: int) -> int:
+    """Hilbert symbol (a, b)_p of nonzero integers over Q_p, for a prime p
+    or p = -1, the real place (Serre, *A Course in Arithmetic*, III.1)."""
+    if a == 0 or b == 0:
+        raise ZeroArgument("Hilbert symbol needs nonzero arguments")
+    if p == -1:
+        return -1 if a < 0 and b < 0 else 1
     alpha, u = _val_and_unit(a, p)
     beta, w = _val_and_unit(b, p)
     if p == 2:
-        def eps(x):
-            return (_unit_mod(x, 8) - 1) // 2 % 2
-
-        def omega(x):
-            return (_unit_mod(x, 8) ** 2 - 1) // 8 % 2
-
-        e = eps(u) * eps(w) + alpha * omega(w) + beta * omega(u)
-        return -1 if e % 2 else 1
+        # epsilon (u - 1)/2 and omega (u^2 - 1)/8 of the units, mod 2
+        eu, ew = (u % 8 - 1) // 2, (w % 8 - 1) // 2
+        ou, ow = ((u % 8) ** 2 - 1) // 8, ((w % 8) ** 2 - 1) // 8
+        return -1 if (eu * ew + alpha * ow + beta * ou) % 2 else 1
     sign = 1
     if (alpha * beta * (p - 1) // 2) % 2:
         sign = -sign
     if beta % 2:
-        sign *= legendre_symbol(_unit_mod(u, p), p)
+        sign *= legendre_symbol(u % p, p)
     if alpha % 2:
-        sign *= legendre_symbol(_unit_mod(w, p), p)
+        sign *= legendre_symbol(w % p, p)
     return sign
 
 
 def is_padic_square(x, p: int) -> bool:
     """Whether a nonzero rational is a square in Q_p."""
-    x = Fraction(x)
+    x = _class_int(x)
     if x == 0:
         raise ZeroArgument("0 has no square class")
     v, u = _val_and_unit(x, p)
     if v % 2:
         return False
     if p == 2:
-        return _unit_mod(u, 8) == 1
-    return legendre_symbol(_unit_mod(u, p), p) == 1
+        return u % 8 == 1
+    return legendre_symbol(u % p, p) == 1
 
 
 def relevant_primes(values) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from . import polys as P
@@ -25,7 +24,7 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-from .fields import Place, square_class, squarefree_part
+from .fields import Place, rational_sqrt, sq_mul, square_class, squarefree_part
 from .mixed import MixedClass, mixed
 from .hermitian import morita_transfer_entries
 from .polys import RationalFunction
@@ -40,6 +39,7 @@ from .quadforms import (
 from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
 
 INFINITE_PLACE = Place("infinite")
+CONIC_HEIGHT_BOUND = 60
 
 
 def poly_place(pi: P.Poly) -> Place:
@@ -120,10 +120,7 @@ def ff_entry(x) -> FFEntry:
 def ff_entry_product(e1: FFEntry, e2: FFEntry) -> FFEntry:
     """Product of two factored entries up to squares, merging the known
     factorizations instead of refactoring."""
-    # both units are squarefree integers, so their product reduces by gcd
-    a, b = int(e1.unit), int(e2.unit)
-    g = gcd(abs(a), abs(b))
-    unit = Fraction(a * b // (g * g))
+    unit = Fraction(sq_mul(int(e1.unit), int(e2.unit)))
     merged = {f: e for f, e in e1.factors}
     for f, e in e2.factors:
         merged[f] = merged.get(f, 0) + e
@@ -279,17 +276,16 @@ def _quadratic_square(pi: P.Poly, z: P.Poly) -> bool:
         if s == 0:
             return False
         disc = beta * beta - 4 * c0
-        if s > 0 and P._fraction_sqrt(s) is not None:
-            return True
-        return s * disc > 0 and P._fraction_sqrt(s * disc) is not None
+        return (rational_sqrt(s) is not None
+                or rational_sqrt(s * disc) is not None)
     norm = s * s - beta * s * t + c0 * t * t
-    w = P._fraction_sqrt(norm)
+    w = rational_sqrt(norm)
     if w is None:
         return False
     trace = 2 * s - beta * t
     for sign in (1, -1):
         v = trace + 2 * sign * w
-        if v > 0 and P._fraction_sqrt(v) is not None:
+        if v > 0 and rational_sqrt(v) is not None:
             return True
     return False
 
@@ -421,11 +417,11 @@ class ConicData:
     y_t: RationalFunction
 
 
-def _conic_point(A: QuatAlgebra, height_bound: int = 60):
+def _conic_point(A: QuatAlgebra):
     """Rational point of -a x^2 - b y^2 + ab = 0, from a zero of the pure
-    norm form with nonzero ij-coordinate."""
+    norm form with nonzero ij-coordinate and height <= CONIC_HEIGHT_BOUND."""
     a, b = A.a, A.b
-    for h in range(1, height_bound + 1):
+    for h in range(1, CONIC_HEIGHT_BOUND + 1):
         for c3, c1, c2 in height_shell(h, 3):
             if c3 >= 1 and -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
                 return (Fraction(c1, c3), Fraction(c2, c3))

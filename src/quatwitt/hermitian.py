@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, isqrt
+from math import gcd
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     SearchBoundExceeded,
     VerificationFailed,
 )
-from .fields import SquareClass, square_class
+from .fields import SquareClass, rational_sqrt, square_class
 from .quadforms import QuadForm, qf
 from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
 
@@ -431,14 +431,9 @@ def _square_ratio(x: Quaternion, y: Quaternion):
     """c > 0 rational with x = c^2 * y, or None."""
     for cx, cy in zip(x.coords, y.coords):
         if cy:
-            ratio = Fraction(cx) / Fraction(cy)
-            if ratio <= 0:
+            c = rational_sqrt(Fraction(cx) / Fraction(cy))
+            if not c:
                 return None
-            num, den = ratio.numerator, ratio.denominator
-            rn, rd = isqrt(num), isqrt(den)
-            if rn * rn != num or rd * rd != den:
-                return None
-            c = Fraction(rn, rd)
             if all(Fraction(a) == c * c * Fraction(b)
                    for a, b in zip(x.coords, y.coords)):
                 return c

@@ -152,15 +152,18 @@ def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
 # membership in n_Q W(k)
 
 
-def nq_membership(x: WittClass, A: QuatAlgebra, max_terms: int = 2) -> str:
+NQ_SEARCH_TERMS = 2
+
+
+def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     """Tri-state membership of x in the ideal n_Q W(Q):
     "member", "nonmember" or "unknown".
 
     Sound negatives come from local screens: wherever the algebra splits
     locally the ideal restricts to 0, and at the real place signatures of
     multiples of n_Q are divisible by 4.  Positives come from a bounded
-    search for y with x = n_Q (x) y over square classes supported on the
-    primes of x and 2ab.
+    search for y with x = n_Q (x) y, a sum of at most NQ_SEARCH_TERMS square
+    classes supported on the primes of x and 2ab.
     """
     nq = n_q_class(A)
     if nq.is_zero():
@@ -184,7 +187,7 @@ def nq_membership(x: WittClass, A: QuatAlgebra, max_terms: int = 2) -> str:
     # bounded positive search
     cands = _square_class_candidates(primes)
     nqf = nq.anis
-    for k in range(1, max_terms + 1):
+    for k in range(1, NQ_SEARCH_TERMS + 1):
         for combo in itertools.combinations_with_replacement(cands, k):
             y = qf(list(combo))
             if witt_equal(x.anis, nqf.tensor(y)):

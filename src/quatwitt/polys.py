@@ -9,9 +9,10 @@ field Q(t) used by the residue and generic-splitting code.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import MissingFactorization
+from .fields import rational_sqrt
 
 Poly = tuple  # tuple[Fraction, ...]
 
@@ -205,16 +206,6 @@ def _compose_shift(p: Poly, s: Fraction) -> Poly:
     return out
 
 
-def _fraction_sqrt(x: Fraction):
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    rn, rd = isqrt(x.numerator), isqrt(x.denominator)
-    if rn * rn != x.numerator or rd * rd != x.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
 def _factor_quartic(q: Poly):
     """Split a monic squarefree quartic with no rational roots into two
     monic quadratics over Q, or None if it is irreducible.
@@ -231,7 +222,7 @@ def _factor_quartic(q: Poly):
     if c == 0:
         candidates.append(Fraction(0))
     for cap in candidates:
-        u = _fraction_sqrt(cap)
+        u = rational_sqrt(cap)
         if u is None:
             continue
         if u != 0:
@@ -240,7 +231,7 @@ def _factor_quartic(q: Poly):
         else:
             if c != 0:
                 continue
-            root = _fraction_sqrt(p * p - 4 * r)
+            root = rational_sqrt(p * p - 4 * r)
             if root is None:
                 continue
             v, w = (p - root) / 2, (p + root) / 2

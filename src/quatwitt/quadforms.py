@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from fractions import Fraction
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateForm,
     DegreeTooLarge,
+    EvenOrCompositeModulus,
     FieldMismatch,
     NonSymmetricMatrix,
     PfisterRecognitionFailure,
@@ -42,12 +42,11 @@ from .fields import (
     SquareClass,
     factorize,
     finite_place,
-    hilbert_symbol,
+    hilbert_symbol_p,
     is_padic_square,
     is_prime,
-    relevant_primes,
+    sq_mul,
     square_class,
-    squarefree_part,
 )
 
 # ---------------------------------------------------------------------------
@@ -130,17 +129,10 @@ def signed_disc(q: QuadForm) -> SquareClass:
 
 def hasse_at(q: QuadForm, v: Place) -> int:
     if v.kind == "real":
-        return _hyperbolic_hasse(sum(1 for r in q.reps() if r < 0), v)
+        return _hyperbolic_hasse(sum(1 for r in q.reps() if r < 0), -1)
     if v.kind != "finite":
         raise UnsupportedField(f"Hasse symbol of a form over Q at {v}")
-    return _local_q(q).hasse.get(v, 1)
-
-
-def _support_primes(*forms: QuadForm) -> List[int]:
-    vals = []
-    for q in forms:
-        vals.extend(q.reps())
-    return relevant_primes(vals or [1])
+    return _local_q(q).hasse.get(v.p, 1)
 
 
 @dataclass(frozen=True)
@@ -155,9 +147,12 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
     """Classical invariants: dimension, signed discriminant, Hasse symbols
     at the relevant places, and (over Q) the signature."""
     if q.field.kind == "Q":
-        places = [REAL_PLACE] + [finite_place(p) for p in _support_primes(q)]
-        hasse = {v: hasse_at(q, v) for v in places}
-        return WittInvariants(q.dim, signed_disc(q), hasse, signature(q))
+        loc = _local_q(q)
+        hasse = {REAL_PLACE: _hyperbolic_hasse((loc.dim - loc.sig) // 2, -1)}
+        hasse.update((finite_place(p), s)
+                     for p, s in sorted(loc.hasse.items()))
+        disc = SquareClass(_signed(loc.dim, loc.disc), QQ)
+        return WittInvariants(loc.dim, disc, hasse, loc.sig)
     if q.field.kind == "Fp":
         return WittInvariants(q.dim, signed_disc(q), {}, None)
     raise UnsupportedField("invariants over Q(t) live in funcfield")
@@ -169,40 +164,35 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
 
 class _Local(NamedTuple):
     """Invariants of a diagonal of squarefree integers: dimension, plain
-    discriminant, signature, and the Hasse symbols at 2 and at the odd
-    primes of the entries (the symbol is 1 at every other prime)."""
+    discriminant, signature, and the Hasse symbols keyed by the prime, at 2
+    and at the odd primes of the entries (the symbol is 1 at every other
+    prime)."""
 
     dim: int
     disc: int
     sig: int
-    hasse: Dict[Place, int]
+    hasse: Dict[int, int]
 
 
-_NO_ENTRIES = _Local(0, 1, 0, {finite_place(2): 1})
-
-
-def _sq_mul(a: int, b: int) -> int:
-    """Squarefree representative of ab, for squarefree a and b."""
-    g = gcd(a, b)
-    return a * b // (g * g)
+_NO_ENTRIES = _Local(0, 1, 0, {2: 1})
 
 
 def _hasse_with(loc: _Local, c: int):
-    """The Hasse symbols (v, s_v) of x + <c>, one place at a time: s_v
-    picks up (disc x, c)_v, and an odd prime new in c enters with 1."""
-    new = [finite_place(p) for p, _ in factorize(c)[1]]
-    new = [v for v in new if v not in loc.hasse]
-    for v in itertools.chain(loc.hasse, new):
-        yield v, loc.hasse.get(v, 1) * hilbert_symbol(loc.disc, c, v)
+    """The Hasse symbols (p, s_p) of x + <c>, one prime at a time: s_p
+    picks up (disc x, c)_p, and an odd prime new in c enters with 1."""
+    new = [p for p, _ in factorize(c)[1] if p not in loc.hasse]
+    for p in itertools.chain(loc.hasse, new):
+        yield p, loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
 
 
 def _adjoin(loc: _Local, c: int) -> _Local:
     """Invariants of x + <c> from those of x, for a squarefree integer c."""
-    return _Local(loc.dim + 1, _sq_mul(loc.disc, c),
+    return _Local(loc.dim + 1, sq_mul(loc.disc, c),
                   loc.sig + (1 if c > 0 else -1), dict(_hasse_with(loc, c)))
 
 
-@lru_cache(maxsize=None)
+# cache bounds as in fields: 4x what `check all` or a benchmark run fills
+@lru_cache(maxsize=2**16)
 def _local_data(reps: Tuple[int, ...]) -> _Local:
     loc = _NO_ENTRIES
     for r in reps:
@@ -220,25 +210,26 @@ def _signed(n: int, disc: int) -> int:
     return -disc if n * (n - 1) // 2 % 2 else disc
 
 
-def _hyperbolic_hasse(m: int, v: Place) -> int:
-    """Hasse symbol of m hyperbolic planes, (-1, -1)_v^(m(m-1)/2)."""
-    return hilbert_symbol(-1, -1, v) if m * (m - 1) // 2 % 2 else 1
+def _hyperbolic_hasse(m: int, p: int) -> int:
+    """Hasse symbol at p of m hyperbolic planes, (-1, -1)_p^(m(m-1)/2);
+    p = -1 is the real place."""
+    return hilbert_symbol_p(-1, -1, p) if m * (m - 1) // 2 % 2 else 1
 
 
-def _local_dim(n: int, disc: int, s: int, v: Place) -> int:
+def _local_dim(n: int, disc: int, s: int, p: int) -> int:
     """Dimension of the anisotropic part over Q_p of a form of dimension
-    n, discriminant disc and Hasse symbol s at v = p.
+    n, discriminant disc and Hasse symbol s at p.
 
     Even dimension: 2 if the signed discriminant d is not a square, else 0
     or 4 as s does or does not match hyperbolic space.  Odd dimension: 1
     exactly when the form is hyperbolic space plus <d>."""
     d = _signed(n, disc)
     if n % 2 == 0:
-        if not is_padic_square(d, v.p):
+        if not is_padic_square(d, p):
             return 2
-        return 0 if s == _hyperbolic_hasse(n // 2, v) else 4
-    h = _hyperbolic_hasse((n + 1) // 2, v)
-    return 1 if s * hilbert_symbol(disc, -d, v) == h else 3
+        return 0 if s == _hyperbolic_hasse(n // 2, p) else 4
+    h = _hyperbolic_hasse((n + 1) // 2, p)
+    return 1 if s * hilbert_symbol_p(disc, -d, p) == h else 3
 
 
 def _anis_dim(loc: _Local) -> int:
@@ -248,8 +239,8 @@ def _anis_dim(loc: _Local) -> int:
     loc.hasse sees only unit entries, so it gives 1 (odd dimension) or at
     most 2 (even), and 2 only when d != 1, which a prime of d, the prime 2
     or the signature also shows."""
-    return max([abs(loc.sig)] + [_local_dim(loc.dim, loc.disc, s, v)
-                                 for v, s in loc.hasse.items()])
+    return max([abs(loc.sig)] + [_local_dim(loc.dim, loc.disc, s, p)
+                                 for p, s in loc.hasse.items()])
 
 
 def _splits_off(loc: _Local, c: int, k: int) -> bool:
@@ -259,15 +250,17 @@ def _splits_off(loc: _Local, c: int, k: int) -> bool:
     k + 1, so the first place that reaches k decides against c."""
     if abs(loc.sig - (1 if c > 0 else -1)) >= k:
         return False
-    disc = _sq_mul(loc.disc, -c)
-    return all(_local_dim(loc.dim + 1, disc, s, v) < k
-               for v, s in _hasse_with(loc, -c))
+    disc = sq_mul(loc.disc, -c)
+    return all(_local_dim(loc.dim + 1, disc, s, p) < k
+               for p, s in _hasse_with(loc, -c))
 
 
 def local_anisotropic_dim(q: QuadForm, p: int) -> int:
     """Dimension of the anisotropic kernel of q over Q_p."""
-    loc, v = _local_q(q), finite_place(p)
-    return _local_dim(loc.dim, loc.disc, loc.hasse.get(v, 1), v)
+    if not is_prime(p):
+        raise EvenOrCompositeModulus(f"{p} is not prime")
+    loc = _local_q(q)
+    return _local_dim(loc.dim, loc.disc, loc.hasse.get(p, 1), p)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +281,7 @@ def is_isotropic(q: QuadForm) -> bool:
     if n >= 5:
         return True  # indefinite of rank >= 5
     if n == 2:
-        g = gcd(abs(reps[0]), abs(reps[1]))
-        return -reps[0] * reps[1] == g * g
+        return sq_mul(reps[0], reps[1]) == -1
     return _anis_dim(_local_q(q)) < n
 
 
@@ -322,10 +314,8 @@ def is_witt_zero(q: QuadForm) -> bool:
 # Gram-matrix diagonalization
 
 
-def diagonalize(gram: Sequence[Sequence], field: FieldSpec = QQ) -> QuadForm:
+def diagonalize(gram: Sequence[Sequence]) -> QuadForm:
     """Diagonalize a symmetric nondegenerate Gram matrix over Q."""
-    if field.kind != "Q":
-        raise UnsupportedField("Gram input supported over Q")
     n = len(gram)
     g = [[Fraction(x) for x in row] for row in gram]
     for i in range(n):
@@ -334,8 +324,7 @@ def diagonalize(gram: Sequence[Sequence], field: FieldSpec = QQ) -> QuadForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise NonSymmetricMatrix("matrix is not symmetric")
-    diag = _diagonalize_inplace(g)
-    return qf(diag, field)
+    return qf(_diagonalize_inplace(g))
 
 
 def _diagonalize_inplace(g: List[List[Fraction]]):
@@ -404,7 +393,7 @@ def _kernel_candidates(entries: Sequence[int], loc: _Local):
     represents a value of the last kind: Dirichlet's theorem gives a prime
     in any class mod 8 times the odd primes of loc (Serre, Ch. III, 2.2)."""
     yield from entries
-    primes = [v.p for v in loc.hasse]
+    primes = list(loc.hasse)
     base = _square_class_candidates(primes)
     yield from base
     for q in itertools.count(3, 2):
@@ -413,12 +402,7 @@ def _kernel_candidates(entries: Sequence[int], loc: _Local):
                 yield s * q
 
 
-def _anisotropic_reps_q(reps: List[int]) -> List[int]:
-    reps = [squarefree_part(r) for r in reps]
-    return list(_anisotropic_reps_q_cached(tuple(sorted(reps))))
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**15)
 def _anisotropic_reps_q_cached(reps_key) -> tuple:
     loc = _local_data(reps_key)
     n = _anis_dim(loc)
@@ -503,7 +487,7 @@ class WittClass:
 
 def witt_class(q: QuadForm) -> WittClass:
     if q.field.kind == "Q":
-        reps = _anisotropic_reps_q(list(q.reps()))
+        reps = _anisotropic_reps_q_cached(tuple(sorted(q.reps())))
     elif q.field.kind == "Fp":
         reps = _anisotropic_reps_fp(list(q.reps()), q.field)
     else:
@@ -552,8 +536,9 @@ def recognize_pfister2(cls: WittClass) -> Tuple[int, int]:
     """Slots (u, v) of the unique 2-fold Pfister form in a given Witt class.
 
     The class of a 2-fold Pfister form is either 0 (hyperbolic) or its own
-    4-dimensional anisotropic kernel, so candidates are enumerated over
-    square classes supported on the kernel entries.
+    4-dimensional anisotropic kernel <a, b, c, d>.  Pfister forms are
+    round, so such a kernel equals a<a, b, c, d> = <1, ab, ac, ad>, and
+    with ad = bc (discriminant 1) that is <<-ab, -ac>>.
     """
     if cls.is_zero():
         return (1, 1)
@@ -562,12 +547,11 @@ def recognize_pfister2(cls: WittClass) -> Tuple[int, int]:
         raise PfisterRecognitionFailure(
             f"class {k!r} is not a 2-fold Pfister class"
         )
-    cands = _square_class_candidates(_support_primes(k))
-    for u in cands:
-        for v in cands:
-            if witt_equal(pfister([u, v]), k):
-                return (u, v)
-    raise PfisterRecognitionFailure(f"no slots found for {k!r}")
+    a, b, c, _ = k.reps()
+    u, v = -sq_mul(a, b), -sq_mul(a, c)
+    if not witt_equal(pfister([u, v]), k):
+        raise PfisterRecognitionFailure(f"class {k!r} is not a Pfister class")
+    return (u, v)
 
 
 # ---------------------------------------------------------------------------

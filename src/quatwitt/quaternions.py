@@ -176,20 +176,25 @@ def height_shell(h: int, n: int):
             yield c
 
 
-def find_nilpotent(A: QuatAlgebra, height_bound: int = 40) -> Quaternion:
+NILPOTENT_HEIGHT_BOUND = 40
+
+
+def find_nilpotent(A: QuatAlgebra) -> Quaternion:
     """Nonzero pure z0 with z0^2 = 0, by lexicographic height search on the
-    pure norm form; the result is verified by squaring."""
+    pure norm form up to NILPOTENT_HEIGHT_BOUND; the result is verified by
+    squaring."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra")
     a, b = A.a, A.b
-    for h in range(1, height_bound + 1):
+    for h in range(1, NILPOTENT_HEIGHT_BOUND + 1):
         for c1, c2, c3 in height_shell(h, 3):
             if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
                 z0 = A.pure(Fraction(c1), Fraction(c2), Fraction(c3))
                 if not (z0 * z0).is_zero():
                     raise NotNilpotent(f"{z0!r} does not square to 0")
                 return z0
-    raise SearchBoundExceeded(f"no nilpotent of height <= {height_bound}")
+    raise SearchBoundExceeded(
+        f"no nilpotent of height <= {NILPOTENT_HEIGHT_BOUND}")
 
 
 def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:

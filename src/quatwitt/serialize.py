@@ -71,7 +71,14 @@ def parse_hermform(doc: dict, A: QuatAlgebra, ptr: str = "") -> AntiHermForm:
         raise SchemaViolation(str(exc), ptr + "/herm_diag") from exc
 
 
+def _object(doc, ptr: str, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise SchemaViolation(f"{what} must be an object", ptr)
+    return doc
+
+
 def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
+    _object(doc, ptr, "mixed class")
     even_doc = doc.get("even", {"diag": []})
     if isinstance(even_doc, list):  # shorthand: bare diagonal
         even_doc = {"diag": even_doc}
@@ -90,7 +97,7 @@ def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
 
 
 def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
-    raw = doc.get("entries")
+    raw = _object(doc, ptr, "form").get("entries")
     if not isinstance(raw, list):
         raise SchemaViolation('expected {"entries": [...]}', ptr + "/entries")
     entries = []
@@ -108,10 +115,13 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
         if not isinstance(e, dict):
             raise SchemaViolation("entry must be an object or list", eptr)
         unit = _nonzero_frac(e.get("unit", "1"), eptr + "/unit")
+        raw_factors = e.get("factors", [])
+        if not isinstance(raw_factors, list):
+            raise SchemaViolation("factors must be a list", eptr + "/factors")
         factors = []
-        for k, f in enumerate(e.get("factors", [])):
+        for k, f in enumerate(raw_factors):
             fptr = f"{eptr}/factors/{k}"
-            coeffs = f.get("poly")
+            coeffs = _object(f, fptr, "factor").get("poly")
             if not isinstance(coeffs, list) or not coeffs:
                 raise SchemaViolation("factor needs poly coefficients",
                                       fptr + "/poly")
@@ -142,7 +152,7 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
 
 
 def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant:
-    r = doc.get("r")
+    r = _object(doc, ptr, "invariant").get("r")
     if not isinstance(r, int) or r < 1:
         raise SchemaViolation("r must be a positive integer", ptr + "/r")
     coeffs = doc.get("coeffs")

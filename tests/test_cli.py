@@ -146,6 +146,19 @@ def test_errors_exit_2(capsys):
     assert code == 2
     code, _, err = _run(capsys, ["check", "no-such-suite"])
     assert code == 2
+    # a list or string where an object or list is expected
+    for argv, pointer in [
+        (["decide", '{"r": 1, "coeffs": [[], [], []]}',
+          '{"r": 1, "coeffs": [[], [], []]}'], "/coeffs/0"),
+        (["residue", '{"entries": [{"unit": "1", "factors": ["x"]}]}',
+          "--place", "inf"], "/entries/0/factors/0"),
+        (["residue", '{"entries": [{"unit": "1", "factors": "x"}]}',
+          "--place", "inf"], "/entries/0/factors"),
+    ]:
+        code, _, err = _run(capsys, argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert f"(at {pointer})" in err
 
 
 @pytest.mark.parametrize("flags", [

@@ -16,6 +16,7 @@ from quatwitt.fields import (
     factorize,
     finite_place,
     hilbert_symbol,
+    hilbert_symbol_p,
     is_padic_square,
     is_prime,
     legendre_symbol,
@@ -95,6 +96,12 @@ def test_hilbert_frozen_values():
     assert hilbert_symbol(7, 7, v7) == hilbert_symbol(7, -1, v7)
     with pytest.raises(ZeroArgument):
         hilbert_symbol(0, 3, v2)
+    # the integer core: p = -1 is the real place; a zero would never divide
+    # out of the valuation loop, so it is refused
+    assert hilbert_symbol_p(-1, -1, -1) == hilbert_symbol_p(-1, -1, 2) == -1
+    assert hilbert_symbol_p(2, 7, 7) == 1
+    with pytest.raises(ZeroArgument):
+        hilbert_symbol_p(3, 0, 5)
 
 
 def test_hilbert_bimultiplicative():

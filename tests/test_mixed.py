@@ -1,5 +1,6 @@
 """The mixed Witt ring: products, equality decision, phi."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -83,6 +84,22 @@ def test_mixed_equal_odd_scaling():
     z = H.i() + H.j()
     x = mixed(H, odd_entries=(z,))
     y = mixed(H, odd_entries=(z.scale(Fraction(9, 4)),))
+    assert mixed_equal(x, y) == "equal"
+
+
+def test_mixed_equal_probe_tier(monkeypatch):
+    # same even part, rank parity and discriminant, so the screens pass;
+    # at bound 1 no certificate is found and the pairing probes run
+    x = mixed(H, odd_entries=(H.pure(*map(Fraction, (2, -1, -3))),))
+    y = mixed(H, odd_entries=(H.pure(*map(Fraction, (1, 2, -3))),))
+    # import_module: the package binds the name `mixed` to a function
+    mixed_module = importlib.import_module("quatwitt.mixed")
+    probe_set = mixed_module._probe_set
+    calls = []
+    monkeypatch.setattr(mixed_module, "_probe_set",
+                        lambda A: calls.append(A) or probe_set(A))
+    assert mixed_equal(x, y, search_bound=1) == "unknown"
+    assert calls == [H]
     assert mixed_equal(x, y) == "equal"
 
 

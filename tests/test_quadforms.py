@@ -5,7 +5,11 @@ import random
 
 import pytest
 
-from quatwitt.errors import DegenerateForm
+from quatwitt.errors import (
+    DegenerateForm,
+    EvenOrCompositeModulus,
+    PfisterRecognitionFailure,
+)
 from quatwitt.fields import Fp, REAL_PLACE, finite_place, square_class
 from quatwitt.quadforms import (
     GroupRingElem,
@@ -16,6 +20,7 @@ from quatwitt.quadforms import (
     is_isotropic,
     is_witt_zero,
     lambda_quad,
+    local_anisotropic_dim,
     pfister,
     qf,
     recognize_pfister2,
@@ -60,6 +65,18 @@ def test_hasse_frozen():
     assert hasse_at(qf([-1, -1]), finite_place(2)) == -1
     assert hasse_at(qf([1, 1]), REAL_PLACE) == 1
     assert hasse_at(qf([2, 7]), finite_place(7)) == 1
+
+
+def test_local_anisotropic_dim():
+    # a sum of three squares is anisotropic over Q_2 only; the norm form of
+    # Hamilton's quaternions is anisotropic over Q_2 and hyperbolic at 3
+    assert [local_anisotropic_dim(qf([1, 1, 1]), p) for p in (2, 3, 5)] \
+        == [3, 1, 1]
+    assert [local_anisotropic_dim(qf([1, 1, 1, 1]), p) for p in (2, 3)] \
+        == [4, 0]
+    assert local_anisotropic_dim(qf([1, -3]), 3) == 2
+    with pytest.raises(EvenOrCompositeModulus):
+        local_anisotropic_dim(qf([1, 1, 1]), 4)
 
 
 def test_isotropy_matches_brute_force():
@@ -176,6 +193,9 @@ def test_pfister_and_lambda():
     assert sorted(lam.reps()) == [6, 10, 15]
     u, v = recognize_pfister2(witt_class(p))
     assert witt_equal(pfister([u, v]), p)
+    # discriminant 1 and dimension 4, but negative definite: no Pfister form
+    with pytest.raises(PfisterRecognitionFailure):
+        recognize_pfister2(witt_class(qf([-1, -1, -1, -1])))
 
 
 def test_group_ring_elem():
