@@ -262,9 +262,13 @@ class Place:
 REAL_PLACE = Place("real")
 
 
-def finite_place(p: int) -> Place:
+def _require_prime(p: int):
     if not is_prime(p):
         raise EvenOrCompositeModulus(f"{p} is not prime")
+
+
+def finite_place(p: int) -> Place:
+    _require_prime(p)
     return Place("finite", p=p)
 
 
@@ -295,6 +299,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
         return hilbert_symbol_p(a, b, -1)
     if v.kind != "finite":
         raise UnsupportedField(f"Hilbert symbol undefined at {v}")
+    _require_prime(v.p)
     return hilbert_symbol_p(a, b, v.p)
 
 
@@ -324,7 +329,8 @@ def hilbert_symbol_p(a: int, b: int, p: int) -> int:
 
 
 def is_padic_square(x, p: int) -> bool:
-    """Whether a nonzero rational is a square in Q_p."""
+    """Whether a nonzero rational is a square in Q_p, for a prime p."""
+    _require_prime(p)
     x = _class_int(x)
     if x == 0:
         raise ZeroArgument("0 has no square class")

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -128,17 +128,6 @@ def _height_box(bound: int):
         height_shell(h, 4) for h in range(bound + 1)))
 
 
-def _raw_quaternions(algebra: QuatAlgebra, bound: int):
-    """All integer quaternions of height <= bound, zero included."""
-    return [_quaternion(algebra, c) for c in _height_box(bound)]
-
-
-def _small_quaternions(algebra: QuatAlgebra, bound: int):
-    """The normalized integer quaternions of height <= bound."""
-    return [_quaternion(algebra, c) for c in _height_box(bound)
-            if _normalized(c)]
-
-
 def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
     """Hermitian Gram-Schmidt of a spanning list of vectors under the
     sesquilinear form `pair`; returns (orthogonal vectors, their values).
@@ -165,12 +154,18 @@ def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
         dinv = _quat_inv(d)
         projected = []
         for x in pool:
-            c = dinv * pair(v, x)
-            w = [xk - vk * c for xk, vk in zip(x, v)]
+            w = _sub_multiple(x, v, dinv * pair(v, x))
             if not all(q.is_zero() for q in w):
                 projected.append(w)
         pool = projected
     return basis, values
+
+
+def _sub_multiple(x, v, c):
+    """The vector x - v c, skipping the products in zero slots of v."""
+    if c.is_zero():
+        return list(x)
+    return [xk if vk.is_zero() else xk - vk * c for xk, vk in zip(x, v)]
 
 
 def _mixed_pivot(pair, pool, algebra, mix_bound) -> int:
@@ -305,19 +300,49 @@ class HyperbolicityResult:
     witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None
 
 
-def _sq_scaling_key(w: Quaternion):
-    """Canonical key of a pure quaternion up to positive square rational
-    scaling (used to match sandwich values in the isotropy search)."""
-    coords = [Fraction(c) for c in w.coords]
-    lcm = 1
-    for c in coords:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm * lcm) for c in coords]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+def _int_mul(x, y, A: int, B: int):
+    """Product of integer 4-tuples in (A, B | Q) on the basis (1, i, j, ij)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + A * x1 * y1 + B * x2 * y2 - A * B * x3 * y3,
+            x0 * y1 + x1 * y0 - B * x2 * y3 + B * x3 * y2,
+            x0 * y2 + x2 * y0 + A * x1 * y3 - A * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def _sandwich_tables(h: AntiHermForm, box):
+    """[(p, gamma(p) z p) for p in box] per entry z of h, in integers.
+
+    With m = lcm(den a, den b), the basis (1, m i, m j, m^2 ij) has the
+    integer structure constants m^2 a and m^2 b.  An integer quaternion p
+    maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by one
+    common denominator d.  Each value is then d m^6 times its coordinates
+    on that basis: one positive diagonal scaling for the whole form, so
+    exact sums, negation, square-scaling classes and square ratios match
+    exactly where those of the true values do.
+    """
+    alg = h.algebra
+    m = lcm(alg.a.denominator, alg.b.denominator)
+    A, B = int(m * m * alg.a), int(m * m * alg.b)
+
+    def image(c):
+        return (m * m * c[0], m * c[1], m * c[2], c[3])
+
+    zs = [image([Fraction(c) for c in z.coords]) for z in h.diag]
+    d = lcm(*(c.denominator for z in zs for c in z))
+    zs = [tuple(int(d * c) for c in z) for z in zs]
+    images = [(p, image(p)) for p in box]
+    return [[(p, _int_mul(_int_mul((x[0], -x[1], -x[2], -x[3]), z, A, B),
+                          x, A, B)) for p, x in images]
+            for z in zs]
+
+
+def _sq_scaling_key(v):
+    """Canonical representative of an integer tuple up to positive square
+    rational scaling: v over the largest square dividing its content."""
+    g = gcd(*v)
     if g == 0:
-        return (0, 0, 0, 0)
+        return v
     s = 1
     d = 2
     while d * d <= g:
@@ -325,35 +350,37 @@ def _sq_scaling_key(w: Quaternion):
             g //= d * d
             s *= d
         d += 1
-    return tuple(v // (s * s) for v in ints)
+    return tuple(c // (s * s) for c in v)
+
+
+def _neg(v):
+    return tuple(-c for c in v)
 
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     """Search v = e_s p + e_t q with h(v, v) = 0, p, q integer quaternions
     of height <= bound; values are matched up to square scaling."""
-    alg = h.algebra
     r = h.rank
-    quats = _small_quaternions(alg, bound)
+    box = [c for c in _height_box(bound) if _normalized(c)]
     tables = []
-    for z in h.diag:
+    for entries in _sandwich_tables(h, box):
         table = {}
-        for p in quats:
-            val = p.conj() * z * p
+        for p, val in entries:
             table.setdefault(_sq_scaling_key(val), (p, val))
         tables.append(table)
     for s in range(r):
         for t in range(s + 1, r):
             for kt, (q, qval) in tables[t].items():
-                hit = tables[s].get(tuple(-c for c in kt))
+                hit = tables[s].get(_neg(kt))
                 if hit is None:
                     continue
                 p, pval = hit
-                lam = _square_ratio(pval, qval.scale(Fraction(-1)))
+                lam = _square_ratio(pval, _neg(qval))
                 if lam is None:
                     continue
-                vec = [alg.element(0, 0, 0, 0) for _ in range(r)]
-                vec[s] = p
-                vec[t] = q.scale(lam)
+                vec = [_quaternion(h.algebra, (0, 0, 0, 0))] * r
+                vec[s] = _quaternion(h.algebra, p)
+                vec[t] = _quaternion(h.algebra, q).scale(lam)
                 return vec
     return None
 
@@ -362,39 +389,28 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
     """Exact search for isotropic vectors supported on 3 or 4 slots: sums
     of sandwich values gamma(q) z_m q over two slots are hashed and matched
     against the negated contribution of one or two further slots."""
-    alg = h.algebra
     r = h.rank
     if r < 3:
         return None
-    quats = _raw_quaternions(alg, bound)
-    singles = _raw_quaternions(alg, single_bound)
-    zero = alg.element(0, 0, 0, 0)
-
-    def sandwich_table(z, qs):
-        return [(q, q.conj() * z * q) for q in qs]
-
-    tables = [sandwich_table(z, quats) for z in h.diag]
-    single_tables = [sandwich_table(z, singles) for z in h.diag]
-
-    def key(x: Quaternion):
-        return tuple(x.coords)
+    tables = _sandwich_tables(h, _height_box(bound))
+    single_tables = _sandwich_tables(h, _height_box(single_bound))
 
     pair_dicts = {}
-    for s in range(r):
-        for t in range(s + 1, r):
-            d = {}
-            for p, ap in tables[s]:
-                for q, aq in tables[t]:
-                    d.setdefault(key(ap + aq), (p, q))
-            pair_dicts[(s, t)] = d
+    for s, t in itertools.combinations(range(r), 2):
+        d = {}
+        for p, ap in tables[s]:
+            a0, a1, a2, a3 = ap
+            for q, (b0, b1, b2, b3) in tables[t]:
+                d.setdefault((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (p, q))
+        pair_dicts[(s, t)] = d
 
     def build(assign):
-        vec = [zero] * r
+        vec = [(0, 0, 0, 0)] * r
         for idx, q in assign:
             vec[idx] = q
-        if all(q.is_zero() for q in vec):
+        if not any(any(q) for q in vec):
             return None
-        return vec
+        return [_quaternion(h.algebra, q) for q in vec]
 
     # 3-slot support: pair (s, t) against a single slot u
     for (s, t), d in pair_dicts.items():
@@ -402,7 +418,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
             if u in (s, t):
                 continue
             for w, aw in single_tables[u]:
-                hit = d.get(key(-aw))
+                hit = d.get(_neg(aw))
                 if hit is not None:
                     vec = build([(s, hit[0]), (t, hit[1]), (u, w)])
                     if vec is not None:
@@ -418,8 +434,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
                 continue
             d2 = pair_dicts[pairs[i2]]
             for k2, (w1, w2) in d2.items():
-                neg = tuple(-c for c in k2)
-                hit = d1.get(neg)
+                hit = d1.get(_neg(k2))
                 if hit is not None:
                     vec = build([(s, hit[0]), (t, hit[1]), (u, w1), (v2, w2)])
                     if vec is not None:
@@ -427,15 +442,14 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
     return None
 
 
-def _square_ratio(x: Quaternion, y: Quaternion):
-    """c > 0 rational with x = c^2 * y, or None."""
-    for cx, cy in zip(x.coords, y.coords):
+def _square_ratio(x, y):
+    """c > 0 rational with x = c^2 * y, for integer tuples, or None."""
+    for cx, cy in zip(x, y):
         if cy:
-            c = rational_sqrt(Fraction(cx) / Fraction(cy))
+            c = rational_sqrt(Fraction(cx, cy))
             if not c:
                 return None
-            if all(Fraction(a) == c * c * Fraction(b)
-                   for a, b in zip(x.coords, y.coords)):
+            if all(a == c * c * b for a, b in zip(x, y)):
                 return c
             return None
     return None
@@ -450,17 +464,18 @@ def hyperbolicity_certificate(h: AntiHermForm,
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
     r0 = h.rank
-    zero = alg.element(0, 0, 0, 0)
+    zero = _quaternion(alg, (0, 0, 0, 0))
     # work with the Gram (diagonal) and a basis in original coordinates
     basis = _identity(alg, r0)
     diag = list(h.diag)
     witness = []
 
     def gram_eval(x, y):
-        acc = None
-        for idx in range(r0):
-            term = x[idx].conj() * h.diag[idx] * y[idx]
-            acc = term if acc is None else acc + term
+        # basis columns, witnesses and projections are mostly zero slots
+        acc = zero
+        for xk, z, yk in zip(x, h.diag, y):
+            if not (xk.is_zero() or yk.is_zero()):
+                acc = acc + xk.conj() * z * yk
         return acc
 
     while diag:
@@ -483,15 +498,15 @@ def hyperbolicity_certificate(h: AntiHermForm,
         if found is None:
             return HyperbolicityResult("anisotropic-at-bound")
         m = len(diag)
-        v = [zero for _ in range(r0)]
-        for idx in range(m):
-            for k in range(r0):
-                v[k] = v[k] + basis[idx][k] * found[idx]
+        v = [zero] * r0
+        for x, f in zip(basis, found):
+            if not f.is_zero():
+                v = [vk if xk.is_zero() else vk + xk * f
+                     for vk, xk in zip(v, x)]
         witness.append(tuple(v))
-        # find w in the current span with h(v, w) invertible
-        cands = itertools.chain(basis, ([c * q for c in x] for x in basis
-                                        for q in _small_quaternions(alg, 2)))
-        w = next((x for x in cands if gram_eval(v, x).is_invertible()), None)
+        # a basis vector w with h(v, w) invertible; no right multiple x q
+        # can do better, since h(v, x q) = h(v, x) q and Nrd is multiplicative
+        w = next((x for x in basis if gram_eval(v, x).is_invertible()), None)
         if w is None:
             return HyperbolicityResult("unknown")
         beta = gram_eval(v, w)
@@ -503,8 +518,8 @@ def hyperbolicity_certificate(h: AntiHermForm,
             x = basis[idx]
             bcoef = binv * gram_eval(v, x)
             acoef = gamma_binv * (gram_eval(w, x) - hww * bcoef)
-            proj = [x[k] - v[k] * acoef - w[k] * bcoef for k in range(r0)]
-            new_basis.append(proj)
+            new_basis.append(_sub_multiple(_sub_multiple(x, v, acoef),
+                                           w, bcoef))
         # re-diagonalize the projected span; rank drops by exactly 2
         try:
             basis, diag = _orthogonalize(gram_eval, new_basis, alg, 1)

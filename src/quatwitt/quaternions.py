@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Tuple
 
 from .errors import (
@@ -179,10 +180,12 @@ def height_shell(h: int, n: int):
 NILPOTENT_HEIGHT_BOUND = 40
 
 
+@lru_cache(maxsize=2**8)
 def find_nilpotent(A: QuatAlgebra) -> Quaternion:
     """Nonzero pure z0 with z0^2 = 0, by lexicographic height search on the
     pure norm form up to NILPOTENT_HEIGHT_BOUND; the result is verified by
-    squaring."""
+    squaring.  Cached per algebra: split-case equality, Morita transfer and
+    phi_z0 all transfer along this one nilpotent."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra")
     a, b = A.a, A.b

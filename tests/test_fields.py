@@ -11,6 +11,7 @@ from quatwitt.errors import (
 )
 from quatwitt.fields import (
     Fp,
+    Place,
     QQ,
     REAL_PLACE,
     factorize,
@@ -138,3 +139,12 @@ def test_is_padic_square():
     assert is_padic_square(2, 7)
     assert not is_padic_square(3, 7)
     assert not is_padic_square(7, 7)
+
+
+@pytest.mark.parametrize("p", [1, 0, 4, 15])
+def test_non_prime_p_is_refused(p):
+    # unchecked, p = 1 loops forever in the valuation and p = 0 divides by 0
+    with pytest.raises(EvenOrCompositeModulus):
+        is_padic_square(3, p)
+    with pytest.raises(EvenOrCompositeModulus):
+        hilbert_symbol(2, 3, Place("finite", p=p))

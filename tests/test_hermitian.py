@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatwitt import hermitian
 from quatwitt.errors import DegenerateForm, NotSplit
 from quatwitt.hermitian import (
     AntiHermForm,
@@ -127,3 +128,79 @@ def test_hyperbolicity_curated_nq_multiples():
         h = AntiHermForm(tuple(z.scale(c) for c in (1, 1, 1, 1)), H)
         cert = hyperbolicity_certificate(h, bound=8)
         assert cert.status == "hyperbolic", z
+
+
+def _q(A, *coords):
+    return A.element(*map(Fraction, coords))
+
+
+def _pure(A, *coords):
+    return _q(A, 0, *coords)
+
+
+def _nq_times(A, z):
+    """n_Q <z> = <z, -a z, -b z, ab z>, hyperbolic by construction."""
+    return (z, z.scale(-A.a), z.scale(-A.b), z.scale(A.a * A.b))
+
+
+HALF = QuatAlgebra(Fraction(-1, 2), -3)
+SEVENTHS = QuatAlgebra(Fraction(-2, 3), Fraction(-5, 7))
+Z1, Z2 = _pure(HALF, "1/2", 1, "-2/3"), _pure(HALF, 1, "-3/2", "1/3")
+W1, W2 = _pure(SEVENTHS, 1, "-3/2", "1/3"), _pure(SEVENTHS, "2/5", 0, 1)
+
+# (algebra, entries, status, witness) at bound 4, recorded before the search
+# moved to integer sandwich tables; the last three go through the 3-slot
+# hash search (see test_certificate_from_hash_search)
+PINNED = [
+    (HALF, (Z1, -Z1), "hyperbolic", [[(0, 0, 0, 1), (0, 0, 0, 1)]]),
+    (HALF, (Z1, Z1.scale(Fraction(-4, 9))), "hyperbolic",
+     [[(0, 0, 0, 1), (0, 0, 0, "3/2")]]),
+    (HALF, (Z1, Z2, -Z2, -Z1), "hyperbolic",
+     [[(0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1)],
+      [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)]]),
+    (SEVENTHS, (W1, -W1), "hyperbolic", [[(0, 0, 0, 1), (0, 0, 0, 1)]]),
+    (SEVENTHS, (W1, W1.scale(Fraction(-9, 4))), "hyperbolic",
+     [[(0, 0, 0, 1), (0, 0, 0, "2/3")]]),
+    (SEVENTHS, (W1, W2, -W2, -W1), "hyperbolic",
+     [[(0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1)],
+      [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)]]),
+    (HALF, _nq_times(HALF, _pure(HALF, 2, "2/3", 1)), "hyperbolic",
+     [[(0, -1, 0, 0), (-1, 0, 0, 1), (0, 0, 0, 0), (0, -1, 0, 0)],
+      [(0, -3, -1, 0), (0, 0, 0, "7/2"), (0, 0, 0, "1/2"),
+       (0, "-3/2", "-1/2", 0)]]),
+    (SEVENTHS, _nq_times(SEVENTHS, _pure(SEVENTHS, 1, -1, -1)), "hyperbolic",
+     [[(-1, 1, 1, -1), (-1, 1, 1, -1), (0, 0, 0, 0), (-2, -3, 0, 0)],
+      [("-4/3", "-4/3", 0, 0), ("1/3", "1/3", 0, 0), (0, 0, 0, "7/3"),
+       ("7/9", "-7/6", "-49/45", "7/10")]]),
+    (SEVENTHS, _nq_times(SEVENTHS, _pure(SEVENTHS, "1/2", 1, "-2/3")),
+     "anisotropic-at-bound", None),
+]
+
+
+def test_certificate_pinned_non_integral():
+    for A, entries, status, witness in PINNED:
+        cert = hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
+        assert cert.status == status, entries
+        if witness is None:
+            assert cert.witness is None
+        else:
+            assert cert.witness == tuple(
+                tuple(_q(A, *c) for c in v) for v in witness)
+
+
+def test_certificate_from_hash_search(monkeypatch):
+    """The n_Q <z> cases above find their first isotropic vector in the
+    hash search, the path whose sums must match exactly."""
+    found = []
+    search = hermitian._isotropic_hash_vector
+
+    def spy(*args, **kwargs):
+        vec = search(*args, **kwargs)
+        found.append(vec is not None)
+        return vec
+
+    monkeypatch.setattr(hermitian, "_isotropic_hash_vector", spy)
+    for A, entries, status, _ in PINNED[6:]:
+        found.clear()
+        hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
+        assert found[0], entries

@@ -1,0 +1,86 @@
+"""Property test for hyperbolicity certificates over integral and
+non-integral algebras (needs hypothesis).  The witness is checked with
+quaternion arithmetic written out here, not the library's product."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from quatwitt.hermitian import (  # noqa: E402
+    AntiHermForm,
+    hyperbolicity_certificate,
+)
+from quatwitt.quaternions import QuatAlgebra  # noqa: E402
+
+ALGEBRAS = [(-1, -1), (-1, -3), (1, 1), (2, 7), (Fraction(-1, 2), -3),
+            (Fraction(-2, 3), Fraction(-5, 7)), (-1, Fraction(-1, 4)),
+            (Fraction(3, 2), Fraction(-7, 3))]
+
+coord = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+pure = st.tuples(coord, coord, coord).filter(any)
+square = st.builds(lambda n, d: Fraction(n, d) ** 2,
+                   st.integers(1, 3), st.integers(1, 3))
+settings = hypothesis.settings(max_examples=60, deadline=None)
+
+
+def _mul(x, y, a, b):
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+
+
+def _pairing(x, y, entries, a, b):
+    """h(x, y) = sum gamma(x_k) z_k y_k for the diagonal form <z_k>."""
+    total = (0, 0, 0, 0)
+    for xk, z, yk in zip(x, entries, y):
+        conj = (xk[0], -xk[1], -xk[2], -xk[3])
+        term = _mul(_mul(conj, z, a, b), yk, a, b)
+        total = tuple(s + t for s, t in zip(total, term))
+    return total
+
+
+@st.composite
+def forms(draw):
+    """(algebra, entries, bound): <z, -c^2 z> or <z1, z2, -c^2 z2, -z1>,
+    hyperbolic by construction, or random entries of rank 2 or 4."""
+    a, b = draw(st.sampled_from(ALGEBRAS))
+    shape = draw(st.sampled_from(["pair", "double", "random2", "random4"]))
+    z1, z2 = draw(pure), draw(pure)
+    if shape == "pair":
+        c = draw(square)
+        entries, bound = [z1, tuple(-c * v for v in z1)], 2
+    elif shape == "double":
+        c = draw(square)
+        entries = [z1, z2, tuple(-c * v for v in z2), tuple(-v for v in z1)]
+        bound = 2
+    elif shape == "random2":
+        entries, bound = [z1, z2], 2
+    else:
+        entries, bound = [z1, z2, draw(pure), draw(pure)], 1
+    A = QuatAlgebra(a, b)
+    quats = [A.pure(*z) for z in entries]
+    hypothesis.assume(all(z.is_invertible() for z in quats))
+    return A, [(0,) + z for z in entries], quats, bound
+
+
+@settings
+@hypothesis.given(forms())
+def test_hyperbolic_witness_pairs_to_zero(data):
+    A, entries, quats, bound = data
+    cert = hyperbolicity_certificate(AntiHermForm(tuple(quats), A), bound)
+    hypothesis.event(cert.status)
+    if cert.status != "hyperbolic":
+        return
+    assert len(cert.witness) == len(entries) // 2
+    vectors = [[tuple(Fraction(c) for c in q.coords) for q in v]
+               for v in cert.witness]
+    for x in vectors:
+        assert any(any(q) for q in x)
+        for y in vectors:
+            assert not any(_pairing(x, y, entries, A.a, A.b))

@@ -103,6 +103,11 @@ def test_find_nilpotent():
         find_nilpotent(H)
 
 
+def test_find_nilpotent_cached_per_algebra():
+    z0 = find_nilpotent(QuatAlgebra(2, 7))
+    assert find_nilpotent(QuatAlgebra(Fraction(2), Fraction(7))) is z0
+
+
 def test_quat_arith_helper():
     out = quat_arith(H.i(), H.j())
     assert out["product"] == H.ij()
