@@ -86,7 +86,6 @@ from .funcfield import (
     ff_form,
     kernel_generator,
     kt_witt_equal,
-    omega_bar,
     psi_split,
     residue,
     conic_w0_places,

@@ -17,7 +17,6 @@ from . import polys as P
 from .errors import (
     MissingFactorization,
     NoGoodSpecializationPoint,
-    NotNilpotent,
     NotSplit,
     SearchBoundExceeded,
     UnsupportedResidueField,
@@ -36,17 +35,10 @@ from .quadforms import (
     qf,
     witt_class,
 )
-from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
+from .quaternions import QuatAlgebra, height_shell, is_split
 
 INFINITE_PLACE = Place("infinite")
 CONIC_HEIGHT_BOUND = 60
-
-
-def poly_place(pi: P.Poly) -> Place:
-    pi = P.monic(P.poly(pi))
-    if not P.is_irreducible(pi):
-        raise MissingFactorization(f"{P.poly_str(pi)} is not certified irreducible")
-    return Place("poly", pi=pi)
 
 
 # ---------------------------------------------------------------------------
@@ -445,26 +437,16 @@ def conic_parametrize(A: QuatAlgebra) -> ConicData:
     return ConicData(a, b, (x0, y0), x_t, y_t)
 
 
-def omega_bar(A: QuatAlgebra, conic: Optional[ConicData] = None) -> Quaternion:
-    """The nilpotent generic pure quaternion x(t) i + y(t) j + ij over Q(t)."""
-    if conic is None:
-        conic = conic_parametrize(A)
-    one = RationalFunction.from_const(1)
-    zero = RationalFunction.from_const(0)
-    w = Quaternion((zero, conic.x_t, conic.y_t, one), A)
-    if not (w * w).is_zero():
-        raise NotNilpotent("omega_bar does not square to 0")
-    return w
-
-
 def psi_split(x: MixedClass, conic: Optional[ConicData] = None
               ) -> FunctionFieldForm:
-    """Scalar extension to Q(t) on the even part, Morita transfer along
-    omega_bar(t) on the odd part."""
-    A = x.algebra
-    w = omega_bar(A, conic)
+    """Scalar extension to Q(t) on the even part, Morita transfer along the
+    generic nilpotent x(t) i + y(t) j + ij on the odd part.  It squares to
+    0 because (x(t), y(t)) lies on the conic, which conic_parametrize
+    verifies."""
+    if conic is None:
+        conic = conic_parametrize(x.algebra)
     values: List = [Fraction(r) for r in x.even.anis.reps()]
-    values.extend(morita_transfer_entries(x.odd, w))
+    values.extend(morita_transfer_entries(x.odd, (conic.x_t, conic.y_t, 1)))
     return ff_form(values)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -98,7 +98,7 @@ def _check_skew(gram, algebra):
 
 
 def _identity(algebra: QuatAlgebra, n: int):
-    zero = algebra.element(Fraction(0), Fraction(0), Fraction(0), Fraction(0))
+    zero = algebra.element(0, 0, 0, 0)
     return [[algebra.one() if s == t else zero for t in range(n)]
             for s in range(n)]
 
@@ -116,16 +116,19 @@ def _normalized(c) -> bool:
     return gcd(*c) == 1 and next(v for v in c if v) > 0
 
 
-def _quaternion(algebra: QuatAlgebra, c) -> Quaternion:
-    return algebra.element(*(Fraction(v) for v in c))
-
-
-def _height_box(bound: int):
+@lru_cache(maxsize=16)
+def _height_box(bound: int) -> tuple:
     """Integer 4-tuples of height <= bound in lexicographic order (not by
     height: the isotropy tables keep the first quaternion per value, so
     this order fixes the witnesses)."""
-    return sorted(itertools.chain.from_iterable(
-        height_shell(h, 4) for h in range(bound + 1)))
+    return tuple(sorted(itertools.chain.from_iterable(
+        height_shell(h, 4) for h in range(bound + 1))))
+
+
+@lru_cache(maxsize=16)
+def _normalized_box(bound: int) -> tuple:
+    """The _normalized tuples of _height_box(bound), in the same order."""
+    return tuple(c for c in _height_box(bound) if _normalized(c))
 
 
 def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
@@ -175,7 +178,7 @@ def _mixed_pivot(pair, pool, algebra, mix_bound) -> int:
             for c in height_shell(h, 4):
                 if not _normalized(c):
                     continue
-                q = _quaternion(algebra, c)
+                q = algebra.element(*c)
                 cand = [x + y * q for x, y in zip(pool[s], pool[t])]
                 if pair(cand, cand).is_invertible():
                     pool[s] = cand
@@ -254,13 +257,18 @@ def _check_nilpotent(z0: Quaternion):
         raise NotNilpotent(f"{z0!r} is not a nonzero nilpotent pure quaternion")
 
 
-def morita_transfer_entries(h: AntiHermForm, z0: Quaternion) -> list:
-    """Diagonal entries (base-field scalars) of the transferred quadratic
-    form: <-T, T z^2> per slot with T = Trd(z z0), hyperbolic when T = 0."""
-    _check_nilpotent(z0)
+def morita_transfer_entries(h: AntiHermForm, c) -> list:
+    """Diagonal entries of the quadratic form transferred along the
+    nilpotent c1 i + c2 j + c3 ij, given by its pure coordinates c over Q
+    or Q(t): <-T, T z^2> per slot with the linear form
+    T = Trd(z (c1 i + c2 j + c3 ij)) = 2(a z1 c1 + b z2 c2 - ab z3 c3),
+    and <1, -1> when T = 0.  The caller vouches for nilpotency."""
+    a, b = h.algebra.a, h.algebra.b
+    c1, c2, c3 = c
     out = []
     for z in h.diag:
-        t = (z * z0).trd()
+        _, z1, z2, z3 = z.coords
+        t = 2 * a * z1 * c1 + 2 * b * z2 * c2 - 2 * a * b * z3 * c3
         if not t:
             out.extend([Fraction(1), Fraction(-1)])
         else:
@@ -274,7 +282,8 @@ def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
         raise AlgebraMismatch("transfer datum from a different algebra")
     if not is_split(h.algebra):
         raise NotSplit("Morita transfer needs a split algebra")
-    return qf(morita_transfer_entries(h, z0))
+    _check_nilpotent(z0)
+    return qf(morita_transfer_entries(h, z0.coords[1:]))
 
 
 def morita_gram(z: Quaternion, z0: Quaternion):
@@ -328,7 +337,7 @@ def _sandwich_tables(h: AntiHermForm, box):
     def image(c):
         return (m * m * c[0], m * c[1], m * c[2], c[3])
 
-    zs = [image([Fraction(c) for c in z.coords]) for z in h.diag]
+    zs = [image(z.coords) for z in h.diag]
     d = lcm(*(c.denominator for z in zs for c in z))
     zs = [tuple(int(d * c) for c in z) for z in zs]
     images = [(p, image(p)) for p in box]
@@ -361,9 +370,8 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     """Search v = e_s p + e_t q with h(v, v) = 0, p, q integer quaternions
     of height <= bound; values are matched up to square scaling."""
     r = h.rank
-    box = [c for c in _height_box(bound) if _normalized(c)]
     tables = []
-    for entries in _sandwich_tables(h, box):
+    for entries in _sandwich_tables(h, _normalized_box(bound)):
         table = {}
         for p, val in entries:
             table.setdefault(_sq_scaling_key(val), (p, val))
@@ -378,9 +386,9 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
                 lam = _square_ratio(pval, _neg(qval))
                 if lam is None:
                     continue
-                vec = [_quaternion(h.algebra, (0, 0, 0, 0))] * r
-                vec[s] = _quaternion(h.algebra, p)
-                vec[t] = _quaternion(h.algebra, q).scale(lam)
+                vec = [h.algebra.element(0, 0, 0, 0)] * r
+                vec[s] = h.algebra.element(*p)
+                vec[t] = h.algebra.element(*q).scale(lam)
                 return vec
     return None
 
@@ -410,7 +418,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
             vec[idx] = q
         if not any(any(q) for q in vec):
             return None
-        return [_quaternion(h.algebra, q) for q in vec]
+        return [h.algebra.element(*q) for q in vec]
 
     # 3-slot support: pair (s, t) against a single slot u
     for (s, t), d in pair_dicts.items():
@@ -464,7 +472,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
     r0 = h.rank
-    zero = _quaternion(alg, (0, 0, 0, 0))
+    zero = alg.element(0, 0, 0, 0)
     # work with the Gram (diagonal) and a basis in original coordinates
     basis = _identity(alg, r0)
     diag = list(h.diag)

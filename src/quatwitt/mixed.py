@@ -10,7 +10,6 @@ cross-check on every multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected
@@ -59,7 +58,7 @@ def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
         raise AlgebraMismatch("twisted trace form across algebras")
     basis = _basis(z1.algebra)
     gram = [
-        [Fraction((es.conj() * z1 * et * z2.conj()).trd()) for et in basis]
+        [(es.conj() * z1 * et * z2.conj()).trd() for et in basis]
         for es in basis
     ]
     for s in range(4):
@@ -73,7 +72,7 @@ def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
 
 def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:
     """<z1>_gamma * <z2>_gamma = <-Trd(z1 z2)> (<<z1^2, z2^2>> - n_Q)."""
-    t = Fraction((z1 * z2).trd())
+    t = (z1 * z2).trd()
     if t == 0:
         return witt_zero()
     zsq1 = -z1.nrd()

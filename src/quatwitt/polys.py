@@ -186,13 +186,17 @@ def _divisors(n: int):
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Irreducibility over Q, decided by factor_poly; MissingFactorization
-    when that meets a cofactor beyond its reach (degree five or more)."""
+    """Irreducibility over Q, decided by factor_poly.  Where that meets a
+    cofactor beyond its reach (degree five or more), a rational root or a
+    repeated factor still proves p reducible; otherwise
+    MissingFactorization."""
     if degree(p) <= 0:
         return False
     try:
         _, factors = factor_poly(p)
     except NotImplementedError as exc:
+        if rational_roots(p) or degree(pgcd(p, pderiv(p))) > 0:
+            return False
         raise MissingFactorization(str(exc)) from exc
     return len(factors) == 1 and factors[0][1] == 1
 

@@ -1,9 +1,8 @@
 """Quaternion algebras (a,b | k) with the canonical involution.
 
 The basis (1, i, j, ij) is fixed globally: i^2 = a, j^2 = b, ji = -ij.
-Coordinates may be Fractions (base field Q) or RationalFunctions (scalar
-extension to Q(t)); the arithmetic is written against plain operators so
-both work.
+Quaternions live over Q only: coordinates are Fractions, coerced once by
+`QuatAlgebra.element` and `pure`, and the arithmetic keeps them rational.
 """
 
 from __future__ import annotations
@@ -54,22 +53,22 @@ class QuatAlgebra:
         raise UnsupportedField("generic basis check implemented over Q")
 
     def one(self) -> "Quaternion":
-        return Quaternion((Fraction(1), Fraction(0), Fraction(0), Fraction(0)), self)
+        return self.element(1, 0, 0, 0)
 
     def i(self) -> "Quaternion":
-        return Quaternion((Fraction(0), Fraction(1), Fraction(0), Fraction(0)), self)
+        return self.pure(1, 0, 0)
 
     def j(self) -> "Quaternion":
-        return Quaternion((Fraction(0), Fraction(0), Fraction(1), Fraction(0)), self)
+        return self.pure(0, 1, 0)
 
     def ij(self) -> "Quaternion":
-        return Quaternion((Fraction(0), Fraction(0), Fraction(0), Fraction(1)), self)
+        return self.pure(0, 0, 1)
 
     def pure(self, c1, c2, c3) -> "Quaternion":
-        return Quaternion((Fraction(0), c1, c2, c3), self)
+        return self.element(0, c1, c2, c3)
 
     def element(self, c0, c1, c2, c3) -> "Quaternion":
-        return Quaternion((c0, c1, c2, c3), self)
+        return Quaternion(tuple(map(Fraction, (c0, c1, c2, c3))), self)
 
     def __repr__(self):
         return f"({self.a},{self.b}|{self.field!r})"
@@ -192,7 +191,7 @@ def find_nilpotent(A: QuatAlgebra) -> Quaternion:
     for h in range(1, NILPOTENT_HEIGHT_BOUND + 1):
         for c1, c2, c3 in height_shell(h, 3):
             if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
-                z0 = A.pure(Fraction(c1), Fraction(c2), Fraction(c3))
+                z0 = A.pure(c1, c2, c3)
                 if not (z0 * z0).is_zero():
                     raise NotNilpotent(f"{z0!r} does not square to 0")
                 return z0
@@ -207,7 +206,7 @@ def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:
         c = [rng.randint(-height, height) for _ in range(3)]
         if not any(c):
             continue
-        z = A.pure(Fraction(c[0]), Fraction(c[1]), Fraction(c[2]))
+        z = A.pure(*c)
         if z.is_invertible():
             return z
 

@@ -6,6 +6,7 @@ heavy lifting is shared: every verification suite runs once per session
 and the criteria inspect its cases.
 """
 
+import hashlib
 import json
 import sys
 import time
@@ -115,6 +116,33 @@ def test_criterion_8_residue_calculus(capsys):
           and not any(c["status"] == "fail" for c in oracle)
           and sum(c["status"] == "pass" for c in oracle) >= 100)
     _verdict(capsys, "residue-calculus", ok)
+
+
+# SHA-256 of emit_report(run_suite(name, RunConfig()), "json") per suite,
+# recorded at commit 9e3ec20.  `check all --output json` is assembled from
+# the cases of these six reports.
+SUITE_DIGESTS = {
+    "products":
+        "137299aeb561ae97303eb27c416bb362a9274afabd951e2bd2b66d4024979d76",
+    "morita":
+        "502a6deb907a3558be9e5353736e8de5d1bf52df7b60bbb12e66398b86e950d3",
+    "lambda":
+        "9f4fa2f5bad01caae4da41916ff7a61d6f044c7ebdc94c4f24d9b5efd33f9a01",
+    "relations":
+        "ce619442c035a35fb0faad5f17dd03679b01139ad012ae871f0f1834a49f14b3",
+    "constancy":
+        "df89f981dcfb7b9edc12022b5e287fab82a1a0f012160d8809af231dbd59683d",
+    "splitting":
+        "f5f8b1fa69f9254fb344e21685c7a9b872246575d4a4c1786f7d5c132e409fa1",
+}
+
+
+def test_suite_reports_match_recorded_digests():
+    """Every suite report is byte-identical to the recorded one; the
+    reports come from the session cache, so no suite runs twice."""
+    for name, digest in SUITE_DIGESTS.items():
+        report = emit_report(_suite(name), "json")
+        assert hashlib.sha256(report.encode()).hexdigest() == digest, name
 
 
 def test_reports_are_deterministic():

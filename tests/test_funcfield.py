@@ -16,7 +16,6 @@ from quatwitt.funcfield import (
     good_points,
     kernel_generator,
     kt_witt_equal,
-    omega_bar,
     psi_split,
     residue,
     residue2_vanishes,
@@ -111,8 +110,6 @@ def test_conic_parametrization_identity():
         x, y = conic.x_t, conic.y_t
         lhs = x * x * (-a) + y * y * (-b)
         assert lhs == RationalFunction.from_const(F(-a * b))
-        w = omega_bar(A, conic)
-        assert (w * w).is_zero()
 
 
 def test_psi_frozen_identity():

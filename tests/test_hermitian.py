@@ -89,16 +89,20 @@ def test_morita_transfer_formula():
 
 
 def test_morita_transfer_entries_generic():
-    # scalar version used over Q(t): same shape as the transfer
+    # the entries need only the pure coordinates of the nilpotent (psi_split
+    # passes them over Q(t)); T is the reduced trace of the product z z0
     A = QuatAlgebra(1, 1)
     z0 = find_nilpotent(A)
-    z = _rand_pure(random.Random(0), A)
-    entries = morita_transfer_entries(AntiHermForm((z,), A), z0)
-    t = (z * z0).trd()
-    if t == 0:
-        assert entries == [1, -1]
-    else:
-        assert entries == [-t, t * (-z.nrd())]
+    rng = random.Random(0)
+    for _ in range(20):
+        z = _rand_pure(rng, A)
+        entries = morita_transfer_entries(AntiHermForm((z,), A),
+                                          z0.coords[1:])
+        t = (z * z0).trd()
+        if t == 0:
+            assert entries == [1, -1]
+        else:
+            assert entries == [-t, t * (-z.nrd())]
 
 
 def test_morita_requires_split():

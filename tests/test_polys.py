@@ -90,6 +90,22 @@ def test_factor_poly_degree_limit():
         P.is_irreducible(p)
 
 
+def test_is_irreducible_past_factoring_limit():
+    # a rational root or a repeated factor proves reducibility even when
+    # the cofactor t^5 - t - 1 is beyond factor_poly
+    quintic = P.poly([F(-1), F(-1), F(0), F(0), F(0), F(1)])
+    t = P.poly([F(0), F(1)])
+    assert not P.is_irreducible(
+        P.pmul(P.ppow(P.poly([F(-1), F(1)]), 2), quintic))
+    assert not P.is_irreducible(P.pmul(t, quintic))
+    assert not P.is_irreducible(
+        P.pmul(P.ppow(P.poly([F(1), F(0), F(1)]), 2), quintic))
+    assert P.is_irreducible(t)
+    # squarefree, no rational root, composite: still refused
+    with pytest.raises(MissingFactorization):
+        P.is_irreducible(P.pmul(quintic, P.poly([F(1), F(0), F(1)])))
+
+
 def test_rational_function_arithmetic():
     t = RationalFunction(P.poly([F(0), F(1)]))
     one = RationalFunction.from_const(F(1))
