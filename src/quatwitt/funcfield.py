@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import polys as P
@@ -420,7 +421,9 @@ def _conic_point(A: QuatAlgebra):
     raise SearchBoundExceeded("no conic point within the height bound")
 
 
+@lru_cache(maxsize=2**8)
 def conic_parametrize(A: QuatAlgebra) -> ConicData:
+    """The verified conic parametrization, cached per algebra."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra; its conic has no"
                        " rational point")

@@ -66,6 +66,11 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
     r = h.rank
     if d < 0 or d > 2 * r:
         raise DegreeTooLarge(f"lambda^{d} of a rank-{r} form")
+    return lambda_all(h)[d]
+
+
+def lambda_all(h: AntiHermForm) -> List[MixedClass]:
+    """lambda^0, ..., lambda^{2r} of h, from one convolution."""
     A = h.algebra
     coeffs = [mixed_one(A)]
     for z in h.diag:
@@ -79,11 +84,7 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
             for j, e in enumerate(entry):
                 new[i + j] = new[i + j] + c * e
         coeffs = new
-    return coeffs[d]
-
-
-def lambda_all(h: AntiHermForm) -> List[MixedClass]:
-    return [lambda_herm(d, h) for d in range(2 * h.rank + 1)]
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -40,27 +40,23 @@ from .quaternions import (
     random_pure,
 )
 
-BASIS_NAMES = ("1", "i", "j", "ij")
-
-
-def _basis(A: QuatAlgebra):
-    return (A.one(), A.i(), A.j(), A.ij())
-
 
 def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
     """The 4-dimensional form x |-> Trd(gamma(x) z1 x gamma(z2)) over k,
-    diagonalized from its Gram matrix on the basis (1, i, j, ij).
+    diagonalized from its Gram matrix on the basis e = (1, i, j, ij).
 
-    The Gram matrix must come out symmetric; if it does not, the quaternion
-    arithmetic is broken and we refuse to continue.
+    Column t is read off u = z1 e_t gamma(z2): Trd(gamma(e_s) u) = 2 w_s u_s
+    with w = (1, -a, -b, ab), since gamma(e_s) e_s = w_s and the other basis
+    products are trace-free.  The Gram matrix must come out symmetric; if it
+    does not, the quaternion arithmetic is broken and we refuse to continue.
     """
     if z1.algebra != z2.algebra:
         raise AlgebraMismatch("twisted trace form across algebras")
-    basis = _basis(z1.algebra)
-    gram = [
-        [(es.conj() * z1 * et * z2.conj()).trd() for et in basis]
-        for es in basis
-    ]
+    A = z1.algebra
+    w = (1, -A.a, -A.b, A.a * A.b)
+    z2bar = z2.conj()
+    cols = [(z1 * et * z2bar).coords for et in (A.one(), A.i(), A.j(), A.ij())]
+    gram = [[2 * w[s] * u[s] for u in cols] for s in range(4)]
     for s in range(4):
         for t in range(s + 1, 4):
             if gram[s][t] != gram[t][s]:

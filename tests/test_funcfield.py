@@ -112,6 +112,13 @@ def test_conic_parametrization_identity():
         assert lhs == RationalFunction.from_const(F(-a * b))
 
 
+def test_conic_parametrize_cached_per_algebra():
+    conic = conic_parametrize(QuatAlgebra(2, 7))
+    assert conic_parametrize(QuatAlgebra(F(2), F(7))) is conic
+    x = mixed(QuatAlgebra(2, 7), odd_entries=(QuatAlgebra(2, 7).ij(),))
+    assert psi_split(x).entries == psi_split(x, conic).entries
+
+
 def test_psi_frozen_identity():
     """Psi(<ij>) = <2><<(ij)^2>> over a split algebra."""
     for a, b in [(1, 1), (2, 7)]:

@@ -4,6 +4,10 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
+
+from quatwitt import invariants as inv
+from quatwitt.errors import DegreeTooLarge
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.invariants import (
     LambdaInvariant,
@@ -81,6 +85,28 @@ def test_lambda_sum_formula_rank2():
             if d % 2 == 0:
                 assert lam[d].even == acc.even
             assert mixed_equal(lam[d], acc) != "distinct"
+
+
+def test_lambda_herm_indexes_one_convolution(monkeypatch):
+    """lambda_herm(d, h) is coefficient d of lambda_all(h), which runs the
+    convolution once: one odd factor <z> per entry of h."""
+    rng = random.Random(3)
+    mixed_odd = inv.mixed_odd
+    calls = []
+    monkeypatch.setattr(inv, "mixed_odd",
+                        lambda A, *zs: calls.append(zs) or mixed_odd(A, *zs))
+    for A in (H, M2):
+        for r in (1, 2, 3):
+            h = AntiHermForm(tuple(_rand_pure(rng, A) for _ in range(r)), A)
+            calls.clear()
+            lam = lambda_all(h)
+            assert calls == [(z,) for z in h.diag]
+            assert len(lam) == 2 * r + 1
+            for d in range(2 * r + 1):
+                assert repr(lambda_herm(d, h)) == repr(lam[d])
+            for d in (-1, 2 * r + 1):
+                with pytest.raises(DegreeTooLarge):
+                    lambda_herm(d, h)
 
 
 def test_chi_binomials():

@@ -51,6 +51,53 @@ def test_twisted_trace_symmetric_and_matches_closed_form():
             assert witt_class(q) == odd_product_closed_form(z1, z2)
 
 
+def _written_out_mul(a, b, x, y):
+    """Product in (a, b | Q) on coordinate 4-tuples, from the monomials
+    i^p j^q: (i^p1 j^q1)(i^p2 j^q2) = (-1)^(q1 p2) i^(p1+p2) j^(q1+q2),
+    then i^2 = a and j^2 = b."""
+    mono = ((0, 0), (1, 0), (0, 1), (1, 1))   # 1, i, j, ij
+    out = [Fraction(0)] * 4
+    for (p1, q1), xs in zip(mono, x):
+        for (p2, q2), yt in zip(mono, y):
+            c = xs * yt * (-1) ** (q1 * p2)
+            p, q = p1 + p2, q1 + q2
+            c *= a ** (p // 2) * b ** (q // 2)
+            out[mono.index((p % 2, q % 2))] += c
+    return out
+
+
+def _conj(x):
+    return [x[0]] + [-c for c in x[1:]]
+
+
+def test_twisted_trace_gram_entries(monkeypatch):
+    """All 16 entries Trd(gamma(e_s) z1 e_t gamma(z2)) of the Gram matrix
+    that twisted_trace_form diagonalizes, against a written-out product."""
+    mixed_module = importlib.import_module("quatwitt.mixed")
+    grams = []
+    monkeypatch.setattr(mixed_module, "diagonalize",
+                        lambda g: grams.append(g) or witt_zero().anis)
+    unit = [[Fraction(int(k == s)) for k in range(4)] for s in range(4)]
+    rng = random.Random(4)
+    for a, b in ((-1, -1), (1, 1), (2, 7), (Fraction(-2, 3), Fraction(-5, 7))):
+        A = QuatAlgebra(a, b)
+        a, b = A.a, A.b
+        for _ in range(5):
+            z1, z2 = _rand_pure(rng, A), _rand_pure(rng, A)
+            want = []
+            for es in unit:
+                row = []
+                for et in unit:
+                    u = _conj(es)
+                    for y in (z1.coords, et, _conj(z2.coords)):
+                        u = _written_out_mul(a, b, u, y)
+                    row.append(2 * u[0])
+                want.append(row)
+            grams.clear()
+            twisted_trace_form(z1, z2)
+            assert grams == [want]
+
+
 def test_odd_product_vanishes_on_orthogonal_traces():
     # Trd(i j) = 0, so <i><j> = 0
     assert odd_product_closed_form(H.i(), H.j()).is_zero()
