@@ -28,16 +28,13 @@ from .quadforms import (
     hyperbolic,
     is_isotropic,
     is_witt_zero,
-    lambda_quad,
     pfister,
     qf,
-    recognize_pfister2,
     signature,
     signed_disc,
     witt_class,
     witt_equal,
     witt_invariants,
-    witt_one,
     witt_zero,
 )
 from .quaternions import (
@@ -46,13 +43,11 @@ from .quaternions import (
     find_nilpotent,
     is_split,
     norm_forms,
-    quat_arith,
     random_pure,
 )
 from .hermitian import (
     AntiHermForm,
     herm_diag,
-    herm_diagonalize,
     herm_invariants,
     hyperbolicity_certificate,
     morita_transfer,

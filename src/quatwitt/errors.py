@@ -73,10 +73,6 @@ class VerificationFailed(QuatWittError):
     """An exact check of a computed result failed."""
 
 
-class PfisterRecognitionFailure(QuatWittError):
-    pass
-
-
 class RankMismatch(QuatWittError):
     pass
 

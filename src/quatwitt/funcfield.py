@@ -60,12 +60,6 @@ class FFEntry:
             out *= P.peval(f, c) ** e
         return out
 
-    def as_rational(self) -> RationalFunction:
-        num = P.constant(self.unit)
-        for f, e in self.factors:
-            num = P.pmul(num, P.ppow(f, e))
-        return RationalFunction(num)
-
     def valuation(self, v: Place) -> int:
         if v.kind == "poly":
             for f, e in self.factors:

@@ -1,10 +1,9 @@
 """Anti-hermitian (-1-hermitian) forms over (Q, gamma).
 
-Diagonal forms carry pure invertible quaternion entries.  Gram input is
-diagonalized immediately by hermitian Gram-Schmidt with a recorded
-change-of-basis certificate.  In the split case Morita transfer along a
-nilpotent pure quaternion turns everything into quadratic forms over the
-base field, which is where all complete decisions happen.
+Diagonal forms carry pure invertible quaternion entries.  In the split case
+Morita transfer along a nilpotent pure quaternion turns everything into
+quadratic forms over the base field, which is where all complete decisions
+happen.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -27,7 +26,13 @@ from .errors import (
 )
 from .fields import SquareClass, rational_sqrt, square_class
 from .quadforms import QuadForm, qf
-from .quaternions import QuatAlgebra, Quaternion, height_shell, is_split
+from .quaternions import (
+    QuatAlgebra,
+    Quaternion,
+    _mul_coords,
+    height_shell,
+    is_split,
+)
 
 DEFAULT_SEARCH_BOUND = 8
 
@@ -62,39 +67,12 @@ class AntiHermForm:
     def neg(self) -> "AntiHermForm":
         return AntiHermForm(tuple(-z for z in self.diag), self.algebra)
 
-    def scale(self, c) -> "AntiHermForm":
-        """Module action <c><z_1,...> = <c z_1,...> for a scalar c != 0."""
-        return AntiHermForm(tuple(z.scale(c) for z in self.diag), self.algebra)
-
     def __repr__(self):
         return f"Herm<{', '.join(repr(z) for z in self.diag)}>"
 
 
 def herm_diag(entries: Sequence[Quaternion], algebra: QuatAlgebra) -> AntiHermForm:
     return AntiHermForm(tuple(entries), algebra)
-
-
-def _gram_eval(gram, x, y):
-    """h(x, y) = sum gamma(x_s) G[s][t] y_t for quaternion vectors."""
-    n = len(gram)
-    acc = None
-    for s in range(n):
-        for t in range(n):
-            term = x[s].conj() * gram[s][t] * y[t]
-            acc = term if acc is None else acc + term
-    return acc
-
-
-def _check_skew(gram, algebra):
-    n = len(gram)
-    for s in range(n):
-        for t in range(n):
-            if gram[s][t].algebra != algebra:
-                raise AlgebraMismatch("Gram entry from a different algebra")
-            if not (gram[t][s].conj() + gram[s][t]).is_zero():
-                raise NotPureInvertible(
-                    "Gram matrix violates gamma(G^T) = -G"
-                )
 
 
 def _identity(algebra: QuatAlgebra, n: int):
@@ -131,15 +109,15 @@ def _normalized_box(bound: int) -> tuple:
     return tuple(c for c in _height_box(bound) if _normalized(c))
 
 
-def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
+def _orthogonalize(pair, vectors, algebra: QuatAlgebra):
     """Hermitian Gram-Schmidt of a spanning list of vectors under the
     sesquilinear form `pair`; returns (orthogonal vectors, their values).
 
     The pivot is the first vector with an invertible value.  Failing that,
     v_s + v_t q for the first (s, t) in permutations order and the first
-    normalized q by height 1..mix_bound.  Leftover vectors that all pair
-    to zero are dropped, since no mixing can help; SearchBoundExceeded
-    when mixing finds no pivot.
+    normalized q of height 1.  Leftover vectors that all pair to zero are
+    dropped, since no mixing can help; SearchBoundExceeded when mixing
+    finds no pivot.
     """
     pool = [v for v in vectors if not all(c.is_zero() for c in v)]
     basis, values = [], []
@@ -149,7 +127,7 @@ def _orthogonalize(pair, vectors, algebra: QuatAlgebra, mix_bound: int):
         if piv is None:
             if all(pair(x, y).is_zero() for x in pool for y in pool):
                 break
-            piv = _mixed_pivot(pair, pool, algebra, mix_bound)
+            piv = _mixed_pivot(pair, pool, algebra)
         v = pool.pop(piv)
         d = pair(v, v)
         basis.append(v)
@@ -171,63 +149,19 @@ def _sub_multiple(x, v, c):
     return [xk if vk.is_zero() else xk - vk * c for xk, vk in zip(x, v)]
 
 
-def _mixed_pivot(pair, pool, algebra, mix_bound) -> int:
-    """Replace pool[s] by the first invertible v_s + v_t q; returns s."""
+def _mixed_pivot(pair, pool, algebra) -> int:
+    """Replace pool[s] by the first invertible v_s + v_t q, q of height 1;
+    returns s."""
     for s, t in itertools.permutations(range(len(pool)), 2):
-        for h in range(1, mix_bound + 1):
-            for c in height_shell(h, 4):
-                if not _normalized(c):
-                    continue
-                q = algebra.element(*c)
-                cand = [x + y * q for x, y in zip(pool[s], pool[t])]
-                if pair(cand, cand).is_invertible():
-                    pool[s] = cand
-                    return s
+        for c in height_shell(1, 4):
+            if not _normalized(c):
+                continue
+            q = algebra.element(*c)
+            cand = [x + y * q for x, y in zip(pool[s], pool[t])]
+            if pair(cand, cand).is_invertible():
+                pool[s] = cand
+                return s
     raise SearchBoundExceeded("no invertible pivot within search bound")
-
-
-def herm_diagonalize(h_or_gram, algebra: Optional[QuatAlgebra] = None,
-                     search_bound: int = DEFAULT_SEARCH_BOUND):
-    """Diagonalize a skew-hermitian Gram matrix.
-
-    Returns (AntiHermForm, U) where the columns of U express the new
-    orthogonal basis in the original coordinates, so that
-    gamma(U)^T G U is diagonal (checked by the certificate helper).
-    Diagonal AntiHermForm input passes straight through.  Raises
-    DegenerateForm when the vectors left over span a radical, and
-    SearchBoundExceeded when no mixing of height <= search_bound yields an
-    invertible pivot.
-    """
-    if isinstance(h_or_gram, AntiHermForm):
-        return h_or_gram, _identity(h_or_gram.algebra, h_or_gram.rank)
-    gram = [list(row) for row in h_or_gram]
-    if algebra is None:
-        algebra = gram[0][0].algebra
-    _check_skew(gram, algebra)
-    n = len(gram)
-    picked, entries = _orthogonalize(partial(_gram_eval, gram),
-                                     _identity(algebra, n), algebra,
-                                     search_bound)
-    if len(entries) < n:
-        raise DegenerateForm("the Gram matrix has a nonzero radical")
-    form = AntiHermForm(tuple(entries), algebra)
-    u = [[picked[col][row] for col in range(n)] for row in range(n)]
-    return form, u
-
-
-def certificate_ok(gram, u, form: AntiHermForm) -> bool:
-    """Exact check that gamma(U)^T G U equals diag(form)."""
-    n = len(gram)
-    cols = [[u[row][col] for row in range(n)] for col in range(n)]
-    for s in range(n):
-        for t in range(n):
-            val = _gram_eval(gram, cols[s], cols[t])
-            if s == t:
-                if not (val - form.diag[s]).is_zero():
-                    return False
-            elif not val.is_zero():
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +243,6 @@ class HyperbolicityResult:
     witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None
 
 
-def _int_mul(x, y, A: int, B: int):
-    """Product of integer 4-tuples in (A, B | Q) on the basis (1, i, j, ij)."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return (x0 * y0 + A * x1 * y1 + B * x2 * y2 - A * B * x3 * y3,
-            x0 * y1 + x1 * y0 - B * x2 * y3 + B * x3 * y2,
-            x0 * y2 + x2 * y0 + A * x1 * y3 - A * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
-
-
 def _sandwich_tables(h: AntiHermForm, box):
     """[(p, gamma(p) z p) for p in box] per entry z of h, in integers.
 
@@ -341,8 +265,8 @@ def _sandwich_tables(h: AntiHermForm, box):
     d = lcm(*(c.denominator for z in zs for c in z))
     zs = [tuple(int(d * c) for c in z) for z in zs]
     images = [(p, image(p)) for p in box]
-    return [[(p, _int_mul(_int_mul((x[0], -x[1], -x[2], -x[3]), z, A, B),
-                          x, A, B)) for p, x in images]
+    return [[(p, _mul_coords(_mul_coords((x[0], -x[1], -x[2], -x[3]), z,
+                                         A, B), x, A, B)) for p, x in images]
             for z in zs]
 
 
@@ -530,7 +454,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
                                            w, bcoef))
         # re-diagonalize the projected span; rank drops by exactly 2
         try:
-            basis, diag = _orthogonalize(gram_eval, new_basis, alg, 1)
+            basis, diag = _orthogonalize(gram_eval, new_basis, alg)
         except SearchBoundExceeded:
             return HyperbolicityResult("unknown")
         if len(diag) != m - 2:

@@ -329,16 +329,6 @@ class RationalFunction:
     def is_zero(self):
         return not self.num
 
-    def is_constant(self):
-        return degree(self.num) <= 0 and degree(self.den) <= 0
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        if not self.num:
-            return Fraction(0)
-        return self.num[0] / self.den[0]
-
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -359,9 +349,6 @@ class RationalFunction:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -381,9 +368,6 @@ class RationalFunction:
         return RationalFunction(
             pmul(self.num, other.den), pmul(self.den, other.num)
         )
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
 
     def __eq__(self, other):
         other = _coerce(other)

@@ -26,11 +26,9 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateForm,
-    DegreeTooLarge,
     EvenOrCompositeModulus,
     FieldMismatch,
     NonSymmetricMatrix,
-    PfisterRecognitionFailure,
     UnsupportedField,
     ZeroSlot,
 )
@@ -179,8 +177,16 @@ _NO_ENTRIES = _Local(0, 1, 0, {2: 1})
 
 def _hasse_with(loc: _Local, c: int):
     """The Hasse symbols (p, s_p) of x + <c>, one prime at a time: s_p
-    picks up (disc x, c)_p, and an odd prime new in c enters with 1."""
-    new = [p for p, _ in factorize(c)[1] if p not in loc.hasse]
+    picks up (disc x, c)_p, and an odd prime new in c enters with 1.
+
+    The primes of loc are divided out of c first, so only the cofactor
+    is factored: kernel candidates are products of many known primes and
+    may lie far beyond the factoring bound while their cofactor does not."""
+    rest = abs(c)
+    for p in loc.hasse:
+        while rest % p == 0:
+            rest //= p
+    new = [p for p, _ in factorize(rest)[1]]
     for p in itertools.chain(loc.hasse, new):
         yield p, loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
 
@@ -499,12 +505,8 @@ def witt_zero(field: FieldSpec = QQ) -> WittClass:
     return WittClass(QuadForm((), field))
 
 
-def witt_one(field: FieldSpec = QQ) -> WittClass:
-    return WittClass(qf([1], field))
-
-
 # ---------------------------------------------------------------------------
-# Pfister forms and lambda operations
+# Pfister forms
 
 
 def pfister(slots: Sequence, field: FieldSpec = QQ) -> QuadForm:
@@ -515,43 +517,6 @@ def pfister(slots: Sequence, field: FieldSpec = QQ) -> QuadForm:
             raise ZeroSlot("Pfister slot must be nonzero")
         out = out.tensor(qf([1, -Fraction(a)], field))
     return out
-
-
-def lambda_quad(d: int, q: QuadForm) -> QuadForm:
-    """Exterior power: orthogonal sum of all d-fold entry products."""
-    if d < 0 or d > q.dim:
-        raise DegreeTooLarge(f"lambda^{d} of a dim-{q.dim} form")
-    if d == 0:
-        return qf([1], q.field)
-    entries = []
-    for combo in itertools.combinations(q.entries, d):
-        prod = combo[0]
-        for e in combo[1:]:
-            prod = prod * e
-        entries.append(prod)
-    return QuadForm(tuple(entries), q.field)
-
-
-def recognize_pfister2(cls: WittClass) -> Tuple[int, int]:
-    """Slots (u, v) of the unique 2-fold Pfister form in a given Witt class.
-
-    The class of a 2-fold Pfister form is either 0 (hyperbolic) or its own
-    4-dimensional anisotropic kernel <a, b, c, d>.  Pfister forms are
-    round, so such a kernel equals a<a, b, c, d> = <1, ab, ac, ad>, and
-    with ad = bc (discriminant 1) that is <<-ab, -ac>>.
-    """
-    if cls.is_zero():
-        return (1, 1)
-    k = cls.anis
-    if k.dim != 4 or not signed_disc(k).is_one():
-        raise PfisterRecognitionFailure(
-            f"class {k!r} is not a 2-fold Pfister class"
-        )
-    a, b, c, _ = k.reps()
-    u, v = -sq_mul(a, b), -sq_mul(a, c)
-    if not witt_equal(pfister([u, v]), k):
-        raise PfisterRecognitionFailure(f"class {k!r} is not a Pfister class")
-    return (u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +554,3 @@ class GroupRingElem:
 
     def __hash__(self):
         return hash((self.even, self.odd))
-
-
-def group_ring_delta(x: GroupRingElem) -> WittClass:
-    """Sum of components: the ring morphism W(k)[Z/2Z] -> W(k)."""
-    return x.even + x.odd

@@ -1,4 +1,4 @@
-"""Quaternion algebras (a,b | k) with the canonical involution.
+"""Quaternion algebras (a, b | Q) with the canonical involution.
 
 The basis (1, i, j, ij) is fixed globally: i^2 = a, j^2 = b, ji = -ij.
 Quaternions live over Q only: coordinates are Fractions, coerced once by
@@ -20,20 +20,18 @@ from .errors import (
     NotNilpotent,
     NotSplit,
     SearchBoundExceeded,
-    UnsupportedField,
     ZeroArgument,
 )
-from .fields import QQ, FieldSpec, square_class
+from .fields import square_class
 from .quadforms import is_isotropic, qf
 
 
 @dataclass(frozen=True)
 class QuatAlgebra:
-    """Q = (a, b | k)."""
+    """Q = (a, b | Q)."""
 
     a: Fraction
     b: Fraction
-    field: FieldSpec = QQ
 
     def __post_init__(self):
         object.__setattr__(self, "a", Fraction(self.a))
@@ -43,14 +41,11 @@ class QuatAlgebra:
 
     def require_generic_basis(self):
         """The generic-splitting construction needs (ij)^2 = -ab to be a
-        non-square of k."""
-        if self.field.kind == "Q":
-            if square_class(-self.a * self.b).is_one():
-                raise GenericBasisUnavailable(
-                    "(ij)^2 is a square; pick another quaternionic basis"
-                )
-            return
-        raise UnsupportedField("generic basis check implemented over Q")
+        non-square of Q."""
+        if square_class(-self.a * self.b).is_one():
+            raise GenericBasisUnavailable(
+                "(ij)^2 is a square; pick another quaternionic basis"
+            )
 
     def one(self) -> "Quaternion":
         return self.element(1, 0, 0, 0)
@@ -71,7 +66,19 @@ class QuatAlgebra:
         return Quaternion(tuple(map(Fraction, (c0, c1, c2, c3))), self)
 
     def __repr__(self):
-        return f"({self.a},{self.b}|{self.field!r})"
+        return f"({self.a},{self.b}|Q)"
+
+
+def _mul_coords(x, y, a, b):
+    """Coordinates of x y in (a, b | Q) on the basis (1, i, j, ij), from
+    those of x and y: the one multiplication table, shared by Fraction
+    coordinates and by integer structure constants."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
 
 
 @dataclass(frozen=True)
@@ -99,15 +106,9 @@ class Quaternion:
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         self._check(other)
-        a, b = self.algebra.a, self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        # multiplication table for (1, i, j, ij) with ji = -ij
-        c0 = x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3
-        c1 = x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2
-        c2 = x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1
-        c3 = x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1
-        return Quaternion((c0, c1, c2, c3), self.algebra)
+        return Quaternion(_mul_coords(self.coords, other.coords,
+                                      self.algebra.a, self.algebra.b),
+                          self.algebra)
 
     def scale(self, c) -> "Quaternion":
         return Quaternion(tuple(c * x for x in self.coords), self.algebra)
@@ -138,20 +139,8 @@ class Quaternion:
         return f"Quat{tuple(str(c) for c in self.coords)}"
 
 
-def quat_arith(x: Quaternion, y: Quaternion):
-    """Product, conjugate, reduced trace and norm of x (paired with y)."""
-    return {
-        "product": x * y,
-        "conj_x": x.conj(),
-        "trd_x": x.trd(),
-        "nrd_x": x.nrd(),
-    }
-
-
 def norm_forms(A: QuatAlgebra):
     """The norm form <1,-a,-b,ab> and the pure norm form <-a,-b,ab>."""
-    if A.field.kind != "Q":
-        raise UnsupportedField("norm forms as diagonal forms need k = Q")
     a, b = A.a, A.b
     return {
         "n_Q": qf([1, -a, -b, a * b]),
@@ -160,11 +149,7 @@ def norm_forms(A: QuatAlgebra):
 
 
 def is_split(A: QuatAlgebra) -> bool:
-    """Split iff the norm form is isotropic; over F_p always split."""
-    if A.field.kind == "Fp":
-        return True
-    if A.field.kind != "Q":
-        raise UnsupportedField("split detection over Q and F_p only")
+    """Split iff the norm form is isotropic."""
     return is_isotropic(norm_forms(A)["n_Q"])
 
 

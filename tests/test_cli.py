@@ -84,6 +84,19 @@ def test_decide(capsys):
     assert json.loads(out)["result"] == "distinct"
 
 
+def test_decide_invariants(capsys):
+    one = '{"r": 1, "coeffs": [{"even": [1]}, {}, {}]}'
+    lam1 = '{"r": 1, "coeffs": [{}, {"even": [1]}, {}]}'
+    code, out, _ = _run(capsys, ["--output", "json", "decide", one, one])
+    assert code == 0
+    assert json.loads(out)["result"] == "equal"
+    # the difference has the odd-dimensional coefficient <-1> in degree 1,
+    # which is not in n_Q W(Q), so it is not a constant invariant
+    code, out, _ = _run(capsys, ["--output", "json", "decide", one, lam1])
+    assert code == 0
+    assert json.loads(out)["result"] == "distinct"
+
+
 def _ff_doc(coeffs):
     return json.dumps({"entries": [{"unit": "1", "factors": [
         {"poly": coeffs, "exp": 1, "irreducible": True}]}]})

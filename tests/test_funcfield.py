@@ -7,7 +7,7 @@ import pytest
 
 from quatwitt import polys as P
 from quatwitt.errors import UnsupportedResidueField
-from quatwitt.fields import Place
+from quatwitt.fields import Place, square_class
 from quatwitt.funcfield import (
     conic_parametrize,
     conic_w0_places,
@@ -72,13 +72,20 @@ def test_residue_additivity_and_uniformizer():
             entries.append(val)
         return ff_form(entries)
 
+    inf = Place("infinite")
+    alt_inf = RationalFunction(5, T.num)  # 5/t, valuation 1 at infinity
     for _ in range(60):
         q1, q2 = rand_form(), rand_form()
         v = Place("poly", pi=pis[rng.randrange(3)])
-        assert residue(q1.perp(q2), v) == residue(q1, v) + residue(q2, v)
-        # first residue does not depend on the uniformizer
-        alt = RationalFunction(v.pi) * 5
-        assert residue(q1, v).even == residue(q1, v, uniformizer=alt).even
+        for place, alt in ((v, RationalFunction(v.pi) * 5), (inf, alt_inf)):
+            assert (residue(q1.perp(q2), place)
+                    == residue(q1, place) + residue(q2, place))
+            # the first residue does not depend on the uniformizer; the
+            # second is scaled by the unit alt / pi, of residue 5
+            plain = residue(q1, place)
+            moved = residue(q1, place, uniformizer=alt)
+            assert plain.even == moved.even
+            assert moved.odd == plain.odd.scale(square_class(5))
 
 
 def test_residue_degree2_unsupported():

@@ -1,19 +1,16 @@
 """Anti-hermitian forms: diagonalization, Morita transfer, hyperbolicity."""
 
 import random
-import time
 from fractions import Fraction
 
 import pytest
 
 from quatwitt import hermitian
-from quatwitt.errors import DegenerateForm, NotSplit
+from quatwitt.errors import NotSplit
 from quatwitt.hermitian import (
     AntiHermForm,
     herm_diag,
-    herm_diagonalize,
     herm_invariants,
-    certificate_ok,
     hyperbolicity_certificate,
     morita_gram,
     morita_transfer,
@@ -46,29 +43,23 @@ def test_herm_diag_basics():
     assert inv.disc.is_one()
 
 
-def test_herm_diagonalize_gram():
-    rng = random.Random(3)
+def test_orthogonalize_mixed_pivot():
+    """The pairing of G = [[0, 1], [-1, 0]] gives both basis vectors value
+    zero, so the pivot must come from mixing e1 + e2 q (_mixed_pivot), the
+    fallback hyperbolicity_certificate keeps for projected spans."""
     for A in (H, M2):
-        for _ in range(20):
-            z1, z2 = _rand_pure(rng, A), _rand_pure(rng, A)
-            x = A.element(*(Fraction(rng.randint(-3, 3)) for _ in range(4)))
-            # Gram of the form <z1, z2> in a basis mixed by x
-            gram = [[z1, z1 * x],
-                    [(z1 * x).conj().scale(-1), x.conj() * z1 * x + z2]]
-            form, u = herm_diagonalize(gram, A)
-            assert form.rank == 2
-            assert certificate_ok(gram, u, form)
-        # both diagonal values vanish: the pivot comes from mixing e1 + e2 q
         one, zero = A.one(), A.element(0, 0, 0, 0)
-        gram = [[zero, one], [-one, zero]]
-        form, u = herm_diagonalize(gram, A)
-        assert form.rank == 2
-        assert certificate_ok(gram, u, form)
-        # the zero Gram is refused at once, without a mixing search
-        start = time.perf_counter()
-        with pytest.raises(DegenerateForm):
-            herm_diagonalize([[zero, zero], [zero, zero]], A)
-        assert time.perf_counter() - start < 1.0
+
+        def pair(x, y):
+            return x[0].conj() * y[1] - x[1].conj() * y[0]
+
+        basis, values = hermitian._orthogonalize(
+            pair, [[one, zero], [zero, one]], A)
+        assert len(values) == 2
+        assert all(d.is_invertible() for d in values)
+        assert basis[0][0] == one and not basis[0][1].is_zero()
+        assert pair(basis[0], basis[1]).is_zero()
+        assert all(pair(v, v) == d for v, d in zip(basis, values))
 
 
 def test_morita_transfer_formula():
@@ -190,6 +181,25 @@ def test_certificate_pinned_non_integral():
         else:
             assert cert.witness == tuple(
                 tuple(_q(A, *c) for c in v) for v in witness)
+
+
+def test_sandwich_tables_scale_true_values():
+    """Each integer sandwich value is gamma(p) z p written on the basis
+    (1, m i, m j, m^2 ij), m = 21 for (-2/3, -5/7), times one positive
+    constant common to the whole form."""
+    m = 21
+    h = AntiHermForm((W1, W2), SEVENTHS)
+    ratios = set()
+    tables = hermitian._sandwich_tables(h, hermitian._height_box(1))
+    for z, table in zip(h.diag, tables):
+        for p, val in table:
+            q = SEVENTHS.element(*p)
+            c = (q.conj() * z * q).coords
+            for x, y in zip(val, (c[0], c[1] / m, c[2] / m, c[3] / m**2)):
+                assert (x == 0) == (y == 0)
+                if y:
+                    ratios.add(x / y)
+    assert len(ratios) == 1 and ratios.pop() > 0
 
 
 def test_certificate_from_hash_search(monkeypatch):

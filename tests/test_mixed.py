@@ -98,6 +98,24 @@ def test_twisted_trace_gram_entries(monkeypatch):
             assert grams == [want]
 
 
+def test_product_with_kernel_candidates_past_factoring_bound():
+    """Over (-2/3, -5/7) the kernel of this product has candidates such as
+    3*7*13*19*29*53*101*151*193*199*233 > 10^18 built from known primes;
+    only their cofactors are factored, so the product returns (its
+    closed-form cross-check runs inside __mul__)."""
+    A = QuatAlgebra(Fraction(-2, 3), Fraction(-5, 7))
+    x = mixed(A, witt_class(qf([-1, 3])), (A.pure(2, -4, -3),))
+    y = mixed(A, witt_class(qf([6])),
+              (A.pure(-1, -3, 1), A.pure(3, -1, 1)))
+    prod = x * y
+    raw = x.even.anis.tensor(y.even.anis)
+    for zs in x.odd.diag:
+        for zt in y.odd.diag:
+            raw = raw.perp(twisted_trace_form(zs, zt))
+    assert witt_equal(prod.even.anis, raw)
+    assert prod.odd.rank == 5
+
+
 def test_odd_product_vanishes_on_orthogonal_traces():
     # Trd(i j) = 0, so <i><j> = 0
     assert odd_product_closed_form(H.i(), H.j()).is_zero()

@@ -14,7 +14,6 @@ from quatwitt.quaternions import (
     height_shell,
     is_split,
     norm_forms,
-    quat_arith,
     random_pure,
 )
 
@@ -33,6 +32,11 @@ def test_defining_relations():
         assert j * j == A.one().scale(A.b)
         assert j * i == (i * j).scale(-1)
         assert (i * j) * (i * j) == A.one().scale(-A.a * A.b)
+
+
+def test_algebra_repr():
+    assert repr(H) == "(-1,-1|Q)"
+    assert repr(QuatAlgebra(Fraction(-2, 3), 5)) == "(-2/3,5|Q)"
 
 
 def test_associativity_random():
@@ -106,14 +110,6 @@ def test_find_nilpotent():
 def test_find_nilpotent_cached_per_algebra():
     z0 = find_nilpotent(QuatAlgebra(2, 7))
     assert find_nilpotent(QuatAlgebra(Fraction(2), Fraction(7))) is z0
-
-
-def test_quat_arith_helper():
-    out = quat_arith(H.i(), H.j())
-    assert out["product"] == H.ij()
-    assert out["conj_x"] == H.i().scale(-1)
-    assert out["trd_x"] == 0
-    assert out["nrd_x"] == 1
 
 
 def test_generic_basis_guard():
