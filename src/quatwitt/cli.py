@@ -147,6 +147,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     mode = args.output
     try:
+        if args.search_bound < 1:
+            raise SchemaViolation(
+                f"--search-bound: must be at least 1: {args.search_bound}")
         field = _field_spec(args.field)
         A = QuatAlgebra(*(_rational(v, "--quat") for v in args.quat))
         if args.command == "prod":

@@ -198,11 +198,12 @@ def morita_transfer_entries(h: AntiHermForm, c) -> list:
     T = Trd(z (c1 i + c2 j + c3 ij)) = 2(a z1 c1 + b z2 c2 - ab z3 c3),
     and <1, -1> when T = 0.  The caller vouches for nilpotency."""
     a, b = h.algebra.a, h.algebra.b
-    c1, c2, c3 = c
+    l1, l2, l3 = 2 * a * c[0], 2 * b * c[1], -2 * a * b * c[2]
     out = []
     for z in h.diag:
-        _, z1, z2, z3 = z.coords
-        t = 2 * a * z1 * c1 + 2 * b * z2 * c2 - 2 * a * b * z3 * c3
+        _, z1, z2, z3 = z.num
+        d = z.den
+        t = Fraction(z1, d) * l1 + Fraction(z2, d) * l2 + Fraction(z3, d) * l3
         if not t:
             out.extend([Fraction(1), Fraction(-1)])
         else:
@@ -248,25 +249,25 @@ def _sandwich_tables(h: AntiHermForm, box):
 
     With m = lcm(den a, den b), the basis (1, m i, m j, m^2 ij) has the
     integer structure constants m^2 a and m^2 b.  An integer quaternion p
-    maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by one
-    common denominator d.  Each value is then d m^6 times its coordinates
-    on that basis: one positive diagonal scaling for the whole form, so
-    exact sums, negation, square-scaling classes and square ratios match
-    exactly where those of the true values do.
+    maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by d, the
+    lcm of the entries' denominators.  Each value is then d m^6 times its
+    coordinates on that basis: one positive diagonal scaling for the whole
+    form, so exact sums, negation, square-scaling classes and square ratios
+    match exactly where those of the true values do.
     """
     alg = h.algebra
     m = lcm(alg.a.denominator, alg.b.denominator)
     A, B = int(m * m * alg.a), int(m * m * alg.b)
+    k = (1, A, B, A * B)
 
     def image(c):
         return (m * m * c[0], m * c[1], m * c[2], c[3])
 
-    zs = [image(z.coords) for z in h.diag]
-    d = lcm(*(c.denominator for z in zs for c in z))
-    zs = [tuple(int(d * c) for c in z) for z in zs]
+    d = lcm(*(z.den for z in h.diag))
+    zs = [tuple(d // z.den * c for c in image(z.num)) for z in h.diag]
     images = [(p, image(p)) for p in box]
-    return [[(p, _mul_coords(_mul_coords((x[0], -x[1], -x[2], -x[3]), z,
-                                         A, B), x, A, B)) for p, x in images]
+    return [[(p, _mul_coords(_mul_coords((x[0], -x[1], -x[2], -x[3]), z, k),
+                             x, k)) for p, x in images]
             for z in zs]
 
 

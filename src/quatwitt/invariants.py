@@ -268,6 +268,7 @@ def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,
         h = AntiHermForm(tuple(draw_pure(rng, A, height)
                                for _slot in range(alpha.r)), A)
         if screened_distinct(eval_invariant(alpha, h), claimed):
-            point = tuple(tuple(int(c) for c in z.coords[1:]) for z in h.diag)
+            # draw_pure gives integer coordinates, so den is 1
+            point = tuple(z.num[1:] for z in h.diag)
             return SampleCheck("refuted", point=point)
     return SampleCheck("consistent")

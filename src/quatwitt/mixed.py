@@ -10,6 +10,7 @@ cross-check on every multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected
@@ -53,10 +54,12 @@ def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
     if z1.algebra != z2.algebra:
         raise AlgebraMismatch("twisted trace form across algebras")
     A = z1.algebra
-    w = (1, -A.a, -A.b, A.a * A.b)
+    e, ea, eb, eab = A.table
+    w = (e, -ea, -eb, eab)  # e (1, -a, -b, ab)
     z2bar = z2.conj()
-    cols = [(z1 * et * z2bar).coords for et in (A.one(), A.i(), A.j(), A.ij())]
-    gram = [[2 * w[s] * u[s] for u in cols] for s in range(4)]
+    cols = [z1 * et * z2bar for et in (A.one(), A.i(), A.j(), A.ij())]
+    gram = [[Fraction(2 * w[s] * u.num[s], e * u.den) for u in cols]
+            for s in range(4)]
     for s in range(4):
         for t in range(s + 1, 4):
             if gram[s][t] != gram[t][s]:

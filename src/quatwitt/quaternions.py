@@ -1,17 +1,20 @@
 """Quaternion algebras (a, b | Q) with the canonical involution.
 
 The basis (1, i, j, ij) is fixed globally: i^2 = a, j^2 = b, ji = -ij.
-Quaternions live over Q only: coordinates are Fractions, coerced once by
-`QuatAlgebra.element` and `pure`, and the arithmetic keeps them rational.
+Quaternions live over Q only.  Each is four integer numerators over one
+positive denominator, in lowest terms, coerced once by `QuatAlgebra.element`
+and `pure`; the arithmetic is on integers, and `coords` gives the Fraction
+coordinates back.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Tuple
 
 from .errors import (
@@ -28,16 +31,27 @@ from .quadforms import is_isotropic, qf
 
 @dataclass(frozen=True)
 class QuatAlgebra:
-    """Q = (a, b | Q)."""
+    """Q = (a, b | Q).
+
+    `table` is (D, D a, D b, D ab) with D = den(a) den(b): the coefficients
+    1, a, b, ab of the multiplication table, cleared of denominators once
+    per algebra so that products of integer numerators stay integral.
+    """
 
     a: Fraction
     b: Fraction
+    table: Tuple[int, int, int, int] = field(init=False, repr=False,
+                                             compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.a == 0 or self.b == 0:
+        a, b = Fraction(self.a), Fraction(self.b)
+        if a == 0 or b == 0:
             raise ZeroArgument("quaternion algebra parameters must be nonzero")
+        d = a.denominator * b.denominator
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "table", (d, int(d * a), int(d * b),
+                                           int(d * a * b)))
 
     def require_generic_basis(self):
         """The generic-splitting construction needs (ij)^2 = -ab to be a
@@ -63,77 +77,114 @@ class QuatAlgebra:
         return self.element(0, c1, c2, c3)
 
     def element(self, c0, c1, c2, c3) -> "Quaternion":
-        return Quaternion(tuple(map(Fraction, (c0, c1, c2, c3))), self)
+        cs = tuple(map(Fraction, (c0, c1, c2, c3)))
+        den = lcm(*(c.denominator for c in cs))
+        # over the lcm of the denominators the numerators are coprime to it
+        return Quaternion(tuple(c.numerator * (den // c.denominator)
+                                for c in cs), den, self)
 
     def __repr__(self):
         return f"({self.a},{self.b}|Q)"
 
 
-def _mul_coords(x, y, a, b):
-    """Coordinates of x y in (a, b | Q) on the basis (1, i, j, ij), from
-    those of x and y: the one multiplication table, shared by Fraction
-    coordinates and by integer structure constants."""
+def _mul_coords(x, y, k):
+    """Coordinates of x y on the basis (1, i, j, ij) from those of x and y,
+    for the multiplication table k = (e, a, b, ab): the square of i is a/e,
+    that of j is b/e, and every product comes out multiplied by e.  The one
+    multiplication table, shared by `Quaternion` (k = `QuatAlgebra.table`)
+    and the integer sandwich tables of the certificate search."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
-    return (x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-            x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-            x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-            x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1)
+    e, a, b, ab = k
+    return (e * x0 * y0 + a * x1 * y1 + b * x2 * y2 - ab * x3 * y3,
+            e * (x0 * y1 + x1 * y0) - b * x2 * y3 + b * x3 * y2,
+            e * (x0 * y2 + x2 * y0) + a * x1 * y3 - a * x3 * y1,
+            e * (x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1))
+
+
+def _reduced(num, den, algebra) -> "Quaternion":
+    """The Quaternion num / den, for den > 0, in lowest terms."""
+    g = gcd(*num, den)
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return Quaternion(num, den, algebra)
 
 
 @dataclass(frozen=True)
 class Quaternion:
-    """Element c0 + c1 i + c2 j + c3 ij."""
+    """Element (n0 + n1 i + n2 j + n3 ij) / den of (a, b | Q).
 
-    coords: Tuple
+    The numerators `num` are integers and the denominator `den` is positive,
+    with gcd(*num, den) == 1, so equal quaternions have equal fields and
+    the generated __eq__ and __hash__ are exact.  Build them with
+    `QuatAlgebra.element` or `pure`.
+    """
+
+    num: Tuple[int, int, int, int]
+    den: int
     algebra: QuatAlgebra
 
+    @property
+    def coords(self) -> Tuple[Fraction, ...]:
+        """The coordinates on (1, i, j, ij), as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def _check(self, other: "Quaternion"):
-        if self.algebra != other.algebra:
+        if self.algebra is not other.algebra and self.algebra != other.algebra:
             raise AlgebraMismatch("operands from different algebras")
 
     def __add__(self, other: "Quaternion") -> "Quaternion":
         self._check(other)
-        return Quaternion(
-            tuple(x + y for x, y in zip(self.coords, other.coords)), self.algebra
-        )
+        dx, dy = self.den, other.den
+        return _reduced(tuple(x * dy + y * dx
+                              for x, y in zip(self.num, other.num)),
+                        dx * dy, self.algebra)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(tuple(-x for x in self.coords), self.algebra)
+        return Quaternion(tuple(-x for x in self.num), self.den, self.algebra)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         return self + (-other)
 
     def __mul__(self, other: "Quaternion") -> "Quaternion":
         self._check(other)
-        return Quaternion(_mul_coords(self.coords, other.coords,
-                                      self.algebra.a, self.algebra.b),
-                          self.algebra)
+        k = self.algebra.table
+        return _reduced(_mul_coords(self.num, other.num, k),
+                        k[0] * self.den * other.den, self.algebra)
 
     def scale(self, c) -> "Quaternion":
-        return Quaternion(tuple(c * x for x in self.coords), self.algebra)
+        """c self, for c an int or a Fraction."""
+        p = c.numerator
+        return _reduced(tuple(p * x for x in self.num),
+                        c.denominator * self.den, self.algebra)
 
     def conj(self) -> "Quaternion":
         """Canonical involution gamma(x) = Trd(x) - x."""
-        c0, c1, c2, c3 = self.coords
-        return Quaternion((c0, -c1, -c2, -c3), self.algebra)
+        n0, n1, n2, n3 = self.num
+        return Quaternion((n0, -n1, -n2, -n3), self.den, self.algebra)
 
-    def trd(self):
-        return 2 * self.coords[0]
+    def trd(self) -> Fraction:
+        return Fraction(2 * self.num[0], self.den)
 
-    def nrd(self):
-        a, b = self.algebra.a, self.algebra.b
-        c0, c1, c2, c3 = self.coords
-        return c0 * c0 - a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3
+    def _nrd_num(self) -> int:
+        """Nrd(self) times e den^2, e = table[0]: an integer."""
+        e, a, b, ab = self.algebra.table
+        n0, n1, n2, n3 = self.num
+        return e * n0 * n0 - a * n1 * n1 - b * n2 * n2 + ab * n3 * n3
+
+    def nrd(self) -> Fraction:
+        return Fraction(self._nrd_num(),
+                        self.algebra.table[0] * self.den * self.den)
 
     def is_zero(self) -> bool:
-        return all(not x for x in self.coords)
+        return not any(self.num)
 
     def is_pure(self) -> bool:
-        return not self.coords[0]
+        return not self.num[0]
 
     def is_invertible(self) -> bool:
-        return bool(self.nrd())
+        return bool(self._nrd_num())
 
     def __repr__(self):
         return f"Quat{tuple(str(c) for c in self.coords)}"

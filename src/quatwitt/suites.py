@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, List, Optional
 
 from . import polys as P
-from .errors import UnknownSuite
+from .errors import SchemaViolation, UnknownSuite
 from .funcfield import (
     Place,
     conic_parametrize,
@@ -76,6 +76,11 @@ SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
 class RunConfig:
     seed: int = 0
     search_bound: int = DEFAULT_SEARCH_BOUND
+
+    def __post_init__(self):
+        if self.search_bound < 1:
+            raise SchemaViolation(
+                f"search_bound: must be at least 1: {self.search_bound}")
 
 
 @dataclass

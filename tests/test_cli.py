@@ -5,6 +5,8 @@ import json
 import pytest
 
 from quatwitt.cli import main
+from quatwitt.errors import SchemaViolation
+from quatwitt.suites import RunConfig
 
 
 def _run(capsys, argv):
@@ -211,3 +213,21 @@ def test_check_text_output(capsys):
     code, out, _ = _run(capsys, ["check", "morita"])
     assert code == 0
     assert "pass" in out
+
+
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["decide", '{"odd": [["0", "1", "0", "0"]]}',
+     '{"odd": [["0", "2", "0", "0"]]}'],
+    ["check", "morita"],
+])
+def test_search_bound_below_one_exits_2(capsys, bound, argv):
+    code, out, err = _run(capsys, ["--search-bound", bound] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --search-bound: must be at least 1")
+
+
+def test_run_config_rejects_search_bound_below_one():
+    with pytest.raises(SchemaViolation, match="search_bound"):
+        RunConfig(search_bound=0)
