@@ -112,12 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(doc, mode: str):
-    if mode == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    else:
-        print(doc if isinstance(doc, str) else
-              json.dumps(doc, indent=2, sort_keys=True))
+def _emit(doc: dict):
+    print(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _parse_place(text: str) -> Place:
@@ -145,7 +141,6 @@ def _parse(text: str, A: QuatAlgebra, field):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    mode = args.output
     try:
         if args.search_bound < 1:
             raise SchemaViolation(
@@ -157,25 +152,25 @@ def main(argv=None) -> int:
             y = _parse(args.rhs, A, field)
             if not isinstance(x, MixedClass) or not isinstance(y, MixedClass):
                 raise SchemaViolation("prod expects two mixed classes")
-            _emit(serialize(x * y), mode)
+            _emit(serialize(x * y))
         elif args.command == "lambda":
             h = _parse(args.form, A, field)
             if not isinstance(h, AntiHermForm):
                 raise SchemaViolation("lambda expects an anti-hermitian form")
-            _emit(serialize(lambda_herm(args.degree, h)), mode)
+            _emit(serialize(lambda_herm(args.degree, h)))
         elif args.command == "transfer":
             h = _parse(args.form, A, field)
             if not isinstance(h, AntiHermForm):
                 raise SchemaViolation("transfer expects an anti-hermitian form")
             z0 = find_nilpotent(A)
-            _emit(serialize(morita_transfer(h, z0)), mode)
+            _emit(serialize(morita_transfer(h, z0)))
         elif args.command == "residue":
             q = _parse(args.form, A, field)
             if not isinstance(q, FunctionFieldForm):
                 raise SchemaViolation("residue expects a Q(t) form")
             out = residue(q, _parse_place(args.place))
             _emit({"first": serialize(out.even.anis),
-                   "second": serialize(out.odd.anis)}, mode)
+                   "second": serialize(out.odd.anis)})
         elif args.command == "decide":
             x = _parse(args.lhs, A, field)
             y = _parse(args.rhs, A, field)
@@ -197,16 +192,16 @@ def main(argv=None) -> int:
                 )
             else:
                 raise SchemaViolation("undecidable input shape")
-            _emit({"result": verdict}, mode)
+            _emit({"result": verdict})
         elif args.command == "psi":
             x = _parse(args.input, A, field)
             if not isinstance(x, MixedClass):
                 raise SchemaViolation("psi expects a mixed class")
-            _emit(serialize(psi_split(x, conic_parametrize(A))), mode)
+            _emit(serialize(psi_split(x, conic_parametrize(A))))
         elif args.command == "check":
             cfg = RunConfig(seed=args.seed, search_bound=args.search_bound)
             rep = run_suite(args.suite, cfg)
-            sys.stdout.write(emit_report(rep, mode))
+            sys.stdout.write(emit_report(rep, args.output))
             return rep.exit_code
     except QuatWittError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,10 @@
 """Forms over Q(t): residues, Witt equality via the Milnor sequence, conic
 parametrization of split algebras and the generic-splitting map.
 
-A form entry is stored in factored shape, unit times a product of monic
-irreducible polynomials with exponents reduced mod 2 (an entry is only ever
-needed up to squares).  Second residues at all finite places plus one good
-specialization decide Witt equality over Q(t).
+A form entry is only ever needed up to squares, so it is stored as its
+square class: a squarefree integer unit times distinct monic irreducible
+polynomials, built by ff_class.  Second residues at all finite places plus
+one good specialization decide Witt equality over Q(t).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-from .fields import Place, rational_sqrt, sq_mul, square_class, squarefree_part
+from .fields import Place, rational_sqrt, sq_mul, square_class
 from .mixed import MixedClass, mixed
 from .hermitian import morita_transfer_entries
 from .polys import RationalFunction
@@ -48,71 +48,60 @@ CONIC_HEIGHT_BOUND = 60
 
 @dataclass(frozen=True)
 class FFEntry:
-    """unit * prod(factor^exp) with monic irreducible factors, exps in {1}
-    after square reduction."""
+    """The square class of a nonzero element of Q(t): a squarefree integer
+    unit times the product of distinct monic irreducible factors, sorted.
+    Two entries are equal exactly when their elements differ by a square."""
 
-    unit: Fraction
-    factors: Tuple[Tuple[P.Poly, int], ...]
+    unit: int
+    factors: Tuple[P.Poly, ...]
 
     def value_at(self, c: Fraction) -> Fraction:
         out = Fraction(self.unit)
-        for f, e in self.factors:
-            out *= P.peval(f, c) ** e
+        for f in self.factors:
+            out *= P.peval(f, c)
         return out
 
     def valuation(self, v: Place) -> int:
         if v.kind == "poly":
-            for f, e in self.factors:
-                if f == v.pi:
-                    return e
-            return 0
+            return int(v.pi in self.factors)
         if v.kind == "infinite":
-            return -sum(e * P.degree(f) for f, e in self.factors)
+            return -sum(P.degree(f) for f in self.factors)
         raise UnsupportedResidueField(f"no valuation at {v}")
 
 
+def ff_class(unit, factors) -> FFEntry:
+    """The entry of unit * prod(f^e) over (f, e) in factors, for a nonzero
+    rational unit and monic irreducible f (repeats allowed): the factors
+    of odd total exponent times the squarefree part of the unit."""
+    odd = set()
+    for f, e in factors:
+        if e % 2:
+            odd ^= {f}
+    return FFEntry(square_class(unit).repr, tuple(sorted(odd)))
+
+
 def ff_entry(x) -> FFEntry:
-    """Normalize a nonzero entry (rational, polynomial coefficient list or
-    RationalFunction) into factored squarefree shape."""
+    """The entry of a nonzero rational, polynomial coefficient list or
+    RationalFunction."""
     if isinstance(x, (int, Fraction)):
         x = RationalFunction.from_const(Fraction(x))
     elif isinstance(x, (list, tuple)):
         x = RationalFunction(P.poly(x))
     if x.is_zero():
         raise ZeroElement("zero entry in a function-field form")
-    # num/den and num*den agree up to squares; num and den are coprime,
-    # so factor them separately and merge
+    # num/den and num*den agree up to squares
     try:
         unit_n, factors_n = P.factor_poly(x.num)
         unit_d, factors_d = P.factor_poly(x.den)
     except NotImplementedError as exc:
         raise MissingFactorization(str(exc)) from exc
-    unit = unit_n * unit_d
-    merged = dict(factors_n)
-    for f, e in factors_d:
-        merged[f] = merged.get(f, 0) + e
-    factors = sorted(merged.items())
-    unit = Fraction(squarefree_part(unit.numerator * unit.denominator))
-    kept = []
-    for f, e in factors:
-        if e % 2 == 0:
-            continue
-        # pull the content out of non-monic-over-Z issues: f is monic with
-        # rational coefficients; its square class soaks denominators into
-        # the unit via the primitive part
-        kept.append((f, 1))
-    return FFEntry(unit, tuple(sorted(kept)))
+    return ff_class(unit_n * unit_d, factors_n + factors_d)
 
 
 def ff_entry_product(e1: FFEntry, e2: FFEntry) -> FFEntry:
-    """Product of two factored entries up to squares, merging the known
-    factorizations instead of refactoring."""
-    unit = Fraction(sq_mul(int(e1.unit), int(e2.unit)))
-    merged = {f: e for f, e in e1.factors}
-    for f, e in e2.factors:
-        merged[f] = merged.get(f, 0) + e
-    kept = tuple(sorted((f, 1) for f, e in merged.items() if e % 2))
-    return FFEntry(unit, kept)
+    """Product of two entries: no factorization is needed."""
+    return FFEntry(sq_mul(e1.unit, e2.unit),
+                   tuple(sorted(set(e1.factors) ^ set(e2.factors))))
 
 
 @dataclass(frozen=True)
@@ -141,12 +130,7 @@ class FunctionFieldForm:
         return FunctionFieldForm(tuple(out))
 
     def support(self) -> List[P.Poly]:
-        seen = []
-        for e in self.entries:
-            for f, _ in e.factors:
-                if f not in seen:
-                    seen.append(f)
-        return sorted(seen)
+        return sorted({f for e in self.entries for f in e.factors})
 
     def specialize(self, c: Fraction) -> QuadForm:
         vals = [e.value_at(Fraction(c)) for e in self.entries]
@@ -158,8 +142,8 @@ class FunctionFieldForm:
         parts = []
         for e in self.entries:
             s = str(e.unit)
-            for f, ex in e.factors:
-                s += f"*({P.poly_str(f)})^{ex}" if ex != 1 else f"*({P.poly_str(f)})"
+            for f in e.factors:
+                s += f"*({P.poly_str(f)})"
             parts.append(s)
         return "<" + ", ".join(parts) + ">_Q(t)"
 
@@ -173,11 +157,6 @@ FF_EMPTY = FunctionFieldForm(())
 
 # ---------------------------------------------------------------------------
 # residues
-
-
-def _reduce_mod(pi: P.Poly, value: P.Poly):
-    """Image of a v-unit polynomial in the residue field Q[t]/(pi)."""
-    return P.pmod(value, pi)
 
 
 def _entry_residue_data(e: FFEntry, v: Place, unif: Optional[RationalFunction]):
@@ -197,10 +176,9 @@ def _entry_residue_data(e: FFEntry, v: Place, unif: Optional[RationalFunction]):
     pi = v.pi
     d = P.degree(pi)
     cof = P.constant(e.unit)
-    for f, ex in e.factors:
-        if f == pi:
-            continue
-        cof = P.pmul(cof, P.ppow(f, ex))
+    for f in e.factors:
+        if f != pi:
+            cof = P.pmul(cof, f)
     if d == 1:
         c = -pi[0]  # root of the monic linear pi
         cls = P.peval(cof, c)
@@ -210,7 +188,7 @@ def _entry_residue_data(e: FFEntry, v: Place, unif: Optional[RationalFunction]):
             cls *= gval ** val
         return val % 2, cls
     if d == 2:
-        red = _reduce_mod(pi, cof)
+        red = P.pmod(cof, pi)
         if unif is not None:
             raise UnsupportedResidueField(
                 "alternate uniformizers only at degree-1 places"
@@ -280,9 +258,12 @@ def _quadratic_square(pi: P.Poly, z: P.Poly) -> bool:
 def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     """Whether the second residue at v vanishes.
 
-    At residue field Q this is a complete decision; at a degree-2 residue
+    At residue field Q this is a complete decision.  At a degree-2 residue
     field Q[t]/(pi) vanishing is certified by pairwise cancellation with an
-    exact squareness test (sound, possibly incomplete)."""
+    exact squareness test, and refuted by an odd count or a signed
+    discriminant that is not a square; UnsupportedResidueField when neither
+    settles it (only possible in dimension >= 4, as pairing is complete in
+    dimension 2)."""
     if v.kind == "infinite" or P.degree(v.pi) == 1:
         return residue(q, v).odd.is_zero()
     if P.degree(v.pi) != 2:
@@ -301,18 +282,24 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
         matched = None
         for idx, w in enumerate(pool):
             # <z, w> hyperbolic iff -z/w is a square in the residue field
-            ratio = _field_div(pi, _negate(z), w)
+            ratio = _field_div(pi, P.pneg(z), w)
             if ratio is not None and _quadratic_square(pi, ratio):
                 matched = idx
                 break
         if matched is None:
-            return False
+            break
         pool.pop(matched)
-    return True
-
-
-def _negate(z: P.Poly) -> P.Poly:
-    return P.pneg(z)
+    else:
+        return True
+    disc = P.constant((-1) ** (len(classes) // 2))
+    for z in classes:
+        disc = P.pmod(P.pmul(disc, z), pi)
+    if not _quadratic_square(pi, disc):
+        return False
+    raise UnsupportedResidueField(
+        "second residue at a degree-2 place has a square discriminant but"
+        " does not cancel in pairs"
+    )
 
 
 def _field_div(pi: P.Poly, num: P.Poly, den: P.Poly) -> Optional[P.Poly]:

@@ -24,7 +24,7 @@ from .errors import (
     SearchBoundExceeded,
     VerificationFailed,
 )
-from .fields import SquareClass, rational_sqrt, square_class
+from .fields import SquareClass, rational_sqrt, square_class, squarefree_part
 from .quadforms import QuadForm, qf
 from .quaternions import (
     QuatAlgebra,
@@ -252,7 +252,7 @@ def _sandwich_tables(h: AntiHermForm, box):
     maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by d, the
     lcm of the entries' denominators.  Each value is then d m^6 times its
     coordinates on that basis: one positive diagonal scaling for the whole
-    form, so exact sums, negation, square-scaling classes and square ratios
+    form, so exact sums, negation, square-scaling keys and content ratios
     match exactly where those of the true values do.
     """
     alg = h.algebra
@@ -271,54 +271,42 @@ def _sandwich_tables(h: AntiHermForm, box):
             for z in zs]
 
 
-def _sq_scaling_key(v):
-    """Canonical representative of an integer tuple up to positive square
-    rational scaling: v over the largest square dividing its content."""
-    g = gcd(*v)
-    if g == 0:
-        return v
-    s = 1
-    d = 2
-    while d * d <= g:
-        while g % (d * d) == 0:
-            g //= d * d
-            s *= d
-        d += 1
-    return tuple(c // (s * s) for c in v)
-
-
 def _neg(v):
     return tuple(-c for c in v)
 
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     """Search v = e_s p + e_t q with h(v, v) = 0, p, q integer quaternions
-    of height <= bound; values are matched up to square scaling."""
+    of height <= bound.  Values are keyed up to positive square scaling, as
+    v / g * squarefree_part(g) for the content g of v; equal keys of p and
+    -q leave the contents a square ratio lambda^2, and v = e_s p + e_t q
+    lambda.  Zero values (zero divisors of a split algebra) are skipped."""
     r = h.rank
     tables = []
     for entries in _sandwich_tables(h, _normalized_box(bound)):
         table = {}
         for p, val in entries:
-            table.setdefault(_sq_scaling_key(val), (p, val))
+            g = gcd(*val)
+            if g:
+                sf = squarefree_part(g)
+                table.setdefault(tuple(c // g * sf for c in val), (p, g))
         tables.append(table)
     for s in range(r):
         for t in range(s + 1, r):
-            for kt, (q, qval) in tables[t].items():
+            for kt, (q, gq) in tables[t].items():
                 hit = tables[s].get(_neg(kt))
                 if hit is None:
                     continue
-                p, pval = hit
-                lam = _square_ratio(pval, _neg(qval))
-                if lam is None:
-                    continue
+                p, gp = hit
                 vec = [h.algebra.element(0, 0, 0, 0)] * r
                 vec[s] = h.algebra.element(*p)
-                vec[t] = h.algebra.element(*q).scale(lam)
+                vec[t] = h.algebra.element(*q).scale(
+                    rational_sqrt(Fraction(gp, gq)))
                 return vec
     return None
 
 
-def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
+def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
     """Exact search for isotropic vectors supported on 3 or 4 slots: sums
     of sandwich values gamma(q) z_m q over two slots are hashed and matched
     against the negated contribution of one or two further slots."""
@@ -326,7 +314,8 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
     if r < 3:
         return None
     tables = _sandwich_tables(h, _height_box(bound))
-    single_tables = _sandwich_tables(h, _height_box(single_bound))
+    single_tables = (tables if single_bound == bound else
+                     _sandwich_tables(h, _height_box(single_bound)))
 
     pair_dicts = {}
     for s, t in itertools.combinations(range(r), 2):
@@ -372,19 +361,6 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int = 4):
                     vec = build([(s, hit[0]), (t, hit[1]), (u, w1), (v2, w2)])
                     if vec is not None:
                         return vec
-    return None
-
-
-def _square_ratio(x, y):
-    """c > 0 rational with x = c^2 * y, for integer tuples, or None."""
-    for cx, cy in zip(x, y):
-        if cy:
-            c = rational_sqrt(Fraction(cx, cy))
-            if not c:
-                return None
-            if all(a == c * c * b for a, b in zip(x, y)):
-                return c
-            return None
     return None
 
 

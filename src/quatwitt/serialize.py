@@ -21,7 +21,7 @@ from typing import Optional
 from . import polys as P
 from .errors import MissingFactorization, NotPureInvertible, SchemaViolation
 from .fields import QQ, FieldSpec
-from .funcfield import FFEntry, FunctionFieldForm, ff_entry
+from .funcfield import FunctionFieldForm, ff_class, ff_entry
 from .hermitian import AntiHermForm
 from .invariants import LambdaInvariant
 from .mixed import MixedClass
@@ -130,7 +130,7 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if P.degree(pol) < 1:
                 raise SchemaViolation("factor must be non-constant",
                                       fptr + "/poly")
-            pol = P.monic(pol)
+            lead, pol = P.leading(pol), P.monic(pol)
             if not f.get("irreducible"):
                 raise SchemaViolation("factor lacks irreducibility flag",
                                       fptr + "/irreducible")
@@ -145,9 +145,10 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if not isinstance(exp, int) or exp < 1:
                 raise SchemaViolation("exponent must be a positive integer",
                                       fptr + "/exp")
-            if exp % 2:
-                factors.append((pol, 1))
-        entries.append(FFEntry(unit, tuple(sorted(factors))))
+            # up to squares only the exponent's parity matters
+            unit *= lead ** (exp % 2)
+            factors.append((pol, exp))
+        entries.append(ff_class(unit, factors))
     return FunctionFieldForm(tuple(entries))
 
 
@@ -217,10 +218,10 @@ def serialize(obj) -> dict:
                     "factors": [
                         {
                             "poly": [str(c) for c in f],
-                            "exp": ex,
+                            "exp": 1,
                             "irreducible": True,
                         }
-                        for f, ex in e.factors
+                        for f in e.factors
                     ],
                 }
                 for e in obj.entries

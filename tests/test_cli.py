@@ -104,6 +104,37 @@ def _ff_doc(coeffs):
         {"poly": coeffs, "exp": 1, "irreducible": True}]}]})
 
 
+def _ff_entry_doc(unit, *factors):
+    return json.dumps({"entries": [{"unit": unit, "factors": [
+        {"poly": f, "exp": 1, "irreducible": True} for f in factors]}]})
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    # the factor t listed twice is t^2, a square
+    (_ff_entry_doc("1", ["0", "1"], ["0", "1"]), '{"entries": ["1"]}'),
+    # the factor's leading coefficient 2 stays in the entry: 2t both sides
+    (_ff_entry_doc("1", ["0", "2"]), '{"entries": [[0, 2]]}'),
+    # a non-integral unit is its square class: 1/2 ~ 2
+    (_ff_entry_doc("1/2"), '{"entries": ["2"]}'),
+], ids=["repeated-factor", "factor-leading-coefficient", "rational-unit"])
+def test_decide_reads_entries_up_to_squares(capsys, lhs, rhs):
+    code, out, _ = _run(capsys, ["--output", "json", "decide", lhs, rhs])
+    assert code == 0
+    assert json.loads(out)["result"] == "equal"
+
+
+def test_decide_refuses_uncancelled_degree2_residue(capsys):
+    # pi<1, 1> and pi<2, 2>, pi = t^2 + 3: <1, 1> = <2, 2> over Q, but the
+    # residues at pi do not cancel in pairs over Q(sqrt -3)
+    code, out, err = _run(capsys, [
+        "decide", '{"entries": [[3, 0, 1], [3, 0, 1]]}',
+        '{"entries": [[6, 0, 2], [6, 0, 2]]}',
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_residue_quartic_and_quintic_factors(capsys):
     # t^4 + 2 is irreducible (Eisenstein at 2): decided, not refused
     code, out, _ = _run(capsys, [

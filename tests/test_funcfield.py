@@ -38,7 +38,7 @@ def test_ff_entry_normalization():
     assert e.factors == ()
     e2 = ff_entry(T * 8)
     assert e2.unit == 2
-    assert [P.poly_str(f) for f, _ in e2.factors] == ["t"]
+    assert [P.poly_str(f) for f in e2.factors] == ["t"]
     # separate factorization of numerator and denominator
     e3 = ff_entry(RationalFunction(P.poly([F(1), F(0), F(1)]),
                                    P.poly([F(0), F(1)])))
@@ -95,6 +95,25 @@ def test_residue_degree2_unsupported():
     # but vanishing of the second residue is still decidable
     sq = q.perp(q.neg())
     assert residue2_vanishes(sq, Place("poly", pi=P.poly([F(1), F(0), F(1)])))
+
+
+def test_residue2_vanishes_at_degree2_place():
+    pi = P.poly([F(3), F(0), F(1)])     # t^2 + 3, residue field Q(sqrt -3)
+    v = Place("poly", pi=pi)
+    x = RationalFunction(pi)
+
+    def form(*units):
+        return ff_form([x * u for u in units])
+
+    assert residue2_vanishes(form(1, 3), v)          # -1/3 = (1/sqrt -3)^2
+    assert not residue2_vanishes(form(1, -2), v)     # complete in dim 2
+    assert not residue2_vanishes(form(1, 1, 1), v)   # odd count
+    assert not residue2_vanishes(form(1, 1, 1, -2), v)  # disc -2
+    # <1, 1, -2, -2> is hyperbolic over Q, but no pair cancels
+    with pytest.raises(UnsupportedResidueField):
+        residue2_vanishes(form(1, 1, -2, -2), v)
+    with pytest.raises(UnsupportedResidueField):
+        kt_witt_equal(form(1, 1), form(2, 2))
 
 
 def test_kt_witt_equal_and_specialization():

@@ -218,3 +218,19 @@ def test_certificate_from_hash_search(monkeypatch):
         found.clear()
         hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
         assert found[0], entries
+
+
+@pytest.mark.parametrize("single_bound, builds", [(1, 1), (2, 2)])
+def test_hash_search_builds_tables_once_per_bound(monkeypatch, single_bound,
+                                                  builds):
+    calls = []
+    build = hermitian._sandwich_tables
+
+    def spy(h, box):
+        calls.append(len(box))
+        return build(h, box)
+
+    monkeypatch.setattr(hermitian, "_sandwich_tables", spy)
+    h = herm_diag([H.i(), H.j(), H.ij()], H)
+    hermitian._isotropic_hash_vector(h, 1, single_bound)
+    assert len(calls) == builds

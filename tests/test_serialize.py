@@ -71,6 +71,19 @@ def test_ffform_roundtrip_and_shorthands():
     assert set(q3.entries) == set(q.entries)
 
 
+def test_ffform_parse_reduces_to_square_classes():
+    t = {"poly": ["0", "1"], "exp": 1, "irreducible": True}
+    q = parse_ffform({"entries": [
+        {"unit": "1/2"},
+        {"unit": "1", "factors": [t, t]},
+        {"unit": "3", "factors": [{"poly": ["0", "2"], "exp": 3,
+                                   "irreducible": True}]},
+    ]})
+    assert q.entries == ff_form([2, 1, [0, 6]]).entries
+    # the unit is a squarefree integer, so products keep it nonzero
+    assert q.tensor(ff_form([3])).entries[0].unit == 6
+
+
 def test_ffform_factor_validation():
     base = {"poly": ["0", "1"], "exp": 1}
     with pytest.raises(SchemaViolation) as exc:
