@@ -71,12 +71,14 @@ class FFEntry:
 
 def ff_class(unit, factors) -> FFEntry:
     """The entry of unit * prod(f^e) over (f, e) in factors, for a nonzero
-    rational unit and monic irreducible f (repeats allowed): the factors
-    of odd total exponent times the squarefree part of the unit."""
+    rational unit and irreducible f (repeats allowed): the monic factors of
+    odd total exponent times the squarefree part of the unit and of their
+    leading coefficients."""
     odd = set()
     for f, e in factors:
         if e % 2:
-            odd ^= {f}
+            unit *= P.leading(f)
+            odd ^= {P.monic(f)}
     return FFEntry(square_class(unit).repr, tuple(sorted(odd)))
 
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     SearchBoundExceeded,
     VerificationFailed,
 )
-from .fields import SquareClass, rational_sqrt, square_class, squarefree_part
+from .fields import SquareClass, square_class
 from .quadforms import QuadForm, qf
 from .quaternions import (
     QuatAlgebra,
@@ -252,7 +252,7 @@ def _sandwich_tables(h: AntiHermForm, box):
     maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by d, the
     lcm of the entries' denominators.  Each value is then d m^6 times its
     coordinates on that basis: one positive diagonal scaling for the whole
-    form, so exact sums, negation, square-scaling keys and content ratios
+    form, so exact sums, negation, primitive directions and content ratios
     match exactly where those of the true values do.
     """
     alg = h.algebra
@@ -277,32 +277,36 @@ def _neg(v):
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     """Search v = e_s p + e_t q with h(v, v) = 0, p, q integer quaternions
-    of height <= bound.  Values are keyed up to positive square scaling, as
-    v / g * squarefree_part(g) for the content g of v; equal keys of p and
-    -q leave the contents a square ratio lambda^2, and v = e_s p + e_t q
-    lambda.  Zero values (zero divisors of a split algebra) are skipped."""
+    of height <= bound.  Each value is split into its content g and its
+    primitive direction; q pairs with the first p of the opposite direction
+    whose content ratio g_p / g_q is a square lambda^2 (g_p g_q is an
+    integer square), and then v = e_s p + e_t q lambda.  No content is
+    factorized.  Zero values (zero divisors of a split algebra) are
+    skipped."""
     r = h.rank
-    tables = []
+    rows, by_dir = [], []
     for entries in _sandwich_tables(h, _normalized_box(bound)):
-        table = {}
+        row, table = [], {}
         for p, val in entries:
             g = gcd(*val)
             if g:
-                sf = squarefree_part(g)
-                table.setdefault(tuple(c // g * sf for c in val), (p, g))
-        tables.append(table)
+                d = tuple(c // g for c in val)
+                row.append((p, d, g))
+                table.setdefault(d, []).append((p, g))
+        rows.append(row)
+        by_dir.append(table)
     for s in range(r):
         for t in range(s + 1, r):
-            for kt, (q, gq) in tables[t].items():
-                hit = tables[s].get(_neg(kt))
-                if hit is None:
-                    continue
-                p, gp = hit
-                vec = [h.algebra.element(0, 0, 0, 0)] * r
-                vec[s] = h.algebra.element(*p)
-                vec[t] = h.algebra.element(*q).scale(
-                    rational_sqrt(Fraction(gp, gq)))
-                return vec
+            for q, d, gq in rows[t]:
+                for p, gp in by_dir[s].get(_neg(d), ()):
+                    root = isqrt(gp * gq)
+                    if root * root != gp * gq:
+                        continue
+                    vec = [h.algebra.element(0, 0, 0, 0)] * r
+                    vec[s] = h.algebra.element(*p)
+                    vec[t] = h.algebra.element(*q).scale(
+                        Fraction(root, gq))
+                    return vec
     return None
 
 

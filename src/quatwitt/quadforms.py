@@ -498,7 +498,10 @@ def witt_class(q: QuadForm) -> WittClass:
         reps = _anisotropic_reps_fp(list(q.reps()), q.field)
     else:
         raise UnsupportedField("Witt classes over Q(t) live in funcfield")
-    return WittClass(qf(reps, q.field) if reps else QuadForm((), q.field))
+    # the kernel's entries are squarefree already (or F_p representatives):
+    # no value is classified again
+    return WittClass(QuadForm(tuple(SquareClass(r, q.field) for r in reps),
+                              q.field))
 
 
 def witt_zero(field: FieldSpec = QQ) -> WittClass:

@@ -130,7 +130,6 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if P.degree(pol) < 1:
                 raise SchemaViolation("factor must be non-constant",
                                       fptr + "/poly")
-            lead, pol = P.leading(pol), P.monic(pol)
             if not f.get("irreducible"):
                 raise SchemaViolation("factor lacks irreducibility flag",
                                       fptr + "/irreducible")
@@ -145,8 +144,6 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if not isinstance(exp, int) or exp < 1:
                 raise SchemaViolation("exponent must be a positive integer",
                                       fptr + "/exp")
-            # up to squares only the exponent's parity matters
-            unit *= lead ** (exp % 2)
             factors.append((pol, exp))
         entries.append(ff_class(unit, factors))
     return FunctionFieldForm(tuple(entries))

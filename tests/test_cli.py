@@ -135,6 +135,17 @@ def test_decide_refuses_uncancelled_degree2_residue(capsys):
     assert err.startswith("error:")
 
 
+def test_decide_certificate_with_large_algebra_denominator(capsys):
+    # (-1/5000, -1): the certificate's contents pass 5000^5 > 10^18, which
+    # the pair search compares without factorizing
+    code, out, _ = _run(capsys, [
+        "--quat", "-0.0002", "-1", "--output", "json", "decide",
+        '{"odd": [["0", "1", "0", "0"]]}', '{"odd": [["0", "4", "0", "0"]]}',
+    ])
+    assert code == 0
+    assert json.loads(out)["result"] == "equal"
+
+
 def test_residue_quartic_and_quintic_factors(capsys):
     # t^4 + 2 is irreducible (Eisenstein at 2): decided, not refused
     code, out, _ = _run(capsys, [

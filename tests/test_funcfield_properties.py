@@ -106,16 +106,21 @@ def _value(unit, factors):
     return RationalFunction(num, den)
 
 
-def _document(unit, factors, scales):
-    """An entry document for unit * prod f^|e| with each factor written
-    as scale * f: the unit absorbs the scales' powers."""
-    out = []
+def _scaled(unit, factors, scales):
+    """unit * prod f^|e| with each factor written as scale * f, which is
+    no longer monic: the unit absorbs the scales' powers."""
+    pairs = []
     for (f, e), c in zip(factors, scales):
         if e:
             unit /= c ** abs(e)
-            out.append({"poly": [str(c * x) for x in f], "exp": abs(e),
-                        "irreducible": True})
-    return {"entries": [{"unit": str(unit), "factors": out}]}
+            pairs.append((tuple(c * x for x in f), abs(e)))
+    return unit, pairs
+
+
+def _document(unit, pairs):
+    return {"entries": [{"unit": str(unit), "factors": [
+        {"poly": [str(x) for x in f], "exp": e, "irreducible": True}
+        for f, e in pairs]}]}
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
@@ -127,8 +132,10 @@ def test_entry_sources_agree(data):
     assert entry == ff_class(unit, factors)
     scales = data.draw(st.lists(rational, min_size=len(factors),
                                 max_size=len(factors)))
-    doc = json.dumps(_document(unit, factors, scales))
-    assert parse_input(doc).entries == (entry,)
+    scaled_unit, pairs = _scaled(unit, factors, scales)
+    assert ff_class(scaled_unit, pairs) == entry
+    assert parse_input(json.dumps(_document(scaled_unit, pairs))).entries \
+        == (entry,)
     assert entry.factors == tuple(sorted(set(entry.factors)))
     assert entry.unit == square_class(unit).repr
 

@@ -234,3 +234,28 @@ def test_hash_search_builds_tables_once_per_bound(monkeypatch, single_bound,
     h = herm_diag([H.i(), H.j(), H.ij()], H)
     hermitian._isotropic_hash_vector(h, 1, single_bound)
     assert len(calls) == builds
+
+
+BIG_DEN = QuatAlgebra(Fraction(-1, 5000), -1)
+BIG_PRIME = 1000003
+
+
+@pytest.mark.parametrize("A, entries, witness", [
+    # contents of order 5000^5 > 10^18, beyond any factorization bound
+    (BIG_DEN, (BIG_DEN.i(), BIG_DEN.i().scale(-4)),
+     [[(0, 0, 0, 1), (0, 0, 0, "1/2")]]),
+    (BIG_DEN, (BIG_DEN.i(), -BIG_DEN.j(), BIG_DEN.j(), -BIG_DEN.i()),
+     [[(0, 0, 0, 1), (0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1)],
+      [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 1), (0, 0, 0, 0)]]),
+    # a content holding the square of a prime above 10^6
+    (H, (H.i(), H.i().scale(-BIG_PRIME**2)),
+     [[(0, 0, 0, 1), (0, 0, 0, Fraction(1, BIG_PRIME))]]),
+    (H, (H.i(), H.j().scale(-BIG_PRIME**2)),
+     [[(1, -1, 1, 1), (0, 0, 0, Fraction(2, BIG_PRIME))]]),
+], ids=["den-5000", "den-5000-rank4", "prime-square", "prime-square-mixed"])
+def test_pair_search_large_contents(A, entries, witness):
+    """The pair search compares contents without factorizing them; the
+    witnesses were recorded with the earlier trial-division key."""
+    cert = hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
+    assert cert.status == "hyperbolic"
+    assert cert.witness == tuple(tuple(_q(A, *c) for c in v) for v in witness)

@@ -51,6 +51,18 @@ def test_twisted_trace_symmetric_and_matches_closed_form():
             assert witt_class(q) == odd_product_closed_form(z1, z2)
 
 
+def test_twisted_trace_squarefree_entry_beyond_factor_bound():
+    # a diagonal entry 4234584976795185870 > 10^18 is the squarefree
+    # product of a reduced numerator and denominator: its Witt class must
+    # not factor it again
+    A = QuatAlgebra(Fraction(-2, 3), Fraction(-5, 7))
+    z1 = A.pure(Fraction(1, 3), 3, 0)
+    z2 = A.pure(Fraction(1, 3), 5, Fraction(1, 2))
+    q = twisted_trace_form(z1, z2)
+    assert max(q.reps()) > 10**18
+    assert witt_class(q) == odd_product_closed_form(z1, z2)
+
+
 def _written_out_mul(a, b, x, y):
     """Product in (a, b | Q) on coordinate 4-tuples, from the monomials
     i^p j^q: (i^p1 j^q1)(i^p2 j^q2) = (-1)^(q1 p2) i^(p1+p2) j^(q1+q2),
