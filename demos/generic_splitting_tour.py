@@ -14,7 +14,6 @@ from quatwitt.funcfield import (
     residue,
 )
 from quatwitt.mixed import mixed
-from quatwitt.polys import RationalFunction
 from quatwitt.quadforms import qf, witt_class
 from quatwitt.quaternions import QuatAlgebra
 
@@ -41,8 +40,7 @@ def main():
 
     print()
     print("== residues over Q(t) ==")
-    t = RationalFunction(P.poly([0, 1]))
-    q = ff_form([t, 1])
+    q = ff_form([[0, 1], 1])  # <t, 1>
     for label, place in [("t", Place("poly", pi=P.poly([0, 1]))),
                          ("t-1", Place("poly", pi=P.poly([-1, 1]))),
                          ("infinity", Place("infinite"))]:

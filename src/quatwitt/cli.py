@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -56,6 +57,16 @@ def _rational(text: str, flag: str) -> Fraction:
             from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument starting with a minus
+    and a digit, such as -1/5000, as a value, the way it already reads -1
+    and -0.0002: none of the options looks like a number."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
     def d(v):
         return argparse.SUPPRESS if suppress else v
@@ -72,7 +83,7 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="quatwitt")
+    ap = _Parser(prog="quatwitt")
     _add_globals(ap, suppress=False)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .fields import Place, rational_sqrt, sq_mul, square_class
 from .mixed import MixedClass, mixed
-from .hermitian import morita_transfer_entries
+from .hermitian import trd_coefficients
 from .polys import RationalFunction
 from .quadforms import (
     GroupRingElem,
@@ -86,18 +86,22 @@ def ff_entry(x) -> FFEntry:
     """The entry of a nonzero rational, polynomial coefficient list or
     RationalFunction."""
     if isinstance(x, (int, Fraction)):
-        x = RationalFunction.from_const(Fraction(x))
-    elif isinstance(x, (list, tuple)):
-        x = RationalFunction(P.poly(x))
-    if x.is_zero():
-        raise ZeroElement("zero entry in a function-field form")
+        if not x:
+            raise ZeroElement("zero entry in a function-field form")
+        return ff_class(x, ())
     # num/den and num*den agree up to squares
+    polys = ((x.num, x.den) if isinstance(x, RationalFunction)
+             else (P.poly(x),))
+    if not polys[0]:
+        raise ZeroElement("zero entry in a function-field form")
+    unit, factors = 1, []
     try:
-        unit_n, factors_n = P.factor_poly(x.num)
-        unit_d, factors_d = P.factor_poly(x.den)
+        for p in polys:
+            u, fs = P.factor_poly(p)
+            unit, factors = unit * u, factors + fs
     except NotImplementedError as exc:
         raise MissingFactorization(str(exc)) from exc
-    return ff_class(unit_n * unit_d, factors_n + factors_d)
+    return ff_class(unit, factors)
 
 
 def ff_entry_product(e1: FFEntry, e2: FFEntry) -> FFEntry:
@@ -185,9 +189,12 @@ def _entry_residue_data(e: FFEntry, v: Place, unif: Optional[RationalFunction]):
         c = -pi[0]  # root of the monic linear pi
         cls = P.peval(cof, c)
         if unif is not None:
-            g = unif / RationalFunction(pi)
-            gval = g.evaluate(c)
-            cls *= gval ** val
+            # unif / pi at c, a unit when unif has valuation 1 at pi
+            quo, rem = P.pdivmod(unif.num, pi)
+            unit = P.peval(quo, c) / P.peval(unif.den, c)
+            if rem or not unit:
+                raise ZeroElement("uniformizer must have valuation 1")
+            cls *= unit ** val
         return val % 2, cls
     if d == 2:
         red = P.pmod(cof, pi)
@@ -266,16 +273,16 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     discriminant that is not a square; UnsupportedResidueField when neither
     settles it (only possible in dimension >= 4, as pairing is complete in
     dimension 2)."""
-    if v.kind == "infinite" or P.degree(v.pi) == 1:
-        return residue(q, v).odd.is_zero()
-    if P.degree(v.pi) != 2:
+    if v.kind == "poly" and P.degree(v.pi) > 2:
         raise UnsupportedResidueField("only degree <= 2 residue fields")
-    pi = v.pi
     classes = []
     for e in q.entries:
         parity, red = _entry_residue_data(e, v, None)
         if parity:
             classes.append(red)
+    if v.kind == "infinite" or P.degree(v.pi) == 1:
+        return witt_class(qf(classes)).is_zero()
+    pi = v.pi
     if len(classes) % 2:
         return False
     pool = list(classes)
@@ -372,7 +379,7 @@ def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> List[Place]:
     conic that meet the support of q: the parametrization sends the zeros
     of a + b t^2 to the conic's point at infinity (which is excluded),
     while the t-infinite place is an affine conic point (included)."""
-    pole = P.monic(P.poly([conic.a, Fraction(0), conic.b]))
+    pole = P.monic(conic.D)
     out = [Place("poly", pi=pi) for pi in q.support() if pi != pole]
     out.append(Place("infinite"))
     return out
@@ -384,11 +391,16 @@ def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> List[Place]:
 
 @dataclass(frozen=True)
 class ConicData:
-    """Rational parametrization of the conic -a x^2 - b y^2 + ab = 0."""
+    """Rational parametrization x = X/D, y = Y/D of the conic
+    -a x^2 - b y^2 + ab = 0 over D = a + b t^2, through the rational
+    point `point`.  D_entry is the square class of D, shared by every
+    psi_split image; x_t and y_t are X/D and Y/D in lowest terms."""
 
-    a: Fraction
-    b: Fraction
     point: Tuple[Fraction, Fraction]
+    X: P.Poly
+    Y: P.Poly
+    D: P.Poly
+    D_entry: FFEntry
     x_t: RationalFunction
     y_t: RationalFunction
 
@@ -406,21 +418,24 @@ def _conic_point(A: QuatAlgebra):
 
 @lru_cache(maxsize=2**8)
 def conic_parametrize(A: QuatAlgebra) -> ConicData:
-    """The verified conic parametrization, cached per algebra."""
+    """The verified conic parametrization, cached per algebra: the line of
+    slope t through the point (x0, y0) meets the conic again at
+    (X/D, Y/D)."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra; its conic has no"
                        " rational point")
     a, b = A.a, A.b
     x0, y0 = _conic_point(A)
-    t = RationalFunction(P.T)
-    denom = a + b * t * t
-    s = (-2) * (a * x0 + b * y0 * t) / denom
-    x_t = x0 + s
-    y_t = y0 + t * s
-    check = -a * x_t * x_t - b * y_t * y_t + a * b
-    if not check.is_zero():
+    X = P.poly([-a * x0, -2 * b * y0, b * x0])
+    Y = P.poly([a * y0, -2 * a * x0, -b * y0])
+    D = P.poly([a, 0, b])
+    check = P.padd(P.padd(P.pscale(-a, P.pmul(X, X)),
+                          P.pscale(-b, P.pmul(Y, Y))),
+                   P.pscale(a * b, P.pmul(D, D)))
+    if check:
         raise VerificationFailed("parametrization does not satisfy the conic")
-    return ConicData(a, b, (x0, y0), x_t, y_t)
+    return ConicData((x0, y0), X, Y, D, ff_entry(D),
+                     RationalFunction(X, D), RationalFunction(Y, D))
 
 
 def psi_split(x: MixedClass, conic: Optional[ConicData] = None
@@ -428,12 +443,27 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
     """Scalar extension to Q(t) on the even part, Morita transfer along the
     generic nilpotent x(t) i + y(t) j + ij on the odd part.  It squares to
     0 because (x(t), y(t)) lies on the conic, which conic_parametrize
-    verifies."""
+    verifies.
+
+    Each odd slot z gives <-T, T z^2> with T = Trd(z (x(t) i + y(t) j +
+    ij)) = L/D for the polynomial L = l1 X + l2 Y + l3 D of degree <= 2;
+    up to squares T is L D, whose entry is the product of the entries of
+    L and D.  A slot with L = 0 gives <1, -1>."""
     if conic is None:
         conic = conic_parametrize(x.algebra)
-    values: List = [Fraction(r) for r in x.even.anis.reps()]
-    values.extend(morita_transfer_entries(x.odd, (conic.x_t, conic.y_t, 1)))
-    return ff_form(values)
+    entries = [FFEntry(r, ()) for r in x.even.anis.reps()]
+    for z in x.odd.diag:
+        l1, l2, l3 = trd_coefficients(z)
+        L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
+                   P.pscale(l3, conic.D))
+        if not L:
+            entries += [FFEntry(1, ()), FFEntry(-1, ())]
+            continue
+        ld = ff_entry_product(ff_entry(L), conic.D_entry)
+        zsq = square_class(-z.nrd()).repr  # z^2 for pure z
+        entries += [FFEntry(-ld.unit, ld.factors),
+                    FFEntry(sq_mul(ld.unit, zsq), ld.factors)]
+    return FunctionFieldForm(tuple(entries))
 
 
 def kernel_generator(A: QuatAlgebra) -> MixedClass:

@@ -191,19 +191,25 @@ def _check_nilpotent(z0: Quaternion):
         raise NotNilpotent(f"{z0!r} is not a nonzero nilpotent pure quaternion")
 
 
+def trd_coefficients(z: Quaternion) -> Tuple[Fraction, Fraction, Fraction]:
+    """(l1, l2, l3) = (2a z1, 2b z2, -2ab z3) for a pure z: the linear form
+    Trd(z (c1 i + c2 j + c3 ij)) = l1 c1 + l2 c2 + l3 c3."""
+    a, b = z.algebra.a, z.algebra.b
+    _, z1, z2, z3 = z.num
+    d = z.den
+    return (Fraction(2 * z1, d) * a, Fraction(2 * z2, d) * b,
+            Fraction(-2 * z3, d) * a * b)
+
+
 def morita_transfer_entries(h: AntiHermForm, c) -> list:
     """Diagonal entries of the quadratic form transferred along the
-    nilpotent c1 i + c2 j + c3 ij, given by its pure coordinates c over Q
-    or Q(t): <-T, T z^2> per slot with the linear form
-    T = Trd(z (c1 i + c2 j + c3 ij)) = 2(a z1 c1 + b z2 c2 - ab z3 c3),
-    and <1, -1> when T = 0.  The caller vouches for nilpotency."""
-    a, b = h.algebra.a, h.algebra.b
-    l1, l2, l3 = 2 * a * c[0], 2 * b * c[1], -2 * a * b * c[2]
+    nilpotent c1 i + c2 j + c3 ij, given by its rational pure coordinates
+    c: <-T, T z^2> per slot with T = Trd(z (c1 i + c2 j + c3 ij)), and
+    <1, -1> when T = 0.  The caller vouches for nilpotency."""
     out = []
     for z in h.diag:
-        _, z1, z2, z3 = z.num
-        d = z.den
-        t = Fraction(z1, d) * l1 + Fraction(z2, d) * l2 + Fraction(z3, d) * l3
+        l1, l2, l3 = trd_coefficients(z)
+        t = l1 * c[0] + l2 * c[1] + l3 * c[2]
         if not t:
             out.extend([Fraction(1), Fraction(-1)])
         else:

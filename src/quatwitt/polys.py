@@ -1,9 +1,11 @@
-"""Exact polynomial and rational-function arithmetic over Q.
+"""Exact polynomial arithmetic and factorization over Q.
 
 Polynomials are tuples of Fractions in ascending degree order, always
 normalized so the leading coefficient is nonzero (the zero polynomial is
-the empty tuple).  This is enough machinery for the one-variable function
-field Q(t) used by the residue and generic-splitting code.
+the empty tuple).  The function field Q(t) is computed on polynomials and
+on square classes of their products (funcfield.FFEntry); RationalFunction
+is only a value type, a quotient kept in lowest terms, with no field
+arithmetic.
 """
 
 from __future__ import annotations
@@ -299,8 +301,8 @@ def factor_poly(p: Poly):
 
 
 class RationalFunction:
-    """Element of Q(t): a quotient of polynomials, kept in lowest terms
-    with a monic denominator."""
+    """Value of Q(t): a quotient of polynomials, kept in lowest terms with
+    a monic denominator, that can be compared and evaluated."""
 
     __slots__ = ("num", "den")
 
@@ -322,64 +324,16 @@ class RationalFunction:
         self.num = pscale(1 / lc, num)
         self.den = pscale(1 / lc, den)
 
-    @classmethod
-    def from_const(cls, c):
-        return cls(constant(c))
-
     def is_zero(self):
         return not self.num
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(pneg(self.num), self.den)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(
-            pmul(self.num, other.num), pmul(self.den, other.den)
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError
-        return RationalFunction(
-            pmul(self.num, other.den), pmul(self.den, other.num)
-        )
-
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, RationalFunction):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __bool__(self):
-        return bool(self.num)
 
     def evaluate(self, c) -> Fraction:
         d = peval(self.den, c)
@@ -389,14 +343,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({poly_str(self.num)} / {poly_str(self.den)})"
-
-
-def _coerce(x):
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction.from_const(x)
-    return NotImplemented
 
 
 def poly_str(p: Poly) -> str:

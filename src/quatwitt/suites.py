@@ -17,8 +17,10 @@ from typing import Dict, List, Optional
 from . import polys as P
 from .errors import SchemaViolation, UnknownSuite
 from .funcfield import (
+    FunctionFieldForm,
     Place,
     conic_parametrize,
+    ff_class,
     ff_form,
     good_points,
     kernel_generator,
@@ -409,12 +411,9 @@ def _suite_splitting(cfg: RunConfig) -> Report:
             u = 0
             while not u:
                 u = rng.randint(-10, 10)
-            val = RationalFunction(P.constant(u))
-            for f in irreducibles:
-                if rng.random() < 0.4:
-                    val = val * RationalFunction(f)
-            entries.append(val)
-        return ff_form(entries)
+            entries.append(ff_class(u, [(f, 1) for f in irreducibles
+                                        if rng.random() < 0.4]))
+        return FunctionFieldForm(tuple(entries))
 
     deg1_places = [Place("poly", pi=pi) for pi in irreducibles
                    if P.degree(pi) == 1] + [Place("infinite")]
@@ -432,7 +431,7 @@ def _suite_splitting(cfg: RunConfig) -> Report:
         rhs2 = residue(q1, v) * residue(units, v)
         ok = ok and lhs2 == rhs2
         if v.kind == "poly":
-            alt = RationalFunction(v.pi) * 3
+            alt = RationalFunction(P.pscale(3, v.pi))
             ok = ok and (residue(q1, v).even
                          == residue(q1, v, uniformizer=alt).even)
         _case(rep.cases, f"splitting/residue/{k:04d}", ok,
@@ -443,8 +442,7 @@ def _suite_splitting(cfg: RunConfig) -> Report:
         if k % 2 == 0:
             # equal by construction: square scaling plus a hyperbolic pad
             f = irreducibles[rng.randrange(len(irreducibles))]
-            pad = RationalFunction(f)
-            q2 = q1.perp(ff_form([pad, -1 * pad]))
+            q2 = q1.perp(ff_form([f, P.pneg(f)]))
             expected = True
         else:
             q2 = q1.perp(ff_form([rng.choice([3, 5, 7])]))

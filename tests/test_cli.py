@@ -137,13 +137,18 @@ def test_decide_refuses_uncancelled_degree2_residue(capsys):
 
 def test_decide_certificate_with_large_algebra_denominator(capsys):
     # (-1/5000, -1): the certificate's contents pass 5000^5 > 10^18, which
-    # the pair search compares without factorizing
-    code, out, _ = _run(capsys, [
-        "--quat", "-0.0002", "-1", "--output", "json", "decide",
-        '{"odd": [["0", "1", "0", "0"]]}', '{"odd": [["0", "4", "0", "0"]]}',
-    ])
-    assert code == 0
-    assert json.loads(out)["result"] == "equal"
+    # the pair search compares without factorizing.  A negative fraction
+    # is a value, not an option, before and after the subcommand.
+    odd = ['{"odd": [["0", "1", "0", "0"]]}', '{"odd": [["0", "4", "0", "0"]]}']
+    outs = set()
+    for a in ("-0.0002", "-1/5000"):
+        for argv in (["--quat", a, "-1", "--output", "json", "decide", *odd],
+                     ["decide", *odd, "--quat", a, "-1"]):
+            code, out, err = _run(capsys, argv)
+            assert code == 0, err
+            outs.add(out)
+    assert len(outs) == 1
+    assert json.loads(outs.pop())["result"] == "equal"
 
 
 def test_residue_quartic_and_quintic_factors(capsys):

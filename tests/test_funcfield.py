@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from quatwitt import polys as P
-from quatwitt.errors import UnsupportedResidueField
+from quatwitt.errors import UnsupportedResidueField, ZeroElement
 from quatwitt.fields import Place, square_class
 from quatwitt.funcfield import (
     conic_parametrize,
@@ -26,17 +26,17 @@ from quatwitt.polys import RationalFunction
 from quatwitt.quadforms import qf, witt_class, witt_equal
 from quatwitt.quaternions import QuatAlgebra
 
-T = RationalFunction(P.poly([F(0), F(1)]))
+T = [0, 1]
 PLACE_T = Place("poly", pi=P.poly([F(0), F(1)]))
 PLACE_T1 = Place("poly", pi=P.poly([F(-1), F(1)]))
 INF = Place("infinite")
 
 
 def test_ff_entry_normalization():
-    e = ff_entry(T * T * 12)     # 12 t^2 ~ 3 up to squares
+    e = ff_entry([0, 0, 12])     # 12 t^2 ~ 3 up to squares
     assert e.unit == 3
     assert e.factors == ()
-    e2 = ff_entry(T * 8)
+    e2 = ff_entry([0, 8])
     assert e2.unit == 2
     assert [P.poly_str(f) for f in e2.factors] == ["t"]
     # separate factorization of numerator and denominator
@@ -64,20 +64,20 @@ def test_residue_additivity_and_uniformizer():
     def rand_form():
         entries = []
         for _ in range(rng.randint(1, 3)):
-            val = RationalFunction(P.constant(F(rng.choice(
-                [1, -1, 2, 3, -5, 7]))))
+            val = P.constant(F(rng.choice([1, -1, 2, 3, -5, 7])))
             for piv in pis:
                 if rng.random() < 0.5:
-                    val = val * RationalFunction(piv)
+                    val = P.pmul(val, piv)
             entries.append(val)
         return ff_form(entries)
 
     inf = Place("infinite")
-    alt_inf = RationalFunction(5, T.num)  # 5/t, valuation 1 at infinity
+    alt_inf = RationalFunction(5, P.poly(T))  # 5/t, valuation 1 at infinity
     for _ in range(60):
         q1, q2 = rand_form(), rand_form()
         v = Place("poly", pi=pis[rng.randrange(3)])
-        for place, alt in ((v, RationalFunction(v.pi) * 5), (inf, alt_inf)):
+        alt_v = RationalFunction(P.pscale(5, v.pi))
+        for place, alt in ((v, alt_v), (inf, alt_inf)):
             assert (residue(q1.perp(q2), place)
                     == residue(q1, place) + residue(q2, place))
             # the first residue does not depend on the uniformizer; the
@@ -86,10 +86,15 @@ def test_residue_additivity_and_uniformizer():
             moved = residue(q1, place, uniformizer=alt)
             assert plain.even == moved.even
             assert moved.odd == plain.odd.scale(square_class(5))
+    # an alternate uniformizer at a finite place must have valuation 1
+    for bad in ([0, 0, 1], [1]):
+        with pytest.raises(ZeroElement):
+            residue(ff_form([T]), PLACE_T,
+                    uniformizer=RationalFunction(P.poly(bad)))
 
 
 def test_residue_degree2_unsupported():
-    q = ff_form([RationalFunction(P.poly([F(1), F(0), F(1)]))])
+    q = ff_form([[1, 0, 1]])
     with pytest.raises(UnsupportedResidueField):
         residue(q, Place("poly", pi=P.poly([F(1), F(0), F(1)])))
     # but vanishing of the second residue is still decidable
@@ -100,10 +105,9 @@ def test_residue_degree2_unsupported():
 def test_residue2_vanishes_at_degree2_place():
     pi = P.poly([F(3), F(0), F(1)])     # t^2 + 3, residue field Q(sqrt -3)
     v = Place("poly", pi=pi)
-    x = RationalFunction(pi)
 
     def form(*units):
-        return ff_form([x * u for u in units])
+        return ff_form([P.pscale(u, pi) for u in units])
 
     assert residue2_vanishes(form(1, 3), v)          # -1/3 = (1/sqrt -3)^2
     assert not residue2_vanishes(form(1, -2), v)     # complete in dim 2
@@ -118,7 +122,7 @@ def test_residue2_vanishes_at_degree2_place():
 
 def test_kt_witt_equal_and_specialization():
     q1 = ff_form([1, T, -3])
-    pad = ff_form([T + 1, (T + 1) * -1])
+    pad = ff_form([[1, 1], [-1, -1]])
     assert kt_witt_equal(q1, q1.perp(pad))
     assert not kt_witt_equal(q1, q1.perp(ff_form([5])))   # dims differ mod 2
     assert not kt_witt_equal(ff_form([1]), ff_form([3]))
@@ -133,9 +137,15 @@ def test_conic_parametrization_identity():
         A = QuatAlgebra(a, b)
         conic = conic_parametrize(A)
         assert conic.point == point
-        x, y = conic.x_t, conic.y_t
-        lhs = x * x * (-a) + y * y * (-b)
-        assert lhs == RationalFunction.from_const(F(-a * b))
+        # -a x^2 - b y^2 + ab = 0 with x = xn/xd, y = yn/yd, cleared of
+        # denominators
+        xn, xd = conic.x_t.num, conic.x_t.den
+        yn, yd = conic.y_t.num, conic.y_t.den
+        xd2, yd2 = P.pmul(xd, xd), P.pmul(yd, yd)
+        terms = [P.pscale(-a, P.pmul(P.pmul(xn, xn), yd2)),
+                 P.pscale(-b, P.pmul(P.pmul(yn, yn), xd2)),
+                 P.pscale(a * b, P.pmul(xd2, yd2))]
+        assert P.padd(P.padd(terms[0], terms[1]), terms[2]) == P.ZERO
 
 
 def test_conic_parametrize_cached_per_algebra():

@@ -146,4 +146,5 @@ def test_entry_product_is_entry_of_product(data):
     pool = data.draw(factor_pools())
     x1 = _value(*data.draw(elements(pool)))
     x2 = _value(*data.draw(elements(pool)))
-    assert ff_entry_product(ff_entry(x1), ff_entry(x2)) == ff_entry(x1 * x2)
+    x12 = RationalFunction(P.pmul(x1.num, x2.num), P.pmul(x1.den, x2.den))
+    assert ff_entry_product(ff_entry(x1), ff_entry(x2)) == ff_entry(x12)

@@ -15,6 +15,7 @@ from quatwitt.hermitian import (
     morita_gram,
     morita_transfer,
     morita_transfer_entries,
+    trd_coefficients,
 )
 from quatwitt.quadforms import diagonalize, hyperbolic, qf, witt_equal
 from quatwitt.quaternions import QuatAlgebra, find_nilpotent
@@ -80,8 +81,9 @@ def test_morita_transfer_formula():
 
 
 def test_morita_transfer_entries_generic():
-    # the entries need only the pure coordinates of the nilpotent (psi_split
-    # passes them over Q(t)); T is the reduced trace of the product z z0
+    # the entries need only the pure coordinates of the nilpotent; T is the
+    # reduced trace of the product z z0, and trd_coefficients gives its
+    # linear form
     A = QuatAlgebra(1, 1)
     z0 = find_nilpotent(A)
     rng = random.Random(0)
@@ -90,6 +92,8 @@ def test_morita_transfer_entries_generic():
         entries = morita_transfer_entries(AntiHermForm((z,), A),
                                           z0.coords[1:])
         t = (z * z0).trd()
+        assert sum(l * c for l, c in zip(trd_coefficients(z),
+                                         z0.coords[1:])) == t
         if t == 0:
             assert entries == [1, -1]
         else:
