@@ -22,7 +22,6 @@ from .errors import (
 )
 
 TRIAL_DIVISION_BOUND = 10**6
-FACTOR_BOUND = 10**18
 # Each cache holds at least 4x the entries that `quatwitt check all` or a
 # benchmark run fills, so neither evicts; the bound caps a long-lived process.
 
@@ -93,13 +92,11 @@ def is_prime(n: int) -> bool:
 def factorize(n: int):
     """Factor a nonzero integer: returns (sign, [(prime, exponent), ...]).
 
-    Pure trial division up to 10^6; anything with a cofactor that cannot
-    be certified prime raises FactorizationLimitExceeded.
+    Pure trial division up to 10^6, with no bound on n itself; a cofactor
+    that cannot be certified prime raises FactorizationLimitExceeded.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
-    if abs(n) > FACTOR_BOUND:
-        raise FactorizationLimitExceeded(f"|{n}| exceeds bound {FACTOR_BOUND}")
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors = []

@@ -290,9 +290,9 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
         z = pool.pop()
         matched = None
         for idx, w in enumerate(pool):
-            # <z, w> hyperbolic iff -z/w is a square in the residue field
-            ratio = _field_div(pi, P.pneg(z), w)
-            if ratio is not None and _quadratic_square(pi, ratio):
+            # <z, w> hyperbolic iff -z/w = -zw/w^2 is a square in the
+            # residue field
+            if _quadratic_square(pi, P.pmod(P.pmul(P.pneg(z), w), pi)):
                 matched = idx
                 break
         if matched is None:
@@ -309,28 +309,6 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
         "second residue at a degree-2 place has a square discriminant but"
         " does not cancel in pairs"
     )
-
-
-def _field_div(pi: P.Poly, num: P.Poly, den: P.Poly) -> Optional[P.Poly]:
-    """num / den in Q[t]/(pi) via the extended Euclid inverse."""
-    if P.is_zero(den):
-        return None
-    inv = _mod_inverse(den, pi)
-    if inv is None:
-        return None
-    return P.pmod(P.pmul(num, inv), pi)
-
-
-def _mod_inverse(a: P.Poly, pi: P.Poly) -> Optional[P.Poly]:
-    r0, r1 = pi, P.pmod(a, pi)
-    s0, s1 = P.ZERO, P.ONE
-    while not P.is_zero(r1):
-        qpoly, rem = P.pdivmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, P.psub(s0, P.pmul(qpoly, s1))
-    if P.degree(r0) != 0:
-        return None
-    return P.pscale(1 / r0[0], s0)
 
 
 # ---------------------------------------------------------------------------

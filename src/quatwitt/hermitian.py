@@ -253,27 +253,18 @@ class HyperbolicityResult:
 def _sandwich_tables(h: AntiHermForm, box):
     """[(p, gamma(p) z p) for p in box] per entry z of h, in integers.
 
-    With m = lcm(den a, den b), the basis (1, m i, m j, m^2 ij) has the
-    integer structure constants m^2 a and m^2 b.  An integer quaternion p
-    maps to (m^2 p0, m p1, m p2, p3), and every entry is scaled by d, the
-    lcm of the entries' denominators.  Each value is then d m^6 times its
-    coordinates on that basis: one positive diagonal scaling for the whole
-    form, so exact sums, negation, primitive directions and content ratios
-    match exactly where those of the true values do.
+    On the algebra's integer table (`QuatAlgebra.table`, e = den(a) den(b))
+    every product of integer coordinates comes out times e, and each entry
+    is written over d, the lcm of the entries' denominators.  Each value is
+    then e^2 d times the true one: one positive scalar for the whole form,
+    so exact sums, negation, primitive directions and content ratios match
+    exactly where those of the true values do.
     """
-    alg = h.algebra
-    m = lcm(alg.a.denominator, alg.b.denominator)
-    A, B = int(m * m * alg.a), int(m * m * alg.b)
-    k = (1, A, B, A * B)
-
-    def image(c):
-        return (m * m * c[0], m * c[1], m * c[2], c[3])
-
+    k = h.algebra.table
     d = lcm(*(z.den for z in h.diag))
-    zs = [tuple(d // z.den * c for c in image(z.num)) for z in h.diag]
-    images = [(p, image(p)) for p in box]
-    return [[(p, _mul_coords(_mul_coords((x[0], -x[1], -x[2], -x[3]), z, k),
-                             x, k)) for p, x in images]
+    zs = [tuple(d // z.den * c for c in z.num) for z in h.diag]
+    return [[(p, _mul_coords(_mul_coords((p[0], -p[1], -p[2], -p[3]), z, k),
+                             p, k)) for p in box]
             for z in zs]
 
 

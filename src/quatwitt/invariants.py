@@ -5,12 +5,11 @@ lambda^2(<z>) = <Nrd z> and lambda^d(<z>) = 0 for d > 2, so lambda of a
 diagonal form is the convolution of the per-entry polynomials
 1 + <z> t + <Nrd z> t^2 with products taken in the mixed ring.  Constancy
 of an invariant reduces to membership of its higher coefficients in the
-ideal n_Q W(k), decided by a bounded search plus sound local screens.
+ideal n_Q W(k), decided exactly by a local-global criterion.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -31,14 +30,13 @@ from .mixed import (
 )
 from .quadforms import (
     WittClass,
-    _square_class_candidates,
     local_anisotropic_dim,
     qf,
     signature,
+    signed_disc,
     witt_class,
-    witt_equal,
 )
-from .quaternions import QuatAlgebra, draw_pure, norm_forms
+from .quaternions import QuatAlgebra, draw_pure, is_split, norm_forms
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
@@ -153,47 +151,45 @@ def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
 # membership in n_Q W(k)
 
 
-NQ_SEARCH_TERMS = 2
-
-
 def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
-    """Tri-state membership of x in the ideal n_Q W(Q):
-    "member", "nonmember" or "unknown".
+    """Membership of x in the ideal n_Q W(Q): "member" or "nonmember".
 
-    Sound negatives come from local screens: wherever the algebra splits
-    locally the ideal restricts to 0, and at the real place signatures of
-    multiples of n_Q are divisible by 4.  Positives come from a bounded
-    search for y with x = n_Q (x) y, a sum of at most NQ_SEARCH_TERMS square
-    classes supported on the primes of x and 2ab.
+    For split Q the ideal is 0.  For a division algebra Q, x lies in
+    n_Q W(Q) iff
+      - x is in I^2: even dimension and signed discriminant 1;
+      - x is 0 at every place where Q splits: signature 0 at the real
+        place, anisotropic dimension 0 over Q_p at a prime;
+      - the Clifford invariant of x is 0 or [Q]: it is nontrivial at all
+        of Q's ramified places or at none.  At a ramified prime it is
+        nontrivial iff x_p != 0, as I^2(Q_p) = {0, n_Q}.  The Clifford
+        invariant is nontrivial at an even number of places (Hilbert
+        reciprocity), all of them ramified in Q by the previous condition,
+        so a ramified real place agrees with the primes and is not checked.
+    Only if: n_Q y = dim(y) n_Q mod I^3, and n_Q is 0 wherever Q splits.
+    If: with e = 0 or 1 as the Clifford invariant is 0 or [Q], x - e n_Q
+    has trivial Hasse invariants everywhere, so by Hasse-Minkowski (Serre,
+    *A Course in Arithmetic*, Ch. IV) it is fixed by its signature.  That
+    is 0, or, when Q ramifies at the real place, a multiple 8k, and then
+    x - e n_Q = k n_Q <1, 1>.  At a prime outside 2 and the primes of x, a
+    and b, every entry is a unit and x and n_Q are both 0, so only those
+    primes are checked.
     """
-    nq = n_q_class(A)
-    if nq.is_zero():
+    if is_split(A):
         return "member" if x.is_zero() else "nonmember"
-    if x.is_zero():
-        return "member"
-    if x.anis.dim % 2:
+    q = x.anis
+    if q.dim % 2 or not signed_disc(q).is_one():
         return "nonmember"
     a, b = A.a, A.b
-    if hilbert_symbol(a, b, REAL_PLACE) == 1:
-        if signature(x.anis) != 0:
-            return "nonmember"
-    elif signature(x.anis) % 4:
+    if hilbert_symbol(a, b, REAL_PLACE) == 1 and signature(q):
         return "nonmember"
-    primes = relevant_primes(list(x.anis.reps()) + [a, b])
-    # the class must restrict to 0 in W(Q_p) wherever the algebra splits
-    for p in primes:
-        if hilbert_symbol(a, b, finite_place(p)) == 1 \
-                and local_anisotropic_dim(x.anis, p):
+    clifford = []  # whether x_p != 0, at each prime where Q ramifies
+    for p in relevant_primes(list(q.reps()) + [a, b]):
+        nonzero = local_anisotropic_dim(q, p) != 0
+        if hilbert_symbol(a, b, finite_place(p)) == -1:
+            clifford.append(nonzero)
+        elif nonzero:
             return "nonmember"
-    # bounded positive search
-    cands = _square_class_candidates(primes)
-    nqf = nq.anis
-    for k in range(1, NQ_SEARCH_TERMS + 1):
-        for combo in itertools.combinations_with_replacement(cands, k):
-            y = qf(list(combo))
-            if witt_equal(x.anis, nqf.tensor(y)):
-                return "member"
-    return "unknown"
+    return "member" if all(clifford) or not any(clifford) else "nonmember"
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +205,20 @@ class ConstancyResult:
 
 def is_constant_invariant(alpha: LambdaInvariant) -> ConstancyResult:
     """Constant iff x_d lies in n_Q W(k) for every d > 0; the constant
-    value is then chi(r, coeffs)."""
+    value is then chi(r, coeffs).  That needs the even part of x_d in
+    n_Q W(k), which nq_membership decides exactly and is checked first,
+    and the odd part hyperbolic, so the result is "unknown" only when an
+    odd part's hyperbolicity is."""
     A = alpha.algebra
     saw_unknown = False
     for d in range(1, 2 * alpha.r + 1):
         x = alpha.coeffs[d]
+        if nq_membership(x.even, A) == "nonmember":
+            return ConstancyResult("nonconstant", witness=d)
         odd_status = mixed_equal(mixed(A, odd_entries=x.odd.diag), mixed_zero(A))
         if odd_status == "distinct":
             return ConstancyResult("nonconstant", witness=d)
         if odd_status == "unknown":
-            saw_unknown = True
-            continue
-        m = nq_membership(x.even, A)
-        if m == "nonmember":
-            return ConstancyResult("nonconstant", witness=d)
-        if m == "unknown":
             saw_unknown = True
     if saw_unknown:
         return ConstancyResult("unknown")

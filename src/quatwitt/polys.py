@@ -64,10 +64,6 @@ def pneg(p: Poly) -> Poly:
     return tuple(-c for c in p)
 
 
-def psub(p: Poly, q: Poly) -> Poly:
-    return padd(p, pneg(q))
-
-
 def pmul(p: Poly, q: Poly) -> Poly:
     if not p or not q:
         return ZERO

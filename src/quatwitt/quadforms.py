@@ -180,8 +180,9 @@ def _hasse_with(loc: _Local, c: int):
     picks up (disc x, c)_p, and an odd prime new in c enters with 1.
 
     The primes of loc are divided out of c first, so only the cofactor
-    is factored: kernel candidates are products of many known primes and
-    may lie far beyond the factoring bound while their cofactor does not."""
+    is factored: kernel candidates are products of many known primes, and
+    two known primes above 10^6 would leave trial division a cofactor it
+    cannot certify."""
     rest = abs(c)
     for p in loc.hasse:
         while rest % p == 0:

@@ -97,6 +97,30 @@ def test_decide_invariants(capsys):
     code, out, _ = _run(capsys, ["--output", "json", "decide", one, lam1])
     assert code == 0
     assert json.loads(out)["result"] == "distinct"
+    # over (-3, -10), <1, 1, 1, 1> lambda^1 is not constant (its
+    # coefficient has signature 4 = 4 mod 8 and is 0 at the ramified prime
+    # 5), and 3 n_Q lambda^1 is the constant 0
+    zero = '{"r": 1, "coeffs": [{}, {}, {}]}'
+    for coeff, result in (([1, 1, 1, 1], "distinct"),
+                          ([1, 3, 10, 30] * 3, "equal")):
+        lam1 = json.dumps({"r": 1, "coeffs": [{}, {"even": coeff}, {}]})
+        code, out, _ = _run(capsys, ["--quat", "-3", "-10", "--output",
+                                     "json", "decide", lam1, zero])
+        assert code == 0
+        assert json.loads(out)["result"] == result
+
+
+def test_decide_odd_forms_with_entries_beyond_10_18(capsys):
+    # the pairing probes in mixed_equal meet an entry above 10^18 whose
+    # prime factors trial division finds; no probe and no certificate
+    # settles the pair
+    code, out, err = _run(capsys, [
+        "--quat", "-3", "-10", "--output", "json", "decide",
+        '{"odd": [[0, 3, -5, 5], [0, 4, -3, 3]]}',
+        '{"odd": [[0, 3, -5, 5], [0, 20, -15, 15]]}',
+    ])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "unknown"
 
 
 def _ff_doc(coeffs):

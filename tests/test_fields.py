@@ -6,6 +6,7 @@ import pytest
 
 from quatwitt.errors import (
     EvenOrCompositeModulus,
+    FactorizationLimitExceeded,
     ZeroArgument,
     ZeroElement,
 )
@@ -34,13 +35,22 @@ def test_is_prime_small():
 
 
 def test_factorize_roundtrip():
-    for n in [-360, 97, 2 ** 10 * 3, 1, -1, 9999991]:
+    # the last: above 10^18, with one prime factor above 10^6
+    for n in [-360, 97, 2 ** 10 * 3, 1, -1, 9999991,
+              -(2 ** 70) * 3 * 999983 * 1000003]:
         sign, factors = factorize(n)
         out = sign
         for p, e in factors:
             assert is_prime(p)
             out *= p ** e
         assert out == n
+
+
+def test_factorize_refuses_uncertified_cofactor():
+    # (10^9 + 7)(10^9 + 9) has no prime factor below 10^6 and is above
+    # 10^12, so trial division cannot certify it
+    with pytest.raises(FactorizationLimitExceeded):
+        factorize(3 * (10 ** 9 + 7) * (10 ** 9 + 9))
 
 
 def test_factorize_zero():

@@ -188,18 +188,16 @@ def test_certificate_pinned_non_integral():
 
 
 def test_sandwich_tables_scale_true_values():
-    """Each integer sandwich value is gamma(p) z p written on the basis
-    (1, m i, m j, m^2 ij), m = 21 for (-2/3, -5/7), times one positive
-    constant common to the whole form."""
-    m = 21
+    """Each integer sandwich value is the coordinate tuple of gamma(p) z p
+    over (-2/3, -5/7) times one positive constant common to the whole
+    form."""
     h = AntiHermForm((W1, W2), SEVENTHS)
     ratios = set()
     tables = hermitian._sandwich_tables(h, hermitian._height_box(1))
     for z, table in zip(h.diag, tables):
         for p, val in table:
             q = SEVENTHS.element(*p)
-            c = (q.conj() * z * q).coords
-            for x, y in zip(val, (c[0], c[1] / m, c[2] / m, c[3] / m**2)):
+            for x, y in zip(val, (q.conj() * z * q).coords):
                 assert (x == 0) == (y == 0)
                 if y:
                     ratios.add(x / y)
@@ -245,7 +243,7 @@ BIG_PRIME = 1000003
 
 
 @pytest.mark.parametrize("A, entries, witness", [
-    # contents of order 5000^5 > 10^18, beyond any factorization bound
+    # contents of order 5000^5 > 10^18, compared without factorizing
     (BIG_DEN, (BIG_DEN.i(), BIG_DEN.i().scale(-4)),
      [[(0, 0, 0, 1), (0, 0, 0, "1/2")]]),
     (BIG_DEN, (BIG_DEN.i(), -BIG_DEN.j(), BIG_DEN.j(), -BIG_DEN.i()),

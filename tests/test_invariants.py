@@ -19,7 +19,6 @@ from quatwitt.invariants import (
     lambda_all,
     lambda_basis_invariant,
     lambda_herm,
-    n_q_class,
     n_q_mixed,
     nq_membership,
     versal_sample_check,
@@ -118,15 +117,35 @@ def test_chi_binomials():
     assert out.even == witt_class(qf([1] * 8))  # sum C(3,i) = 8 copies of <1>
 
 
+# (-3, -10) ramifies at the real place (a, b < 0), at 3 ((-10 | 3) = -1),
+# at 5 ((-3 | 5) = -1) and so at 2; n_Q = <1, 3, 10, 30>
+Q3 = QuatAlgebra(-3, -10)
+
+
 def test_nq_membership():
-    nq = n_q_class(H)
-    assert nq_membership(nq, H) == "member"
-    assert nq_membership(witt_class(qf([]).perp(qf([1, 1, 1, 1]))), H) == "member"
-    assert nq_membership(witt_class(qf([1])), H) == "nonmember"   # odd dim
-    assert nq_membership(witt_class(qf([1, 1])), H) == "nonmember"
-    # over a split algebra only 0 is a multiple
-    assert nq_membership(witt_class(qf([1, -1])), M2) == "member"
-    assert nq_membership(witt_class(qf([1, 1])), M2) == "nonmember"
+    for A, values, verdict in [
+        (H, [1, 1, 1, 1], "member"),            # n_H
+        (H, [1], "nonmember"),                  # odd dimension
+        (H, [1, 1], "nonmember"),
+        # over a split algebra only 0 is a multiple
+        (M2, [1, -1], "member"),
+        (M2, [1, 1], "nonmember"),
+        # signature 4 = 4 mod 8, so the Clifford invariant is nontrivial at
+        # the real place; unit entries make the form hyperbolic over Q_5,
+        # so it is trivial at 5: it is neither 0 nor [Q]
+        (Q3, [1, 1, 1, 1], "nonmember"),
+        # <<-1, -3>> again has signature 4, and over Q_5 its entries are
+        # units, so its Clifford invariant (-1, -3) is nontrivial at the
+        # real place and trivial at 5
+        (Q3, [1, 1, 3, 3], "nonmember"),
+        (Q3, [1, 3, 10, 30] * 3, "member"),     # n_Q <1, 1, 1>
+        # <<-1, 21>> ramifies at 3 and 7, where H splits
+        (H, [1, 1, -21, -21], "nonmember"),
+        # 8<1> = n_H <1, 1>, but (-1, 3) splits at the real place
+        (H, [1] * 8, "member"),
+        (QuatAlgebra(-1, 3), [1] * 8, "nonmember"),
+    ]:
+        assert nq_membership(witt_class(qf(values)), A) == verdict, values
 
 
 def test_constant_invariant():
@@ -152,6 +171,18 @@ def test_nonconstant_invariant():
     res = is_constant_invariant(alpha)
     assert res.status == "nonconstant"
     assert res.witness == 2
+    # the even part <1, 1> is not in I^2, so the coefficient is not in
+    # n_Q W(Q) whatever its odd part, whose hyperbolicity the certificate
+    # search leaves open
+    odd = (Q3.pure(3, -5, 5), Q3.pure(4, -3, 3),
+           Q3.pure(-3, 5, -5), Q3.pure(-20, 15, -15))
+    x = mixed(Q3, even=witt_class(qf([1, 1])), odd_entries=odd)
+    assert mixed_equal(mixed(Q3, odd_entries=odd), mixed_zero(Q3)) \
+        == "unknown"
+    res = is_constant_invariant(
+        LambdaInvariant(1, (mixed_zero(Q3), x, mixed_zero(Q3))))
+    assert res.status == "nonconstant"
+    assert res.witness == 1
 
 
 def test_presentation_relations():

@@ -61,6 +61,9 @@ def test_twisted_trace_squarefree_entry_beyond_factor_bound():
     q = twisted_trace_form(z1, z2)
     assert max(q.reps()) > 10**18
     assert witt_class(q) == odd_product_closed_form(z1, z2)
+    # the negation factors each kernel entry again; trial division does
+    # that above 10^18 too
+    assert -witt_class(q) == witt_class(q.neg())
 
 
 def _written_out_mul(a, b, x, y):
