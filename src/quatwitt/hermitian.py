@@ -2,8 +2,10 @@
 
 Diagonal forms carry pure invertible quaternion entries.  In the split case
 Morita transfer along a nilpotent pure quaternion turns everything into
-quadratic forms over the base field, which is where all complete decisions
-happen.
+quadratic forms over the base field, where the decisions are complete.
+Over a division algebra, isometry of rank-1 forms is decided exactly
+(Skolem-Noether and Hasse-Minkowski); larger forms get hyperbolicity
+certificates from a bounded search.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .errors import (
     SearchBoundExceeded,
     VerificationFailed,
 )
-from .fields import SquareClass, square_class
-from .quadforms import QuadForm, qf
+from .fields import SquareClass, rational_sqrt, square_class
+from .quadforms import QuadForm, is_isotropic, qf
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
@@ -180,6 +182,59 @@ def herm_invariants(h: AntiHermForm) -> HermWittData:
     for z in h.diag:
         prod *= z.nrd()
     return HermWittData(h.reduced_dim, square_class(prod))
+
+
+# ---------------------------------------------------------------------------
+# rank-1 isometry and pairwise cancellation (division algebras)
+
+
+def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
+    """Exact decision of <z1>_gamma ~ <z2>_gamma for pure invertible z1, z2
+    over a division algebra.
+
+    The forms are isometric iff gamma(p) z1 p = z2 for some p.  Since
+    gamma(p) = Nrd(p) p^-1 this is p^-1 z1 p = z2 / Nrd(p), and comparing
+    reduced norms gives Nrd(p)^2 = n2 / n1 (n_k = Nrd(z_k)): no p unless
+    n2 / n1 is a square c^2, and then Nrd(p) = c' for c' = c or -c.  By
+    Skolem-Noether r^-1 z1 r = z2 / c' has the solution r = z1 + z2 / c'
+    (z1 r = z1 z2 / c' - n1 = r z2 / c'), or, when that sum is 0, any pure
+    r anticommuting with z1, such as the commutator z1 u - u z1 with u not
+    in Q(z1).  All solutions are p = s r with s in Q(z1)^*, whose reduced
+    norms are the values of <1, n1>; so p exists iff <1, n1> represents
+    c' / Nrd(r), i.e. <1, n1, -c' / Nrd(r)> is isotropic (Hasse-Minkowski).
+    """
+    n1 = z1.nrd()
+    c = rational_sqrt(z2.nrd() / n1)
+    if c is None:
+        return False
+    A = z1.algebra
+    for root in (c, -c):
+        r = z1 + z2.scale(1 / root)
+        if r.is_zero():
+            r = next(w for w in (z1 * u - u * z1
+                                 for u in (A.i(), A.j(), A.ij()))
+                     if not w.is_zero())
+        if is_isotropic(qf([1, n1, -root / r.nrd()])):
+            return True
+    return False
+
+
+def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
+    """What is left of h, over a division algebra, after greedily cancelling
+    pairs of entries z, w with <z> ~ <-w>: each such <z, w> is a hyperbolic
+    plane, so the leftover is Witt-equivalent to h.  Every two leftover
+    entries were tested against each other, so a rank-2 leftover is
+    anisotropic (an isotropic plane is hyperbolic) and h is not 0 in the
+    Witt group."""
+    left = []
+    for z in h.diag:
+        k = next((k for k, w in enumerate(left)
+                  if rank_one_isometric(z, -w)), None)
+        if k is None:
+            left.append(z)
+        else:
+            del left[k]
+    return AntiHermForm(tuple(left), h.algebra)
 
 
 # ---------------------------------------------------------------------------

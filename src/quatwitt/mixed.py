@@ -18,6 +18,7 @@ from .fields import square_class
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
+    cancel_hyperbolic_pairs,
     herm_invariants,
     hyperbolicity_certificate,
     morita_transfer,
@@ -38,7 +39,6 @@ from .quaternions import (
     find_nilpotent,
     is_split,
     norm_forms,
-    random_pure,
 )
 
 
@@ -158,18 +158,6 @@ def mixed_one(algebra: QuatAlgebra) -> MixedClass:
 # equality
 
 
-PROBE_SEEDS = (11, 23, 57)
-
-
-def _probe_set(A: QuatAlgebra):
-    i, j, ij = A.i(), A.j(), A.ij()
-    fixed = [i, j, ij, i + j, i - j, i + ij, i - ij, j + ij, j - ij]
-    probes = [z for z in fixed if z.is_invertible()]
-    for seed in PROBE_SEEDS:
-        probes.append(random_pure(A, seed))
-    return probes
-
-
 def phi_z0(x: MixedClass, z0: Optional[Quaternion] = None) -> WittClass:
     """The Morita isomorphism onto W(k) in the split case: identity on the
     even part, transfer along z0 on the odd part."""
@@ -192,10 +180,15 @@ def mixed_equal(x: MixedClass, y: MixedClass,
                 search_bound: int = DEFAULT_SEARCH_BOUND) -> str:
     """Tiered decision: returns "equal", "distinct" or "unknown".
 
-    Even parts are compared exactly.  Split odd parts go through Morita
-    transfer (complete).  Division odd parts are screened by rank parity,
-    discriminant and pairing probes, then a bounded hyperbolicity search
-    tries to certify equality.
+    1. Split algebra: even parts compared exactly, odd parts by Morita
+       transfer to W(k); complete.
+    2. Division algebra, screens: even parts, odd-rank parity and the
+       reduced-norm discriminant (`screened_distinct`).
+    3. Pairwise cancellation of the odd difference by the exact rank-1
+       isometry test (`cancel_hyperbolic_pairs`): nothing left is "equal",
+       a rank-2 leftover is anisotropic, hence "distinct".
+    4. A leftover of rank >= 4: a hyperbolicity certificate within
+       `search_bound` is "equal", none is "unknown".
     """
     x._check(y)
     diff = x.odd.perp(y.odd.neg())
@@ -206,13 +199,10 @@ def mixed_equal(x: MixedClass, y: MixedClass,
         return "equal" if is_witt_zero(q) else "distinct"
     if screened_distinct(x, y):
         return "distinct"
-    cert = hyperbolicity_certificate(diff, bound=search_bound)
-    if cert.status == "hyperbolic":
+    left = cancel_hyperbolic_pairs(diff)
+    if left.rank == 0:
         return "equal"
-    for w in _probe_set(x.algebra):
-        pairing = witt_zero()
-        for z in diff.diag:
-            pairing = pairing + witt_class(twisted_trace_form(z, w))
-        if not pairing.is_zero():
-            return "distinct"
-    return "unknown"
+    if left.rank == 2:
+        return "distinct"
+    cert = hyperbolicity_certificate(left, bound=search_bound)
+    return "equal" if cert.status == "hyperbolic" else "unknown"

@@ -111,16 +111,19 @@ def test_decide_invariants(capsys):
 
 
 def test_decide_odd_forms_with_entries_beyond_10_18(capsys):
-    # the pairing probes in mixed_equal meet an entry above 10^18 whose
-    # prime factors trial division finds; no probe and no certificate
-    # settles the pair
+    # <z, w> against <z, 5w> over (-3, -10), w = 4i - 3j + 3ij with
+    # Nrd(w) = 408: the difference cancels to <w, -5w>, which is
+    # hyperbolic iff gamma(p) w p = 5w for some p.  Then Nrd(p) = +-5, and
+    # -5 is impossible in this definite algebra; p = s r with
+    # r = w + 5w / 5 = 2w, so p lies in Q(w) = Q(sqrt(-102)) and 5 must be
+    # a norm from it, but (5, -102)_5 = (3 / 5) = -1.  So "distinct"
     code, out, err = _run(capsys, [
         "--quat", "-3", "-10", "--output", "json", "decide",
         '{"odd": [[0, 3, -5, 5], [0, 4, -3, 3]]}',
         '{"odd": [[0, 3, -5, 5], [0, 20, -15, 15]]}',
     ])
     assert code == 0, err
-    assert json.loads(out)["result"] == "unknown"
+    assert json.loads(out)["result"] == "distinct"
 
 
 def _ff_doc(coeffs):

@@ -13,7 +13,6 @@ from quatwitt.errors import (
 from quatwitt.fields import (
     Fp,
     Place,
-    QQ,
     REAL_PLACE,
     factorize,
     finite_place,

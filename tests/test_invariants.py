@@ -172,13 +172,14 @@ def test_nonconstant_invariant():
     assert res.status == "nonconstant"
     assert res.witness == 2
     # the even part <1, 1> is not in I^2, so the coefficient is not in
-    # n_Q W(Q) whatever its odd part, whose hyperbolicity the certificate
-    # search leaves open
+    # n_Q W(Q) whatever its odd part.  That odd part is not 0 either: it
+    # cancels to <w, -5w>, w = 4i - 3j + 3ij, and Nrd(p) = 5 is not a
+    # norm from Q(w) = Q(sqrt(-102)), since (5, -102)_5 = (3 / 5) = -1
     odd = (Q3.pure(3, -5, 5), Q3.pure(4, -3, 3),
            Q3.pure(-3, 5, -5), Q3.pure(-20, 15, -15))
     x = mixed(Q3, even=witt_class(qf([1, 1])), odd_entries=odd)
     assert mixed_equal(mixed(Q3, odd_entries=odd), mixed_zero(Q3)) \
-        == "unknown"
+        == "distinct"
     res = is_constant_invariant(
         LambdaInvariant(1, (mixed_zero(Q3), x, mixed_zero(Q3))))
     assert res.status == "nonconstant"

@@ -8,7 +8,6 @@ import pytest
 
 from quatwitt.errors import AlgebraMismatch
 from quatwitt.mixed import (
-    MixedClass,
     mixed,
     mixed_equal,
     mixed_one,
@@ -167,20 +166,28 @@ def test_mixed_equal_odd_scaling():
     assert mixed_equal(x, y) == "equal"
 
 
-def test_mixed_equal_probe_tier(monkeypatch):
-    # same even part, rank parity and discriminant, so the screens pass;
-    # at bound 1 no certificate is found and the pairing probes run
-    x = mixed(H, odd_entries=(H.pure(*map(Fraction, (2, -1, -3))),))
-    y = mixed(H, odd_entries=(H.pure(*map(Fraction, (1, 2, -3))),))
+def test_mixed_equal_certificate_fallback(monkeypatch):
+    # over (-1, -1), x = <-ij, z> and y = <-6ij, 6z> with z = i + j + ij:
+    # the screens pass, and no two entries of <-ij, z, 6ij, -6z> cancel.
+    # An ij entry and a z entry have norm ratio 3, 12 or 108 (or its
+    # inverse), not a square.  <6ij> ~ <ij> and <6z> ~ <z> need a p with
+    # Nrd(p) = 6 (the algebra is definite) in Q(ij) or Q(z) (r = 2ij or
+    # 2z): 6 is not a sum of two squares, and 6 = 3 * 2 is not a norm from
+    # Q(sqrt(-3)), where 2 is inert.  The rank-4 leftover goes to the
+    # certificate, which finds it hyperbolic
+    i, j, ij = H.i(), H.j(), H.ij()
+    z = i + j + ij
+    x = mixed(H, odd_entries=(-ij, z))
+    y = mixed(H, odd_entries=(ij.scale(-6), z.scale(6)))
     # import_module: the package binds the name `mixed` to a function
     mixed_module = importlib.import_module("quatwitt.mixed")
-    probe_set = mixed_module._probe_set
-    calls = []
-    monkeypatch.setattr(mixed_module, "_probe_set",
-                        lambda A: calls.append(A) or probe_set(A))
-    assert mixed_equal(x, y, search_bound=1) == "unknown"
-    assert calls == [H]
+    certificate = mixed_module.hyperbolicity_certificate
+    ranks = []
+    monkeypatch.setattr(mixed_module, "hyperbolicity_certificate",
+                        lambda h, bound: ranks.append(h.rank)
+                        or certificate(h, bound))
     assert mixed_equal(x, y) == "equal"
+    assert ranks == [4]
 
 
 def test_algebra_mismatch():

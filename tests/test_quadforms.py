@@ -6,7 +6,7 @@ import random
 import pytest
 
 from quatwitt.errors import DegenerateForm, EvenOrCompositeModulus
-from quatwitt.fields import Fp, REAL_PLACE, finite_place, square_class
+from quatwitt.fields import Fp, REAL_PLACE, finite_place
 from quatwitt.quadforms import (
     GroupRingElem,
     diagonalize,

@@ -6,7 +6,7 @@ from quatwitt.errors import SchemaViolation
 from quatwitt.funcfield import FunctionFieldForm, ff_form
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.invariants import LambdaInvariant
-from quatwitt.mixed import MixedClass, mixed
+from quatwitt.mixed import mixed
 from quatwitt.quadforms import QuadForm, qf, witt_class
 from quatwitt.quaternions import QuatAlgebra
 from quatwitt.serialize import (
