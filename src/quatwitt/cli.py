@@ -15,6 +15,7 @@ All runs are deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -73,7 +74,7 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
 
     ap.add_argument("--field", default=d("Q"),
                     help="base field: Q, Qt or F<p> (default Q)")
-    ap.add_argument("--quat", nargs=2, default=d(["-1", "-1"]),
+    ap.add_argument("--quat", nargs=2, default=d(("-1", "-1")),
                     metavar=("a", "b"),
                     help="quaternion algebra parameters (default -1 -1)")
     ap.add_argument("--seed", type=int, default=d(0))
@@ -82,7 +83,10 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
     ap.add_argument("--output", choices=["text", "json"], default=d("text"))
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parse_args keeps no state in it, and its defaults are immutable."""
     ap = _Parser(prog="quatwitt")
     _add_globals(ap, suppress=False)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -131,7 +135,11 @@ def _parse_place(text: str) -> Place:
     if text == "inf":
         return Place("infinite")
     coeffs = [_rational(c, "--place") for c in text.split(",")]
-    return Place("poly", pi=P.monic(P.poly(coeffs)))
+    pi = P.monic(P.poly(coeffs))
+    if P.degree(pi) < 1:
+        raise SchemaViolation(
+            f"--place: must be a non-constant polynomial: {text!r}")
+    return Place("poly", pi=pi)
 
 
 def _parse(text: str, A: QuatAlgebra, field):

@@ -188,8 +188,9 @@ def square_class(x, field: FieldSpec = QQ) -> SquareClass:
     """Canonical square class of a nonzero element.
 
     Over Q, x may be an int or Fraction: n/d and n*d share a class, so the
-    representative is squarefree_part(n*d).  Over F_p the representative
-    is 1 or the smallest non-residue.
+    representative is squarefree_part(n*d).  Over F_p a rational n/d
+    stands for n * d^-1 mod p, and the representative is 1 or the smallest
+    non-residue.
     """
     if field.kind == "Q":
         x = Fraction(x)
@@ -202,9 +203,13 @@ def square_class(x, field: FieldSpec = QQ) -> SquareClass:
         )
     if field.kind == "Fp":
         p = field.p
-        r = int(x) % p
+        x = Fraction(x)
+        if x.denominator % p == 0:
+            raise ZeroElement(f"{x} has no value mod {p}: {p} divides "
+                              "its denominator")
+        r = x.numerator * pow(x.denominator, -1, p) % p
         if r == 0:
-            raise ZeroElement("square class of 0")
+            raise ZeroElement(f"square class of 0: {x} is 0 mod {p}")
         if legendre_symbol(r, p) == 1:
             return SquareClass(1, field)
         return SquareClass(smallest_nonresidue(p), field)

@@ -184,10 +184,12 @@ def _divisors(n: int):
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Irreducibility over Q, decided by factor_poly.  Where that meets a
-    cofactor beyond its reach (degree five or more), a rational root or a
-    repeated factor still proves p reducible; otherwise
-    MissingFactorization."""
+    """Irreducibility over Q, decided by factor_poly: a linear p is
+    irreducible, a quadratic exactly when its discriminant is not a square
+    (no root search), degrees 3 and 4 by rational roots and the resolvent
+    cubic.  Where factor_poly meets a cofactor beyond its reach (degree
+    five or more), a rational root or a repeated factor still proves p
+    reducible; otherwise MissingFactorization."""
     if degree(p) <= 0:
         return False
     try:
@@ -244,10 +246,26 @@ def _factor_quartic(q: Poly):
     return None
 
 
+def _factor_low(q: Poly):
+    """The monic irreducible factors, repeats listed, of a monic q of degree
+    1 or 2.  A quadratic t^2 + beta t + c splits over Q exactly when its
+    discriminant beta^2 - 4c is a square r^2; its roots are (-beta -+ r)/2,
+    one double root when r = 0."""
+    if degree(q) == 1:
+        return [q]
+    c, beta = q[0], q[1]
+    r = rational_sqrt(beta * beta - 4 * c)
+    if r is None:
+        return [q]
+    return [poly([(beta + r) / 2, Fraction(1)]),
+            poly([(beta - r) / 2, Fraction(1)])]
+
+
 def factor_poly(p: Poly):
     """Factor p into monic irreducibles over Q.
 
-    Returns (unit, [(monic_factor, exponent), ...]).  Handles rational
+    Returns (unit, [(monic_factor, exponent), ...]).  Factors of degree 1
+    and 2 come from their discriminant; higher degrees split off rational
     roots, repeated factors via the gcd with the derivative, and quartic
     cofactors via the resolvent cubic; squarefree cofactors of degree five
     or more are out of reach.
@@ -260,6 +278,10 @@ def factor_poly(p: Poly):
     while stack:
         q, mult = stack.pop()
         if degree(q) <= 0:
+            continue
+        if degree(q) <= 2:
+            for f in _factor_low(q):
+                factors[f] = factors.get(f, 0) + mult
             continue
         roots = rational_roots(q)
         if roots:
@@ -278,8 +300,8 @@ def factor_poly(p: Poly):
             stack.append((monic(g), mult))
             stack.append((monic(quo), mult))
             continue
-        # squarefree, no rational roots: degree 2/3 is irreducible
-        if degree(q) <= 3:
+        # squarefree, no rational roots: a cubic is irreducible
+        if degree(q) == 3:
             factors[q] = factors.get(q, 0) + mult
             continue
         if degree(q) == 4:

@@ -19,13 +19,18 @@ from fractions import Fraction
 from typing import Optional
 
 from . import polys as P
-from .errors import MissingFactorization, NotPureInvertible, SchemaViolation
-from .fields import QQ, FieldSpec
+from .errors import (
+    MissingFactorization,
+    NotPureInvertible,
+    SchemaViolation,
+    ZeroElement,
+)
+from .fields import QQ, FieldSpec, square_class
 from .funcfield import FunctionFieldForm, ff_class, ff_entry
 from .hermitian import AntiHermForm
 from .invariants import LambdaInvariant
 from .mixed import MixedClass
-from .quadforms import QuadForm, qf, witt_class
+from .quadforms import QuadForm, witt_class
 from .quaternions import QuatAlgebra, Quaternion
 
 
@@ -43,12 +48,22 @@ def _nonzero_frac(raw, ptr: str) -> Fraction:
     return x
 
 
+def _entry_class(raw, field: FieldSpec, ptr: str):
+    """Square class of one diagonal entry; over F_p an entry that p
+    divides, above or below, is refused at its pointer."""
+    try:
+        return square_class(_nonzero_frac(raw, ptr), field)
+    except ZeroElement as exc:
+        raise SchemaViolation(str(exc), ptr) from exc
+
+
 def parse_quadform(doc: dict, field: FieldSpec = QQ, ptr: str = "") -> QuadForm:
     diag = doc.get("diag")
     if not isinstance(diag, list):
         raise SchemaViolation('expected {"diag": [...]}', ptr + "/diag")
-    vals = [_nonzero_frac(v, f"{ptr}/diag/{i}") for i, v in enumerate(diag)]
-    return qf(vals, field)
+    return QuadForm(tuple(_entry_class(v, field, f"{ptr}/diag/{i}")
+                          for i, v in enumerate(diag)), field)
+
 
 
 def parse_quaternion(coords, A: QuatAlgebra, ptr: str) -> Quaternion:
@@ -141,7 +156,7 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
                 raise SchemaViolation("factor is not irreducible",
                                       fptr + "/poly")
             exp = f.get("exp", 1)
-            if not isinstance(exp, int) or exp < 1:
+            if type(exp) is not int or exp < 1:  # JSON true is a bool
                 raise SchemaViolation("exponent must be a positive integer",
                                       fptr + "/exp")
             factors.append((pol, exp))
@@ -151,7 +166,7 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
 
 def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant:
     r = _object(doc, ptr, "invariant").get("r")
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:  # JSON true is a bool
         raise SchemaViolation("r must be a positive integer", ptr + "/r")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 2 * r + 1:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quatwitt import cli
 from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
 from quatwitt.suites import RunConfig
@@ -227,6 +228,62 @@ def test_field_accepted_where_read(capsys):
     assert json.loads(out)["result"] == "equal"
 
 
+def test_field_fp_reads_fractions_mod_p(capsys):
+    # 7/3 = 7 * 3^-1 = 2 * 2 = 4 = 2^2 mod 5, a square: <7/3> = <1>.
+    # Reading 7/3 as int(7/3) = 2, a non-residue mod 5, answered "distinct"
+    code, out, err = _run(capsys, ["--field", "F5", "--output", "json",
+                                   "decide", '{"diag": ["7/3"]}',
+                                   '{"diag": [1]}'])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+    # 1/3 = 3^-1 = 2 mod 5, a non-residue like 2 itself: <1/3> = <2>.
+    # Truncating read it as int(1/3) = 0 and exited 2 on "square class of 0"
+    code, out, err = _run(capsys, ["--field", "F5", "--output", "json",
+                                   "decide", '{"diag": ["1/3"]}',
+                                   '{"diag": [2]}'])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+
+
+@pytest.mark.parametrize("entry, pointer", [
+    ('"10"', "/diag/1"),    # 10 = 0 mod 5
+    ('"2/5"', "/diag/1"),   # 5 has no inverse mod 5
+    ('"5/3"', "/diag/1"),
+])
+def test_field_fp_entry_not_a_unit_mod_p_exits_2(capsys, entry, pointer):
+    code, out, err = _run(capsys, ["--field", "F5", "decide",
+                                   '{"diag": [1, %s]}' % entry,
+                                   '{"diag": [1]}'])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("argv, pointer", [
+    (["decide", '{"r": true, "coeffs": [{}, {}, {}]}',
+      '{"r": 1, "coeffs": [{}, {}, {}]}'], "/r"),
+    (["residue", json.dumps({"entries": [{"unit": "1", "factors": [
+        {"poly": ["0", "1"], "exp": True, "irreducible": True}]}]}),
+      "--place", "inf"], "/entries/0/factors/0/exp"),
+])
+def test_json_true_is_not_an_integer(capsys, argv, pointer):
+    # JSON true is a bool, which Python counts as the int 1
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("place", ["0", "5", "0,0", "-1/2"])
+def test_constant_place_exits_2(capsys, place):
+    code, out, err = _run(capsys, ["residue", '{"entries": [[0, 1], 1]}',
+                                   "--place", place])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --place: must be a non-constant polynomial")
+
+
 def test_errors_exit_2(capsys):
     code, _, err = _run(capsys, ["prod", '{"diag": [1]}', '{"diag": [1]}'])
     assert code == 2
@@ -305,3 +362,44 @@ def test_search_bound_below_one_exits_2(capsys, bound, argv):
 def test_run_config_rejects_search_bound_below_one():
     with pytest.raises(SchemaViolation, match="search_bound"):
         RunConfig(search_bound=0)
+
+
+_PSI_DOC = '{"odd": [["0", "0", "0", "1"]]}'
+_REUSE_SEQUENCE = [
+    # flags before and after the subcommand
+    (["--quat", "1", "1", "--search-bound", "3", "--output", "json",
+      "psi", _PSI_DOC], 0),
+    (["psi", _PSI_DOC, "--quat", "1", "1", "--search-bound", "3",
+      "--output", "json"], 0),
+    (["--output", "json", "check", "morita", "--search-bound", "0"], 2),
+    # argparse rejects the output format after reading --quat
+    (["--quat", "1", "1", "--output", "yaml", "psi", _PSI_DOC], 2),
+    # no flags: the default (-1, -1) is a division algebra, so psi refuses,
+    # and the default search bound and text output hold again
+    (["psi", _PSI_DOC], 2),
+    (["decide", '{"odd": [["0", "1", "0", "0"]]}',
+      '{"odd": [["0", "4", "0", "0"]]}'], 0),
+    (["--output", "json", "check", "morita"], 0),
+    (["check", "morita"], 0),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().out
+
+
+def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    reused = [_outcome(capsys, argv) for argv, _ in _REUSE_SEQUENCE]
+    assert [code for code, _ in reused] == [c for _, c in _REUSE_SEQUENCE]
+    assert reused[0][1] == reused[1][1]
+    assert json.loads(reused[6][1])["suite"] == "morita"
+    assert reused[7][1].startswith("suite morita:")
+    # the same argv, each on a freshly built parser
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = [_outcome(capsys, argv) for argv, _ in _REUSE_SEQUENCE]
+    assert reused == fresh

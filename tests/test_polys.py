@@ -80,6 +80,30 @@ def test_factor_quartic_cases():
     assert [(P.degree(f), e) for f, e in fs] == [(2, 2)]
 
 
+def test_low_degree_needs_no_root_search(monkeypatch):
+    def refuse(p):
+        raise AssertionError(f"rational_roots({p})")
+
+    monkeypatch.setattr(P, "rational_roots", refuse)
+    cases = [
+        # 3t - 2 = 3 (t - 2/3)
+        ([-2, 3], F(3), [((F(-2, 3), F(1)), 1)], True),
+        # 2t^2 - 3: discriminant 24 is not a square
+        ([-3, 0, 2], F(2), [((F(-3, 2), F(0), F(1)), 1)], True),
+        # t^2 - 5t + 6 = (t - 3)(t - 2): discriminant 1
+        ([6, -5, 1], F(1), [((F(-3), F(1)), 1), ((F(-2), F(1)), 1)], False),
+        # 4t^2 + 4t + 1 = 4 (t + 1/2)^2: discriminant 0
+        ([1, 4, 4], F(4), [((F(1, 2), F(1)), 2)], False),
+    ]
+    for coeffs, unit, factors, irreducible in cases:
+        p = P.poly(coeffs)
+        assert P.factor_poly(p) == (unit, factors)
+        assert P.is_irreducible(p) == irreducible
+    # the patch is in force: a cubic still searches for roots
+    with pytest.raises(AssertionError, match="rational_roots"):
+        P.factor_poly(P.poly([1, 0, 0, 1]))
+
+
 def test_factor_poly_degree_limit():
     # squarefree quintic with no rational roots is out of reach
     p = P.poly([F(3), F(1), F(0), F(0), F(0), F(1)])

@@ -1,5 +1,5 @@
 """factor_poly against sympy's factor_list over QQ, an oracle that shares
-none of its code (skipped without sympy)."""
+none of its code (skipped without sympy or hypothesis)."""
 
 import random
 from fractions import Fraction as F
@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import pytest
 
 sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import polys as P  # noqa: E402
 from quatwitt.errors import MissingFactorization  # noqa: E402
@@ -68,6 +70,40 @@ def test_factor_poly_against_sympy():
     for p in cases:
         assert P.degree(p) <= 4
         assert P.factor_poly(p) == _sympy_factorization(p), p
+
+
+# squarefree m != 1: s^2 m is never a rational square
+NONSQUARES = [-7, -3, -2, -1, 2, 3, 5, 6, 10]
+coef = st.builds(F, st.integers(-20, 20), st.integers(1, 9))
+nonzero = st.builds(F, st.integers(1, 20) | st.integers(-20, -1),
+                    st.integers(1, 9))
+
+
+@st.composite
+def quadratics(draw):
+    """a (t^2 + beta t + c) with discriminant beta^2 - 4c = delta of the
+    drawn kind: a nonzero square, zero or a non-square."""
+    kind = draw(st.sampled_from(["square", "zero", "nonsquare"]))
+    a = draw(nonzero)
+    beta = draw(coef)
+    s = draw(nonzero)
+    delta = {"square": s * s, "zero": F(0),
+             "nonsquare": s * s * draw(st.sampled_from(NONSQUARES))}[kind]
+    return kind, P.pscale(a, P.poly([(beta * beta - delta) / 4, beta, 1]))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(quadratics())
+def test_factor_quadratic_against_sympy(case):
+    kind, p = case
+    hypothesis.event(kind)
+    hypothesis.event("monic" if P.leading(p) == 1 else "leading != 1")
+    unit, factors = P.factor_poly(p)
+    assert (unit, factors) == _sympy_factorization(p), p
+    shape = {"square": [(1, 1), (1, 1)], "zero": [(1, 2)],
+             "nonsquare": [(2, 1)]}[kind]
+    assert [(P.degree(f), e) for f, e in factors] == shape
+    assert P.is_irreducible(p) == (kind == "nonsquare")
 
 
 def test_quintic_cofactor_refused():
