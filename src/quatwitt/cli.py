@@ -22,7 +22,12 @@ import sys
 from fractions import Fraction
 
 from . import polys as P
-from .errors import QuatWittError, SchemaViolation, UnsupportedField
+from .errors import (
+    MissingFactorization,
+    QuatWittError,
+    SchemaViolation,
+    UnsupportedField,
+)
 from .fields import Fp, QQ, QT, Place
 from .funcfield import (
     FunctionFieldForm,
@@ -112,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("residue", "residues of a Q(t) form")
     p.add_argument("form")
     p.add_argument("--place", required=True,
-                   help='"inf" or comma-separated poly coefficients, '
-                        'ascending (e.g. "0,1" for t)')
+                   help='"inf" or the comma-separated coefficients of an '
+                        'irreducible polynomial, ascending (e.g. "0,1" for t)')
 
     p = add("decide", "equality decision for two inputs")
     p.add_argument("lhs")
@@ -139,6 +144,12 @@ def _parse_place(text: str) -> Place:
     if P.degree(pi) < 1:
         raise SchemaViolation(
             f"--place: must be a non-constant polynomial: {text!r}")
+    try:
+        irreducible = P.is_irreducible(pi)
+    except MissingFactorization as exc:
+        raise SchemaViolation(f"--place: {text!r}: {exc}") from exc
+    if not irreducible:
+        raise SchemaViolation(f"--place: {text!r} is not irreducible")
     return Place("poly", pi=pi)
 
 

@@ -36,11 +36,11 @@ from .quadforms import (
     signed_disc,
     witt_class,
 )
-from .quaternions import QuatAlgebra, draw_pure, is_split, norm_forms
+from .quaternions import QuatAlgebra, draw_pure, is_split, norm_form
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
-    return witt_class(norm_forms(A)["n_Q"])
+    return witt_class(norm_form(A))
 
 
 def n_q_mixed(A: QuatAlgebra) -> MixedClass:

@@ -2,15 +2,15 @@
 
 Elements have an even part (a Witt class of quadratic forms over k) and an
 odd part (an anti-hermitian form over (Q, gamma) up to Witt equivalence).
-The odd*odd product lands in the even part through the twisted trace form;
-its closed form <-Trd(z1 z2)> (<<z1^2, z2^2>> - n_Q) is used as a built-in
-cross-check on every multiplication.
+The odd*odd product lands in the even part through the twisted trace form,
+whose Gram matrix is built and diagonalized on integers.  Every product is
+cross-checked against the closed form <-Trd(z1 z2)> (<<z1^2, z2^2>> - n_Q)
+by one Witt-equality decision on its 8-entry diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected
@@ -24,62 +24,74 @@ from .hermitian import (
     morita_transfer,
 )
 from .quadforms import (
+    EMPTY,
     QuadForm,
     WittClass,
-    diagonalize,
+    integer_gram_form,
     is_witt_zero,
     pfister,
     qf,
     witt_class,
+    witt_equal,
     witt_zero,
 )
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
+    _mul_coords,
     find_nilpotent,
     is_split,
-    norm_forms,
+    norm_form,
 )
+
+_BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
     """The 4-dimensional form x |-> Trd(gamma(x) z1 x gamma(z2)) over k,
     diagonalized from its Gram matrix on the basis e = (1, i, j, ij).
 
-    Column t is read off u = z1 e_t gamma(z2): Trd(gamma(e_s) u) = 2 w_s u_s
-    with w = (1, -a, -b, ab), since gamma(e_s) e_s = w_s and the other basis
-    products are trace-free.  The Gram matrix must come out symmetric; if it
-    does not, the quaternion arithmetic is broken and we refuse to continue.
+    The Gram matrix is M / D with M an integer matrix.  With the table
+    k = (e, e a, e b, e ab) of the algebra, two `_mul_coords` products of
+    integer numerators give V_t, the numerators of u = z1 e_t gamma(z2)
+    over e^2 den(z1) den(z2).  Column t is read off u: Trd(gamma(e_s) u) =
+    2 w_s u_s with w = (1, -a, -b, ab), since gamma(e_s) e_s = w_s and the
+    other basis products are trace-free.  So M_st = 2 e w_s V_t[s] and
+    D = e^3 den(z1) den(z2).  M must come out symmetric; if it does not,
+    the quaternion arithmetic is broken and we refuse to continue.
     """
     if z1.algebra != z2.algebra:
         raise AlgebraMismatch("twisted trace form across algebras")
-    A = z1.algebra
-    e, ea, eb, eab = A.table
-    w = (e, -ea, -eb, eab)  # e (1, -a, -b, ab)
-    z2bar = z2.conj()
-    cols = [z1 * et * z2bar for et in (A.one(), A.i(), A.j(), A.ij())]
-    gram = [[Fraction(2 * w[s] * u.num[s], e * u.den) for u in cols]
-            for s in range(4)]
+    k = z1.algebra.table
+    e, ea, eb, eab = k
+    w = (2 * e, -2 * ea, -2 * eb, 2 * eab)
+    n0, n1, n2, n3 = z2.num
+    z2bar = (n0, -n1, -n2, -n3)
+    cols = [_mul_coords(_mul_coords(z1.num, et, k), z2bar, k) for et in _BASIS]
+    m = [[w[s] * v[s] for v in cols] for s in range(4)]
     for s in range(4):
         for t in range(s + 1, 4):
-            if gram[s][t] != gram[t][s]:
+            if m[s][t] != m[t][s]:
                 raise AsymmetryDetected(
-                    f"Gram entry ({s},{t}): {gram[s][t]} vs {gram[t][s]}"
+                    f"Gram entry ({s},{t}): {m[s][t]} vs {m[t][s]} "
+                    f"(over the common denominator)"
                 )
-    return diagonalize(gram)
+    return integer_gram_form(m, e ** 3 * z1.den * z2.den)
+
+
+def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
+    """The diagonal of <-t> (<<z1^2, z2^2>> - n_Q), t = Trd(z1 z2): eight
+    entries, none when t = 0."""
+    t = (z1 * z2).trd()
+    if t == 0:
+        return EMPTY
+    pf = pfister([-z1.nrd(), -z2.nrd()])
+    return pf.perp(norm_form(z1.algebra).neg()).scale(square_class(-t))
 
 
 def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:
     """<z1>_gamma * <z2>_gamma = <-Trd(z1 z2)> (<<z1^2, z2^2>> - n_Q)."""
-    t = (z1 * z2).trd()
-    if t == 0:
-        return witt_zero()
-    zsq1 = -z1.nrd()
-    zsq2 = -z2.nrd()
-    pf = pfister([zsq1, zsq2])
-    nq = norm_forms(z1.algebra)["n_Q"]
-    diff = witt_class(pf) - witt_class(nq)
-    return diff.scale(square_class(-t))
+    return witt_class(closed_form_diag(z1, z2))
 
 
 @dataclass(frozen=True)
@@ -107,8 +119,7 @@ class MixedClass:
         for zs in self.odd.diag:
             for zt in other.odd.diag:
                 term = witt_class(twisted_trace_form(zs, zt))
-                check = odd_product_closed_form(zs, zt)
-                if term != check:
+                if not witt_equal(term.anis, closed_form_diag(zs, zt)):
                     raise AsymmetryDetected(
                         "twisted trace form disagrees with its closed form"
                     )

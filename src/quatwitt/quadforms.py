@@ -22,6 +22,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -30,6 +31,7 @@ from .errors import (
     FieldMismatch,
     NonSymmetricMatrix,
     UnsupportedField,
+    VerificationFailed,
     ZeroSlot,
 )
 from .fields import (
@@ -331,49 +333,61 @@ def diagonalize(gram: Sequence[Sequence]) -> QuadForm:
         for j in range(n):
             if g[i][j] != g[j][i]:
                 raise NonSymmetricMatrix("matrix is not symmetric")
-    return qf(_diagonalize_inplace(g))
+    den = lcm(*(x.denominator for row in g for x in row))
+    return integer_gram_form([[x.numerator * (den // x.denominator)
+                               for x in row] for row in g], den)
 
 
-def _diagonalize_inplace(g: List[List[Fraction]]):
-    """Symmetric Gauss reduction; returns the nonzero diagonal values."""
-    n = len(g)
+def integer_gram_form(m: List[List[int]], den: int) -> QuadForm:
+    """The diagonal form of the Gram matrix m / den, for a square symmetric
+    integer matrix m (not checked here) and den > 0.  m is overwritten."""
+    return qf(_diagonalize_inplace(m, den))
+
+
+def _diagonalize_inplace(m: List[List[int]], den: int) -> List[Fraction]:
+    """The diagonal values of the symmetric Gauss reduction of m / den, by
+    fraction-free (Bareiss) elimination on the integer matrix m.
+
+    The pivot is the first nonzero diagonal entry among the rows left, else
+    e_i <- e_i + e_j for the first nonzero off-diagonal (i, j) makes one.
+    After each pivot p the entries left are updated to
+    (p m_ik - m_ip m_pk) / prev, prev the previous pivot (1 at first).  By
+    Sylvester's identity they are minors of m after the unimodular
+    e_i <- e_i + e_j steps, so the division is exact (Bareiss, Math. Comp.
+    22, 1968); a remainder means the elimination is broken, and raises.
+    The rows left hold prev times the Schur complement of Gauss reduction
+    over Q, so each diagonal value p / (prev den) is the same rational.
+    """
+    rows = list(range(len(m)))
     diag = []
-    rows = list(range(n))
+    prev = 1
     while rows:
-        # pick a pivot with nonzero diagonal, creating one if necessary
-        piv = None
-        for i in rows:
-            if g[i][i] != 0:
-                piv = i
-                break
+        piv = next((i for i in rows if m[i][i]), None)
         if piv is None:
-            found = False
-            for i in rows:
-                for j in rows:
-                    if j != i and g[i][j] != 0:
-                        # e_i <- e_i + e_j makes the diagonal nonzero
-                        for k in range(n):
-                            g[i][k] += g[j][k]
-                        for k in range(n):
-                            g[k][i] += g[k][j]
-                        piv = i
-                        found = True
-                        break
-                if found:
-                    break
-            if piv is None:
+            i, j = next(((i, j) for i in rows for j in rows
+                         if j != i and m[i][j]), (None, None))
+            if i is None:
                 raise DegenerateForm("Gram matrix is degenerate")
+            # e_i <- e_i + e_j makes the diagonal nonzero
+            for k in rows:
+                m[i][k] += m[j][k]
+            for k in rows:
+                m[k][i] += m[k][j]
+            piv = i
         rows.remove(piv)
-        d = g[piv][piv]
-        diag.append(d)
+        mp = m[piv]
+        p = mp[piv]
+        diag.append(Fraction(p, prev * den))
         for i in rows:
-            c = g[i][piv] / d
-            if c == 0:
-                continue
-            for k in range(n):
-                g[i][k] -= c * g[piv][k]
-            for k in range(n):
-                g[k][i] -= c * g[k][piv]
+            mi = m[i]
+            c = mi[piv]
+            for k in rows:
+                q, r = divmod(p * mi[k] - c * mp[k], prev)
+                if r:
+                    raise VerificationFailed(
+                        f"inexact Bareiss division by the pivot {prev}")
+                mi[k] = q
+        prev = p
     return diag
 
 

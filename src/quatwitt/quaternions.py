@@ -26,7 +26,7 @@ from .errors import (
     ZeroArgument,
 )
 from .fields import square_class
-from .quadforms import is_isotropic, qf
+from .quadforms import QuadForm, is_isotropic, qf
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,9 @@ def _mul_coords(x, y, k):
     """Coordinates of x y on the basis (1, i, j, ij) from those of x and y,
     for the multiplication table k = (e, a, b, ab): the square of i is a/e,
     that of j is b/e, and every product comes out multiplied by e.  The one
-    multiplication table, shared by `Quaternion` (k = `QuatAlgebra.table`)
-    and the integer sandwich tables of the certificate search."""
+    multiplication table, shared by `Quaternion` (k = `QuatAlgebra.table`),
+    the twisted trace Gram matrix and the integer sandwich tables of the
+    certificate search."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     e, a, b, ab = k
@@ -190,18 +191,27 @@ class Quaternion:
         return f"Quat{tuple(str(c) for c in self.coords)}"
 
 
+@lru_cache(maxsize=2**8)
+def norm_form(A: QuatAlgebra) -> QuadForm:
+    """The norm form n_Q = <1,-a,-b,ab>, built once per algebra (a QuadForm
+    is immutable, so the cached value is safe to share)."""
+    a, b = A.a, A.b
+    return qf([1, -a, -b, a * b])
+
+
 def norm_forms(A: QuatAlgebra):
     """The norm form <1,-a,-b,ab> and the pure norm form <-a,-b,ab>."""
     a, b = A.a, A.b
     return {
-        "n_Q": qf([1, -a, -b, a * b]),
+        "n_Q": norm_form(A),
         "pure_norm": qf([-a, -b, a * b]),
     }
 
 
+@lru_cache(maxsize=2**8)
 def is_split(A: QuatAlgebra) -> bool:
     """Split iff the norm form is isotropic."""
-    return is_isotropic(norm_forms(A)["n_Q"])
+    return is_isotropic(norm_form(A))
 
 
 def height_shell(h: int, n: int):

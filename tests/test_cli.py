@@ -284,6 +284,36 @@ def test_constant_place_exits_2(capsys, place):
     assert err.startswith("error: --place: must be a non-constant polynomial")
 
 
+@pytest.mark.parametrize("place", ["0,0,1", "2,3,1"])
+def test_reducible_place_exits_2(capsys, place):
+    # t^2 and t^2 + 3t + 2 = (t + 1)(t + 2) are not places
+    code, out, err = _run(capsys, ["residue", '{"entries": [[0, 1]]}',
+                                   "--place", place])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --place: {place!r} is not irreducible")
+
+
+def test_place_beyond_irreducibility_check_exits_2(capsys):
+    # t^6 + t + 1 has no rational root and no repeated factor, and
+    # factor_poly does not reach degree 6
+    code, out, err = _run(capsys, ["residue", '{"entries": [[0, 1]]}',
+                                   "--place", "1,1,0,0,0,0,1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --place: '1,1,0,0,0,0,1': cannot certify")
+
+
+def test_degree_two_place_keeps_its_refusal(capsys):
+    # t^2 + 1 is a place, with residue field Q(i)
+    code, out, err = _run(capsys, ["residue", '{"entries": [[0, 1]]}',
+                                   "--place", "1,0,1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "error: group-ring residues only at residue field Q")
+
+
 def test_errors_exit_2(capsys):
     code, _, err = _run(capsys, ["prod", '{"diag": [1]}', '{"diag": [1]}'])
     assert code == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatwitt.errors import AlgebraMismatch
+from quatwitt.errors import AlgebraMismatch, AsymmetryDetected
 from quatwitt.mixed import (
     mixed,
     mixed_equal,
@@ -86,18 +86,23 @@ def _conj(x):
 
 def test_twisted_trace_gram_entries(monkeypatch):
     """All 16 entries Trd(gamma(e_s) z1 e_t gamma(z2)) of the Gram matrix
-    that twisted_trace_form diagonalizes, against a written-out product."""
+    M / D that twisted_trace_form diagonalizes on integers, against a
+    written-out product, with D = e^3 den(z1) den(z2)."""
     mixed_module = importlib.import_module("quatwitt.mixed")
     grams = []
-    monkeypatch.setattr(mixed_module, "diagonalize",
-                        lambda g: grams.append(g) or witt_zero().anis)
+    monkeypatch.setattr(mixed_module, "integer_gram_form",
+                        lambda m, den: grams.append((m, den))
+                        or witt_zero().anis)
     unit = [[Fraction(int(k == s)) for k in range(4)] for s in range(4)]
     rng = random.Random(4)
     for a, b in ((-1, -1), (1, 1), (2, 7), (Fraction(-2, 3), Fraction(-5, 7))):
         A = QuatAlgebra(a, b)
         a, b = A.a, A.b
         for _ in range(5):
-            z1, z2 = _rand_pure(rng, A), _rand_pure(rng, A)
+            # coordinates with denominators, so that den(z1) den(z2) != 1
+            z1, z2 = (_rand_pure(rng, A).scale(
+                Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                for _ in range(2))
             want = []
             for es in unit:
                 row = []
@@ -109,7 +114,40 @@ def test_twisted_trace_gram_entries(monkeypatch):
                 want.append(row)
             grams.clear()
             twisted_trace_form(z1, z2)
-            assert grams == [want]
+            [(m, den)] = grams
+            assert den == A.table[0] ** 3 * z1.den * z2.den
+            assert [[Fraction(x, den) for x in row] for row in m] == want
+
+
+def test_product_refuses_a_wrong_closed_form(monkeypatch):
+    """Every odd*odd term is checked against its closed form, by an
+    explicit check that python -O keeps."""
+    mixed_module = importlib.import_module("quatwitt.mixed")
+    # Trd((i + j + ij) i) = -2 and <<-3, -1>> - n_H = <3, 3> - <1, 1> != 0
+    x = mixed(H, odd_entries=(H.i() + H.j() + H.ij(),))
+    y = mixed(H, odd_entries=(H.i(),))
+    assert not (x * y).even.is_zero()
+    monkeypatch.setattr(mixed_module, "closed_form_diag",
+                        lambda z1, z2: qf([1, 1, 1, 1]))
+    with pytest.raises(AsymmetryDetected, match="closed form"):
+        x * y
+
+
+def test_product_refuses_an_asymmetric_gram(monkeypatch):
+    """A multiplication table that breaks the product of quaternions shows
+    up as an asymmetric twisted trace Gram matrix."""
+    mixed_module = importlib.import_module("quatwitt.mixed")
+    mul = mixed_module._mul_coords
+
+    def broken(x, y, k):
+        c0, c1, c2, c3 = mul(x, y, k)
+        return c0 + 1, c1, c2, c3
+
+    monkeypatch.setattr(mixed_module, "_mul_coords", broken)
+    x = mixed(H, odd_entries=(H.i() + H.j(),))
+    y = mixed(H, odd_entries=(H.i(),))
+    with pytest.raises(AsymmetryDetected, match="Gram entry"):
+        x * y
 
 
 def test_product_with_kernel_candidates_past_factoring_bound():

@@ -7,17 +7,27 @@ sympy 1.14 answers wrongly on some coefficients that are not squarefree or
 not pairwise coprime (for 7x^2 - 25y^2 + 7z^2 it returns (5, 7, 0), which
 is no solution), and so does its `sqf_normal`.  The oracle therefore gets
 the Legendre normal form computed here with sympy's `factorint`, and each
-solution it returns is checked."""
+solution it returns is checked.
+
+Gram-matrix diagonalization is checked against sympy's determinant and
+characteristic polynomial: the diagonal values multiply to the
+determinant, and by Sylvester's law of inertia as many are negative as the
+matrix has negative eigenvalues."""
 
 import random
-from math import gcd, prod
+from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
 
-from quatwitt.quadforms import is_isotropic, qf  # noqa: E402
+from quatwitt.quadforms import (  # noqa: E402
+    _diagonalize_inplace,
+    is_isotropic,
+    qf,
+)
 
 X, Y, Z = sympy.symbols("x y z", integer=True)
 
@@ -82,3 +92,46 @@ def test_ternary_isotropy_matches_sympy():
 def test_ternary_isotropy_examples(abc, expected):
     assert _sympy_isotropic(*abc) == expected
     assert is_isotropic(qf(list(abc))) == expected
+
+
+def _sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _negative_inertia(s):
+    """The number of negative eigenvalues of the symmetric sympy matrix s:
+    its characteristic polynomial p has only real roots, so by Descartes'
+    rule of signs p(-x) has as many sign changes as p has negative roots."""
+    x = sympy.Symbol("x")
+    p = s.charpoly(x).as_expr()
+    return _sign_changes(sympy.Poly(p.subs(x, -x), x).all_coeffs())
+
+
+def test_diagonal_values_against_determinant_and_inertia():
+    rng = random.Random(15)
+    checked = 0
+    zero_diagonal_pivots = 0
+    while checked < 120:
+        n = rng.randint(1, 6)
+        zero_diagonal = rng.random() < 0.4
+        g = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if (i != j or not zero_diagonal) and rng.random() < 0.7:
+                    g[i][j] = g[j][i] = Fraction(rng.randint(-20, 20),
+                                                 rng.randint(1, 7))
+        s = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                           for x in row] for row in g])
+        det = s.det()
+        if det == 0:
+            continue
+        den = lcm(*(x.denominator for row in g for x in row))
+        values = _diagonalize_inplace(
+            [[int(x * den) for x in row] for row in g], den)
+        assert len(values) == n
+        assert sympy.Rational(prod(values)) == det, g
+        assert sum(v < 0 for v in values) == _negative_inertia(s), g
+        checked += 1
+        zero_diagonal_pivots += zero_diagonal and n > 1
+    assert zero_diagonal_pivots > 20
