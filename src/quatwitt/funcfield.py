@@ -3,12 +3,16 @@ parametrization of split algebras and the generic-splitting map.
 
 A form entry is only ever needed up to squares, so it is stored as its
 square class: a squarefree integer unit times distinct monic irreducible
-polynomials, built by ff_class.  Second residues at all finite places plus
-one good specialization decide Witt equality over Q(t).
+polynomials, built by ff_class.  Witt equality over Q(t) first drops every
+pair of entries <e, -e> from the difference, which is hyperbolic; then
+second residues at the finite places of what is left plus one good
+specialization decide it.  A residue at a place pi reduces only the entries
+that pi divides, and those one factor at a time.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -139,9 +143,18 @@ class FunctionFieldForm:
         return sorted({f for e in self.entries for f in e.factors})
 
     def specialize(self, c: Fraction) -> QuadForm:
-        vals = [e.value_at(Fraction(c)) for e in self.entries]
-        if any(v == 0 for v in vals):
+        """The form of the entries' values at t = c, each distinct factor
+        evaluated once."""
+        c = Fraction(c)
+        at = {f: P.peval(f, c) for f in self.support()}
+        if not all(at.values()):
             raise NoGoodSpecializationPoint(f"t = {c} kills an entry")
+        vals = []
+        for e in self.entries:
+            v = Fraction(e.unit)
+            for f in e.factors:
+                v *= at[f]
+            vals.append(v)
         return qf(vals)
 
     def __repr__(self):
@@ -165,56 +178,37 @@ FF_EMPTY = FunctionFieldForm(())
 # residues
 
 
-def _entry_residue_data(e: FFEntry, v: Place, unif: Optional[RationalFunction]):
-    """(parity, residue class data) of one entry at a place.
-
-    For a degree-1 place the class is a Fraction; for the infinite place a
-    Fraction; for a degree-2 place a linear polynomial s + t*theta.
-    """
-    val = e.valuation(v)
-    if v.kind == "infinite":
-        # reduction of entry * t^{-val} at t = infinity: the unit times the
-        # (monic, hence 1) leading coefficients
-        cls = Fraction(e.unit)
-        if unif is not None:
-            cls *= _inf_unit_residue(unif) ** val
-        return val % 2, cls
-    pi = v.pi
-    d = P.degree(pi)
-    cof = P.constant(e.unit)
+def _entry_residue(e: FFEntry, pi: P.Poly, red: dict):
+    """The class of e / pi^v at the place pi of degree <= 2, v the valuation
+    of e at pi: the unit times the reduction of each other factor.  That is
+    its value at the root of a linear pi (a Fraction), and its remainder mod
+    a quadratic pi (a polynomial of degree <= 1).  red memoizes the factor
+    reductions for one call."""
+    linear = P.degree(pi) == 1
+    out = Fraction(e.unit) if linear else P.constant(e.unit)
     for f in e.factors:
-        if f != pi:
-            cof = P.pmul(cof, f)
-    if d == 1:
-        c = -pi[0]  # root of the monic linear pi
-        cls = P.peval(cof, c)
-        if unif is not None:
-            # unif / pi at c, a unit when unif has valuation 1 at pi
-            quo, rem = P.pdivmod(unif.num, pi)
-            unit = P.peval(quo, c) / P.peval(unif.den, c)
-            if rem or not unit:
-                raise ZeroElement("uniformizer must have valuation 1")
-            cls *= unit ** val
-        return val % 2, cls
-    if d == 2:
-        red = P.pmod(cof, pi)
-        if unif is not None:
-            raise UnsupportedResidueField(
-                "alternate uniformizers only at degree-1 places"
-            )
-        return val % 2, red
-    raise UnsupportedResidueField(
-        f"residue field of degree {d} not supported"
-    )
+        if f == pi:
+            continue
+        if f not in red:
+            red[f] = P.peval(f, -pi[0]) if linear else P.pmod(f, pi)
+        out = out * red[f] if linear else P.pmod(P.pmul(out, red[f]), pi)
+    return out
 
 
-def _inf_unit_residue(unif: RationalFunction) -> Fraction:
-    """Residue at infinity of unif * t (a v_inf-unit when unif has
-    valuation 1, i.e. degree -1)."""
-    num, den = unif.num, unif.den
-    if P.degree(den) - P.degree(num) != 1:
-        raise ZeroElement("uniformizer at infinity must have valuation 1")
-    return P.leading(num) / P.leading(den)
+def _uniformizer_unit(unif: RationalFunction, v: Place) -> Fraction:
+    """The residue of unif / pi at a degree-1 place pi, or of unif * t at
+    infinity: a unit when unif has valuation 1 at v."""
+    if v.kind == "infinite":
+        num, den = unif.num, unif.den
+        if P.degree(den) - P.degree(num) != 1:
+            raise ZeroElement("uniformizer at infinity must have valuation 1")
+        return P.leading(num) / P.leading(den)
+    c = -v.pi[0]  # root of the monic linear pi
+    quo, rem = P.pdivmod(unif.num, v.pi)
+    unit = P.peval(quo, c) / P.peval(unif.den, c)
+    if rem or not unit:
+        raise ZeroElement("uniformizer must have valuation 1")
+    return unit
 
 
 def residue(q: FunctionFieldForm, v: Place,
@@ -229,9 +223,16 @@ def residue(q: FunctionFieldForm, v: Place,
             "group-ring residues only at residue field Q"
         )
     first, second = [], []
+    red = {}
     for e in q.entries:
-        parity, cls = _entry_residue_data(e, v, uniformizer)
-        (second if parity else first).append(cls)
+        val = e.valuation(v)
+        # at infinity, entry * t^{-val} reduces to the unit times the
+        # (monic, hence 1) leading coefficients
+        cls = (Fraction(e.unit) if v.kind == "infinite"
+               else _entry_residue(e, v.pi, red))
+        if uniformizer is not None:
+            cls *= _uniformizer_unit(uniformizer, v) ** val
+        (second if val % 2 else first).append(cls)
     return GroupRingElem(witt_class(qf(first)), witt_class(qf(second)))
 
 
@@ -267,22 +268,30 @@ def _quadratic_square(pi: P.Poly, z: P.Poly) -> bool:
 def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     """Whether the second residue at v vanishes.
 
+    The second residue comes from the entries of odd valuation at v alone:
+    at a finite place pi those that pi divides, each reduced factor by
+    factor.  kt_witt_equal calls this only after dropping the pairs
+    <e, -e> of its difference, so only the entries that did not cancel are
+    reduced.
+
     At residue field Q this is a complete decision.  At a degree-2 residue
     field Q[t]/(pi) vanishing is certified by pairwise cancellation with an
     exact squareness test, and refuted by an odd count or a signed
     discriminant that is not a square; UnsupportedResidueField when neither
     settles it (only possible in dimension >= 4, as pairing is complete in
     dimension 2)."""
-    if v.kind == "poly" and P.degree(v.pi) > 2:
-        raise UnsupportedResidueField("only degree <= 2 residue fields")
-    classes = []
-    for e in q.entries:
-        parity, red = _entry_residue_data(e, v, None)
-        if parity:
-            classes.append(red)
-    if v.kind == "infinite" or P.degree(v.pi) == 1:
+    if v.kind == "infinite":
+        classes = [Fraction(e.unit) for e in q.entries
+                   if e.valuation(v) % 2]
         return witt_class(qf(classes)).is_zero()
     pi = v.pi
+    if P.degree(pi) > 2:
+        raise UnsupportedResidueField("only degree <= 2 residue fields")
+    red = {}
+    classes = [_entry_residue(e, pi, red) for e in q.entries
+               if pi in e.factors]
+    if P.degree(pi) == 1:
+        return witt_class(qf(classes)).is_zero()
     if len(classes) % 2:
         return False
     pool = list(classes)
@@ -316,29 +325,74 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
 
 
 def good_points(q: FunctionFieldForm, how_many: int = 1) -> List[Fraction]:
+    """The first how_many integers c >= 0 where no entry of q vanishes,
+    that is where no factor of its support does."""
+    support = q.support()
     out = []
     c = 0
     while len(out) < how_many:
         if c > 10000:
             raise NoGoodSpecializationPoint("no good integer point below 10000")
         cc = Fraction(c)
-        if all(e.value_at(cc) != 0 for e in q.entries):
+        if all(P.peval(f, cc) for f in support):
             out.append(cc)
         c += 1
     return out
 
 
+def _cancel_pairs(q: FunctionFieldForm) -> FunctionFieldForm:
+    """q with every pair of entries e, -e dropped.  The two entries of such
+    a pair have one square class and opposite signs, so the pair is
+    <e, -e>, hyperbolic over Q(t), and the Witt class does not change.
+    Entries are grouped by their factors, so each factor tuple is hashed
+    once."""
+    units = {}
+    for e in q.entries:
+        units.setdefault(e.factors, []).append(e.unit)
+    left = []
+    for factors, us in units.items():
+        count = Counter(us)
+        for u in list(count):
+            if u > 0:
+                m = min(count[u], count[-u])
+                count[u] -= m
+                count[-u] -= m
+        left += [FFEntry(u, factors) for u in count.elements()]
+    return FunctionFieldForm(tuple(left))
+
+
 def kt_witt_equal(q1: FunctionFieldForm, q2: FunctionFieldForm) -> bool:
-    """Witt equality in W(Q(t)): all second residues of the difference
-    vanish and the constant part specializes to 0 in W(Q)."""
-    diff = q1.perp(q2.neg())
-    if diff.dim % 2:
+    """Witt equality in W(Q(t)), by the Milnor exact sequence (Milnor 1970;
+    Lam, Introduction to Quadratic Forms over Fields, Ch. IX): all second
+    residues of the difference vanish and its constant part specializes to
+    0 in W(Q) at one good point.
+
+    The order is parity, then cancellation, then residues.  An odd
+    difference is "distinct" at once.  Then every pair <e, -e> is dropped
+    (_cancel_pairs); an empty leftover is "equal", and only the leftover's
+    support gets residues and a specialization.
+
+    Dropping the pairs changes no verdict.  At a place pi a pair is either
+    prime to pi (no second residue) or gives two residue classes z and -z.
+    At residue field Q, <z, -z> is hyperbolic.  At a degree-2 place the
+    pairing test matches a class C against -C: removing one matched pair
+    leaves a perfect matching exactly when the whole multiset had one, and
+    it changes neither the count's parity nor the signed discriminant
+    (-1 * z * -z is a square).  So the second residue vanishes, fails, or
+    is refused at every place of the leftover exactly as it did for the
+    whole difference, and the specialization, taken once every residue
+    vanishes, is the same class of W(Q) at any good point.  The one change
+    is that a place whose factor cancels out of the support is no longer
+    visited: where that place has degree >= 3, a refusal
+    (UnsupportedResidueField) becomes a verdict."""
+    if (q1.dim + q2.dim) % 2:
         return False
+    diff = _cancel_pairs(q1.perp(q2.neg()))
+    if not diff.entries:
+        return True
     for pi in diff.support():
         if not residue2_vanishes(diff, Place("poly", pi=pi)):
             return False
-    if diff.dim == 0:
-        return True
     c = good_points(diff)[0]
     return is_witt_zero(diff.specialize(c))
 

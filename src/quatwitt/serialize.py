@@ -112,9 +112,13 @@ def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
 
 
 def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
+    """A Q(t) form.  Every factor flagged irreducible is checked, each
+    distinct polynomial once per document: a factor such as the conic's
+    a + b t^2 repeats in every odd slot of a psi image."""
     raw = _object(doc, ptr, "form").get("entries")
     if not isinstance(raw, list):
         raise SchemaViolation('expected {"entries": [...]}', ptr + "/entries")
+    irreducible = set()
     entries = []
     for i, e in enumerate(raw):
         eptr = f"{ptr}/entries/{i}"
@@ -148,13 +152,15 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
             if not f.get("irreducible"):
                 raise SchemaViolation("factor lacks irreducibility flag",
                                       fptr + "/irreducible")
-            try:
-                irreducible = P.is_irreducible(pol)
-            except MissingFactorization as exc:
-                raise SchemaViolation(str(exc), fptr + "/poly") from exc
-            if not irreducible:
-                raise SchemaViolation("factor is not irreducible",
-                                      fptr + "/poly")
+            if pol not in irreducible:
+                try:
+                    ok = P.is_irreducible(pol)
+                except MissingFactorization as exc:
+                    raise SchemaViolation(str(exc), fptr + "/poly") from exc
+                if not ok:
+                    raise SchemaViolation("factor is not irreducible",
+                                          fptr + "/poly")
+                irreducible.add(pol)
             exp = f.get("exp", 1)
             if type(exp) is not int or exp < 1:  # JSON true is a bool
                 raise SchemaViolation("exponent must be a positive integer",

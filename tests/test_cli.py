@@ -163,6 +163,23 @@ def test_decide_refuses_uncancelled_degree2_residue(capsys):
     assert err.startswith("error:")
 
 
+def test_decide_cancels_a_degree3_factor_before_its_residue(capsys):
+    # <t^3 - 2> against itself: the difference <t^3 - 2, -(t^3 - 2)> is one
+    # pair <e, -e>, hyperbolic, so it is "equal" although Q[t]/(t^3 - 2)
+    # is a residue field of degree 3
+    cubic = '{"entries": [[-2, 0, 0, 1]]}'
+    code, out, err = _run(capsys, ["--output", "json", "decide", cubic, cubic])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+    # <t^3 - 2> against <2(t^3 - 2)>: units 1 and 2, nothing cancels, and
+    # the second residue at t^3 - 2 is still refused
+    code, out, err = _run(capsys, [
+        "decide", cubic, '{"entries": [[-4, 0, 0, 2]]}'])
+    assert code == 2
+    assert out == ""
+    assert err == "error: only degree <= 2 residue fields\n"
+
+
 def test_decide_certificate_with_large_algebra_denominator(capsys):
     # (-1/5000, -1): the certificate's contents pass 5000^5 > 10^18, which
     # the pair search compares without factorizing.  A negative fraction

@@ -130,6 +130,25 @@ def test_kt_witt_equal_and_specialization():
         assert witt_equal(q1.specialize(c), q1.specialize(c))
 
 
+def test_kt_witt_equal_cancels_pairs_before_residues():
+    cubic = P.poly([F(-2), F(0), F(0), F(1)])      # t^3 - 2, irreducible
+    q = ff_form([cubic])
+    # q - q = <t^3 - 2, -(t^3 - 2)> is <e, -e>, hyperbolic: "equal" with
+    # no residue at the degree-3 place
+    assert kt_witt_equal(q, q)
+    # a pair cancelled inside one side, and the same class written as
+    # 4 (t^3 - 2) (t - 1)^2 on the other: every entry cancels
+    sq = P.pmul(P.pscale(4, cubic), P.pmul(P.poly([-1, 1]), P.poly([-1, 1])))
+    assert kt_witt_equal(q.perp(ff_form([[0, 3], [0, -3]])), ff_form([sq]))
+    # <t^3 - 2> against <2 (t^3 - 2)>: units 1 and 2 do not cancel, and
+    # the residue field Q[t]/(t^3 - 2) is still refused
+    with pytest.raises(UnsupportedResidueField):
+        kt_witt_equal(q, ff_form([P.pscale(2, cubic)]))
+    # what is left after cancelling is decided as before: the cubic pair
+    # goes, and <1> against <3> is "distinct" by its specialization
+    assert not kt_witt_equal(q.perp(ff_form([1])), q.perp(ff_form([3])))
+
+
 def test_conic_parametrization_identity():
     points = {(1, 1): (-1, 0), (2, 7): (F(-7, 3), F(-2, 3)),
               (5, -1): (-2, -5)}

@@ -7,7 +7,11 @@ and squared with rational quaternion products.
 
 Every source of an entry (a rational function, a list of known factors, a
 parsed document) gives the same square class, and products of entries
-match the entry of the product."""
+match the entry of the product.
+
+kt_witt_equal drops the pairs <e, -e> of the difference before any
+residue.  It is checked against the uncancelled decision, kept here as the
+reference: residues at every place of the whole difference's support."""
 
 import json
 from fractions import Fraction
@@ -18,19 +22,26 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import polys as P  # noqa: E402
+from quatwitt.errors import UnsupportedResidueField  # noqa: E402
+from quatwitt.fields import Place  # noqa: E402
 from quatwitt.funcfield import (  # noqa: E402
+    FFEntry,
+    FunctionFieldForm,
     conic_parametrize,
     ff_class,
     ff_entry,
     ff_entry_product,
     good_points,
+    kt_witt_equal,
     psi_split,
+    residue2_vanishes,
 )
 from quatwitt.hermitian import morita_gram  # noqa: E402
 from quatwitt.mixed import mixed  # noqa: E402
 from quatwitt.fields import square_class  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
     diagonalize,
+    is_witt_zero,
     qf,
     witt_class,
     witt_equal,
@@ -148,3 +159,84 @@ def test_entry_product_is_entry_of_product(data):
     x2 = _value(*data.draw(elements(pool)))
     x12 = RationalFunction(P.pmul(x1.num, x2.num), P.pmul(x1.den, x2.den))
     assert ff_entry_product(ff_entry(x1), ff_entry(x2)) == ff_entry(x12)
+
+
+def _reference_kt_witt_equal(q1, q2):
+    """kt_witt_equal without cancellation: residues at every place of the
+    whole difference's support, then one specialization."""
+    diff = q1.perp(q2.neg())
+    if diff.dim % 2:
+        return False
+    for pi in diff.support():
+        if not residue2_vanishes(diff, Place("poly", pi=pi)):
+            return False
+    if diff.dim == 0:
+        return True
+    c = good_points(diff)[0]
+    return is_witt_zero(diff.specialize(c))
+
+
+def _verdict(decide, q1, q2):
+    try:
+        return decide(q1, q2)
+    except UnsupportedResidueField:
+        return "refused"
+
+
+# the splitting suite's irreducibles; pads also carry t^3 - 2, whose
+# residue field has degree 3
+SUITE_IRREDUCIBLES = [P.poly([0, 1]), P.poly([-1, 1]), P.poly([2, 1]),
+                      P.poly([1, 0, 1]), P.poly([-2, 0, 1])]
+CUBIC = P.poly([-2, 0, 0, 1])
+
+
+@st.composite
+def ff_entries(draw, pool=tuple(SUITE_IRREDUCIBLES)):
+    unit = draw(st.integers(-10, 10).filter(bool))
+    fs = draw(st.lists(st.sampled_from(pool), unique=True, max_size=3))
+    return ff_class(unit, [(f, 1) for f in fs])
+
+
+@st.composite
+def rewritten(draw, q):
+    """q shuffled, each entry times a square (a rational square and the
+    square of an irreducible), with pairs <e, -e> inserted anywhere."""
+    out = []
+    for e in q.entries:
+        r = draw(st.integers(1, 6))
+        g = draw(st.sampled_from(SUITE_IRREDUCIBLES))
+        out.append(ff_class(e.unit * r * r,
+                            [(f, 1) for f in e.factors] + [(g, 2)]))
+    for e in draw(st.lists(ff_entries(tuple(SUITE_IRREDUCIBLES) + (CUBIC,)),
+                           max_size=3)):
+        out += [e, FFEntry(-e.unit, e.factors)]
+    return FunctionFieldForm(tuple(draw(st.permutations(out))))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.data())
+def test_pads_shuffles_and_square_rescalings_are_equal(data):
+    q = FunctionFieldForm(tuple(data.draw(st.lists(ff_entries(),
+                                                   max_size=4))))
+    assert kt_witt_equal(q, data.draw(rewritten(q))) is True
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.data())
+def test_cancellation_keeps_every_decided_verdict(data):
+    q1 = FunctionFieldForm(tuple(data.draw(st.lists(ff_entries(),
+                                                    min_size=1, max_size=4))))
+    q2 = data.draw(rewritten(q1))
+    # drop some entries or add some, so that verdicts of both kinds and
+    # refusals at degree-2 places occur
+    keep = data.draw(st.one_of(st.just(q2.dim), st.integers(0, q2.dim)))
+    extra = data.draw(st.lists(ff_entries(), max_size=2))
+    q2 = FunctionFieldForm(q2.entries[:keep] + tuple(extra))
+    want = _verdict(_reference_kt_witt_equal, q1, q2)
+    got = _verdict(kt_witt_equal, q1, q2)
+    hypothesis.event(f"reference {want}, cancelled {got}")
+    if want != "refused":
+        assert got == want
+    # the new decision refuses only where the reference does
+    if got == "refused":
+        assert want == "refused"

@@ -5,7 +5,12 @@ For seeded mixed classes over split algebras, each odd slot z is sent to
 <-T, T z^2> with T = Trd(z (x(t) i + y(t) j + ij)).  Here T is built in
 sympy from the printed parametrization x_t, y_t with sympy's own
 rational-function arithmetic, and the square class of each entry is read
-off sympy's factor_list of its numerator and denominator."""
+off sympy's factor_list of its numerator and denominator.
+
+The residue class of an entry at a place pi is built factor by factor;
+here it is sympy's reduction of the whole cofactor, the unit times every
+other factor: its value at the root of a linear pi, its remainder mod a
+quadratic pi."""
 
 import random
 from fractions import Fraction as F
@@ -14,7 +19,14 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from quatwitt.funcfield import FFEntry, conic_parametrize, psi_split  # noqa: E402
+from quatwitt import polys as P  # noqa: E402
+from quatwitt.funcfield import (  # noqa: E402
+    FFEntry,
+    _entry_residue,
+    conic_parametrize,
+    ff_class,
+    psi_split,
+)
 from quatwitt.mixed import mixed  # noqa: E402
 from quatwitt.quadforms import qf, witt_class  # noqa: E402
 from quatwitt.quaternions import QuatAlgebra  # noqa: E402
@@ -95,3 +107,34 @@ def test_psi_split_against_sympy(a, b):
         x = mixed(A, even=even, odd_entries=tuple(odd))
         assert psi_split(x, conic).entries == _oracle_psi(A, x, conic)
         checked += 1
+
+
+# the splitting suite's irreducibles and two more; residues are taken at
+# those of degree <= 2
+IRREDUCIBLES = [P.poly([0, 1]), P.poly([-1, 1]), P.poly([2, 1]),
+                P.poly([1, 0, 1]), P.poly([-2, 0, 1]),
+                P.poly([F(1, 3), 1]), P.poly([-2, 0, 0, 1])]
+
+
+@pytest.mark.parametrize("pi", [f for f in IRREDUCIBLES if P.degree(f) <= 2],
+                         ids=lambda f: ",".join(map(str, f)))
+def test_entry_residue_against_sympy_cofactor(pi):
+    rng = random.Random(P.poly_str(pi))
+    pi_sym = _to_sympy(pi)
+    red = {}  # one memo across the entries, as in one residue call
+    for _ in range(40):
+        fs = rng.sample(IRREDUCIBLES, rng.randint(0, 4))
+        e = ff_class(rng.choice([1, -1, 2, -3, 5, 6, -7, 10]),
+                     [(f, 1) for f in fs])
+        cof = sympy.Integer(e.unit)
+        for f in e.factors:
+            if f != pi:
+                cof *= _to_sympy(f)
+        got = _entry_residue(e, pi, red)
+        if P.degree(pi) == 1:
+            want = cof.subs(T, -_q(pi[0]))
+            assert got == F(int(want.p), int(want.q))
+        else:
+            want = sympy.Poly(sympy.rem(cof, pi_sym, T), T)
+            assert got == P.poly(F(int(c.p), int(c.q))
+                                 for c in reversed(want.all_coeffs()))

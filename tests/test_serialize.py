@@ -98,6 +98,38 @@ def test_ffform_factor_validation():
     assert exc.value.pointer.endswith("/unit")
 
 
+def test_ffform_checks_each_distinct_factor_once(monkeypatch):
+    from quatwitt import polys as P
+
+    seen = []
+    real = P.is_irreducible
+
+    def counted(pol):
+        seen.append(pol)
+        return real(pol)
+
+    monkeypatch.setattr(P, "is_irreducible", counted)
+    d = {"poly": ["1", "0", "1"], "exp": 1, "irreducible": True}
+    t = {"poly": ["0", "1"], "exp": 1, "irreducible": True}
+    doc = {"entries": [{"unit": u, "factors": fs} for u, fs in
+                       (("1", [d, t]), ("-2", [d, t]), ("3", [d]), ("5", []))]}
+    assert parse_ffform(doc).entries == ff_form(
+        [[0, 1, 0, 1], [0, -2, 0, -2], [3, 0, 3], 5]).entries
+    assert sorted(seen) == sorted({tuple(P.poly(f["poly"])) for f in (d, t)})
+    # each document is checked afresh
+    parse_ffform(doc)
+    assert len(seen) == 4
+    # a reducible factor is refused at its first occurrence, and a new one
+    # after factors already checked is still checked
+    bad = {"poly": ["-1", "0", "1"], "exp": 1, "irreducible": True}
+    for factors, where in (([d, bad, bad], "/entries/0/factors/1/poly"),
+                           ([d], "/entries/1/factors/0/poly")):
+        entries = [{"factors": factors}, {"factors": [bad] + factors}]
+        with pytest.raises(SchemaViolation) as exc:
+            parse_ffform({"entries": entries})
+        assert exc.value.pointer == where
+
+
 def test_invariant_roundtrip():
     one = parse_mixed({"even": [1]}, H)
     zero = parse_mixed({}, H)
