@@ -161,6 +161,8 @@ class SquareClass:
         return square_class(self.repr * other.repr, self.field)
 
     def __neg__(self) -> "SquareClass":
+        if self.field.kind == "Q":
+            return SquareClass(-self.repr, self.field)
         return square_class(-self.repr, self.field)
 
     def is_one(self) -> bool:

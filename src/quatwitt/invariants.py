@@ -68,19 +68,25 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
 
 
 def lambda_all(h: AntiHermForm) -> List[MixedClass]:
-    """lambda^0, ..., lambda^{2r} of h, from one convolution."""
+    """lambda^0, ..., lambda^{2r} of h, from one convolution.
+
+    Multiplying by the factor 1 + <z> t + <n> t^2, n = Nrd z, gives the
+    coefficients c'_d = c_{d-2} <n> + c_{d-1} <z> + c_d, summed in that
+    order.  The product by 1 is left out, and so is the sum with 0: each
+    returns its argument exactly, as a kernel is its own kernel.  The
+    product by the even <n> runs no odd-by-odd terms."""
     A = h.algebra
     coeffs = [mixed_one(A)]
     for z in h.diag:
-        entry = [
-            mixed_one(A),
-            mixed_odd(A, z),
-            mixed_even(A, witt_class(qf([z.nrd()]))),
-        ]
-        new = [mixed_zero(A) for _ in range(len(coeffs) + 2)]
-        for i, c in enumerate(coeffs):
-            for j, e in enumerate(entry):
-                new[i + j] = new[i + j] + c * e
+        odd = mixed_odd(A, z)
+        nrd = mixed_even(A, witt_class(qf([z.nrd()])))
+        times_z = [c * odd for c in coeffs]
+        times_n = [c * nrd for c in coeffs]
+        new = []
+        for d in range(len(coeffs) + 2):
+            terms = [t[i] for t, i in ((times_n, d - 2), (times_z, d - 1),
+                                       (coeffs, d)) if 0 <= i < len(coeffs)]
+            new.append(sum(terms[1:], terms[0]))
         coeffs = new
     return coeffs
 

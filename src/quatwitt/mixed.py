@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .errors import AlgebraMismatch, AsymmetryDetected
-from .fields import square_class
+from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
+from .fields import QQ, SquareClass, sq_mul, square_class
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
@@ -29,7 +29,6 @@ from .quadforms import (
     WittClass,
     integer_gram_form,
     is_witt_zero,
-    pfister,
     qf,
     witt_class,
     witt_equal,
@@ -81,12 +80,24 @@ def twisted_trace_form(z1: Quaternion, z2: Quaternion) -> QuadForm:
 
 def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
     """The diagonal of <-t> (<<z1^2, z2^2>> - n_Q), t = Trd(z1 z2): eight
-    entries, none when t = 0."""
+    entries, none when t = 0.
+
+    With c the square class of -t and n_k that of Nrd z_k = -z_k^2, the
+    Pfister form <<z1^2, z2^2>> is <1, n1> <1, n2> = <1, n2, n1, n1 n2>,
+    so the entries are c v for v in (1, n2, n1, n1 n2) and then in the
+    negated entries of the cached n_Q: products of squarefree integers,
+    taken by `sq_mul`."""
     t = (z1 * z2).trd()
     if t == 0:
         return EMPTY
-    pf = pfister([-z1.nrd(), -z2.nrd()])
-    return pf.perp(norm_form(z1.algebra).neg()).scale(square_class(-t))
+    n1, n2 = z1.nrd(), z2.nrd()
+    if n1 == 0 or n2 == 0:
+        raise ZeroSlot("Pfister slot must be nonzero")
+    c = square_class(-t).repr
+    n1, n2 = square_class(n1).repr, square_class(n2).repr
+    vs = (1, n2, n1, sq_mul(n1, n2)) + tuple(
+        -r for r in norm_form(z1.algebra).reps())
+    return QuadForm(tuple(SquareClass(sq_mul(c, v), QQ) for v in vs))
 
 
 def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:

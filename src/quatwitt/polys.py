@@ -111,8 +111,9 @@ def pgcd(p: Poly, q: Poly) -> Poly:
 
 
 def monic(p: Poly) -> Poly:
-    if not p:
-        return ZERO
+    """p over its leading coefficient; p itself when that is 1 already."""
+    if not p or p[-1] == 1:
+        return p
     return pscale(1 / p[-1], p)
 
 

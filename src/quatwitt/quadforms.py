@@ -7,13 +7,19 @@ Over Q one local classification does the work (Serre, *A Course in
 Arithmetic*, Ch. IV).  A diagonal of squarefree entries is summarised by its
 dimension, discriminant, signature and Hasse symbols at 2 and at the primes
 of its entries; these give the dimension of its anisotropic part over every
-Q_p.  By Hasse-Minkowski the anisotropic kernel over Q has the largest of
-the local dimensions and the signature, which decides isotropy and Witt
-equality.  The kernel is built slot by slot: while k >= 2 slots remain, the
-first candidate square class c with dim(x - <c>) = k - 1 is a value of the
+Q_p.  Each Hasse symbol is computed in closed form from the Hilbert symbol
+formulas (Serre III.1), in one pass over the entries per prime.  By
+Hasse-Minkowski the anisotropic kernel over Q has the largest of the local
+dimensions and the signature, which decides isotropy and Witt equality.
+
+The kernel is built slot by slot: while k >= 2 slots remain, the first
+candidate square class c with dim(x - <c>) = k - 1 is a value of the
 kernel, so <c> splits off.  Candidates are the entries, the square classes
 on the primes of x, and those times one further prime; Dirichlet's theorem
-puts a value of the kernel among the last, so the search always ends.
+puts a value of the kernel among the last, so the search always ends.  At
+a prime of x the test of c depends only on the Q_p square class of c, so
+each slot computes it once per class and looks it up for every candidate
+of that class.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ from .fields import (
     hilbert_symbol_p,
     is_padic_square,
     is_prime,
+    legendre_symbol,
     sq_mul,
     square_class,
 )
@@ -174,24 +181,27 @@ class _Local(NamedTuple):
     hasse: Dict[int, int]
 
 
-_NO_ENTRIES = _Local(0, 1, 0, {2: 1})
-
-
 def _hasse_with(loc: _Local, c: int):
     """The Hasse symbols (p, s_p) of x + <c>, one prime at a time: s_p
     picks up (disc x, c)_p, and an odd prime new in c enters with 1.
 
-    The primes of loc are divided out of c first, so only the cofactor
-    is factored: kernel candidates are products of many known primes, and
+    `_new_primes` divides the primes of loc out of c first, so only the
+    cofactor is factored: kernel candidates are products of many known primes, and
     two known primes above 10^6 would leave trial division a cofactor it
     cannot certify."""
+    for p in itertools.chain(loc.hasse, _new_primes(loc.hasse, c)):
+        yield p, loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
+
+
+def _new_primes(known: Iterable[int], c: int) -> List[int]:
+    """The primes of c outside known, in the order `factorize` gives them.
+    The known primes are divided out first, so only the cofactor is
+    factored."""
     rest = abs(c)
-    for p in loc.hasse:
+    for p in known:
         while rest % p == 0:
             rest //= p
-    new = [p for p, _ in factorize(rest)[1]]
-    for p in itertools.chain(loc.hasse, new):
-        yield p, loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
+    return [p for p, _ in factorize(rest)[1]]
 
 
 def _adjoin(loc: _Local, c: int) -> _Local:
@@ -203,10 +213,55 @@ def _adjoin(loc: _Local, c: int) -> _Local:
 # cache bounds as in fields: 4x what `check all` or a benchmark run fills
 @lru_cache(maxsize=2**16)
 def _local_data(reps: Tuple[int, ...]) -> _Local:
-    loc = _NO_ENTRIES
+    """The invariants of the diagonal of squarefree integers reps, each
+    Hasse symbol in closed form from one pass over the entries.
+
+    The primes are 2, then for each entry its primes outside those already
+    found, by `_new_primes` as in `_hasse_with`.  At a prime p write
+    a_i = p^e_i u_i with e_i in {0, 1} and A = sum e_i.  By Serre III.1, Thm 1, the Hasse
+    symbol prod_{i<j} (a_i, a_j)_p is (-1)^x with, mod 2:
+      - odd p, l_i = 1 when (u_i|p) = -1:
+          x = sum_{i<j} (eps(p) e_i e_j + e_j l_i + e_i l_j)
+            = eps(p) C(A, 2) + A sum l_i - sum e_i l_i,
+        eps(p) = (p - 1)/2, as sum_{i<j} e_i e_j = C(A, 2) and
+        sum_{i != j} e_j l_i = sum_i l_i (A - e_i);
+      - p = 2, eps_i = (u_i - 1)/2 and w_i = (u_i^2 - 1)/8:
+          x = sum_{i<j} (eps_i eps_j + e_i w_j + e_j w_i)
+            = C(#{eps_i = 1}, 2) + A sum w_i - sum e_i w_i.
+    In both, A sum y_i - sum e_i y_i is the sum of the y_i with e_i != A mod
+    2: those with e_i = 0 when A is odd, e_i = 1 when A is even.  A prime
+    that divides an odd number of entries divides the discriminant."""
+    primes = [2]
     for r in reps:
-        loc = _adjoin(loc, r)
-    return loc
+        primes.extend(_new_primes(primes, r))
+    negative = sum(r < 0 for r in reps)
+    disc = -1 if negative % 2 else 1
+    hasse = {}
+    for p in primes:
+        # y_i is l_i at odd p and w_i at p = 2, summed by e_i
+        a = y0 = y1 = eps = 0
+        for r in reps:
+            e = r % p == 0
+            u = r // p if e else r
+            if p == 2:
+                y = u % 8 in (3, 5)
+                eps += u % 4 == 3
+            else:
+                y = legendre_symbol(u % p, p) < 0
+            if e:
+                a += 1
+                y1 += y
+            else:
+                y0 += y
+        if a % 2:
+            disc *= p
+        x = y0 if a % 2 else y1
+        if p == 2:
+            x += eps * (eps - 1) // 2
+        elif p % 4 == 3:
+            x += a * (a - 1) // 2
+        hasse[p] = -1 if x % 2 else 1
+    return _Local(len(reps), disc, len(reps) - 2 * negative, hasse)
 
 
 def _local_q(q: QuadForm) -> _Local:
@@ -252,16 +307,46 @@ def _anis_dim(loc: _Local) -> int:
                                  for p, s in loc.hasse.items()])
 
 
-def _splits_off(loc: _Local, c: int, k: int) -> bool:
-    """Whether the k-dimensional kernel of x represents c.
+def _represented_by_kernel(loc: _Local, k: int):
+    """The test c -> whether the k-dimensional kernel of x represents c,
+    for squarefree integers c.
 
-    It does exactly when x - <c> has kernel dimension k - 1 rather than
-    k + 1, so the first place that reaches k decides against c."""
-    if abs(loc.sig - (1 if c > 0 else -1)) >= k:
-        return False
-    disc = sq_mul(loc.disc, -c)
-    return all(_local_dim(loc.dim + 1, disc, s, p) < k
-               for p, s in _hasse_with(loc, -c))
+    The kernel represents c exactly when x - <c> has kernel dimension
+    k - 1 rather than k + 1, so the first place that reaches k decides
+    against c.  At a prime p of loc the dimension, discriminant and Hasse
+    symbol of x - <c> over Q_p are functions of the Q_p square class of -c:
+    (v_p, the Legendre symbol of the unit) for odd p, (v_2, the unit mod 8)
+    for p = 2.  So the verdict of such a place is computed once per class
+    and kept for the life of the test; an odd prime new in c is checked
+    directly."""
+    n = loc.dim + 1
+    verdicts = {}
+
+    def below_k(p: int, s: int, m: int) -> bool:
+        s *= hilbert_symbol_p(loc.disc, m, p)
+        return _local_dim(n, sq_mul(loc.disc, m), s, p) < k
+
+    def represents(c: int) -> bool:
+        if abs(loc.sig - (1 if c > 0 else -1)) >= k:
+            return False
+        m = -c
+        rest = abs(c)
+        for p, s in loc.hasse.items():
+            if m % p:
+                key = (p, 0, m % 8 if p == 2 else legendre_symbol(m % p, p))
+            else:
+                rest //= p
+                u = m // p
+                key = (p, 1, u % 8 if p == 2 else legendre_symbol(u % p, p))
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = verdicts[key] = below_k(p, s, m)
+            if not ok:
+                return False
+        return rest == 1 or all(below_k(q, 1, m)
+                                for q, _ in factorize(rest)[1])
+
+    return represents
 
 
 def local_anisotropic_dim(q: QuadForm, p: int) -> int:
@@ -395,7 +480,8 @@ def _diagonalize_inplace(m: List[List[int]], den: int) -> List[Fraction]:
 # anisotropic kernel
 
 
-def _square_class_candidates(primes: Sequence[int]) -> List[int]:
+@lru_cache(maxsize=2**10)
+def _square_class_candidates(primes: Tuple[int, ...]) -> Tuple[int, ...]:
     """All square classes supported on the given primes (with sign)."""
     out = []
     for k in range(len(primes) + 1):
@@ -405,7 +491,7 @@ def _square_class_candidates(primes: Sequence[int]) -> List[int]:
                 v *= p
             out.append(v)
             out.append(-v)
-    return sorted(out, key=abs)
+    return tuple(sorted(out, key=abs))
 
 
 def _kernel_candidates(entries: Sequence[int], loc: _Local):
@@ -414,7 +500,7 @@ def _kernel_candidates(entries: Sequence[int], loc: _Local):
     represents a value of the last kind: Dirichlet's theorem gives a prime
     in any class mod 8 times the odd primes of loc (Serre, Ch. III, 2.2)."""
     yield from entries
-    primes = list(loc.hasse)
+    primes = tuple(loc.hasse)
     base = _square_class_candidates(primes)
     yield from base
     for q in itertools.count(3, 2):
@@ -434,8 +520,8 @@ def _anisotropic_reps_q_cached(reps_key) -> tuple:
         # <c> + kernel of x - <c>
         out = []
         for k in range(n, 1, -1):
-            c = next(c for c in _kernel_candidates(reps_key, loc)
-                     if _splits_off(loc, c, k))
+            c = next(filter(_represented_by_kernel(loc, k),
+                            _kernel_candidates(reps_key, loc)))
             out.append(c)
             loc = _adjoin(loc, -c)
         if n:

@@ -1,8 +1,13 @@
-"""Property tests for membership in the ideal n_Q W(Q) (needs hypothesis).
+"""Property tests for membership in the ideal n_Q W(Q) and for lambda
+powers (needs hypothesis).
 
 Over division algebras, integral or not, nq_membership must accept every
 n_Q (x) y, must not change its verdict when n_Q (x) y is added, and may
-accept only classes in I^2 that vanish wherever the algebra splits."""
+accept only classes in I^2 that vanish wherever the algebra splits.
+
+lambda_all must print, term by term, what the full convolution prints:
+every product c * e of a coefficient and a factor entry, the products by 1
+and by <Nrd z> included, each added to a running sum that starts at 0."""
 
 from fractions import Fraction
 
@@ -17,7 +22,18 @@ from quatwitt.fields import (  # noqa: E402
     hilbert_symbol,
     relevant_primes,
 )
-from quatwitt.invariants import n_q_class, nq_membership  # noqa: E402
+from quatwitt.hermitian import AntiHermForm  # noqa: E402
+from quatwitt.invariants import (  # noqa: E402
+    lambda_all,
+    n_q_class,
+    nq_membership,
+)
+from quatwitt.mixed import (  # noqa: E402
+    mixed_even,
+    mixed_odd,
+    mixed_one,
+    mixed_zero,
+)
 from quatwitt.quadforms import (  # noqa: E402
     local_anisotropic_dim,
     pfister,
@@ -27,6 +43,7 @@ from quatwitt.quadforms import (  # noqa: E402
     witt_class,
 )
 from quatwitt.quaternions import QuatAlgebra  # noqa: E402
+from test_product_digest import ALGEBRAS as DIGEST_ALGEBRAS  # noqa: E402
 
 nonzero = st.integers(-12, 12).filter(bool)
 slot = st.builds(Fraction, nonzero, st.sampled_from([1, 1, 2, 3, 5]))
@@ -72,3 +89,41 @@ def test_members_are_in_i2_and_vanish_where_q_splits(A, c, d, u, y):
     for p in relevant_primes(list(q.reps()) + [A.a, A.b]):
         if hilbert_symbol(A.a, A.b, finite_place(p)) == 1:
             assert local_anisotropic_dim(q, p) == 0
+
+
+def _reference_lambda_all(h):
+    """The convolution of the factors 1 + <z> t + <Nrd z> t^2 with every
+    product taken in the mixed ring and added to a sum that starts at 0."""
+    A = h.algebra
+    coeffs = [mixed_one(A)]
+    for z in h.diag:
+        entry = [mixed_one(A), mixed_odd(A, z),
+                 mixed_even(A, witt_class(qf([z.nrd()])))]
+        new = [mixed_zero(A) for _ in range(len(coeffs) + 2)]
+        for i, c in enumerate(coeffs):
+            for j, e in enumerate(entry):
+                new[i + j] = new[i + j] + c * e
+        coeffs = new
+    return coeffs
+
+
+coord = st.builds(Fraction, st.integers(-5, 5), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def anti_hermitian(draw):
+    """A diagonal of rank 1-3 over one of the five algebras of the
+    product/lambda digest, with rational coordinates."""
+    A = QuatAlgebra(*draw(st.sampled_from(DIGEST_ALGEBRAS)))
+    pure = st.tuples(coord, coord, coord).filter(any).map(
+        lambda c: A.pure(*c)).filter(lambda z: z.is_invertible())
+    return AntiHermForm(tuple(draw(st.lists(pure, min_size=1, max_size=3))),
+                        A)
+
+
+@hypothesis.settings(max_examples=120, deadline=None)
+@hypothesis.given(anti_hermitian())
+def test_lambda_all_prints_the_full_convolution(h):
+    hypothesis.event(f"rank {h.rank}")
+    got = [repr(x) for x in lambda_all(h)]
+    assert got == [repr(x) for x in _reference_lambda_all(h)]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from quatwitt.errors import AlgebraMismatch, AsymmetryDetected
+from quatwitt.errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
 from quatwitt.mixed import (
     mixed,
     mixed_equal,
@@ -172,6 +172,14 @@ def test_odd_product_vanishes_on_orthogonal_traces():
     # Trd(i j) = 0, so <i><j> = 0
     assert odd_product_closed_form(H.i(), H.j()).is_zero()
     assert witt_class(twisted_trace_form(H.i(), H.j())).is_zero()
+
+
+def test_closed_form_refuses_a_zero_norm_slot():
+    # Nrd(1 + i) = 0 in M2(Q) while Trd((1 + i) 1) = 2
+    z, one = M2.element(1, 1, 0, 0), M2.element(1, 0, 0, 0)
+    for z1, z2 in ((z, one), (one, z), (z, z)):
+        with pytest.raises(ZeroSlot):
+            odd_product_closed_form(z1, z2)
 
 
 def test_ring_axioms_on_samples():

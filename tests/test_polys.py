@@ -139,3 +139,16 @@ def test_rational_function_den_monic():
     assert x == RationalFunction(P.poly([1, 1]))
     assert x.evaluate(F(3)) == F(4)
     assert RationalFunction(P.ZERO, x.num).is_zero()
+
+
+def test_monic_returns_a_monic_polynomial_itself():
+    """An already monic polynomial is returned as it is, not rescaled by 1;
+    any other is divided by its leading coefficient."""
+    rng = random.Random(7)
+    for deg in range(5):
+        p = _rand_poly(rng, deg)
+        q = P.pscale(1 / p[-1], p)
+        assert P.monic(q) is q
+        assert P.monic(p) == q
+        assert P.monic(P.pscale(F(-2, 3), p)) == q
+    assert P.monic(P.ZERO) == P.ZERO

@@ -1,6 +1,7 @@
-"""Property tests for the anisotropic kernel over Q and for Gram-matrix
-diagonalization (needs hypothesis)."""
+"""Property tests for the anisotropic kernel over Q, its local invariants
+and Gram-matrix diagonalization (needs hypothesis)."""
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -13,8 +14,19 @@ from quatwitt.errors import (  # noqa: E402
     DegenerateForm,
     FactorizationLimitExceeded,
 )
+from quatwitt.fields import is_prime, sq_mul  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
+    _adjoin,
+    _anis_dim,
+    _anisotropic_reps_q_cached,
     _diagonalize_inplace,
+    _hasse_with,
+    _kernel_candidates,
+    _Local,
+    _local_data,
+    _local_dim,
+    _represented_by_kernel,
+    _signed,
     diagonalize,
     is_isotropic,
     qf,
@@ -33,6 +45,85 @@ def test_kernel_is_anisotropic_and_witt_equal(diag):
     assert k.dim <= q.dim and k.dim % 2 == q.dim % 2
     assert k.dim == 0 or not is_isotropic(k)
     assert witt_equal(q, k)
+
+
+def _reference_local_data(reps):
+    """The invariants by adjoining one entry at a time, each Hasse symbol
+    updated by the Hilbert symbols of `_hasse_with`: the reference for the
+    one-pass closed form of `_local_data`."""
+    loc = _Local(0, 1, 0, {2: 1})
+    for r in reps:
+        loc = _adjoin(loc, r)
+    return loc
+
+
+def _reference_splits_off(loc, c, k):
+    """Whether the k-dimensional kernel of x represents c, every place
+    checked for every candidate: the reference for the square-class
+    verdict tables of the kernel peel."""
+    if abs(loc.sig - (1 if c > 0 else -1)) >= k:
+        return False
+    disc = sq_mul(loc.disc, -c)
+    return all(_local_dim(loc.dim + 1, disc, s, p) < k
+               for p, s in _hasse_with(loc, -c))
+
+
+def _reference_kernel(reps):
+    loc = _reference_local_data(reps)
+    n = _anis_dim(loc)
+    if n == len(reps):
+        out = list(reps)
+    else:
+        out = []
+        for k in range(n, 1, -1):
+            c = next(c for c in _kernel_candidates(reps, loc)
+                     if _reference_splits_off(loc, c, k))
+            out.append(c)
+            loc = _adjoin(loc, -c)
+        if n:
+            out.append(_signed(loc.dim, loc.disc))
+    return tuple(sorted(out, key=lambda r: (abs(r), r)))
+
+
+# products of two primes above 10^3: their cofactors are factored when they
+# enter, and they put large primes among the kernel candidates
+big_prime = st.sampled_from([p for p in range(1001, 5000, 2) if is_prime(p)])
+semiprime = st.builds(lambda s, pq: s * pq[0] * pq[1],
+                      st.sampled_from([1, -1]),
+                      st.lists(big_prime, min_size=2, max_size=2, unique=True))
+
+
+@st.composite
+def squarefree_diagonal(draw):
+    """Sorted squarefree entries, as `_local_q` passes them: dimension
+    1-10 with |entries| <= 60, in half the draws with one or two of them
+    products of two primes above 10^3."""
+    big = draw(st.lists(semiprime, min_size=1, max_size=2)
+               if draw(st.booleans()) else st.just([]))
+    small = draw(st.lists(entry, min_size=0 if big else 1,
+                          max_size=10 - len(big)))
+    return tuple(sorted(qf(small + big).reps()))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(squarefree_diagonal())
+def test_local_data_and_kernel_equal_the_adjoin_reference(reps):
+    got, want = _local_data(reps), _reference_local_data(reps)
+    assert (got.dim, got.disc, got.sig) == (want.dim, want.disc, want.sig)
+    assert got.hasse == want.hasse
+    assert list(got.hasse) == list(want.hasse)
+    # the first slot's test against the reference on the first candidates,
+    # rejected ones included, before a wrong test can stall the peel
+    k = _anis_dim(got)
+    if 2 <= k < len(reps):
+        represents = _represented_by_kernel(got, k)
+        for c in itertools.islice(_kernel_candidates(reps, got), 64):
+            assert represents(c) == _reference_splits_off(got, c, k)
+    kernel = _anisotropic_reps_q_cached(reps)
+    hypothesis.event("peeled" if len(kernel) < len(reps) else "anisotropic")
+    hypothesis.event("large primes" if any(abs(r) > 60 for r in reps)
+                     else "entries up to 60")
+    assert kernel == _reference_kernel(reps)
 
 
 def _gauss_reference(g):
