@@ -171,9 +171,6 @@ def ff_form(values: Sequence) -> FunctionFieldForm:
     return FunctionFieldForm(tuple(ff_entry(v) for v in values))
 
 
-FF_EMPTY = FunctionFieldForm(())
-
-
 # ---------------------------------------------------------------------------
 # residues
 
@@ -200,7 +197,7 @@ def _uniformizer_unit(unif: RationalFunction, v: Place) -> Fraction:
     infinity: a unit when unif has valuation 1 at v."""
     if v.kind == "infinite":
         num, den = unif.num, unif.den
-        if P.degree(den) - P.degree(num) != 1:
+        if not num or P.degree(den) - P.degree(num) != 1:
             raise ZeroElement("uniformizer at infinity must have valuation 1")
         return P.leading(num) / P.leading(den)
     c = -v.pi[0]  # root of the monic linear pi
@@ -248,8 +245,6 @@ def _quadratic_square(pi: P.Poly, z: P.Poly) -> bool:
     t = z[1] if len(z) > 1 else Fraction(0)
     beta, c0 = pi[1], pi[0]
     if t == 0:
-        if s == 0:
-            return False
         disc = beta * beta - 4 * c0
         return (rational_sqrt(s) is not None
                 or rational_sqrt(s * disc) is not None)
@@ -480,7 +475,8 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
     Each odd slot z gives <-T, T z^2> with T = Trd(z (x(t) i + y(t) j +
     ij)) = L/D for the polynomial L = l1 X + l2 Y + l3 D of degree <= 2;
     up to squares T is L D, whose entry is the product of the entries of
-    L and D.  A slot with L = 0 gives <1, -1>."""
+    L and D.  L != 0: (l1, l2, l3) != 0 for z != 0, and X, Y, D are
+    linearly independent, as the conic points (X/D, Y/D) lie on no line."""
     if conic is None:
         conic = conic_parametrize(x.algebra)
     entries = [FFEntry(r, ()) for r in x.even.anis.reps()]
@@ -488,9 +484,6 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
         l1, l2, l3 = trd_coefficients(z)
         L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
                    P.pscale(l3, conic.D))
-        if not L:
-            entries += [FFEntry(1, ()), FFEntry(-1, ())]
-            continue
         ld = ff_entry_product(ff_entry(L), conic.D_entry)
         zsq = square_class(-z.nrd()).repr  # z^2 for pure z
         entries += [FFEntry(-ld.unit, ld.factors),

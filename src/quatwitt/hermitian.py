@@ -424,7 +424,9 @@ def hyperbolicity_certificate(h: AntiHermForm,
                               bound: int = DEFAULT_SEARCH_BOUND
                               ) -> HyperbolicityResult:
     """Search a totally isotropic half-rank subspace, splitting hyperbolic
-    planes off recursively; the witness is re-verified exactly."""
+    planes off recursively; the witness is re-verified exactly.  Over a
+    division algebra, a rank-2 remainder that rank_one_isometric rules out
+    ends the search at once as "anisotropic-at-bound"."""
     if h.rank % 2:
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
@@ -445,13 +447,17 @@ def hyperbolicity_certificate(h: AntiHermForm,
 
     while diag:
         sub = AntiHermForm(tuple(diag), alg)
-        found = None
-        for b in (1, 2):
-            if b > bound:
-                break
-            found = _isotropic_pair_vector(sub, b)
-            if found is not None:
-                break
+        found = _isotropic_pair_vector(sub, 1) if bound >= 1 else None
+        # Over a division algebra an isotropic e_1 p + e_2 q of <d1, d2> has
+        # p, q != 0 (gamma(p) d p = 0 needs p = 0), both invertible, so
+        # gamma(p) d1 p = -gamma(q) d2 q gives <d1> ~ <-d2>.  If the exact
+        # rank-1 test refutes that, no pair search can hit and the hash
+        # searches need rank >= 3.  Zero divisors of M2(Q) break this.
+        if (found is None and sub.rank == 2 and not is_split(alg)
+                and not rank_one_isometric(diag[0], -diag[1])):
+            return HyperbolicityResult("anisotropic-at-bound")
+        if found is None and bound >= 2:
+            found = _isotropic_pair_vector(sub, 2)
         if found is None:
             found = _isotropic_hash_vector(sub, 1, single_bound=min(bound, 4))
         if found is None and bound >= 4:

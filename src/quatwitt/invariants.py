@@ -239,12 +239,7 @@ def invariant_equal(alpha: LambdaInvariant, beta: LambdaInvariant) -> str:
         return "distinct"
     if res.status == "unknown":
         return "unknown"
-    zero = mixed_equal(res.value, mixed_zero(alpha.algebra))
-    if zero == "equal":
-        return "equal"
-    if zero == "distinct":
-        return "distinct"
-    return "unknown"
+    return mixed_equal(res.value, mixed_zero(alpha.algebra))
 
 
 # ---------------------------------------------------------------------------

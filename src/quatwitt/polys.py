@@ -20,7 +20,6 @@ Poly = tuple  # tuple[Fraction, ...]
 
 ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
-T: Poly = (Fraction(0), Fraction(1))
 
 
 def poly(coeffs) -> Poly:
@@ -38,10 +37,6 @@ def constant(c) -> Poly:
 def degree(p: Poly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def is_zero(p: Poly) -> bool:
-    return len(p) == 0
 
 
 def leading(p: Poly) -> Fraction:

@@ -530,16 +530,11 @@ def _anisotropic_reps_q_cached(reps_key) -> tuple:
 
 
 def _anisotropic_reps_fp(reps: List[int], field: FieldSpec):
-    q = qf(reps, field) if reps else QuadForm((), field)
-    d = signed_disc(q) if reps else square_class(1, field)
-    parity = len(reps) % 2
-    if parity == 0:
-        if d.is_one():
-            return []
-        # dim 2 with signed disc d: <1, d> has signed disc -(-d)... pick
-        # <x, y> with -xy ~ d, e.g. <1, -d>
-        return [1, (-d).repr]
-    return [d.repr]
+    d = signed_disc(qf(reps, field))
+    if len(reps) % 2:
+        return [d.repr]
+    # <1, -d> has signed discriminant d
+    return [] if d.is_one() else [1, (-d).repr]
 
 
 # ---------------------------------------------------------------------------
@@ -638,10 +633,6 @@ class GroupRingElem:
         if self.even.field != self.odd.field:
             raise FieldMismatch("group ring components over different fields")
 
-    @property
-    def field(self):
-        return self.even.field
-
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.even + other.even, self.odd + other.odd)
 
@@ -655,6 +646,3 @@ class GroupRingElem:
         if not isinstance(other, GroupRingElem):
             return NotImplemented
         return self.even == other.even and self.odd == other.odd
-
-    def __hash__(self):
-        return hash((self.even, self.odd))

@@ -283,7 +283,6 @@ def _suite_relations(cfg: RunConfig) -> Report:
     rng = random.Random(cfg.seed)
     for a, b in [(-1, -1), (1, 1)]:
         A = QuatAlgebra(a, b)
-        nq = n_q_class(A)
         nq_mixed = n_q_mixed(A)
         for r in (1, 2, 3):
             for k in range(50):

@@ -11,7 +11,7 @@ import json
 import sys
 import time
 
-from quatwitt.suites import RunConfig, Report, emit_report, run_suite
+from quatwitt.suites import RunConfig, Report, _case, emit_report, run_suite
 
 _CACHE = {}
 _TIMES = {}
@@ -161,3 +161,18 @@ def test_report_edge_cases():
     assert "0 fail" in text
     doc = json.loads(emit_report(rep, "json"))
     assert doc["cases"] == []
+
+
+def test_report_text_lists_cases_that_did_not_pass():
+    """Failed and unknown cases are listed with their witness, when they
+    carry one; passed cases are only counted."""
+    rep = Report(suite="demo")
+    _case(rep.cases, "c", None, "bound 8")
+    _case(rep.cases, "a", True)
+    _case(rep.cases, "b", False, "h=<i>")
+    _case(rep.cases, "d", False)
+    rep.finish()
+    assert rep.to_text() == ("suite demo: 1 pass, 2 fail, 1 unknown\n"
+                             "  [fail] b: h=<i>\n"
+                             "  [unknown] c: bound 8\n"
+                             "  [fail] d\n")

@@ -450,3 +450,18 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [_outcome(capsys, argv) for argv, _ in _REUSE_SEQUENCE]
     assert reused == fresh
+
+
+@pytest.mark.parametrize("rhs, result", [
+    # (9/4) i = gamma(3/2) i (3/2)
+    ('{"herm_diag": [["0", "9/4", "0", "0"]]}', "equal"),
+    # odd rank against even rank
+    ('{"herm_diag": [["0", "1", "0", "0"], ["0", "0", "1", "0"]]}',
+     "distinct"),
+])
+def test_decide_anti_hermitian_forms(capsys, rhs, result):
+    code, out, _ = _run(capsys, [
+        "--quat", "-1", "-1", "--output", "json", "decide",
+        '{"herm_diag": [["0", "1", "0", "0"]]}', rhs])
+    assert code == 0
+    assert json.loads(out)["result"] == result

@@ -91,6 +91,10 @@ def test_residue_additivity_and_uniformizer():
         with pytest.raises(ZeroElement):
             residue(ff_form([T]), PLACE_T,
                     uniformizer=RationalFunction(P.poly(bad)))
+    # the zero function has no valuation at infinity either: deg 0 = -1
+    # gave deg den - deg num = 1 and then 0 to a negative power
+    with pytest.raises(ZeroElement):
+        residue(ff_form([T]), inf, uniformizer=RationalFunction(0))
 
 
 def test_residue_degree2_unsupported():
@@ -210,3 +214,12 @@ def test_psi_images_unramified():
             continue
         img = psi_split(mixed(A, odd_entries=(z,)), conic)
         assert w0_membership(img, conic_w0_places(img, conic))
+
+
+def test_w0_membership_defaults_to_the_support():
+    """<t, t> has second residue <1, 1> at t, which is not 0 in W(Q); the
+    default places are the finite places of the support, here t alone."""
+    q = ff_form([T, T])
+    assert not w0_membership(q)
+    assert w0_membership(q) == w0_membership(q, [PLACE_T])
+    assert w0_membership(ff_form([T, [0, -1]]))

@@ -261,3 +261,61 @@ def test_pair_search_large_contents(A, entries, witness):
     cert = hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
     assert cert.status == "hyperbolic"
     assert cert.witness == tuple(tuple(_q(A, *c) for c in v) for v in witness)
+
+
+SEVEN = QuatAlgebra(-1, -7)
+
+
+def test_certificate_needs_the_full_bound_pair_search():
+    """Over (-1, -7), <z, (7/10) z> with z = -i + 2j - ij has no isotropic
+    vector of height <= 4 but one of height 8: the full-bound pair search
+    is the only one that finds it."""
+    z = _pure(SEVEN, -1, 2, -1)
+    h = AntiHermForm((z, z.scale(Fraction(7, 10))), SEVEN)
+    assert hyperbolicity_certificate(h, bound=4).status == \
+        "anisotropic-at-bound"
+    cert = hyperbolicity_certificate(h, bound=8)
+    assert cert.status == "hyperbolic"
+    assert cert.witness == ((_q(SEVEN, 1, -4, 7, 0),
+                             _q(SEVEN, 0, 0, 0, "60/7")),)
+
+
+def test_certificate_unknown_over_a_split_algebra():
+    """Over (1, 1), h = <-3i - 3j + 3ij, i - 3j - ij> has an isotropic
+    vector of height 2, but no basis vector w pairs invertibly with it
+    (h(v, V) is a proper right ideal of M2(Q)), so the plane split stops
+    at "unknown" although the Morita transfer shows h hyperbolic.  A known
+    weakness of the certificate over split algebras, pinned here."""
+    h = AntiHermForm((_pure(M2, -3, -3, 3), _pure(M2, 1, -3, -1)), M2)
+    assert hyperbolicity_certificate(h, bound=1).status == \
+        "anisotropic-at-bound"
+    for bound in range(2, 9):
+        assert hyperbolicity_certificate(h, bound=bound).status == "unknown"
+    assert witt_equal(morita_transfer(h, find_nilpotent(M2)), qf([]))
+
+
+def test_certificate_stops_at_a_non_isometric_rank2_form(monkeypatch):
+    """<i, j + ij> over (-1, -1): the norm ratio Nrd(j + ij) / Nrd(i) = 2
+    is not a square, so <i> and <-(j + ij)> are not isometric and the
+    search ends after the bound-1 pair search, even at bound 8."""
+    bounds = []
+    search = hermitian._isotropic_pair_vector
+
+    def spy(h, bound):
+        bounds.append(bound)
+        return search(h, bound)
+
+    monkeypatch.setattr(hermitian, "_isotropic_pair_vector", spy)
+    h = herm_diag([H.i(), H.j() + H.ij()], H)
+    cert = hyperbolicity_certificate(h, bound=8)
+    assert cert == hermitian.HyperbolicityResult("anisotropic-at-bound")
+    assert bounds == [1]
+
+
+def test_morita_gram_degenerate_basis():
+    """With z0 = -i - ij over (1, 1), Trd(j z0) = Trd(i + ij) = 0, so the
+    basis (z0, j z0) degenerates; Trd(i z0) = Trd(-1 - j) = -2 does not."""
+    z0 = find_nilpotent(M2)
+    assert z0 == _pure(M2, -1, 0, -1)
+    assert morita_gram(M2.j(), z0) is None
+    assert morita_gram(M2.i(), z0) is not None

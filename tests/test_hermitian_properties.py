@@ -9,6 +9,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt import hermitian  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     hyperbolicity_certificate,
@@ -84,3 +85,60 @@ def test_hyperbolic_witness_pairs_to_zero(data):
         assert any(any(q) for q in x)
         for y in vectors:
             assert not any(_pairing(x, y, entries, A.a, A.b))
+
+
+@st.composite
+def early_return_forms(draw):
+    """(algebra, entries, bound): rank 2 at bounds 1-4, random or
+    <z, -c^2 z>, or rank 4 at bound 1, where the rank-2 remainder left by
+    a split plane meets the early return; <z1, -z1, z2, z3> always splits
+    a plane at bound 1."""
+    A = QuatAlgebra(*draw(st.sampled_from(ALGEBRAS)))
+    shape = draw(st.sampled_from(["random2", "pair", "random4", "plane4"]))
+    z1, z2 = draw(pure), draw(pure)
+    if shape == "random2":
+        entries, bound = [z1, z2], draw(st.integers(1, 4))
+    elif shape == "pair":
+        c = draw(square)
+        entries = [z1, tuple(-c * v for v in z1)]
+        bound = draw(st.integers(1, 4))
+    elif shape == "random4":
+        entries, bound = [z1, z2, draw(pure), draw(pure)], 1
+    else:
+        entries, bound = [z1, tuple(-v for v in z1), z2, draw(pure)], 1
+    quats = [A.pure(*z) for z in entries]
+    hypothesis.assume(all(z.is_invertible() for z in quats))
+    return A, quats, bound
+
+
+H, M2 = QuatAlgebra(-1, -1), QuatAlgebra(1, 1)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(early_return_forms())
+# over (-1, -1) the early return fires; over (1, 1) it must not, where the
+# full search ends "unknown"
+@hypothesis.example((H, [H.pure(1, 0, 0), H.pure(0, 1, 1)], 4))
+@hypothesis.example((M2, [M2.pure(-3, -3, 3), M2.pure(1, -3, -1)], 2))
+def test_early_return_changes_no_result(data):
+    """The rank-2 early return gives the status and witness of the full
+    search, which is the certificate with the rank-1 test always passing."""
+    A, quats, bound = data
+    h = AntiHermForm(tuple(quats), A)
+    refuted = []
+    exact = hermitian.rank_one_isometric
+
+    def spy(z1, z2):
+        out = exact(z1, z2)
+        refuted.append(not out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermitian, "rank_one_isometric", spy)
+        cert = hyperbolicity_certificate(h, bound)
+        mp.setattr(hermitian, "rank_one_isometric", lambda z1, z2: True)
+        reference = hyperbolicity_certificate(h, bound)
+    assert cert == reference
+    hypothesis.event("early return" if any(refuted) else
+                     "certified" if cert.status == "hyperbolic" else
+                     cert.status)

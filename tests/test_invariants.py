@@ -205,3 +205,52 @@ def test_eval_invariant():
     alpha = lambda_basis_invariant(1, 2, H)
     out = eval_invariant(alpha, h)
     assert out.even == witt_class(qf([z.nrd()]))
+
+
+def test_nonconstant_from_an_odd_coefficient():
+    """<i> lambda^1 over (-1, -1): the even part of x_1 is 0, a member of
+    n_Q W(Q), but its odd part has rank 1, which is not 0 in the Witt
+    group (odd rank), so degree 1 is the witness."""
+    alpha = LambdaInvariant(1, (mixed_zero(H), mixed(H, odd_entries=(H.i(),)),
+                                mixed_zero(H)))
+    assert is_constant_invariant(alpha) == inv.ConstancyResult(
+        "nonconstant", witness=1)
+
+
+def _undecided_invariant():
+    """(x - y) lambda^1 over (-1, -1) with x = <3i + 3j + 3ij, 2i - j - ij>
+    and y = <-i - 2j + 2ij, -j + ij>: the screens pass, no two entries of
+    the rank-4 odd part cancel, and it has no certificate at bound 8."""
+    i, j, ij = H.i(), H.j(), H.ij()
+    x = mixed(H, odd_entries=(i.scale(3) + j.scale(3) + ij.scale(3),
+                              i.scale(2) - j - ij))
+    y = mixed(H, odd_entries=(-i - j.scale(2) + ij.scale(2), -j + ij))
+    return LambdaInvariant(1, (mixed_zero(H), x - y, mixed_zero(H)))
+
+
+def test_constancy_unknown():
+    assert is_constant_invariant(_undecided_invariant()) == \
+        inv.ConstancyResult("unknown")
+
+
+def test_invariant_equal_unknown():
+    zero = LambdaInvariant(1, (mixed_zero(H),) * 3)
+    assert invariant_equal(_undecided_invariant(), zero) == "unknown"
+
+
+def test_invariant_equal_distinct_constants():
+    """<1> lambda^0 - <2> lambda^0 is constant of value <1, -2>, whose
+    signed discriminant 2 is not a square, so it is not 0 in W(Q)."""
+    one = lambda_basis_invariant(1, 0, H)
+    two = lambda_basis_invariant(1, 0, H,
+                                 scale=mixed(H, even=witt_class(qf([2]))))
+    assert is_constant_invariant(one - two).status == "constant"
+    assert invariant_equal(one, two) == "distinct"
+
+
+def test_versal_sample_refutes_a_wrong_constant():
+    """The constant invariant 1 is not 0 at any point, so the first sample
+    refutes the claim 0 and is returned."""
+    check = versal_sample_check(lambda_basis_invariant(1, 0, H),
+                                mixed_zero(H))
+    assert check == inv.SampleCheck("refuted", point=((0, 12, 1),))

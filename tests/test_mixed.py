@@ -255,3 +255,34 @@ def test_phi_restriction_to_even_is_identity():
     z0 = find_nilpotent(A)
     cls = witt_class(qf([3, -5]))
     assert phi_z0(mixed(A, even=cls), z0) == cls
+
+
+def test_mixed_equal_split_compares_even_parts():
+    """Over M2(Q) the even parts are compared first: <1> and <2> have
+    discriminants 1 and 2, so they differ."""
+    x = mixed(M2, even=witt_class(qf([1])))
+    y = mixed(M2, even=witt_class(qf([2])))
+    assert mixed_equal(x, y) == "distinct"
+
+
+def test_phi_z0_default_nilpotent():
+    """phi_z0 uses find_nilpotent(A) = -i - ij over (1, 1).  For z = ij,
+    Trd(ij z0) = Trd(j + 1) = 2 and (ij)^2 = -1, so <ij> goes to
+    <-2, -2> = <-1, -1>."""
+    x = mixed(M2, even=witt_class(qf([3])), odd_entries=(M2.ij(),))
+    assert phi_z0(x) == phi_z0(x, find_nilpotent(M2))
+    assert phi_z0(x) == witt_class(qf([3, -1, -1]))
+
+
+def test_mixed_equal_needs_the_full_bound_search():
+    """Over (-1, -7) the rank-4 leftover of x - y is certified only at
+    bound 8: after the first plane, its rank-2 remainder (hyperbolic, so
+    the rank-1 test passes) needs the full-bound pair search."""
+    A = QuatAlgebra(-1, -7)
+    i, j, ij = A.i(), A.j(), A.ij()
+    x = mixed(A, odd_entries=(i.scale(-3) + j.scale(2) - ij.scale(3),
+                              i + j - ij.scale(2)))
+    y = mixed(A, odd_entries=(i.scale(-2) + j.scale(3) + ij,
+                              i.scale(-2) + j.scale(3) - ij))
+    assert mixed_equal(x, y, search_bound=4) == "unknown"
+    assert mixed_equal(x, y, search_bound=8) == "equal"

@@ -190,3 +190,20 @@ def test_group_ring_elem():
     # (e + o delta)^2 = (e^2 + o^2) + 2eo delta
     assert prod.even == witt_class(qf([1]).perp(qf([2]).tensor(qf([2]))))
     assert prod.odd == witt_class(qf([2]).perp(qf([2])))
+
+
+def test_q_witt_invariants():
+    """<-1, -1>: signed discriminant -(-1)(-1) = -1, Hasse symbol
+    (-1, -1) = -1 at the real place and at 2 (and 1 elsewhere), and
+    signature -2."""
+    wi = witt_invariants(qf([-1, -1]))
+    assert wi.dim == 2
+    assert wi.signed_disc.repr == -1
+    assert wi.hasse == {REAL_PLACE: -1, finite_place(2): -1}
+    assert wi.signature == -2
+
+
+def test_witt_class_difference():
+    """<1, 2> - <2> = <1> and <1> - <1> = 0."""
+    assert witt_class(qf([1, 2])) - witt_class(qf([2])) == witt_class(qf([1]))
+    assert (witt_class(qf([1])) - witt_class(qf([1]))).is_zero()
