@@ -8,7 +8,6 @@ from .errors import QuatWittError
 from .fields import (
     Fp,
     QQ,
-    QT,
     FieldSpec,
     Place,
     REAL_PLACE,
@@ -40,10 +39,10 @@ from .quadforms import (
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
+    draw_pure,
     find_nilpotent,
     is_split,
-    norm_forms,
-    random_pure,
+    norm_form,
 )
 from .hermitian import (
     AntiHermForm,

@@ -23,12 +23,13 @@ from fractions import Fraction
 
 from . import polys as P
 from .errors import (
+    FactorizationLimitExceeded,
     MissingFactorization,
     QuatWittError,
     SchemaViolation,
     UnsupportedField,
 )
-from .fields import Fp, QQ, QT, Place
+from .fields import Fp, QQ, Place
 from .funcfield import (
     FunctionFieldForm,
     conic_parametrize,
@@ -48,8 +49,6 @@ from .suites import RunConfig, emit_report, run_suite
 def _field_spec(text: str):
     if text == "Q":
         return QQ
-    if text == "Qt":
-        return QT
     if text[:1] == "F" and text[1:].isdigit():
         return Fp(int(text[1:]))
     raise SchemaViolation(f"unknown field {text!r}")
@@ -78,7 +77,7 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
         return argparse.SUPPRESS if suppress else v
 
     ap.add_argument("--field", default=d("Q"),
-                    help="base field: Q, Qt or F<p> (default Q)")
+                    help="base field: Q or F<p> (default Q)")
     ap.add_argument("--quat", nargs=2, default=d(("-1", "-1")),
                     metavar=("a", "b"),
                     help="quaternion algebra parameters (default -1 -1)")
@@ -146,7 +145,7 @@ def _parse_place(text: str) -> Place:
             f"--place: must be a non-constant polynomial: {text!r}")
     try:
         irreducible = P.is_irreducible(pi)
-    except MissingFactorization as exc:
+    except (MissingFactorization, FactorizationLimitExceeded) as exc:
         raise SchemaViolation(f"--place: {text!r}: {exc}") from exc
     if not irreducible:
         raise SchemaViolation(f"--place: {text!r} is not irreducible")
@@ -154,16 +153,10 @@ def _parse_place(text: str) -> Place:
 
 
 def _parse(text: str, A: QuatAlgebra, field):
-    """parse_input, refusing a --field that the input's shape ignores:
-    quaternionic inputs live over Q, Q(t) forms over Q or Q(t)."""
+    """parse_input, refusing a --field that the input's shape ignores: only
+    diagonal forms {"diag": [...]} read it."""
     x = parse_input(text, algebra=A, field=field)
-    if isinstance(x, (MixedClass, AntiHermForm, LambdaInvariant)):
-        allowed = ("Q",)
-    elif isinstance(x, FunctionFieldForm):
-        allowed = ("Q", "Qt")
-    else:
-        return x
-    if field.kind not in allowed:
+    if field != QQ and not isinstance(x, QuadForm):
         raise UnsupportedField(
             f"--field {field!r} does not apply to {type(x).__name__} input")
     return x

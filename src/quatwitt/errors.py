@@ -53,6 +53,10 @@ class NotSplit(QuatWittError):
     pass
 
 
+class NotDivision(QuatWittError):
+    pass
+
+
 class NotNilpotent(QuatWittError):
     pass
 

@@ -32,9 +32,9 @@ TRIAL_DIVISION_BOUND = 10**6
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """One of Q, F_p (p an odd prime) or Q(t)."""
+    """Q or F_p (p an odd prime); forms over Q(t) live in funcfield."""
 
-    kind: str  # "Q" | "Fp" | "Qt"
+    kind: str  # "Q" | "Fp"
     p: Optional[int] = None
 
     def __post_init__(self):
@@ -44,20 +44,14 @@ class FieldSpec:
         elif self.kind == "Fp":
             if self.p is None or self.p == 2 or not is_prime(self.p):
                 raise EvenOrCompositeModulus(f"not an odd prime: {self.p}")
-        elif self.kind == "Qt":
-            if self.p is not None:
-                raise ValueError("only Q(t) is supported, no F_p(t)")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
     def __repr__(self):
-        if self.kind == "Fp":
-            return f"F_{self.p}"
-        return "Q" if self.kind == "Q" else "Q(t)"
+        return "Q" if self.kind == "Q" else f"F_{self.p}"
 
 
 QQ = FieldSpec("Q")
-QT = FieldSpec("Qt")
 
 
 def Fp(p: int) -> FieldSpec:
@@ -203,19 +197,17 @@ def square_class(x, field: FieldSpec = QQ) -> SquareClass:
             squarefree_part(x.numerator) * squarefree_part(x.denominator),
             field,
         )
-    if field.kind == "Fp":
-        p = field.p
-        x = Fraction(x)
-        if x.denominator % p == 0:
-            raise ZeroElement(f"{x} has no value mod {p}: {p} divides "
-                              "its denominator")
-        r = x.numerator * pow(x.denominator, -1, p) % p
-        if r == 0:
-            raise ZeroElement(f"square class of 0: {x} is 0 mod {p}")
-        if legendre_symbol(r, p) == 1:
-            return SquareClass(1, field)
-        return SquareClass(smallest_nonresidue(p), field)
-    raise UnsupportedField("square classes over Q(t) live in funcfield")
+    p = field.p
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ZeroElement(f"{x} has no value mod {p}: {p} divides "
+                          "its denominator")
+    r = x.numerator * pow(x.denominator, -1, p) % p
+    if r == 0:
+        raise ZeroElement(f"square class of 0: {x} is 0 mod {p}")
+    if legendre_symbol(r, p) == 1:
+        return SquareClass(1, field)
+    return SquareClass(smallest_nonresidue(p), field)
 
 
 def smallest_nonresidue(p: int) -> int:

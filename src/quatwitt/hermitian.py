@@ -5,7 +5,7 @@ Morita transfer along a nilpotent pure quaternion turns everything into
 quadratic forms over the base field, where the decisions are complete.
 Over a division algebra, isometry of rank-1 forms is decided exactly
 (Skolem-Noether and Hasse-Minkowski); larger forms get hyperbolicity
-certificates from a bounded search.
+certificates from a bounded search, which refuses split algebras.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     AlgebraMismatch,
     DegenerateForm,
+    NotDivision,
     NotNilpotent,
     NotPureInvertible,
     NotSplit,
-    SearchBoundExceeded,
+    SchemaViolation,
     VerificationFailed,
 )
 from .fields import SquareClass, rational_sqrt, square_class
@@ -117,9 +118,8 @@ def _orthogonalize(pair, vectors, algebra: QuatAlgebra):
 
     The pivot is the first vector with an invertible value.  Failing that,
     v_s + v_t q for the first (s, t) in permutations order and the first
-    normalized q of height 1.  Leftover vectors that all pair to zero are
-    dropped, since no mixing can help; SearchBoundExceeded when mixing
-    finds no pivot.
+    normalized q of height 1 (`_mixed_pivot`).  Leftover vectors that all
+    pair to zero are dropped, since no mixing can help.
     """
     pool = [v for v in vectors if not all(c.is_zero() for c in v)]
     basis, values = [], []
@@ -153,17 +153,19 @@ def _sub_multiple(x, v, c):
 
 def _mixed_pivot(pair, pool, algebra) -> int:
     """Replace pool[s] by the first invertible v_s + v_t q, q of height 1;
-    returns s."""
+    returns s.
+
+    Over a division algebra one exists: there every pool value is 0 and
+    some u = pair(v_s, v_t) is not, so the anti-hermitian value of
+    v_s + v_t q is u q - gamma(u q), nonzero as soon as u q is not a
+    scalar, which q = 1 or q = i achieves."""
     for s, t in itertools.permutations(range(len(pool)), 2):
-        for c in height_shell(1, 4):
-            if not _normalized(c):
-                continue
+        for c in _normalized_box(1):
             q = algebra.element(*c)
             cand = [x + y * q for x, y in zip(pool[s], pool[t])]
             if pair(cand, cand).is_invertible():
                 pool[s] = cand
                 return s
-    raise SearchBoundExceeded("no invertible pivot within search bound")
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +303,7 @@ def morita_gram(z: Quaternion, z0: Quaternion):
 
 @dataclass(frozen=True)
 class HyperbolicityResult:
-    status: str  # "hyperbolic" | "anisotropic-at-bound" | "unknown"
+    status: str  # "hyperbolic" | "anisotropic-at-bound"
     witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None
 
 
@@ -333,18 +335,16 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     primitive direction; q pairs with the first p of the opposite direction
     whose content ratio g_p / g_q is a square lambda^2 (g_p g_q is an
     integer square), and then v = e_s p + e_t q lambda.  No content is
-    factorized.  Zero values (zero divisors of a split algebra) are
-    skipped."""
+    factorized; over a division algebra no value is 0."""
     r = h.rank
     rows, by_dir = [], []
     for entries in _sandwich_tables(h, _normalized_box(bound)):
         row, table = [], {}
         for p, val in entries:
             g = gcd(*val)
-            if g:
-                d = tuple(c // g for c in val)
-                row.append((p, d, g))
-                table.setdefault(d, []).append((p, g))
+            d = tuple(c // g for c in val)
+            row.append((p, d, g))
+            table.setdefault(d, []).append((p, g))
         rows.append(row)
         by_dir.append(table)
     for s in range(r):
@@ -423,10 +423,18 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
 def hyperbolicity_certificate(h: AntiHermForm,
                               bound: int = DEFAULT_SEARCH_BOUND
                               ) -> HyperbolicityResult:
-    """Search a totally isotropic half-rank subspace, splitting hyperbolic
-    planes off recursively; the witness is re-verified exactly.  Over a
-    division algebra, a rank-2 remainder that rank_one_isometric rules out
-    ends the search at once as "anisotropic-at-bound"."""
+    """Search a totally isotropic half-rank subspace of h over a division
+    algebra, splitting hyperbolic planes off recursively; the witness is
+    re-verified exactly.  A rank-2 remainder that rank_one_isometric rules
+    out ends the search at once as "anisotropic-at-bound".
+
+    A split algebra is refused (NotDivision): Morita transfer decides
+    hyperbolicity there exactly (`mixed_equal`, `morita_transfer`)."""
+    if bound < 1:
+        raise SchemaViolation(f"bound: must be at least 1: {bound}")
+    if is_split(h.algebra):
+        raise NotDivision("certificates need a division algebra; over a "
+                          "split one use mixed_equal or morita_transfer")
     if h.rank % 2:
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
@@ -447,13 +455,12 @@ def hyperbolicity_certificate(h: AntiHermForm,
 
     while diag:
         sub = AntiHermForm(tuple(diag), alg)
-        found = _isotropic_pair_vector(sub, 1) if bound >= 1 else None
-        # Over a division algebra an isotropic e_1 p + e_2 q of <d1, d2> has
-        # p, q != 0 (gamma(p) d p = 0 needs p = 0), both invertible, so
-        # gamma(p) d1 p = -gamma(q) d2 q gives <d1> ~ <-d2>.  If the exact
-        # rank-1 test refutes that, no pair search can hit and the hash
-        # searches need rank >= 3.  Zero divisors of M2(Q) break this.
-        if (found is None and sub.rank == 2 and not is_split(alg)
+        found = _isotropic_pair_vector(sub, 1)
+        # An isotropic e_1 p + e_2 q of <d1, d2> has p, q != 0 (gamma(p) d p
+        # = 0 needs p = 0), both invertible, so gamma(p) d1 p = -gamma(q) d2
+        # q gives <d1> ~ <-d2>.  If the exact rank-1 test refutes that, no
+        # pair search can hit and the hash searches need rank >= 3.
+        if (found is None and sub.rank == 2
                 and not rank_one_isometric(diag[0], -diag[1])):
             return HyperbolicityResult("anisotropic-at-bound")
         if found is None and bound >= 2:
@@ -462,7 +469,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
             found = _isotropic_hash_vector(sub, 1, single_bound=min(bound, 4))
         if found is None and bound >= 4:
             found = _isotropic_pair_vector(sub, 4)
-        if found is None and bound > 4:
+        if found is None and bound not in (1, 2, 4):
             found = _isotropic_pair_vector(sub, bound)
         if found is None and bound >= 2 and sub.rank <= 4:
             found = _isotropic_hash_vector(sub, 2, single_bound=2)
@@ -475,11 +482,9 @@ def hyperbolicity_certificate(h: AntiHermForm,
                 v = [vk if xk.is_zero() else vk + xk * f
                      for vk, xk in zip(v, x)]
         witness.append(tuple(v))
-        # a basis vector w with h(v, w) invertible; no right multiple x q
-        # can do better, since h(v, x q) = h(v, x) q and Nrd is multiplicative
-        w = next((x for x in basis if gram_eval(v, x).is_invertible()), None)
-        if w is None:
-            return HyperbolicityResult("unknown")
+        # a basis vector w with h(v, w) != 0, hence invertible: v != 0 and
+        # the span's form is nondegenerate
+        w = next(x for x in basis if not gram_eval(v, x).is_zero())
         beta = gram_eval(v, w)
         binv = _quat_inv(beta)
         hww = gram_eval(w, w)
@@ -492,10 +497,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
             new_basis.append(_sub_multiple(_sub_multiple(x, v, acoef),
                                            w, bcoef))
         # re-diagonalize the projected span; rank drops by exactly 2
-        try:
-            basis, diag = _orthogonalize(gram_eval, new_basis, alg)
-        except SearchBoundExceeded:
-            return HyperbolicityResult("unknown")
+        basis, diag = _orthogonalize(gram_eval, new_basis, alg)
         if len(diag) != m - 2:
             raise DegenerateForm("hyperbolic split lost the wrong rank")
     # exact verification of the witness

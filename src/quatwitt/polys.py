@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import MissingFactorization
-from .fields import rational_sqrt
+from .fields import factorize, rational_sqrt
 
 Poly = tuple  # tuple[Fraction, ...]
 
@@ -147,7 +147,10 @@ def content_primitive(p: Poly):
 
 
 def rational_roots(p: Poly):
-    """All rational roots of p, by the classical p/q candidate test."""
+    """All rational roots of p, by the classical r/s candidate test: r
+    divides the lowest nonzero coefficient and s the leading one.  The
+    divisors come from `factorize`, which refuses a coefficient past its
+    trial-division bound (FactorizationLimitExceeded)."""
     if not p:
         raise ValueError("zero polynomial")
     _, prim = content_primitive(p)
@@ -158,25 +161,18 @@ def rational_roots(p: Poly):
     roots = set()
     if k > 0:
         roots.add(Fraction(0))
-    a0, an = abs(ints[k]), abs(ints[-1])
-    for r in _divisors(a0):
-        for s in _divisors(an):
+    divisors = []
+    for n in (ints[k], ints[-1]):
+        ds = [1]
+        for q, e in factorize(n)[1]:
+            ds = [d * q ** m for d in ds for m in range(e + 1)]
+        divisors.append(ds)
+    for r in divisors[0]:
+        for s in divisors[1]:
             for cand in (Fraction(r, s), Fraction(-r, s)):
                 if peval(p, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _divisors(n: int):
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def is_irreducible(p: Poly) -> bool:

@@ -134,14 +134,6 @@ def signed_disc(q: QuadForm) -> SquareClass:
     return out
 
 
-def hasse_at(q: QuadForm, v: Place) -> int:
-    if v.kind == "real":
-        return _hyperbolic_hasse(sum(1 for r in q.reps() if r < 0), -1)
-    if v.kind != "finite":
-        raise UnsupportedField(f"Hasse symbol of a form over Q at {v}")
-    return _local_q(q).hasse.get(v.p, 1)
-
-
 @dataclass(frozen=True)
 class WittInvariants:
     dim: int
@@ -160,9 +152,7 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
                      for p, s in sorted(loc.hasse.items()))
         disc = SquareClass(_signed(loc.dim, loc.disc), QQ)
         return WittInvariants(loc.dim, disc, hasse, loc.sig)
-    if q.field.kind == "Fp":
-        return WittInvariants(q.dim, signed_disc(q), {}, None)
-    raise UnsupportedField("invariants over Q(t) live in funcfield")
+    return WittInvariants(q.dim, signed_disc(q), {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +341,8 @@ def _represented_by_kernel(loc: _Local, k: int):
 
 def local_anisotropic_dim(q: QuadForm, p: int) -> int:
     """Dimension of the anisotropic kernel of q over Q_p."""
+    if q.field.kind != "Q":
+        raise UnsupportedField("local anisotropic dimension only over Q")
     if not is_prime(p):
         raise EvenOrCompositeModulus(f"{p} is not prime")
     loc = _local_q(q)
@@ -392,8 +384,6 @@ def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
             q1.dim % 2 == q2.dim % 2
             and signed_disc(q1) == signed_disc(q2)
         )
-    if q1.field.kind != "Q":
-        raise UnsupportedField("use funcfield.kt_witt_equal over Q(t)")
     q = q1.perp(q2.neg())
     if q.dim % 2 or signature(q) != 0 or not signed_disc(q).is_one():
         return False
@@ -590,10 +580,8 @@ class WittClass:
 def witt_class(q: QuadForm) -> WittClass:
     if q.field.kind == "Q":
         reps = _anisotropic_reps_q_cached(tuple(sorted(q.reps())))
-    elif q.field.kind == "Fp":
-        reps = _anisotropic_reps_fp(list(q.reps()), q.field)
     else:
-        raise UnsupportedField("Witt classes over Q(t) live in funcfield")
+        reps = _anisotropic_reps_fp(list(q.reps()), q.field)
     # the kernel's entries are squarefree already (or F_p representatives):
     # no value is classified again
     return WittClass(QuadForm(tuple(SquareClass(r, q.field) for r in reps),

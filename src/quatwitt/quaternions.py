@@ -199,15 +199,6 @@ def norm_form(A: QuatAlgebra) -> QuadForm:
     return qf([1, -a, -b, a * b])
 
 
-def norm_forms(A: QuatAlgebra):
-    """The norm form <1,-a,-b,ab> and the pure norm form <-a,-b,ab>."""
-    a, b = A.a, A.b
-    return {
-        "n_Q": norm_form(A),
-        "pure_norm": qf([-a, -b, a * b]),
-    }
-
-
 @lru_cache(maxsize=2**8)
 def is_split(A: QuatAlgebra) -> bool:
     """Split iff the norm form is isotropic."""
@@ -255,9 +246,3 @@ def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:
         z = A.pure(*c)
         if z.is_invertible():
             return z
-
-
-def random_pure(A: QuatAlgebra, seed: int, height_bound: int = 10) -> Quaternion:
-    """Deterministic-given-seed invertible pure quaternion with integer
-    coordinates of absolute value <= height_bound."""
-    return draw_pure(random.Random(seed), A, height_bound)

@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import polys as P
 from .errors import (
+    FactorizationLimitExceeded,
     MissingFactorization,
     NotPureInvertible,
     SchemaViolation,
@@ -111,10 +112,14 @@ def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
     return MixedClass(even, odd, A)
 
 
+_FACTORING_REFUSALS = (MissingFactorization, FactorizationLimitExceeded)
+
+
 def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
     """A Q(t) form.  Every factor flagged irreducible is checked, each
     distinct polynomial once per document: a factor such as the conic's
-    a + b t^2 repeats in every odd slot of a psi image."""
+    a + b t^2 repeats in every odd slot of a psi image.  A factoring
+    refusal is reported at its entry."""
     raw = _object(doc, ptr, "form").get("entries")
     if not isinstance(raw, list):
         raise SchemaViolation('expected {"entries": [...]}', ptr + "/entries")
@@ -122,52 +127,59 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
     entries = []
     for i, e in enumerate(raw):
         eptr = f"{ptr}/entries/{i}"
-        if isinstance(e, (str, int)):  # shorthand: constant entry
-            entries.append(ff_entry(_nonzero_frac(e, eptr)))
-            continue
-        if isinstance(e, list):  # shorthand: polynomial coefficients
-            coeffs = [_frac(c, f"{eptr}/{j}") for j, c in enumerate(e)]
-            if not any(coeffs):
-                raise SchemaViolation("entry must be nonzero", eptr)
-            entries.append(ff_entry(coeffs))
-            continue
-        if not isinstance(e, dict):
-            raise SchemaViolation("entry must be an object or list", eptr)
-        unit = _nonzero_frac(e.get("unit", "1"), eptr + "/unit")
-        raw_factors = e.get("factors", [])
-        if not isinstance(raw_factors, list):
-            raise SchemaViolation("factors must be a list", eptr + "/factors")
-        factors = []
-        for k, f in enumerate(raw_factors):
-            fptr = f"{eptr}/factors/{k}"
-            coeffs = _object(f, fptr, "factor").get("poly")
-            if not isinstance(coeffs, list) or not coeffs:
-                raise SchemaViolation("factor needs poly coefficients",
-                                      fptr + "/poly")
-            pol = P.poly([_frac(c, f"{fptr}/poly/{j}")
-                          for j, c in enumerate(coeffs)])
-            if P.degree(pol) < 1:
-                raise SchemaViolation("factor must be non-constant",
-                                      fptr + "/poly")
-            if not f.get("irreducible"):
-                raise SchemaViolation("factor lacks irreducibility flag",
-                                      fptr + "/irreducible")
-            if pol not in irreducible:
-                try:
-                    ok = P.is_irreducible(pol)
-                except MissingFactorization as exc:
-                    raise SchemaViolation(str(exc), fptr + "/poly") from exc
-                if not ok:
-                    raise SchemaViolation("factor is not irreducible",
-                                          fptr + "/poly")
-                irreducible.add(pol)
-            exp = f.get("exp", 1)
-            if type(exp) is not int or exp < 1:  # JSON true is a bool
-                raise SchemaViolation("exponent must be a positive integer",
-                                      fptr + "/exp")
-            factors.append((pol, exp))
-        entries.append(ff_class(unit, factors))
+        try:
+            entries.append(_parse_ffentry(e, eptr, irreducible))
+        except _FACTORING_REFUSALS as exc:
+            raise SchemaViolation(str(exc), eptr) from exc
     return FunctionFieldForm(tuple(entries))
+
+
+def _parse_ffentry(e, eptr: str, irreducible: set):
+    """One entry of a Q(t) form; `irreducible` holds the factors already
+    checked."""
+    if isinstance(e, (str, int)):  # shorthand: constant entry
+        return ff_entry(_nonzero_frac(e, eptr))
+    if isinstance(e, list):  # shorthand: polynomial coefficients
+        coeffs = [_frac(c, f"{eptr}/{j}") for j, c in enumerate(e)]
+        if not any(coeffs):
+            raise SchemaViolation("entry must be nonzero", eptr)
+        return ff_entry(coeffs)
+    if not isinstance(e, dict):
+        raise SchemaViolation("entry must be an object or list", eptr)
+    unit = _nonzero_frac(e.get("unit", "1"), eptr + "/unit")
+    raw_factors = e.get("factors", [])
+    if not isinstance(raw_factors, list):
+        raise SchemaViolation("factors must be a list", eptr + "/factors")
+    factors = []
+    for k, f in enumerate(raw_factors):
+        fptr = f"{eptr}/factors/{k}"
+        coeffs = _object(f, fptr, "factor").get("poly")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise SchemaViolation("factor needs poly coefficients",
+                                  fptr + "/poly")
+        pol = P.poly([_frac(c, f"{fptr}/poly/{j}")
+                      for j, c in enumerate(coeffs)])
+        if P.degree(pol) < 1:
+            raise SchemaViolation("factor must be non-constant",
+                                  fptr + "/poly")
+        if not f.get("irreducible"):
+            raise SchemaViolation("factor lacks irreducibility flag",
+                                  fptr + "/irreducible")
+        if pol not in irreducible:
+            try:
+                ok = P.is_irreducible(pol)
+            except _FACTORING_REFUSALS as exc:
+                raise SchemaViolation(str(exc), fptr + "/poly") from exc
+            if not ok:
+                raise SchemaViolation("factor is not irreducible",
+                                      fptr + "/poly")
+            irreducible.add(pol)
+        exp = f.get("exp", 1)
+        if type(exp) is not int or exp < 1:  # JSON true is a bool
+            raise SchemaViolation("exponent must be a positive integer",
+                                  fptr + "/exp")
+        factors.append((pol, exp))
+    return ff_class(unit, factors)
 
 
 def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant:

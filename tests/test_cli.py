@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flag placement, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -235,10 +236,15 @@ def test_ignored_field_exits_2(capsys, argv):
 
 
 def test_field_accepted_where_read(capsys):
-    for field in ("Q", "Qt"):
-        code, _, _ = _run(capsys, ["--field", field, "residue",
+    code, _, _ = _run(capsys, ["--field", "Q", "residue",
+                               '{"entries": [[0, 1], 1]}', "--place", "0,1"])
+    assert code == 0
+    # Q(t) forms are read by their shape, so Qt is no field name
+    code, out, err = _run(capsys, ["--field", "Qt", "residue",
                                    '{"entries": [[0, 1], 1]}', "--place", "0,1"])
-        assert code == 0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown field 'Qt'")
     code, out, _ = _run(capsys, ["--field", "F5", "--output", "json", "decide",
                                  '{"diag": [1]}', '{"diag": [4]}'])
     assert code == 0
@@ -319,6 +325,35 @@ def test_place_beyond_irreducibility_check_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --place: '1,1,0,0,0,0,1': cannot certify")
+
+
+def test_place_past_the_factoring_bound_exits_2_at_once(capsys):
+    # t^3 + 10^30 + 6: the rational-root test needs the divisors of
+    # 10^30 + 6 = 2 * 7 * 3919 * c, and c > 10^25 has no prime factor
+    # below 10^6, so it is not certified; trial division to the square
+    # root of 10^30 + 6 never ended
+    place = "1000000000000000000000000000006,0,0,1"
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["residue", '{"entries": [[1, 0, 1]]}',
+                                   "--place", place])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: --place: {place!r}: cofactor")
+
+
+@pytest.mark.parametrize("entry", [
+    ["3", "1", "0", "0", "0", "1"],              # t^5 + t + 3: degree 5
+    ["1000000000000000000000000000006", "0", "0", "1"],
+    "1000000000000000000000000000006",
+])
+def test_entry_factoring_refusal_keeps_its_pointer(capsys, entry):
+    doc = json.dumps({"entries": [1, entry]})
+    code, out, err = _run(capsys, ["residue", doc, "--place", "inf"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.rstrip().endswith("(at /entries/1)")
 
 
 def test_degree_two_place_keeps_its_refusal(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quatwitt import hermitian
-from quatwitt.errors import NotSplit
+from quatwitt.errors import NotDivision, NotSplit, SchemaViolation
 from quatwitt.hermitian import (
     AntiHermForm,
     herm_diag,
@@ -17,7 +17,14 @@ from quatwitt.hermitian import (
     morita_transfer_entries,
     trd_coefficients,
 )
-from quatwitt.quadforms import diagonalize, hyperbolic, qf, witt_equal
+from quatwitt.mixed import MixedClass, mixed_equal
+from quatwitt.quadforms import (
+    diagonalize,
+    hyperbolic,
+    qf,
+    witt_equal,
+    witt_zero,
+)
 from quatwitt.quaternions import QuatAlgebra, find_nilpotent
 
 H = QuatAlgebra(-1, -1)
@@ -106,14 +113,18 @@ def test_morita_requires_split():
 
 
 def test_hyperbolicity_h_perp_minus_h():
+    """<z, -z> is hyperbolic; the certificate finds it over H and refuses
+    M2(Q), where Morita transfer decides it."""
     rng = random.Random(21)
-    for A in (H, M2):
-        for _ in range(6):
-            z = _rand_pure(rng, A, 4)
-            h = AntiHermForm((z, z.scale(-1)), A)
-            cert = hyperbolicity_certificate(h, bound=4)
-            assert cert.status == "hyperbolic"
-            assert cert.witness is not None
+    for _ in range(6):
+        z = _rand_pure(rng, H, 4)
+        cert = hyperbolicity_certificate(AntiHermForm((z, -z), H), bound=4)
+        assert cert.status == "hyperbolic"
+        assert cert.witness is not None
+    for _ in range(6):
+        z = _rand_pure(rng, M2, 4)
+        with pytest.raises(NotDivision):
+            hyperbolicity_certificate(AntiHermForm((z, -z), M2), bound=4)
 
 
 def test_hyperbolicity_odd_rank():
@@ -280,18 +291,43 @@ def test_certificate_needs_the_full_bound_pair_search():
                              _q(SEVEN, 0, 0, 0, "60/7")),)
 
 
-def test_certificate_unknown_over_a_split_algebra():
-    """Over (1, 1), h = <-3i - 3j + 3ij, i - 3j - ij> has an isotropic
-    vector of height 2, but no basis vector w pairs invertibly with it
-    (h(v, V) is a proper right ideal of M2(Q)), so the plane split stops
-    at "unknown" although the Morita transfer shows h hyperbolic.  A known
-    weakness of the certificate over split algebras, pinned here."""
+def test_certificate_refuses_a_split_algebra():
+    """Over (1, 1), h = <-3i - 3j + 3ij, i - 3j - ij> is hyperbolic by its
+    Morita transfer; the certificate, whose plane split needs invertible
+    pairings, refuses every split algebra, whatever the rank, and points
+    to the exact decision."""
     h = AntiHermForm((_pure(M2, -3, -3, 3), _pure(M2, 1, -3, -1)), M2)
-    assert hyperbolicity_certificate(h, bound=1).status == \
-        "anisotropic-at-bound"
-    for bound in range(2, 9):
-        assert hyperbolicity_certificate(h, bound=bound).status == "unknown"
+    for form in (h, herm_diag([M2.i()], M2),
+                 herm_diag([QuatAlgebra(2, 7).i()] * 4, QuatAlgebra(2, 7))):
+        for bound in (1, 8):
+            with pytest.raises(NotDivision, match="mixed_equal"):
+                hyperbolicity_certificate(form, bound=bound)
     assert witt_equal(morita_transfer(h, find_nilpotent(M2)), qf([]))
+    zero = MixedClass(witt_zero(), AntiHermForm((), M2), M2)
+    assert mixed_equal(MixedClass(witt_zero(), h, M2), zero) == "equal"
+
+
+def test_certificate_refuses_a_bound_below_one():
+    """Bound 0 would still run the height-1 hash search; it is refused as
+    RunConfig and the CLI refuse it."""
+    h = herm_diag([H.i(), H.j(), H.ij(), H.i()], H)
+    for bound in (0, -1):
+        with pytest.raises(SchemaViolation, match="at least 1"):
+            hyperbolicity_certificate(h, bound=bound)
+
+
+def test_certificate_pair_search_at_bound_three():
+    """Over (-1, -7), <2i, 156i - 52ij> has an isotropic pair vector of
+    height 3 but none of height 2, so bound 3 needs the pair search at the
+    full bound; bound 4 finds the same vector."""
+    h = AntiHermForm((_pure(SEVEN, 2, 0, 0), _pure(SEVEN, 156, 0, -52)),
+                     SEVEN)
+    witness = ((_q(SEVEN, 2, -3, -2, 3), _q(SEVEN, 0, 1, 0, 0)),)
+    assert hyperbolicity_certificate(h, bound=2).status == \
+        "anisotropic-at-bound"
+    for bound in (3, 4):
+        cert = hyperbolicity_certificate(h, bound=bound)
+        assert cert == hermitian.HyperbolicityResult("hyperbolic", witness)
 
 
 def test_certificate_stops_at_a_non_isometric_rank2_form(monkeypatch):

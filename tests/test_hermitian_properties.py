@@ -1,6 +1,6 @@
 """Property test for hyperbolicity certificates over integral and
-non-integral algebras (needs hypothesis).  The witness is checked with
-quaternion arithmetic written out here, not the library's product."""
+non-integral division algebras (needs hypothesis).  The witness is checked
+with quaternion arithmetic written out here, not the library's product."""
 
 from fractions import Fraction
 
@@ -16,7 +16,8 @@ from quatwitt.hermitian import (  # noqa: E402
 )
 from quatwitt.quaternions import QuatAlgebra  # noqa: E402
 
-ALGEBRAS = [(-1, -1), (-1, -3), (1, 1), (2, 7), (Fraction(-1, 2), -3),
+# certificates refuse split algebras (tests/test_hermitian.py)
+ALGEBRAS = [(-1, -1), (-1, -3), (Fraction(-1, 2), -3),
             (Fraction(-2, 3), Fraction(-5, 7)), (-1, Fraction(-1, 4)),
             (Fraction(3, 2), Fraction(-7, 3))]
 
@@ -111,15 +112,13 @@ def early_return_forms(draw):
     return A, quats, bound
 
 
-H, M2 = QuatAlgebra(-1, -1), QuatAlgebra(1, 1)
+H = QuatAlgebra(-1, -1)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(early_return_forms())
-# over (-1, -1) the early return fires; over (1, 1) it must not, where the
-# full search ends "unknown"
+# the norm ratio 2 is not a square: the early return fires
 @hypothesis.example((H, [H.pure(1, 0, 0), H.pure(0, 1, 1)], 4))
-@hypothesis.example((M2, [M2.pure(-3, -3, 3), M2.pure(1, -3, -1)], 2))
 def test_early_return_changes_no_result(data):
     """The rank-2 early return gives the status and witness of the full
     search, which is the certificate with the rank-1 test always passing."""

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from quatwitt import polys as P
-from quatwitt.errors import MissingFactorization
+from quatwitt.errors import FactorizationLimitExceeded, MissingFactorization
 from quatwitt.polys import RationalFunction
 
 
@@ -44,6 +44,15 @@ def test_rational_roots():
     p = P.pmul(P.pmul(P.poly([F(-2), F(1)]), P.poly([F(1, 3), F(1)])),
                P.poly([F(1), F(0), F(1)]))
     assert P.rational_roots(p) == [F(-1, 3), F(2)]
+    # divisors come from the factorization: 2^40 and 3^25 have 41 and 26
+    # divisors, far below their square roots
+    p = P.pmul(P.poly([F(-2 ** 40), F(3 ** 25)]), P.poly([F(1), F(0), F(1)]))
+    assert P.rational_roots(p) == [F(2 ** 40, 3 ** 25)]
+    # 10^30 + 6 = 2 * 7 * 3919 * c, where c > 10^25 has no prime factor
+    # below 10^6: refused, where trial division to the square root of
+    # 10^30 + 6 never ended
+    with pytest.raises(FactorizationLimitExceeded):
+        P.rational_roots(P.poly([10 ** 30 + 6, 0, 0, 1]))
 
 
 def test_factor_poly_rebuild():

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
-from quatwitt.errors import DegenerateForm, EvenOrCompositeModulus
+from quatwitt.errors import (
+    DegenerateForm,
+    EvenOrCompositeModulus,
+    UnsupportedField,
+)
 from quatwitt.fields import Fp, REAL_PLACE, finite_place
 from quatwitt.quadforms import (
     GroupRingElem,
     diagonalize,
-    hasse_at,
     hyperbolic,
     is_isotropic,
     is_witt_zero,
@@ -53,11 +56,15 @@ def test_signature_and_disc():
 
 
 def test_hasse_frozen():
-    # hasse of <a, b> is the single symbol (a, b)_v
-    assert hasse_at(qf([-1, -1]), REAL_PLACE) == -1
-    assert hasse_at(qf([-1, -1]), finite_place(2)) == -1
-    assert hasse_at(qf([1, 1]), REAL_PLACE) == 1
-    assert hasse_at(qf([2, 7]), finite_place(7)) == 1
+    # hasse of <a, b> is the single symbol (a, b)_v; a place missing from
+    # witt_invariants has symbol 1
+    def hasse(q, v):
+        return witt_invariants(q).hasse.get(v, 1)
+
+    assert hasse(qf([-1, -1]), REAL_PLACE) == -1
+    assert hasse(qf([-1, -1]), finite_place(2)) == -1
+    assert hasse(qf([1, 1]), REAL_PLACE) == 1
+    assert hasse(qf([2, 7]), finite_place(7)) == 1
 
 
 def test_local_anisotropic_dim():
@@ -70,6 +77,9 @@ def test_local_anisotropic_dim():
     assert local_anisotropic_dim(qf([1, -3]), 3) == 2
     with pytest.raises(EvenOrCompositeModulus):
         local_anisotropic_dim(qf([1, 1, 1]), 4)
+    # a Q_p question has no answer for a form over F_5
+    with pytest.raises(UnsupportedField):
+        local_anisotropic_dim(qf([1, 3], Fp(5)), 2)
 
 
 def test_isotropy_matches_brute_force():
