@@ -206,7 +206,8 @@ def main(argv=None) -> int:
             elif isinstance(x, FunctionFieldForm):
                 verdict = "equal" if kt_witt_equal(x, y) else "distinct"
             elif isinstance(x, LambdaInvariant):
-                verdict = invariant_equal(x, y)
+                verdict = invariant_equal(x, y,
+                                          search_bound=args.search_bound)
             elif isinstance(x, AntiHermForm):
                 verdict = mixed_equal(
                     MixedClass(witt_zero(), x, A),

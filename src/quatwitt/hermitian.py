@@ -5,7 +5,11 @@ Morita transfer along a nilpotent pure quaternion turns everything into
 quadratic forms over the base field, where the decisions are complete.
 Over a division algebra, isometry of rank-1 forms is decided exactly
 (Skolem-Noether and Hasse-Minkowski); larger forms get hyperbolicity
-certificates from a bounded search, which refuses split algebras.
+certificates from a bounded search, which refuses split algebras.  The
+search splits off one hyperbolic plane at a time: a plane found on two
+slots of the current orthogonal basis drops those slots without a new
+Gram-Schmidt, and the pair search skips slot pairs whose reduced-norm
+ratio is not a rational square, which no isotropic pair vector has.
 """
 
 from __future__ import annotations
@@ -307,6 +311,22 @@ class HyperbolicityResult:
     witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None
 
 
+def _scaled_entries(h: AntiHermForm):
+    """The entries of h as integer numerator tuples over d, the lcm of
+    their denominators."""
+    d = lcm(*(z.den for z in h.diag))
+    return [tuple(d // z.den * c for c in z.num) for z in h.diag]
+
+
+def _sandwich_row(z, box, k):
+    """(p, gamma(p) z p) for p in box, lazily, for an integer entry z of
+    `_scaled_entries` on the integer table k: the one sandwich routine of
+    both isotropy searches."""
+    for p in box:
+        yield p, _mul_coords(_mul_coords((p[0], -p[1], -p[2], -p[3]), z, k),
+                             p, k)
+
+
 def _sandwich_tables(h: AntiHermForm, box):
     """[(p, gamma(p) z p) for p in box] per entry z of h, in integers.
 
@@ -318,11 +338,7 @@ def _sandwich_tables(h: AntiHermForm, box):
     exactly where those of the true values do.
     """
     k = h.algebra.table
-    d = lcm(*(z.den for z in h.diag))
-    zs = [tuple(d // z.den * c for c in z.num) for z in h.diag]
-    return [[(p, _mul_coords(_mul_coords((p[0], -p[1], -p[2], -p[3]), z, k),
-                             p, k)) for p in box]
-            for z in zs]
+    return [list(_sandwich_row(z, box, k)) for z in _scaled_entries(h)]
 
 
 def _neg(v):
@@ -331,34 +347,42 @@ def _neg(v):
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     """Search v = e_s p + e_t q with h(v, v) = 0, p, q integer quaternions
-    of height <= bound.  Each value is split into its content g and its
-    primitive direction; q pairs with the first p of the opposite direction
-    whose content ratio g_p / g_q is a square lambda^2 (g_p g_q is an
-    integer square), and then v = e_s p + e_t q lambda.  No content is
-    factorized; over a division algebra no value is 0."""
-    r = h.rank
-    rows, by_dir = [], []
-    for entries in _sandwich_tables(h, _normalized_box(bound)):
-        row, table = [], {}
-        for p, val in entries:
-            g = gcd(*val)
-            d = tuple(c // g for c in val)
-            row.append((p, d, g))
-            table.setdefault(d, []).append((p, g))
-        rows.append(row)
-        by_dir.append(table)
-    for s in range(r):
-        for t in range(s + 1, r):
-            for q, d, gq in rows[t]:
-                for p, gp in by_dir[s].get(_neg(d), ()):
-                    root = isqrt(gp * gq)
-                    if root * root != gp * gq:
-                        continue
-                    vec = [h.algebra.element(0, 0, 0, 0)] * r
-                    vec[s] = h.algebra.element(*p)
-                    vec[t] = h.algebra.element(*q).scale(
-                        Fraction(root, gq))
-                    return vec
+    of height <= bound, slot pairs (s, t) in order.  Each value is split
+    into its content g and its primitive direction; q pairs with the first
+    p of the opposite direction whose content ratio g_p / g_q is a square
+    lambda^2 (g_p g_q is an integer square), and then v = e_s p + e_t q
+    lambda.  No content is factorized; over a division algebra no value
+    is 0.
+
+    A hit gamma(p) z_s p = -lambda^2 gamma(q) z_t q has reduced norms
+    Nrd(p)^2 n_s = lambda^4 Nrd(q)^2 n_t, so a pair whose norm ratio
+    n_t / n_s is not a rational square is skipped.  The direction table
+    of slot s is built on first use, and row t is streamed until its
+    first hit."""
+    k = h.algebra.table
+    box = _normalized_box(bound)
+    zs = _scaled_entries(h)
+    norms = [z.nrd() for z in h.diag]
+    by_dir = {}
+    for s, t in itertools.combinations(range(h.rank), 2):
+        if rational_sqrt(norms[t] / norms[s]) is None:
+            continue
+        if s not in by_dir:
+            table = by_dir[s] = {}
+            for p, val in _sandwich_row(zs[s], box, k):
+                g = gcd(*val)
+                table.setdefault(tuple(c // g for c in val), []).append(
+                    (p, g))
+        for q, val in _sandwich_row(zs[t], box, k):
+            gq = gcd(*val)
+            for p, gp in by_dir[s].get(tuple(-c // gq for c in val), ()):
+                root = isqrt(gp * gq)
+                if root * root != gp * gq:
+                    continue
+                vec = [h.algebra.element(0, 0, 0, 0)] * h.rank
+                vec[s] = h.algebra.element(*p)
+                vec[t] = h.algebra.element(*q).scale(Fraction(root, gq))
+                return vec
     return None
 
 
@@ -476,12 +500,24 @@ def hyperbolicity_certificate(h: AntiHermForm,
         if found is None:
             return HyperbolicityResult("anisotropic-at-bound")
         m = len(diag)
+        slots = [i for i, f in enumerate(found) if not f.is_zero()]
         v = [zero] * r0
-        for x, f in zip(basis, found):
-            if not f.is_zero():
-                v = [vk if xk.is_zero() else vk + xk * f
-                     for vk, xk in zip(v, x)]
+        for i in slots:
+            v = [vk if xk.is_zero() else vk + xk * found[i]
+                 for vk, xk in zip(v, basis[i])]
         witness.append(tuple(v))
+        if len(slots) == 2:
+            # v = b_s f_s + b_t f_t on the orthogonal basis, s < t, with
+            # f_s, f_t != 0 (gamma(f) d f = 0 needs f = 0).  h(v, b_i) =
+            # gamma(f_i) d_i is nonzero exactly at s and t, so the general
+            # split below would pick w = b_s, and span(v, b_s) =
+            # span(b_s, b_t) as f_t is invertible.  Its projection fixes
+            # every other b_i, which is orthogonal to that plane, and sends
+            # b_s and b_t to 0; Gram-Schmidt then returns the other b_i
+            # and d_i unchanged and in order.  So drop slots s and t.
+            basis = [x for i, x in enumerate(basis) if i not in slots]
+            diag = [d for i, d in enumerate(diag) if i not in slots]
+            continue
         # a basis vector w with h(v, w) != 0, hence invertible: v != 0 and
         # the span's form is nondegenerate
         w = next(x for x in basis if not gram_eval(v, x).is_zero())
@@ -500,10 +536,26 @@ def hyperbolicity_certificate(h: AntiHermForm,
         basis, diag = _orthogonalize(gram_eval, new_basis, alg)
         if len(diag) != m - 2:
             raise DegenerateForm("hyperbolic split lost the wrong rank")
-    # exact verification of the witness
+    _verify_witness(gram_eval, witness)
+    return HyperbolicityResult("hyperbolic", tuple(witness))
+
+
+def _verify_witness(pair, witness):
+    """Exact check that the witness vectors span a totally isotropic
+    subspace of dimension len(witness): every two pair to 0 under `pair`,
+    and elimination with scalars on the right finds a pivot in each (the
+    two-slot split skips the general split's rank check)."""
     for x in witness:
         for y in witness:
-            val = gram_eval(list(x), list(y))
-            if not val.is_zero():
+            if not pair(x, y).is_zero():
                 raise VerificationFailed("witness failed exact verification")
-    return HyperbolicityResult("hyperbolic", tuple(witness))
+    pivots = []  # (k, u): u[k] != 0, u[k'] = 0 at every earlier pivot k'
+    for x in witness:
+        for k, u in pivots:
+            if not x[k].is_zero():
+                x = _sub_multiple(x, u, _quat_inv(u[k]) * x[k])
+        k = next((k for k, c in enumerate(x) if not c.is_zero()), None)
+        if k is None:
+            raise VerificationFailed("witness vectors are right-linearly "
+                                     "dependent")
+        pivots.append((k, x))

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegreeTooLarge, LengthMismatch, RankMismatch
 from .fields import REAL_PLACE, finite_place, hilbert_symbol, relevant_primes
-from .hermitian import AntiHermForm
+from .hermitian import DEFAULT_SEARCH_BOUND, AntiHermForm
 from .mixed import (
     MixedClass,
     mixed,
@@ -209,19 +209,22 @@ class ConstancyResult:
     witness: Optional[int] = None
 
 
-def is_constant_invariant(alpha: LambdaInvariant) -> ConstancyResult:
+def is_constant_invariant(alpha: LambdaInvariant,
+                          search_bound: int = DEFAULT_SEARCH_BOUND
+                          ) -> ConstancyResult:
     """Constant iff x_d lies in n_Q W(k) for every d > 0; the constant
     value is then chi(r, coeffs).  That needs the even part of x_d in
     n_Q W(k), which nq_membership decides exactly and is checked first,
     and the odd part hyperbolic, so the result is "unknown" only when an
-    odd part's hyperbolicity is."""
+    odd part's hyperbolicity is (`mixed_equal` at `search_bound`)."""
     A = alpha.algebra
     saw_unknown = False
     for d in range(1, 2 * alpha.r + 1):
         x = alpha.coeffs[d]
         if nq_membership(x.even, A) == "nonmember":
             return ConstancyResult("nonconstant", witness=d)
-        odd_status = mixed_equal(mixed(A, odd_entries=x.odd.diag), mixed_zero(A))
+        odd_status = mixed_equal(mixed(A, odd_entries=x.odd.diag),
+                                 mixed_zero(A), search_bound=search_bound)
         if odd_status == "distinct":
             return ConstancyResult("nonconstant", witness=d)
         if odd_status == "unknown":
@@ -231,15 +234,18 @@ def is_constant_invariant(alpha: LambdaInvariant) -> ConstancyResult:
     return ConstancyResult("constant", value=chi(alpha.r, alpha.coeffs))
 
 
-def invariant_equal(alpha: LambdaInvariant, beta: LambdaInvariant) -> str:
+def invariant_equal(alpha: LambdaInvariant, beta: LambdaInvariant,
+                    search_bound: int = DEFAULT_SEARCH_BOUND) -> str:
     """Equality through the presentation: alpha - beta is the zero
-    invariant iff it is constant of value 0."""
-    res = is_constant_invariant(alpha - beta)
+    invariant iff it is constant of value 0 (`mixed_equal` at
+    `search_bound`)."""
+    res = is_constant_invariant(alpha - beta, search_bound=search_bound)
     if res.status == "nonconstant":
         return "distinct"
     if res.status == "unknown":
         return "unknown"
-    return mixed_equal(res.value, mixed_zero(alpha.algebra))
+    return mixed_equal(res.value, mixed_zero(alpha.algebra),
+                       search_bound=search_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -273,7 +273,8 @@ def _suite_lambda(cfg: RunConfig) -> Report:
             if d % 2 == 0:
                 ok = ok and lhs.even == total.even
             else:
-                ok = ok and mixed_equal(lhs, total) != "distinct"
+                ok = ok and mixed_equal(
+                    lhs, total, search_bound=cfg.search_bound) != "distinct"
         _case(rep.cases, f"lambda/sum-formula/{k:04d}", ok)
     return rep.finish()
 
@@ -316,7 +317,8 @@ def _suite_relations(cfg: RunConfig) -> Report:
                 beta = lambda_basis_invariant(
                     r, 0, A, scale=int_multiple(comb(r, i), n_q_mixed(A))
                 )
-                verdict = invariant_equal(alpha, beta)
+                verdict = invariant_equal(alpha, beta,
+                                          search_bound=cfg.search_bound)
                 _case(rep.cases, f"relations/presentation/{a}_{b}/r{r}/i{i}",
                       True if verdict == "equal" else
                       (None if verdict == "unknown" else False),
@@ -336,12 +338,13 @@ def _suite_constancy(cfg: RunConfig) -> Report:
             cls = witt_class(nqf.tensor(y)) if y.dim else witt_zero()
             coeffs.append(mixed(A, even=cls))
         alpha = LambdaInvariant(1, tuple(coeffs))
-        res = is_constant_invariant(alpha)
+        res = is_constant_invariant(alpha, search_bound=cfg.search_bound)
         ok = res.status == "constant"
         value = None
         if ok:
             value = chi(1, coeffs)
-            ok = mixed_equal(res.value, value) == "equal"
+            ok = mixed_equal(res.value, value,
+                             search_bound=cfg.search_bound) == "equal"
         _case(rep.cases, f"constancy/membership/{k:04d}", ok,
               None if ok else res.status)
         if ok:
@@ -353,7 +356,7 @@ def _suite_constancy(cfg: RunConfig) -> Report:
     # a non-constant invariant must be flagged with its witness index
     for idx, d in enumerate((1, 2)):
         alpha = lambda_basis_invariant(1, d, A)
-        res = is_constant_invariant(alpha)
+        res = is_constant_invariant(alpha, search_bound=cfg.search_bound)
         _case(rep.cases, f"constancy/nonconstant/{idx}",
               res.status == "nonconstant" and res.witness == d,
               None if res.status == "nonconstant" else res.status)

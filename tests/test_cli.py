@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, flag placement, exit codes."""
 
+import importlib
 import json
 import time
 
@@ -500,3 +501,31 @@ def test_decide_anti_hermitian_forms(capsys, rhs, result):
         '{"herm_diag": [["0", "1", "0", "0"]]}', rhs])
     assert code == 0
     assert json.loads(out)["result"] == result
+
+
+def test_search_bound_reaches_invariant_decisions(capsys, monkeypatch):
+    """Over (-1, -7) the degree-1 odd part <z1, z2, -w1, -w2> of the
+    invariant is certified hyperbolic only at bound 8 (see
+    tests/test_mixed.py::test_mixed_equal_needs_the_full_bound_search), so
+    --search-bound 4 must reach the certificate and leave it unknown."""
+    mixed_module = importlib.import_module("quatwitt.mixed")
+    bounds = []
+    certificate = mixed_module.hyperbolicity_certificate
+
+    def spy(h, bound):
+        bounds.append(bound)
+        return certificate(h, bound=bound)
+
+    monkeypatch.setattr(mixed_module, "hyperbolicity_certificate", spy)
+    odd = [[0, -3, 2, -3], [0, 1, 1, -2], [0, 2, -3, -1], [0, 2, -3, 1]]
+    lam1 = json.dumps({"r": 1, "coeffs": [{}, {"odd": odd}, {}]})
+    zero = '{"r": 1, "coeffs": [{}, {}, {}]}'
+    for flags, result, seen in ((["--search-bound", "4"], "unknown", {4}),
+                                ([], "equal", {8})):
+        bounds.clear()
+        code, out, err = _run(capsys, ["--quat", "-1", "-7", "--output",
+                                       "json"] + flags +
+                              ["decide", lam1, zero])
+        assert code == 0, err
+        assert json.loads(out)["result"] == result
+        assert set(bounds) == seen

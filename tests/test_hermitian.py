@@ -6,7 +6,12 @@ from fractions import Fraction
 import pytest
 
 from quatwitt import hermitian
-from quatwitt.errors import NotDivision, NotSplit, SchemaViolation
+from quatwitt.errors import (
+    NotDivision,
+    NotSplit,
+    SchemaViolation,
+    VerificationFailed,
+)
 from quatwitt.hermitian import (
     AntiHermForm,
     herm_diag,
@@ -215,9 +220,22 @@ def test_sandwich_tables_scale_true_values():
     assert len(ratios) == 1 and ratios.pop() > 0
 
 
+def _spy_orthogonalize(monkeypatch):
+    calls = []
+    orthogonalize = hermitian._orthogonalize
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return orthogonalize(*args)
+
+    monkeypatch.setattr(hermitian, "_orthogonalize", spy)
+    return calls
+
+
 def test_certificate_from_hash_search(monkeypatch):
     """The n_Q <z> cases above find their first isotropic vector in the
-    hash search, the path whose sums must match exactly."""
+    hash search, the path whose sums must match exactly; its 3-slot hits
+    go through the general plane split and Gram-Schmidt."""
     found = []
     search = hermitian._isotropic_hash_vector
 
@@ -227,10 +245,66 @@ def test_certificate_from_hash_search(monkeypatch):
         return vec
 
     monkeypatch.setattr(hermitian, "_isotropic_hash_vector", spy)
+    split = _spy_orthogonalize(monkeypatch)
     for A, entries, status, _ in PINNED[6:]:
         found.clear()
+        split.clear()
         hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
         assert found[0], entries
+        assert split[:1] == [4], entries
+
+
+def test_two_slot_split_skips_gram_schmidt(monkeypatch):
+    """Pair-search hits have two nonzero slots of the orthogonal basis:
+    the certificates of <z, -z> and <z1, z2, -z2, -z1> drop those slots
+    and never re-run Gram-Schmidt."""
+    split = _spy_orthogonalize(monkeypatch)
+    for A, entries, status, witness in PINNED[:6]:
+        cert = hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
+        assert cert.witness == tuple(
+            tuple(_q(A, *c) for c in v) for v in witness)
+    assert split == []
+
+
+def test_pair_search_builds_rows_of_square_ratio_pairs_only(monkeypatch):
+    """<i, j + ij, i + j + ij, -j> over (-1, -1) has reduced norms 1, 2, 3,
+    1: only slots 0 and 3 have a square norm ratio.  The certificate
+    computes their sandwich values alone, splits <i, -j> off and stops at
+    the remainder <j + ij, i + j + ij>, whose norm ratio 3/2 rules it
+    out."""
+    rows = []
+    row = hermitian._sandwich_row
+
+    def spy(z, box, k):
+        rows.append(z)
+        return row(z, box, k)
+
+    monkeypatch.setattr(hermitian, "_sandwich_row", spy)
+    h = herm_diag([H.i(), H.j() + H.ij(), H.i() + H.j() + H.ij(), -H.j()],
+                  H)
+    cert = hyperbolicity_certificate(h, bound=1)
+    assert cert.status == "anisotropic-at-bound"
+    assert rows == [(0, 1, 0, 0), (0, 0, -1, 0)]
+
+
+def test_witness_verification_needs_independent_vectors():
+    """(v, v j) with v = e_1 + e_2 is totally isotropic for <i, -i, j, -j>
+    over (-1, -1) but spans one dimension, not two: the final check of
+    the certificate refuses it (explicitly, also under python -O)."""
+    h = herm_diag([H.i(), -H.i(), H.j(), -H.j()], H)
+    zero = H.element(0, 0, 0, 0)
+
+    def pair(x, y):
+        acc = zero
+        for xk, z, yk in zip(x, h.diag, y):
+            acc = acc + xk.conj() * z * yk
+        return acc
+
+    v = (H.one(), H.one(), zero, zero)
+    w = (zero, zero, H.one(), H.one())
+    hermitian._verify_witness(pair, [v, w])
+    with pytest.raises(VerificationFailed, match="dependent"):
+        hermitian._verify_witness(pair, [v, tuple(c * H.j() for c in v)])
 
 
 @pytest.mark.parametrize("single_bound, builds", [(1, 1), (2, 2)])

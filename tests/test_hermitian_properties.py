@@ -3,6 +3,7 @@ non-integral division algebras (needs hypothesis).  The witness is checked
 with quaternion arithmetic written out here, not the library's product."""
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
@@ -10,6 +11,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import hermitian  # noqa: E402
+from quatwitt.fields import rational_sqrt  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     hyperbolicity_certificate,
@@ -141,3 +143,145 @@ def test_early_return_changes_no_result(data):
     hypothesis.event("early return" if any(refuted) else
                      "certified" if cert.status == "hyperbolic" else
                      cert.status)
+
+
+# ---------------------------------------------------------------------------
+# reference: the pair search without the norm gate or lazy tables, and the
+# plane split that always projects and re-runs Gram-Schmidt
+
+
+def _reference_pair_vector(h, bound, hits):
+    """Every slot pair, every sandwich table built up front; (s, t, n_s,
+    n_t) of each hit is appended to `hits`."""
+    rows, by_dir = [], []
+    tables = hermitian._sandwich_tables(h, hermitian._normalized_box(bound))
+    for entries in tables:
+        row, table = [], {}
+        for p, val in entries:
+            g = gcd(*val)
+            d = tuple(c // g for c in val)
+            row.append((p, d, g))
+            table.setdefault(d, []).append((p, g))
+        rows.append(row)
+        by_dir.append(table)
+    for s in range(h.rank):
+        for t in range(s + 1, h.rank):
+            for q, d, gq in rows[t]:
+                for p, gp in by_dir[s].get(tuple(-c for c in d), ()):
+                    root = isqrt(gp * gq)
+                    if root * root != gp * gq:
+                        continue
+                    hits.append((s, t, h.diag[s].nrd(), h.diag[t].nrd()))
+                    vec = [h.algebra.element(0, 0, 0, 0)] * h.rank
+                    vec[s] = h.algebra.element(*p)
+                    vec[t] = h.algebra.element(*q).scale(Fraction(root, gq))
+                    return vec
+    return None
+
+
+def _reference_certificate(h, bound, hits):
+    A = h.algebra
+    if h.rank % 2:
+        return hermitian.HyperbolicityResult("anisotropic-at-bound")
+    zero = A.element(0, 0, 0, 0)
+    basis = hermitian._identity(A, h.rank)
+    diag = list(h.diag)
+    witness = []
+
+    def gram_eval(x, y):
+        acc = zero
+        for xk, z, yk in zip(x, h.diag, y):
+            if not (xk.is_zero() or yk.is_zero()):
+                acc = acc + xk.conj() * z * yk
+        return acc
+
+    def pair(sub, b):
+        return _reference_pair_vector(sub, b, hits)
+
+    hash_vector = hermitian._isotropic_hash_vector
+    while diag:
+        sub = AntiHermForm(tuple(diag), A)
+        found = pair(sub, 1)
+        if (found is None and sub.rank == 2
+                and not hermitian.rank_one_isometric(diag[0], -diag[1])):
+            return hermitian.HyperbolicityResult("anisotropic-at-bound")
+        if found is None and bound >= 2:
+            found = pair(sub, 2)
+        if found is None:
+            found = hash_vector(sub, 1, single_bound=min(bound, 4))
+        if found is None and bound >= 4:
+            found = pair(sub, 4)
+        if found is None and bound not in (1, 2, 4):
+            found = pair(sub, bound)
+        if found is None and bound >= 2 and sub.rank <= 4:
+            found = hash_vector(sub, 2, single_bound=2)
+        if found is None:
+            return hermitian.HyperbolicityResult("anisotropic-at-bound")
+        m = len(diag)
+        v = [zero] * h.rank
+        for x, f in zip(basis, found):
+            if not f.is_zero():
+                v = [vk if xk.is_zero() else vk + xk * f
+                     for vk, xk in zip(v, x)]
+        witness.append(tuple(v))
+        w = next(x for x in basis if not gram_eval(v, x).is_zero())
+        beta = gram_eval(v, w)
+        binv = hermitian._quat_inv(beta)
+        hww = gram_eval(w, w)
+        gamma_binv = hermitian._quat_inv(beta.conj())
+        new_basis = []
+        for x in basis:
+            bcoef = binv * gram_eval(v, x)
+            acoef = gamma_binv * (gram_eval(w, x) - hww * bcoef)
+            new_basis.append(hermitian._sub_multiple(
+                hermitian._sub_multiple(x, v, acoef), w, bcoef))
+        basis, diag = hermitian._orthogonalize(gram_eval, new_basis, A)
+        assert len(diag) == m - 2
+    return hermitian.HyperbolicityResult("hyperbolic", tuple(witness))
+
+
+@st.composite
+def reference_forms(draw):
+    """(algebra, entries, bound) over the division algebras at bounds 1-4:
+    shuffled <z, -c^2 z> blocks of rank 2 or 4, the same beside <z, c^2 z>
+    (a square norm ratio, hyperbolic or not, that may come first), n_Q <z>
+    = <z, -a z, -b z, ab z>, or random entries (rank 4 only at bound 1: at
+    bound 2 the hash searches take seconds per form)."""
+    A = QuatAlgebra(*draw(st.sampled_from(ALGEBRAS)))
+    shape = draw(st.sampled_from(["blocks2", "blocks4", "twins4", "nq",
+                                  "random2", "random4"]))
+    bound = draw(st.integers(1, 1 if shape == "random4" else 4))
+    z1, z2 = draw(pure), draw(pure)
+    if shape in ("blocks2", "blocks4", "twins4"):
+        half = [z1] if shape == "blocks2" else [z1, z2]
+        c = draw(square)
+        sign = 1 if shape == "twins4" else -1
+        entries = draw(st.permutations(
+            half + [tuple(sign * c * v for v in z1)]
+            + [tuple(-c * v for v in z) for z in half[1:]]))
+    elif shape == "nq":
+        entries = [tuple(m * v for v in z1)
+                   for m in (1, -A.a, -A.b, A.a * A.b)]
+    elif shape == "random2":
+        entries = [z1, z2]
+    else:
+        entries = [z1, z2, draw(pure), draw(pure)]
+    quats = [A.pure(*z) for z in entries]
+    hypothesis.assume(all(z.is_invertible() for z in quats))
+    return A, quats, bound
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(reference_forms())
+def test_certificate_matches_the_reference_search(data):
+    """The norm-gated lazy pair search and the two-slot split give the
+    status and witness of the ungated search with the Gram-Schmidt split,
+    and every hit of the ungated search has a square norm ratio."""
+    A, quats, bound = data
+    h = AntiHermForm(tuple(quats), A)
+    hits = []
+    reference = _reference_certificate(h, bound, hits)
+    assert hyperbolicity_certificate(h, bound) == reference
+    for s, t, ns, nt in hits:
+        assert rational_sqrt(nt / ns) is not None, (s, t)
+    hypothesis.event(reference.status)
