@@ -31,13 +31,12 @@ from .errors import (
     SchemaViolation,
     VerificationFailed,
 )
-from .fields import SquareClass, rational_sqrt, square_class
+from .fields import QQ, SquareClass, rational_sqrt, square_class
 from .quadforms import QuadForm, is_isotropic, qf
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
     _mul_coords,
-    height_shell,
     is_split,
 )
 
@@ -83,9 +82,10 @@ def herm_diag(entries: Sequence[Quaternion], algebra: QuatAlgebra) -> AntiHermFo
 
 
 def _identity(algebra: QuatAlgebra, n: int):
-    zero = algebra.element(0, 0, 0, 0)
-    return [[algebra.one() if s == t else zero for t in range(n)]
-            for s in range(n)]
+    # integer coordinates are in lowest terms over the denominator 1
+    zero = Quaternion((0, 0, 0, 0), 1, algebra)
+    one = Quaternion((1, 0, 0, 0), 1, algebra)
+    return [[one if s == t else zero for t in range(n)] for s in range(n)]
 
 
 def _quat_inv(x: Quaternion) -> Quaternion:
@@ -101,13 +101,11 @@ def _normalized(c) -> bool:
     return gcd(*c) == 1 and next(v for v in c if v) > 0
 
 
-@lru_cache(maxsize=16)
 def _height_box(bound: int) -> tuple:
     """Integer 4-tuples of height <= bound in lexicographic order (not by
     height: the isotropy tables keep the first quaternion per value, so
     this order fixes the witnesses)."""
-    return tuple(sorted(itertools.chain.from_iterable(
-        height_shell(h, 4) for h in range(bound + 1))))
+    return tuple(itertools.product(range(-bound, bound + 1), repeat=4))
 
 
 @lru_cache(maxsize=16)
@@ -165,7 +163,7 @@ def _mixed_pivot(pair, pool, algebra) -> int:
     scalar, which q = 1 or q = i achieves."""
     for s, t in itertools.permutations(range(len(pool)), 2):
         for c in _normalized_box(1):
-            q = algebra.element(*c)
+            q = Quaternion(c, 1, algebra)
             cand = [x + y * q for x, y in zip(pool[s], pool[t])]
             if pair(cand, cand).is_invertible():
                 pool[s] = cand
@@ -183,11 +181,11 @@ class HermWittData:
 
 
 def herm_invariants(h: AntiHermForm) -> HermWittData:
-    """Reduced dimension and the reduced-norm discriminant."""
-    prod = Fraction(1)
+    """Reduced dimension and the product of the norms' square classes."""
+    disc = SquareClass(1, QQ)
     for z in h.diag:
-        prod *= z.nrd()
-    return HermWittData(h.reduced_dim, square_class(prod))
+        disc = disc * square_class(z.nrd())
+    return HermWittData(h.reduced_dim, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +377,9 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
                 root = isqrt(gp * gq)
                 if root * root != gp * gq:
                     continue
-                vec = [h.algebra.element(0, 0, 0, 0)] * h.rank
-                vec[s] = h.algebra.element(*p)
-                vec[t] = h.algebra.element(*q).scale(Fraction(root, gq))
+                vec = [Quaternion((0, 0, 0, 0), 1, h.algebra)] * h.rank
+                vec[s] = Quaternion(p, 1, h.algebra)
+                vec[t] = Quaternion(q, 1, h.algebra).scale(Fraction(root, gq))
                 return vec
     return None
 
@@ -412,7 +410,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
             vec[idx] = q
         if not any(any(q) for q in vec):
             return None
-        return [h.algebra.element(*q) for q in vec]
+        return [Quaternion(q, 1, h.algebra) for q in vec]
 
     # 3-slot support: pair (s, t) against a single slot u
     for (s, t), d in pair_dicts.items():
@@ -463,7 +461,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
     r0 = h.rank
-    zero = alg.element(0, 0, 0, 0)
+    zero = Quaternion((0, 0, 0, 0), 1, alg)
     # work with the Gram (diagonal) and a basis in original coordinates
     basis = _identity(alg, r0)
     diag = list(h.diag)
@@ -511,10 +509,10 @@ def hyperbolicity_certificate(h: AntiHermForm,
             # f_s, f_t != 0 (gamma(f) d f = 0 needs f = 0).  h(v, b_i) =
             # gamma(f_i) d_i is nonzero exactly at s and t, so the general
             # split below would pick w = b_s, and span(v, b_s) =
-            # span(b_s, b_t) as f_t is invertible.  Its projection fixes
-            # every other b_i, which is orthogonal to that plane, and sends
-            # b_s and b_t to 0; Gram-Schmidt then returns the other b_i
-            # and d_i unchanged and in order.  So drop slots s and t.
+            # span(b_s, b_t) as f_t is invertible.  Its update fixes every
+            # other b_i, sends b_s to 0 and b_t to 2 v f_t^-1, which pairs
+            # to zero with all that is left; Gram-Schmidt drops it and
+            # returns the other b_i and d_i unchanged and in order.
             basis = [x for i, x in enumerate(basis) if i not in slots]
             diag = [d for i, d in enumerate(diag) if i not in slots]
             continue
@@ -525,6 +523,12 @@ def hyperbolicity_certificate(h: AntiHermForm,
         binv = _quat_inv(beta)
         hww = gram_eval(w, w)
         gamma_binv = _quat_inv(beta.conj())
+        # x' = x - v acoef - w bcoef has h(v, x') = 0 but h(w, x') =
+        # 2 (h(w, x) - hww bcoef), as h(w, v) = -gamma(beta): not the
+        # projection onto the plane's complement.  It maps the span onto
+        # v^perp (w to 0, v to 2 v), whose radical v D Gram-Schmidt
+        # drops, leaving a form isometric to v^perp / v D, the complement
+        # of the plane span(v, w).  The witnesses depend on this update.
         new_basis = []
         for idx in range(m):
             x = basis[idx]
@@ -532,7 +536,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
             acoef = gamma_binv * (gram_eval(w, x) - hww * bcoef)
             new_basis.append(_sub_multiple(_sub_multiple(x, v, acoef),
                                            w, bcoef))
-        # re-diagonalize the projected span; rank drops by exactly 2
+        # re-diagonalize v^perp; rank drops by exactly 2
         basis, diag = _orthogonalize(gram_eval, new_basis, alg)
         if len(diag) != m - 2:
             raise DegenerateForm("hyperbolic split lost the wrong rank")

@@ -119,7 +119,8 @@ class Quaternion:
     The numerators `num` are integers and the denominator `den` is positive,
     with gcd(*num, den) == 1, so equal quaternions have equal fields and
     the generated __eq__ and __hash__ are exact.  Build them with
-    `QuatAlgebra.element` or `pure`.
+    `QuatAlgebra.element` or `pure`, or an integer tuple c, which is in
+    lowest terms over 1, as `Quaternion(c, 1, algebra)`.
     """
 
     num: Tuple[int, int, int, int]
@@ -199,6 +200,8 @@ def norm_form(A: QuatAlgebra) -> QuadForm:
     return qf([1, -a, -b, a * b])
 
 
+# kept below the 1% rule of fields: every mixed_equal and certificate asks,
+# and without the cache mixed-split's median decide op is 5% slower
 @lru_cache(maxsize=2**8)
 def is_split(A: QuatAlgebra) -> bool:
     """Split iff the norm form is isotropic."""

@@ -129,6 +129,20 @@ def test_decide_odd_forms_with_entries_beyond_10_18(capsys):
     assert json.loads(out)["result"] == "distinct"
 
 
+def test_decide_discriminant_screen_factors_each_norm_only(capsys):
+    # over (-1, -1) the norms 1008^2 + 5 = 1016069 and 1009^2 + 10 =
+    # 1018091 each factor by trial division, but their product
+    # 1034450704279 leaves a cofactor past 10^12.  The forms differ only in
+    # the order of their entries, so "equal"
+    code, out, err = _run(capsys, [
+        "--output", "json", "decide",
+        '{"odd": [["0", "1008", "2", "1"], ["0", "1009", "3", "1"]]}',
+        '{"odd": [["0", "1009", "3", "1"], ["0", "1008", "2", "1"]]}',
+    ])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+
+
 def _ff_doc(coeffs):
     return json.dumps({"entries": [{"unit": "1", "factors": [
         {"poly": coeffs, "exp": 1, "irreducible": True}]}]})
