@@ -11,7 +11,6 @@ from .fields import (
     FieldSpec,
     Place,
     REAL_PLACE,
-    SquareClass,
     factorize,
     finite_place,
     hilbert_symbol,

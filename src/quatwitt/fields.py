@@ -139,33 +139,6 @@ def squarefree_part(n: int) -> int:
 # square classes
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    """Canonical representative of k^x / (k^x)^2.
-
-    Over Q the representative is a squarefree integer; over F_p it is 1 or
-    the smallest quadratic non-residue.
-    """
-
-    repr: int
-    field: FieldSpec
-
-    def __mul__(self, other: "SquareClass") -> "SquareClass":
-        if self.field != other.field:
-            raise UnsupportedField("square classes over different fields")
-        if self.field.kind == "Q":
-            return SquareClass(sq_mul(self.repr, other.repr), self.field)
-        return square_class(self.repr * other.repr, self.field)
-
-    def __neg__(self) -> "SquareClass":
-        if self.field.kind == "Q":
-            return SquareClass(-self.repr, self.field)
-        return square_class(-self.repr, self.field)
-
-    def is_one(self) -> bool:
-        return self.repr == 1
-
-
 def sq_mul(a: int, b: int) -> int:
     """Squarefree representative of ab, for squarefree integers a and b;
     no fresh factorization is needed."""
@@ -183,23 +156,25 @@ def rational_sqrt(x: Fraction):
     return Fraction(rn, rd)
 
 
-def square_class(x, field: FieldSpec = QQ) -> SquareClass:
-    """Canonical square class of a nonzero element.
+def square_class(x, field: FieldSpec = QQ) -> int:
+    """Canonical representative of the square class of a nonzero element.
 
     Over Q, x may be an int or Fraction: n/d and n*d share a class, so the
-    representative is squarefree_part(n*d).  Over F_p a rational n/d
-    stands for n * d^-1 mod p, and the representative is 1 or the smallest
-    non-residue.
+    representative is the squarefree integer squarefree_part(n*d).  Over
+    F_p a rational n/d stands for n * d^-1 mod p, and the representative
+    is 1 or the smallest non-residue.
     """
     if field.kind == "Q":
-        x = Fraction(x)
+        if not isinstance(x, int):
+            x = Fraction(x)
+            if x.denominator != 1:
+                # numerator and denominator are coprime: reduce them apart
+                return (squarefree_part(x.numerator)
+                        * squarefree_part(x.denominator))
+            x = x.numerator
         if x == 0:
             raise ZeroElement("square class of 0")
-        # numerator and denominator are coprime, so reduce them separately
-        return SquareClass(
-            squarefree_part(x.numerator) * squarefree_part(x.denominator),
-            field,
-        )
+        return squarefree_part(x)
     p = field.p
     x = Fraction(x)
     if x.denominator % p == 0:
@@ -208,9 +183,15 @@ def square_class(x, field: FieldSpec = QQ) -> SquareClass:
     r = x.numerator * pow(x.denominator, -1, p) % p
     if r == 0:
         raise ZeroElement(f"square class of 0: {x} is 0 mod {p}")
-    if legendre_symbol(r, p) == 1:
-        return SquareClass(1, field)
-    return SquareClass(smallest_nonresidue(p), field)
+    return 1 if legendre_symbol(r, p) == 1 else smallest_nonresidue(p)
+
+
+def class_mul(a: int, b: int, field: FieldSpec = QQ) -> int:
+    """Representative of the product of the square classes with
+    representatives a and b."""
+    if field.kind == "Q":
+        return sq_mul(a, b)
+    return square_class(a * b, field)
 
 
 def smallest_nonresidue(p: int) -> int:

@@ -83,7 +83,7 @@ def ff_class(unit, factors) -> FFEntry:
         if e % 2:
             unit *= P.leading(f)
             odd ^= {P.monic(f)}
-    return FFEntry(square_class(unit).repr, tuple(sorted(odd)))
+    return FFEntry(square_class(unit), tuple(sorted(odd)))
 
 
 def ff_entry(x) -> FFEntry:
@@ -485,7 +485,7 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
         L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
                    P.pscale(l3, conic.D))
         ld = ff_entry_product(ff_entry(L), conic.D_entry)
-        zsq = square_class(-z.nrd()).repr  # z^2 for pure z
+        zsq = square_class(-z.nrd())  # z^2 for pure z
         entries += [FFEntry(-ld.unit, ld.factors),
                     FFEntry(sq_mul(ld.unit, zsq), ld.factors)]
     return FunctionFieldForm(tuple(entries))

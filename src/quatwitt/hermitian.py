@@ -31,7 +31,7 @@ from .errors import (
     SchemaViolation,
     VerificationFailed,
 )
-from .fields import QQ, SquareClass, rational_sqrt, square_class
+from .fields import rational_sqrt, sq_mul, square_class
 from .quadforms import QuadForm, is_isotropic, qf
 from .quaternions import (
     QuatAlgebra,
@@ -177,14 +177,14 @@ def _mixed_pivot(pair, pool, algebra) -> int:
 @dataclass(frozen=True)
 class HermWittData:
     reduced_dim: int
-    disc: SquareClass
+    disc: int
 
 
 def herm_invariants(h: AntiHermForm) -> HermWittData:
     """Reduced dimension and the product of the norms' square classes."""
-    disc = SquareClass(1, QQ)
+    disc = 1
     for z in h.diag:
-        disc = disc * square_class(z.nrd())
+        disc = sq_mul(disc, square_class(z.nrd()))
     return HermWittData(h.reduced_dim, disc)
 
 

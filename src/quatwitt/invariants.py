@@ -183,7 +183,7 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     if is_split(A):
         return "member" if x.is_zero() else "nonmember"
     q = x.anis
-    if q.dim % 2 or not signed_disc(q).is_one():
+    if q.dim % 2 or signed_disc(q) != 1:
         return "nonmember"
     a, b = A.a, A.b
     if hilbert_symbol(a, b, REAL_PLACE) == 1 and signature(q):

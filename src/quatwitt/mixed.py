@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
-from .fields import QQ, SquareClass, sq_mul, square_class
+from .fields import sq_mul, square_class
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
@@ -93,11 +93,11 @@ def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
     n1, n2 = z1.nrd(), z2.nrd()
     if n1 == 0 or n2 == 0:
         raise ZeroSlot("Pfister slot must be nonzero")
-    c = square_class(-t).repr
-    n1, n2 = square_class(n1).repr, square_class(n2).repr
+    c = square_class(-t)
+    n1, n2 = square_class(n1), square_class(n2)
     vs = (1, n2, n1, sq_mul(n1, n2)) + tuple(
         -r for r in norm_form(z1.algebra).reps())
-    return QuadForm(tuple(SquareClass(sq_mul(c, v), QQ) for v in vs))
+    return QuadForm(tuple(sq_mul(c, v) for v in vs))
 
 
 def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:

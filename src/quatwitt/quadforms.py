@@ -1,7 +1,9 @@
 """Quadratic forms and the Witt ring W(k) for k = Q or F_p.
 
-Diagonal forms carry square-class entries.  Over F_p the pair (dim mod 2,
-signed discriminant) classifies W(F_p).
+A diagonal form stores each entry as the integer representative of its
+square class: a squarefree integer over Q, 1 or the smallest non-residue
+over F_p.  Over F_p the pair (dim mod 2, signed discriminant) classifies
+W(F_p).
 
 Over Q one local classification does the work (Serre, *A Course in
 Arithmetic*, Ch. IV).  A diagonal of squarefree entries is summarised by its
@@ -45,7 +47,7 @@ from .fields import (
     FieldSpec,
     Place,
     QQ,
-    SquareClass,
+    class_mul,
     factorize,
     finite_place,
     hilbert_symbol_p,
@@ -62,23 +64,19 @@ from .fields import (
 
 @dataclass(frozen=True)
 class QuadForm:
-    """Diagonal quadratic form; entries are square classes, order is
-    irrelevant up to isometry."""
+    """Diagonal quadratic form; the entries are the integer representatives
+    of their square classes over `field` (as `square_class` gives them), and
+    their order is irrelevant up to isometry."""
 
-    entries: Tuple[SquareClass, ...]
+    entries: Tuple[int, ...]
     field: FieldSpec = QQ
-
-    def __post_init__(self):
-        for e in self.entries:
-            if e.field != self.field:
-                raise FieldMismatch("entry field does not match form field")
 
     @property
     def dim(self) -> int:
         return len(self.entries)
 
     def reps(self) -> Tuple[int, ...]:
-        return tuple(e.repr for e in self.entries)
+        return self.entries
 
     def perp(self, other: "QuadForm") -> "QuadForm":
         if self.field != other.field:
@@ -86,16 +84,19 @@ class QuadForm:
         return QuadForm(self.entries + other.entries, self.field)
 
     def neg(self) -> "QuadForm":
-        return QuadForm(tuple(-e for e in self.entries), self.field)
+        return self.scale(-1)
 
-    def scale(self, c: SquareClass) -> "QuadForm":
-        return QuadForm(tuple(c * e for e in self.entries), self.field)
+    def scale(self, c: int) -> "QuadForm":
+        """<c> times the form, for the representative c of a square class."""
+        return QuadForm(tuple(class_mul(c, e, self.field)
+                              for e in self.entries), self.field)
 
     def tensor(self, other: "QuadForm") -> "QuadForm":
         if self.field != other.field:
             raise FieldMismatch("tensor over different fields")
         entries = tuple(
-            a * b for a in self.entries for b in other.entries
+            class_mul(a, b, self.field)
+            for a in self.entries for b in other.entries
         )
         return QuadForm(entries, self.field)
 
@@ -125,19 +126,17 @@ def signature(q: QuadForm) -> int:
     return sum(1 if r > 0 else -1 for r in q.reps())
 
 
-def signed_disc(q: QuadForm) -> SquareClass:
-    n = q.dim
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    out = square_class(sign, q.field)
+def signed_disc(q: QuadForm) -> int:
+    out = square_class(_signed(q.dim, 1), q.field)
     for e in q.entries:
-        out = out * e
+        out = class_mul(out, e, q.field)
     return out
 
 
 @dataclass(frozen=True)
 class WittInvariants:
     dim: int
-    signed_disc: SquareClass
+    signed_disc: int
     hasse: Dict[Place, int]
     signature: Optional[int]
 
@@ -150,8 +149,8 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
         hasse = {REAL_PLACE: _hyperbolic_hasse((loc.dim - loc.sig) // 2, -1)}
         hasse.update((finite_place(p), s)
                      for p, s in sorted(loc.hasse.items()))
-        disc = SquareClass(_signed(loc.dim, loc.disc), QQ)
-        return WittInvariants(loc.dim, disc, hasse, loc.sig)
+        return WittInvariants(loc.dim, _signed(loc.dim, loc.disc), hasse,
+                              loc.sig)
     return WittInvariants(q.dim, signed_disc(q), {}, None)
 
 
@@ -266,8 +265,9 @@ def _signed(n: int, disc: int) -> int:
 
 def _hyperbolic_hasse(m: int, p: int) -> int:
     """Hasse symbol at p of m hyperbolic planes, (-1, -1)_p^(m(m-1)/2);
-    p = -1 is the real place."""
-    return hilbert_symbol_p(-1, -1, p) if m * (m - 1) // 2 % 2 else 1
+    p = -1 is the real place.  (-1, -1)_p is -1 exactly at p = 2 and at
+    the real place (Serre III.1)."""
+    return -1 if p in (2, -1) and m * (m - 1) // 2 % 2 else 1
 
 
 def _local_dim(n: int, disc: int, s: int, p: int) -> int:
@@ -385,7 +385,7 @@ def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
             and signed_disc(q1) == signed_disc(q2)
         )
     q = q1.perp(q2.neg())
-    if q.dim % 2 or signature(q) != 0 or not signed_disc(q).is_one():
+    if q.dim % 2 or signature(q) != 0 or signed_disc(q) != 1:
         return False
     return _anis_dim(_local_q(q)) == 0
 
@@ -508,12 +508,12 @@ def _anisotropic_reps_q_cached(reps_key) -> tuple:
     return tuple(sorted(out, key=lambda r: (abs(r), r)))
 
 
-def _anisotropic_reps_fp(reps: List[int], field: FieldSpec):
-    d = signed_disc(qf(reps, field))
-    if len(reps) % 2:
-        return [d.repr]
+def _anisotropic_reps_fp(q: QuadForm) -> tuple:
+    d = signed_disc(q)
+    if q.dim % 2:
+        return (d,)
     # <1, -d> has signed discriminant d
-    return [] if d.is_one() else [1, (-d).repr]
+    return () if d == 1 else (1, class_mul(-1, d, q.field))
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +549,7 @@ class WittClass:
     def __mul__(self, other: "WittClass") -> "WittClass":
         return witt_class(self.anis.tensor(other.anis))
 
-    def scale(self, c: SquareClass) -> "WittClass":
+    def scale(self, c: int) -> "WittClass":
         return witt_class(self.anis.scale(c))
 
     def __eq__(self, other):
@@ -570,11 +570,10 @@ def witt_class(q: QuadForm) -> WittClass:
     if q.field.kind == "Q":
         reps = _anisotropic_reps_q_cached(tuple(sorted(q.reps())))
     else:
-        reps = _anisotropic_reps_fp(list(q.reps()), q.field)
-    # the kernel's entries are squarefree already (or F_p representatives):
-    # no value is classified again
-    return WittClass(QuadForm(tuple(SquareClass(r, q.field) for r in reps),
-                              q.field))
+        reps = _anisotropic_reps_fp(q)
+    # the kernel's entries are representatives already: none is classified
+    # again
+    return WittClass(QuadForm(reps, q.field))
 
 
 def witt_zero(field: FieldSpec = QQ) -> WittClass:

@@ -25,8 +25,8 @@ from .errors import (
     SearchBoundExceeded,
     ZeroArgument,
 )
-from .fields import square_class
-from .quadforms import QuadForm, is_isotropic, qf
+from .fields import sq_mul, square_class
+from .quadforms import QuadForm, is_isotropic
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class QuatAlgebra:
     def require_generic_basis(self):
         """The generic-splitting construction needs (ij)^2 = -ab to be a
         non-square of Q."""
-        if square_class(-self.a * self.b).is_one():
+        if square_class(-self.a * self.b) == 1:
             raise GenericBasisUnavailable(
                 "(ij)^2 is a square; pick another quaternionic basis"
             )
@@ -195,9 +195,10 @@ class Quaternion:
 @lru_cache(maxsize=2**8)
 def norm_form(A: QuatAlgebra) -> QuadForm:
     """The norm form n_Q = <1,-a,-b,ab>, built once per algebra (a QuadForm
-    is immutable, so the cached value is safe to share)."""
-    a, b = A.a, A.b
-    return qf([1, -a, -b, a * b])
+    is immutable, so the cached value is safe to share).  The class of ab
+    is the product of those of a and b, so ab itself is never factored."""
+    sa, sb = square_class(A.a), square_class(A.b)
+    return QuadForm((1, -sa, -sb, sq_mul(sa, sb)))
 
 
 # kept below the 1% rule of fields: every mixed_equal and certificate asks,

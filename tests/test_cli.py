@@ -143,6 +143,19 @@ def test_decide_discriminant_screen_factors_each_norm_only(capsys):
     assert json.loads(out)["result"] == "equal"
 
 
+def test_decide_norm_form_factors_a_and_b_only(capsys):
+    # 1000003 and 1000033 each factor by trial division, but their product
+    # ab = 1000036000099 is a cofactor past 10^12; the norm form's entry ab
+    # is built from the classes of a and b
+    code, out, err = _run(capsys, [
+        "--quat", "1000003", "1000033", "--output", "json", "decide",
+        '{"odd": [["0", "1", "0", "0"]]}',
+        '{"odd": [["0", "1", "0", "0"]]}',
+    ])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+
+
 def _ff_doc(coeffs):
     return json.dumps({"entries": [{"unit": "1", "factors": [
         {"poly": coeffs, "exp": 1, "irreducible": True}]}]})

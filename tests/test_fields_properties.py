@@ -1,7 +1,8 @@
-"""Property tests for the Hilbert symbol on nonzero rationals (needs
-hypothesis)."""
+"""Property tests for the Hilbert symbol on nonzero rationals and for the
+integer representatives of square classes (needs hypothesis)."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -9,11 +10,17 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt.fields import (  # noqa: E402
+    QQ,
     REAL_PLACE,
+    Fp,
+    class_mul,
     factorize,
     finite_place,
     hilbert_symbol,
+    square_class,
 )
+from quatwitt.quadforms import qf, signed_disc, witt_class  # noqa: E402
+from quatwitt.quaternions import QuatAlgebra, norm_form  # noqa: E402
 
 rational = st.builds(Fraction, st.integers(-300, 300).filter(bool),
                      st.integers(1, 60))
@@ -51,3 +58,64 @@ def test_hilbert_multiplicative_in_b(a, b, c):
 def test_hilbert_a_minus_a(a):
     for v in _places(a):
         assert hilbert_symbol(a, -a, v) == 1
+
+
+FIELDS = [QQ] + [Fp(p) for p in (3, 5, 7, 11, 13)]
+
+
+def _units(field):
+    """Nonzero rationals with a nonzero value in field."""
+    if field.kind == "Q":
+        return rational
+    p = field.p
+    return rational.filter(lambda x: x.numerator % p and x.denominator % p)
+
+
+def _case(field):
+    units = _units(field)
+    return st.tuples(st.just(field), st.lists(units, min_size=1, max_size=5),
+                     st.lists(units, min_size=1, max_size=3), units)
+
+
+cases = st.sampled_from(FIELDS).flatmap(_case)
+
+
+def _representatives(q):
+    """Whether every entry of q is the int that square_class gives."""
+    return all(type(e) is int and square_class(e, q.field) == e
+               for e in q.entries)
+
+
+@settings
+@hypothesis.given(cases)
+def test_form_operations_keep_representatives(case):
+    field, xs, ys, c = case
+    q, r = qf(xs, field), qf(ys, field)
+    for form in (q, q.neg(), q.scale(square_class(c, field)), q.tensor(r),
+                 witt_class(q.perp(r)).anis):
+        assert _representatives(form), form
+
+
+@settings
+@hypothesis.given(rational, rational)
+def test_norm_form_keeps_representatives(a, b):
+    n = norm_form(QuatAlgebra(a, b))
+    assert _representatives(n)
+    assert n == qf([1, -a, -b, a * b])
+
+
+@settings
+@hypothesis.given(cases)
+def test_class_mul_is_the_class_of_the_product(case):
+    field, (x, *_), _, y = case
+    assert (class_mul(square_class(x, field), square_class(y, field), field)
+            == square_class(x * y, field))
+
+
+@settings
+@hypothesis.given(cases)
+def test_signed_disc_is_the_class_of_the_signed_product(case):
+    field, xs, _, _ = case
+    n = len(xs)
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    assert signed_disc(qf(xs, field)) == square_class(sign * prod(xs), field)

@@ -148,7 +148,7 @@ def test_entry_sources_agree(data):
     assert parse_input(json.dumps(_document(scaled_unit, pairs))).entries \
         == (entry,)
     assert entry.factors == tuple(sorted(set(entry.factors)))
-    assert entry.unit == square_class(unit).repr
+    assert entry.unit == square_class(unit)
 
 
 @hypothesis.settings(max_examples=80, deadline=None)

@@ -53,7 +53,7 @@ def test_herm_diag_basics():
     inv = herm_invariants(h)
     assert inv.reduced_dim == 4
     # disc is the product of the reduced norms: Nrd(i) Nrd(j) = 1
-    assert inv.disc.is_one()
+    assert inv.disc == 1
 
 
 def test_orthogonalize_mixed_pivot():

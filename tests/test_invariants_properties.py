@@ -83,7 +83,7 @@ def test_members_are_in_i2_and_vanish_where_q_splits(A, c, d, u, y):
     if nq_membership(x, A) == "nonmember":
         return
     q = x.anis
-    assert q.dim % 2 == 0 and signed_disc(q).is_one()
+    assert q.dim % 2 == 0 and signed_disc(q) == 1
     if hilbert_symbol(A.a, A.b, REAL_PLACE) == 1:
         assert signature(q) == 0
     for p in relevant_primes(list(q.reps()) + [A.a, A.b]):

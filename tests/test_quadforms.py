@@ -10,9 +10,16 @@ from quatwitt.errors import (
     EvenOrCompositeModulus,
     UnsupportedField,
 )
-from quatwitt.fields import Fp, REAL_PLACE, finite_place
+from quatwitt.fields import (
+    Fp,
+    REAL_PLACE,
+    finite_place,
+    hilbert_symbol_p,
+    is_prime,
+)
 from quatwitt.quadforms import (
     GroupRingElem,
+    _hyperbolic_hasse,
     diagonalize,
     hyperbolic,
     is_isotropic,
@@ -52,7 +59,7 @@ def test_signature_and_disc():
     assert signature(q) == 0
     # signed disc of dim 4 carries the (-1)^{n(n-1)/2} = 1... sign for n=4
     # is (-1)^6 = 1, entries multiply to 180 ~ 5
-    assert signed_disc(q).repr == 5
+    assert signed_disc(q) == 5
 
 
 def test_hasse_frozen():
@@ -208,7 +215,7 @@ def test_q_witt_invariants():
     signature -2."""
     wi = witt_invariants(qf([-1, -1]))
     assert wi.dim == 2
-    assert wi.signed_disc.repr == -1
+    assert wi.signed_disc == -1
     assert wi.hasse == {REAL_PLACE: -1, finite_place(2): -1}
     assert wi.signature == -2
 
@@ -217,3 +224,13 @@ def test_witt_class_difference():
     """<1, 2> - <2> = <1> and <1> - <1> = 0."""
     assert witt_class(qf([1, 2])) - witt_class(qf([2])) == witt_class(qf([1]))
     assert (witt_class(qf([1])) - witt_class(qf([1]))).is_zero()
+
+
+def test_hyperbolic_hasse_closed_form():
+    """(-1, -1)_p is -1 exactly at p = 2 and at the real place p = -1; m
+    hyperbolic planes carry it to the power m(m - 1)/2."""
+    for p in [-1] + [p for p in range(2, 200) if is_prime(p)]:
+        symbol = hilbert_symbol_p(-1, -1, p)
+        for m in range(6):
+            want = symbol if m * (m - 1) // 2 % 2 else 1
+            assert _hyperbolic_hasse(m, p) == want, (m, p)
