@@ -90,8 +90,10 @@ def is_prime(n: int) -> bool:
 def factorize(n: int):
     """Factor a nonzero integer: returns (sign, [(prime, exponent), ...]).
 
-    Pure trial division up to 10^6, with no bound on n itself; a cofactor
-    that cannot be certified prime raises FactorizationLimitExceeded.
+    Pure trial division up to 10^6, with no bound on n itself.  A cofactor
+    left above 10^12 has no prime factor up to 10^6; it is certified when
+    it is the square s^2 of some s <= 10^12, which is then prime, and any
+    other raises FactorizationLimitExceeded.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
@@ -108,9 +110,13 @@ def factorize(n: int):
                 e += 1
             factors.append((p, e))
     if n > 1:
-        if n > TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
-            raise FactorizationLimitExceeded(f"cofactor {n} not certified")
-        factors.append((n, 1))
+        if n <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+            factors.append((n, 1))
+        else:
+            s = isqrt(n)
+            if s * s != n or s > TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+                raise FactorizationLimitExceeded(f"cofactor {n} not certified")
+            factors.append((s, 2))
     return sign, tuple(factors)
 
 

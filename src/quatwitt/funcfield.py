@@ -30,7 +30,6 @@ from .errors import (
 )
 from .fields import Place, rational_sqrt, sq_mul, square_class
 from .mixed import MixedClass, mixed
-from .hermitian import trd_coefficients
 from .polys import RationalFunction
 from .quadforms import (
     GroupRingElem,
@@ -434,11 +433,12 @@ class ConicData:
 
 def _conic_point(A: QuatAlgebra):
     """Rational point of -a x^2 - b y^2 + ab = 0, from a zero of the pure
-    norm form with nonzero ij-coordinate and height <= CONIC_HEIGHT_BOUND."""
-    a, b = A.a, A.b
+    norm form with nonzero ij-coordinate and height <= CONIC_HEIGHT_BOUND,
+    searched on the integer multiple of that form by `QuatAlgebra.table`."""
+    _, ea, eb, eab = A.table
     for h in range(1, CONIC_HEIGHT_BOUND + 1):
         for c3, c1, c2 in height_shell(h, 3):
-            if c3 >= 1 and -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
+            if c3 >= 1 and -ea * c1 * c1 - eb * c2 * c2 + eab * c3 * c3 == 0:
                 return (Fraction(c1, c3), Fraction(c2, c3))
     raise SearchBoundExceeded("no conic point within the height bound")
 
@@ -473,15 +473,18 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
     verifies.
 
     Each odd slot z gives <-T, T z^2> with T = Trd(z (x(t) i + y(t) j +
-    ij)) = L/D for the polynomial L = l1 X + l2 Y + l3 D of degree <= 2;
-    up to squares T is L D, whose entry is the product of the entries of
-    L and D.  L != 0: (l1, l2, l3) != 0 for z != 0, and X, Y, D are
-    linearly independent, as the conic points (X/D, Y/D) lie on no line."""
+    ij)) = L/D for the polynomial L = l1 X + l2 Y + l3 D of degree <= 2,
+    l_k = Trd(z e_k) for e_k in (i, j, ij); up to squares T is L D, whose
+    entry is the product of the entries of L and D.  L != 0: (l1, l2, l3)
+    != 0 for z != 0, and X, Y, D are linearly independent, as the conic
+    points (X/D, Y/D) lie on no line."""
+    A = x.algebra
     if conic is None:
-        conic = conic_parametrize(x.algebra)
+        conic = conic_parametrize(A)
+    basis = (A.i(), A.j(), A.ij())
     entries = [FFEntry(r, ()) for r in x.even.anis.reps()]
     for z in x.odd.diag:
-        l1, l2, l3 = trd_coefficients(z)
+        l1, l2, l3 = ((z * e).trd() for e in basis)
         L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
                    P.pscale(l3, conic.D))
         ld = ff_entry_product(ff_entry(L), conic.D_entry)

@@ -250,40 +250,25 @@ def _check_nilpotent(z0: Quaternion):
         raise NotNilpotent(f"{z0!r} is not a nonzero nilpotent pure quaternion")
 
 
-def trd_coefficients(z: Quaternion) -> Tuple[Fraction, Fraction, Fraction]:
-    """(l1, l2, l3) = (2a z1, 2b z2, -2ab z3) for a pure z: the linear form
-    Trd(z (c1 i + c2 j + c3 ij)) = l1 c1 + l2 c2 + l3 c3."""
-    a, b = z.algebra.a, z.algebra.b
-    _, z1, z2, z3 = z.num
-    d = z.den
-    return (Fraction(2 * z1, d) * a, Fraction(2 * z2, d) * b,
-            Fraction(-2 * z3, d) * a * b)
-
-
-def morita_transfer_entries(h: AntiHermForm, c) -> list:
-    """Diagonal entries of the quadratic form transferred along the
-    nilpotent c1 i + c2 j + c3 ij, given by its rational pure coordinates
-    c: <-T, T z^2> per slot with T = Trd(z (c1 i + c2 j + c3 ij)), and
-    <1, -1> when T = 0.  The caller vouches for nilpotency."""
-    out = []
-    for z in h.diag:
-        l1, l2, l3 = trd_coefficients(z)
-        t = l1 * c[0] + l2 * c[1] + l3 * c[2]
-        if not t:
-            out.extend([Fraction(1), Fraction(-1)])
-        else:
-            zsq = -z.nrd()  # z^2 for pure z
-            out.extend([-t, t * zsq])
-    return out
-
-
 def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
+    """The quadratic form transferred along the nilpotent z0: <-T, T z^2>
+    per slot with T = Trd(z z0), and <1, -1> when T = 0.  Each entry is
+    built from the square classes of T and z^2 = -Nrd(z), so their
+    product is never factored whole."""
     if h.algebra != z0.algebra:
         raise AlgebraMismatch("transfer datum from a different algebra")
     if not is_split(h.algebra):
         raise NotSplit("Morita transfer needs a split algebra")
     _check_nilpotent(z0)
-    return qf(morita_transfer_entries(h, z0.coords[1:]))
+    entries = []
+    for z in h.diag:
+        t = (z * z0).trd()
+        if not t:
+            entries += [1, -1]
+        else:
+            st = square_class(t)
+            entries += [-st, sq_mul(st, square_class(-z.nrd()))]
+    return QuadForm(tuple(entries))
 
 
 def morita_gram(z: Quaternion, z0: Quaternion):

@@ -223,15 +223,16 @@ NILPOTENT_HEIGHT_BOUND = 40
 @lru_cache(maxsize=2**8)
 def find_nilpotent(A: QuatAlgebra) -> Quaternion:
     """Nonzero pure z0 with z0^2 = 0, by lexicographic height search on the
-    pure norm form up to NILPOTENT_HEIGHT_BOUND; the result is verified by
-    squaring.  Cached per algebra: split-case equality, Morita transfer and
-    phi_z0 all transfer along this one nilpotent."""
+    pure norm form, cleared of denominators by `QuatAlgebra.table`, up to
+    NILPOTENT_HEIGHT_BOUND; the result is verified by squaring.  Cached
+    per algebra: split-case equality, Morita transfer and phi_z0 all
+    transfer along this one nilpotent."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra")
-    a, b = A.a, A.b
+    _, ea, eb, eab = A.table
     for h in range(1, NILPOTENT_HEIGHT_BOUND + 1):
         for c1, c2, c3 in height_shell(h, 3):
-            if -a * c1 * c1 - b * c2 * c2 + a * b * c3 * c3 == 0:
+            if -ea * c1 * c1 - eb * c2 * c2 + eab * c3 * c3 == 0:
                 z0 = A.pure(c1, c2, c3)
                 if not (z0 * z0).is_zero():
                     raise NotNilpotent(f"{z0!r} does not square to 0")

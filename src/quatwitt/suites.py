@@ -262,14 +262,13 @@ def _suite_lambda(cfg: RunConfig) -> Report:
         h1 = AntiHermForm((z1,), A)
         h2 = AntiHermForm((z2,), A)
         h = h1.perp(h2)
+        lam1, lam2, lam = lambda_all(h1), lambda_all(h2), lambda_all(h)
         ok = True
         for d in range(5):
             total = mixed(A)
-            for i in range(d + 1):
-                j = d - i
-                if i <= 2 and j <= 2:
-                    total = total + (lambda_all(h1)[i] * lambda_all(h2)[j])
-            lhs = lambda_all(h)[d]
+            for i in range(max(0, d - 2), min(d, 2) + 1):
+                total = total + lam1[i] * lam2[d - i]
+            lhs = lam[d]
             if d % 2 == 0:
                 ok = ok and lhs.even == total.even
             else:

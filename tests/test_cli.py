@@ -156,6 +156,25 @@ def test_decide_norm_form_factors_a_and_b_only(capsys):
     assert json.loads(out)["result"] == "equal"
 
 
+def test_decide_class_against_itself_with_large_prime_coordinate(capsys):
+    # over (1, 1), z = 1000003 i has z^2 = 1000003^2 past 10^12: the
+    # transfer classifies T and z^2 apart, and factorize certifies the
+    # square of a prime past 10^6
+    z = '{"odd": [["0", "1000003", "0", "0"]]}'
+    code, out, err = _run(capsys, [
+        "--quat", "1", "1", "--output", "json", "decide", z, z])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+
+
+def test_transfer_with_large_prime_coordinate(capsys):
+    code, out, err = _run(capsys, [
+        "--quat", "1", "1", "--output", "json", "transfer",
+        '{"herm_diag": [["0", "1000003", "0", "0"]]}'])
+    assert code == 0, err
+    assert json.loads(out) == {"diag": ["2000006", "-2000006"]}
+
+
 def _ff_doc(coeffs):
     return json.dumps({"entries": [{"unit": "1", "factors": [
         {"poly": coeffs, "exp": 1, "irreducible": True}]}]})

@@ -53,6 +53,26 @@ def test_factorize_refuses_uncertified_cofactor():
         factorize(3 * (10 ** 9 + 7) * (10 ** 9 + 9))
 
 
+def test_factorize_certifies_square_of_prime_past_trial_bound():
+    # 1000003 is a prime past 10^6: trial division leaves its square, a
+    # cofactor past 10^12 whose root has no prime factor up to 10^6 and is
+    # at most 10^12, hence prime
+    assert factorize(1000003 ** 2) == (1, ((1000003, 2),))
+    assert factorize(-12 * 1000003 ** 2) == (
+        -1, ((2, 2), (3, 1), (1000003, 2)))
+    assert factorize(999999999989 ** 2) == (1, ((999999999989, 2),))
+
+
+@pytest.mark.parametrize("n", [
+    1000003 ** 3,                   # a cube, not a square
+    (1000003 * 1000033) ** 2,       # a square whose root is past 10^12
+    1000003 * 1000033,              # two primes past 10^6, not a square
+])
+def test_factorize_refuses_other_cofactors_past_bound(n):
+    with pytest.raises(FactorizationLimitExceeded):
+        factorize(n)
+
+
 def test_factorize_zero():
     with pytest.raises(ZeroElement):
         factorize(0)

@@ -7,11 +7,12 @@ import pytest
 
 from quatwitt import polys as P
 from quatwitt.errors import UnsupportedResidueField, ZeroElement
-from quatwitt.fields import Place, square_class
+from quatwitt.fields import Place, sq_mul, square_class
 from quatwitt.funcfield import (
     conic_parametrize,
     conic_w0_places,
     ff_entry,
+    ff_entry_product,
     ff_form,
     good_points,
     kernel_generator,
@@ -214,6 +215,32 @@ def test_psi_images_unramified():
             continue
         img = psi_split(mixed(A, odd_entries=(z,)), conic)
         assert w0_membership(img, conic_w0_places(img, conic))
+
+
+def test_psi_split_matches_closed_form_trace():
+    """The linear form L = l1 X + l2 Y + l3 D of each odd slot, with l_k =
+    Trd(z e_k) from the quaternion product, is the closed form (2a z1,
+    2b z2, -2ab z3)/d for z = (z1 i + z2 j + z3 ij)/d."""
+    rng = random.Random(4)
+    for a, b in [(1, 1), (2, 7), (5, -1), (F(1, 4), F(-5, 7))]:
+        A = QuatAlgebra(a, b)
+        conic = conic_parametrize(A)
+        for k in range(15):
+            c = [F(rng.randint(-5, 5), 1 + k % 3) for _ in range(3)]
+            z = A.pure(*c)
+            if not z.is_invertible():
+                continue
+            _, z1, z2, z3 = z.num
+            l1, l2, l3 = (F(2 * a * z1, z.den), F(2 * b * z2, z.den),
+                          F(-2 * a * b * z3, z.den))
+            L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
+                       P.pscale(l3, conic.D))
+            ld = ff_entry_product(ff_entry(L), conic.D_entry)
+            zsq = square_class(-z.nrd())
+            img = psi_split(mixed(A, odd_entries=(z,)), conic)
+            assert [(e.unit, e.factors) for e in img.entries] == [
+                (-ld.unit, ld.factors),
+                (sq_mul(ld.unit, zsq), ld.factors)]
 
 
 def test_w0_membership_defaults_to_the_support():

@@ -19,8 +19,6 @@ from quatwitt.hermitian import (
     hyperbolicity_certificate,
     morita_gram,
     morita_transfer,
-    morita_transfer_entries,
-    trd_coefficients,
 )
 from quatwitt.mixed import MixedClass, mixed_equal
 from quatwitt.quadforms import (
@@ -92,24 +90,22 @@ def test_morita_transfer_formula():
                 assert witt_equal(diagonalize(gram), q)
 
 
-def test_morita_transfer_entries_generic():
-    # the entries need only the pure coordinates of the nilpotent; T is the
-    # reduced trace of the product z z0, and trd_coefficients gives its
-    # linear form
-    A = QuatAlgebra(1, 1)
-    z0 = find_nilpotent(A)
+def test_morita_transfer_generic():
+    # reference: each slot is qf([-t, t z^2]) with t = Trd(z z0), factored
+    # whole, or <1, -1> when t = 0; the transfer builds the same entries
+    # from the square classes of t and z^2
     rng = random.Random(0)
-    for _ in range(20):
-        z = _rand_pure(rng, A)
-        entries = morita_transfer_entries(AntiHermForm((z,), A),
-                                          z0.coords[1:])
-        t = (z * z0).trd()
-        assert sum(l * c for l, c in zip(trd_coefficients(z),
-                                         z0.coords[1:])) == t
-        if t == 0:
-            assert entries == [1, -1]
-        else:
-            assert entries == [-t, t * (-z.nrd())]
+    for a, b in [(1, 1), (2, 7), (5, -1), (Fraction(1, 4), Fraction(-5, 7))]:
+        A = QuatAlgebra(a, b)
+        z0 = find_nilpotent(A)
+        for k in range(20):
+            diag = tuple(_rand_pure(rng, A).scale(Fraction(1, 1 + k % 3))
+                         for _ in range(1 + k % 3))
+            expected = []
+            for z in diag:
+                t = (z * z0).trd()
+                expected += [1, -1] if t == 0 else [-t, t * (-z.nrd())]
+            assert morita_transfer(AntiHermForm(diag, A), z0) == qf(expected)
 
 
 def test_morita_requires_split():
