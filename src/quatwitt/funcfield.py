@@ -23,7 +23,6 @@ from .errors import (
     MissingFactorization,
     NoGoodSpecializationPoint,
     NotSplit,
-    SearchBoundExceeded,
     UnsupportedResidueField,
     VerificationFailed,
     ZeroElement,
@@ -39,10 +38,7 @@ from .quadforms import (
     qf,
     witt_class,
 )
-from .quaternions import QuatAlgebra, height_shell, is_split
-
-INFINITE_PLACE = Place("infinite")
-CONIC_HEIGHT_BOUND = 60
+from .quaternions import QuatAlgebra, is_split, pure_norm_zeros
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +427,22 @@ class ConicData:
     y_t: RationalFunction
 
 
-def _conic_point(A: QuatAlgebra):
-    """Rational point of -a x^2 - b y^2 + ab = 0, from a zero of the pure
-    norm form with nonzero ij-coordinate and height <= CONIC_HEIGHT_BOUND,
-    searched on the integer multiple of that form by `QuatAlgebra.table`."""
-    _, ea, eb, eab = A.table
-    for h in range(1, CONIC_HEIGHT_BOUND + 1):
-        for c3, c1, c2 in height_shell(h, 3):
-            if c3 >= 1 and -ea * c1 * c1 - eb * c2 * c2 + eab * c3 * c3 == 0:
-                return (Fraction(c1, c3), Fraction(c2, c3))
-    raise SearchBoundExceeded("no conic point within the height bound")
-
-
 @lru_cache(maxsize=2**8)
 def conic_parametrize(A: QuatAlgebra) -> ConicData:
     """The verified conic parametrization, cached per algebra: the line of
     slope t through the point (x0, y0) meets the conic again at
-    (X/D, Y/D)."""
+    (X/D, Y/D), for (x0, y0) = (c1/c3, c2/c3) with (c3, c1, c2) the least
+    zero with c3 >= 1 in the first shell of `pure_norm_zeros` with one."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra; its conic has no"
                        " rational point")
     a, b = A.a, A.b
-    x0, y0 = _conic_point(A)
+    for shell in pure_norm_zeros(A):
+        points = [(c3, c1, c2) for c1, c2, c3 in shell if c3 >= 1]
+        if points:
+            c3, c1, c2 = min(points)
+            break
+    x0, y0 = Fraction(c1, c3), Fraction(c2, c3)
     X = P.poly([-a * x0, -2 * b * y0, b * x0])
     Y = P.poly([a * y0, -2 * a * x0, -b * y0])
     D = P.poly([a, 0, b])

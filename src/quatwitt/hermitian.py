@@ -32,12 +32,13 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import rational_sqrt, sq_mul, square_class
-from .quadforms import QuadForm, is_isotropic, qf
+from .quadforms import QuadForm, is_isotropic, qf, witt_class
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
     _mul_coords,
     is_split,
+    norm_form,
 )
 
 DEFAULT_SEARCH_BOUND = 8
@@ -201,24 +202,26 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     reduced norms gives Nrd(p)^2 = n2 / n1 (n_k = Nrd(z_k)): no p unless
     n2 / n1 is a square c^2, and then Nrd(p) = c' for c' = c or -c.  By
     Skolem-Noether r^-1 z1 r = z2 / c' has the solution r = z1 + z2 / c'
-    (z1 r = z1 z2 / c' - n1 = r z2 / c'), or, when that sum is 0, any pure
-    r anticommuting with z1, such as the commutator z1 u - u z1 with u not
-    in Q(z1).  All solutions are p = s r with s in Q(z1)^*, whose reduced
-    norms are the values of <1, n1>; so p exists iff <1, n1> represents
-    c' / Nrd(r), i.e. <1, n1, -c' / Nrd(r)> is isotropic (Hasse-Minkowski).
+    (z1 r = z1 z2 / c' - n1 = r z2 / c').  All solutions are p = s r with s
+    in Q(z1)^*, whose reduced norms are the values of <1, n1>; so p exists
+    iff <1, n1, -c' / Nrd(r)> is isotropic (Hasse-Minkowski).  When r = 0,
+    p anticommutes with z1: it is pure and orthogonal to z1, so Nrd(p) is
+    a value of B, <n1> + B = <-a, -b, ab>.  So p exists iff the kernel of
+    <-a, -b, ab, -n1, -c'> = H + B + <-c'> is 1-dimensional (B is
+    anisotropic), read from square classes: ab is never factored.
     """
     n1 = z1.nrd()
     c = rational_sqrt(z2.nrd() / n1)
     if c is None:
         return False
-    A = z1.algebra
     for root in (c, -c):
         r = z1 + z2.scale(1 / root)
         if r.is_zero():
-            r = next(w for w in (z1 * u - u * z1
-                                 for u in (A.i(), A.j(), A.ij()))
-                     if not w.is_zero())
-        if is_isotropic(qf([1, n1, -root / r.nrd()])):
+            diag = QuadForm(norm_form(z1.algebra).reps()[1:]
+                            + (-square_class(n1), -square_class(root)))
+            if witt_class(diag).dim == 1:
+                return True
+        elif is_isotropic(qf([1, n1, -root / r.nrd()])):
             return True
     return False
 

@@ -205,8 +205,8 @@ def _local_data(reps: Tuple[int, ...]) -> _Local:
     """The invariants of the diagonal of squarefree integers reps, each
     Hasse symbol in closed form from one pass over the entries.
 
-    The primes are 2, then for each entry its primes outside those already
-    found, by `_new_primes` as in `_hasse_with`.  At a prime p write
+    The primes are 2, then for each entry by increasing |r| (ab after a and
+    b) its primes outside those found, by `_new_primes`.  At a prime p write
     a_i = p^e_i u_i with e_i in {0, 1} and A = sum e_i.  By Serre III.1, Thm 1, the Hasse
     symbol prod_{i<j} (a_i, a_j)_p is (-1)^x with, mod 2:
       - odd p, l_i = 1 when (u_i|p) = -1:
@@ -221,7 +221,7 @@ def _local_data(reps: Tuple[int, ...]) -> _Local:
     2: those with e_i = 0 when A is odd, e_i = 1 when A is even.  A prime
     that divides an odd number of entries divides the discriminant."""
     primes = [2]
-    for r in reps:
+    for r in sorted(reps, key=abs):
         primes.extend(_new_primes(primes, r))
     negative = sum(r < 0 for r in reps)
     disc = -1 if negative % 2 else 1

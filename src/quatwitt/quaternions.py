@@ -9,12 +9,11 @@ coordinates back.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Tuple
 
 from .errors import (
@@ -209,36 +208,42 @@ def is_split(A: QuatAlgebra) -> bool:
     return is_isotropic(norm_form(A))
 
 
-def height_shell(h: int, n: int):
-    """The integer n-tuples whose largest absolute entry is exactly h, in
-    lexicographic order; the shells h = 0, 1, 2, ... cover Z^n once."""
-    for c in itertools.product(range(-h, h + 1), repeat=n):
-        if h in c or -h in c:
-            yield c
+ZERO_HEIGHT_BOUND = 100
 
 
-NILPOTENT_HEIGHT_BOUND = 40
+def pure_norm_zeros(A: QuatAlgebra):
+    """Per height h = 1, ..., ZERO_HEIGHT_BOUND, the list of integer zeros
+    with max |c_k| = h of the pure norm form on `QuatAlgebra.table`,
+    -ea c1^2 - eb c2^2 + eab c3^2, each (c1, c3) solved for c2; then
+    SearchBoundExceeded.  The nilpotent and the conic point come from it."""
+    _, ea, eb, eab = A.table
+    for h in range(1, ZERO_HEIGHT_BOUND + 1):
+        shell = []
+        for c1 in range(-h, h + 1):
+            for c3 in range(-h, h + 1):
+                s, r = divmod(eab * c3 * c3 - ea * c1 * c1, eb)
+                if r or s < 0:
+                    continue
+                c2 = isqrt(s)
+                if c2 * c2 == s and max(abs(c1), c2, abs(c3)) == h:
+                    shell += {(c1, c2, c3), (c1, -c2, c3)}  # one if c2 = 0
+        yield shell
+    raise SearchBoundExceeded(
+        f"no zero of the pure norm form of height <= {ZERO_HEIGHT_BOUND}")
 
 
 @lru_cache(maxsize=2**8)
 def find_nilpotent(A: QuatAlgebra) -> Quaternion:
-    """Nonzero pure z0 with z0^2 = 0, by lexicographic height search on the
-    pure norm form, cleared of denominators by `QuatAlgebra.table`, up to
-    NILPOTENT_HEIGHT_BOUND; the result is verified by squaring.  Cached
-    per algebra: split-case equality, Morita transfer and phi_z0 all
-    transfer along this one nilpotent."""
+    """Nonzero pure z0 with z0^2 = 0: the lexicographically least zero of
+    the pure norm form in the first shell of `pure_norm_zeros` that has
+    one, verified by squaring.  Cached per algebra: split-case equality,
+    Morita transfer and phi_z0 all transfer along this one nilpotent."""
     if not is_split(A):
         raise NotSplit(f"{A!r} is a division algebra")
-    _, ea, eb, eab = A.table
-    for h in range(1, NILPOTENT_HEIGHT_BOUND + 1):
-        for c1, c2, c3 in height_shell(h, 3):
-            if -ea * c1 * c1 - eb * c2 * c2 + eab * c3 * c3 == 0:
-                z0 = A.pure(c1, c2, c3)
-                if not (z0 * z0).is_zero():
-                    raise NotNilpotent(f"{z0!r} does not square to 0")
-                return z0
-    raise SearchBoundExceeded(
-        f"no nilpotent of height <= {NILPOTENT_HEIGHT_BOUND}")
+    z0 = A.pure(*min(next(filter(None, pure_norm_zeros(A)))))
+    if not (z0 * z0).is_zero():
+        raise NotNilpotent(f"{z0!r} does not square to 0")
+    return z0
 
 
 def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:

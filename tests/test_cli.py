@@ -9,6 +9,7 @@ import pytest
 from quatwitt import cli
 from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
+from quatwitt.serialize import parse_input
 from quatwitt.suites import RunConfig
 
 
@@ -173,6 +174,107 @@ def test_transfer_with_large_prime_coordinate(capsys):
         '{"herm_diag": [["0", "1000003", "0", "0"]]}'])
     assert code == 0, err
     assert json.loads(out) == {"diag": ["2000006", "-2000006"]}
+
+
+def test_decide_rank_one_multiple_classifies_a_and_b_apart(capsys):
+    # <i> against <2i>: for c' = -2, i + 2i / c' = 0, and the isometry
+    # test reads the diagonal <-a, -b, ab, -Nrd(i), -c'> of square classes
+    # instead of factoring Nrd(2ij) = 4ab = 4 * 1000036000099
+    code, out, err = _run(capsys, [
+        "--quat", "1000003", "1000033", "--output", "json", "decide",
+        '{"odd": [["0", "1", "0", "0"]]}',
+        '{"odd": [["0", "2", "0", "0"]]}',
+    ])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "distinct"
+
+
+@pytest.mark.parametrize("a, b", [("1000003", "-1000033"),
+                                  ("-1000003", "1000033")])
+def test_decide_factors_product_entries_after_their_factors(capsys, a, b):
+    # the norm form <1, -a, -b, ab> sorts ab before a or b when a and b
+    # have opposite signs; the primes are collected by absolute value
+    z = '{"odd": [["0", "1", "0", "0"]]}'
+    code, out, err = _run(capsys, [
+        "--quat", a, b, "--output", "json", "decide", z, z])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+
+
+def test_split_algebra_with_its_least_zero_at_height_68(capsys):
+    # the least zero of the pure norm form of (33, 34) has height 68
+    z = '{"odd": [["0", "1", "0", "0"]]}'
+    code, out, err = _run(capsys, [
+        "--quat", "33", "34", "--output", "json", "decide", z, z])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+    code, out, err = _run(capsys, [
+        "--quat", "33", "34", "--output", "json", "psi",
+        '{"odd": [["0", "0", "0", "1"]]}'])
+    assert code == 0, err
+    assert len(json.loads(out)["entries"]) == 2
+
+
+def test_split_algebra_without_a_zero_below_the_height_bound(capsys):
+    # (1697, 162) is split, but no zero of its pure norm form has height
+    # <= 100
+    z = '{"odd": [["0", "1", "0", "0"]]}'
+    code, out, err = _run(capsys, ["--quat", "1697", "162", "decide", z, z])
+    assert code == 2
+    assert out == ""
+    assert "no zero of the pure norm form of height <= 100" in err
+
+
+@pytest.mark.parametrize("argv, message, pointer", [
+    (["lambda", "1", '{"diag": [1]}'],
+     "lambda expects an anti-hermitian form", "/"),
+    (["--quat", "1", "1", "transfer", '{"diag": [1]}'],
+     "transfer expects an anti-hermitian form", "/"),
+    (["residue", '{"diag": [1]}', "--place", "0,1"],
+     "residue expects a Q(t) form", "/"),
+    (["--quat", "1", "1", "psi", '{"diag": [1]}'],
+     "psi expects a mixed class", "/"),
+    (["decide", '{"diag": [1]}', '{"herm_diag": [["0", "1", "0", "0"]]}'],
+     "decide expects two inputs of one shape", "/"),
+    (["decide", '{"herm_diag": [["0", "1", "0"]]}', '{"diag": [1]}'],
+     "quaternion needs 4 coordinates", "/herm_diag/0"),
+    (["decide", '{"herm_diag": [["0", "x", "0", "0"]]}', '{"diag": [1]}'],
+     "not a rational number", "/herm_diag/0/1"),
+    (["decide", '{"herm_diag": [["1", "1", "0", "0"]]}', '{"diag": [1]}'],
+     "not pure invertible", "/herm_diag"),
+    (["decide", '{"diag": "x"}', '{"diag": [1]}'], "expected", "/diag"),
+    (["residue", '{"entries": "x"}', "--place", "inf"],
+     "expected", "/entries"),
+    (["residue", '{"entries": [null]}', "--place", "inf"],
+     "entry must be an object or list", "/entries/0"),
+    (["residue", '{"entries": [[0, 0]]}', "--place", "inf"],
+     "entry must be nonzero", "/entries/0"),
+    (["residue", json.dumps({"entries": [{"factors": [
+        {"poly": ["3"], "irreducible": True}]}]}), "--place", "inf"],
+     "factor must be non-constant", "/entries/0/factors/0/poly"),
+    (["residue", json.dumps({"entries": [{"factors": [
+        {"poly": "t", "irreducible": True}]}]}), "--place", "inf"],
+     "factor needs poly coefficients", "/entries/0/factors/0/poly"),
+])
+def test_malformed_input_exits_2_at_its_pointer(capsys, argv, message,
+                                                pointer):
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert message in err
+    assert f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"herm_diag": [["0", "1", "0", "0"]]},
+    {"odd": [["0", "1", "0", "0"]]},
+    {"even": [1]},
+    {"r": 1, "coeffs": [{}, {}, {}]},
+])
+def test_parse_input_without_an_algebra_refuses(doc):
+    with pytest.raises(SchemaViolation, match="needs a quaternion algebra"):
+        parse_input(doc)
 
 
 def _ff_doc(coeffs):

@@ -6,7 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from quatwitt import polys as P
-from quatwitt.errors import UnsupportedResidueField, ZeroElement
+from quatwitt.errors import (
+    NoGoodSpecializationPoint,
+    UnsupportedResidueField,
+    ZeroElement,
+)
 from quatwitt.fields import Place, sq_mul, square_class
 from quatwitt.funcfield import (
     conic_parametrize,
@@ -133,6 +137,24 @@ def test_kt_witt_equal_and_specialization():
     assert not kt_witt_equal(ff_form([1]), ff_form([3]))
     for c in good_points(q1.perp(q1), 5):
         assert witt_equal(q1.specialize(c), q1.specialize(c))
+
+
+def test_entry_value_at_matches_specialize():
+    # (t^2 - 2)(t + 1), 3t, -5 and a psi image over (2, 7)
+    A = QuatAlgebra(2, 7)
+    forms = [ff_form([[-2, -2, 1, 1], [0, 3], -5]),
+             psi_split(mixed(A, even=witt_class(qf([3])),
+                             odd_entries=(A.pure(1, 2, 0),
+                                          A.pure(0, 1, F(1, 3)))))]
+    for q in forms:
+        for c in (F(0), F(2), F(-1, 3), F(7, 2)):
+            values = [e.value_at(c) for e in q.entries]
+            if all(values):
+                assert qf(values) == q.specialize(c)
+            else:
+                with pytest.raises(NoGoodSpecializationPoint):
+                    q.specialize(c)
+    assert ff_entry([-2, -2, 1, 1]).value_at(F(-1)) == 0
 
 
 def test_kt_witt_equal_cancels_pairs_before_residues():

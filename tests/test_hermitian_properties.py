@@ -15,7 +15,9 @@ from quatwitt.fields import rational_sqrt  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     hyperbolicity_certificate,
+    rank_one_isometric,
 )
+from quatwitt.quadforms import is_isotropic, qf  # noqa: E402
 from quatwitt.quaternions import QuatAlgebra  # noqa: E402
 
 # certificates refuse split algebras (tests/test_hermitian.py)
@@ -47,6 +49,43 @@ def _pairing(x, y, entries, a, b):
         term = _mul(_mul(conj, z, a, b), yk, a, b)
         total = tuple(s + t for s, t in zip(total, term))
     return total
+
+
+def _reference_rank_one_isometric(z1, z2):
+    """The rank-1 decision with a commutator when z1 + z2 / c' = 0: then
+    r = z1 u - u z1 for the first u of (i, j, ij) outside Q(z1), which
+    anticommutes with z1, and p = s r exists iff <1, n1> represents
+    c' / Nrd(r), as in the other case."""
+    n1 = z1.nrd()
+    c = rational_sqrt(z2.nrd() / n1)
+    if c is None:
+        return False
+    A = z1.algebra
+    for root in (c, -c):
+        r = z1 + z2.scale(1 / root)
+        if r.is_zero():
+            r = next(w for w in (z1 * u - u * z1
+                                 for u in (A.i(), A.j(), A.ij()))
+                     if not w.is_zero())
+        if is_isotropic(qf([1, n1, -root / r.nrd()])):
+            return True
+    return False
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(ALGEBRAS), pure, pure,
+                  coord.filter(bool), st.booleans())
+def test_rank_one_isometric_equals_the_commutator_reference(ab, c1, c2, m,
+                                                            multiple):
+    """Half the draws compare z1 with a rational multiple m z1, where one
+    of z1 + z2 / c' is 0."""
+    A = QuatAlgebra(*ab)
+    z1 = A.pure(*c1)
+    z2 = z1.scale(m) if multiple else A.pure(*c2)
+    got = rank_one_isometric(z1, z2)
+    hypothesis.event(("multiple" if multiple else "independent")
+                     + (", isometric" if got else ", not isometric"))
+    assert got == _reference_rank_one_isometric(z1, z2)
 
 
 @st.composite

@@ -1,5 +1,7 @@
 """Every imported name is used: the library modules (but not the package
-`__init__.py`, whose imports are re-exports) and the test files."""
+`__init__.py`, whose imports are re-exports) and the test files.  Every
+name a library module defines at its top level is read somewhere in the
+library, the tests, the demos or the benchmark harness."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+TREES = ("src", "tests", "demos", "perfbench")
 FILES = sorted(
     [p for p in (ROOT / "src" / "quatwitt").glob("*.py")
      if p.name != "__init__.py"]
@@ -39,3 +42,41 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _top_level(tree):
+    """(name, line) for each name a module binds at its top level with a
+    def, a class or an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                    yield sub.id, node.lineno
+
+
+def _read(tree):
+    """Names a file reads: loaded names, attribute names and the names it
+    imports from a module.  Names are matched without their module, so a
+    name read anywhere counts for every module that defines it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_module_level_name_is_read():
+    read = set()
+    for tree in TREES:
+        for path in (ROOT / tree).rglob("*.py"):
+            read.update(_read(ast.parse(path.read_text(), filename=str(path))))
+    unread = [f"{path.name}: {name} (line {line})"
+              for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
+              for name, line in _top_level(ast.parse(path.read_text()))
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in read]
+    assert not unread, f"module-level names nothing reads: {unread}"

@@ -48,11 +48,12 @@ def test_kernel_is_anisotropic_and_witt_equal(diag):
 
 
 def _reference_local_data(reps):
-    """The invariants by adjoining one entry at a time, each Hasse symbol
+    """The invariants by adjoining one entry at a time, in increasing
+    absolute value as `_local_data` collects its primes, each Hasse symbol
     updated by the Hilbert symbols of `_hasse_with`: the reference for the
     one-pass closed form of `_local_data`."""
     loc = _Local(0, 1, 0, {2: 1})
-    for r in reps:
+    for r in sorted(reps, key=abs):
         loc = _adjoin(loc, r)
     return loc
 

@@ -6,15 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from quatwitt.errors import NotPureInvertible, NotSplit
+from quatwitt.errors import NotPureInvertible, NotSplit, SearchBoundExceeded
+from quatwitt.funcfield import conic_parametrize
 from quatwitt.quadforms import qf, witt_equal
 from quatwitt.quaternions import (
+    ZERO_HEIGHT_BOUND,
     QuatAlgebra,
     draw_pure,
     find_nilpotent,
-    height_shell,
     is_split,
     norm_form,
+    pure_norm_zeros,
 )
 
 H = QuatAlgebra(-1, -1)
@@ -84,13 +86,76 @@ def test_is_split():
     assert not is_split(QuatAlgebra(-1, -7))
 
 
-def test_height_shell():
-    assert list(height_shell(0, 3)) == [(0, 0, 0)]
-    for n in (1, 2, 3):
-        for h in (1, 2):
-            box = itertools.product(range(-h, h + 1), repeat=n)
-            assert list(height_shell(h, n)) == \
-                [c for c in box if max(map(abs, c)) == h]
+def _pure_norm(A, c):
+    _, ea, eb, eab = A.table
+    c1, c2, c3 = c
+    return -ea * c1 * c1 - eb * c2 * c2 + eab * c3 * c3
+
+
+def test_pure_norm_zeros_equal_a_box_scan():
+    for a, b in ((1, 1), (2, 7), (5, -1), (1, -1), (-1, -7),
+                 (Fraction(1, 4), Fraction(-5, 7)), (Fraction(-9, 2), 8)):
+        A = QuatAlgebra(a, b)
+        for h, shell in enumerate(itertools.islice(pure_norm_zeros(A), 9),
+                                  start=1):
+            box = itertools.product(range(-h, h + 1), repeat=3)
+            assert sorted(shell) == [c for c in box if max(map(abs, c)) == h
+                                     and _pure_norm(A, c) == 0]
+
+
+def test_pure_norm_zeros_stop_at_the_height_bound():
+    shells = []
+    with pytest.raises(SearchBoundExceeded):
+        for shell in pure_norm_zeros(H):
+            shells.append(shell)
+    assert shells == [[]] * ZERO_HEIGHT_BOUND
+
+
+def _height_shell(h):
+    """The integer triples of height exactly h in lexicographic order, the
+    order of the two reference scans below."""
+    for c in itertools.product(range(-h, h + 1), repeat=3):
+        if h in c or -h in c:
+            yield c
+
+
+def _reference_nilpotent(A):
+    for h in range(1, 41):
+        for c in _height_shell(h):
+            if _pure_norm(A, c) == 0:
+                return A.pure(*c)
+    return None
+
+
+def _reference_conic_point(A):
+    for h in range(1, 61):
+        for c3, c1, c2 in _height_shell(h):
+            if c3 >= 1 and _pure_norm(A, (c1, c2, c3)) == 0:
+                return (Fraction(c1, c3), Fraction(c2, c3))
+    return None
+
+
+def test_zeros_equal_the_height_shell_reference():
+    """The nilpotent and the conic point are those of the lexicographic
+    height-shell scans to heights 40 and 60, over split algebras with
+    a, b = +-n/d, n <= 12, d <= 3 (so both scans end after a few shells)
+    and over algebras where -ab is a square (zeros with c3 = 0)."""
+    rng = random.Random(1)
+    algebras = {QuatAlgebra(1, -1), QuatAlgebra(2, -2), QuatAlgebra(-3, 3),
+                QuatAlgebra(Fraction(-9, 2), 8)}
+    while len(algebras) < 36:
+        A = QuatAlgebra(*(Fraction(rng.choice((1, -1)) * rng.randint(1, 12),
+                                   rng.randint(1, 3)) for _ in range(2)))
+        if is_split(A):
+            algebras.add(A)
+    assert sum(A.a.denominator * A.b.denominator > 1 for A in algebras) >= 10
+    for A in algebras:
+        z0 = _reference_nilpotent(A)
+        if z0 is not None:
+            assert find_nilpotent(A) == z0
+        point = _reference_conic_point(A)
+        if point is not None:
+            assert conic_parametrize(A).point == point
 
 
 def test_find_nilpotent():
