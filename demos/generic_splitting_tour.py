@@ -4,8 +4,8 @@ Run with: python3 demos/generic_splitting_tour.py
 """
 
 from quatwitt import polys as P
-from quatwitt.fields import Place
 from quatwitt.funcfield import (
+    Place,
     conic_parametrize,
     ff_form,
     kernel_generator,

@@ -9,10 +9,7 @@ from .fields import (
     Fp,
     QQ,
     FieldSpec,
-    Place,
-    REAL_PLACE,
     factorize,
-    finite_place,
     hilbert_symbol,
     legendre_symbol,
     square_class,
@@ -42,6 +39,7 @@ from .quaternions import (
     find_nilpotent,
     is_split,
     norm_form,
+    ramified_places,
 )
 from .hermitian import (
     AntiHermForm,
@@ -75,6 +73,7 @@ from .invariants import (
 from .funcfield import (
     ConicData,
     FunctionFieldForm,
+    Place,
     conic_parametrize,
     ff_form,
     kernel_generator,

@@ -29,9 +29,10 @@ from .errors import (
     SchemaViolation,
     UnsupportedField,
 )
-from .fields import Fp, QQ, Place
+from .fields import Fp, QQ
 from .funcfield import (
     FunctionFieldForm,
+    Place,
     conic_parametrize,
     kt_witt_equal,
     psi_split,

@@ -1,5 +1,7 @@
-"""Base fields: exact arithmetic over Q and F_p (p odd), square classes,
-places and the Legendre / Hilbert symbols.
+"""Base fields: exact arithmetic over Q and F_p (p odd), square classes and
+the Legendre / Hilbert symbols.
+
+A place of Q is a plain integer: a prime p, or -1 for the real place.
 
 Everything here is deterministic: integer factorization is trial division
 up to a configured bound, never probabilistic.
@@ -11,12 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional, Tuple
+from typing import Optional
 
 from .errors import (
     EvenOrCompositeModulus,
     FactorizationLimitExceeded,
-    UnsupportedField,
     ZeroArgument,
     ZeroElement,
 )
@@ -223,39 +224,9 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if s == p - 1 else 1
 
 
-@dataclass(frozen=True)
-class Place:
-    """A place of Q or Q(t).
-
-    kind is one of "real", "finite" (p-adic, p prime including 2),
-    "poly" (monic irreducible pi of Q[t]) or "infinite" (1/t-adic).
-    """
-
-    kind: str
-    p: Optional[int] = None
-    pi: Optional[Tuple[Fraction, ...]] = None
-
-    def __repr__(self):
-        if self.kind == "real":
-            return "v_real"
-        if self.kind == "finite":
-            return f"v_{self.p}"
-        if self.kind == "infinite":
-            return "v_inf"
-        return f"v_({self.pi})"
-
-
-REAL_PLACE = Place("real")
-
-
 def _require_prime(p: int):
     if not is_prime(p):
         raise EvenOrCompositeModulus(f"{p} is not prime")
-
-
-def finite_place(p: int) -> Place:
-    _require_prime(p)
-    return Place("finite", p=p)
 
 
 def _val_and_unit(n: int, p: int):
@@ -276,17 +247,12 @@ def _class_int(x) -> int:
     return x.numerator * x.denominator
 
 
-def hilbert_symbol(a, b, v: Place) -> int:
-    """Hilbert symbol (a, b)_v over the completion of Q at v."""
-    a, b = _class_int(a), _class_int(b)
-    if a == 0 or b == 0:
-        raise ZeroArgument("Hilbert symbol needs nonzero arguments")
-    if v.kind == "real":
-        return hilbert_symbol_p(a, b, -1)
-    if v.kind != "finite":
-        raise UnsupportedField(f"Hilbert symbol undefined at {v}")
-    _require_prime(v.p)
-    return hilbert_symbol_p(a, b, v.p)
+def hilbert_symbol(a, b, v: int) -> int:
+    """Hilbert symbol (a, b)_v of nonzero rationals over the completion of
+    Q at the place v: a prime p, or -1 for the real place."""
+    if v != -1:
+        _require_prime(v)
+    return hilbert_symbol_p(_class_int(a), _class_int(b), v)
 
 
 def hilbert_symbol_p(a: int, b: int, p: int) -> int:
@@ -325,16 +291,3 @@ def is_padic_square(x, p: int) -> bool:
     if p == 2:
         return u % 8 == 1
     return legendre_symbol(u % p, p) == 1
-
-
-def relevant_primes(values) -> list:
-    """Finite primes at which Hilbert symbols of the given nonzero
-    rationals can be nontrivial: 2 plus every odd prime in a support."""
-    primes = {2}
-    for x in values:
-        x = Fraction(x)
-        for n in (x.numerator, x.denominator):
-            _, fs = factorize(n)
-            for q, _ in fs:
-                primes.add(q)
-    return sorted(primes)

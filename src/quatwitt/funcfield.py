@@ -27,7 +27,7 @@ from .errors import (
     VerificationFailed,
     ZeroElement,
 )
-from .fields import Place, rational_sqrt, sq_mul, square_class
+from .fields import rational_sqrt, sq_mul, square_class
 from .mixed import MixedClass, mixed
 from .polys import RationalFunction
 from .quadforms import (
@@ -42,7 +42,26 @@ from .quaternions import QuatAlgebra, is_split, pure_norm_zeros
 
 
 # ---------------------------------------------------------------------------
-# factored entries
+# places and factored entries
+
+
+@dataclass(frozen=True)
+class Place:
+    """A place of Q(t): kind "poly", at the monic irreducible pi of Q[t],
+    or "infinite", the 1/t-adic place.  A place of Q is a plain integer
+    (see fields)."""
+
+    kind: str
+    pi: Optional[P.Poly] = None
+
+    def __post_init__(self):
+        if self.kind not in ("poly", "infinite") \
+                or (self.pi is None) != (self.kind == "infinite"):
+            raise ValueError(f"not a place of Q(t): {self.kind!r}, "
+                             f"pi={self.pi!r}")
+
+    def __repr__(self):
+        return "v_inf" if self.kind == "infinite" else f"v_({self.pi})"
 
 
 @dataclass(frozen=True)
@@ -61,11 +80,9 @@ class FFEntry:
         return out
 
     def valuation(self, v: Place) -> int:
-        if v.kind == "poly":
-            return int(v.pi in self.factors)
         if v.kind == "infinite":
             return -sum(P.degree(f) for f in self.factors)
-        raise UnsupportedResidueField(f"no valuation at {v}")
+        return int(v.pi in self.factors)
 
 
 def ff_class(unit, factors) -> FFEntry:
@@ -399,10 +416,11 @@ def w0_membership(q: FunctionFieldForm,
 def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> List[Place]:
     """Places of Q(t) corresponding to affine points of the parametrized
     conic that meet the support of q: the parametrization sends the zeros
-    of a + b t^2 to the conic's point at infinity (which is excluded),
-    while the t-infinite place is an affine conic point (included)."""
-    pole = P.monic(conic.D)
-    out = [Place("poly", pi=pi) for pi in q.support() if pi != pole]
+    of D = a + b t^2 to the conic's points at infinity (excluded, every
+    factor of D: two linear ones when -a/b is a square), while the
+    t-infinite place is an affine conic point (included)."""
+    poles = conic.D_entry.factors
+    out = [Place("poly", pi=pi) for pi in q.support() if pi not in poles]
     out.append(Place("infinite"))
     return out
 

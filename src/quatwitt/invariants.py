@@ -15,8 +15,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import DegreeTooLarge, LengthMismatch, RankMismatch
-from .fields import REAL_PLACE, finite_place, hilbert_symbol, relevant_primes
+from .errors import (
+    DegreeTooLarge,
+    LengthMismatch,
+    RankMismatch,
+    UnsupportedField,
+)
 from .hermitian import DEFAULT_SEARCH_BOUND, AntiHermForm
 from .mixed import (
     MixedClass,
@@ -32,11 +36,11 @@ from .quadforms import (
     WittClass,
     local_anisotropic_dim,
     qf,
-    signature,
     signed_disc,
     witt_class,
+    witt_invariants,
 )
-from .quaternions import QuatAlgebra, draw_pure, is_split, norm_form
+from .quaternions import QuatAlgebra, draw_pure, norm_form, ramified_places
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
@@ -159,12 +163,13 @@ def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
 
 def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     """Membership of x in the ideal n_Q W(Q): "member" or "nonmember".
+    UnsupportedField for a class that is not over Q.
 
-    For split Q the ideal is 0.  For a division algebra Q, x lies in
-    n_Q W(Q) iff
+    For split Q the ideal is 0.  For a division algebra Q, with its
+    ramified places from `ramified_places`, x lies in n_Q W(Q) iff
       - x is in I^2: even dimension and signed discriminant 1;
-      - x is 0 at every place where Q splits: signature 0 at the real
-        place, anisotropic dimension 0 over Q_p at a prime;
+      - x is 0 at every place v where Q splits: local anisotropic
+        dimension 0 over Q_v (|signature| at the real place v = -1);
       - the Clifford invariant of x is 0 or [Q]: it is nontrivial at all
         of Q's ramified places or at none.  At a ramified prime it is
         nontrivial iff x_p != 0, as I^2(Q_p) = {0, n_Q}.  The Clifford
@@ -176,26 +181,25 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     has trivial Hasse invariants everywhere, so by Hasse-Minkowski (Serre,
     *A Course in Arithmetic*, Ch. IV) it is fixed by its signature.  That
     is 0, or, when Q ramifies at the real place, a multiple 8k, and then
-    x - e n_Q = k n_Q <1, 1>.  At a prime outside 2 and the primes of x, a
-    and b, every entry is a unit and x and n_Q are both 0, so only those
-    primes are checked.
+    x - e n_Q = k n_Q <1, 1>.  The places of x checked are those that
+    `witt_invariants` keys: the real place, 2 and the primes of x.  At any
+    other prime every entry of x is a unit, so x, already in I^2, is 0
+    there; that holds at a ramified prime x does not touch too.
     """
-    if is_split(A):
+    if x.field.kind != "Q":
+        raise UnsupportedField("n_Q-membership is decided over Q only")
+    ramified = ramified_places(A)
+    if not ramified:
         return "member" if x.is_zero() else "nonmember"
     q = x.anis
     if q.dim % 2 or signed_disc(q) != 1:
         return "nonmember"
-    a, b = A.a, A.b
-    if hilbert_symbol(a, b, REAL_PLACE) == 1 and signature(q):
+    nonzero = {v for v in witt_invariants(q).hasse
+               if local_anisotropic_dim(q, v)}
+    if nonzero - set(ramified):
         return "nonmember"
-    clifford = []  # whether x_p != 0, at each prime where Q ramifies
-    for p in relevant_primes(list(q.reps()) + [a, b]):
-        nonzero = local_anisotropic_dim(q, p) != 0
-        if hilbert_symbol(a, b, finite_place(p)) == -1:
-            clifford.append(nonzero)
-        elif nonzero:
-            return "nonmember"
-    return "member" if all(clifford) or not any(clifford) else "nonmember"
+    clifford = {p in nonzero for p in ramified if p != -1}
+    return "member" if len(clifford) <= 1 else "nonmember"
 
 
 # ---------------------------------------------------------------------------

@@ -43,13 +43,10 @@ from .errors import (
     ZeroSlot,
 )
 from .fields import (
-    REAL_PLACE,
     FieldSpec,
-    Place,
     QQ,
     class_mul,
     factorize,
-    finite_place,
     hilbert_symbol_p,
     is_padic_square,
     is_prime,
@@ -137,18 +134,19 @@ def signed_disc(q: QuadForm) -> int:
 class WittInvariants:
     dim: int
     signed_disc: int
-    hasse: Dict[Place, int]
+    hasse: Dict[int, int]
     signature: Optional[int]
 
 
 def witt_invariants(q: QuadForm) -> WittInvariants:
     """Classical invariants: dimension, signed discriminant, Hasse symbols
-    at the relevant places, and (over Q) the signature."""
+    and (over Q) the signature.  Over Q the Hasse symbols are keyed by
+    place, -1 (the real place) and then 2 and the primes of the entries in
+    ascending order; the symbol is 1 at every other place."""
     if q.field.kind == "Q":
         loc = _local_q(q)
-        hasse = {REAL_PLACE: _hyperbolic_hasse((loc.dim - loc.sig) // 2, -1)}
-        hasse.update((finite_place(p), s)
-                     for p, s in sorted(loc.hasse.items()))
+        hasse = {-1: _hyperbolic_hasse((loc.dim - loc.sig) // 2, -1)}
+        hasse.update(sorted(loc.hasse.items()))
         return WittInvariants(loc.dim, _signed(loc.dim, loc.disc), hasse,
                               loc.sig)
     return WittInvariants(q.dim, signed_disc(q), {}, None)
@@ -339,14 +337,17 @@ def _represented_by_kernel(loc: _Local, k: int):
     return represents
 
 
-def local_anisotropic_dim(q: QuadForm, p: int) -> int:
-    """Dimension of the anisotropic kernel of q over Q_p."""
+def local_anisotropic_dim(q: QuadForm, v: int) -> int:
+    """Dimension of the anisotropic kernel of q over Q_v, for a prime v, or
+    over R for v = -1, where it is |signature|."""
     if q.field.kind != "Q":
         raise UnsupportedField("local anisotropic dimension only over Q")
-    if not is_prime(p):
-        raise EvenOrCompositeModulus(f"{p} is not prime")
+    if v == -1:
+        return abs(signature(q))
+    if not is_prime(v):
+        raise EvenOrCompositeModulus(f"{v} is not prime")
     loc = _local_q(q)
-    return _local_dim(loc.dim, loc.disc, loc.hasse.get(p, 1), p)
+    return _local_dim(loc.dim, loc.disc, loc.hasse.get(v, 1), v)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .errors import (
     ZeroArgument,
 )
 from .fields import sq_mul, square_class
-from .quadforms import QuadForm, is_isotropic
+from .quadforms import QuadForm, local_anisotropic_dim, witt_invariants
 
 
 @dataclass(frozen=True)
@@ -200,12 +200,27 @@ def norm_form(A: QuatAlgebra) -> QuadForm:
     return QuadForm((1, -sa, -sb, sq_mul(sa, sb)))
 
 
-# kept below the 1% rule of fields: every mixed_equal and certificate asks,
-# and without the cache mixed-split's median decide op is 5% slower
+# kept below the 1% rule of fields: every mixed_equal and certificate asks
+# whether the algebra splits, and without the cache mixed-split's median
+# decide op is 5% slower
 @lru_cache(maxsize=2**8)
+def ramified_places(A: QuatAlgebra) -> Tuple[int, ...]:
+    """The places of Q where A ramifies: -1 (the real place) first, then
+    primes in ascending order.  They are the places v where the norm form
+    n_Q is anisotropic over Q_v, so of local dimension 4 (a 2-fold Pfister
+    form is hyperbolic or anisotropic).  Only the places that
+    `witt_invariants` keys can ramify: the real place, 2 and the primes of
+    a and b.  By Hasse-Minkowski A splits iff none ramifies, and by Hilbert
+    reciprocity their number is even (Serre, *A Course in Arithmetic*,
+    Ch. III-IV)."""
+    n = norm_form(A)
+    return tuple(v for v in witt_invariants(n).hasse
+                 if local_anisotropic_dim(n, v) == 4)
+
+
 def is_split(A: QuatAlgebra) -> bool:
-    """Split iff the norm form is isotropic."""
-    return is_isotropic(norm_form(A))
+    """Split iff A ramifies at no place."""
+    return not ramified_places(A)
 
 
 ZERO_HEIGHT_BOUND = 100

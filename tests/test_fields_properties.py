@@ -11,11 +11,9 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt.fields import (  # noqa: E402
     QQ,
-    REAL_PLACE,
     Fp,
     class_mul,
     factorize,
-    finite_place,
     hilbert_symbol,
     square_class,
 )
@@ -33,7 +31,7 @@ def _places(*values):
     n = 2
     for x in values:
         n *= x.numerator * x.denominator
-    return [REAL_PLACE] + [finite_place(p) for p, _ in factorize(n)[1]]
+    return [-1] + [p for p, _ in factorize(n)[1]]
 
 
 @settings

@@ -11,8 +11,9 @@ from quatwitt.errors import (
     UnsupportedResidueField,
     ZeroElement,
 )
-from quatwitt.fields import Place, sq_mul, square_class
+from quatwitt.fields import sq_mul, square_class
 from quatwitt.funcfield import (
+    Place,
     conic_parametrize,
     conic_w0_places,
     ff_entry,
@@ -29,12 +30,20 @@ from quatwitt.funcfield import (
 from quatwitt.mixed import mixed
 from quatwitt.polys import RationalFunction
 from quatwitt.quadforms import qf, witt_class, witt_equal
-from quatwitt.quaternions import QuatAlgebra
+from quatwitt.quaternions import QuatAlgebra, draw_pure
 
 T = [0, 1]
 PLACE_T = Place("poly", pi=P.poly([F(0), F(1)]))
 PLACE_T1 = Place("poly", pi=P.poly([F(-1), F(1)]))
 INF = Place("infinite")
+
+
+@pytest.mark.parametrize("kind, pi", [("real", None), ("finite", None),
+                                     ("poly", None), ("infinite", (F(0), F(1)))])
+def test_place_is_a_place_of_qt(kind, pi):
+    # a place of Q is a plain integer; Place names only places of Q(t)
+    with pytest.raises(ValueError):
+        Place(kind, pi=pi)
 
 
 def test_ff_entry_normalization():
@@ -237,6 +246,24 @@ def test_psi_images_unramified():
             continue
         img = psi_split(mixed(A, odd_entries=(z,)), conic)
         assert w0_membership(img, conic_w0_places(img, conic))
+
+
+@pytest.mark.parametrize("ab", [(1, -1), (1, -4)])
+def test_psi_images_unramified_when_a_plus_bt2_splits(ab):
+    """-a/b is a square, so D = a + b t^2 is a product of two linear
+    places; both go to the conic's points at infinity, so neither is a
+    place of W0, and psi images are unramified at the rest."""
+    A = QuatAlgebra(*ab)
+    conic = conic_parametrize(A)
+    assert [P.degree(f) for f in conic.D_entry.factors] == [1, 1]
+    rng = random.Random(7)
+    for k in range(40):
+        odd = tuple(draw_pure(rng, A, 4) for _ in range(1 + k % 2))
+        even = witt_class(qf([rng.choice([1, -1, 2, -3, 5])]))
+        img = psi_split(mixed(A, even=even, odd_entries=odd), conic)
+        places = conic_w0_places(img, conic)
+        assert not {v.pi for v in places} & set(conic.D_entry.factors)
+        assert w0_membership(img, places)
 
 
 def test_psi_split_matches_closed_form_trace():

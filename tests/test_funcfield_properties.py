@@ -23,10 +23,10 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import polys as P  # noqa: E402
 from quatwitt.errors import UnsupportedResidueField  # noqa: E402
-from quatwitt.fields import Place  # noqa: E402
 from quatwitt.funcfield import (  # noqa: E402
     FFEntry,
     FunctionFieldForm,
+    Place,
     conic_parametrize,
     ff_class,
     ff_entry,

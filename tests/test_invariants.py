@@ -7,7 +7,8 @@ from math import comb
 import pytest
 
 from quatwitt import invariants as inv
-from quatwitt.errors import DegreeTooLarge
+from quatwitt.errors import DegreeTooLarge, UnsupportedField
+from quatwitt.fields import Fp
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.invariants import (
     LambdaInvariant,
@@ -146,6 +147,15 @@ def test_nq_membership():
         (QuatAlgebra(-1, 3), [1] * 8, "nonmember"),
     ]:
         assert nq_membership(witt_class(qf(values)), A) == verdict, values
+
+
+@pytest.mark.parametrize("values", [[1], [1, 2], [1, 1, 2]])
+@pytest.mark.parametrize("ab", [(-1, -1), (1, 1)])
+def test_nq_membership_refuses_a_class_over_fp(ab, values):
+    # n_Q W(Q) is an ideal of W(Q): a class over F_5 is refused, whatever
+    # its dimension and whether or not the algebra splits
+    with pytest.raises(UnsupportedField):
+        nq_membership(witt_class(qf(values, Fp(5))), QuatAlgebra(*ab))
 
 
 def test_constant_invariant():

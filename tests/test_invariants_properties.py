@@ -3,12 +3,17 @@ powers (needs hypothesis).
 
 Over division algebras, integral or not, nq_membership must accept every
 n_Q (x) y, must not change its verdict when n_Q (x) y is added, and may
-accept only classes in I^2 that vanish wherever the algebra splits.
+accept only classes in I^2 that vanish wherever the algebra splits.  Over
+split and division algebras it must give the verdicts of the reference
+below, which finds the ramified places from Hilbert symbols of (a, b)
+taken place by place.
 
 lambda_all must print, term by term, what the full convolution prints:
 every product c * e of a coefficient and a factor entry, the products by 1
 and by <Nrd z> included, each added to a running sum that starts at 0."""
 
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,12 +21,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from quatwitt.fields import (  # noqa: E402
-    REAL_PLACE,
-    finite_place,
-    hilbert_symbol,
-    relevant_primes,
-)
+from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
 from quatwitt.hermitian import AntiHermForm  # noqa: E402
 from quatwitt.invariants import (  # noqa: E402
     lambda_all,
@@ -35,6 +35,7 @@ from quatwitt.mixed import (  # noqa: E402
     mixed_zero,
 )
 from quatwitt.quadforms import (  # noqa: E402
+    is_isotropic,
     local_anisotropic_dim,
     pfister,
     qf,
@@ -42,7 +43,7 @@ from quatwitt.quadforms import (  # noqa: E402
     signed_disc,
     witt_class,
 )
-from quatwitt.quaternions import QuatAlgebra  # noqa: E402
+from quatwitt.quaternions import QuatAlgebra, norm_form  # noqa: E402
 from test_product_digest import ALGEBRAS as DIGEST_ALGEBRAS  # noqa: E402
 
 nonzero = st.integers(-12, 12).filter(bool)
@@ -56,6 +57,39 @@ entry = st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10,
 
 def _form(values):
     return witt_class(qf(values))
+
+
+def _reference_primes(values):
+    """2 and every prime of the numerators and denominators of the nonzero
+    rationals values: the primes where their Hilbert symbols can be -1."""
+    primes = {2}
+    for x in map(Fraction, values):
+        for n in (x.numerator, x.denominator):
+            primes.update(p for p, _ in factorize(n)[1])
+    return sorted(primes)
+
+
+def _reference_nq_membership(x, A):
+    """Membership in n_Q W(Q) with the ramified places of A taken from the
+    Hilbert symbols (a, b)_v, v = -1 and the reference primes of x, a and
+    b, and splitting from the isotropy of n_Q: x is in I^2, 0 where A
+    splits, and x_p != 0 at all ramified primes or at none."""
+    if is_isotropic(norm_form(A)):
+        return "member" if x.is_zero() else "nonmember"
+    q = x.anis
+    if q.dim % 2 or signed_disc(q) != 1:
+        return "nonmember"
+    a, b = A.a, A.b
+    if hilbert_symbol(a, b, -1) == 1 and signature(q):
+        return "nonmember"
+    clifford = []
+    for p in _reference_primes(list(q.reps()) + [a, b]):
+        nonzero = local_anisotropic_dim(q, p) != 0
+        if hilbert_symbol(a, b, p) == -1:
+            clifford.append(nonzero)
+        elif nonzero:
+            return "nonmember"
+    return "member" if all(clifford) or not any(clifford) else "nonmember"
 
 
 @hypothesis.settings(max_examples=100, deadline=None)
@@ -84,11 +118,36 @@ def test_members_are_in_i2_and_vanish_where_q_splits(A, c, d, u, y):
         return
     q = x.anis
     assert q.dim % 2 == 0 and signed_disc(q) == 1
-    if hilbert_symbol(A.a, A.b, REAL_PLACE) == 1:
+    if hilbert_symbol(A.a, A.b, -1) == 1:
         assert signature(q) == 0
-    for p in relevant_primes(list(q.reps()) + [A.a, A.b]):
-        if hilbert_symbol(A.a, A.b, finite_place(p)) == 1:
+    for p in _reference_primes(list(q.reps()) + [A.a, A.b]):
+        if hilbert_symbol(A.a, A.b, p) == 1:
             assert local_anisotropic_dim(q, p) == 0
+
+
+def test_nq_membership_equals_the_hilbert_symbol_reference():
+    """Seeded draws over split and division algebras, integral or not:
+    x = <<c, d>> u + n_Q y + w.  The first term is in I^2, with Clifford
+    invariant (c, d) for odd dim u; w, often 0, can take x out of I^2;
+    each tenth x is a bare n_Q y.  Members and nonmembers occur over both
+    kinds of algebra."""
+    rng = random.Random(25)
+    slots = [Fraction(n, d) for n in range(-12, 13) if n for d in (1, 2, 3, 5)]
+    entries = [1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10, 11, -13]
+    seen = Counter()
+    for k in range(600):
+        A = QuatAlgebra(rng.choice(slots), rng.choice(slots))
+        x = n_q_class(A) * _form(rng.choices(entries, k=rng.randint(0, 2)))
+        if k % 10:
+            c, d = rng.choice(entries), rng.choice(entries)
+            u = rng.choices(entries, k=rng.randint(0, 2))
+            w = rng.choices(entries, k=rng.choice([0, 0, 0, 1, 2]))
+            x = x + witt_class(pfister([c, d])) * _form(u) + _form(w)
+        got = nq_membership(x, A)
+        assert got == _reference_nq_membership(x, A), (A, x)
+        seen[n_q_class(A).is_zero(), got] += 1
+    assert set(seen) == {(split, verdict) for split in (True, False)
+                         for verdict in ("member", "nonmember")}, seen
 
 
 def _reference_lambda_all(h):

@@ -12,8 +12,6 @@ from quatwitt.errors import (
 )
 from quatwitt.fields import (
     Fp,
-    REAL_PLACE,
-    finite_place,
     hilbert_symbol_p,
     is_prime,
 )
@@ -64,14 +62,14 @@ def test_signature_and_disc():
 
 def test_hasse_frozen():
     # hasse of <a, b> is the single symbol (a, b)_v; a place missing from
-    # witt_invariants has symbol 1
+    # witt_invariants has symbol 1, and -1 is the real place
     def hasse(q, v):
         return witt_invariants(q).hasse.get(v, 1)
 
-    assert hasse(qf([-1, -1]), REAL_PLACE) == -1
-    assert hasse(qf([-1, -1]), finite_place(2)) == -1
-    assert hasse(qf([1, 1]), REAL_PLACE) == 1
-    assert hasse(qf([2, 7]), finite_place(7)) == 1
+    assert hasse(qf([-1, -1]), -1) == -1
+    assert hasse(qf([-1, -1]), 2) == -1
+    assert hasse(qf([1, 1]), -1) == 1
+    assert hasse(qf([2, 7]), 7) == 1
 
 
 def test_local_anisotropic_dim():
@@ -82,6 +80,9 @@ def test_local_anisotropic_dim():
     assert [local_anisotropic_dim(qf([1, 1, 1, 1]), p) for p in (2, 3)] \
         == [4, 0]
     assert local_anisotropic_dim(qf([1, -3]), 3) == 2
+    # over R, v = -1, it is |signature|
+    assert [local_anisotropic_dim(qf(e), -1)
+            for e in ([1, 1, 1], [1, -3], [-1, -2, -5, 7], [])] == [3, 0, 2, 0]
     with pytest.raises(EvenOrCompositeModulus):
         local_anisotropic_dim(qf([1, 1, 1]), 4)
     # a Q_p question has no answer for a form over F_5
@@ -216,7 +217,9 @@ def test_q_witt_invariants():
     wi = witt_invariants(qf([-1, -1]))
     assert wi.dim == 2
     assert wi.signed_disc == -1
-    assert wi.hasse == {REAL_PLACE: -1, finite_place(2): -1}
+    assert wi.hasse == {-1: -1, 2: -1}
+    # keyed by the real place, then the primes in ascending order
+    assert list(witt_invariants(qf([7, -3, 5])).hasse) == [-1, 2, 3, 5, 7]
     assert wi.signature == -2
 
 

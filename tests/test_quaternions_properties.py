@@ -4,7 +4,11 @@ hypothesis).
 A Quaternion is four integer numerators over one positive denominator in
 lowest terms.  Its arithmetic must agree with the Fraction-coordinate
 formulas written out below, keep the pair normalized, compare and hash by
-value, survive pickling and print as Fraction coordinates."""
+value, survive pickling and print as Fraction coordinates.
+
+The places where (a, b | Q) ramifies, read from the local anisotropic
+dimensions of its norm form, must be those where the Hilbert symbol
+(a, b)_v is -1."""
 
 import pickle
 from fractions import Fraction
@@ -15,7 +19,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from quatwitt.quaternions import QuatAlgebra  # noqa: E402
+from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
+from quatwitt.quadforms import is_isotropic  # noqa: E402
+from quatwitt.quaternions import (  # noqa: E402
+    QuatAlgebra,
+    is_split,
+    norm_form,
+    ramified_places,
+)
 
 ALGEBRAS = [(-1, -1), (-1, -3), (1, 1), (2, 7),
             (Fraction(-1, 2), -3), (Fraction(-2, 3), Fraction(-5, 7)),
@@ -117,3 +128,29 @@ def test_repr_pinned():
     assert repr(A.element(Fraction(1, 2), -1, 0, Fraction(-4, 6))) == \
         "Quat('1/2', '-1', '0', '-2/3')"
     assert repr(A.element(0, 0, 0, 0)) == "Quat('0', '0', '0', '0')"
+
+
+# square factors and denominators among the parameters
+parameter = st.one_of(
+    st.sampled_from([Fraction(-9), Fraction(12, 25), Fraction(-2, 3),
+                     Fraction(18), Fraction(-1, 4), Fraction(50, 49)]),
+    st.builds(Fraction, st.integers(-60, 60).filter(bool),
+              st.sampled_from([1, 1, 2, 4, 9, 15])))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(parameter, parameter)
+def test_ramified_places_are_where_the_hilbert_symbol_is_minus_one(a, b):
+    A = QuatAlgebra(a, b)
+    got = ramified_places(A)
+    primes = {2}
+    for x in (a, b):
+        for n in (x.numerator, x.denominator):
+            primes.update(p for p, _ in factorize(n)[1])
+    want = {v for v in [-1] + sorted(primes) if hilbert_symbol(a, b, v) == -1}
+    hypothesis.event("split" if not want else f"{len(want)} places")
+    assert set(got) == want
+    assert list(got) == sorted(got)  # -1 first, then ascending primes
+    assert len(got) % 2 == 0  # Hilbert reciprocity
+    # and split exactly when the norm form is isotropic (Hasse-Minkowski)
+    assert (not got) == is_split(A) == is_isotropic(norm_form(A))
