@@ -43,7 +43,7 @@ from .invariants import LambdaInvariant, invariant_equal, lambda_herm
 from .mixed import MixedClass, mixed_equal
 from .quadforms import QuadForm, witt_equal, witt_zero
 from .quaternions import QuatAlgebra, find_nilpotent
-from .serialize import parse_input, serialize
+from .serialize import _frac, parse_input, serialize
 from .suites import RunConfig, emit_report, run_suite
 
 
@@ -55,10 +55,11 @@ def _field_spec(text: str):
     raise SchemaViolation(f"unknown field {text!r}")
 
 
-def _rational(text: str, flag: str) -> Fraction:
+def _rational(text: str, flag: str) -> int | Fraction:
+    """A number given to a flag, read as a JSON document's numbers are."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return _frac(text, "")
+    except SchemaViolation:
         raise SchemaViolation(f"{flag}: not a rational number: {text!r}") \
             from None
 

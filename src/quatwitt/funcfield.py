@@ -88,13 +88,19 @@ class FFEntry:
 def ff_class(unit, factors) -> FFEntry:
     """The entry of unit * prod(f^e) over (f, e) in factors, for a nonzero
     rational unit and irreducible f (repeats allowed): the monic factors of
-    odd total exponent times the squarefree part of the unit and of their
-    leading coefficients."""
-    odd = set()
+    odd total exponent times the squarefree part of the unit and of the
+    leading coefficients that are not 1.  The factors are few, so they are
+    paired off in a list, which compares polynomials without hashing."""
+    odd = []
     for f, e in factors:
         if e % 2:
-            unit *= P.leading(f)
-            odd ^= {P.monic(f)}
+            if f[-1] != 1:
+                unit *= f[-1]
+                f = P.monic(f)
+            if f in odd:
+                odd.remove(f)
+            else:
+                odd.append(f)
     return FFEntry(square_class(unit), tuple(sorted(odd)))
 
 

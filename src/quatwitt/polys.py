@@ -123,13 +123,6 @@ def pderiv(p: Poly) -> Poly:
     return poly([i * c for i, c in enumerate(p)][1:])
 
 
-def ppow(p: Poly, e: int) -> Poly:
-    out = ONE
-    for _ in range(e):
-        out = pmul(out, p)
-    return out
-
-
 def content_primitive(p: Poly):
     """Split p = c * p0 with c in Q and p0 a primitive integer polynomial."""
     if not p:

@@ -76,7 +76,14 @@ class QuatAlgebra:
         return self.element(0, c1, c2, c3)
 
     def element(self, c0, c1, c2, c3) -> "Quaternion":
-        cs = tuple(map(Fraction, (c0, c1, c2, c3)))
+        """c0 + c1 i + c2 j + c3 ij.  int and Fraction coordinates are used
+        as they are, through their numerator and denominator, and four ints
+        need neither; any other rational goes through Fraction."""
+        cs = (c0, c1, c2, c3)
+        if all(type(c) is int for c in cs):
+            return Quaternion(cs, 1, self)
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c)
+              for c in cs]
         den = lcm(*(c.denominator for c in cs))
         # over the lcm of the denominators the numerators are coprime to it
         return Quaternion(tuple(c.numerator * (den // c.denominator)

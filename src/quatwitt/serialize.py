@@ -8,6 +8,10 @@ Schemas:
                         [{"poly": ["0","1"], "exp": 1, "irreducible": true}]}]}
   LambdaInvariant     {"r": 1, "coeffs": [MixedClass, ...]}
 
+A number is a JSON integer or a string holding an integer, n/d or a
+decimal; JSON true and false are refused.  Integers are read as ints, and
+everything else as the Fraction of its text.
+
 parse_input dispatches on the top-level key; SchemaViolation errors carry a
 JSON-pointer to the offending spot.
 """
@@ -15,6 +19,7 @@ JSON-pointer to the offending spot.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -35,14 +40,24 @@ from .quadforms import QuadForm, witt_class
 from .quaternions import QuatAlgebra, Quaternion
 
 
-def _frac(raw, ptr: str) -> Fraction:
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _frac(raw, ptr: str) -> int | Fraction:
+    """The number raw stands for: an int for a JSON integer or a string of
+    ASCII digits with an optional sign, else the Fraction of str(raw).  The
+    command line reads its numbers here too."""
+    if type(raw) is int:  # JSON true is a bool
+        return raw
     try:
+        if type(raw) is str and _INTEGER.fullmatch(raw):
+            return int(raw)  # past the digit limit it raises ValueError
         return Fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaViolation(f"not a rational number: {raw!r}", ptr) from exc
 
 
-def _nonzero_frac(raw, ptr: str) -> Fraction:
+def _nonzero_frac(raw, ptr: str) -> int | Fraction:
     x = _frac(raw, ptr)
     if x == 0:
         raise SchemaViolation("entry must be nonzero", ptr)
@@ -116,27 +131,29 @@ _FACTORING_REFUSALS = (MissingFactorization, FactorizationLimitExceeded)
 
 
 def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
-    """A Q(t) form.  Every factor flagged irreducible is checked, each
-    distinct polynomial once per document: a factor such as the conic's
-    a + b t^2 repeats in every odd slot of a psi image.  A factoring
-    refusal is reported at its entry."""
+    """A Q(t) form.  Every factor flagged irreducible is parsed and checked
+    once per document: a factor such as the conic's a + b t^2 repeats in
+    every odd slot of a psi image.  A factoring refusal is reported at its
+    entry."""
     raw = _object(doc, ptr, "form").get("entries")
     if not isinstance(raw, list):
         raise SchemaViolation('expected {"entries": [...]}', ptr + "/entries")
-    irreducible = set()
+    checked = {}
     entries = []
     for i, e in enumerate(raw):
         eptr = f"{ptr}/entries/{i}"
         try:
-            entries.append(_parse_ffentry(e, eptr, irreducible))
+            entries.append(_parse_ffentry(e, eptr, checked))
         except _FACTORING_REFUSALS as exc:
             raise SchemaViolation(str(exc), eptr) from exc
     return FunctionFieldForm(tuple(entries))
 
 
-def _parse_ffentry(e, eptr: str, irreducible: set):
-    """One entry of a Q(t) form; `irreducible` holds the factors already
-    checked."""
+def _parse_ffentry(e, eptr: str, checked: dict):
+    """One entry of a Q(t) form.  `checked` maps the coefficients of each
+    factor already checked irreducible, as written and with their types, to
+    its polynomial: JSON true is refused where 1 is accepted, although
+    (True,) == (1,)."""
     if isinstance(e, (str, int)):  # shorthand: constant entry
         return ff_entry(_nonzero_frac(e, eptr))
     if isinstance(e, list):  # shorthand: polynomial coefficients
@@ -157,15 +174,22 @@ def _parse_ffentry(e, eptr: str, irreducible: set):
         if not isinstance(coeffs, list) or not coeffs:
             raise SchemaViolation("factor needs poly coefficients",
                                   fptr + "/poly")
-        pol = P.poly([_frac(c, f"{fptr}/poly/{j}")
-                      for j, c in enumerate(coeffs)])
-        if P.degree(pol) < 1:
-            raise SchemaViolation("factor must be non-constant",
-                                  fptr + "/poly")
+        key = tuple(zip(map(type, coeffs), coeffs))
+        try:
+            pol = checked.get(key)
+        except TypeError:  # a list or object among them, which _frac refuses
+            pol = None
+        fresh = pol is None
+        if fresh:
+            pol = P.poly([_frac(c, f"{fptr}/poly/{j}")
+                          for j, c in enumerate(coeffs)])
+            if P.degree(pol) < 1:
+                raise SchemaViolation("factor must be non-constant",
+                                      fptr + "/poly")
         if not f.get("irreducible"):
             raise SchemaViolation("factor lacks irreducibility flag",
                                   fptr + "/irreducible")
-        if pol not in irreducible:
+        if fresh:
             try:
                 ok = P.is_irreducible(pol)
             except _FACTORING_REFUSALS as exc:
@@ -173,7 +197,7 @@ def _parse_ffentry(e, eptr: str, irreducible: set):
             if not ok:
                 raise SchemaViolation("factor is not irreducible",
                                       fptr + "/poly")
-            irreducible.add(pol)
+            checked[key] = pol
         exp = f.get("exp", 1)
         if type(exp) is not int or exp < 1:  # JSON true is a bool
             raise SchemaViolation("exponent must be a positive integer",
@@ -201,7 +225,7 @@ def parse_input(doc, algebra: Optional[QuatAlgebra] = None,
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # or an integer past the digit limit
             raise SchemaViolation(f"invalid JSON: {exc}", "") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation("top-level value must be an object", "")

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import sys
 import time
 
 import pytest
@@ -264,6 +265,20 @@ def test_malformed_input_exits_2_at_its_pointer(capsys, argv, message,
     assert err.startswith("error:")
     assert message in err
     assert f"(at {pointer})" in err
+
+
+def test_over_long_json_integer_exits_2(capsys):
+    # json.loads refuses an integer literal past the interpreter's limit on
+    # digits with a ValueError that is not a JSONDecodeError
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter sets no limit on integer digits")
+    doc = '{"diag": [%s]}' % ("9" * (limit + 1))
+    code, out, err = _run(capsys, ["decide", doc, '{"diag": [1]}'])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ")
+    assert err.endswith("(at /)\n")
 
 
 @pytest.mark.parametrize("doc", [

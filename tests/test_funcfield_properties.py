@@ -50,6 +50,8 @@ from quatwitt.polys import RationalFunction  # noqa: E402
 from quatwitt.quaternions import QuatAlgebra  # noqa: E402
 from quatwitt.serialize import parse_input  # noqa: E402
 
+from polytools import ppow  # noqa: E402
+
 ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
 
 coord = st.integers(-5, 5)
@@ -111,9 +113,9 @@ def _value(unit, factors):
     num, den = P.constant(unit), P.ONE
     for f, e in factors:
         if e > 0:
-            num = P.pmul(num, P.ppow(f, e))
+            num = P.pmul(num, ppow(f, e))
         elif e < 0:
-            den = P.pmul(den, P.ppow(f, -e))
+            den = P.pmul(den, ppow(f, -e))
     return RationalFunction(num, den)
 
 

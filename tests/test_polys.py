@@ -9,6 +9,8 @@ from quatwitt import polys as P
 from quatwitt.errors import FactorizationLimitExceeded, MissingFactorization
 from quatwitt.polys import RationalFunction
 
+from polytools import ppow
+
 
 def _rand_poly(rng, deg, bound=5):
     coeffs = [F(rng.randint(-bound, bound)) for _ in range(deg)]
@@ -70,7 +72,7 @@ def test_factor_poly_rebuild():
         re = P.constant(unit)
         for f, e in factors:
             assert P.leading(f) == 1
-            re = P.pmul(re, P.ppow(f, e))
+            re = P.pmul(re, ppow(f, e))
         assert re == prod
 
 
@@ -85,7 +87,7 @@ def test_factor_quartic_cases():
     assert [(P.degree(f), e) for f, e in fs] == [(4, 1)]
     assert P.is_irreducible(P.poly([F(1), F(0), F(0), F(0), F(1)]))
     # (t^2 + 1)^2 is a repeated factor
-    _, fs = P.factor_poly(P.ppow(P.poly([F(1), F(0), F(1)]), 2))
+    _, fs = P.factor_poly(ppow(P.poly([F(1), F(0), F(1)]), 2))
     assert [(P.degree(f), e) for f, e in fs] == [(2, 2)]
 
 
@@ -129,10 +131,10 @@ def test_is_irreducible_past_factoring_limit():
     quintic = P.poly([F(-1), F(-1), F(0), F(0), F(0), F(1)])
     t = P.poly([F(0), F(1)])
     assert not P.is_irreducible(
-        P.pmul(P.ppow(P.poly([F(-1), F(1)]), 2), quintic))
+        P.pmul(ppow(P.poly([F(-1), F(1)]), 2), quintic))
     assert not P.is_irreducible(P.pmul(t, quintic))
     assert not P.is_irreducible(
-        P.pmul(P.ppow(P.poly([F(1), F(0), F(1)]), 2), quintic))
+        P.pmul(ppow(P.poly([F(1), F(0), F(1)]), 2), quintic))
     assert P.is_irreducible(t)
     # squarefree, no rational root, composite: still refused
     with pytest.raises(MissingFactorization):

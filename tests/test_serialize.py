@@ -1,9 +1,16 @@
 """JSON parsing and serialization round trips."""
 
+import json
+
 import pytest
 
 from quatwitt.errors import SchemaViolation
-from quatwitt.funcfield import FunctionFieldForm, ff_form
+from quatwitt.funcfield import (
+    FunctionFieldForm,
+    conic_parametrize,
+    ff_form,
+    psi_split,
+)
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.invariants import LambdaInvariant
 from quatwitt.mixed import mixed
@@ -128,6 +135,28 @@ def test_ffform_checks_each_distinct_factor_once(monkeypatch):
         with pytest.raises(SchemaViolation) as exc:
             parse_ffform({"entries": entries})
         assert exc.value.pointer == where
+
+
+def test_psi_image_checks_each_distinct_factor_once(monkeypatch):
+    from quatwitt import polys as P
+
+    seen = []
+    real = P.is_irreducible
+
+    def counted(pol):
+        seen.append(pol)
+        return real(pol)
+
+    A = QuatAlgebra(1, 1)
+    x = parse_mixed({"even": [1, -3],
+                     "odd": [[0, 1, 2, 0], [0, 0, 3, 1], [0, 2, -1, 1]]}, A)
+    img = psi_split(x, conic_parametrize(A))
+    doc = serialize(img)
+    written = [tuple(f["poly"]) for e in doc["entries"] for f in e["factors"]]
+    assert len(written) > len(set(written)) > 1
+    monkeypatch.setattr(P, "is_irreducible", counted)
+    assert parse_input(json.dumps(doc)) == img
+    assert len(seen) == len(set(written))
 
 
 def test_invariant_roundtrip():
