@@ -44,7 +44,7 @@ from .quaternions import (
 from .hermitian import (
     AntiHermForm,
     herm_diag,
-    herm_invariants,
+    herm_verdict,
     hyperbolicity_certificate,
     morita_transfer,
 )

@@ -38,10 +38,15 @@ from .funcfield import (
     psi_split,
     residue,
 )
-from .hermitian import DEFAULT_SEARCH_BOUND, AntiHermForm, morita_transfer
+from .hermitian import (
+    DEFAULT_SEARCH_BOUND,
+    AntiHermForm,
+    herm_verdict,
+    morita_transfer,
+)
 from .invariants import LambdaInvariant, invariant_equal, lambda_herm
 from .mixed import MixedClass, mixed_equal
-from .quadforms import QuadForm, witt_equal, witt_zero
+from .quadforms import QuadForm, witt_equal
 from .quaternions import QuatAlgebra, find_nilpotent
 from .serialize import _frac, parse_input, serialize
 from .suites import RunConfig, emit_report, run_suite
@@ -211,11 +216,7 @@ def main(argv=None) -> int:
                 verdict = invariant_equal(x, y,
                                           search_bound=args.search_bound)
             elif isinstance(x, AntiHermForm):
-                verdict = mixed_equal(
-                    MixedClass(witt_zero(), x, A),
-                    MixedClass(witt_zero(), y, A),
-                    search_bound=args.search_bound,
-                )
+                verdict = herm_verdict(x.perp(y.neg()), args.search_bound)
             else:
                 raise SchemaViolation("undecidable input shape")
             _emit({"result": verdict})

@@ -296,7 +296,7 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     if v.kind == "infinite":
         classes = [Fraction(e.unit) for e in q.entries
                    if e.valuation(v) % 2]
-        return witt_class(qf(classes)).is_zero()
+        return is_witt_zero(qf(classes))
     pi = v.pi
     if P.degree(pi) > 2:
         raise UnsupportedResidueField("only degree <= 2 residue fields")
@@ -304,22 +304,19 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     classes = [_entry_residue(e, pi, red) for e in q.entries
                if pi in e.factors]
     if P.degree(pi) == 1:
-        return witt_class(qf(classes)).is_zero()
+        return is_witt_zero(qf(classes))
     if len(classes) % 2:
         return False
     pool = list(classes)
     while pool:
         z = pool.pop()
-        matched = None
-        for idx, w in enumerate(pool):
-            # <z, w> hyperbolic iff -z/w = -zw/w^2 is a square in the
-            # residue field
-            if _quadratic_square(pi, P.pmod(P.pmul(P.pneg(z), w), pi)):
-                matched = idx
-                break
-        if matched is None:
+        # <z, w> hyperbolic iff -z/w = -zw/w^2 is a square in the residue
+        # field
+        k = next((k for k, w in enumerate(pool) if _quadratic_square(
+            pi, P.pmod(P.pmul(P.pneg(z), w), pi))), None)
+        if k is None:
             break
-        pool.pop(matched)
+        del pool[k]
     else:
         return True
     disc = P.constant((-1) ** (len(classes) // 2))

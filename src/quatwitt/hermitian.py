@@ -10,6 +10,8 @@ search splits off one hyperbolic plane at a time: a plane found on two
 slots of the current orthogonal basis drops those slots without a new
 Gram-Schmidt, and the pair search skips slot pairs whose reduced-norm
 ratio is not a rational square, which no isotropic pair vector has.
+`herm_verdict` runs these tiers as the one test of whether a form is 0 in
+the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, Tuple
 
@@ -32,11 +34,12 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import rational_sqrt, sq_mul, square_class
-from .quadforms import QuadForm, is_isotropic, qf, witt_class
+from .quadforms import QuadForm, is_isotropic, is_witt_zero, qf, witt_class
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
     _mul_coords,
+    find_nilpotent,
     is_split,
     norm_form,
 )
@@ -61,10 +64,6 @@ class AntiHermForm:
     @property
     def rank(self) -> int:
         return len(self.diag)
-
-    @property
-    def reduced_dim(self) -> int:
-        return 2 * len(self.diag)
 
     def perp(self, other: "AntiHermForm") -> "AntiHermForm":
         if self.algebra != other.algebra:
@@ -169,24 +168,6 @@ def _mixed_pivot(pair, pool, algebra) -> int:
             if pair(cand, cand).is_invertible():
                 pool[s] = cand
                 return s
-
-
-# ---------------------------------------------------------------------------
-# invariants
-
-
-@dataclass(frozen=True)
-class HermWittData:
-    reduced_dim: int
-    disc: int
-
-
-def herm_invariants(h: AntiHermForm) -> HermWittData:
-    """Reduced dimension and the product of the norms' square classes."""
-    disc = 1
-    for z in h.diag:
-        disc = sq_mul(disc, square_class(z.nrd()))
-    return HermWittData(h.reduced_dim, disc)
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +420,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
     out ends the search at once as "anisotropic-at-bound".
 
     A split algebra is refused (NotDivision): Morita transfer decides
-    hyperbolicity there exactly (`mixed_equal`, `morita_transfer`)."""
+    hyperbolicity there exactly (`herm_screen`, `morita_transfer`)."""
     if bound < 1:
         raise SchemaViolation(f"bound: must be at least 1: {bound}")
     if is_split(h.algebra):
@@ -551,3 +532,40 @@ def _verify_witness(pair, witness):
             raise VerificationFailed("witness vectors are right-linearly "
                                      "dependent")
         pivots.append((k, x))
+
+
+# ---------------------------------------------------------------------------
+# the zero test in W^{-1}(Q, gamma)
+
+
+def herm_screen(h: AntiHermForm) -> Optional[str]:
+    """The exact, cheap tier of the zero test of h: "equal", "distinct" or
+    None.  Over a split algebra `is_witt_zero` decides on the Morita
+    transfer along `find_nilpotent`.  Over a division algebra h != 0 for
+    an odd rank or for a reduced-norm discriminant (the product of the
+    norms' square classes) that is not a square.  These screens are
+    unsound over a split algebra, where <i> over (1, 1) is 0."""
+    if is_split(h.algebra):
+        q = morita_transfer(h, find_nilpotent(h.algebra))
+        return "equal" if is_witt_zero(q) else "distinct"
+    if h.rank % 2:
+        return "distinct"
+    disc = reduce(sq_mul, (square_class(z.nrd()) for z in h.diag), 1)
+    return None if disc == 1 else "distinct"
+
+
+def herm_verdict(h: AntiHermForm,
+                 search_bound: int = DEFAULT_SEARCH_BOUND) -> str:
+    """Whether h is 0 in W^{-1}(Q, gamma): "equal", "distinct" or
+    "unknown".  After `herm_screen`, pairs cancel by the exact rank-1
+    isometry test (`cancel_hyperbolic_pairs`): nothing left is "equal", a
+    rank-2 leftover is anisotropic, so "distinct".  A leftover of rank >= 4
+    is "equal" with a certificate within `search_bound`, else "unknown"."""
+    verdict = herm_screen(h)
+    if verdict is not None:
+        return verdict
+    left = cancel_hyperbolic_pairs(h)
+    if left.rank < 4:
+        return "distinct" if left.rank else "equal"
+    cert = hyperbolicity_certificate(left, bound=search_bound)
+    return "equal" if cert.status == "hyperbolic" else "unknown"

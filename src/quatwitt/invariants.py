@@ -21,16 +21,19 @@ from .errors import (
     RankMismatch,
     UnsupportedField,
 )
-from .hermitian import DEFAULT_SEARCH_BOUND, AntiHermForm
+from .hermitian import (
+    DEFAULT_SEARCH_BOUND,
+    AntiHermForm,
+    herm_screen,
+    herm_verdict,
+)
 from .mixed import (
     MixedClass,
-    mixed,
     mixed_equal,
     mixed_even,
     mixed_odd,
     mixed_one,
     mixed_zero,
-    screened_distinct,
 )
 from .quadforms import (
     WittClass,
@@ -220,15 +223,14 @@ def is_constant_invariant(alpha: LambdaInvariant,
     value is then chi(r, coeffs).  That needs the even part of x_d in
     n_Q W(k), which nq_membership decides exactly and is checked first,
     and the odd part hyperbolic, so the result is "unknown" only when an
-    odd part's hyperbolicity is (`mixed_equal` at `search_bound`)."""
+    odd part's hyperbolicity is (`herm_verdict` at `search_bound`)."""
     A = alpha.algebra
     saw_unknown = False
     for d in range(1, 2 * alpha.r + 1):
         x = alpha.coeffs[d]
         if nq_membership(x.even, A) == "nonmember":
             return ConstancyResult("nonconstant", witness=d)
-        odd_status = mixed_equal(mixed(A, odd_entries=x.odd.diag),
-                                 mixed_zero(A), search_bound=search_bound)
+        odd_status = herm_verdict(x.odd, search_bound)
         if odd_status == "distinct":
             return ConstancyResult("nonconstant", witness=d)
         if odd_status == "unknown":
@@ -267,13 +269,16 @@ def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,
                         height: int = 12) -> SampleCheck:
     """Evaluate alpha on random specializations of the generic diagonal
     form <s i + t j + u ij, ...> (pure-norm vanishing locus rejected) and
-    compare against the claimed constant value."""
+    compare against the claimed constant value: the even parts exactly,
+    the odd difference by the exact tier of its zero test, `herm_screen`."""
     A = alpha.algebra
     rng = random.Random(seed)
     for _ in range(n_samples):
         h = AntiHermForm(tuple(draw_pure(rng, A, height)
                                for _slot in range(alpha.r)), A)
-        if screened_distinct(eval_invariant(alpha, h), claimed):
+        value = eval_invariant(alpha, h)
+        if (value.even != claimed.even or herm_screen(
+                value.odd.perp(claimed.odd.neg())) == "distinct"):
             # draw_pure gives integer coordinates, so den is 1
             point = tuple(z.num[1:] for z in h.diag)
             return SampleCheck("refuted", point=point)

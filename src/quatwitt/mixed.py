@@ -18,9 +18,7 @@ from .fields import sq_mul, square_class
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
-    cancel_hyperbolic_pairs,
-    herm_invariants,
-    hyperbolicity_certificate,
+    herm_verdict,
     morita_transfer,
 )
 from .quadforms import (
@@ -28,7 +26,6 @@ from .quadforms import (
     QuadForm,
     WittClass,
     integer_gram_form,
-    is_witt_zero,
     qf,
     witt_class,
     witt_equal,
@@ -39,7 +36,6 @@ from .quaternions import (
     Quaternion,
     _mul_coords,
     find_nilpotent,
-    is_split,
     norm_form,
 )
 
@@ -188,43 +184,12 @@ def phi_z0(x: MixedClass, z0: Optional[Quaternion] = None) -> WittClass:
     return x.even + witt_class(morita_transfer(x.odd, z0))
 
 
-def screened_distinct(x: MixedClass, y: MixedClass) -> bool:
-    """Sound, cheap distinctness screens: even parts, odd-rank parity and
-    the reduced-norm discriminant of the odd parts."""
-    if x.even != y.even:
-        return True
-    if (x.odd.rank + y.odd.rank) % 2:
-        return True
-    return herm_invariants(x.odd).disc != herm_invariants(y.odd).disc
-
-
 def mixed_equal(x: MixedClass, y: MixedClass,
                 search_bound: int = DEFAULT_SEARCH_BOUND) -> str:
-    """Tiered decision: returns "equal", "distinct" or "unknown".
-
-    1. Split algebra: even parts compared exactly, odd parts by Morita
-       transfer to W(k); complete.
-    2. Division algebra, screens: even parts, odd-rank parity and the
-       reduced-norm discriminant (`screened_distinct`).
-    3. Pairwise cancellation of the odd difference by the exact rank-1
-       isometry test (`cancel_hyperbolic_pairs`): nothing left is "equal",
-       a rank-2 leftover is anisotropic, hence "distinct".
-    4. A leftover of rank >= 4: a hyperbolicity certificate within
-       `search_bound` is "equal", none is "unknown".
-    """
+    """"equal", "distinct" or "unknown": x = y iff the even parts agree,
+    compared exactly, and the odd difference is 0 in W^{-1}(Q, gamma)
+    (`herm_verdict` at `search_bound`)."""
     x._check(y)
-    diff = x.odd.perp(y.odd.neg())
-    if is_split(x.algebra):
-        if x.even != y.even:
-            return "distinct"
-        q = morita_transfer(diff, find_nilpotent(x.algebra))
-        return "equal" if is_witt_zero(q) else "distinct"
-    if screened_distinct(x, y):
+    if x.even != y.even:
         return "distinct"
-    left = cancel_hyperbolic_pairs(diff)
-    if left.rank == 0:
-        return "equal"
-    if left.rank == 2:
-        return "distinct"
-    cert = hyperbolicity_certificate(left, bound=search_bound)
-    return "equal" if cert.status == "hyperbolic" else "unknown"
+    return herm_verdict(x.odd.perp(y.odd.neg()), search_bound)

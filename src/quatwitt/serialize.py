@@ -10,7 +10,8 @@ Schemas:
 
 A number is a JSON integer or a string holding an integer, n/d or a
 decimal; JSON true and false are refused.  Integers are read as ints, and
-everything else as the Fraction of its text.
+everything else as the Fraction of its text, whose numerator and
+denominator may have as many digits as an integer literal.
 
 parse_input dispatches on the top-level key; SchemaViolation errors carry a
 JSON-pointer to the offending spot.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Optional
 
@@ -41,6 +43,7 @@ from .quaternions import QuatAlgebra, Quaternion
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _frac(raw, ptr: str) -> int | Fraction:
@@ -52,9 +55,29 @@ def _frac(raw, ptr: str) -> int | Fraction:
     try:
         if type(raw) is str and _INTEGER.fullmatch(raw):
             return int(raw)  # past the digit limit it raises ValueError
-        return Fraction(str(raw))
+        return _fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaViolation(f"not a rational number: {raw!r}", ptr) from exc
+
+
+def _fraction(text: str) -> Fraction:
+    """Fraction(text), with a numerator and a denominator of at most as many
+    digits as int() reads: 4300 before Python 3.11, no bound when the limit
+    is off.  Fraction builds 10**exp for any exponent, so one past twice the
+    limit is refused first: with a nonzero mantissa, of at most twice the
+    limit's digits, it leaves too many in the numerator or denominator."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    m = _EXPONENT.search(text)
+    if limit and m and abs(int(m[1])) > 2 * limit:
+        if Fraction(text[:m.start()]):
+            raise ValueError(f"exponent {m[1]} is too large")
+        text = text[:m.start()] + "e0"  # a zero mantissa: 0
+    x = Fraction(text)
+    n = max(abs(x.numerator), x.denominator)
+    # 2**(3 limit) < 10**limit: the power is built only near the limit
+    if limit and n.bit_length() > 3 * limit and n >= 10 ** limit:
+        raise ValueError(f"more than {limit} digits")
+    return x
 
 
 def _nonzero_frac(raw, ptr: str) -> int | Fraction:
@@ -256,31 +279,15 @@ def serialize(obj) -> dict:
     if isinstance(obj, QuadForm):
         return {"diag": [str(r) for r in obj.reps()]}
     if isinstance(obj, AntiHermForm):
-        return {
-            "herm_diag": [[str(c) for c in z.coords] for z in obj.diag]
-        }
+        return {"herm_diag": [[str(c) for c in z.coords] for z in obj.diag]}
     if isinstance(obj, MixedClass):
-        return {
-            "even": serialize(obj.even.anis),
-            "odd": serialize(obj.odd),
-        }
+        return {"even": serialize(obj.even.anis), "odd": serialize(obj.odd)}
     if isinstance(obj, FunctionFieldForm):
-        return {
-            "entries": [
-                {
-                    "unit": str(e.unit),
-                    "factors": [
-                        {
-                            "poly": [str(c) for c in f],
-                            "exp": 1,
-                            "irreducible": True,
-                        }
-                        for f in e.factors
-                    ],
-                }
-                for e in obj.entries
-            ]
-        }
+        return {"entries": [
+            {"unit": str(e.unit),
+             "factors": [{"poly": [str(c) for c in f], "exp": 1,
+                          "irreducible": True} for f in e.factors]}
+            for e in obj.entries]}
     if isinstance(obj, LambdaInvariant):
         return {"r": obj.r, "coeffs": [serialize(c) for c in obj.coeffs]}
     raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -256,6 +256,11 @@ def test_split_algebra_without_a_zero_below_the_height_bound(capsys):
     (["residue", json.dumps({"entries": [{"factors": [
         {"poly": "t", "irreducible": True}]}]}), "--place", "inf"],
      "factor needs poly coefficients", "/entries/0/factors/0/poly"),
+    (["residue", json.dumps({"entries": [{"factors": [
+        {"poly": [[1], 1], "irreducible": True}]}]}), "--place", "inf"],
+     "not a rational number", "/entries/0/factors/0/poly/0"),
+    (["decide", '{"herm_diag": 5}', '{"diag": [1]}'], "expected",
+     "/herm_diag"),
 ])
 def test_malformed_input_exits_2_at_its_pointer(capsys, argv, message,
                                                 pointer):
@@ -279,6 +284,41 @@ def test_over_long_json_integer_exits_2(capsys):
     assert out == ""
     assert err.startswith("error: invalid JSON: ")
     assert err.endswith("(at /)\n")
+
+
+def test_decimal_exponent_past_the_digit_limit_exits_2(capsys):
+    """Fraction builds 10**exp for any exponent, and square_class then
+    divides out each 2 and 5; a numerator or denominator with more digits
+    than an integer literal may have is refused before that, in a document
+    and at --quat alike.  Just under the limit the number is read."""
+    # Python 3.10 has no limit; the parser then uses 3.11's default
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    if not limit:
+        pytest.skip("this interpreter sets no limit on integer digits")
+    for number in (f"1e{limit}", f"-3e-{limit}", f"1e{10 * limit}"):
+        code, out, err = _run(capsys, ["decide", '{"diag": ["%s"]}' % number,
+                                       '{"diag": [1]}'])
+        assert code == 2
+        assert out == ""
+        assert f"not a rational number: '{number}' (at /diag/0)" in err
+    code, out, err = _run(capsys, ["--quat", f"1e{10 * limit}", "-1",
+                                   "decide", '{"diag": [1]}', '{"diag": [1]}'])
+    assert code == 2
+    assert err.startswith("error: --quat: not a rational number: '1e")
+    # 10**(limit - 1) has limit digits and the square class of 10**(its
+    # exponent mod 2)
+    code, out, err = _run(capsys, ["--output", "json", "decide",
+                                   '{"diag": ["1e%d"]}' % (limit - 1),
+                                   '{"diag": [%d]}' % 10 ** ((limit - 1) % 2)])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
+    # a zero mantissa is 0 whatever its exponent
+    code, out, err = _run(capsys, [
+        "--output", "json", "decide",
+        '{"herm_diag": [["0e%d", "1", "0", "0"]]}' % (10 * limit),
+        '{"herm_diag": [["0", "1", "0", "0"]]}'])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
 
 
 @pytest.mark.parametrize("doc", [
@@ -671,15 +711,15 @@ def test_search_bound_reaches_invariant_decisions(capsys, monkeypatch):
     invariant is certified hyperbolic only at bound 8 (see
     tests/test_mixed.py::test_mixed_equal_needs_the_full_bound_search), so
     --search-bound 4 must reach the certificate and leave it unknown."""
-    mixed_module = importlib.import_module("quatwitt.mixed")
+    hermitian = importlib.import_module("quatwitt.hermitian")
     bounds = []
-    certificate = mixed_module.hyperbolicity_certificate
+    certificate = hermitian.hyperbolicity_certificate
 
     def spy(h, bound):
         bounds.append(bound)
         return certificate(h, bound=bound)
 
-    monkeypatch.setattr(mixed_module, "hyperbolicity_certificate", spy)
+    monkeypatch.setattr(hermitian, "hyperbolicity_certificate", spy)
     odd = [[0, -3, 2, -3], [0, 1, 1, -2], [0, 2, -3, -1], [0, 2, -3, 1]]
     lam1 = json.dumps({"r": 1, "coeffs": [{}, {"odd": odd}, {}]})
     zero = '{"r": 1, "coeffs": [{}, {}, {}]}'

@@ -15,7 +15,7 @@ from quatwitt.errors import (
 from quatwitt.hermitian import (
     AntiHermForm,
     herm_diag,
-    herm_invariants,
+    herm_screen,
     hyperbolicity_certificate,
     morita_gram,
     morita_transfer,
@@ -47,11 +47,9 @@ def _rand_pure(rng, A, h=6):
 def test_herm_diag_basics():
     h = herm_diag([H.i(), H.j()], H)
     assert h.rank == 2
-    assert h.reduced_dim == 4
-    inv = herm_invariants(h)
-    assert inv.reduced_dim == 4
-    # disc is the product of the reduced norms: Nrd(i) Nrd(j) = 1
-    assert inv.disc == 1
+    # the rank is even and the discriminant, the product of the reduced
+    # norms' square classes, is Nrd(i) Nrd(j) = 1: no screen decides
+    assert herm_screen(h) is None
 
 
 def test_orthogonalize_mixed_pivot():

@@ -264,3 +264,16 @@ def test_versal_sample_refutes_a_wrong_constant():
     check = versal_sample_check(lambda_basis_invariant(1, 0, H),
                                 mixed_zero(H))
     assert check == inv.SampleCheck("refuted", point=((0, 12, 1),))
+
+
+def test_versal_sample_accepts_a_zero_odd_part_over_split_algebras():
+    """Over (1, 1), <i> is 0 in W^{-1}: its Morita transfer is hyperbolic.
+    So is <i + j> over (2, 7).  The constant 1 then equals 1 + <z>, and no
+    sample may refute it, as the discriminant screen, sound only over a
+    division algebra, once did at ((0, 12, 1),)."""
+    B = QuatAlgebra(2, 7)
+    for A, z in ((M2, M2.i()), (B, B.i() + B.j())):
+        claim = mixed_one(A) + mixed(A, odd_entries=(z,))
+        assert mixed_equal(mixed_one(A), claim) == "equal"
+        check = versal_sample_check(lambda_basis_invariant(1, 0, A), claim)
+        assert check == inv.SampleCheck("consistent")

@@ -10,7 +10,10 @@ taken place by place.
 
 lambda_all must print, term by term, what the full convolution prints:
 every product c * e of a coefficient and a factor entry, the products by 1
-and by <Nrd z> included, each added to a running sum that starts at 0."""
+and by <Nrd z> included, each added to a running sum that starts at 0.
+
+A point where versal sampling refutes a claimed constant value must be one
+where mixed_equal finds the value and the claim distinct."""
 
 import random
 from collections import Counter
@@ -24,11 +27,16 @@ st = pytest.importorskip("hypothesis.strategies")
 from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
 from quatwitt.hermitian import AntiHermForm  # noqa: E402
 from quatwitt.invariants import (  # noqa: E402
+    LambdaInvariant,
+    eval_invariant,
     lambda_all,
     n_q_class,
     nq_membership,
+    versal_sample_check,
 )
 from quatwitt.mixed import (  # noqa: E402
+    mixed,
+    mixed_equal,
     mixed_even,
     mixed_odd,
     mixed_one,
@@ -43,7 +51,11 @@ from quatwitt.quadforms import (  # noqa: E402
     signed_disc,
     witt_class,
 )
-from quatwitt.quaternions import QuatAlgebra, norm_form  # noqa: E402
+from quatwitt.quaternions import (  # noqa: E402
+    QuatAlgebra,
+    is_split,
+    norm_form,
+)
 from test_product_digest import ALGEBRAS as DIGEST_ALGEBRAS  # noqa: E402
 
 nonzero = st.integers(-12, 12).filter(bool)
@@ -186,3 +198,42 @@ def test_lambda_all_prints_the_full_convolution(h):
     hypothesis.event(f"rank {h.rank}")
     got = [repr(x) for x in lambda_all(h)]
     assert got == [repr(x) for x in _reference_lambda_all(h)]
+
+
+# ---------------------------------------------------------------------------
+# versal sampling
+
+small = st.integers(-3, 3)
+
+
+def _mixed_class(draw, A, max_even, max_odd):
+    pure = st.tuples(small, small, small).filter(any).map(
+        lambda c: A.pure(*c)).filter(lambda z: z.is_invertible())
+    return mixed(A, even=_form(draw(st.lists(entry, max_size=max_even))),
+                 odd_entries=tuple(draw(st.lists(pure, max_size=max_odd))))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from([(1, 1), (2, 7), (-1, -1), (-1, -3)]),
+                  st.data(), st.integers(0, 2 ** 16))
+def test_versal_refutations_are_distinct(ab, data, seed):
+    """A refuting sample point is one where the value of the invariant and
+    the claim are distinct, over split and division algebras alike.  The
+    invariant is often the constant x_0 and the claim x_0 plus a small
+    class, often only an odd one, so that the odd parts decide."""
+    A = QuatAlgebra(*ab)
+    x0 = _mixed_class(data.draw, A, 2, 1)
+    if data.draw(st.booleans()):
+        coeffs = (x0, mixed_zero(A), mixed_zero(A))
+    else:
+        coeffs = (x0, _mixed_class(data.draw, A, 1, 1),
+                  _mixed_class(data.draw, A, 1, 1))
+    alpha = LambdaInvariant(1, coeffs)
+    claimed = x0 + _mixed_class(data.draw, A, 1, 2)
+    check = versal_sample_check(alpha, claimed, n_samples=3, seed=seed,
+                                height=5)
+    hypothesis.event(f"{'split' if is_split(A) else 'division'}: "
+                     f"{check.status}")
+    if check.status == "refuted":
+        h = AntiHermForm(tuple(A.pure(*p) for p in check.point), A)
+        assert mixed_equal(eval_invariant(alpha, h), claimed) == "distinct"
