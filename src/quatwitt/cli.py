@@ -41,6 +41,7 @@ from .funcfield import (
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
+    check_search_bound,
     herm_verdict,
     morita_transfer,
 )
@@ -172,9 +173,7 @@ def _parse(text: str, A: QuatAlgebra, field):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.search_bound < 1:
-            raise SchemaViolation(
-                f"--search-bound: must be at least 1: {args.search_bound}")
+        check_search_bound("--search-bound", args.search_bound)
         field = _field_spec(args.field)
         A = QuatAlgebra(*(_rational(v, "--quat") for v in args.quat))
         if args.command == "prod":

@@ -8,8 +8,9 @@ Over a division algebra, isometry of rank-1 forms is decided exactly
 certificates from a bounded search, which refuses split algebras.  The
 search splits off one hyperbolic plane at a time: a plane found on two
 slots of the current orthogonal basis drops those slots without a new
-Gram-Schmidt, and the pair search skips slot pairs whose reduced-norm
-ratio is not a rational square, which no isotropic pair vector has.
+Gram-Schmidt.  A plane on two slots needs their rank-1 forms to be
+opposite, so past height 1 the pair searches run only where the exact
+rank-1 test pairs two slots.
 `herm_verdict` runs these tiers as the one test of whether a form is 0 in
 the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 """
@@ -26,6 +27,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import (
     AlgebraMismatch,
     DegenerateForm,
+    FactorizationLimitExceeded,
     NotDivision,
     NotNilpotent,
     NotPureInvertible,
@@ -45,6 +47,22 @@ from .quaternions import (
 )
 
 DEFAULT_SEARCH_BOUND = 8
+# The pair search at the full bound b keeps about (2b + 1)^4 / 2 quaternions
+# and as many directions: at b = 16 a rank-2 certificate that reaches it
+# peaks near 250 MB (CPython 3.11, x86-64).
+MAX_SEARCH_BOUND = 16
+
+
+def check_search_bound(name: str, bound: int) -> None:
+    """Refuse (SchemaViolation, naming `name`) a search bound outside
+    1..MAX_SEARCH_BOUND.  Bound 0 would still run the height-1 searches;
+    past the maximum, the memory of the full-bound pair search grows as
+    the fourth power of the bound."""
+    if bound < 1:
+        raise SchemaViolation(f"{name}: must be at least 1: {bound}")
+    if bound > MAX_SEARCH_BOUND:
+        raise SchemaViolation(
+            f"{name}: must be at most {MAX_SEARCH_BOUND}: {bound}")
 
 
 @dataclass(frozen=True)
@@ -416,13 +434,12 @@ def hyperbolicity_certificate(h: AntiHermForm,
                               ) -> HyperbolicityResult:
     """Search a totally isotropic half-rank subspace of h over a division
     algebra, splitting hyperbolic planes off recursively; the witness is
-    re-verified exactly.  A rank-2 remainder that rank_one_isometric rules
-    out ends the search at once as "anisotropic-at-bound".
+    re-verified exactly.  Past height 1 the pair searches run only when
+    rank_one_isometric pairs two remaining slots or cannot factor.
 
     A split algebra is refused (NotDivision): Morita transfer decides
     hyperbolicity there exactly (`herm_screen`, `morita_transfer`)."""
-    if bound < 1:
-        raise SchemaViolation(f"bound: must be at least 1: {bound}")
+    check_search_bound("bound", bound)
     if is_split(h.algebra):
         raise NotDivision("certificates need a division algebra; over a "
                           "split one use mixed_equal or morita_transfer")
@@ -447,20 +464,20 @@ def hyperbolicity_certificate(h: AntiHermForm,
     while diag:
         sub = AntiHermForm(tuple(diag), alg)
         found = _isotropic_pair_vector(sub, 1)
-        # An isotropic e_1 p + e_2 q of <d1, d2> has p, q != 0 (gamma(p) d p
-        # = 0 needs p = 0), both invertible, so gamma(p) d1 p = -gamma(q) d2
-        # q gives <d1> ~ <-d2>.  If the exact rank-1 test refutes that, no
-        # pair search can hit and the hash searches need rank >= 3.
-        if (found is None and sub.rank == 2
-                and not rank_one_isometric(diag[0], -diag[1])):
-            return HyperbolicityResult("anisotropic-at-bound")
-        if found is None and bound >= 2:
+        # An isotropic e_s p + e_t q has invertible p, q (p = 0 would leave
+        # gamma(q) d_t q = 0), so <d_s> ~ <-d_t>: later pair rungs need it.
+        try:  # a pair the test cannot factor counts as possible
+            pairs = found is None and bound >= 2 and any(rank_one_isometric(
+                x, -y) for x, y in itertools.combinations(diag, 2))
+        except FactorizationLimitExceeded:
+            pairs = True
+        if pairs:
             found = _isotropic_pair_vector(sub, 2)
         if found is None:
             found = _isotropic_hash_vector(sub, 1, single_bound=min(bound, 4))
-        if found is None and bound >= 4:
+        if found is None and pairs and bound >= 4:
             found = _isotropic_pair_vector(sub, 4)
-        if found is None and bound not in (1, 2, 4):
+        if found is None and pairs and bound not in (1, 2, 4):
             found = _isotropic_pair_vector(sub, bound)
         if found is None and bound >= 2 and sub.rank <= 4:
             found = _isotropic_hash_vector(sub, 2, single_bound=2)

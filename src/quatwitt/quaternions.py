@@ -240,11 +240,11 @@ def pure_norm_zeros(A: QuatAlgebra):
     SearchBoundExceeded.  The nilpotent and the conic point come from it."""
     _, ea, eb, eab = A.table
     for h in range(1, ZERO_HEIGHT_BOUND + 1):
-        shell = []
+        shell, hh = [], h * h
         for c1 in range(-h, h + 1):
             for c3 in range(-h, h + 1):
                 s, r = divmod(eab * c3 * c3 - ea * c1 * c1, eb)
-                if r or s < 0:
+                if r or s < 0 or s > hh:  # c2 > h: not in this shell
                     continue
                 c2 = isqrt(s)
                 if c2 * c2 == s and max(abs(c1), c2, abs(c3)) == h:

@@ -246,9 +246,11 @@ def parse_input(doc, algebra: Optional[QuatAlgebra] = None,
                 field: FieldSpec = QQ):
     """Dispatch on the document shape; strings are parsed as JSON first."""
     if isinstance(doc, str):
+        # json.loads raises ValueError also past the integer digit limit,
+        # and RecursionError on arrays or objects nested too deep
         try:
             doc = json.loads(doc)
-        except ValueError as exc:  # or an integer past the digit limit
+        except (ValueError, RecursionError) as exc:
             raise SchemaViolation(f"invalid JSON: {exc}", "") from exc
     if not isinstance(doc, dict):
         raise SchemaViolation("top-level value must be an object", "")

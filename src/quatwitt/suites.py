@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, List, Optional
 
 from . import polys as P
-from .errors import SchemaViolation, UnknownSuite
+from .errors import UnknownSuite
 from .funcfield import (
     FunctionFieldForm,
     Place,
@@ -33,6 +33,7 @@ from .funcfield import (
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
+    check_search_bound,
     hyperbolicity_certificate,
     morita_gram,
     morita_transfer,
@@ -80,9 +81,7 @@ class RunConfig:
     search_bound: int = DEFAULT_SEARCH_BOUND
 
     def __post_init__(self):
-        if self.search_bound < 1:
-            raise SchemaViolation(
-                f"search_bound: must be at least 1: {self.search_bound}")
+        check_search_bound("search_bound", self.search_bound)
 
 
 @dataclass

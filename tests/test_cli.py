@@ -7,9 +7,10 @@ import time
 
 import pytest
 
-from quatwitt import cli
+from quatwitt import cli, hermitian
 from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
+from quatwitt.hermitian import MAX_SEARCH_BOUND
 from quatwitt.serialize import parse_input
 from quatwitt.suites import RunConfig
 
@@ -279,6 +280,22 @@ def test_over_long_json_integer_exits_2(capsys):
     if not limit:
         pytest.skip("this interpreter sets no limit on integer digits")
     doc = '{"diag": [%s]}' % ("9" * (limit + 1))
+    code, out, err = _run(capsys, ["decide", doc, '{"diag": [1]}'])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ")
+    assert err.endswith("(at /)\n")
+
+
+def test_deeply_nested_json_exits_2(capsys):
+    """The JSON decoder raises RecursionError, not ValueError, on arrays
+    nested past its depth limit; the document is refused as invalid JSON
+    at the root, by parse_input and on the command line."""
+    depth = 100_000
+    doc = '{"diag": ' + "[" * depth + "]" * depth + "}"
+    with pytest.raises(SchemaViolation, match="invalid JSON") as exc:
+        parse_input(doc)
+    assert exc.value.pointer == ""
     code, out, err = _run(capsys, ["decide", doc, '{"diag": [1]}'])
     assert code == 2
     assert out == ""
@@ -648,6 +665,40 @@ def test_search_bound_below_one_exits_2(capsys, bound, argv):
 def test_run_config_rejects_search_bound_below_one():
     with pytest.raises(SchemaViolation, match="search_bound"):
         RunConfig(search_bound=0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", '{"odd": [["0", "1", "0", "0"]]}',
+     '{"odd": [["0", "2", "0", "0"]]}'],
+    ["check", "morita"],
+])
+def test_search_bound_above_the_maximum_exits_2(capsys, monkeypatch, argv):
+    """The bound is refused before any input is read or search runs."""
+    def no_search(h, bound):
+        raise AssertionError("a pair search ran")
+
+    monkeypatch.setattr(hermitian, "_isotropic_pair_vector", no_search)
+    bound = MAX_SEARCH_BOUND + 1
+    code, out, err = _run(capsys, ["--search-bound", str(bound)] + argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        f"error: --search-bound: must be at most {MAX_SEARCH_BOUND}: {bound}")
+    with pytest.raises(SchemaViolation, match="search_bound: must be at most"):
+        RunConfig(search_bound=bound)
+
+
+def test_search_bound_at_the_maximum_is_accepted(capsys):
+    """<i> and <2i> over (-1, -1) are isometric by the rank-1 test, so no
+    certificate runs at the maximum bound."""
+    assert RunConfig(search_bound=MAX_SEARCH_BOUND).search_bound == \
+        MAX_SEARCH_BOUND
+    code, out, err = _run(capsys, [
+        "--search-bound", str(MAX_SEARCH_BOUND), "--output", "json",
+        "decide", '{"odd": [["0", "1", "0", "0"]]}',
+        '{"odd": [["0", "2", "0", "0"]]}'])
+    assert code == 0, err
+    assert json.loads(out)["result"] == "equal"
 
 
 _PSI_DOC = '{"odd": [["0", "0", "0", "1"]]}'

@@ -7,15 +7,18 @@ import pytest
 
 from quatwitt import hermitian
 from quatwitt.errors import (
+    FactorizationLimitExceeded,
     NotDivision,
     NotSplit,
     SchemaViolation,
     VerificationFailed,
 )
 from quatwitt.hermitian import (
+    MAX_SEARCH_BOUND,
     AntiHermForm,
     herm_diag,
     herm_screen,
+    herm_verdict,
     hyperbolicity_certificate,
     morita_gram,
     morita_transfer,
@@ -414,6 +417,74 @@ def test_certificate_stops_at_a_non_isometric_rank2_form(monkeypatch):
     cert = hyperbolicity_certificate(h, bound=8)
     assert cert == hermitian.HyperbolicityResult("anisotropic-at-bound")
     assert bounds == [1]
+
+
+def _spy_pair_search(monkeypatch):
+    calls = []
+    search = hermitian._isotropic_pair_vector
+
+    def spy(h, bound):
+        calls.append((h.rank, bound))
+        return search(h, bound)
+
+    monkeypatch.setattr(hermitian, "_isotropic_pair_vector", spy)
+    return calls
+
+
+@pytest.mark.parametrize("coords, verdict", [
+    # <-j + ij, -i - 2j - 2ij, 3j - ij, -i - 2ij>
+    (((0, -1, 1), (-1, -2, -2), (0, 3, -1), (-1, 0, -2)), "unknown"),
+    # <-i + 2j - ij, 2i - j - 2ij, -i + j + ij, 3i - 3j>
+    (((-1, 2, -1), (2, -1, -2), (-1, 1, 1), (3, -3, 0)), "equal"),
+])
+def test_rank_one_test_gates_the_pair_searches_past_height_one(
+        monkeypatch, coords, verdict):
+    """Two leftovers of rank 4 over (-1, -1), from random pure entries of
+    height <= 3 that pairwise cancellation leaves whole: the rank-1 test
+    pairs no two slots, so the rank-4 form gets only the height-1 pair
+    search before the hash searches decide, at bound 8."""
+    calls = _spy_pair_search(monkeypatch)
+    h = herm_diag([H.pure(*c) for c in coords], H)
+    assert herm_verdict(h, 8) == verdict
+    assert [bound for rank, bound in calls if rank == 4] == [1]
+
+
+def test_a_refused_rank_one_test_leaves_every_pair_search(monkeypatch):
+    """The rank-1 test factors Nrd(z1 + z2 / c'), which may be refused.
+    Every pair then counts as possible, so the certificate is the ungated
+    search (the rank-1 test always passing) and raises nothing: on the
+    pinned forms, on <i, j + ij> at bound 8, which the test rules out, and
+    on <2i, 156i - 52ij> over (-1, -7), which needs the height-4 rung."""
+    def refuse(z1, z2):
+        raise FactorizationLimitExceeded("cofactor not certified")
+
+    cases = [(AntiHermForm(entries, A), 4) for A, entries, _, _ in PINNED]
+    cases.append((herm_diag([H.i(), H.j() + H.ij()], H), 8))
+    cases.append((herm_diag([_pure(SEVEN, 2, 0, 0), _pure(SEVEN, 156, 0, -52)],
+                            SEVEN), 4))
+    for h, bound in cases:
+        monkeypatch.setattr(hermitian, "rank_one_isometric",
+                            lambda z1, z2: True)
+        ungated = hyperbolicity_certificate(h, bound)
+        monkeypatch.setattr(hermitian, "rank_one_isometric", refuse)
+        assert hyperbolicity_certificate(h, bound) == ungated, h
+
+
+def test_certificate_refuses_a_bound_above_the_maximum(monkeypatch):
+    """The full-bound pair search keeps about (2b + 1)^4 / 2 quaternions,
+    so a bound past MAX_SEARCH_BOUND is refused before any search, as
+    RunConfig and the CLI refuse it.  The maximum itself is accepted:
+    <i, j + ij>, whose slots the rank-1 test does not pair, ends there
+    after the height-1 pair search."""
+    calls = _spy_pair_search(monkeypatch)
+    h = herm_diag([H.i(), H.j() + H.ij()], H)
+    with pytest.raises(SchemaViolation,
+                       match=f"at most {MAX_SEARCH_BOUND}: "):
+        hyperbolicity_certificate(h, bound=MAX_SEARCH_BOUND + 1)
+    assert calls == []
+    cert = hyperbolicity_certificate(h, bound=MAX_SEARCH_BOUND)
+    assert cert.status == "anisotropic-at-bound"
+    assert calls == [(2, 1)]
 
 
 def test_morita_gram_degenerate_basis():

@@ -132,22 +132,34 @@ def test_hyperbolic_witness_pairs_to_zero(data):
 @st.composite
 def early_return_forms(draw):
     """(algebra, entries, bound): rank 2 at bounds 1-4, random or
-    <z, -c^2 z>, or rank 4 at bound 1, where the rank-2 remainder left by
-    a split plane meets the early return; <z1, -z1, z2, z3> always splits
-    a plane at bound 1."""
+    <z, -c^2 z>, random rank 4 at bound 1 (at bound 2 the hash searches
+    take seconds per form), and at bounds 1-4 three rank-4 shapes:
+    <z1, -z1, z2, z3>, which always splits a plane at height 1 and leaves
+    a rank-2 remainder; shuffled <z1, z2, c^2 z1, -c^2 z2>, whose pair z1,
+    c^2 z1 has a square norm ratio but need not be opposite; and n_Q <z>
+    = <z, -a z, -b z, ab z>, whose slots all have square norm ratios and
+    which the rank-1 test may or may not pair."""
     A = QuatAlgebra(*draw(st.sampled_from(ALGEBRAS)))
-    shape = draw(st.sampled_from(["random2", "pair", "random4", "plane4"]))
+    shape = draw(st.sampled_from(["random2", "pair", "random4", "plane4",
+                                  "twins4", "nq"]))
+    bound = draw(st.integers(1, 1 if shape == "random4" else 4))
     z1, z2 = draw(pure), draw(pure)
     if shape == "random2":
-        entries, bound = [z1, z2], draw(st.integers(1, 4))
+        entries = [z1, z2]
     elif shape == "pair":
         c = draw(square)
         entries = [z1, tuple(-c * v for v in z1)]
-        bound = draw(st.integers(1, 4))
     elif shape == "random4":
-        entries, bound = [z1, z2, draw(pure), draw(pure)], 1
+        entries = [z1, z2, draw(pure), draw(pure)]
+    elif shape == "plane4":
+        entries = [z1, tuple(-v for v in z1), z2, draw(pure)]
+    elif shape == "twins4":
+        c = draw(square)
+        entries = draw(st.permutations([z1, z2, tuple(c * v for v in z1),
+                                        tuple(-c * v for v in z2)]))
     else:
-        entries, bound = [z1, tuple(-v for v in z1), z2, draw(pure)], 1
+        entries = [tuple(m * v for v in z1)
+                   for m in (1, -A.a, -A.b, A.a * A.b)]
     quats = [A.pure(*z) for z in entries]
     hypothesis.assume(all(z.is_invertible() for z in quats))
     return A, quats, bound
@@ -158,11 +170,13 @@ H = QuatAlgebra(-1, -1)
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(early_return_forms())
-# the norm ratio 2 is not a square: the early return fires
+# the norm ratio 2 is not a square: the rank-1 test pairs no slots
 @hypothesis.example((H, [H.pure(1, 0, 0), H.pure(0, 1, 1)], 4))
 def test_early_return_changes_no_result(data):
-    """The rank-2 early return gives the status and witness of the full
-    search, which is the certificate with the rank-1 test always passing."""
+    """The pair rule, which runs the pair searches past height 1 only when
+    the rank-1 test pairs two slots, gives the status and witness of the
+    full search, which is the certificate with the rank-1 test always
+    passing.  (The rule replaced an early return at rank 2.)"""
     A, quats, bound = data
     h = AntiHermForm(tuple(quats), A)
     refuted = []
@@ -179,7 +193,7 @@ def test_early_return_changes_no_result(data):
         mp.setattr(hermitian, "rank_one_isometric", lambda z1, z2: True)
         reference = hyperbolicity_certificate(h, bound)
     assert cert == reference
-    hypothesis.event("early return" if any(refuted) else
+    hypothesis.event("a pair ruled out" if any(refuted) else
                      "certified" if cert.status == "hyperbolic" else
                      cert.status)
 
