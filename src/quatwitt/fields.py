@@ -4,7 +4,7 @@ the Legendre / Hilbert symbols.
 A place of Q is a plain integer: a prime p, or -1 for the real place.
 
 Everything here is deterministic: integer factorization is trial division
-up to a configured bound, never probabilistic.
+up to a fixed bound, never probabilistic.
 """
 
 from __future__ import annotations
@@ -65,36 +65,22 @@ def Fp(p: int) -> FieldSpec:
 # integer factorization (trial division only)
 
 
-# kept below 1%: a miss on a prime near 10^12 is 5 * 10^5 trial divisions,
-# and legendre_symbol checks its modulus on each of its own misses
-@lru_cache(maxsize=2**11)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; n must stay within the
-    range where trial division to 10^6 is conclusive."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if d > TRIAL_DIVISION_BOUND:
-            raise FactorizationLimitExceeded(f"primality of {n} out of range")
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic primality, by the trial division of `factorize` and
+    within its limit."""
+    return n > 1 and factorize(n)[1] == ((n, 1),)
 
 
 @lru_cache(maxsize=2**17)
 def factorize(n: int):
     """Factor a nonzero integer: returns (sign, [(prime, exponent), ...]).
 
-    Pure trial division up to 10^6, with no bound on n itself.  A cofactor
-    left above 10^12 has no prime factor up to 10^6; it is certified when
-    it is the square s^2 of some s <= 10^12, which is then prime, and any
-    other raises FactorizationLimitExceeded.
+    Pure trial division up to 10^6, with no bound on n itself.  The
+    cofactor left has no prime factor up to 10^6, so it is prime up to
+    (10^6 + 1)^2: 10^6 + 1 = 101 * 9901 is composite, and the smallest
+    composite without such a factor is 1000003^2.  Past that it is
+    certified when it is the square s^2 of some s <= (10^6 + 1)^2, which
+    is then prime, and any other raises FactorizationLimitExceeded.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
@@ -105,17 +91,15 @@ def factorize(n: int):
         if p * p > n:
             break
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            e, n = _val_and_unit(n, p)
             factors.append((p, e))
     if n > 1:
-        if n <= TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+        certified = (TRIAL_DIVISION_BOUND + 1) ** 2
+        if n <= certified:
             factors.append((n, 1))
         else:
             s = isqrt(n)
-            if s * s != n or s > TRIAL_DIVISION_BOUND * TRIAL_DIVISION_BOUND:
+            if s * s != n or s > certified:
                 raise FactorizationLimitExceeded(f"cofactor {n} not certified")
             factors.append((s, 2))
     return sign, tuple(factors)

@@ -126,7 +126,9 @@ def _height_box(bound: int) -> tuple:
     return tuple(itertools.product(range(-bound, bound + 1), repeat=4))
 
 
-@lru_cache(maxsize=16)
+# a certificate asks for at most four heights (1, 2, 4 and its bound;
+# `_mixed_pivot` asks for 1), so four boxes serve one call and no more
+@lru_cache(maxsize=4)
 def _normalized_box(bound: int) -> tuple:
     """The _normalized tuples of _height_box(bound), in the same order."""
     return tuple(c for c in _height_box(bound) if _normalized(c))
@@ -342,25 +344,26 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     A hit gamma(p) z_s p = -lambda^2 gamma(q) z_t q has reduced norms
     Nrd(p)^2 n_s = lambda^4 Nrd(q)^2 n_t, so a pair whose norm ratio
     n_t / n_s is not a rational square is skipped.  The direction table
-    of slot s is built on first use, and row t is streamed until its
+    of slot s is built on first use and dropped when s moves on, as
+    combinations order never returns to it; row t is streamed until its
     first hit."""
     k = h.algebra.table
     box = _normalized_box(bound)
     zs = _scaled_entries(h)
     norms = [z.nrd() for z in h.diag]
-    by_dir = {}
+    slot = table = None
     for s, t in itertools.combinations(range(h.rank), 2):
         if rational_sqrt(norms[t] / norms[s]) is None:
             continue
-        if s not in by_dir:
-            table = by_dir[s] = {}
+        if s != slot:
+            slot, table = s, {}
             for p, val in _sandwich_row(zs[s], box, k):
                 g = gcd(*val)
                 table.setdefault(tuple(c // g for c in val), []).append(
                     (p, g))
         for q, val in _sandwich_row(zs[t], box, k):
             gq = gcd(*val)
-            for p, gp in by_dir[s].get(tuple(-c // gq for c in val), ()):
+            for p, gp in table.get(tuple(-c // gq for c in val), ()):
                 root = isqrt(gp * gq)
                 if root * root != gp * gq:
                     continue

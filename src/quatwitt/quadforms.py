@@ -35,7 +35,6 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     DegenerateForm,
-    EvenOrCompositeModulus,
     FieldMismatch,
     NonSymmetricMatrix,
     UnsupportedField,
@@ -45,6 +44,7 @@ from .errors import (
 from .fields import (
     FieldSpec,
     QQ,
+    _require_prime,
     class_mul,
     factorize,
     hilbert_symbol_p,
@@ -305,8 +305,8 @@ def _represented_by_kernel(loc: _Local, k: int):
     symbol of x - <c> over Q_p are functions of the Q_p square class of -c:
     (v_p, the Legendre symbol of the unit) for odd p, (v_2, the unit mod 8)
     for p = 2.  So the verdict of such a place is computed once per class
-    and kept for the life of the test; an odd prime new in c is checked
-    directly."""
+    and kept for the life of the test; an odd prime new in c, from
+    `_new_primes`, is checked directly."""
     n = loc.dim + 1
     verdicts = {}
 
@@ -318,12 +318,10 @@ def _represented_by_kernel(loc: _Local, k: int):
         if abs(loc.sig - (1 if c > 0 else -1)) >= k:
             return False
         m = -c
-        rest = abs(c)
         for p, s in loc.hasse.items():
             if m % p:
                 key = (p, 0, m % 8 if p == 2 else legendre_symbol(m % p, p))
             else:
-                rest //= p
                 u = m // p
                 key = (p, 1, u % 8 if p == 2 else legendre_symbol(u % p, p))
             ok = verdicts.get(key)
@@ -331,8 +329,7 @@ def _represented_by_kernel(loc: _Local, k: int):
                 ok = verdicts[key] = below_k(p, s, m)
             if not ok:
                 return False
-        return rest == 1 or all(below_k(q, 1, m)
-                                for q, _ in factorize(rest)[1])
+        return all(below_k(q, 1, m) for q in _new_primes(loc.hasse, c))
 
     return represents
 
@@ -344,8 +341,7 @@ def local_anisotropic_dim(q: QuadForm, v: int) -> int:
         raise UnsupportedField("local anisotropic dimension only over Q")
     if v == -1:
         return abs(signature(q))
-    if not is_prime(v):
-        raise EvenOrCompositeModulus(f"{v} is not prime")
+    _require_prime(v)
     loc = _local_q(q)
     return _local_dim(loc.dim, loc.disc, loc.hasse.get(v, 1), v)
 

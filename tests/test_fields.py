@@ -69,6 +69,31 @@ def test_factorize_refuses_other_cofactors_past_bound(n):
         factorize(n)
 
 
+def test_is_prime_certifies_cofactors_up_to_the_square_of_bound_plus_one():
+    # a cofactor with no prime factor up to 10^6 is prime below 1000003^2,
+    # the least composite without one; 10^6 + 1 = 101 * 9901 is composite,
+    # so every cofactor up to (10^6 + 1)^2 is certified
+    assert is_prime(1000000000039)
+    assert factorize(1000000000039) == (1, ((1000000000039, 1),))
+    assert factorize(2 * 1000000000039) == (
+        1, ((2, 1), (1000000000039, 1)))
+
+
+def test_is_prime_of_the_square_of_a_prime_past_trial_bound_is_false():
+    # factorize certifies 1000003^2 as a square of a prime, so is_prime
+    # answers where its own trial division once refused
+    assert not is_prime(1000003 ** 2)
+    with pytest.raises(EvenOrCompositeModulus, match="not an odd prime"):
+        Fp(1000003 ** 2)
+
+
+def test_is_prime_refuses_what_factorize_refuses():
+    # 3 divides it, but the cofactor 1000003 * 1000033 is not certified,
+    # and is_prime answers only from a whole factorization
+    with pytest.raises(FactorizationLimitExceeded):
+        is_prime(3 * 1000003 * 1000033)
+
+
 def test_factorize_zero():
     with pytest.raises(ZeroElement):
         factorize(0)

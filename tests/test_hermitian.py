@@ -1,6 +1,7 @@
 """Anti-hermitian forms: diagonalization, Morita transfer, hyperbolicity."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -360,6 +361,45 @@ def test_certificate_needs_the_full_bound_pair_search():
     assert cert.status == "hyperbolic"
     assert cert.witness == ((_q(SEVEN, 1, -4, 7, 0),
                              _q(SEVEN, 0, 0, 0, "60/7")),)
+
+
+def test_box_cache_keeps_one_certificate_of_boxes():
+    """A certificate at bound b asks for heights 1, 2, 4 and b; asked in
+    that order for b = 1 ... 6, the cache keeps at most four boxes, and
+    heights 1, 2 and 4 still hit."""
+    box = hermitian._normalized_box
+    box.cache_clear()
+    for b in range(1, 7):
+        for height in sorted({1, 2, 4, b}):
+            if height <= b:
+                box(height)
+    assert box.cache_info().currsize <= 4
+    before = box.cache_info()
+    for height in (1, 2, 4):
+        box(height)
+    after = box.cache_info()
+    assert (after.hits - before.hits, after.misses) == (3, before.misses)
+
+
+def test_pair_search_keeps_one_direction_table():
+    """The pair search of <3z, z, (7/10) z> reads the table of slot 0,
+    then that of slot 1; holding one at a time, its peak stays near that of
+    <z, (7/10) z>, which builds a single table (both tables at once measure
+    2.3x)."""
+    z = _pure(SEVEN, -1, 2, -1)
+    hermitian._normalized_box(4)
+
+    def peak(entries):
+        h = AntiHermForm(entries, SEVEN)
+        tracemalloc.start()
+        try:
+            assert hermitian._isotropic_pair_vector(h, 4) is None
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    seventh = z.scale(Fraction(7, 10))
+    assert peak((z.scale(3), z, seventh)) <= 1.25 * peak((z, seventh))
 
 
 def test_certificate_refuses_a_split_algebra():

@@ -85,6 +85,9 @@ def test_local_anisotropic_dim():
             for e in ([1, 1, 1], [1, -3], [-1, -2, -5, 7], [])] == [3, 0, 2, 0]
     with pytest.raises(EvenOrCompositeModulus):
         local_anisotropic_dim(qf([1, 1, 1]), 4)
+    # the refusal of fields._require_prime, message and all
+    with pytest.raises(EvenOrCompositeModulus, match="^9 is not prime$"):
+        local_anisotropic_dim(qf([1, 1, 1]), 9)
     # a Q_p question has no answer for a form over F_5
     with pytest.raises(UnsupportedField):
         local_anisotropic_dim(qf([1, 3], Fp(5)), 2)
