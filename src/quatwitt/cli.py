@@ -56,8 +56,8 @@ from .suites import RunConfig, emit_report, run_suite
 def _field_spec(text: str):
     if text == "Q":
         return QQ
-    if text[:1] == "F" and text[1:].isdigit():
-        return Fp(int(text[1:]))
+    if re.fullmatch("F[0-9]+", text):
+        return Fp(_rational(text[1:], "--field"))
     raise SchemaViolation(f"unknown field {text!r}")
 
 
@@ -160,13 +160,16 @@ def _parse_place(text: str) -> Place:
     return Place("poly", pi=pi)
 
 
-def _parse(text: str, A: QuatAlgebra, field):
-    """parse_input, refusing a --field that the input's shape ignores: only
-    diagonal forms {"diag": [...]} read it."""
+def _parse(text: str, A: QuatAlgebra, field, shape=object, refusal=""):
+    """parse_input, refusing a --field that the input's shape ignores (only
+    diagonal forms {"diag": [...]} read it), then an input that is not an
+    instance of shape, with the message refusal."""
     x = parse_input(text, algebra=A, field=field)
     if field != QQ and not isinstance(x, QuadForm):
         raise UnsupportedField(
             f"--field {field!r} does not apply to {type(x).__name__} input")
+    if not isinstance(x, shape):
+        raise SchemaViolation(refusal)
     return x
 
 
@@ -177,34 +180,29 @@ def main(argv=None) -> int:
         field = _field_spec(args.field)
         A = QuatAlgebra(*(_rational(v, "--quat") for v in args.quat))
         if args.command == "prod":
-            x = _parse(args.lhs, A, field)
-            y = _parse(args.rhs, A, field)
-            if not isinstance(x, MixedClass) or not isinstance(y, MixedClass):
-                raise SchemaViolation("prod expects two mixed classes")
+            refusal = "prod expects two mixed classes"
+            x = _parse(args.lhs, A, field, MixedClass, refusal)
+            y = _parse(args.rhs, A, field, MixedClass, refusal)
             _emit(serialize(x * y))
         elif args.command == "lambda":
-            h = _parse(args.form, A, field)
-            if not isinstance(h, AntiHermForm):
-                raise SchemaViolation("lambda expects an anti-hermitian form")
+            h = _parse(args.form, A, field, AntiHermForm,
+                       "lambda expects an anti-hermitian form")
             _emit(serialize(lambda_herm(args.degree, h)))
         elif args.command == "transfer":
-            h = _parse(args.form, A, field)
-            if not isinstance(h, AntiHermForm):
-                raise SchemaViolation("transfer expects an anti-hermitian form")
+            h = _parse(args.form, A, field, AntiHermForm,
+                       "transfer expects an anti-hermitian form")
             z0 = find_nilpotent(A)
             _emit(serialize(morita_transfer(h, z0)))
         elif args.command == "residue":
-            q = _parse(args.form, A, field)
-            if not isinstance(q, FunctionFieldForm):
-                raise SchemaViolation("residue expects a Q(t) form")
+            q = _parse(args.form, A, field, FunctionFieldForm,
+                       "residue expects a Q(t) form")
             out = residue(q, _parse_place(args.place))
             _emit({"first": serialize(out.even.anis),
                    "second": serialize(out.odd.anis)})
         elif args.command == "decide":
             x = _parse(args.lhs, A, field)
-            y = _parse(args.rhs, A, field)
-            if type(x) is not type(y):
-                raise SchemaViolation("decide expects two inputs of one shape")
+            y = _parse(args.rhs, A, field, type(x),
+                       "decide expects two inputs of one shape")
             if isinstance(x, QuadForm):
                 verdict = "equal" if witt_equal(x, y) else "distinct"
             elif isinstance(x, MixedClass):
@@ -214,15 +212,12 @@ def main(argv=None) -> int:
             elif isinstance(x, LambdaInvariant):
                 verdict = invariant_equal(x, y,
                                           search_bound=args.search_bound)
-            elif isinstance(x, AntiHermForm):
+            else:  # an AntiHermForm, the last shape parse_input returns
                 verdict = herm_verdict(x.perp(y.neg()), args.search_bound)
-            else:
-                raise SchemaViolation("undecidable input shape")
             _emit({"result": verdict})
         elif args.command == "psi":
-            x = _parse(args.input, A, field)
-            if not isinstance(x, MixedClass):
-                raise SchemaViolation("psi expects a mixed class")
+            x = _parse(args.input, A, field, MixedClass,
+                       "psi expects a mixed class")
             _emit(serialize(psi_split(x, conic_parametrize(A))))
         elif args.command == "check":
             cfg = RunConfig(seed=args.seed, search_bound=args.search_bound)

@@ -113,25 +113,25 @@ def _quat_inv(x: Quaternion) -> Quaternion:
     return x.conj().scale(1 / n)
 
 
-def _normalized(c) -> bool:
-    """gcd 1 and first nonzero coordinate positive: one integer tuple per
-    line through the origin."""
-    return gcd(*c) == 1 and next(v for v in c if v) > 0
-
-
 def _height_box(bound: int) -> tuple:
-    """Integer 4-tuples of height <= bound in lexicographic order (not by
-    height: the isotropy tables keep the first quaternion per value, so
-    this order fixes the witnesses)."""
-    return tuple(itertools.product(range(-bound, bound + 1), repeat=4))
+    """The integer 4-tuples of height <= bound in lexicographic order, up
+    to 0.  The isotropy tables keep the first quaternion per value, so the
+    order fixes the witnesses; gamma(-p) z (-p) = gamma(p) z p, and -p
+    precedes p past 0, so no first hit of the whole box lies past 0."""
+    side = range(-bound, bound + 1)
+    return tuple(itertools.islice(itertools.product(side, repeat=4),
+                                  len(side) ** 4 // 2 + 1))
 
 
 # a certificate asks for at most four heights (1, 2, 4 and its bound;
 # `_mixed_pivot` asks for 1), so four boxes serve one call and no more
 @lru_cache(maxsize=4)
 def _normalized_box(bound: int) -> tuple:
-    """The _normalized tuples of _height_box(bound), in the same order."""
-    return tuple(c for c in _height_box(bound) if _normalized(c))
+    """The box's tuples of gcd 1 past 0, in order: one per line through 0."""
+    side = range(-bound, bound + 1)
+    past_zero = itertools.islice(itertools.product(side, repeat=4),
+                                 len(side) ** 4 // 2 + 1, None)
+    return tuple(c for c in past_zero if gcd(*c) == 1)
 
 
 def _orthogonalize(pair, vectors, algebra: QuatAlgebra):

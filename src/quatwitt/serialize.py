@@ -3,7 +3,8 @@
 Schemas:
   QuadForm            {"diag": ["1", "-2", ...]}
   AntiHermForm        {"herm_diag": [["0","1","0","0"], ...]}
-  MixedClass          {"even": QuadForm, "odd": AntiHermForm}
+  MixedClass          {"even": QuadForm, "odd": AntiHermForm}, either part
+                      also as its bare list
   FunctionFieldForm   {"entries": [{"unit": "3", "factors":
                         [{"poly": ["0","1"], "exp": 1, "irreducible": true}]}]}
   LambdaInvariant     {"r": 1, "coeffs": [MixedClass, ...]}
@@ -96,13 +97,14 @@ def _entry_class(raw, field: FieldSpec, ptr: str):
         raise SchemaViolation(str(exc), ptr) from exc
 
 
-def parse_quadform(doc: dict, field: FieldSpec = QQ, ptr: str = "") -> QuadForm:
-    diag = doc.get("diag")
-    if not isinstance(diag, list):
-        raise SchemaViolation('expected {"diag": [...]}', ptr + "/diag")
-    return QuadForm(tuple(_entry_class(v, field, f"{ptr}/diag/{i}")
-                          for i, v in enumerate(diag)), field)
-
+def parse_quadform(doc: dict | list, field: FieldSpec = QQ,
+                   ptr: str = "") -> QuadForm:
+    if isinstance(doc, dict):
+        doc, ptr = doc.get("diag"), ptr + "/diag"
+        if not isinstance(doc, list):
+            raise SchemaViolation('expected {"diag": [...]}', ptr)
+    return QuadForm(tuple(_entry_class(v, field, f"{ptr}/{i}")
+                          for i, v in enumerate(doc)), field)
 
 
 def parse_quaternion(coords, A: QuatAlgebra, ptr: str) -> Quaternion:
@@ -112,17 +114,17 @@ def parse_quaternion(coords, A: QuatAlgebra, ptr: str) -> Quaternion:
     return A.element(*cs)
 
 
-def parse_hermform(doc: dict, A: QuatAlgebra, ptr: str = "") -> AntiHermForm:
-    diag = doc.get("herm_diag")
-    if not isinstance(diag, list):
-        raise SchemaViolation('expected {"herm_diag": [...]}', ptr + "/herm_diag")
-    entries = [
-        parse_quaternion(c, A, f"{ptr}/herm_diag/{i}") for i, c in enumerate(diag)
-    ]
+def parse_hermform(doc: dict | list, A: QuatAlgebra,
+                   ptr: str = "") -> AntiHermForm:
+    if isinstance(doc, dict):
+        doc, ptr = doc.get("herm_diag"), ptr + "/herm_diag"
+        if not isinstance(doc, list):
+            raise SchemaViolation('expected {"herm_diag": [...]}', ptr)
+    entries = [parse_quaternion(c, A, f"{ptr}/{i}") for i, c in enumerate(doc)]
     try:
         return AntiHermForm(tuple(entries), A)
     except NotPureInvertible as exc:
-        raise SchemaViolation(str(exc), ptr + "/herm_diag") from exc
+        raise SchemaViolation(str(exc), ptr) from exc
 
 
 def _object(doc, ptr: str, what: str) -> dict:
@@ -133,16 +135,12 @@ def _object(doc, ptr: str, what: str) -> dict:
 
 def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
     _object(doc, ptr, "mixed class")
-    even_doc = doc.get("even", {"diag": []})
-    if isinstance(even_doc, list):  # shorthand: bare diagonal
-        even_doc = {"diag": even_doc}
-    if not isinstance(even_doc, dict):
+    even_doc = doc.get("even", [])  # an absent part is empty
+    if not isinstance(even_doc, (dict, list)):
         raise SchemaViolation("even part must be an object or list",
                               ptr + "/even")
-    odd_doc = doc.get("odd", {"herm_diag": []})
-    if isinstance(odd_doc, list):  # shorthand: bare coordinate rows
-        odd_doc = {"herm_diag": odd_doc}
-    if not isinstance(odd_doc, dict):
+    odd_doc = doc.get("odd", [])
+    if not isinstance(odd_doc, (dict, list)):
         raise SchemaViolation("odd part must be an object or list",
                               ptr + "/odd")
     even = witt_class(parse_quadform(even_doc, QQ, ptr + "/even"))

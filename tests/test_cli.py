@@ -262,6 +262,21 @@ def test_split_algebra_without_a_zero_below_the_height_bound(capsys):
      "not a rational number", "/entries/0/factors/0/poly/0"),
     (["decide", '{"herm_diag": 5}', '{"diag": [1]}'], "expected",
      "/herm_diag"),
+    (["decide", '{"even": [1, "x"]}', '{"even": [1]}'],
+     "not a rational number", "/even/1"),
+    (["decide", '{"odd": [["0", "x", "0", "0"]]}', '{"even": [1]}'],
+     "not a rational number", "/odd/0/1"),
+    (["decide", '{"odd": [["1", "1", "0", "0"]]}', '{"even": [1]}'],
+     "not pure invertible", "/odd"),
+    (["decide", '{"r": 1, "coeffs": [{"even": ["x"]}, {}, {}]}',
+      '{"r": 1, "coeffs": [{}, {}, {}]}'], "not a rational number",
+     "/coeffs/0/even/0"),
+    (["decide", '{"even": {"diag": [1, "x"]}}', '{"even": [1]}'],
+     "not a rational number", "/even/diag/1"),
+    (["decide", '{"odd": {"herm_diag": [["1", "1", "0", "0"]]}}',
+      '{"even": [1]}'], "not pure invertible", "/odd/herm_diag"),
+    (["prod", '{"diag": [1]}', "not json"],
+     "prod expects two mixed classes", "/"),
 ])
 def test_malformed_input_exits_2_at_its_pointer(capsys, argv, message,
                                                 pointer):
@@ -613,6 +628,10 @@ def test_errors_exit_2(capsys):
 @pytest.mark.parametrize("flags", [
     ["--field", "F4"],
     ["--field", "Fx"],
+    ["--field", "F²"],
+    ["--field", "F³7"],
+    ["--field", "F٣"],
+    ["--field", "F" + "7" * 5000],
     ["--quat", "0", "1"],
     ["--quat", "a", "1"],
 ])
@@ -621,6 +640,26 @@ def test_bad_global_flags_exit_2(capsys, flags):
                                          '{"diag": [1]}'])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("field, message", [
+    ("F²", "unknown field 'F²'"),
+    ("F٣", "unknown field 'F٣'"),
+    pytest.param("F" + "7" * 5000, "--field: not a rational number",
+                 id="F-5000-digits"),
+])
+def test_field_modulus_is_ascii_digits_read_as_a_number(capsys, field,
+                                                        message):
+    code, out, err = _run(capsys, ["--field", field, "decide",
+                                   '{"diag": [1]}', '{"diag": [1]}'])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
+def test_field_modulus_with_leading_zeros(capsys):
+    argv = ["decide", '{"diag": [1, 2]}', '{"diag": [3, 6]}']
+    _, out, _ = _run(capsys, ["--field", "F7"] + argv)
+    assert _run(capsys, ["--field", "F0007"] + argv) == (0, out, "")
 
 
 def test_global_flags_both_sides(capsys):

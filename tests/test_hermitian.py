@@ -1,5 +1,6 @@
 """Anti-hermitian forms: diagonalization, Morita transfer, hyperbolicity."""
 
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -32,7 +33,7 @@ from quatwitt.quadforms import (
     witt_equal,
     witt_zero,
 )
-from quatwitt.quaternions import QuatAlgebra, find_nilpotent
+from quatwitt.quaternions import QuatAlgebra, Quaternion, find_nilpotent
 
 H = QuatAlgebra(-1, -1)
 M2 = QuatAlgebra(1, 1)
@@ -319,6 +320,87 @@ def test_hash_search_builds_tables_once_per_bound(monkeypatch, single_bound,
     h = herm_diag([H.i(), H.j(), H.ij()], H)
     hermitian._isotropic_hash_vector(h, 1, single_bound)
     assert len(calls) == builds
+
+
+def _reference_hash_vector(h, bound, single_bound):
+    """The 3- and 4-slot hash search over the whole lexicographic box
+    [-bound, bound]^4, keeping the first (p, q) per sum and the first hit,
+    as `hermitian._isotropic_hash_vector` does on its half box."""
+    def box(b):
+        return tuple(itertools.product(range(-b, b + 1), repeat=4))
+
+    tables = hermitian._sandwich_tables(h, box(bound))
+    singles = hermitian._sandwich_tables(h, box(single_bound))
+    r = h.rank
+    dicts = {}
+    for s, t in itertools.combinations(range(r), 2):
+        d = dicts[(s, t)] = {}
+        for p, (a0, a1, a2, a3) in tables[s]:
+            for q, (b0, b1, b2, b3) in tables[t]:
+                d.setdefault((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (p, q))
+
+    def build(assign):
+        vec = [(0, 0, 0, 0)] * r
+        for idx, q in assign:
+            vec[idx] = q
+        if any(any(q) for q in vec):
+            return [Quaternion(q, 1, h.algebra) for q in vec]
+
+    for (s, t), d in dicts.items():
+        for u in (u for u in range(r) if u not in (s, t)):
+            for w, a in singles[u]:
+                hit = d.get(tuple(-x for x in a))
+                vec = hit and build([(s, hit[0]), (t, hit[1]), (u, w)])
+                if vec:
+                    return vec
+    pairs = sorted(dicts)
+    for i, (s, t) in enumerate(pairs):
+        for u, v in pairs[i + 1:]:
+            if len({s, t, u, v}) < 4:
+                continue
+            for key, (w1, w2) in dicts[(u, v)].items():
+                hit = dicts[(s, t)].get(tuple(-x for x in key))
+                vec = hit and build([(s, hit[0]), (t, hit[1]), (u, w1),
+                                     (v, w2)])
+                if vec:
+                    return vec
+    return None
+
+
+def _seeded_hash_forms(rng, rank, count):
+    """Random forms of the given rank over the division algebras, half of
+    them n_Q-like <z, c z, ...> so that some searches hit."""
+    algebras = [H, HALF, SEVENTHS, SEVEN, QuatAlgebra(-1, -3)]
+    forms = []
+    for n in range(count):
+        A = algebras[n % len(algebras)]
+        if n % 2:
+            z = _rand_pure(rng, A, 3)
+            entries = [z.scale(Fraction(rng.choice([-4, -2, -1, 1, 3]),
+                                        rng.randint(1, 3)))
+                       for _ in range(rank - 1)] + [_rand_pure(rng, A, 3)]
+        else:
+            entries = [_rand_pure(rng, A, 3) for _ in range(rank)]
+        forms.append(AntiHermForm(tuple(entries), A))
+    return forms
+
+
+@pytest.mark.parametrize("rank, bound, single_bound, count", [
+    (3, 1, 1, 12), (3, 1, 2, 12), (3, 1, 4, 12), (3, 2, 2, 3),
+    (4, 1, 1, 12), (4, 1, 2, 12), (4, 1, 4, 12), (4, 2, 2, 1),
+])
+def test_hash_search_on_the_half_box_matches_the_whole_box(
+        rank, bound, single_bound, count):
+    """Searching the tuples up to 0 returns what the search over the whole
+    box returns, the same vector or None on both; each case has a hit."""
+    rng = random.Random(30 + 10 * rank + bound + single_bound)
+    found = 0
+    for h in _seeded_hash_forms(rng, rank, count):
+        want = _reference_hash_vector(h, bound, single_bound)
+        got = hermitian._isotropic_hash_vector(h, bound, single_bound)
+        assert got == want, h
+        found += want is not None
+    assert found
 
 
 BIG_DEN = QuatAlgebra(Fraction(-1, 5000), -1)

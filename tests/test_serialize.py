@@ -18,6 +18,7 @@ from quatwitt.quadforms import QuadForm, qf, witt_class
 from quatwitt.quaternions import QuatAlgebra
 from quatwitt.serialize import (
     parse_ffform,
+    parse_hermform,
     parse_input,
     parse_mixed,
     parse_quadform,
@@ -57,6 +58,18 @@ def test_mixed_roundtrip_and_shorthand():
     # list shorthands for both parts
     z = parse_mixed({"even": [2, 3], "odd": [["0", "0", "0", "1"]]}, H)
     assert z.even == x.even and z.odd.diag == x.odd.diag
+
+
+def test_readers_take_the_bare_list_at_its_pointer():
+    assert parse_quadform([2, 3]).reps() == parse_quadform(
+        {"diag": [2, 3]}).reps()
+    assert parse_hermform([["0", "0", "0", "1"]], H).diag == (H.ij(),)
+    with pytest.raises(SchemaViolation) as exc:
+        parse_quadform([1, "x"], ptr="/even")
+    assert exc.value.pointer == "/even/1"
+    with pytest.raises(SchemaViolation) as exc:
+        parse_hermform([["1", "1", "0", "0"]], H, "/odd")
+    assert exc.value.pointer == "/odd"
 
 
 def test_mixed_shorthand_rejects_garbage():
