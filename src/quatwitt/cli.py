@@ -49,7 +49,7 @@ from .invariants import LambdaInvariant, invariant_equal, lambda_herm
 from .mixed import MixedClass, mixed_equal
 from .quadforms import QuadForm, witt_equal
 from .quaternions import QuatAlgebra, find_nilpotent
-from .serialize import _frac, parse_input, serialize
+from .serialize import _INTEGER, _frac, _quoted, parse_input, serialize
 from .suites import RunConfig, emit_report, run_suite
 
 
@@ -58,7 +58,7 @@ def _field_spec(text: str):
         return QQ
     if re.fullmatch("F[0-9]+", text):
         return Fp(_rational(text[1:], "--field"))
-    raise SchemaViolation(f"unknown field {text!r}")
+    raise SchemaViolation(f"unknown field {_quoted(text)}")
 
 
 def _rational(text: str, flag: str) -> int | Fraction:
@@ -66,8 +66,19 @@ def _rational(text: str, flag: str) -> int | Fraction:
     try:
         return _frac(text, "")
     except SchemaViolation:
-        raise SchemaViolation(f"{flag}: not a rational number: {text!r}") \
-            from None
+        raise SchemaViolation(
+            f"{flag}: not a rational number: {_quoted(text)}") from None
+
+
+def _integer(text: str) -> int:
+    """An integer flag or argument: ASCII digits with an optional sign,
+    read as a JSON document's integer strings are."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +100,8 @@ def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
     ap.add_argument("--quat", nargs=2, default=d(("-1", "-1")),
                     metavar=("a", "b"),
                     help="quaternion algebra parameters (default -1 -1)")
-    ap.add_argument("--seed", type=int, default=d(0))
-    ap.add_argument("--search-bound", type=int,
+    ap.add_argument("--seed", type=_integer, default=d(0))
+    ap.add_argument("--search-bound", type=_integer,
                     default=d(DEFAULT_SEARCH_BOUND))
     ap.add_argument("--output", choices=["text", "json"], default=d("text"))
 
@@ -115,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("rhs")
 
     p = add("lambda", "lambda power of an anti-hermitian form")
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=_integer)
     p.add_argument("form")
 
     p = add("transfer", "Morita transfer to W(k)")

@@ -40,7 +40,6 @@ from .quadforms import QuadForm, is_isotropic, is_witt_zero, qf, witt_class
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
-    _mul_coords,
     find_nilpotent,
     is_split,
     norm_form,
@@ -307,29 +306,38 @@ def _scaled_entries(h: AntiHermForm):
 
 def _sandwich_row(z, box, k):
     """(p, gamma(p) z p) for p in box, lazily, for an integer entry z of
-    `_scaled_entries` on the integer table k: the one sandwich routine of
-    both isotropy searches."""
+    `_scaled_entries` on the integer table k = (e, A, B, AB): the one
+    sandwich routine of both isotropy searches.
+
+    For pure z and p = p0 + v, v pure, gamma(p) z p = (p0^2 + v^2) z +
+    p0 (z v - v z) - 2 beta v for the scalar beta = (v z + z v) / 2.  Below
+    s = e (p0^2 + v^2) and t = 2 e beta, and the tuple is e^2 times the
+    value: what the two table products, each times e, give."""
+    e, a, b, ab = k
+    _, z1, z2, z3 = z
+    a2, b2, e2 = 2 * a, 2 * b, 2 * e
+    za, zb, zab = a2 * z1, b2 * z2, 2 * ab * z3
     for p in box:
-        yield p, _mul_coords(_mul_coords((p[0], -p[1], -p[2], -p[3]), z, k),
-                             p, k)
+        p0, v1, v2, v3 = p
+        s = e * p0 * p0 + a * v1 * v1 + b * v2 * v2 - ab * v3 * v3
+        t = za * v1 + zb * v2 - zab * v3
+        yield p, (0, e * (s * z1 + p0 * b2 * (z3 * v2 - z2 * v3) - t * v1),
+                  e * (s * z2 + p0 * a2 * (z1 * v3 - z3 * v1) - t * v2),
+                  e * (s * z3 + p0 * e2 * (z1 * v2 - z2 * v1) - t * v3))
 
 
 def _sandwich_tables(h: AntiHermForm, box):
     """[(p, gamma(p) z p) for p in box] per entry z of h, in integers.
 
     On the algebra's integer table (`QuatAlgebra.table`, e = den(a) den(b))
-    every product of integer coordinates comes out times e, and each entry
-    is written over d, the lcm of the entries' denominators.  Each value is
-    then e^2 d times the true one: one positive scalar for the whole form,
-    so exact sums, negation, primitive directions and content ratios match
-    exactly where those of the true values do.
+    `_sandwich_row` gives e^2 times each value, and each entry is written
+    over d, the lcm of the entries' denominators.  Each value is then e^2 d
+    times the true one: one positive scalar for the whole form, so exact
+    sums, negation, primitive directions and content ratios match exactly
+    where those of the true values do.
     """
     k = h.algebra.table
     return [list(_sandwich_row(z, box, k)) for z in _scaled_entries(h)]
-
-
-def _neg(v):
-    return tuple(-c for c in v)
 
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
@@ -357,13 +365,13 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
             continue
         if s != slot:
             slot, table = s, {}
-            for p, val in _sandwich_row(zs[s], box, k):
-                g = gcd(*val)
-                table.setdefault(tuple(c // g for c in val), []).append(
+            for p, (_, v1, v2, v3) in _sandwich_row(zs[s], box, k):
+                g = gcd(v1, v2, v3)
+                table.setdefault((v1 // g, v2 // g, v3 // g), []).append(
                     (p, g))
-        for q, val in _sandwich_row(zs[t], box, k):
-            gq = gcd(*val)
-            for p, gp in table.get(tuple(-c // gq for c in val), ()):
+        for q, (_, v1, v2, v3) in _sandwich_row(zs[t], box, k):
+            gq = gcd(v1, v2, v3)
+            for p, gp in table.get((-v1 // gq, -v2 // gq, -v3 // gq), ()):
                 root = isqrt(gp * gq)
                 if root * root != gp * gq:
                     continue
@@ -381,17 +389,31 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
     r = h.rank
     if r < 3:
         return None
-    tables = _sandwich_tables(h, _height_box(bound))
-    single_tables = (tables if single_bound == bound else
-                     _sandwich_tables(h, _height_box(single_bound)))
+    rows = _sandwich_tables(h, _height_box(bound))
+    single_rows = (rows if single_bound == bound else
+                   _sandwich_tables(h, _height_box(single_bound)))
+    # P(v) = v1 + m (v2 + m v3) packs a pure value v, m = 8 V + 1 for V the
+    # largest |coordinate| in the tables.  P is linear, and injective on
+    # vectors whose coordinates are below m / 2 in absolute value.  A key
+    # met twice, or a lookup of -P(c) or -key that hits, says that P of a
+    # signed sum of at most four values is 0; its coordinates are at most
+    # 4 V < m / 2, so that sum is 0: keys and hits are those of the sums.
+    m = 8 * max(abs(c) for tab in (rows, single_rows) for row in tab
+                for _, val in row for c in val) + 1
+
+    def packed(tab):
+        return [[(p, v1 + m * (v2 + m * v3)) for p, (_, v1, v2, v3) in row]
+                for row in tab]
+
+    tables = packed(rows)
+    single_tables = tables if single_rows is rows else packed(single_rows)
 
     pair_dicts = {}
     for s, t in itertools.combinations(range(r), 2):
         d = {}
         for p, ap in tables[s]:
-            a0, a1, a2, a3 = ap
-            for q, (b0, b1, b2, b3) in tables[t]:
-                d.setdefault((a0 + b0, a1 + b1, a2 + b2, a3 + b3), (p, q))
+            for q, bq in tables[t]:
+                d.setdefault(ap + bq, (p, q))
         pair_dicts[(s, t)] = d
 
     def build(assign):
@@ -408,7 +430,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
             if u in (s, t):
                 continue
             for w, aw in single_tables[u]:
-                hit = d.get(_neg(aw))
+                hit = d.get(-aw)
                 if hit is not None:
                     vec = build([(s, hit[0]), (t, hit[1]), (u, w)])
                     if vec is not None:
@@ -424,7 +446,7 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
                 continue
             d2 = pair_dicts[pairs[i2]]
             for k2, (w1, w2) in d2.items():
-                hit = d1.get(_neg(k2))
+                hit = d1.get(-k2)
                 if hit is not None:
                     vec = build([(s, hit[0]), (t, hit[1]), (u, w1), (v2, w2)])
                     if vec is not None:

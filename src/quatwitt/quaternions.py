@@ -97,9 +97,8 @@ def _mul_coords(x, y, k):
     """Coordinates of x y on the basis (1, i, j, ij) from those of x and y,
     for the multiplication table k = (e, a, b, ab): the square of i is a/e,
     that of j is b/e, and every product comes out multiplied by e.  The one
-    multiplication table, shared by `Quaternion` (k = `QuatAlgebra.table`),
-    the twisted trace Gram matrix and the integer sandwich tables of the
-    certificate search."""
+    multiplication table, shared by `Quaternion` (k = `QuatAlgebra.table`)
+    and the twisted trace Gram matrix."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
     e, a, b, ab = k

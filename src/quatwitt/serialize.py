@@ -9,7 +9,7 @@ Schemas:
                         [{"poly": ["0","1"], "exp": 1, "irreducible": true}]}]}
   LambdaInvariant     {"r": 1, "coeffs": [MixedClass, ...]}
 
-A number is a JSON integer or a string holding an integer, n/d or a
+A number is a JSON integer or an ASCII string holding an integer, n/d or a
 decimal; JSON true and false are refused.  Integers are read as ints, and
 everything else as the Fraction of its text, whose numerator and
 denominator may have as many digits as an integer literal.
@@ -47,18 +47,32 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
 
+def _quoted(raw) -> str:
+    """repr(raw) for a value of at most 40 characters; past that, the repr
+    of its first 40 and its length, so that a refusal stays short."""
+    text = raw if type(raw) is str else repr(raw)
+    if len(text) <= 40:
+        return repr(raw)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _frac(raw, ptr: str) -> int | Fraction:
     """The number raw stands for: an int for a JSON integer or a string of
-    ASCII digits with an optional sign, else the Fraction of str(raw).  The
-    command line reads its numbers here too."""
+    ASCII digits with an optional sign, else the Fraction of str(raw).  A
+    string with a character past ASCII is refused, though Fraction reads
+    other digits and spaces.  The command line reads its numbers here too."""
     if type(raw) is int:  # JSON true is a bool
         return raw
     try:
-        if type(raw) is str and _INTEGER.fullmatch(raw):
-            return int(raw)  # past the digit limit it raises ValueError
+        if type(raw) is str:
+            if _INTEGER.fullmatch(raw):
+                return int(raw)  # past the digit limit it raises ValueError
+            if not raw.isascii():
+                raise ValueError("not ASCII")
         return _fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaViolation(f"not a rational number: {raw!r}", ptr) from exc
+        raise SchemaViolation(f"not a rational number: {_quoted(raw)}",
+                              ptr) from exc
 
 
 def _fraction(text: str) -> Fraction:

@@ -656,6 +656,49 @@ def test_field_modulus_is_ascii_digits_read_as_a_number(capsys, field,
     assert err.startswith("error: " + message)
 
 
+def test_refused_numbers_are_quoted_in_bounded_size(capsys):
+    """A refused value of at most 40 characters is quoted whole; a longer
+    one by its first 40 characters and its length."""
+    code, out, err = _run(capsys, ["--field", "F" + "7" * 5000, "decide",
+                                   '{"diag": [1]}', '{"diag": [1]}'])
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert err.startswith("error: --field: not a rational number: '"
+                          + "7" * 40 + "'... (5000 characters)")
+    for n, quoted in [(40, repr("x" * 40)),
+                      (41, repr("x" * 40) + "... (41 characters)")]:
+        code, _, err = _run(capsys, ["decide", '{"diag": ["%s"]}' % ("x" * n),
+                                     '{"diag": [1]}'])
+        assert code == 2
+        assert err == f"error: not a rational number: {quoted} (at /diag/0)\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--quat", "٣", "-1", "decide", '{"diag": [1]}', '{"diag": [1]}'],
+     "error: --quat: not a rational number: '٣'"),
+    (["decide", '{"diag": ["٣"]}', '{"diag": [1]}'],
+     "error: not a rational number: '٣' (at /diag/0)"),
+], ids=["quat", "json"])
+def test_numbers_take_ascii_characters_only(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--search-bound", "٣", "decide", '{"odd": [["0", "1", "0", "0"]]}',
+      '{"odd": [["0", "1", "0", "0"]]}'], "--search-bound"),
+    (["--seed", "٣", "check", "morita"], "--seed"),
+    (["lambda", "٢", '{"herm_diag": [["0", "1", "0", "0"]]}'], "degree"),
+    (["lambda", "2.0", '{"herm_diag": [["0", "1", "0", "0"]]}'], "degree"),
+], ids=["search-bound", "seed", "degree", "decimal-degree"])
+def test_integer_flags_take_ascii_digits_only(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"argument {name}: not an integer: " in capsys.readouterr().err
+
+
 def test_field_modulus_with_leading_zeros(capsys):
     argv = ["decide", '{"diag": [1, 2]}', '{"diag": [3, 6]}']
     _, out, _ = _run(capsys, ["--field", "F7"] + argv)

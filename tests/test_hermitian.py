@@ -369,18 +369,26 @@ def _reference_hash_vector(h, bound, single_bound):
 
 def _seeded_hash_forms(rng, rank, count):
     """Random forms of the given rank over the division algebras, half of
-    them n_Q-like <z, c z, ...> so that some searches hit."""
-    algebras = [H, HALF, SEVENTHS, SEVEN, QuatAlgebra(-1, -3)]
+    them n_Q-like <z, c z, ...> so that some searches hit.  Every sixth is
+    over BIG_DEN, and every fourth has the coordinates of its entries
+    shifted by BIG_PRIME: sandwich values far past 10^12, whose sums the
+    packed keys of the hash search must still tell apart."""
+    algebras = [H, HALF, SEVENTHS, SEVEN, QuatAlgebra(-1, -3), BIG_DEN]
     forms = []
     for n in range(count):
         A = algebras[n % len(algebras)]
+        shift = A.pure(*[BIG_PRIME if n % 4 == 3 else 0] * 3)
+
+        def draw():
+            return _rand_pure(rng, A, 3) + shift
+
         if n % 2:
-            z = _rand_pure(rng, A, 3)
+            z = draw()
             entries = [z.scale(Fraction(rng.choice([-4, -2, -1, 1, 3]),
                                         rng.randint(1, 3)))
-                       for _ in range(rank - 1)] + [_rand_pure(rng, A, 3)]
+                       for _ in range(rank - 1)] + [draw()]
         else:
-            entries = [_rand_pure(rng, A, 3) for _ in range(rank)]
+            entries = [draw() for _ in range(rank)]
         forms.append(AntiHermForm(tuple(entries), A))
     return forms
 

@@ -18,7 +18,7 @@ from quatwitt.hermitian import (  # noqa: E402
     rank_one_isometric,
 )
 from quatwitt.quadforms import is_isotropic, qf  # noqa: E402
-from quatwitt.quaternions import QuatAlgebra  # noqa: E402
+from quatwitt.quaternions import QuatAlgebra, _mul_coords  # noqa: E402
 
 # certificates refuse split algebras (tests/test_hermitian.py)
 ALGEBRAS = [(-1, -1), (-1, -3), (Fraction(-1, 2), -3),
@@ -70,6 +70,31 @@ def _reference_rank_one_isometric(z1, z2):
         if is_isotropic(qf([1, n1, -root / r.nrd()])):
             return True
     return False
+
+
+# the sandwich kernel is an identity of the multiplication table, so it
+# holds over a split algebra too: (1/4, -3) splits, as 1/4 is a square
+KERNEL_ALGEBRAS = ALGEBRAS + [(Fraction(5, 4), Fraction(-9, 2)),
+                              (Fraction(1, 4), -3)]
+big = st.integers(-10 ** 6, 10 ** 6)
+
+
+@settings
+@hypothesis.given(st.sampled_from(KERNEL_ALGEBRAS), st.tuples(big, big, big),
+                  st.integers(1, 3),
+                  st.sampled_from([hermitian._height_box,
+                                   hermitian._normalized_box]))
+def test_sandwich_row_equals_the_two_table_products(ab, z, bound, box):
+    """The closed-form sandwich value of each p of the box is the product
+    (gamma(p) z) p on the integer table, and pure."""
+    k = QuatAlgebra(*ab).table
+    z = (0,) + z
+    row = list(hermitian._sandwich_row(z, box(bound), k))
+    assert [p for p, _ in row] == list(box(bound))
+    for p, val in row:
+        conj = (p[0], -p[1], -p[2], -p[3])
+        assert val == _mul_coords(_mul_coords(conj, z, k), p, k)
+        assert val[0] == 0
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

@@ -1,7 +1,9 @@
 """The number parser and the Q(t) parse of serialize against the code they
 replaced, kept here as the reference (need hypothesis).
 
-The reference number parser reads every value as Fraction(str(raw)).  The
+The reference number parser reads every value as Fraction(str(raw)); a
+string with a character past ASCII, which Fraction may read, is refused
+instead.  The
 reference Q(t) parse re-parses every occurrence of a factor, checks each
 distinct polynomial once per document through a set, and pairs off the
 factors of odd exponent in a set of monic polynomials.  Both must accept
@@ -30,7 +32,12 @@ from quatwitt.funcfield import (  # noqa: E402
     FunctionFieldForm,
     ff_class,
 )
-from quatwitt.serialize import _frac, parse_ffform, parse_input  # noqa: E402
+from quatwitt.serialize import (  # noqa: E402
+    _frac,
+    _quoted,
+    parse_ffform,
+    parse_input,
+)
 
 settings = hypothesis.settings(max_examples=300, deadline=None)
 
@@ -39,7 +46,8 @@ def _reference_frac(raw, ptr):
     try:
         return Fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaViolation(f"not a rational number: {raw!r}", ptr) from exc
+        raise SchemaViolation(f"not a rational number: {_quoted(raw)}",
+                              ptr) from exc
 
 
 def _outcome(parse, *args):
@@ -95,6 +103,10 @@ raws = st.one_of(
 @hypothesis.given(raws)
 def test_number_parser_matches_fraction_of_text(raw):
     got = _outcome(_frac, raw, "/x")
+    if type(raw) is str and not raw.isascii():
+        want = SchemaViolation(f"not a rational number: {_quoted(raw)}", "/x")
+        assert got == ("refused", str(want), "/x")
+        return
     assert got == _outcome(_reference_frac, raw, "/x")
     if got[0] == "ok":
         assert type(got[1]) in (int, Fraction)
@@ -107,11 +119,16 @@ def test_flag_numbers_match_fraction_of_text(text):
         try:
             return Fraction(t)
         except (ValueError, ZeroDivisionError):
-            raise SchemaViolation(f"{flag}: not a rational number: {t!r}") \
-                from None
+            raise SchemaViolation(
+                f"{flag}: not a rational number: {_quoted(t)}") from None
 
-    assert _outcome(_rational, text, "--quat") \
-        == _outcome(reference, text, "--quat")
+    got = _outcome(_rational, text, "--quat")
+    if not text.isascii():
+        want = SchemaViolation(
+            f"--quat: not a rational number: {_quoted(text)}")
+        assert got == ("refused", str(want), want.pointer)
+        return
+    assert got == _outcome(reference, text, "--quat")
 
 
 # ---------------------------------------------------------------------------
