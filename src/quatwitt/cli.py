@@ -174,13 +174,13 @@ def _parse_place(text: str) -> Place:
 def _parse(text: str, A: QuatAlgebra, field, shape=object, refusal=""):
     """parse_input, refusing a --field that the input's shape ignores (only
     diagonal forms {"diag": [...]} read it), then an input that is not an
-    instance of shape, with the message refusal."""
+    instance of shape, with the message refusal at the document's root."""
     x = parse_input(text, algebra=A, field=field)
     if field != QQ and not isinstance(x, QuadForm):
         raise UnsupportedField(
             f"--field {field!r} does not apply to {type(x).__name__} input")
     if not isinstance(x, shape):
-        raise SchemaViolation(refusal)
+        raise SchemaViolation(refusal, "")
     return x
 
 

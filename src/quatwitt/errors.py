@@ -98,8 +98,11 @@ class NoGoodSpecializationPoint(QuatWittError):
 
 
 class SchemaViolation(QuatWittError):
-    def __init__(self, message, pointer=""):
-        super().__init__(f"{message} (at {pointer or '/'})")
+    """A refused input, at its JSON pointer when it lies in a document."""
+
+    def __init__(self, message, pointer=None):
+        super().__init__(message if pointer is None
+                         else f"{message} (at {pointer or '/'})")
         self.pointer = pointer
 
 

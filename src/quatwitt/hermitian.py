@@ -36,7 +36,8 @@ from .errors import (
     VerificationFailed,
 )
 from .fields import rational_sqrt, sq_mul, square_class
-from .quadforms import QuadForm, is_isotropic, is_witt_zero, qf, witt_class
+from .quadforms import (QuadForm, _anis_dim, _local_q, is_isotropic,
+                        is_witt_zero, qf)
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
@@ -219,7 +220,7 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
         if r.is_zero():
             diag = QuadForm(norm_form(z1.algebra).reps()[1:]
                             + (-square_class(n1), -square_class(root)))
-            if witt_class(diag).dim == 1:
+            if _anis_dim(_local_q(diag)) == 1:
                 return True
         elif is_isotropic(qf([1, n1, -root / r.nrd()])):
             return True
@@ -436,21 +437,16 @@ def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
                     if vec is not None:
                         return vec
     # 4-slot support: two disjoint pairs
-    pairs = sorted(pair_dicts)
-    for i1 in range(len(pairs)):
-        s, t = pairs[i1]
-        d1 = pair_dicts[pairs[i1]]
-        for i2 in range(i1 + 1, len(pairs)):
-            u, v2 = pairs[i2]
-            if len({s, t, u, v2}) != 4:
-                continue
-            d2 = pair_dicts[pairs[i2]]
-            for k2, (w1, w2) in d2.items():
-                hit = d1.get(-k2)
-                if hit is not None:
-                    vec = build([(s, hit[0]), (t, hit[1]), (u, w1), (v2, w2)])
-                    if vec is not None:
-                        return vec
+    for ((s, t), d1), ((u, v), d2) in itertools.combinations(
+            pair_dicts.items(), 2):
+        if len({s, t, u, v}) != 4:
+            continue
+        for k2, (w1, w2) in d2.items():
+            hit = d1.get(-k2)
+            if hit is not None:
+                vec = build([(s, hit[0]), (t, hit[1]), (u, w1), (v, w2)])
+                if vec is not None:
+                    return vec
     return None
 
 

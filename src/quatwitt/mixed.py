@@ -81,8 +81,8 @@ def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
     With c the square class of -t and n_k that of Nrd z_k = -z_k^2, the
     Pfister form <<z1^2, z2^2>> is <1, n1> <1, n2> = <1, n2, n1, n1 n2>,
     so the entries are c v for v in (1, n2, n1, n1 n2) and then in the
-    negated entries of the cached n_Q: products of squarefree integers,
-    taken by `sq_mul`."""
+    negated entries of n_Q: products of squarefree integers, taken by
+    `sq_mul`."""
     t = (z1 * z2).trd()
     if t == 0:
         return EMPTY

@@ -197,11 +197,9 @@ class Quaternion:
         return f"Quat{tuple(str(c) for c in self.coords)}"
 
 
-@lru_cache(maxsize=2**8)
 def norm_form(A: QuatAlgebra) -> QuadForm:
-    """The norm form n_Q = <1,-a,-b,ab>, built once per algebra (a QuadForm
-    is immutable, so the cached value is safe to share).  The class of ab
-    is the product of those of a and b, so ab itself is never factored."""
+    """The norm form n_Q = <1,-a,-b,ab>.  The class of ab is the product
+    of those of a and b, so ab itself is never factored."""
     sa, sb = square_class(A.a), square_class(A.b)
     return QuadForm((1, -sa, -sb, sq_mul(sa, sb)))
 

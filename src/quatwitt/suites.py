@@ -52,9 +52,9 @@ from .invariants import (
 )
 from .mixed import (
     MixedClass,
+    closed_form_diag,
     mixed,
     mixed_equal,
-    odd_product_closed_form,
     phi_z0,
     twisted_trace_form,
 )
@@ -64,6 +64,7 @@ from .quadforms import (
     diagonalize,
     hyperbolic,
     is_isotropic,
+    is_witt_zero,
     qf,
     witt_class,
     witt_equal,
@@ -185,11 +186,10 @@ def _suite_products(cfg: RunConfig) -> Report:
         A = QuatAlgebra(a, b)
         for k in range(170):
             z1, z2 = draw_pure(rng, A, 9), draw_pure(rng, A, 9)
-            tt = witt_class(twisted_trace_form(z1, z2))
-            cf = odd_product_closed_form(z1, z2)
-            ok = tt == cf
+            tt = twisted_trace_form(z1, z2)
+            ok = witt_equal(tt, closed_form_diag(z1, z2))
             if (z1 * z2).trd() == 0:
-                ok = ok and tt.is_zero()
+                ok = ok and is_witt_zero(tt)
             _case(rep.cases, f"products/trace-vs-closed/{a}_{b}/{k:04d}", ok,
                   None if ok else f"z1={z1!r} z2={z2!r}")
     for k in range(500):

@@ -11,6 +11,7 @@ from quatwitt import cli, hermitian
 from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
 from quatwitt.hermitian import MAX_SEARCH_BOUND
+from quatwitt.quaternions import QuatAlgebra
 from quatwitt.serialize import parse_input
 from quatwitt.suites import RunConfig
 
@@ -683,6 +684,41 @@ def test_numbers_take_ascii_characters_only(capsys, argv, message):
     code, out, err = _run(capsys, argv)
     assert (code, out) == (2, "")
     assert err.startswith(message)
+
+
+_DIAG = '{"diag": [1]}'
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--quat", "٣", "-1", "decide", _DIAG, _DIAG],
+     "error: --quat: not a rational number: '٣'"),
+    (["--search-bound", "0", "decide", _DIAG, _DIAG],
+     "error: --search-bound: must be at least 1: 0"),
+    (["--field", "Fx", "decide", _DIAG, _DIAG], "error: unknown field 'Fx'"),
+    (["residue", '{"entries": [[1]]}', "--place", "0,0,1"],
+     "error: --place: '0,0,1' is not irreducible"),
+    # a refused document keeps its pointer, "/" for the root
+    (["decide", _DIAG, '{"herm_diag": [["0", "1", "0", "0"]]}'],
+     "error: decide expects two inputs of one shape (at /)"),
+], ids=["quat", "search-bound", "field", "place", "document-root"])
+def test_refused_flags_carry_no_pointer(capsys, argv, line):
+    """A flag is not in a document: its refusal names the flag and ends
+    without a JSON pointer."""
+    assert _run(capsys, argv) == (2, "", line + "\n")
+
+
+def test_refused_library_arguments_carry_no_pointer():
+    H = QuatAlgebra(-1, -1)
+    h = hermitian.herm_diag([H.i(), H.i()], H)
+    past = MAX_SEARCH_BOUND + 1
+    for call, message in [
+            (lambda: RunConfig(search_bound=0),
+             "search_bound: must be at least 1: 0"),
+            (lambda: hermitian.hyperbolicity_certificate(h, bound=past),
+             f"bound: must be at most {MAX_SEARCH_BOUND}: {past}")]:
+        with pytest.raises(SchemaViolation) as exc:
+            call()
+        assert (str(exc.value), exc.value.pointer) == (message, None)
 
 
 @pytest.mark.parametrize("argv, name", [

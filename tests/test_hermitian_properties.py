@@ -11,14 +11,23 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import hermitian  # noqa: E402
-from quatwitt.fields import rational_sqrt  # noqa: E402
+from quatwitt.fields import rational_sqrt, square_class  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     hyperbolicity_certificate,
     rank_one_isometric,
 )
-from quatwitt.quadforms import is_isotropic, qf  # noqa: E402
-from quatwitt.quaternions import QuatAlgebra, _mul_coords  # noqa: E402
+from quatwitt.quadforms import (  # noqa: E402
+    QuadForm,
+    is_isotropic,
+    qf,
+    witt_class,
+)
+from quatwitt.quaternions import (  # noqa: E402
+    QuatAlgebra,
+    _mul_coords,
+    norm_form,
+)
 
 # certificates refuse split algebras (tests/test_hermitian.py)
 ALGEBRAS = [(-1, -1), (-1, -3), (Fraction(-1, 2), -3),
@@ -72,6 +81,25 @@ def _reference_rank_one_isometric(z1, z2):
     return False
 
 
+def _peeling_rank_one_isometric(z1, z2):
+    """The rank-1 decision reading the dimension of the kernel of
+    <-a, -b, ab, -n1, -c'> off the W(Q) peel when z1 + z2 / c' = 0."""
+    n1 = z1.nrd()
+    c = rational_sqrt(z2.nrd() / n1)
+    if c is None:
+        return False
+    for root in (c, -c):
+        r = z1 + z2.scale(1 / root)
+        if r.is_zero():
+            diag = QuadForm(norm_form(z1.algebra).reps()[1:]
+                            + (-square_class(n1), -square_class(root)))
+            if witt_class(diag).dim == 1:
+                return True
+        elif is_isotropic(qf([1, n1, -root / r.nrd()])):
+            return True
+    return False
+
+
 # the sandwich kernel is an identity of the multiplication table, so it
 # holds over a split algebra too: (1/4, -3) splits, as 1/4 is a square
 KERNEL_ALGEBRAS = ALGEBRAS + [(Fraction(5, 4), Fraction(-9, 2)),
@@ -111,6 +139,21 @@ def test_rank_one_isometric_equals_the_commutator_reference(ab, c1, c2, m,
     hypothesis.event(("multiple" if multiple else "independent")
                      + (", isometric" if got else ", not isometric"))
     assert got == _reference_rank_one_isometric(z1, z2)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(ALGEBRAS), pure,
+                  st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                            st.integers(1, 30)))
+def test_rank_one_isometric_on_multiples_equals_the_peeling_reference(
+        ab, c, m):
+    """z2 = m z1 makes z1 + z2 / c' = 0 for c' = -m: the kernel's
+    dimension read from the local invariants decides as the peel did."""
+    A = QuatAlgebra(*ab)
+    z1 = A.pure(*c)
+    got = rank_one_isometric(z1, z1.scale(m))
+    hypothesis.event("isometric" if got else "not isometric")
+    assert got == _peeling_rank_one_isometric(z1, z1.scale(m))
 
 
 @st.composite

@@ -25,6 +25,7 @@ from quatwitt.quadforms import (  # noqa: E402
     _Local,
     _local_data,
     _local_dim,
+    _local_q,
     _represented_by_kernel,
     _signed,
     diagonalize,
@@ -125,6 +126,24 @@ def test_local_data_and_kernel_equal_the_adjoin_reference(reps):
     hypothesis.event("large primes" if any(abs(r) > 60 for r in reps)
                      else "entries up to 60")
     assert kernel == _reference_kernel(reps)
+
+
+def _entries(n):
+    return st.lists(st.one_of(entry, semiprime), min_size=n, max_size=n)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.one_of(
+    _entries(5),
+    st.builds(lambda c, rest: [c, -c] + rest, entry, _entries(3))))
+def test_local_dimension_is_the_dimension_of_the_kernel(entries):
+    """On 5-entry squarefree diagonals, the shape the rank-1 isometry test
+    reads, the largest local dimension is that of the peeled kernel.  Half
+    the draws hold a hyperbolic plane, as that test's forms do."""
+    q = qf(entries)
+    assert q.dim == 5
+    hypothesis.event(f"kernel of dimension {witt_class(q).dim}")
+    assert _anis_dim(_local_q(q)) == witt_class(q).dim
 
 
 def _gauss_reference(g):
