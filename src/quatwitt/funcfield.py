@@ -38,7 +38,7 @@ from .quadforms import (
     qf,
     witt_class,
 )
-from .quaternions import QuatAlgebra, is_split, pure_norm_zeros
+from .quaternions import QuatAlgebra, is_split, nrd_class, pure_norm_zeros
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +499,7 @@ def psi_split(x: MixedClass, conic: Optional[ConicData] = None
         L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
                    P.pscale(l3, conic.D))
         ld = ff_entry_product(ff_entry(L), conic.D_entry)
-        zsq = square_class(-z.nrd())  # z^2 for pure z
+        zsq = -nrd_class(z)  # the class of z^2 = -Nrd(z) for pure z
         entries += [FFEntry(-ld.unit, ld.factors),
                     FFEntry(sq_mul(ld.unit, zsq), ld.factors)]
     return FunctionFieldForm(tuple(entries))

@@ -3,8 +3,11 @@
 Diagonal forms carry pure invertible quaternion entries.  In the split case
 Morita transfer along a nilpotent pure quaternion turns everything into
 quadratic forms over the base field, where the decisions are complete.
-Over a division algebra, isometry of rank-1 forms is decided exactly
-(Skolem-Noether and Hasse-Minkowski); larger forms get hyperbolicity
+Over a division algebra, isometry of rank-1 forms is decided exactly: a
+square multiple lambda^2 z of z is isometric to it at once (p = lambda),
+with nothing factored, and any other pair by Skolem-Noether and
+Hasse-Minkowski, on reduced norms read from integer numerators
+(`nrd_class`, `nrd_ratio_root`).  Larger forms get hyperbolicity
 certificates from a bounded search, which refuses split algebras.  The
 search splits off one hyperbolic plane at a time: a plane found on two
 slots of the current orthogonal basis drops those slots without a new
@@ -35,15 +38,17 @@ from .errors import (
     SchemaViolation,
     VerificationFailed,
 )
-from .fields import rational_sqrt, sq_mul, square_class
+from .fields import sq_mul, square_class
 from .quadforms import (QuadForm, _anis_dim, _local_q, is_isotropic,
-                        is_witt_zero, qf)
+                        is_witt_zero)
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
     find_nilpotent,
     is_split,
     norm_form,
+    nrd_class,
+    nrd_ratio_root,
 )
 
 DEFAULT_SEARCH_BOUND = 8
@@ -210,19 +215,31 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     a value of B, <n1> + B = <-a, -b, ab>.  So p exists iff the kernel of
     <-a, -b, ab, -n1, -c'> = H + B + <-c'> is 1-dimensional (B is
     anisotropic), read from square classes: ab is never factored.
+
+    A square multiple z2 = lambda^2 z1, lambda rational, is answered first,
+    with nothing factored: the scalar p = lambda has gamma(p) = lambda, so
+    gamma(p) z1 p = lambda^2 z1 = z2.  With g_k the gcd of the integer
+    numerators of z_k, z2 = (g2 den1 / (g1 den2)) z1 iff num2 g1 = num1 g2,
+    and that positive ratio is a square iff g1 g2 den1 den2 is one.
     """
-    n1 = z1.nrd()
-    c = rational_sqrt(z2.nrd() / n1)
+    g1, g2 = gcd(*z1.num), gcd(*z2.num)
+    if all(x * g1 == y * g2 for x, y in zip(z2.num, z1.num)):
+        m = g1 * g2 * z1.den * z2.den
+        if isqrt(m) ** 2 == m:
+            return True
+    c = nrd_ratio_root(z1, z2)
     if c is None:
         return False
+    n1 = nrd_class(z1)
     for root in (c, -c):
         r = z1 + z2.scale(1 / root)
         if r.is_zero():
             diag = QuadForm(norm_form(z1.algebra).reps()[1:]
-                            + (-square_class(n1), -square_class(root)))
+                            + (-n1, -square_class(root)))
             if _anis_dim(_local_q(diag)) == 1:
                 return True
-        elif is_isotropic(qf([1, n1, -root / r.nrd()])):
+        elif is_isotropic(QuadForm((1, n1,
+                                    square_class(-root / r.nrd())))):
             return True
     return False
 
@@ -271,7 +288,7 @@ def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
             entries += [1, -1]
         else:
             st = square_class(t)
-            entries += [-st, sq_mul(st, square_class(-z.nrd()))]
+            entries += [-st, sq_mul(st, -nrd_class(z))]
     return QuadForm(tuple(entries))
 
 
@@ -353,26 +370,26 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     A hit gamma(p) z_s p = -lambda^2 gamma(q) z_t q has reduced norms
     Nrd(p)^2 n_s = lambda^4 Nrd(q)^2 n_t, so a pair whose norm ratio
     n_t / n_s is not a rational square is skipped.  The direction table
-    of slot s is built on first use and dropped when s moves on, as
-    combinations order never returns to it; row t is streamed until its
-    first hit."""
+    of slot s is drawn from its row only as far as a lookup needs: q is
+    looked up among the entries drawn so far, which precede the rest in
+    box order, and then the row is drawn on until a direction match of
+    square content ratio, or its end.  So the first hit is that of the
+    whole table.  The table is dropped when s moves on, as combinations
+    order never returns to it; row t is streamed until its first hit."""
     k = h.algebra.table
     box = _normalized_box(bound)
     zs = _scaled_entries(h)
-    norms = [z.nrd() for z in h.diag]
-    slot = table = None
+    slot = None
     for s, t in itertools.combinations(range(h.rank), 2):
-        if rational_sqrt(norms[t] / norms[s]) is None:
+        if nrd_ratio_root(h.diag[s], h.diag[t]) is None:
             continue
         if s != slot:
-            slot, table = s, {}
-            for p, (_, v1, v2, v3) in _sandwich_row(zs[s], box, k):
-                g = gcd(v1, v2, v3)
-                table.setdefault((v1 // g, v2 // g, v3 // g), []).append(
-                    (p, g))
+            slot, table, row = s, {}, _sandwich_row(zs[s], box, k)
         for q, (_, v1, v2, v3) in _sandwich_row(zs[t], box, k):
             gq = gcd(v1, v2, v3)
-            for p, gp in table.get((-v1 // gq, -v2 // gq, -v3 // gq), ()):
+            want = (-v1 // gq, -v2 // gq, -v3 // gq)
+            for p, gp in (table.get(want, ()) if row is None else
+                          _drawn_direction(table, row, want)):
                 root = isqrt(gp * gq)
                 if root * root != gp * gq:
                     continue
@@ -380,7 +397,20 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
                 vec[s] = Quaternion(p, 1, h.algebra)
                 vec[t] = Quaternion(q, 1, h.algebra).scale(Fraction(root, gq))
                 return vec
+            row = None  # a miss has drawn the whole row into the table
     return None
+
+
+def _drawn_direction(table, row, want):
+    """The (p, content) of direction `want`, in box order: first those of
+    the table, then those met while drawing the rest of `row` into it."""
+    yield from table.get(want, ())
+    for p, (_, v1, v2, v3) in row:
+        g = gcd(v1, v2, v3)
+        direction = (v1 // g, v2 // g, v3 // g)
+        table.setdefault(direction, []).append((p, g))
+        if direction == want:
+            yield p, g
 
 
 def _isotropic_hash_vector(h: AntiHermForm, bound: int, single_bound: int):
@@ -588,7 +618,7 @@ def herm_screen(h: AntiHermForm) -> Optional[str]:
         return "equal" if is_witt_zero(q) else "distinct"
     if h.rank % 2:
         return "distinct"
-    disc = reduce(sq_mul, (square_class(z.nrd()) for z in h.diag), 1)
+    disc = reduce(sq_mul, (nrd_class(z) for z in h.diag), 1)
     return None if disc == 1 else "distinct"
 
 

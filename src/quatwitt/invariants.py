@@ -36,14 +36,15 @@ from .mixed import (
     mixed_zero,
 )
 from .quadforms import (
+    QuadForm,
     WittClass,
     local_anisotropic_dim,
-    qf,
     signed_disc,
     witt_class,
     witt_invariants,
 )
-from .quaternions import QuatAlgebra, draw_pure, norm_form, ramified_places
+from .quaternions import (QuatAlgebra, draw_pure, norm_form, nrd_class,
+                          ramified_places)
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
@@ -86,7 +87,7 @@ def lambda_all(h: AntiHermForm) -> List[MixedClass]:
     coeffs = [mixed_one(A)]
     for z in h.diag:
         odd = mixed_odd(A, z)
-        nrd = mixed_even(A, witt_class(qf([z.nrd()])))
+        nrd = mixed_even(A, witt_class(QuadForm((nrd_class(z),))))
         times_z = [c * odd for c in coeffs]
         times_n = [c * nrd for c in coeffs]
         new = []

@@ -37,6 +37,7 @@ from .quaternions import (
     _mul_coords,
     find_nilpotent,
     norm_form,
+    nrd_class,
 )
 
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -86,11 +87,10 @@ def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
     t = (z1 * z2).trd()
     if t == 0:
         return EMPTY
-    n1, n2 = z1.nrd(), z2.nrd()
-    if n1 == 0 or n2 == 0:
+    if not (z1.is_invertible() and z2.is_invertible()):
         raise ZeroSlot("Pfister slot must be nonzero")
     c = square_class(-t)
-    n1, n2 = square_class(n1), square_class(n2)
+    n1, n2 = nrd_class(z1), nrd_class(z2)
     vs = (1, n2, n1, sq_mul(n1, n2)) + tuple(
         -r for r in norm_form(z1.algebra).reps())
     return QuadForm(tuple(sq_mul(c, v) for v in vs))

@@ -23,8 +23,9 @@ from .errors import (
     NotSplit,
     SearchBoundExceeded,
     ZeroArgument,
+    ZeroElement,
 )
-from .fields import sq_mul, square_class
+from .fields import sq_mul, square_class, squarefree_part
 from .quadforms import QuadForm, local_anisotropic_dim, witt_invariants
 
 
@@ -195,6 +196,36 @@ class Quaternion:
 
     def __repr__(self):
         return f"Quat{tuple(str(c) for c in self.coords)}"
+
+
+def nrd_class(z: Quaternion) -> int:
+    """square_class(z.nrd()), read from the integers Nrd(z) e den^2 and
+    e den^2 (e = table[0]).  Divided by their gcd they are the numerator
+    and the denominator of the Fraction z.nrd(), which `square_class`
+    factors apart; so are they here, and the same inputs are refused."""
+    n = z._nrd_num()
+    if not n:
+        raise ZeroElement("square class of 0")
+    d = z.algebra.table[0] * z.den * z.den
+    g = gcd(n, d)
+    if g == d:
+        return squarefree_part(n // g)
+    return squarefree_part(n // g) * squarefree_part(d // g)
+
+
+def nrd_ratio_root(z1: Quaternion, z2: Quaternion):
+    """The c >= 0 with c^2 = Nrd(z2) / Nrd(z1), or None, for invertible z1
+    and z2; nothing is factored.  With N_k = Nrd(z_k) e den_k^2 the ratio
+    is N2 den1^2 / (N1 den2^2), a square iff N1 N2 = N1^2 N2 / N1 is one,
+    and then c = sqrt(N1 N2) den1 / (|N1| den2)."""
+    n1, n2 = z1._nrd_num(), z2._nrd_num()
+    prod = n1 * n2
+    if prod < 0:
+        return None
+    root = isqrt(prod)
+    if root * root != prod:
+        return None
+    return Fraction(root * z1.den, abs(n1) * z2.den)
 
 
 def norm_form(A: QuatAlgebra) -> QuadForm:

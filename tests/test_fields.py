@@ -19,6 +19,7 @@ from quatwitt.fields import (
     is_padic_square,
     is_prime,
     legendre_symbol,
+    smallest_nonresidue,
     square_class,
     squarefree_part,
 )
@@ -200,3 +201,14 @@ def test_non_prime_p_is_refused(p):
         is_padic_square(3, p)
     with pytest.raises(EvenOrCompositeModulus):
         hilbert_symbol(2, 3, p)
+
+
+def test_smallest_nonresidue_refuses_a_modulus_without_one():
+    """Below 3 there is no n in 2 .. p - 1 at all, so no non-residue: the
+    loop ends and the last raise fires.  (Past 2, legendre_symbol refuses
+    a composite p first, and every odd prime has a non-residue.)"""
+    assert smallest_nonresidue(3) == 2
+    for p in (2, 1):
+        with pytest.raises(EvenOrCompositeModulus,
+                           match=f"no non-residue mod {p}"):
+            smallest_nonresidue(p)

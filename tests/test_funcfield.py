@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from quatwitt import polys as P
+from quatwitt import funcfield
 from quatwitt.errors import (
     NoGoodSpecializationPoint,
     UnsupportedResidueField,
+    VerificationFailed,
     ZeroElement,
 )
 from quatwitt.fields import sq_mul, square_class
@@ -299,3 +301,26 @@ def test_w0_membership_defaults_to_the_support():
     assert not w0_membership(q)
     assert w0_membership(q) == w0_membership(q, [PLACE_T])
     assert w0_membership(ff_form([T, [0, -1]]))
+
+
+def test_conic_parametrize_refuses_a_point_off_the_conic(monkeypatch):
+    """The parametrization through a true zero always satisfies the
+    conic, so no algebra reaches the check; a zero scan that hands back
+    (1, 1, 1), no zero over (1, 1), stands in for a broken one.  The
+    cached function is bypassed, so its cache keeps only verified
+    parametrizations."""
+    monkeypatch.setattr(funcfield, "pure_norm_zeros",
+                        lambda A: iter([[(1, 1, 1)]]))
+    with pytest.raises(VerificationFailed, match="does not satisfy"):
+        conic_parametrize.__wrapped__(QuatAlgebra(1, 1))
+
+
+def test_good_points_gives_up_past_10000(monkeypatch):
+    """Only a support of more than 10000 factors vanishes at every integer
+    0 .. 10000; a polynomial evaluation that always returns 0 stands in
+    for one, and the search stops with a refusal instead of running on."""
+    q = ff_form([T])
+    assert good_points(q, 2) == [F(1), F(2)]
+    monkeypatch.setattr(P, "peval", lambda f, c: F(0))
+    with pytest.raises(NoGoodSpecializationPoint, match="below 10000"):
+        good_points(q)

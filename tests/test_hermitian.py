@@ -1,5 +1,6 @@
 """Anti-hermitian forms: diagonalization, Morita transfer, hyperbolicity."""
 
+import gc
 import itertools
 import random
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 
 from quatwitt import hermitian
 from quatwitt.errors import (
+    DegenerateForm,
     FactorizationLimitExceeded,
     NotDivision,
     NotSplit,
@@ -253,6 +255,51 @@ def test_certificate_from_hash_search(monkeypatch):
         assert split[:1] == [4], entries
 
 
+def test_certificate_refuses_a_split_that_loses_the_wrong_rank(
+        monkeypatch):
+    """Splitting a hyperbolic plane off a nondegenerate form leaves rank
+    m - 2, so no form reaches the guard; a Gram-Schmidt that drops one
+    more vector stands in for broken arithmetic.  The n_Q <z> cases split
+    their first plane by the general split, which checks the rank it gets
+    back."""
+    orthogonalize = hermitian._orthogonalize
+
+    def lossy(*args):
+        basis, values = orthogonalize(*args)
+        return basis[:-1], values[:-1]
+
+    monkeypatch.setattr(hermitian, "_orthogonalize", lossy)
+    for A, entries, _, _ in PINNED[6:]:
+        with pytest.raises(DegenerateForm, match="wrong rank"):
+            hyperbolicity_certificate(AntiHermForm(entries, A), bound=4)
+
+
+def test_pair_search_draws_the_direction_table_to_its_first_hit(
+        monkeypatch):
+    """<z, -z> at height 1: gamma(p) (-z) p = -gamma(p) z p, so the first
+    q of row 1 meets its opposite in the first value of row 0.  The search
+    draws those two values alone and returns e_0 p + e_1 p, for p the
+    first of the box; building the table of row 0 whole would draw all 40
+    values of the height-1 box first."""
+    drawn = []
+    row = hermitian._sandwich_row
+
+    def spy(z, box, k):
+        for item in row(z, box, k):
+            drawn.append(z)
+            yield item
+
+    monkeypatch.setattr(hermitian, "_sandwich_row", spy)
+    box = hermitian._normalized_box(1)
+    assert len(box) == 40
+    for A in (H, SEVEN, SEVENTHS):
+        for z in (A.i(), _pure(A, 1, "-3/2", "1/3")):
+            drawn.clear()
+            vec = hermitian._isotropic_pair_vector(herm_diag([z, -z], A), 1)
+            assert vec == [Quaternion(box[0], 1, A)] * 2
+            assert len(drawn) <= 2
+
+
 def test_two_slot_split_skips_gram_schmidt(monkeypatch):
     """Pair-search hits have two nonzero slots of the orthogonal basis:
     the certificates of <z, -z> and <z1, z2, -z2, -z1> drop those slots
@@ -471,6 +518,26 @@ def test_box_cache_keeps_one_certificate_of_boxes():
     assert (after.hits - before.hits, after.misses) == (3, before.misses)
 
 
+def _traced_peak(h, bound=4):
+    """The pair search's result on h, and its tracemalloc peak.
+
+    tracemalloc counts only the objects not served from the interpreter's
+    free lists of tuples, lists and dicts, and CPython empties those lists
+    at every full collection.  One that came, in a long run, between the
+    warm-up and a measurement made the first peak 1.47x the second; so
+    each measurement starts from a full collection, and none runs inside
+    it."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        found = hermitian._isotropic_pair_vector(h, bound)
+        return found, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
 def test_pair_search_keeps_one_direction_table():
     """The pair search of <3z, z, (7/10) z> reads the table of slot 0,
     then that of slot 1; holding one at a time, its peak stays near that of
@@ -484,17 +551,23 @@ def test_pair_search_keeps_one_direction_table():
               for entries in ((z.scale(3), z, seventh), (z, seventh))]
     for h in shapes:
         assert hermitian._isotropic_pair_vector(h, 4) is None
+    (found3, three), (found2, two) = (_traced_peak(h) for h in shapes)
+    assert found3 is None and found2 is None
+    assert three <= 1.25 * two
 
-    def peak(h):
-        tracemalloc.start()
-        try:
-            assert hermitian._isotropic_pair_vector(h, 4) is None
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    three, two = shapes
-    assert peak(three) <= 1.25 * peak(two)
+def test_pair_search_draws_no_more_of_the_table_than_its_hit():
+    """<z, -z> hits at the first value of each row, so at bound 4 its
+    search holds a few values, where <z, (7/10) z>, which has no hit of
+    height <= 4, draws the whole table of slot 0 (about 790 KB)."""
+    z = _pure(SEVEN, -1, 2, -1)
+    hit = AntiHermForm((z, -z), SEVEN)
+    miss = AntiHermForm((z, z.scale(Fraction(7, 10))), SEVEN)
+    for h in (hit, miss):
+        hermitian._isotropic_pair_vector(h, 4)
+    (found, lazy), (missed, whole) = (_traced_peak(h) for h in (hit, miss))
+    assert found is not None and missed is None
+    assert 10 * lazy < whole
 
 
 def test_certificate_refuses_a_split_algebra():

@@ -10,10 +10,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from quatwitt import hermitian  # noqa: E402
+from quatwitt import fields, hermitian  # noqa: E402
 from quatwitt.fields import rational_sqrt, square_class  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
+    cancel_hyperbolic_pairs,
     hyperbolicity_certificate,
     rank_one_isometric,
 )
@@ -27,6 +28,8 @@ from quatwitt.quaternions import (  # noqa: E402
     QuatAlgebra,
     _mul_coords,
     norm_form,
+    nrd_class,
+    nrd_ratio_root,
 )
 
 # certificates refuse split algebras (tests/test_hermitian.py)
@@ -125,19 +128,43 @@ def test_sandwich_row_equals_the_two_table_products(ab, z, bound, box):
         assert val[0] == 0
 
 
+def _second_entry(A, z1, c2, m, shape, k):
+    """z2 of the given shape: independent of z1, the multiple m z1, the
+    square multiple m^2 z1, or one of its near misses -m^2 z1, 2 m^2 z1
+    and m^2 z1 with coordinate k moved by 1."""
+    if shape == "independent":
+        return A.pure(*c2)
+    scale = {"multiple": m, "square": m * m, "minus square": -m * m,
+             "twice square": 2 * m * m, "nudged square": m * m}[shape]
+    z2 = z1.scale(scale)
+    if shape == "nudged square":
+        coords = list(z2.coords[1:])
+        coords[k] += 1
+        z2 = A.pure(*coords)
+    return z2
+
+
+SHAPES = ("independent", "multiple", "square", "minus square",
+          "twice square", "nudged square")
+
+
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(st.sampled_from(ALGEBRAS), pure, pure,
-                  coord.filter(bool), st.booleans())
+                  coord.filter(bool), st.sampled_from(SHAPES),
+                  st.integers(0, 2))
 def test_rank_one_isometric_equals_the_commutator_reference(ab, c1, c2, m,
-                                                            multiple):
-    """Half the draws compare z1 with a rational multiple m z1, where one
-    of z1 + z2 / c' is 0."""
+                                                            shape, k):
+    """z2 is drawn independently of z1, as a rational multiple m z1, where
+    one of z1 + z2 / c' is 0, as the square multiple m^2 z1, which the
+    shortcut answers, or as one of its near misses -m^2 z1, 2 m^2 z1 and
+    m^2 z1 with one coordinate changed, which it must leave to the
+    norms."""
     A = QuatAlgebra(*ab)
     z1 = A.pure(*c1)
-    z2 = z1.scale(m) if multiple else A.pure(*c2)
+    z2 = _second_entry(A, z1, c2, m, shape, k)
+    hypothesis.assume(z2.is_invertible())
     got = rank_one_isometric(z1, z2)
-    hypothesis.event(("multiple" if multiple else "independent")
-                     + (", isometric" if got else ", not isometric"))
+    hypothesis.event(shape + (", isometric" if got else ", not isometric"))
     assert got == _reference_rank_one_isometric(z1, z2)
 
 
@@ -154,6 +181,107 @@ def test_rank_one_isometric_on_multiples_equals_the_peeling_reference(
     got = rank_one_isometric(z1, z1.scale(m))
     hypothesis.event("isometric" if got else "not isometric")
     assert got == _peeling_rank_one_isometric(z1, z1.scale(m))
+
+
+# the division algebras of KERNEL_ALGEBRAS: (5/4, -9/2) ramifies at 2 and 5
+DIVISION_ALGEBRAS = ALGEBRAS + [(Fraction(5, 4), Fraction(-9, 2))]
+wide = st.builds(Fraction, st.integers(-100, 100), st.integers(1, 9))
+wide_pure = st.tuples(wide, wide, wide).filter(any)
+ratio = st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                  st.integers(1, 30))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(DIVISION_ALGEBRAS), wide_pure, ratio)
+def test_square_multiples_are_isometric(ab, c, lam):
+    """<z> ~ <lambda^2 z> for every rational lambda (p = lambda), as the
+    reference decides it through the norms."""
+    A = QuatAlgebra(*ab)
+    z = A.pure(*c)
+    z2 = z.scale(lam * lam)
+    assert rank_one_isometric(z, z2)
+    assert _reference_rank_one_isometric(z, z2)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(DIVISION_ALGEBRAS),
+                  st.tuples(wide, wide, wide, wide).filter(any),
+                  st.tuples(wide, wide, wide, wide).filter(any),
+                  st.booleans())
+def test_integer_norm_helpers_equal_the_fraction_route(ab, c1, c2, sandwich):
+    """nrd_class(x) is square_class(x.nrd()), and factors the same numbers
+    in the same order; nrd_ratio_root(x, y) is rational_sqrt(y.nrd() /
+    x.nrd()).  Half the draws take y = gamma(q) x q, whose norm ratio
+    Nrd(q)^2 is a square."""
+    A = QuatAlgebra(*ab)
+    x = A.element(*c1)
+    q = A.element(*c2)
+    y = q.conj() * x * q if sandwich else q
+    factored = []
+    factorize = fields.factorize
+
+    def spy(n):
+        factored.append(n)
+        return factorize(n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "factorize", spy)
+        got = nrd_class(x)
+        ours = factored[:]
+        factored.clear()
+        assert got == square_class(x.nrd())
+    assert ours == factored
+    got = nrd_ratio_root(x, y)
+    hypothesis.event("square ratio" if got is not None else "no root")
+    assert got == rational_sqrt(y.nrd() / x.nrd())
+
+
+def _reference_cancel(h):
+    """`cancel_hyperbolic_pairs` over the reference rank-1 test."""
+    left = []
+    for z in h.diag:
+        k = next((k for k, w in enumerate(left)
+                  if _reference_rank_one_isometric(z, -w)), None)
+        if k is None:
+            left.append(z)
+        else:
+            del left[k]
+    return tuple(left)
+
+
+@st.composite
+def cancel_forms(draw):
+    """Shuffled entries from one to three pure z, each with up to two
+    partners: -lambda^2 z and -gamma(q) z q, which cancel z, and lambda^2 z
+    and independent entries, which need not."""
+    A = QuatAlgebra(*draw(st.sampled_from(DIVISION_ALGEBRAS)))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        z = A.pure(*draw(pure))
+        entries.append(z)
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["-square", "square", "-sandwich",
+                                         "independent"]))
+            if kind == "-sandwich":
+                q = A.element(*draw(st.tuples(coord, coord, coord, coord)
+                                    .filter(any)))
+                entries.append(-(q.conj() * z * q))
+            elif kind == "independent":
+                entries.append(A.pure(*draw(pure)))
+            else:
+                lam = draw(ratio)
+                entries.append(z.scale(lam * lam if kind == "square"
+                                       else -lam * lam))
+    return AntiHermForm(tuple(draw(st.permutations(entries))), A)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(cancel_forms())
+def test_cancel_hyperbolic_pairs_equals_the_reference_loop(h):
+    """The same entries are left, in the same order."""
+    left = cancel_hyperbolic_pairs(h).diag
+    hypothesis.event(f"{h.rank} -> {len(left)}")
+    assert left == _reference_cancel(h)
 
 
 @st.composite
@@ -298,6 +426,27 @@ def _reference_pair_vector(h, bound, hits):
                     vec[t] = h.algebra.element(*q).scale(Fraction(root, gq))
                     return vec
     return None
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from(DIVISION_ALGEBRAS), pure,
+                  st.tuples(coord, coord, coord, coord).filter(any), square,
+                  st.integers(1, 2), st.one_of(st.none(), pure))
+def test_lazy_pair_search_finds_the_hit_of_the_full_tables(ab, c, qc, lam2,
+                                                           bound, middle):
+    """<z, -lambda^2 gamma(q) z q>, with another slot between the two when
+    `middle` is drawn: the table of slot 0, drawn only as far as each
+    lookup needs and kept from t = 1 to t = 2, gives the first hit of the
+    tables built whole."""
+    A = QuatAlgebra(*ab)
+    z, q = A.pure(*c), A.element(*qc)
+    entries = [z, -(q.conj() * z * q).scale(lam2)]
+    if middle is not None:
+        entries.insert(1, A.pure(*middle))
+    h = AntiHermForm(tuple(entries), A)
+    got = hermitian._isotropic_pair_vector(h, bound)
+    hypothesis.event("hit" if got is not None else "no hit")
+    assert got == _reference_pair_vector(h, bound, [])
 
 
 def _reference_certificate(h, bound, hits):

@@ -163,3 +163,12 @@ def test_monic_returns_a_monic_polynomial_itself():
         assert P.monic(p) == q
         assert P.monic(P.pscale(F(-2, 3), p)) == q
     assert P.monic(P.ZERO) == P.ZERO
+
+
+def test_equal_rational_functions_hash_alike():
+    """(2 + 2t) / 4t and (1 + t) / 2t reduce to one lowest-terms quotient
+    with a monic denominator: equal, one hash, one set element."""
+    x = RationalFunction(P.poly([2, 2]), P.poly([0, 4]))
+    y = RationalFunction(P.poly([1, 1]), P.poly([0, 2]))
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, RationalFunction(P.poly([1, 1]))}) == 2

@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+from quatwitt import quadforms
 from quatwitt.errors import (
     DegenerateForm,
     EvenOrCompositeModulus,
     UnsupportedField,
+    VerificationFailed,
 )
 from quatwitt.fields import (
     Fp,
@@ -240,3 +242,19 @@ def test_hyperbolic_hasse_closed_form():
         for m in range(6):
             want = symbol if m * (m - 1) // 2 % 2 else 1
             assert _hyperbolic_hasse(m, p) == want, (m, p)
+
+
+def test_bareiss_refuses_an_inexact_division(monkeypatch):
+    """By Sylvester's identity every Bareiss division is exact, so no Gram
+    matrix reaches the guard; a divmod that reports a remainder stands in
+    for broken elimination arithmetic, and the explicit raise (kept under
+    python -O) refuses it rather than returning a wrong diagonal."""
+    gram = [[1, 2], [2, 3]]
+    assert witt_equal(diagonalize(gram), qf([1, -1]))
+
+    def inexact(a, b):
+        return a // b, 1
+
+    monkeypatch.setattr(quadforms, "divmod", inexact, raising=False)
+    with pytest.raises(VerificationFailed, match="inexact Bareiss"):
+        diagonalize(gram)

@@ -6,7 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from quatwitt.errors import NotPureInvertible, NotSplit, SearchBoundExceeded
+from quatwitt import quaternions
+from quatwitt.errors import (
+    FactorizationLimitExceeded,
+    NotNilpotent,
+    NotPureInvertible,
+    NotSplit,
+    SearchBoundExceeded,
+)
+from quatwitt.fields import square_class
 from quatwitt.funcfield import conic_parametrize
 from quatwitt.quadforms import qf, witt_equal
 from quatwitt.quaternions import (
@@ -16,6 +24,7 @@ from quatwitt.quaternions import (
     find_nilpotent,
     is_split,
     norm_form,
+    nrd_class,
     pure_norm_zeros,
 )
 
@@ -183,3 +192,25 @@ def test_generic_basis_guard():
 
     with pytest.raises(NotPureInvertible):
         AntiHermForm((z,), A)
+
+
+def test_find_nilpotent_refuses_a_point_off_the_cone(monkeypatch):
+    """Every shell of pure_norm_zeros holds zeros, so no algebra reaches
+    the squaring check; a zero scan that hands back (1, 0, 0) stands in
+    for a broken one, and i, with i^2 = 1 over (1, 1), is refused.  The
+    cached function is bypassed, so its cache keeps only true zeros."""
+    monkeypatch.setattr(quaternions, "pure_norm_zeros",
+                        lambda A: iter([[(1, 0, 0)]]))
+    with pytest.raises(NotNilpotent, match="does not square to 0"):
+        find_nilpotent.__wrapped__(M2)
+
+
+def test_norm_class_refuses_what_square_class_refuses():
+    """Nrd(1000008 i + 1000033 j + ij) over (-1, -1) is 2 * 1000041000577,
+    a cofactor past (10^6 + 1)^2 that is not a square: the class read
+    from the integer numerator is refused as square_class(z.nrd()) is."""
+    z = H.pure(1000008, 1000033, 1)
+    for read in (nrd_class, lambda x: square_class(x.nrd())):
+        with pytest.raises(FactorizationLimitExceeded,
+                           match="cofactor 1000041000577 not certified"):
+            read(z)
