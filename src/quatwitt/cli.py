@@ -28,6 +28,7 @@ from .errors import (
     QuatWittError,
     SchemaViolation,
     UnsupportedField,
+    quoted,
 )
 from .fields import Fp, QQ
 from .funcfield import (
@@ -49,7 +50,7 @@ from .invariants import LambdaInvariant, invariant_equal, lambda_herm
 from .mixed import MixedClass, mixed_equal
 from .quadforms import QuadForm, witt_equal
 from .quaternions import QuatAlgebra, find_nilpotent
-from .serialize import _INTEGER, _frac, _quoted, parse_input, serialize
+from .serialize import parse_input, parse_number, serialize
 from .suites import RunConfig, emit_report, run_suite
 
 
@@ -58,27 +59,28 @@ def _field_spec(text: str):
         return QQ
     if re.fullmatch("F[0-9]+", text):
         return Fp(_rational(text[1:], "--field"))
-    raise SchemaViolation(f"unknown field {_quoted(text)}")
+    raise SchemaViolation(f"unknown field {quoted(text)}")
 
 
 def _rational(text: str, flag: str) -> int | Fraction:
     """A number given to a flag, read as a JSON document's numbers are."""
     try:
-        return _frac(text, "")
+        return parse_number(text, "")
     except SchemaViolation:
         raise SchemaViolation(
-            f"{flag}: not a rational number: {_quoted(text)}") from None
+            f"{flag}: not a rational number: {quoted(text)}") from None
 
 
 def _integer(text: str) -> int:
     """An integer flag or argument: ASCII digits with an optional sign,
     read as a JSON document's integer strings are."""
-    if _INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # past the digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"not an integer: {_quoted(text)}")
+    try:
+        x = parse_number(text, "")
+        if type(x) is int:  # exactly for ASCII digits with a sign
+            return x
+    except SchemaViolation:
+        pass
+    raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,13 +163,13 @@ def _parse_place(text: str) -> Place:
     pi = P.monic(P.poly(coeffs))
     if P.degree(pi) < 1:
         raise SchemaViolation(
-            f"--place: must be a non-constant polynomial: {text!r}")
+            f"--place: must be a non-constant polynomial: {quoted(text)}")
     try:
         irreducible = P.is_irreducible(pi)
     except (MissingFactorization, FactorizationLimitExceeded) as exc:
-        raise SchemaViolation(f"--place: {text!r}: {exc}") from exc
+        raise SchemaViolation(f"--place: {quoted(text)}: {exc}") from exc
     if not irreducible:
-        raise SchemaViolation(f"--place: {text!r} is not irreducible")
+        raise SchemaViolation(f"--place: {quoted(text)} is not irreducible")
     return Place("poly", pi=pi)
 
 

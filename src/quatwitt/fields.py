@@ -20,6 +20,7 @@ from .errors import (
     FactorizationLimitExceeded,
     ZeroArgument,
     ZeroElement,
+    quoted,
 )
 
 TRIAL_DIVISION_BOUND = 10**6
@@ -46,7 +47,8 @@ class FieldSpec:
                 raise ValueError("Q takes no modulus")
         elif self.kind == "Fp":
             if self.p is None or self.p == 2 or not is_prime(self.p):
-                raise EvenOrCompositeModulus(f"not an odd prime: {self.p}")
+                raise EvenOrCompositeModulus(
+                    f"not an odd prime: {quoted(self.p)}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
@@ -100,7 +102,8 @@ def factorize(n: int):
         else:
             s = isqrt(n)
             if s * s != n or s > certified:
-                raise FactorizationLimitExceeded(f"cofactor {n} not certified")
+                raise FactorizationLimitExceeded(
+                    f"cofactor {quoted(n)} not certified")
             factors.append((s, 2))
     return sign, tuple(factors)
 
@@ -169,11 +172,11 @@ def square_class(x, field: FieldSpec = QQ) -> int:
     p = field.p
     x = Fraction(x)
     if x.denominator % p == 0:
-        raise ZeroElement(f"{x} has no value mod {p}: {p} divides "
+        raise ZeroElement(f"{quoted(x)} has no value mod {p}: {p} divides "
                           "its denominator")
     r = x.numerator * pow(x.denominator, -1, p) % p
     if r == 0:
-        raise ZeroElement(f"square class of 0: {x} is 0 mod {p}")
+        raise ZeroElement(f"square class of 0: {quoted(x)} is 0 mod {p}")
     return 1 if legendre_symbol(r, p) == 1 else smallest_nonresidue(p)
 
 
@@ -200,7 +203,7 @@ def smallest_nonresidue(p: int) -> int:
 def legendre_symbol(a: int, p: int) -> int:
     """(a|p) in {-1, 0, 1} via Euler's criterion; p must be an odd prime."""
     if p == 2 or not is_prime(p):
-        raise EvenOrCompositeModulus(f"not an odd prime: {p}")
+        raise EvenOrCompositeModulus(f"not an odd prime: {quoted(p)}")
     a %= p
     if a == 0:
         return 0
@@ -210,7 +213,7 @@ def legendre_symbol(a: int, p: int) -> int:
 
 def _require_prime(p: int):
     if not is_prime(p):
-        raise EvenOrCompositeModulus(f"{p} is not prime")
+        raise EvenOrCompositeModulus(f"{quoted(p)} is not prime")
 
 
 def _val_and_unit(n: int, p: int):

@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedResidueField,
     VerificationFailed,
     ZeroElement,
+    quoted,
 )
 from .fields import rational_sqrt, sq_mul, square_class
 from .mixed import MixedClass, mixed
@@ -455,7 +456,7 @@ def conic_parametrize(A: QuatAlgebra) -> ConicData:
     (X/D, Y/D), for (x0, y0) = (c1/c3, c2/c3) with (c3, c1, c2) the least
     zero with c3 >= 1 in the first shell of `pure_norm_zeros` with one."""
     if not is_split(A):
-        raise NotSplit(f"{A!r} is a division algebra; its conic has no"
+        raise NotSplit(f"{quoted(A)} is a division algebra; its conic has no"
                        " rational point")
     a, b = A.a, A.b
     for shell in pure_norm_zeros(A):

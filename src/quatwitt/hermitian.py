@@ -23,8 +23,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from math import gcd, isqrt, lcm, prod
 from typing import Optional, Sequence, Tuple
 
 from .errors import (
@@ -37,6 +37,7 @@ from .errors import (
     NotSplit,
     SchemaViolation,
     VerificationFailed,
+    quoted,
 )
 from .fields import sq_mul, square_class
 from .quadforms import (QuadForm, _anis_dim, _local_q, is_isotropic,
@@ -64,10 +65,10 @@ def check_search_bound(name: str, bound: int) -> None:
     past the maximum, the memory of the full-bound pair search grows as
     the fourth power of the bound."""
     if bound < 1:
-        raise SchemaViolation(f"{name}: must be at least 1: {bound}")
+        raise SchemaViolation(f"{name}: must be at least 1: {quoted(bound)}")
     if bound > MAX_SEARCH_BOUND:
         raise SchemaViolation(
-            f"{name}: must be at most {MAX_SEARCH_BOUND}: {bound}")
+            f"{name}: must be at most {MAX_SEARCH_BOUND}: {quoted(bound)}")
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class AntiHermForm:
             if z.algebra != self.algebra:
                 raise AlgebraMismatch("entry from a different algebra")
             if not z.is_pure() or not z.is_invertible():
-                raise NotPureInvertible(f"{z!r} is not pure invertible")
+                raise NotPureInvertible(f"{quoted(z)} is not pure invertible")
 
     @property
     def rank(self) -> int:
@@ -268,7 +269,8 @@ def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
 
 def _check_nilpotent(z0: Quaternion):
     if z0.is_zero() or not z0.is_pure() or not (z0 * z0).is_zero():
-        raise NotNilpotent(f"{z0!r} is not a nonzero nilpotent pure quaternion")
+        raise NotNilpotent(
+            f"{quoted(z0)} is not a nonzero nilpotent pure quaternion")
 
 
 def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
@@ -610,16 +612,17 @@ def herm_screen(h: AntiHermForm) -> Optional[str]:
     """The exact, cheap tier of the zero test of h: "equal", "distinct" or
     None.  Over a split algebra `is_witt_zero` decides on the Morita
     transfer along `find_nilpotent`.  Over a division algebra h != 0 for
-    an odd rank or for a reduced-norm discriminant (the product of the
-    norms' square classes) that is not a square.  These screens are
-    unsound over a split algebra, where <i> over (1, 1) is 0."""
+    an odd rank or for a reduced-norm discriminant that is not a square:
+    at even rank, the product of the integer numerators Nrd(z) e den^2,
+    read by `isqrt` with nothing factored (the factors e den^2 multiply
+    to a square).  These screens are unsound over a split algebra, where
+    <i> over (1, 1) is 0."""
     if is_split(h.algebra):
         q = morita_transfer(h, find_nilpotent(h.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
-    if h.rank % 2:
-        return "distinct"
-    disc = reduce(sq_mul, (nrd_class(z) for z in h.diag), 1)
-    return None if disc == 1 else "distinct"
+    disc = prod(z._nrd_num() for z in h.diag)
+    square = not h.rank % 2 and disc > 0 and isqrt(disc) ** 2 == disc
+    return None if square else "distinct"
 
 
 def herm_verdict(h: AntiHermForm,

@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     RankMismatch,
     UnsupportedField,
+    quoted,
 )
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
@@ -71,7 +72,7 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
     """Coefficient of t^d in prod_i (1 + <z_i> t + <Nrd z_i> t^2)."""
     r = h.rank
     if d < 0 or d > 2 * r:
-        raise DegreeTooLarge(f"lambda^{d} of a rank-{r} form")
+        raise DegreeTooLarge(f"lambda^{quoted(d)} of a rank-{r} form")
     return lambda_all(h)[d]
 
 

@@ -614,8 +614,3 @@ class GroupRingElem:
             self.even * other.even + self.odd * other.odd,
             self.even * other.odd + self.odd * other.even,
         )
-
-    def __eq__(self, other):
-        if not isinstance(other, GroupRingElem):
-            return NotImplemented
-        return self.even == other.even and self.odd == other.odd

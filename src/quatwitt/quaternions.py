@@ -24,6 +24,7 @@ from .errors import (
     SearchBoundExceeded,
     ZeroArgument,
     ZeroElement,
+    quoted,
 )
 from .fields import sq_mul, square_class, squarefree_part
 from .quadforms import QuadForm, local_anisotropic_dim, witt_invariants
@@ -289,10 +290,10 @@ def find_nilpotent(A: QuatAlgebra) -> Quaternion:
     one, verified by squaring.  Cached per algebra: split-case equality,
     Morita transfer and phi_z0 all transfer along this one nilpotent."""
     if not is_split(A):
-        raise NotSplit(f"{A!r} is a division algebra")
+        raise NotSplit(f"{quoted(A)} is a division algebra")
     z0 = A.pure(*min(next(filter(None, pure_norm_zeros(A)))))
     if not (z0 * z0).is_zero():
-        raise NotNilpotent(f"{z0!r} does not square to 0")
+        raise NotNilpotent(f"{quoted(z0)} does not square to 0")
     return z0
 
 

@@ -28,11 +28,13 @@ from typing import Optional
 
 from . import polys as P
 from .errors import (
+    DigitLimitExceeded,
     FactorizationLimitExceeded,
     MissingFactorization,
     NotPureInvertible,
     SchemaViolation,
     ZeroElement,
+    quoted,
 )
 from .fields import QQ, FieldSpec, square_class
 from .funcfield import FunctionFieldForm, ff_class, ff_entry
@@ -47,16 +49,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _EXPONENT = re.compile(r"[eE]([+-]?\d+(?:_\d+)*)\s*\Z")
 
 
-def _quoted(raw) -> str:
-    """repr(raw) for a value of at most 40 characters; past that, the repr
-    of its first 40 and its length, so that a refusal stays short."""
-    text = raw if type(raw) is str else repr(raw)
-    if len(text) <= 40:
-        return repr(raw)
-    return f"{text[:40]!r}... ({len(text)} characters)"
-
-
-def _frac(raw, ptr: str) -> int | Fraction:
+def parse_number(raw, ptr: str) -> int | Fraction:
     """The number raw stands for: an int for a JSON integer or a string of
     ASCII digits with an optional sign, else the Fraction of str(raw).  A
     string with a character past ASCII is refused, though Fraction reads
@@ -71,7 +64,7 @@ def _frac(raw, ptr: str) -> int | Fraction:
                 raise ValueError("not ASCII")
         return _fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaViolation(f"not a rational number: {_quoted(raw)}",
+        raise SchemaViolation(f"not a rational number: {quoted(raw)}",
                               ptr) from exc
 
 
@@ -96,7 +89,7 @@ def _fraction(text: str) -> Fraction:
 
 
 def _nonzero_frac(raw, ptr: str) -> int | Fraction:
-    x = _frac(raw, ptr)
+    x = parse_number(raw, ptr)
     if x == 0:
         raise SchemaViolation("entry must be nonzero", ptr)
     return x
@@ -124,7 +117,7 @@ def parse_quadform(doc: dict | list, field: FieldSpec = QQ,
 def parse_quaternion(coords, A: QuatAlgebra, ptr: str) -> Quaternion:
     if not isinstance(coords, list) or len(coords) != 4:
         raise SchemaViolation("quaternion needs 4 coordinates", ptr)
-    cs = [_frac(c, f"{ptr}/{i}") for i, c in enumerate(coords)]
+    cs = [parse_number(c, f"{ptr}/{i}") for i, c in enumerate(coords)]
     return A.element(*cs)
 
 
@@ -149,16 +142,12 @@ def _object(doc, ptr: str, what: str) -> dict:
 
 def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
     _object(doc, ptr, "mixed class")
-    even_doc = doc.get("even", [])  # an absent part is empty
-    if not isinstance(even_doc, (dict, list)):
-        raise SchemaViolation("even part must be an object or list",
-                              ptr + "/even")
-    odd_doc = doc.get("odd", [])
-    if not isinstance(odd_doc, (dict, list)):
-        raise SchemaViolation("odd part must be an object or list",
-                              ptr + "/odd")
-    even = witt_class(parse_quadform(even_doc, QQ, ptr + "/even"))
-    odd = parse_hermform(odd_doc, A, ptr + "/odd")
+    for part in ("even", "odd"):  # an absent part is empty
+        if not isinstance(doc.get(part, []), (dict, list)):
+            raise SchemaViolation(f"{part} part must be an object or list",
+                                  f"{ptr}/{part}")
+    even = witt_class(parse_quadform(doc.get("even", []), QQ, ptr + "/even"))
+    odd = parse_hermform(doc.get("odd", []), A, ptr + "/odd")
     return MixedClass(even, odd, A)
 
 
@@ -185,14 +174,13 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
 
 
 def _parse_ffentry(e, eptr: str, checked: dict):
-    """One entry of a Q(t) form.  `checked` maps the coefficients of each
-    factor already checked irreducible, as written and with their types, to
-    its polynomial: JSON true is refused where 1 is accepted, although
-    (True,) == (1,)."""
+    """One entry of a Q(t) form.  `checked` maps the repr of the
+    coefficients of each factor already checked irreducible to its
+    polynomial, so that JSON true and 1.0 are not taken for 1."""
     if isinstance(e, (str, int)):  # shorthand: constant entry
         return ff_entry(_nonzero_frac(e, eptr))
     if isinstance(e, list):  # shorthand: polynomial coefficients
-        coeffs = [_frac(c, f"{eptr}/{j}") for j, c in enumerate(e)]
+        coeffs = [parse_number(c, f"{eptr}/{j}") for j, c in enumerate(e)]
         if not any(coeffs):
             raise SchemaViolation("entry must be nonzero", eptr)
         return ff_entry(coeffs)
@@ -209,14 +197,10 @@ def _parse_ffentry(e, eptr: str, checked: dict):
         if not isinstance(coeffs, list) or not coeffs:
             raise SchemaViolation("factor needs poly coefficients",
                                   fptr + "/poly")
-        key = tuple(zip(map(type, coeffs), coeffs))
-        try:
-            pol = checked.get(key)
-        except TypeError:  # a list or object among them, which _frac refuses
-            pol = None
+        pol = checked.get(repr(coeffs))
         fresh = pol is None
         if fresh:
-            pol = P.poly([_frac(c, f"{fptr}/poly/{j}")
+            pol = P.poly([parse_number(c, f"{fptr}/poly/{j}")
                           for j, c in enumerate(coeffs)])
             if P.degree(pol) < 1:
                 raise SchemaViolation("factor must be non-constant",
@@ -232,7 +216,7 @@ def _parse_ffentry(e, eptr: str, checked: dict):
             if not ok:
                 raise SchemaViolation("factor is not irreducible",
                                       fptr + "/poly")
-            checked[key] = pol
+            checked[repr(coeffs)] = pol
         exp = f.get("exp", 1)
         if type(exp) is not int or exp < 1:  # JSON true is a bool
             raise SchemaViolation("exponent must be a positive integer",
@@ -247,7 +231,7 @@ def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant
         raise SchemaViolation("r must be a positive integer", ptr + "/r")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 2 * r + 1:
-        raise SchemaViolation(f"need exactly {2 * r + 1} coefficients",
+        raise SchemaViolation(f"need exactly {quoted(2 * r + 1)} coefficients",
                               ptr + "/coeffs")
     parsed = [parse_mixed(c, A, f"{ptr}/coeffs/{i}")
               for i, c in enumerate(coeffs)]
@@ -289,17 +273,27 @@ def parse_input(doc, algebra: Optional[QuatAlgebra] = None,
 # serialization
 
 
+def _text(x) -> str:
+    """str(x) for a number of a result, refused as DigitLimitExceeded past
+    the integer digit limit, where str raises ValueError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise DigitLimitExceeded(f"cannot write {quoted(x)}: past the digit "
+                                 "limit for integer text") from None
+
+
 def serialize(obj) -> dict:
     if isinstance(obj, QuadForm):
-        return {"diag": [str(r) for r in obj.reps()]}
+        return {"diag": [_text(r) for r in obj.reps()]}
     if isinstance(obj, AntiHermForm):
-        return {"herm_diag": [[str(c) for c in z.coords] for z in obj.diag]}
+        return {"herm_diag": [[_text(c) for c in z.coords] for z in obj.diag]}
     if isinstance(obj, MixedClass):
         return {"even": serialize(obj.even.anis), "odd": serialize(obj.odd)}
     if isinstance(obj, FunctionFieldForm):
         return {"entries": [
-            {"unit": str(e.unit),
-             "factors": [{"poly": [str(c) for c in f], "exp": 1,
+            {"unit": _text(e.unit),
+             "factors": [{"poly": [_text(c) for c in f], "exp": 1,
                           "irreducible": True} for f in e.factors]}
             for e in obj.entries]}
     if isinstance(obj, LambdaInvariant):

@@ -15,7 +15,7 @@ from math import comb
 from typing import Dict, List, Optional
 
 from . import polys as P
-from .errors import UnknownSuite
+from .errors import UnknownSuite, quoted
 from .funcfield import (
     FunctionFieldForm,
     Place,
@@ -479,7 +479,7 @@ def run_suite(name: str, cfg: Optional[RunConfig] = None) -> Report:
             rep.cases.extend(SUITES[sub](cfg).cases)
         return rep.finish()
     if name not in SUITES:
-        raise UnknownSuite(f"unknown suite {name!r}")
+        raise UnknownSuite(f"unknown suite {quoted(name)}")
     return SUITES[name](cfg)
 
 

@@ -674,6 +674,89 @@ def test_refused_numbers_are_quoted_in_bounded_size(capsys):
         assert err == f"error: not a rational number: {quoted} (at /diag/0)\n"
 
 
+_SEVENS = "7" * 4000
+_HERM_LONG = '{"herm_diag": [["0", "%s", "1", "0"]]}' % _SEVENS
+_ONE = '{"herm_diag": [["0", "1", "0", "0"]]}'
+
+
+def _primorial(lo, hi):
+    """The product of the primes p with lo <= p < hi."""
+    sieve = bytearray([1]) * hi
+    out = 1
+    for n in range(2, hi):
+        if sieve[n]:
+            sieve[n * n::n] = bytes(len(range(n * n, hi, n)))
+            if n >= lo:
+                out *= n
+    return out
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", '{"diag": ["%s"]}' % _SEVENS, '{"diag": [1]}'],
+    ["lambda", "2", _HERM_LONG],
+    ["check", "x" * 5000],
+    ["residue", '{"entries": [1]}', "--place", "5" + ",0" * 3000],
+    ["decide", '{"odd": [["1", "%s", "0", "0"]]}' % _SEVENS, '{"odd": []}'],
+    ["--search-bound", _SEVENS, "decide", _ONE, _ONE],
+    ["lambda", _SEVENS, _ONE],
+    ["--quat", "-1e4000", "-1", "transfer", _ONE],
+    ["--quat", "-1e4000", "-1", "psi", '{"even": [1]}'],
+    ["--field", "F7", "decide", '{"diag": ["%s"]}' % _SEVENS, '{"diag": [1]}'],
+    ["--field", "F7", "decide", '{"diag": ["1/%s"]}' % _SEVENS,
+     '{"diag": [1]}'],
+    # a class of 7,985 digits: the product of the primes below 18,500
+    ["prod", '{"even": ["%d"]}' % _primorial(2, 9300),
+     '{"even": ["%d"]}' % _primorial(9300, 18500)],
+], ids=["decide-diag", "lambda-2", "check", "place",
+        "odd-not-pure", "search-bound", "lambda-degree", "transfer", "psi",
+        "Fp-integer", "Fp-fraction", "prod"])
+def test_refused_long_values_exit_2_in_one_short_line(capsys, argv):
+    """Every refusal quotes the value it refuses by the one rule of
+    errors.quoted, so a value thousands of digits long, or a result past
+    the integer digit limit, ends in a short line and exit 2."""
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--search-bound", _SEVENS, "decide", _ONE, _ONE],
+     "error: --search-bound: must be at most 16: <13288-bit integer>"),
+    (["--field", "F7", "decide", '{"diag": ["1/%s"]}' % _SEVENS,
+      '{"diag": [1]}'],
+     "error: " + repr("1/" + "7" * 38) + "... (4002 characters) has no "
+     "value mod 7: 7 divides its denominator (at /diag/0)"),
+    (["check", "x" * 5000],
+     "error: unknown suite " + repr("x" * 40) + "... (5000 characters)"),
+], ids=["search-bound", "Fp-fraction", "check"])
+def test_long_values_are_cut_or_named_by_their_size(capsys, argv, line):
+    code, _, err = _run(capsys, argv)
+    assert (code, err) == (2, line + "\n")
+
+
+_Z = '{"odd": [["0", "1000008", "1000033", "1"]]}'
+
+
+def test_odd_part_against_itself_needs_no_factoring(capsys):
+    """Nrd(1000008 i + 1000033 j + ij) over (-1, -1) is 2 * 1000041000577,
+    whose cofactor trial division cannot certify; <z, -z> has the square
+    discriminant Nrd(z)^2 and cancels as a square multiple."""
+    code, out, err = _run(capsys, ["decide", _Z, _Z])
+    assert (code, json.loads(out), err) == (0, {"result": "equal"}, "")
+
+
+def test_odd_part_against_a_conjugate_is_refused_by_the_rank_one_test(
+        capsys):
+    """gamma(i) z i = 1000008 i - 1000033 j - ij has the norm of z, and
+    the rank-1 test factors it."""
+    code, out, err = _run(capsys, [
+        "decide", _Z, '{"odd": [["0", "1000008", "-1000033", "-1"]]}'])
+    assert (code, out) == (2, "")
+    assert err == "error: cofactor 1000041000577 not certified\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--quat", "٣", "-1", "decide", '{"diag": [1]}', '{"diag": [1]}'],
      "error: --quat: not a rational number: '٣'"),

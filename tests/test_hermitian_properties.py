@@ -11,10 +11,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import fields, hermitian  # noqa: E402
-from quatwitt.fields import rational_sqrt, square_class  # noqa: E402
+from quatwitt.errors import FactorizationLimitExceeded  # noqa: E402
+from quatwitt.fields import rational_sqrt, sq_mul, square_class  # noqa: E402
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     cancel_hyperbolic_pairs,
+    herm_screen,
     hyperbolicity_certificate,
     rank_one_isometric,
 )
@@ -234,6 +236,60 @@ def test_integer_norm_helpers_equal_the_fraction_route(ab, c1, c2, sandwich):
     got = nrd_ratio_root(x, y)
     hypothesis.event("square ratio" if got is not None else "no root")
     assert got == rational_sqrt(y.nrd() / x.nrd())
+
+
+def _reference_screen(h):
+    """`herm_screen` over a division algebra as the product of the square
+    classes of the Fraction norms."""
+    if h.rank % 2:
+        return "distinct"
+    disc = 1
+    for z in h.diag:
+        disc = sq_mul(disc, square_class(z.nrd()))
+    return None if disc == 1 else "distinct"
+
+
+@st.composite
+def screen_forms(draw):
+    """Forms of rank 2 to 6 over a division algebra, with denominators.
+    Besides independent entries they hold partners +-gamma(q) z q and
+    +-lambda^2 z of earlier entries, whose norms are Nrd(z) times a
+    square, so that square discriminants are frequent."""
+    A = QuatAlgebra(*draw(st.sampled_from(DIVISION_ALGEBRAS)))
+    entries = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = draw(st.sampled_from(["independent", "sandwich", "square"]))
+        if kind == "independent" or not entries:
+            z = A.pure(*draw(wide_pure))
+        elif kind == "sandwich":
+            q = A.element(*draw(st.tuples(coord, coord, coord, coord)
+                                .filter(any)))
+            z = q.conj() * draw(st.sampled_from(entries)) * q
+        else:
+            lam = draw(ratio)
+            z = draw(st.sampled_from(entries)).scale(lam * lam)
+        entries.append(z if draw(st.booleans()) else -z)
+    return AntiHermForm(tuple(entries), A)
+
+
+_KERNEL_DIVISION = QuatAlgebra(Fraction(5, 4), Fraction(-9, 2))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(screen_forms())
+# Nrd(-2j) = 18 = -Nrd(-j - 2ij): a product of norms that is minus a square
+@hypothesis.example(AntiHermForm((_KERNEL_DIVISION.pure(0, -2, 0),
+                                  _KERNEL_DIVISION.pure(0, -1, -2)),
+                                 _KERNEL_DIVISION))
+def test_integer_screen_equals_the_square_class_reference(h):
+    """herm_screen decides square discriminants on integer numerators;
+    it answers as the product of square classes wherever that answers."""
+    try:
+        want = _reference_screen(h)
+    except FactorizationLimitExceeded:
+        hypothesis.reject()
+    hypothesis.event(f"rank {h.rank}: {want}")
+    assert herm_screen(h) == want
 
 
 def _reference_cancel(h):

@@ -19,6 +19,7 @@ from quatwitt.fields import (
 )
 from quatwitt.quadforms import (
     GroupRingElem,
+    WittClass,
     _hyperbolic_hasse,
     diagonalize,
     hyperbolic,
@@ -213,6 +214,17 @@ def test_group_ring_elem():
     # (e + o delta)^2 = (e^2 + o^2) + 2eo delta
     assert prod.even == witt_class(qf([1]).perp(qf([2]).tensor(qf([2]))))
     assert prod.odd == witt_class(qf([2]).perp(qf([2])))
+
+
+def test_group_ring_elems_with_witt_equal_parts_are_equal():
+    """<2, 2> = <1, 1> and <3, 5, -5> = <3> in W(Q), each written with
+    other representatives: the elements compare and hash equal."""
+    x = GroupRingElem(witt_class(qf([2, 2])), witt_class(qf([3])))
+    y = GroupRingElem(witt_class(qf([1, 1])), WittClass(qf([3, 5, -5])))
+    assert x.even.anis.reps() != y.even.anis.reps()
+    assert x.odd.anis.reps() != y.odd.anis.reps()
+    assert x == y and hash(x) == hash(y)
+    assert x != GroupRingElem(y.even, witt_class(qf([1])))
 
 
 def test_q_witt_invariants():

@@ -1,6 +1,9 @@
 """Refusals of ill-matched or out-of-domain arguments: each raises its own
 error with its own message, checked explicitly (also under python -O)."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 
 from quatwitt import hermitian
@@ -18,6 +21,7 @@ from quatwitt.errors import (
     ZeroArgument,
     ZeroElement,
     ZeroSlot,
+    quoted,
 )
 from quatwitt.fields import Fp, is_padic_square, square_class
 from quatwitt.funcfield import kernel_generator
@@ -162,3 +166,77 @@ def test_witness_that_does_not_pair_to_zero_is_refused():
 
     with pytest.raises(VerificationFailed, match="failed exact verification"):
         hermitian._verify_witness(pair, [(H.one(), zero)])
+
+
+# ---------------------------------------------------------------------------
+# the echo rule of errors.quoted
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The default limit of 4300 digits on integer text, where it exists."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("value, text", [
+    ("F²", "'F²'"),
+    ("x" * 40, repr("x" * 40)),
+    ("", "''"),
+    (1000041000577, "1000041000577"),
+    (-7, "-7"),
+    (10 ** 40 - 1, "9" * 40),
+    (True, "True"),
+    (Fraction(-3, 7), "-3/7"),
+    (Fraction(12), "12"),
+    (1.5, "1.5"),
+    (None, "None"),
+    ([1, "x"], "[1, 'x']"),
+    (H, "(-1,-1|Q)"),
+    (H.pure(1, 0, Fraction(1, 2)), "Quat('0', '1', '0', '1/2')"),
+], ids=repr)
+def test_short_values_are_written_as_before(value, text):
+    """str for ints and Fractions, as the messages' {x} wrote them; repr
+    for strings and other objects, as {x!r} did."""
+    assert quoted(value) == text
+    assert text == (str(value) if isinstance(value, (int, Fraction))
+                    else repr(value))
+
+
+@pytest.mark.parametrize("value, text", [
+    ("x" * 41, repr("x" * 40) + "... (41 characters)"),
+    ("7" * 5000, repr("7" * 40) + "... (5000 characters)"),
+    (-(10 ** 40 - 1), repr("-" + "9" * 39) + "... (41 characters)"),
+    (Fraction(10 ** 39, 3), repr("1" + "0" * 39) + "... (42 characters)"),
+    (list(range(20)), repr(repr(list(range(20)))[:40]) + "... (70 characters)"),
+    (H.pure(10 ** 50, 0, 0), repr(repr(H.pure(10 ** 50, 0, 0))[:40])
+     + "... (74 characters)"),
+], ids=["str-41", "str-5000", "negative-40-digits", "fraction", "list",
+        "quaternion"])
+def test_long_values_are_cut_to_40_characters_and_their_length(value, text):
+    assert quoted(value) == text
+
+
+def test_integers_past_40_digits_are_named_by_their_size(default_digit_limit):
+    assert quoted(10 ** 40) == "<133-bit integer>"
+    assert quoted(10 ** 5000) == "<16610-bit integer>"
+    assert quoted(-(10 ** 5000 - 1)) == "-<16610-bit integer>"
+    # a fraction is cut as its text is, or named by its type past the limit
+    assert quoted(Fraction(1, 7 ** 4000)) == (
+        repr("1/" + str(7 ** 4000)[:38]) + "... (3383 characters)")
+
+
+def test_quoting_never_raises_past_the_digit_limit(default_digit_limit):
+    """A number, a coordinate or a parameter past the digit limit makes
+    str and repr raise; the rule names the value's type instead."""
+    assert quoted(Fraction(1, 7 ** 6000)) == "<Fraction past the digit limit>"
+    big = QuatAlgebra(-(10 ** 5000), -1)
+    assert quoted(big) == "<QuatAlgebra past the digit limit>"
+    assert quoted(H.pure(10 ** 5000, 1, 0)) == (
+        "<Quaternion past the digit limit>")

@@ -150,6 +150,51 @@ def test_ffform_checks_each_distinct_factor_once(monkeypatch):
         assert exc.value.pointer == where
 
 
+@pytest.mark.parametrize("part", ["even", "odd"])
+def test_mixed_part_of_the_wrong_shape_is_refused_at_its_pointer(part):
+    for doc in ({part: 3}, {"even": [1], part: "x"}):
+        with pytest.raises(SchemaViolation) as exc:
+            parse_input(json.dumps(doc), algebra=H)
+        assert str(exc.value) == (f"{part} part must be an object or list "
+                                  f"(at /{part})")
+        assert exc.value.pointer == f"/{part}"
+
+
+def _factor_entries(*polys):
+    return {"entries": [{"factors": [{"poly": p, "irreducible": True}]}
+                        for p in polys]}
+
+
+def test_factor_written_as_true_is_refused_after_the_same_with_1():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_input(json.dumps(_factor_entries([1, 0, 1], [True, 0, 1])))
+    assert str(exc.value) == ("not a rational number: True "
+                              "(at /entries/1/factors/0/poly/0)")
+
+
+def test_factors_written_apart_are_each_read_and_checked_once(monkeypatch):
+    from quatwitt import polys as P
+
+    seen = []
+    real = P.is_irreducible
+
+    def counted(pol):
+        seen.append(pol)
+        return real(pol)
+
+    monkeypatch.setattr(P, "is_irreducible", counted)
+    doc = _factor_entries([1.0, 0, 1], [1, 0, 1], [1.0, 0, 1], [1, 0, 1])
+    assert parse_ffform(doc).entries == ff_form([[1, 0, 1]] * 4).entries
+    assert seen == [(1, 0, 1), (1, 0, 1)]
+
+
+def test_factor_with_a_list_coefficient_is_refused_at_its_pointer():
+    for polys in ([[[1], 0, 1]], [[1, 0, 1], [[1], 0, 1]]):
+        with pytest.raises(SchemaViolation) as exc:
+            parse_ffform(_factor_entries(*polys))
+        assert exc.value.pointer == f"/entries/{len(polys) - 1}/factors/0/poly/0"
+
+
 def test_psi_image_checks_each_distinct_factor_once(monkeypatch):
     from quatwitt import polys as P
 

@@ -25,6 +25,7 @@ from quatwitt.errors import (  # noqa: E402
     FactorizationLimitExceeded,
     MissingFactorization,
     SchemaViolation,
+    quoted,
 )
 from quatwitt.fields import square_class  # noqa: E402
 from quatwitt.funcfield import (  # noqa: E402
@@ -33,10 +34,9 @@ from quatwitt.funcfield import (  # noqa: E402
     ff_class,
 )
 from quatwitt.serialize import (  # noqa: E402
-    _frac,
-    _quoted,
     parse_ffform,
     parse_input,
+    parse_number,
 )
 
 settings = hypothesis.settings(max_examples=300, deadline=None)
@@ -46,7 +46,7 @@ def _reference_frac(raw, ptr):
     try:
         return Fraction(str(raw))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaViolation(f"not a rational number: {_quoted(raw)}",
+        raise SchemaViolation(f"not a rational number: {quoted(raw)}",
                               ptr) from exc
 
 
@@ -102,9 +102,9 @@ raws = st.one_of(
 @settings
 @hypothesis.given(raws)
 def test_number_parser_matches_fraction_of_text(raw):
-    got = _outcome(_frac, raw, "/x")
+    got = _outcome(parse_number, raw, "/x")
     if type(raw) is str and not raw.isascii():
-        want = SchemaViolation(f"not a rational number: {_quoted(raw)}", "/x")
+        want = SchemaViolation(f"not a rational number: {quoted(raw)}", "/x")
         assert got == ("refused", str(want), "/x")
         return
     assert got == _outcome(_reference_frac, raw, "/x")
@@ -120,12 +120,12 @@ def test_flag_numbers_match_fraction_of_text(text):
             return Fraction(t)
         except (ValueError, ZeroDivisionError):
             raise SchemaViolation(
-                f"{flag}: not a rational number: {_quoted(t)}") from None
+                f"{flag}: not a rational number: {quoted(t)}") from None
 
     got = _outcome(_rational, text, "--quat")
     if not text.isascii():
         want = SchemaViolation(
-            f"--quat: not a rational number: {_quoted(text)}")
+            f"--quat: not a rational number: {quoted(text)}")
         assert got == ("refused", str(want), want.pointer)
         return
     assert got == _outcome(reference, text, "--quat")
