@@ -12,7 +12,7 @@ that pi divides, and those one factor at a time.
 
 from __future__ import annotations
 
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -34,6 +34,7 @@ from .polys import RationalFunction
 from .quadforms import (
     GroupRingElem,
     QuadForm,
+    cancel_pairs,
     is_witt_zero,
     pfister,
     qf,
@@ -90,19 +91,17 @@ def ff_class(unit, factors) -> FFEntry:
     """The entry of unit * prod(f^e) over (f, e) in factors, for a nonzero
     rational unit and irreducible f (repeats allowed): the monic factors of
     odd total exponent times the squarefree part of the unit and of the
-    leading coefficients that are not 1.  The factors are few, so they are
-    paired off in a list, which compares polynomials without hashing."""
+    leading coefficients that are not 1.  The factors are few, so
+    cancel_pairs pairs them off, comparing polynomials without hashing."""
     odd = []
     for f, e in factors:
         if e % 2:
             if f[-1] != 1:
                 unit *= f[-1]
                 f = P.monic(f)
-            if f in odd:
-                odd.remove(f)
-            else:
-                odd.append(f)
-    return FFEntry(square_class(unit), tuple(sorted(odd)))
+            odd.append(f)
+    return FFEntry(square_class(unit),
+                   tuple(sorted(cancel_pairs(odd, operator.eq))))
 
 
 def ff_entry(x) -> FFEntry:
@@ -129,8 +128,8 @@ def ff_entry(x) -> FFEntry:
 
 def ff_entry_product(e1: FFEntry, e2: FFEntry) -> FFEntry:
     """Product of two entries: no factorization is needed."""
-    return FFEntry(sq_mul(e1.unit, e2.unit),
-                   tuple(sorted(set(e1.factors) ^ set(e2.factors))))
+    return FFEntry(sq_mul(e1.unit, e2.unit), tuple(sorted(
+        cancel_pairs(e1.factors + e2.factors, operator.eq))))
 
 
 @dataclass(frozen=True)
@@ -238,17 +237,21 @@ def residue(q: FunctionFieldForm, v: Place,
         raise UnsupportedResidueField(
             "group-ring residues only at residue field Q"
         )
+    # over uniformizer^val, not pi^val, a class gains u^val: u at odd val,
+    # a square at even val.  A bad uniformizer is refused if q has entries
+    u = (_uniformizer_unit(uniformizer, v)
+         if uniformizer is not None and q.entries else 1)
     first, second = [], []
     red = {}
     for e in q.entries:
-        val = e.valuation(v)
         # at infinity, entry * t^{-val} reduces to the unit times the
         # (monic, hence 1) leading coefficients
         cls = (Fraction(e.unit) if v.kind == "infinite"
                else _entry_residue(e, v.pi, red))
-        if uniformizer is not None:
-            cls *= _uniformizer_unit(uniformizer, v) ** val
-        (second if val % 2 else first).append(cls)
+        if e.valuation(v) % 2:
+            second.append(cls * u)
+        else:
+            first.append(cls)
     return GroupRingElem(witt_class(qf(first)), witt_class(qf(second)))
 
 
@@ -289,11 +292,11 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
     reduced.
 
     At residue field Q this is a complete decision.  At a degree-2 residue
-    field Q[t]/(pi) vanishing is certified by pairwise cancellation with an
-    exact squareness test, and refuted by an odd count or a signed
-    discriminant that is not a square; UnsupportedResidueField when neither
-    settles it (only possible in dimension >= 4, as pairing is complete in
-    dimension 2)."""
+    field Q[t]/(pi) vanishing is certified when the classes cancel in pairs
+    <z, w> with -zw a square (cancel_pairs, whose result does not depend on
+    their order), and refuted by an odd count or a signed discriminant that
+    is not a square; UnsupportedResidueField when neither settles it (only
+    possible in dimension >= 4, as pairing is complete in dimension 2)."""
     if v.kind == "infinite":
         classes = [Fraction(e.unit) for e in q.entries
                    if e.valuation(v) % 2]
@@ -308,17 +311,9 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
         return is_witt_zero(qf(classes))
     if len(classes) % 2:
         return False
-    pool = list(classes)
-    while pool:
-        z = pool.pop()
-        # <z, w> hyperbolic iff -z/w = -zw/w^2 is a square in the residue
-        # field
-        k = next((k for k, w in enumerate(pool) if _quadratic_square(
-            pi, P.pmod(P.pmul(P.pneg(z), w), pi))), None)
-        if k is None:
-            break
-        del pool[k]
-    else:
+    # <z, w> hyperbolic iff -z/w = -zw/w^2 is a square in the residue field
+    if not cancel_pairs(classes, lambda z, w: _quadratic_square(
+            pi, P.pmod(P.pmul(P.pneg(z), w), pi))):
         return True
     disc = P.constant((-1) ** (len(classes) // 2))
     for z in classes:
@@ -351,27 +346,6 @@ def good_points(q: FunctionFieldForm, how_many: int = 1) -> List[Fraction]:
     return out
 
 
-def _cancel_pairs(q: FunctionFieldForm) -> FunctionFieldForm:
-    """q with every pair of entries e, -e dropped.  The two entries of such
-    a pair have one square class and opposite signs, so the pair is
-    <e, -e>, hyperbolic over Q(t), and the Witt class does not change.
-    Entries are grouped by their factors, so each factor tuple is hashed
-    once."""
-    units = {}
-    for e in q.entries:
-        units.setdefault(e.factors, []).append(e.unit)
-    left = []
-    for factors, us in units.items():
-        count = Counter(us)
-        for u in list(count):
-            if u > 0:
-                m = min(count[u], count[-u])
-                count[u] -= m
-                count[-u] -= m
-        left += [FFEntry(u, factors) for u in count.elements()]
-    return FunctionFieldForm(tuple(left))
-
-
 def kt_witt_equal(q1: FunctionFieldForm, q2: FunctionFieldForm) -> bool:
     """Witt equality in W(Q(t)), by the Milnor exact sequence (Milnor 1970;
     Lam, Introduction to Quadratic Forms over Fields, Ch. IX): all second
@@ -380,25 +354,27 @@ def kt_witt_equal(q1: FunctionFieldForm, q2: FunctionFieldForm) -> bool:
 
     The order is parity, then cancellation, then residues.  An odd
     difference is "distinct" at once.  Then every pair <e, -e> is dropped
-    (_cancel_pairs); an empty leftover is "equal", and only the leftover's
-    support gets residues and a specialization.
+    (cancel_pairs: the same entries are left in any order); an empty
+    leftover is "equal", and only the leftover's support gets residues and
+    a specialization.
 
     Dropping the pairs changes no verdict.  At a place pi a pair is either
     prime to pi (no second residue) or gives two residue classes z and -z.
     At residue field Q, <z, -z> is hyperbolic.  At a degree-2 place the
-    pairing test matches a class C against -C: removing one matched pair
-    leaves a perfect matching exactly when the whole multiset had one, and
-    it changes neither the count's parity nor the signed discriminant
-    (-1 * z * -z is a square).  So the second residue vanishes, fails, or
-    is refused at every place of the leftover exactly as it did for the
-    whole difference, and the specialization, taken once every residue
-    vanishes, is the same class of W(Q) at any good point.  The one change
-    is that a place whose factor cancels out of the support is no longer
-    visited: where that place has degree >= 3, a refusal
-    (UnsupportedResidueField) becomes a verdict."""
+    pairing test matches a class C against -C, so by cancel_pairs the pair
+    changes neither whether the classes cancel, nor the count's parity,
+    nor the signed discriminant (-1 * z * -z is a square).  So the second
+    residue vanishes, fails, or is refused at every place of the leftover
+    exactly as it did for the whole difference, and the specialization,
+    taken once every residue vanishes, is the same class of W(Q) at any good
+    point.  The one change is that a place whose factor cancels out of the
+    support is no longer visited: where that place has degree >= 3, a
+    refusal (UnsupportedResidueField) becomes a verdict."""
     if (q1.dim + q2.dim) % 2:
         return False
-    diff = _cancel_pairs(q1.perp(q2.neg()))
+    diff = FunctionFieldForm(tuple(cancel_pairs(
+        q1.perp(q2.neg()).entries,
+        lambda e, f: e.unit == -f.unit and e.factors == f.factors)))
     if not diff.entries:
         return True
     for pi in diff.support():

@@ -40,8 +40,8 @@ from .errors import (
     quoted,
 )
 from .fields import sq_mul, square_class
-from .quadforms import (QuadForm, _anis_dim, _local_q, is_isotropic,
-                        is_witt_zero)
+from .quadforms import (QuadForm, _anis_dim, _local_q, cancel_pairs,
+                        is_isotropic, is_witt_zero)
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
@@ -252,14 +252,7 @@ def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
     entries were tested against each other, so a rank-2 leftover is
     anisotropic (an isotropic plane is hyperbolic) and h is not 0 in the
     Witt group."""
-    left = []
-    for z in h.diag:
-        k = next((k for k, w in enumerate(left)
-                  if rank_one_isometric(z, -w)), None)
-        if k is None:
-            left.append(z)
-        else:
-            del left[k]
+    left = cancel_pairs(h.diag, lambda z, w: rank_one_isometric(z, -w))
     return AntiHermForm(tuple(left), h.algebra)
 
 

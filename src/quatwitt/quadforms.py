@@ -376,19 +376,34 @@ def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
     """Complete equality decision in W(k) for k = Q or F_p."""
     if q1.field != q2.field:
         raise FieldMismatch("Witt comparison across fields")
-    if q1.field.kind == "Fp":
-        return (
-            q1.dim % 2 == q2.dim % 2
-            and signed_disc(q1) == signed_disc(q2)
-        )
     q = q1.perp(q2.neg())
-    if q.dim % 2 or signature(q) != 0 or signed_disc(q) != 1:
+    if q.dim % 2 or signed_disc(q) != 1:
         return False
-    return _anis_dim(_local_q(q)) == 0
+    return q.field.kind == "Fp" or (signature(q) == 0
+                                    and _anis_dim(_local_q(q)) == 0)
 
 
 def is_witt_zero(q: QuadForm) -> bool:
     return witt_equal(q, QuadForm((), q.field))
+
+
+def cancel_pairs(items: Iterable, opposite) -> list:
+    """The items left, in input order, when each in turn cancels the first
+    earlier item still left that is opposite to it (opposite(item, earlier)).
+
+    When opposite pairs each class C of items with one class -C (maybe C
+    itself), the classes left and their counts do not depend on the order
+    of the items: C and -C are never both left, as the later item would
+    have cancelled, so |n(C) - n(-C)| items of the larger are left (n(C)
+    mod 2 when C = -C), and none exactly when C and -C match up perfectly."""
+    left = []
+    for x in items:
+        k = next((k for k, y in enumerate(left) if opposite(x, y)), None)
+        if k is None:
+            left.append(x)
+        else:
+            del left[k]
+    return left
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,11 @@ from quatwitt.errors import (
 )
 from quatwitt.fields import sq_mul, square_class
 from quatwitt.funcfield import (
+    FFEntry,
     Place,
     conic_parametrize,
     conic_w0_places,
+    ff_class,
     ff_entry,
     ff_entry_product,
     ff_form,
@@ -60,6 +62,39 @@ def test_ff_entry_normalization():
                                    P.poly([F(0), F(1)])))
     assert e3.unit == 1
     assert len(e3.factors) == 2
+
+
+def test_ff_class_pairs_off_repeated_factors():
+    t, t1 = P.poly(T), P.poly([-1, 1])
+    # t three times is t; t at exponent 3 is t; t * t^3 is a square
+    assert ff_class(3, [(t, 1), (t1, 1), (t, 1), (t, 1)]) \
+        == FFEntry(3, (t1, t))
+    assert ff_class(3, [(t, 3), (t1, 2)]) == FFEntry(3, (t,))
+    assert ff_class(3, [(t, 1), (t1, 3), (t, 3)]) == FFEntry(3, (t1,))
+    # 2t three times: the leading coefficients fold into the unit
+    assert ff_class(1, [(P.poly([0, 2]), 1)] * 3) == FFEntry(2, (t,))
+
+
+def test_residue_reads_the_uniformizer_once(monkeypatch):
+    calls = []
+    real = funcfield._uniformizer_unit
+
+    def spy(unif, v):
+        calls.append(v)
+        return real(unif, v)
+
+    monkeypatch.setattr(funcfield, "_uniformizer_unit", spy)
+    alt = RationalFunction(P.pscale(5, PLACE_T.pi))  # 5t, unit 5
+    # t, 3t (residues 1 and 3, times 5) and t + 1 (residue 1)
+    out = residue(ff_form([T, [0, 3], [1, 1]]), PLACE_T, uniformizer=alt)
+    assert calls == [PLACE_T]
+    assert out.even == witt_class(qf([1]))
+    assert out.odd == witt_class(qf([5, 15]))
+    # an empty form is never refused, not even for a bad uniformizer
+    bad = RationalFunction(P.poly([0, 0, 1]))
+    assert residue(ff_form([]), PLACE_T, uniformizer=bad) \
+        == residue(ff_form([]), PLACE_T)
+    assert calls == [PLACE_T]
 
 
 def test_residue_frozen_example():

@@ -11,22 +11,32 @@ match the entry of the product.
 
 kt_witt_equal drops the pairs <e, -e> of the difference before any
 residue.  It is checked against the uncancelled decision, kept here as the
-reference: residues at every place of the whole difference's support."""
+reference: residues at every place of the whole difference's support.
+
+Every pair cancellation over Q(t) runs through quadforms.cancel_pairs.
+The routines it replaced are kept here as references: the Counter that
+cancelled kt_witt_equal's difference, the pop loop of the degree-2
+residues, and the set XOR of entry products."""
 
 import json
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt import funcfield  # noqa: E402
 from quatwitt import polys as P  # noqa: E402
 from quatwitt.errors import UnsupportedResidueField  # noqa: E402
 from quatwitt.funcfield import (  # noqa: E402
     FFEntry,
     FunctionFieldForm,
     Place,
+    _entry_residue,
+    _quadratic_square,
     conic_parametrize,
     ff_class,
     ff_entry,
@@ -38,8 +48,9 @@ from quatwitt.funcfield import (  # noqa: E402
 )
 from quatwitt.hermitian import morita_gram  # noqa: E402
 from quatwitt.mixed import mixed  # noqa: E402
-from quatwitt.fields import square_class  # noqa: E402
+from quatwitt.fields import sq_mul, square_class  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
+    cancel_pairs,
     diagonalize,
     is_witt_zero,
     qf,
@@ -242,3 +253,149 @@ def test_cancellation_keeps_every_decided_verdict(data):
     # the new decision refuses only where the reference does
     if got == "refused":
         assert want == "refused"
+
+
+def _reference_cancel_pairs(q):
+    """The Counter cancellation of kt_witt_equal's difference: entries
+    grouped by their factors, and for each unit u > 0, min(n(u), n(-u))
+    pairs of u and -u dropped."""
+    units = {}
+    for e in q.entries:
+        units.setdefault(e.factors, []).append(e.unit)
+    left = []
+    for factors, us in units.items():
+        count = Counter(us)
+        for u in list(count):
+            if u > 0:
+                m = min(count[u], count[-u])
+                count[u] -= m
+                count[-u] -= m
+        left += [FFEntry(u, factors) for u in count.elements()]
+    return FunctionFieldForm(tuple(left))
+
+
+def _reference_residue2_vanishes(q, v):
+    """residue2_vanishes with the pop loop at degree-2 places: the last
+    class left takes the first partner left, and the loop stops at the
+    first class with none."""
+    if v.kind == "infinite" or P.degree(v.pi) != 2:
+        return residue2_vanishes(q, v)
+    pi = v.pi
+    red = {}
+    classes = [_entry_residue(e, pi, red) for e in q.entries
+               if pi in e.factors]
+    if len(classes) % 2:
+        return False
+    pool = list(classes)
+    while pool:
+        z = pool.pop()
+        k = next((k for k, w in enumerate(pool) if _quadratic_square(
+            pi, P.pmod(P.pmul(P.pneg(z), w), pi))), None)
+        if k is None:
+            break
+        del pool[k]
+    else:
+        return True
+    disc = P.constant((-1) ** (len(classes) // 2))
+    for z in classes:
+        disc = P.pmod(P.pmul(disc, z), pi)
+    if not _quadratic_square(pi, disc):
+        return False
+    raise UnsupportedResidueField("does not cancel in pairs")
+
+
+def _reference_cancelled_kt_witt_equal(q1, q2):
+    """kt_witt_equal through the two references above."""
+    if (q1.dim + q2.dim) % 2:
+        return False
+    diff = _reference_cancel_pairs(q1.perp(q2.neg()))
+    if not diff.entries:
+        return True
+    for pi in diff.support():
+        if not _reference_residue2_vanishes(diff, Place("poly", pi=pi)):
+            return False
+    c = good_points(diff)[0]
+    return is_witt_zero(diff.specialize(c))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.data())
+def test_cancelled_difference_equals_the_counter_reference(data):
+    """The same entries are left as a multiset, in another order, and
+    every verdict and refusal is the reference's."""
+    q1 = FunctionFieldForm(tuple(data.draw(st.lists(ff_entries(),
+                                                    min_size=1, max_size=4))))
+    q2 = data.draw(rewritten(q1))
+    keep = data.draw(st.integers(0, q2.dim))
+    extra = data.draw(st.lists(ff_entries(), max_size=2))
+    q2 = FunctionFieldForm(q2.entries[:keep] + tuple(extra))
+    left = []
+
+    def spy(items, opposite):
+        left.append(cancel_pairs(items, opposite))
+        return left[-1]
+
+    with mock.patch.object(funcfield, "cancel_pairs", spy):
+        got = _verdict(kt_witt_equal, q1, q2)
+    want = _verdict(_reference_cancelled_kt_witt_equal, q1, q2)
+    hypothesis.event(f"{want}")
+    assert got == want
+    if (q1.dim + q2.dim) % 2 == 0:
+        # the first call cancels the difference; later ones pair residues
+        assert Counter(left[0]) == Counter(
+            _reference_cancel_pairs(q1.perp(q2.neg())).entries)
+
+
+QUADRATIC = [P.poly([1, 0, 1]), P.poly([3, 0, 1]), P.poly([-2, 0, 1])]
+
+
+@st.composite
+def degree2_residues(draw):
+    """A place t^2 + 1, t^2 + 3 or t^2 - 2 and up to eight shuffled
+    entries that it divides, each with a unit and up to two other factors
+    and maybe its negative, so that the residue classes are rational or
+    not, and pair off, fail or refuse."""
+    pi = draw(st.sampled_from(QUADRATIC))
+    others = [f for f in LINEAR[:3] + QUADRATIC if f != pi]
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        unit = draw(st.sampled_from([1, -1, 2, -2, 3, -3, 6, -6]))
+        fs = draw(st.lists(st.sampled_from(others), unique=True,
+                           max_size=2))
+        e = ff_class(unit, [(f, 1) for f in [pi] + fs])
+        entries += [e, FFEntry(-e.unit, e.factors)] if draw(st.booleans()) \
+            else [e]
+    return (Place("poly", pi=pi),
+            FunctionFieldForm(tuple(draw(st.permutations(entries)))))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(degree2_residues())
+def test_degree2_pairing_equals_the_pop_loop_reference(data):
+    v, q = data
+    want = _verdict(_reference_residue2_vanishes, q, v)
+    hypothesis.event(f"{want}")
+    assert _verdict(residue2_vanishes, q, v) == want
+
+
+def test_degree2_repro_is_refused_as_by_the_pop_loop():
+    """<t^2 + 3, t^2 + 3> against <2(t^2 + 3), 2(t^2 + 3)>: the residues
+    <1, 1, -2, -2> at t^2 + 3 have a square discriminant and no pair."""
+    q1 = parse_input('{"entries": [[3, 0, 1], [3, 0, 1]]}')
+    q2 = parse_input('{"entries": [[6, 0, 2], [6, 0, 2]]}')
+    diff = q1.perp(q2.neg())
+    v = Place("poly", pi=P.poly([3, 0, 1]))
+    assert _verdict(residue2_vanishes, diff, v) == "refused"
+    assert _verdict(_reference_residue2_vanishes, diff, v) == "refused"
+    assert _verdict(kt_witt_equal, q1, q2) == "refused"
+    assert _verdict(_reference_cancelled_kt_witt_equal, q1, q2) == "refused"
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(ff_entries(), ff_entries())
+def test_entry_product_equals_the_set_xor_reference(e1, e2):
+    """A factor of both entries is a square in the product."""
+    hypothesis.event(f"{len(set(e1.factors) & set(e2.factors))} shared")
+    assert ff_entry_product(e1, e2) == FFEntry(
+        sq_mul(e1.unit, e2.unit),
+        tuple(sorted(set(e1.factors) ^ set(e2.factors))))

@@ -1,7 +1,9 @@
-"""Property tests for the anisotropic kernel over Q, its local invariants
-and Gram-matrix diagonalization (needs hypothesis)."""
+"""Property tests for the anisotropic kernel over Q, its local invariants,
+Gram-matrix diagonalization, Witt equality over F_p and the pair
+cancellation that every Witt zero test runs first (needs hypothesis)."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -14,7 +16,7 @@ from quatwitt.errors import (  # noqa: E402
     DegenerateForm,
     FactorizationLimitExceeded,
 )
-from quatwitt.fields import is_prime, sq_mul  # noqa: E402
+from quatwitt.fields import Fp, is_prime, sq_mul  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
     _adjoin,
     _anis_dim,
@@ -28,9 +30,11 @@ from quatwitt.quadforms import (  # noqa: E402
     _local_q,
     _represented_by_kernel,
     _signed,
+    cancel_pairs,
     diagonalize,
     is_isotropic,
     qf,
+    signed_disc,
     witt_class,
     witt_equal,
 )
@@ -257,3 +261,60 @@ def test_fraction_free_refuses_degenerate(g):
         _integer_values(g)
     with pytest.raises(DegenerateForm):
         diagonalize(g)
+
+
+def _reference_witt_equal_fp(q1, q2):
+    """Witt equality over F_p as the comparison of the invariants that
+    classify W(F_p): the dimension mod 2 and the signed discriminant."""
+    return (q1.dim % 2 == q2.dim % 2
+            and signed_disc(q1) == signed_disc(q2))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.data())
+def test_witt_equal_over_fp_equals_the_invariant_comparison(data):
+    """witt_equal tests q1 _|_ -q2 over F_p as over Q."""
+    p = data.draw(st.sampled_from([3, 5, 7, 11, 13]))
+    values = st.lists(st.integers(1, p - 1), max_size=6)
+    q1 = qf(data.draw(values), Fp(p))
+    q2 = qf(data.draw(values), Fp(p))
+    want = _reference_witt_equal_fp(q1, q2)
+    hypothesis.event(f"{want}")
+    assert witt_equal(q1, q2) == want
+
+
+def _cancel_counts(items, cls, neg):
+    """What cancel_pairs must leave of each class: |n(C) - n(-C)| items of
+    the larger of C and -C, or n(C) mod 2 when C = -C."""
+    n = Counter(cls(x) for x in items)
+    return {c: n[c] % 2 if c == neg(c) else max(n[c] - n[neg(c)], 0)
+            for c in n}
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(st.integers(-12, 12), max_size=14), st.randoms(),
+                  st.sampled_from(["x == -y", "mod 6", "mod 5"]))
+def test_cancel_pairs_leaves_the_unmatched_count_of_each_class(
+        items, rnd, relation):
+    """Classes are the integers under x == -y (0 = -0), the residues mod 6
+    with -C = -x mod 6 (0 and 3 are their own opposites), or the residues
+    mod 5 each opposite to itself.  What is left is a subsequence of the
+    items with the counts above, and shuffling changes no count."""
+    cls, neg = {
+        "x == -y": (lambda x: x, lambda c: -c),
+        "mod 6": (lambda x: x % 6, lambda c: -c % 6),
+        "mod 5": (lambda x: x % 5, lambda c: c),
+    }[relation]
+
+    def opposite(x, y):
+        return cls(y) == neg(cls(x))
+
+    left = cancel_pairs(items, opposite)
+    rest = iter(items)
+    assert all(x in rest for x in left)
+    want = _cancel_counts(items, cls, neg)
+    assert Counter(cls(x) for x in left) == +Counter(want)
+    shuffled = list(items)
+    rnd.shuffle(shuffled)
+    assert Counter(cls(x) for x in cancel_pairs(shuffled, opposite)) \
+        == Counter(cls(x) for x in left)
