@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import polys as P
 from .errors import (
-    MissingFactorization,
     NoGoodSpecializationPoint,
     NotSplit,
     UnsupportedResidueField,
@@ -117,12 +116,9 @@ def ff_entry(x) -> FFEntry:
     if not polys[0]:
         raise ZeroElement("zero entry in a function-field form")
     unit, factors = 1, []
-    try:
-        for p in polys:
-            u, fs = P.factor_poly(p)
-            unit, factors = unit * u, factors + fs
-    except NotImplementedError as exc:
-        raise MissingFactorization(str(exc)) from exc
+    for p in polys:
+        u, fs = P.factor_poly(p)
+        unit, factors = unit * u, factors + fs
     return ff_class(unit, factors)
 
 
@@ -210,25 +206,14 @@ def _entry_residue(e: FFEntry, pi: P.Poly, red: dict):
     return out
 
 
-def _uniformizer_unit(unif: RationalFunction, v: Place) -> Fraction:
-    """The residue of unif / pi at a degree-1 place pi, or of unif * t at
-    infinity: a unit when unif has valuation 1 at v."""
-    if v.kind == "infinite":
-        num, den = unif.num, unif.den
-        if not num or P.degree(den) - P.degree(num) != 1:
-            raise ZeroElement("uniformizer at infinity must have valuation 1")
-        return P.leading(num) / P.leading(den)
-    c = -v.pi[0]  # root of the monic linear pi
-    quo, rem = P.pdivmod(unif.num, v.pi)
-    unit = P.peval(quo, c) / P.peval(unif.den, c)
-    if rem or not unit:
-        raise ZeroElement("uniformizer must have valuation 1")
-    return unit
-
-
-def residue(q: FunctionFieldForm, v: Place,
-            uniformizer: Optional[RationalFunction] = None) -> GroupRingElem:
+def residue(q: FunctionFieldForm, v: Place) -> GroupRingElem:
     """First and second residue at v, packed into W(Q)[Z/2Z].
+
+    The uniformizer is the place's own: pi at a finite place, 1/t at
+    infinity.  Another uniformizer u*pi, for u a unit at v with residue u0
+    in Q, leaves the first residue as it is and scales the second by <u0>:
+    for r = residue(q, v) it gives
+    GroupRingElem(r.even, r.odd.scale(square_class(u0))).
 
     Only degree-1 finite places and the infinite place land in W(Q); at a
     degree-2 place use residue2_vanishes instead.
@@ -237,10 +222,6 @@ def residue(q: FunctionFieldForm, v: Place,
         raise UnsupportedResidueField(
             "group-ring residues only at residue field Q"
         )
-    # over uniformizer^val, not pi^val, a class gains u^val: u at odd val,
-    # a square at even val.  A bad uniformizer is refused if q has entries
-    u = (_uniformizer_unit(uniformizer, v)
-         if uniformizer is not None and q.entries else 1)
     first, second = [], []
     red = {}
     for e in q.entries:
@@ -248,10 +229,7 @@ def residue(q: FunctionFieldForm, v: Place,
         # (monic, hence 1) leading coefficients
         cls = (Fraction(e.unit) if v.kind == "infinite"
                else _entry_residue(e, v.pi, red))
-        if e.valuation(v) % 2:
-            second.append(cls * u)
-        else:
-            first.append(cls)
+        (second if e.valuation(v) % 2 else first).append(cls)
     return GroupRingElem(witt_class(qf(first)), witt_class(qf(second)))
 
 

@@ -191,7 +191,7 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     other prime every entry of x is a unit, so x, already in I^2, is 0
     there; that holds at a ramified prime x does not touch too.
     """
-    if x.field.kind != "Q":
+    if x.field.p is not None:
         raise UnsupportedField("n_Q-membership is decided over Q only")
     ramified = ramified_places(A)
     if not ramified:

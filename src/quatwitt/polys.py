@@ -179,10 +179,10 @@ def is_irreducible(p: Poly) -> bool:
         return False
     try:
         _, factors = factor_poly(p)
-    except NotImplementedError as exc:
+    except MissingFactorization:
         if rational_roots(p) or degree(pgcd(p, pderiv(p))) > 0:
             return False
-        raise MissingFactorization(str(exc)) from exc
+        raise
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -218,8 +218,7 @@ def _factor_quartic(q: Poly):
             v = (p + cap - c / u) / 2
             w = (p + cap + c / u) / 2
         else:
-            if c != 0:
-                continue
+            # cap = 0 is a candidate only when c = 0 (-c^2 is the constant)
             root = rational_sqrt(p * p - 4 * r)
             if root is None:
                 continue
@@ -253,7 +252,7 @@ def factor_poly(p: Poly):
     and 2 come from their discriminant; higher degrees split off rational
     roots, repeated factors via the gcd with the derivative, and quartic
     cofactors via the resolvent cubic; squarefree cofactors of degree five
-    or more are out of reach.
+    or more are out of reach (MissingFactorization).
     """
     if not p:
         raise ValueError("zero polynomial")
@@ -297,7 +296,7 @@ def factor_poly(p: Poly):
                 stack.append((split[0], mult))
                 stack.append((split[1], mult))
             continue
-        raise NotImplementedError(
+        raise MissingFactorization(
             "cannot certify irreducibility beyond degree 4"
         )
     return unit, sorted(factors.items())

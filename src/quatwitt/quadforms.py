@@ -118,7 +118,7 @@ def hyperbolic(m: int, field: FieldSpec = QQ) -> QuadForm:
 
 
 def signature(q: QuadForm) -> int:
-    if q.field.kind != "Q":
+    if q.field.p is not None:
         raise UnsupportedField("signature only defined over Q")
     return sum(1 if r > 0 else -1 for r in q.reps())
 
@@ -143,7 +143,7 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
     and (over Q) the signature.  Over Q the Hasse symbols are keyed by
     place, -1 (the real place) and then 2 and the primes of the entries in
     ascending order; the symbol is 1 at every other place."""
-    if q.field.kind == "Q":
+    if q.field.p is None:
         loc = _local_q(q)
         hasse = {-1: _hyperbolic_hasse((loc.dim - loc.sig) // 2, -1)}
         hasse.update(sorted(loc.hasse.items()))
@@ -337,7 +337,7 @@ def _represented_by_kernel(loc: _Local, k: int):
 def local_anisotropic_dim(q: QuadForm, v: int) -> int:
     """Dimension of the anisotropic kernel of q over Q_v, for a prime v, or
     over R for v = -1, where it is |signature|."""
-    if q.field.kind != "Q":
+    if q.field.p is not None:
         raise UnsupportedField("local anisotropic dimension only over Q")
     if v == -1:
         return abs(signature(q))
@@ -352,7 +352,7 @@ def local_anisotropic_dim(q: QuadForm, v: int) -> int:
 
 def is_isotropic(q: QuadForm) -> bool:
     """Hasse-Minkowski isotropy decision over Q."""
-    if q.field.kind != "Q":
+    if q.field.p is not None:
         raise UnsupportedField("isotropy decision implemented over Q")
     reps = q.reps()
     n = len(reps)
@@ -379,7 +379,7 @@ def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
     q = q1.perp(q2.neg())
     if q.dim % 2 or signed_disc(q) != 1:
         return False
-    return q.field.kind == "Fp" or (signature(q) == 0
+    return q.field.p is not None or (signature(q) == 0
                                     and _anis_dim(_local_q(q)) == 0)
 
 
@@ -571,7 +571,7 @@ class WittClass:
 
     def __hash__(self):
         # Witt invariants of the class, so Witt-equal classes hash equal
-        sig = signature(self.anis) if self.field.kind == "Q" else None
+        sig = signature(self.anis) if self.field.p is None else None
         return hash((self.field, self.dim % 2, signed_disc(self.anis), sig))
 
     def __repr__(self):
@@ -579,7 +579,7 @@ class WittClass:
 
 
 def witt_class(q: QuadForm) -> WittClass:
-    if q.field.kind == "Q":
+    if q.field.p is None:
         reps = _anisotropic_reps_q_cached(tuple(sorted(q.reps())))
     else:
         reps = _anisotropic_reps_fp(q)

@@ -58,7 +58,6 @@ from .mixed import (
     phi_z0,
     twisted_trace_form,
 )
-from .polys import RationalFunction
 from .quadforms import (
     QuadForm,
     diagonalize,
@@ -430,10 +429,6 @@ def _suite_splitting(cfg: RunConfig) -> Report:
         lhs2 = residue(q1.tensor(units), v)
         rhs2 = residue(q1, v) * residue(units, v)
         ok = ok and lhs2 == rhs2
-        if v.kind == "poly":
-            alt = RationalFunction(P.pscale(3, v.pi))
-            ok = ok and (residue(q1, v).even
-                         == residue(q1, v, uniformizer=alt).even)
         _case(rep.cases, f"splitting/residue/{k:04d}", ok,
               None if ok else f"{q1!r} at {v!r}")
     # kt_witt_equal against the specialization oracle

@@ -457,6 +457,25 @@ def test_residue_quartic_and_quintic_factors(capsys):
     assert "/entries/0/factors/0/poly" in err
 
 
+QUINTIC = '{"entries": [[-1, -1, 0, 0, 0, 1]]}'  # t^5 - t - 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["decide", QUINTIC, QUINTIC],
+     "error: cannot certify irreducibility beyond degree 4 (at /entries/0)"),
+    (["residue", QUINTIC, "--place", "inf"],
+     "error: cannot certify irreducibility beyond degree 4 (at /entries/0)"),
+    (["residue", '{"entries": [1]}', "--place=-1,-1,0,0,0,1"],
+     "error: --place: '-1,-1,0,0,0,1': cannot certify irreducibility"
+     " beyond degree 4"),
+])
+def test_factorizer_refusal_through_every_route(capsys, argv, want):
+    """A squarefree quintic with no rational root, as a form entry or as a
+    place, is refused with one line and exit code 2."""
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (2, "", want + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--field", "F5", "decide", '{"even": ["1"]}',
      '{"even": ["2", "3", "5"]}', "--quat", "1", "1"],

@@ -63,7 +63,7 @@ FIELDS = [QQ] + [Fp(p) for p in (3, 5, 7, 11, 13)]
 
 def _units(field):
     """Nonzero rationals with a nonzero value in field."""
-    if field.kind == "Q":
+    if field.p is None:
         return rational
     p = field.p
     return rational.filter(lambda x: x.numerator % p and x.denominator % p)

@@ -11,7 +11,6 @@ from quatwitt.errors import (
     NoGoodSpecializationPoint,
     UnsupportedResidueField,
     VerificationFailed,
-    ZeroElement,
 )
 from quatwitt.fields import sq_mul, square_class
 from quatwitt.funcfield import (
@@ -75,28 +74,6 @@ def test_ff_class_pairs_off_repeated_factors():
     assert ff_class(1, [(P.poly([0, 2]), 1)] * 3) == FFEntry(2, (t,))
 
 
-def test_residue_reads_the_uniformizer_once(monkeypatch):
-    calls = []
-    real = funcfield._uniformizer_unit
-
-    def spy(unif, v):
-        calls.append(v)
-        return real(unif, v)
-
-    monkeypatch.setattr(funcfield, "_uniformizer_unit", spy)
-    alt = RationalFunction(P.pscale(5, PLACE_T.pi))  # 5t, unit 5
-    # t, 3t (residues 1 and 3, times 5) and t + 1 (residue 1)
-    out = residue(ff_form([T, [0, 3], [1, 1]]), PLACE_T, uniformizer=alt)
-    assert calls == [PLACE_T]
-    assert out.even == witt_class(qf([1]))
-    assert out.odd == witt_class(qf([5, 15]))
-    # an empty form is never refused, not even for a bad uniformizer
-    bad = RationalFunction(P.poly([0, 0, 1]))
-    assert residue(ff_form([]), PLACE_T, uniformizer=bad) \
-        == residue(ff_form([]), PLACE_T)
-    assert calls == [PLACE_T]
-
-
 def test_residue_frozen_example():
     q = ff_form([T, 1])
     out = residue(q, PLACE_T)
@@ -108,7 +85,7 @@ def test_residue_frozen_example():
     assert out_inf.even == witt_class(qf([1]))
 
 
-def test_residue_additivity_and_uniformizer():
+def test_residue_additivity():
     rng = random.Random(3)
     pis = [P.poly([F(0), F(1)]), P.poly([F(-1), F(1)]), P.poly([F(1), F(1)])]
 
@@ -123,29 +100,12 @@ def test_residue_additivity_and_uniformizer():
         return ff_form(entries)
 
     inf = Place("infinite")
-    alt_inf = RationalFunction(5, P.poly(T))  # 5/t, valuation 1 at infinity
     for _ in range(60):
         q1, q2 = rand_form(), rand_form()
         v = Place("poly", pi=pis[rng.randrange(3)])
-        alt_v = RationalFunction(P.pscale(5, v.pi))
-        for place, alt in ((v, alt_v), (inf, alt_inf)):
+        for place in (v, inf):
             assert (residue(q1.perp(q2), place)
                     == residue(q1, place) + residue(q2, place))
-            # the first residue does not depend on the uniformizer; the
-            # second is scaled by the unit alt / pi, of residue 5
-            plain = residue(q1, place)
-            moved = residue(q1, place, uniformizer=alt)
-            assert plain.even == moved.even
-            assert moved.odd == plain.odd.scale(square_class(5))
-    # an alternate uniformizer at a finite place must have valuation 1
-    for bad in ([0, 0, 1], [1]):
-        with pytest.raises(ZeroElement):
-            residue(ff_form([T]), PLACE_T,
-                    uniformizer=RationalFunction(P.poly(bad)))
-    # the zero function has no valuation at infinity either: deg 0 = -1
-    # gave deg den - deg num = 1 and then 0 to a negative power
-    with pytest.raises(ZeroElement):
-        residue(ff_form([T]), inf, uniformizer=RationalFunction(0))
 
 
 def test_residue_degree2_unsupported():

@@ -16,7 +16,11 @@ reference: residues at every place of the whole difference's support.
 Every pair cancellation over Q(t) runs through quadforms.cancel_pairs.
 The routines it replaced are kept here as references: the Counter that
 cancelled kt_witt_equal's difference, the pop loop of the degree-2
-residues, and the set XOR of entry products."""
+residues, and the set XOR of entry products.
+
+Residues are taken at the place's own uniformizer: pi, and 1/t at
+infinity.  Tensoring with <pi> (<t> at infinity) then swaps the first and
+second residue exactly."""
 
 import json
 from collections import Counter
@@ -41,15 +45,18 @@ from quatwitt.funcfield import (  # noqa: E402
     ff_class,
     ff_entry,
     ff_entry_product,
+    ff_form,
     good_points,
     kt_witt_equal,
     psi_split,
+    residue,
     residue2_vanishes,
 )
 from quatwitt.hermitian import morita_gram  # noqa: E402
 from quatwitt.mixed import mixed  # noqa: E402
 from quatwitt.fields import sq_mul, square_class  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
+    GroupRingElem,
     cancel_pairs,
     diagonalize,
     is_witt_zero,
@@ -399,3 +406,23 @@ def test_entry_product_equals_the_set_xor_reference(e1, e2):
     assert ff_entry_product(e1, e2) == FFEntry(
         sq_mul(e1.unit, e2.unit),
         tuple(sorted(set(e1.factors) ^ set(e2.factors))))
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.data())
+def test_times_the_uniformizer_swaps_the_residues(data):
+    """Times <pi>, each entry's valuation at v changes parity and its
+    residue class does not.  Over another uniformizer u pi the entries
+    that move into the second residue would gain <u>, and so would fail
+    this for u not a square."""
+    pi = data.draw(st.sampled_from(LINEAR + [None]))
+    v = Place("infinite") if pi is None else Place("poly", pi=pi)
+    pool = tuple(SUITE_IRREDUCIBLES) + (() if pi is None else (pi,))
+    q = FunctionFieldForm(tuple(data.draw(st.lists(ff_entries(pool),
+                                                   max_size=4))))
+    hypothesis.event(f"{sum(e.valuation(v) % 2 for e in q.entries)} odd")
+    r = residue(q, v)
+    # 1/t and t differ by a square
+    uniformizer = P.poly([0, 1]) if pi is None else pi
+    assert residue(q.tensor(ff_form([uniformizer])), v) \
+        == GroupRingElem(r.odd, r.even)
