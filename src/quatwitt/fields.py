@@ -9,7 +9,6 @@ up to a fixed bound, never probabilistic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -22,6 +21,7 @@ from .errors import (
     ZeroElement,
     quoted,
 )
+from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**6
 # A function keeps an lru_cache where its hits save at least 1% of
@@ -34,16 +34,24 @@ TRIAL_DIVISION_BOUND = 10**6
 # field specifications
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Record):
     """Q when p is None, else F_p (p an odd prime); forms over Q(t) live in
     funcfield."""
 
-    p: Optional[int] = None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and (self.p == 2 or not is_prime(self.p)):
-            raise EvenOrCompositeModulus(f"not an odd prime: {quoted(self.p)}")
+    def __init__(self, p: Optional[int] = None):
+        if p is not None and (p == 2 or not is_prime(p)):
+            raise EvenOrCompositeModulus(f"not an odd prime: {quoted(p)}")
+        self.p = p
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldSpec:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def __repr__(self):
         return "Q" if self.p is None else f"F_{self.p}"

@@ -13,7 +13,6 @@ that pi divides, and those one factor at a time.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
@@ -40,39 +39,41 @@ from .quadforms import (
     witt_class,
 )
 from .quaternions import QuatAlgebra, is_split, nrd_class, pure_norm_zeros
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
 # places and factored entries
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Record):
     """A place of Q(t): kind "poly", at the monic irreducible pi of Q[t],
     or "infinite", the 1/t-adic place.  A place of Q is a plain integer
     (see fields)."""
 
-    kind: str
-    pi: Optional[P.Poly] = None
+    __slots__ = ("kind", "pi")
 
-    def __post_init__(self):
-        if self.kind not in ("poly", "infinite") \
-                or (self.pi is None) != (self.kind == "infinite"):
-            raise ValueError(f"not a place of Q(t): {self.kind!r}, "
-                             f"pi={self.pi!r}")
+    def __init__(self, kind: str, pi: Optional[P.Poly] = None):
+        if kind not in ("poly", "infinite") \
+                or (pi is None) != (kind == "infinite"):
+            raise ValueError(f"not a place of Q(t): {kind!r}, pi={pi!r}")
+        self.kind = kind
+        self.pi = pi
 
     def __repr__(self):
         return "v_inf" if self.kind == "infinite" else f"v_({self.pi})"
 
 
-@dataclass(frozen=True)
-class FFEntry:
+class FFEntry(Record):
     """The square class of a nonzero element of Q(t): a squarefree integer
     unit times the product of distinct monic irreducible factors, sorted.
     Two entries are equal exactly when their elements differ by a square."""
 
-    unit: int
-    factors: Tuple[P.Poly, ...]
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit: int, factors: Tuple[P.Poly, ...]):
+        self.unit = unit
+        self.factors = factors
 
     def value_at(self, c: Fraction) -> Fraction:
         out = Fraction(self.unit)
@@ -128,11 +129,13 @@ def ff_entry_product(e1: FFEntry, e2: FFEntry) -> FFEntry:
         cancel_pairs(e1.factors + e2.factors, operator.eq))))
 
 
-@dataclass(frozen=True)
-class FunctionFieldForm:
+class FunctionFieldForm(Record):
     """Diagonal form over Q(t) with factored entries."""
 
-    entries: Tuple[FFEntry, ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[FFEntry, ...]):
+        self.entries = entries
 
     @property
     def dim(self) -> int:
@@ -387,20 +390,24 @@ def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> List[Place]:
 # conic parametrization and the generic-splitting map
 
 
-@dataclass(frozen=True)
-class ConicData:
+class ConicData(Record):
     """Rational parametrization x = X/D, y = Y/D of the conic
     -a x^2 - b y^2 + ab = 0 over D = a + b t^2, through the rational
     point `point`.  D_entry is the square class of D, shared by every
     psi_split image; x_t and y_t are X/D and Y/D in lowest terms."""
 
-    point: Tuple[Fraction, Fraction]
-    X: P.Poly
-    Y: P.Poly
-    D: P.Poly
-    D_entry: FFEntry
-    x_t: RationalFunction
-    y_t: RationalFunction
+    __slots__ = ("point", "X", "Y", "D", "D_entry", "x_t", "y_t")
+
+    def __init__(self, point: Tuple[Fraction, Fraction], X: P.Poly,
+                 Y: P.Poly, D: P.Poly, D_entry: FFEntry,
+                 x_t: RationalFunction, y_t: RationalFunction):
+        self.point = point
+        self.X = X
+        self.Y = Y
+        self.D = D
+        self.D_entry = D_entry
+        self.x_t = x_t
+        self.y_t = y_t
 
 
 @lru_cache(maxsize=2**8)

@@ -21,7 +21,6 @@ the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
@@ -51,6 +50,7 @@ from .quaternions import (
     nrd_class,
     nrd_ratio_root,
 )
+from .record import Record
 
 DEFAULT_SEARCH_BOUND = 8
 # The pair search at the full bound b keeps about (2b + 1)^4 / 2 quaternions
@@ -71,19 +71,27 @@ def check_search_bound(name: str, bound: int) -> None:
             f"{name}: must be at most {MAX_SEARCH_BOUND}: {quoted(bound)}")
 
 
-@dataclass(frozen=True)
-class AntiHermForm:
+class AntiHermForm(Record):
     """Diagonal anti-hermitian form <z_1,...,z_r>_gamma."""
 
-    diag: Tuple[Quaternion, ...]
-    algebra: QuatAlgebra
+    __slots__ = ("diag", "algebra")
 
-    def __post_init__(self):
-        for z in self.diag:
-            if z.algebra != self.algebra:
+    def __init__(self, diag: Tuple[Quaternion, ...], algebra: QuatAlgebra):
+        for z in diag:
+            if z.algebra != algebra:
                 raise AlgebraMismatch("entry from a different algebra")
             if not z.is_pure() or not z.is_invertible():
                 raise NotPureInvertible(f"{quoted(z)} is not pure invertible")
+        self.diag = diag
+        self.algebra = algebra
+
+    def __eq__(self, other):
+        if other.__class__ is not AntiHermForm:
+            return NotImplemented
+        return (self.diag, self.algebra) == (other.diag, other.algebra)
+
+    def __hash__(self):
+        return hash((self.diag, self.algebra))
 
     @property
     def rank(self) -> int:
@@ -304,10 +312,13 @@ def morita_gram(z: Quaternion, z0: Quaternion):
 # hyperbolicity certificates
 
 
-@dataclass(frozen=True)
-class HyperbolicityResult:
-    status: str  # "hyperbolic" | "anisotropic-at-bound"
-    witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None
+class HyperbolicityResult(Record):
+    __slots__ = ("status", "witness")
+
+    def __init__(self, status: str,
+                 witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None):
+        self.status = status  # "hyperbolic" | "anisotropic-at-bound"
+        self.witness = witness
 
 
 def _scaled_entries(h: AntiHermForm):

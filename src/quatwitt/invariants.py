@@ -11,7 +11,6 @@ ideal n_Q W(k), decided exactly by a local-global criterion.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import comb
 from typing import List, Optional, Sequence, Tuple
 
@@ -46,6 +45,7 @@ from .quadforms import (
 )
 from .quaternions import (QuatAlgebra, draw_pure, norm_form, nrd_class,
                           ramified_places)
+from .record import Record
 
 
 def n_q_class(A: QuatAlgebra) -> WittClass:
@@ -104,23 +104,23 @@ def lambda_all(h: AntiHermForm) -> List[MixedClass]:
 # formal invariants
 
 
-@dataclass(frozen=True)
-class LambdaInvariant:
+class LambdaInvariant(Record):
     """Formal invariant sum_{d=0}^{2r} x_d lambda^d with mixed coefficients."""
 
-    r: int
-    coeffs: Tuple[MixedClass, ...]
+    __slots__ = ("r", "coeffs")
 
-    def __post_init__(self):
-        if self.r < 1:
+    def __init__(self, r: int, coeffs: Tuple[MixedClass, ...]):
+        if r < 1:
             raise RankMismatch("r must be at least 1")
-        if len(self.coeffs) != 2 * self.r + 1:
+        if len(coeffs) != 2 * r + 1:
             raise LengthMismatch(
-                f"expected {2 * self.r + 1} coefficients, got {len(self.coeffs)}"
+                f"expected {2 * r + 1} coefficients, got {len(coeffs)}"
             )
-        algebras = {c.algebra for c in self.coeffs}
+        algebras = {c.algebra for c in coeffs}
         if len(algebras) > 1:
             raise RankMismatch("coefficients over different algebras")
+        self.r = r
+        self.coeffs = coeffs
 
     @property
     def algebra(self) -> QuatAlgebra:
@@ -211,11 +211,14 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
 # constancy and equality of invariants
 
 
-@dataclass(frozen=True)
-class ConstancyResult:
-    status: str  # "constant" | "nonconstant" | "unknown"
-    value: Optional[MixedClass] = None
-    witness: Optional[int] = None
+class ConstancyResult(Record):
+    __slots__ = ("status", "value", "witness")
+
+    def __init__(self, status: str, value: Optional[MixedClass] = None,
+                 witness: Optional[int] = None):
+        self.status = status  # "constant" | "nonconstant" | "unknown"
+        self.value = value
+        self.witness = witness
 
 
 def is_constant_invariant(alpha: LambdaInvariant,
@@ -260,10 +263,13 @@ def invariant_equal(alpha: LambdaInvariant, beta: LambdaInvariant,
 # versal sampling
 
 
-@dataclass(frozen=True)
-class SampleCheck:
-    status: str  # "consistent" | "refuted"
-    point: Optional[Tuple[Tuple[int, int, int], ...]] = None
+class SampleCheck(Record):
+    __slots__ = ("status", "point")
+
+    def __init__(self, status: str,
+                 point: Optional[Tuple[Tuple[int, int, int], ...]] = None):
+        self.status = status  # "consistent" | "refuted"
+        self.point = point
 
 
 def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,

@@ -10,7 +10,6 @@ by one Witt-equality decision on its 8-entry diagonal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
@@ -39,6 +38,7 @@ from .quaternions import (
     norm_form,
     nrd_class,
 )
+from .record import Record
 
 _BASIS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
@@ -101,13 +101,25 @@ def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:
     return witt_class(closed_form_diag(z1, z2))
 
 
-@dataclass(frozen=True)
-class MixedClass:
+class MixedClass(Record):
     """even + odd element of the mixed Witt ring."""
 
-    even: WittClass
-    odd: AntiHermForm
-    algebra: QuatAlgebra
+    __slots__ = ("even", "odd", "algebra")
+
+    def __init__(self, even: WittClass, odd: AntiHermForm,
+                 algebra: QuatAlgebra):
+        self.even = even
+        self.odd = odd
+        self.algebra = algebra
+
+    def __eq__(self, other):
+        if other.__class__ is not MixedClass:
+            return NotImplemented
+        return ((self.even, self.odd, self.algebra)
+                == (other.even, other.odd, other.algebra))
+
+    def __hash__(self):
+        return hash((self.even, self.odd, self.algebra))
 
     def __add__(self, other: "MixedClass") -> "MixedClass":
         self._check(other)

@@ -27,7 +27,6 @@ of that class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from math import lcm, prod
@@ -54,19 +53,30 @@ from .fields import (
     sq_mul,
     square_class,
 )
+from .record import Record
 
 # ---------------------------------------------------------------------------
 # diagonal forms
 
 
-@dataclass(frozen=True)
-class QuadForm:
+class QuadForm(Record):
     """Diagonal quadratic form; the entries are the integer representatives
     of their square classes over `field` (as `square_class` gives them), and
     their order is irrelevant up to isometry."""
 
-    entries: Tuple[int, ...]
-    field: FieldSpec = QQ
+    __slots__ = ("entries", "field")
+
+    def __init__(self, entries: Tuple[int, ...], field: FieldSpec = QQ):
+        self.entries = entries
+        self.field = field
+
+    def __eq__(self, other):
+        if other.__class__ is not QuadForm:
+            return NotImplemented
+        return (self.entries, self.field) == (other.entries, other.field)
+
+    def __hash__(self):
+        return hash((self.entries, self.field))
 
     @property
     def dim(self) -> int:
@@ -130,12 +140,15 @@ def signed_disc(q: QuadForm) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class WittInvariants:
-    dim: int
-    signed_disc: int
-    hasse: Dict[int, int]
-    signature: Optional[int]
+class WittInvariants(Record):
+    __slots__ = ("dim", "signed_disc", "hasse", "signature")
+
+    def __init__(self, dim: int, signed_disc: int, hasse: Dict[int, int],
+                 signature: Optional[int]):
+        self.dim = dim
+        self.signed_disc = signed_disc
+        self.hasse = hasse
+        self.signature = signature
 
 
 def witt_invariants(q: QuadForm) -> WittInvariants:
@@ -532,11 +545,13 @@ def _anisotropic_reps_fp(q: QuadForm) -> tuple:
 # Witt classes
 
 
-@dataclass(frozen=True)
-class WittClass:
+class WittClass(Record):
     """Element of W(k), stored via an anisotropic diagonal representative."""
 
-    anis: QuadForm
+    __slots__ = ("anis",)
+
+    def __init__(self, anis: QuadForm):
+        self.anis = anis
 
     @property
     def field(self) -> FieldSpec:
@@ -610,16 +625,16 @@ def pfister(slots: Sequence, field: FieldSpec = QQ) -> QuadForm:
 # the group ring W(k)[Z/2Z]
 
 
-@dataclass(frozen=True)
-class GroupRingElem:
+class GroupRingElem(Record):
     """Element of W(k)[Z/2Z]: an even and an odd Witt class."""
 
-    even: WittClass
-    odd: WittClass
+    __slots__ = ("even", "odd")
 
-    def __post_init__(self):
-        if self.even.field != self.odd.field:
+    def __init__(self, even: WittClass, odd: WittClass):
+        if even.field != odd.field:
             raise FieldMismatch("group ring components over different fields")
+        self.even = even
+        self.odd = odd
 
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
         return GroupRingElem(self.even + other.even, self.odd + other.odd)

@@ -10,7 +10,6 @@ coordinates back.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -28,31 +27,38 @@ from .errors import (
 )
 from .fields import sq_mul, square_class, squarefree_part
 from .quadforms import QuadForm, local_anisotropic_dim, witt_invariants
+from .record import Record
 
 
-@dataclass(frozen=True)
-class QuatAlgebra:
+class QuatAlgebra(Record):
     """Q = (a, b | Q).
 
     `table` is (D, D a, D b, D ab) with D = den(a) den(b): the coefficients
     1, a, b, ab of the multiplication table, cleared of denominators once
     per algebra so that products of integer numerators stay integral.
+    Algebras compare and hash by their integer `table`, which is as exact
+    as (a, b) and cheaper to hash: a = table[1] / table[0] and
+    b = table[2] / table[0], so equal tables have equal (a, b).
     """
 
-    a: Fraction
-    b: Fraction
-    table: Tuple[int, int, int, int] = field(init=False, repr=False,
-                                             compare=False)
+    __slots__ = ("a", "b", "table")
 
-    def __post_init__(self):
-        a, b = Fraction(self.a), Fraction(self.b)
+    def __init__(self, a, b):
+        a, b = Fraction(a), Fraction(b)
         if a == 0 or b == 0:
             raise ZeroArgument("quaternion algebra parameters must be nonzero")
         d = a.denominator * b.denominator
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "table", (d, int(d * a), int(d * b),
-                                           int(d * a * b)))
+        self.a = a
+        self.b = b
+        self.table = (d, int(d * a), int(d * b), int(d * a * b))
+
+    def __eq__(self, other):
+        if other.__class__ is not QuatAlgebra:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self):
+        return hash(self.table)
 
     def require_generic_basis(self):
         """The generic-splitting construction needs (ij)^2 = -ab to be a
@@ -119,20 +125,32 @@ def _reduced(num, den, algebra) -> "Quaternion":
     return Quaternion(num, den, algebra)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Record):
     """Element (n0 + n1 i + n2 j + n3 ij) / den of (a, b | Q).
 
     The numerators `num` are integers and the denominator `den` is positive,
     with gcd(*num, den) == 1, so equal quaternions have equal fields and
-    the generated __eq__ and __hash__ are exact.  Build them with
+    __eq__ and __hash__ over the fields are exact.  Build them with
     `QuatAlgebra.element` or `pure`, or an integer tuple c, which is in
     lowest terms over 1, as `Quaternion(c, 1, algebra)`.
     """
 
-    num: Tuple[int, int, int, int]
-    den: int
-    algebra: QuatAlgebra
+    __slots__ = ("num", "den", "algebra")
+
+    def __init__(self, num: Tuple[int, int, int, int], den: int,
+                 algebra: QuatAlgebra):
+        self.num = num
+        self.den = den
+        self.algebra = algebra
+
+    def __eq__(self, other):
+        if other.__class__ is not Quaternion:
+            return NotImplemented
+        return ((self.num, self.den, self.algebra)
+                == (other.num, other.den, other.algebra))
+
+    def __hash__(self):
+        return hash((self.num, self.den, self.algebra))
 
     @property
     def coords(self) -> Tuple[Fraction, ...]:

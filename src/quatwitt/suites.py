@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
 from math import comb
 from typing import Dict, List, Optional
 
@@ -70,24 +69,33 @@ from .quadforms import (
     witt_zero,
 )
 from .quaternions import QuatAlgebra, draw_pure, find_nilpotent
+from .record import Record
 
 DIVISION_ALGEBRAS = [(-1, -1)]
 SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    search_bound: int = DEFAULT_SEARCH_BOUND
+# Neither RunConfig nor Report has a hash: a report's cases grow in place.
+class RunConfig(Record):
+    __slots__ = ("seed", "search_bound")
+    __hash__ = None
 
-    def __post_init__(self):
-        check_search_bound("search_bound", self.search_bound)
+    def __init__(self, seed: int = 0,
+                 search_bound: int = DEFAULT_SEARCH_BOUND):
+        check_search_bound("search_bound", search_bound)
+        self.seed = seed
+        self.search_bound = search_bound
 
 
-@dataclass
-class Report:
-    suite: str
-    cases: List[dict] = field(default_factory=list)
+class Report(Record):
+    """The cases of one suite run; `cases` is a fresh list by default."""
+
+    __slots__ = ("suite", "cases")
+    __hash__ = None
+
+    def __init__(self, suite: str, cases: Optional[List[dict]] = None):
+        self.suite = suite
+        self.cases = [] if cases is None else cases
 
     @property
     def totals(self) -> Dict[str, int]:

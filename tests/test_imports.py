@@ -1,9 +1,14 @@
 """Every imported name is used: the library modules (but not the package
 `__init__.py`, whose imports are re-exports) and the test files.  Every
 name a library module defines at its top level is read somewhere in the
-library, the tests, the demos or the benchmark harness."""
+library, the tests, the demos or the benchmark harness.  Importing the
+library does not load `dataclasses` or `inspect`, which would take most of
+the start-up time of a single CLI call."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +85,33 @@ def test_every_module_level_name_is_read():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in read]
     assert not unread, f"module-level names nothing reads: {unread}"
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+
+
+def test_no_library_module_imports_dataclasses():
+    importers = [path.name
+                 for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
+                 if "dataclasses" in _imported_modules(
+                     ast.parse(path.read_text(), filename=str(path)))]
+    assert not importers, f"modules importing dataclasses: {importers}"
+
+
+@pytest.mark.parametrize("module", ["quatwitt", "quatwitt.cli"])
+def test_import_loads_neither_dataclasses_nor_inspect(module):
+    """A fresh interpreter, under the same -O as this one, imports `module`
+    and prints what of the two modules the import added."""
+    code = (f"import sys; before = set(sys.modules); import {module}; "
+            "print(sorted({'dataclasses', 'inspect'} "
+            "& (set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flags = ["-O"] * sys.flags.optimize
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
