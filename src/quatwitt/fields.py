@@ -12,7 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Optional
 
 from .errors import (
     EvenOrCompositeModulus,
@@ -40,7 +39,7 @@ class FieldSpec(Record):
 
     __slots__ = ("p",)
 
-    def __init__(self, p: Optional[int] = None):
+    def __init__(self, p: int | None = None):
         if p is not None and (p == 2 or not is_prime(p)):
             raise EvenOrCompositeModulus(f"not an odd prime: {quoted(p)}")
         self.p = p

@@ -13,9 +13,9 @@ that pi divides, and those one factor at a time.
 from __future__ import annotations
 
 import operator
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
 
 from . import polys as P
 from .errors import (
@@ -53,7 +53,7 @@ class Place(Record):
 
     __slots__ = ("kind", "pi")
 
-    def __init__(self, kind: str, pi: Optional[P.Poly] = None):
+    def __init__(self, kind: str, pi: P.Poly | None = None):
         if kind not in ("poly", "infinite") \
                 or (pi is None) != (kind == "infinite"):
             raise ValueError(f"not a place of Q(t): {kind!r}, pi={pi!r}")
@@ -71,7 +71,7 @@ class FFEntry(Record):
 
     __slots__ = ("unit", "factors")
 
-    def __init__(self, unit: int, factors: Tuple[P.Poly, ...]):
+    def __init__(self, unit: int, factors: tuple[P.Poly, ...]):
         self.unit = unit
         self.factors = factors
 
@@ -134,7 +134,7 @@ class FunctionFieldForm(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: Tuple[FFEntry, ...]):
+    def __init__(self, entries: tuple[FFEntry, ...]):
         self.entries = entries
 
     @property
@@ -156,7 +156,7 @@ class FunctionFieldForm(Record):
                 out.append(ff_entry_product(e1, e2))
         return FunctionFieldForm(tuple(out))
 
-    def support(self) -> List[P.Poly]:
+    def support(self) -> list[P.Poly]:
         return sorted({f for e in self.entries for f in e.factors})
 
     def specialize(self, c: Fraction) -> QuadForm:
@@ -311,7 +311,7 @@ def residue2_vanishes(q: FunctionFieldForm, v: Place) -> bool:
 # Witt equality over Q(t)
 
 
-def good_points(q: FunctionFieldForm, how_many: int = 1) -> List[Fraction]:
+def good_points(q: FunctionFieldForm, how_many: int = 1) -> list[Fraction]:
     """The first how_many integers c >= 0 where no entry of q vanishes,
     that is where no factor of its support does."""
     support = q.support()
@@ -366,7 +366,7 @@ def kt_witt_equal(q1: FunctionFieldForm, q2: FunctionFieldForm) -> bool:
 
 
 def w0_membership(q: FunctionFieldForm,
-                  places: Optional[Sequence[Place]] = None) -> bool:
+                  places: Sequence[Place] | None = None) -> bool:
     """Unramifiedness: second residues vanish at the given places, or at
     every finite place of the support when none are supplied."""
     if places is None:
@@ -374,7 +374,7 @@ def w0_membership(q: FunctionFieldForm,
     return all(residue2_vanishes(q, v) for v in places)
 
 
-def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> List[Place]:
+def conic_w0_places(q: FunctionFieldForm, conic: "ConicData") -> list[Place]:
     """Places of Q(t) corresponding to affine points of the parametrized
     conic that meet the support of q: the parametrization sends the zeros
     of D = a + b t^2 to the conic's points at infinity (excluded, every
@@ -398,7 +398,7 @@ class ConicData(Record):
 
     __slots__ = ("point", "X", "Y", "D", "D_entry", "x_t", "y_t")
 
-    def __init__(self, point: Tuple[Fraction, Fraction], X: P.Poly,
+    def __init__(self, point: tuple[Fraction, Fraction], X: P.Poly,
                  Y: P.Poly, D: P.Poly, D_entry: FFEntry,
                  x_t: RationalFunction, y_t: RationalFunction):
         self.point = point
@@ -438,7 +438,7 @@ def conic_parametrize(A: QuatAlgebra) -> ConicData:
                      RationalFunction(X, D), RationalFunction(Y, D))
 
 
-def psi_split(x: MixedClass, conic: Optional[ConicData] = None
+def psi_split(x: MixedClass, conic: ConicData | None = None
               ) -> FunctionFieldForm:
     """Scalar extension to Q(t) on the even part, Morita transfer along the
     generic nilpotent x(t) i + y(t) j + ij on the odd part.  It squares to

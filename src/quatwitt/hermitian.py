@@ -21,10 +21,10 @@ the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
-from typing import Optional, Sequence, Tuple
 
 from .errors import (
     AlgebraMismatch,
@@ -76,7 +76,7 @@ class AntiHermForm(Record):
 
     __slots__ = ("diag", "algebra")
 
-    def __init__(self, diag: Tuple[Quaternion, ...], algebra: QuatAlgebra):
+    def __init__(self, diag: tuple[Quaternion, ...], algebra: QuatAlgebra):
         for z in diag:
             if z.algebra != algebra:
                 raise AlgebraMismatch("entry from a different algebra")
@@ -100,6 +100,11 @@ class AntiHermForm(Record):
     def perp(self, other: "AntiHermForm") -> "AntiHermForm":
         if self.algebra != other.algebra:
             raise AlgebraMismatch("orthogonal sum across algebras")
+        # the sum with the empty form is the other form as it stands
+        if not other.diag:
+            return self
+        if not self.diag:
+            return other
         return AntiHermForm(self.diag + other.diag, self.algebra)
 
     def neg(self) -> "AntiHermForm":
@@ -316,7 +321,7 @@ class HyperbolicityResult(Record):
     __slots__ = ("status", "witness")
 
     def __init__(self, status: str,
-                 witness: Optional[Tuple[Tuple[Quaternion, ...], ...]] = None):
+                 witness: tuple[tuple[Quaternion, ...], ...] | None = None):
         self.status = status  # "hyperbolic" | "anisotropic-at-bound"
         self.witness = witness
 
@@ -612,7 +617,7 @@ def _verify_witness(pair, witness):
 # the zero test in W^{-1}(Q, gamma)
 
 
-def herm_screen(h: AntiHermForm) -> Optional[str]:
+def herm_screen(h: AntiHermForm) -> str | None:
     """The exact, cheap tier of the zero test of h: "equal", "distinct" or
     None.  Over a split algebra `is_witt_zero` decides on the Morita
     transfer along `find_nilpotent`.  Over a division algebra h != 0 for

@@ -11,8 +11,8 @@ ideal n_Q W(k), decided exactly by a local-global criterion.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from math import comb
-from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     DegreeTooLarge,
@@ -38,10 +38,8 @@ from .mixed import (
 from .quadforms import (
     QuadForm,
     WittClass,
-    local_anisotropic_dim,
-    signed_disc,
+    local_anisotropic_dims,
     witt_class,
-    witt_invariants,
 )
 from .quaternions import (QuatAlgebra, draw_pure, norm_form, nrd_class,
                           ramified_places)
@@ -57,9 +55,11 @@ def n_q_mixed(A: QuatAlgebra) -> MixedClass:
 
 
 def int_multiple(n: int, x: MixedClass) -> MixedClass:
-    out = mixed_zero(x.algebra)
-    step = x if n >= 0 else -x
-    for _ in range(abs(n)):
+    """n x as x + x + ... (|n| terms, of -x for n < 0)."""
+    if not n:
+        return mixed_zero(x.algebra)
+    out = step = x if n > 0 else -x
+    for _ in range(abs(n) - 1):
         out = out + step
     return out
 
@@ -76,7 +76,7 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
     return lambda_all(h)[d]
 
 
-def lambda_all(h: AntiHermForm) -> List[MixedClass]:
+def lambda_all(h: AntiHermForm) -> list[MixedClass]:
     """lambda^0, ..., lambda^{2r} of h, from one convolution.
 
     Multiplying by the factor 1 + <z> t + <n> t^2, n = Nrd z, gives the
@@ -109,7 +109,7 @@ class LambdaInvariant(Record):
 
     __slots__ = ("r", "coeffs")
 
-    def __init__(self, r: int, coeffs: Tuple[MixedClass, ...]):
+    def __init__(self, r: int, coeffs: tuple[MixedClass, ...]):
         if r < 1:
             raise RankMismatch("r must be at least 1")
         if len(coeffs) != 2 * r + 1:
@@ -135,7 +135,7 @@ class LambdaInvariant(Record):
 
 
 def lambda_basis_invariant(r: int, d: int, A: QuatAlgebra,
-                           scale: Optional[MixedClass] = None) -> LambdaInvariant:
+                           scale: MixedClass | None = None) -> LambdaInvariant:
     """The invariant x * lambda^d (x defaults to 1)."""
     coeffs = [mixed_zero(A) for _ in range(2 * r + 1)]
     coeffs[d] = mixed_one(A) if scale is None else scale
@@ -156,8 +156,8 @@ def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
     """sum_i C(r, i) x_{2i}."""
     if len(coeffs) != 2 * r + 1:
         raise LengthMismatch(f"expected {2 * r + 1} coefficients")
-    out = mixed_zero(coeffs[0].algebra)
-    for i in range(r + 1):
+    out = coeffs[0]
+    for i in range(1, r + 1):
         out = out + int_multiple(comb(r, i), coeffs[2 * i])
     return out
 
@@ -172,7 +172,12 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
 
     For split Q the ideal is 0.  For a division algebra Q, with its
     ramified places from `ramified_places`, x lies in n_Q W(Q) iff
-      - x is in I^2: even dimension and signed discriminant 1;
+      - x is in I^2: even dimension and signed discriminant d = 1.  At
+        even dimension the local dimension at p is 2 exactly where d is
+        not a square in Q_p, and a squarefree d != 1 is not a square in
+        Q_2 (d = -1, 2 or -2) or in Q_p for an odd prime p of d, which is
+        a prime of x; so d = 1 iff no place of x has local dimension 2
+        (|signature| = 2 at the real place needs d < 0 too);
       - x is 0 at every place v where Q splits: local anisotropic
         dimension 0 over Q_v (|signature| at the real place v = -1);
       - the Clifford invariant of x is 0 or [Q]: it is nontrivial at all
@@ -187,9 +192,10 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     *A Course in Arithmetic*, Ch. IV) it is fixed by its signature.  That
     is 0, or, when Q ramifies at the real place, a multiple 8k, and then
     x - e n_Q = k n_Q <1, 1>.  The places of x checked are those that
-    `witt_invariants` keys: the real place, 2 and the primes of x.  At any
-    other prime every entry of x is a unit, so x, already in I^2, is 0
-    there; that holds at a ramified prime x does not touch too.
+    `local_anisotropic_dims` reads, all from one local reading of x: the
+    real place, 2 and the primes of x.  At any other prime every entry of x
+    is a unit, so x, already in I^2, is 0 there; that holds at a ramified
+    prime x does not touch too.
     """
     if x.field.p is not None:
         raise UnsupportedField("n_Q-membership is decided over Q only")
@@ -197,10 +203,12 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     if not ramified:
         return "member" if x.is_zero() else "nonmember"
     q = x.anis
-    if q.dim % 2 or signed_disc(q) != 1:
+    if q.dim % 2:
         return "nonmember"
-    nonzero = {v for v in witt_invariants(q).hasse
-               if local_anisotropic_dim(q, v)}
+    dims = local_anisotropic_dims(q)
+    if 2 in dims.values():
+        return "nonmember"
+    nonzero = {v for v, d in dims.items() if d}
     if nonzero - set(ramified):
         return "nonmember"
     clifford = {p in nonzero for p in ramified if p != -1}
@@ -214,8 +222,8 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
 class ConstancyResult(Record):
     __slots__ = ("status", "value", "witness")
 
-    def __init__(self, status: str, value: Optional[MixedClass] = None,
-                 witness: Optional[int] = None):
+    def __init__(self, status: str, value: MixedClass | None = None,
+                 witness: int | None = None):
         self.status = status  # "constant" | "nonconstant" | "unknown"
         self.value = value
         self.witness = witness
@@ -267,7 +275,7 @@ class SampleCheck(Record):
     __slots__ = ("status", "point")
 
     def __init__(self, status: str,
-                 point: Optional[Tuple[Tuple[int, int, int], ...]] = None):
+                 point: tuple[tuple[int, int, int], ...] | None = None):
         self.status = status  # "consistent" | "refuted"
         self.point = point
 

@@ -10,7 +10,6 @@ by one Witt-equality decision on its 8-entry diagonal.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
 
 from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
 from .fields import sq_mul, square_class
@@ -161,8 +160,8 @@ class MixedClass(Record):
         return f"Mixed(even={self.even!r}, odd={self.odd!r})"
 
 
-def mixed(algebra: QuatAlgebra, even: Optional[WittClass] = None,
-          odd_entries: Tuple[Quaternion, ...] = ()) -> MixedClass:
+def mixed(algebra: QuatAlgebra, even: WittClass | None = None,
+          odd_entries: tuple[Quaternion, ...] = ()) -> MixedClass:
     if even is None:
         even = witt_zero()
     return MixedClass(even, AntiHermForm(tuple(odd_entries), algebra), algebra)
@@ -188,7 +187,7 @@ def mixed_one(algebra: QuatAlgebra) -> MixedClass:
 # equality
 
 
-def phi_z0(x: MixedClass, z0: Optional[Quaternion] = None) -> WittClass:
+def phi_z0(x: MixedClass, z0: Quaternion | None = None) -> WittClass:
     """The Morita isomorphism onto W(k) in the split case: identity on the
     even part, transfer along z0 on the odd part."""
     if z0 is None:

@@ -22,15 +22,25 @@ puts a value of the kernel among the last, so the search always ends.  At
 a prime of x the test of c depends only on the Q_p square class of c, so
 each slot computes it once per class and looks it up for every candidate
 of that class.
+
+At k >= 4 the signature alone decides: c is accepted iff |sig(x) - sign(c)|
+< k.  Proof: dim x has the parity of k, so x - <c> has the other parity,
+and over Q_p an anisotropic form has dimension at most 4, and at most 3
+when it is odd (Serre IV.2.2).  So the local dimension of x - <c> at every
+prime is at most 3 < k when k is even, and at most 4 < k when k >= 5 is
+odd; only the real place, where it is |sig(x - <c>)|, can reach k.  So
+the signature test answers as the full test does on every candidate, and
+the first accepted candidate, and every kernel, stays the same.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from fractions import Fraction
-from math import lcm, prod
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from math import gcd, lcm, prod
 
 from .errors import (
     DegenerateForm,
@@ -52,6 +62,7 @@ from .fields import (
     legendre_symbol,
     sq_mul,
     square_class,
+    squarefree_part,
 )
 from .record import Record
 
@@ -66,7 +77,7 @@ class QuadForm(Record):
 
     __slots__ = ("entries", "field")
 
-    def __init__(self, entries: Tuple[int, ...], field: FieldSpec = QQ):
+    def __init__(self, entries: tuple[int, ...], field: FieldSpec = QQ):
         self.entries = entries
         self.field = field
 
@@ -82,7 +93,7 @@ class QuadForm(Record):
     def dim(self) -> int:
         return len(self.entries)
 
-    def reps(self) -> Tuple[int, ...]:
+    def reps(self) -> tuple[int, ...]:
         return self.entries
 
     def perp(self, other: "QuadForm") -> "QuadForm":
@@ -143,8 +154,8 @@ def signed_disc(q: QuadForm) -> int:
 class WittInvariants(Record):
     __slots__ = ("dim", "signed_disc", "hasse", "signature")
 
-    def __init__(self, dim: int, signed_disc: int, hasse: Dict[int, int],
-                 signature: Optional[int]):
+    def __init__(self, dim: int, signed_disc: int, hasse: dict[int, int],
+                 signature: int | None):
         self.dim = dim
         self.signed_disc = signed_disc
         self.hasse = hasse
@@ -169,16 +180,10 @@ def witt_invariants(q: QuadForm) -> WittInvariants:
 # local classification over Q_p
 
 
-class _Local(NamedTuple):
-    """Invariants of a diagonal of squarefree integers: dimension, plain
-    discriminant, signature, and the Hasse symbols keyed by the prime, at 2
-    and at the odd primes of the entries (the symbol is 1 at every other
-    prime)."""
-
-    dim: int
-    disc: int
-    sig: int
-    hasse: Dict[int, int]
+# Invariants of a diagonal of squarefree integers: dimension, plain
+# discriminant, signature, and the Hasse symbols keyed by the prime, at 2 and
+# at the odd primes of the entries (the symbol is 1 at every other prime).
+_Local = namedtuple("_Local", "dim disc sig hasse")
 
 
 def _hasse_with(loc: _Local, c: int):
@@ -193,7 +198,7 @@ def _hasse_with(loc: _Local, c: int):
         yield p, loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
 
 
-def _new_primes(known: Iterable[int], c: int) -> List[int]:
+def _new_primes(known: Iterable[int], c: int) -> list[int]:
     """The primes of c outside known, in the order `factorize` gives them.
     The known primes are divided out first, so only the cofactor is
     factored."""
@@ -212,7 +217,7 @@ def _adjoin(loc: _Local, c: int) -> _Local:
 
 # cached by the rule in fields: the hits save at least 1% of a measured run
 @lru_cache(maxsize=2**16)
-def _local_data(reps: Tuple[int, ...]) -> _Local:
+def _local_data(reps: tuple[int, ...]) -> _Local:
     """The invariants of the diagonal of squarefree integers reps, each
     Hasse symbol in closed form from one pass over the entries.
 
@@ -320,6 +325,9 @@ def _represented_by_kernel(loc: _Local, k: int):
     for p = 2.  So the verdict of such a place is computed once per class
     and kept for the life of the test; an odd prime new in c, from
     `_new_primes`, is checked directly."""
+    if k >= 4:
+        # every prime passes c: see the module docstring
+        return lambda c: abs(loc.sig - (1 if c > 0 else -1)) < k
     n = loc.dim + 1
     verdicts = {}
 
@@ -357,6 +365,23 @@ def local_anisotropic_dim(q: QuadForm, v: int) -> int:
     _require_prime(v)
     loc = _local_q(q)
     return _local_dim(loc.dim, loc.disc, loc.hasse.get(v, 1), v)
+
+
+def local_anisotropic_dims(q: QuadForm) -> dict[int, int]:
+    """The dimensions of the anisotropic kernels of q over R and over Q_p
+    for p = 2 and the primes of its entries, all from one `_local_q`.  They
+    are keyed as `witt_invariants` keys the Hasse symbols: -1 (the real
+    place, |signature|) first, then the primes in ascending order.  At any
+    other prime every entry is a unit, so the dimension there is 1 for odd
+    dim q, and 0 or 2 for even dim q as the signed discriminant is or is
+    not a square there: 0 for a form in I^2."""
+    if q.field.p is not None:
+        raise UnsupportedField("local anisotropic dimension only over Q")
+    loc = _local_q(q)
+    dims = {-1: abs(loc.sig)}
+    for p in sorted(loc.hasse):
+        dims[p] = _local_dim(loc.dim, loc.disc, loc.hasse[p], p)
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +463,30 @@ def diagonalize(gram: Sequence[Sequence]) -> QuadForm:
                                for x in row] for row in g], den)
 
 
-def integer_gram_form(m: List[List[int]], den: int) -> QuadForm:
+def integer_gram_form(m: list[list[int]], den: int) -> QuadForm:
     """The diagonal form of the Gram matrix m / den, for a square symmetric
-    integer matrix m (not checked here) and den > 0.  m is overwritten."""
-    return qf(_diagonalize_inplace(m, den))
+    integer matrix m (not checked here) and den > 0.  m is overwritten.
+
+    Each diagonal value is the pair (n, d) for n / d, read as `square_class`
+    reads Fraction(n, d): the sign moves to n and both are divided by their
+    gcd, then n and d are reduced apart, so the same integers are factored
+    and no Fraction is built."""
+    entries = []
+    for n, d in _diagonalize_inplace(m, den):
+        if d < 0:
+            n, d = -n, -d
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        entries.append(squarefree_part(n) if d == 1
+                       else squarefree_part(n) * squarefree_part(d))
+    return QuadForm(tuple(entries), QQ)
 
 
-def _diagonalize_inplace(m: List[List[int]], den: int) -> List[Fraction]:
-    """The diagonal values of the symmetric Gauss reduction of m / den, by
-    fraction-free (Bareiss) elimination on the integer matrix m.
+def _diagonalize_inplace(m: list[list[int]], den: int
+                         ) -> list[tuple[int, int]]:
+    """The diagonal values of the symmetric Gauss reduction of m / den, each
+    as an integer pair (numerator, denominator), by fraction-free (Bareiss)
+    elimination on the integer matrix m.
 
     The pivot is the first nonzero diagonal entry among the rows left, else
     e_i <- e_i + e_j for the first nonzero off-diagonal (i, j) makes one.
@@ -456,7 +496,7 @@ def _diagonalize_inplace(m: List[List[int]], den: int) -> List[Fraction]:
     e_i <- e_i + e_j steps, so the division is exact (Bareiss, Math. Comp.
     22, 1968); a remainder means the elimination is broken, and raises.
     The rows left hold prev times the Schur complement of Gauss reduction
-    over Q, so each diagonal value p / (prev den) is the same rational.
+    over Q, so each diagonal value (p, prev den) is the same rational.
     """
     rows = list(range(len(m)))
     diag = []
@@ -477,7 +517,7 @@ def _diagonalize_inplace(m: List[List[int]], den: int) -> List[Fraction]:
         rows.remove(piv)
         mp = m[piv]
         p = mp[piv]
-        diag.append(Fraction(p, prev * den))
+        diag.append((p, prev * den))
         for i in rows:
             mi = m[i]
             c = mi[piv]
@@ -565,6 +605,11 @@ class WittClass(Record):
         return self.anis.dim == 0
 
     def __add__(self, other: "WittClass") -> "WittClass":
+        # the sum with 0 is the other class as it stands, a kernel already
+        if not other.anis.entries and self.field == other.field:
+            return self
+        if not self.anis.entries and self.field == other.field:
+            return other
         return witt_class(self.anis.perp(other.anis))
 
     def __neg__(self) -> "WittClass":

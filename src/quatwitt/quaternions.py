@@ -13,7 +13,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
-from typing import Tuple
 
 from .errors import (
     AlgebraMismatch,
@@ -26,7 +25,7 @@ from .errors import (
     quoted,
 )
 from .fields import sq_mul, square_class, squarefree_part
-from .quadforms import QuadForm, local_anisotropic_dim, witt_invariants
+from .quadforms import QuadForm, local_anisotropic_dims
 from .record import Record
 
 
@@ -137,7 +136,7 @@ class Quaternion(Record):
 
     __slots__ = ("num", "den", "algebra")
 
-    def __init__(self, num: Tuple[int, int, int, int], den: int,
+    def __init__(self, num: tuple[int, int, int, int], den: int,
                  algebra: QuatAlgebra):
         self.num = num
         self.den = den
@@ -153,7 +152,7 @@ class Quaternion(Record):
         return hash((self.num, self.den, self.algebra))
 
     @property
-    def coords(self) -> Tuple[Fraction, ...]:
+    def coords(self) -> tuple[Fraction, ...]:
         """The coordinates on (1, i, j, ij), as Fractions."""
         return tuple(Fraction(c, self.den) for c in self.num)
 
@@ -258,18 +257,18 @@ def norm_form(A: QuatAlgebra) -> QuadForm:
 # whether the algebra splits, and without the cache mixed-split's median
 # decide op is 5% slower
 @lru_cache(maxsize=2**8)
-def ramified_places(A: QuatAlgebra) -> Tuple[int, ...]:
+def ramified_places(A: QuatAlgebra) -> tuple[int, ...]:
     """The places of Q where A ramifies: -1 (the real place) first, then
     primes in ascending order.  They are the places v where the norm form
     n_Q is anisotropic over Q_v, so of local dimension 4 (a 2-fold Pfister
-    form is hyperbolic or anisotropic).  Only the places that
-    `witt_invariants` keys can ramify: the real place, 2 and the primes of
-    a and b.  By Hasse-Minkowski A splits iff none ramifies, and by Hilbert
-    reciprocity their number is even (Serre, *A Course in Arithmetic*,
-    Ch. III-IV)."""
-    n = norm_form(A)
-    return tuple(v for v in witt_invariants(n).hasse
-                 if local_anisotropic_dim(n, v) == 4)
+    form is hyperbolic or anisotropic).  They are read from
+    `local_anisotropic_dims`, which reads every place where n_Q can be
+    nonzero, in this order, from one local reading: the real place, 2 and
+    the primes of a and b.  By Hasse-Minkowski A splits iff none ramifies,
+    and by Hilbert reciprocity their number is even (Serre, *A Course in
+    Arithmetic*, Ch. III-IV)."""
+    return tuple(v for v, d in local_anisotropic_dims(norm_form(A)).items()
+                 if d == 4)
 
 
 def is_split(A: QuatAlgebra) -> bool:

@@ -24,7 +24,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import polys as P
 from .errors import (
@@ -225,10 +224,18 @@ def _parse_ffentry(e, eptr: str, checked: dict):
     return ff_class(unit, factors)
 
 
+# The constant value chi sums each x_{2i} C(r, i) times, 2^r additions in
+# all: past rank 10 a document of a few hundred bytes runs for seconds
+MAX_INVARIANT_RANK = 10
+
+
 def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant:
     r = _object(doc, ptr, "invariant").get("r")
     if type(r) is not int or r < 1:  # JSON true is a bool
         raise SchemaViolation("r must be a positive integer", ptr + "/r")
+    if r > MAX_INVARIANT_RANK:
+        raise SchemaViolation(
+            f"r must be at most {MAX_INVARIANT_RANK}: {quoted(r)}", ptr + "/r")
     coeffs = doc.get("coeffs")
     if not isinstance(coeffs, list) or len(coeffs) != 2 * r + 1:
         raise SchemaViolation(f"need exactly {quoted(2 * r + 1)} coefficients",
@@ -238,7 +245,7 @@ def parse_invariant(doc: dict, A: QuatAlgebra, ptr: str = "") -> LambdaInvariant
     return LambdaInvariant(r, tuple(parsed))
 
 
-def parse_input(doc, algebra: Optional[QuatAlgebra] = None,
+def parse_input(doc, algebra: QuatAlgebra | None = None,
                 field: FieldSpec = QQ):
     """Dispatch on the document shape; strings are parsed as JSON first."""
     if isinstance(doc, str):

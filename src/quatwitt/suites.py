@@ -11,7 +11,6 @@ import itertools
 import json
 import random
 from math import comb
-from typing import Dict, List, Optional
 
 from . import polys as P
 from .errors import UnknownSuite, quoted
@@ -93,12 +92,12 @@ class Report(Record):
     __slots__ = ("suite", "cases")
     __hash__ = None
 
-    def __init__(self, suite: str, cases: Optional[List[dict]] = None):
+    def __init__(self, suite: str, cases: list[dict] | None = None):
         self.suite = suite
         self.cases = [] if cases is None else cases
 
     @property
-    def totals(self) -> Dict[str, int]:
+    def totals(self) -> dict[str, int]:
         t = {"pass": 0, "fail": 0, "unknown": 0}
         for c in self.cases:
             t[c["status"]] += 1
@@ -129,8 +128,8 @@ class Report(Record):
         return "\n".join(lines) + "\n"
 
 
-def _case(cases: List[dict], cid: str, ok: Optional[bool],
-          witness: Optional[str] = None):
+def _case(cases: list[dict], cid: str, ok: bool | None,
+          witness: str | None = None):
     status = "unknown" if ok is None else ("pass" if ok else "fail")
     c = {"id": cid, "status": status}
     if witness is not None:
@@ -474,7 +473,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, cfg: Optional[RunConfig] = None) -> Report:
+def run_suite(name: str, cfg: RunConfig | None = None) -> Report:
     cfg = cfg or RunConfig()
     if name == "all":
         rep = Report("all")

@@ -12,7 +12,7 @@ from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
 from quatwitt.hermitian import MAX_SEARCH_BOUND
 from quatwitt.quaternions import QuatAlgebra
-from quatwitt.serialize import parse_input
+from quatwitt.serialize import MAX_INVARIANT_RANK, parse_input
 from quatwitt.suites import RunConfig
 
 
@@ -552,6 +552,43 @@ def test_json_true_is_not_an_integer(capsys, argv, pointer):
     assert code == 2
     assert out == ""
     assert f"(at {pointer})" in err
+
+
+def _invariant(r, even):
+    """The rank-r invariant with `even` as each even coefficient and 0 as
+    each odd one."""
+    return json.dumps({"r": r, "coeffs": [{"even": even} if d % 2 == 0
+                                          else {} for d in range(2 * r + 1)]})
+
+
+def test_invariant_rank_past_the_maximum_exits_2(capsys):
+    # the constant value sums 2^r classes, so a rank past the maximum is
+    # refused at /r before any coefficient is read
+    r = MAX_INVARIANT_RANK + 1
+    zero = json.dumps({"r": r, "coeffs": [{}] * (2 * r + 1)})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, ["decide", zero, zero])
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert out == ""
+    assert err.strip() == (f"error: r must be at most {MAX_INVARIANT_RANK}: "
+                           f"{r} (at /r)")
+    code, _, err = _run(capsys, ["decide", _invariant(1, []),
+                                 _invariant(r, [])])
+    assert code == 2
+    assert "(at /r)" in err
+
+
+def test_invariant_at_the_maximum_rank_decides(capsys):
+    # over (-1, -1), n_Q = <1, 1, 1, 1> in every even degree is constant,
+    # of value 2^r n_Q, of signature 2^(r + 2): not the zero invariant
+    r = MAX_INVARIANT_RANK
+    nq, zero = _invariant(r, [1, 1, 1, 1]), _invariant(r, [])
+    for a, b, result in ((zero, zero, "equal"), (nq, nq, "equal"),
+                         (nq, zero, "distinct")):
+        code, out, _ = _run(capsys, ["--output", "json", "decide", a, b])
+        assert code == 0
+        assert json.loads(out)["result"] == result
 
 
 @pytest.mark.parametrize("place", ["0", "5", "0,0", "-1/2"])

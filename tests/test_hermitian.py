@@ -10,6 +10,7 @@ import pytest
 
 from quatwitt import hermitian
 from quatwitt.errors import (
+    AlgebraMismatch,
     DegenerateForm,
     FactorizationLimitExceeded,
     NotDivision,
@@ -57,6 +58,19 @@ def test_herm_diag_basics():
     # the rank is even and the discriminant, the product of the reduced
     # norms' square classes, is Nrd(i) Nrd(j) = 1: no screen decides
     assert herm_screen(h) is None
+
+
+def test_perp_with_the_empty_form_is_the_other_form():
+    h = herm_diag([H.i(), H.j()], H)
+    empty = herm_diag([], H)
+    assert h.perp(empty) is h
+    assert empty.perp(h) is h
+    assert empty.perp(empty) is empty
+    # the algebra is checked before the empty side is passed over
+    for left, right in ((h, herm_diag([], M2)), (herm_diag([], M2), h),
+                        (empty, herm_diag([], M2))):
+        with pytest.raises(AlgebraMismatch):
+            left.perp(right)
 
 
 def test_orthogonalize_mixed_pivot():

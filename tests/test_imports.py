@@ -3,7 +3,7 @@
 name a library module defines at its top level is read somewhere in the
 library, the tests, the demos or the benchmark harness.  Importing the
 library does not load `dataclasses` or `inspect`, which would take most of
-the start-up time of a single CLI call."""
+the start-up time of a single CLI call, nor `typing`."""
 
 import ast
 import os
@@ -95,12 +95,22 @@ def _imported_modules(tree):
             yield node.module
 
 
+def _importers(module):
+    return [path.name
+            for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
+            if module in _imported_modules(
+                ast.parse(path.read_text(), filename=str(path)))]
+
+
 def test_no_library_module_imports_dataclasses():
-    importers = [path.name
-                 for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
-                 if "dataclasses" in _imported_modules(
-                     ast.parse(path.read_text(), filename=str(path)))]
+    importers = _importers("dataclasses")
     assert not importers, f"modules importing dataclasses: {importers}"
+
+
+def test_no_library_module_imports_typing():
+    # annotations use builtin generics and X | None
+    importers = _importers("typing")
+    assert not importers, f"modules importing typing: {importers}"
 
 
 @pytest.mark.parametrize("module", ["quatwitt", "quatwitt.cli"])
@@ -115,3 +125,16 @@ def test_import_loads_neither_dataclasses_nor_inspect(module):
     out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["quatwitt", "quatwitt.cli"])
+def test_import_does_not_load_typing(module):
+    """As above, in an interpreter started with -S: a `.pth` file that the
+    site module runs may load `typing` itself, before the import."""
+    code = (f"import sys; import {module}; "
+            "print('typing' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flags = ["-O"] * sys.flags.optimize
+    out = subprocess.run([sys.executable, *flags, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -24,6 +24,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt import quadforms  # noqa: E402
 from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
 from quatwitt.hermitian import AntiHermForm  # noqa: E402
 from quatwitt.invariants import (  # noqa: E402
@@ -50,19 +51,22 @@ from quatwitt.quadforms import (  # noqa: E402
     signature,
     signed_disc,
     witt_class,
+    witt_invariants,
 )
 from quatwitt.quaternions import (  # noqa: E402
     QuatAlgebra,
     is_split,
     norm_form,
+    ramified_places,
 )
 from test_product_digest import ALGEBRAS as DIGEST_ALGEBRAS  # noqa: E402
 
 nonzero = st.integers(-12, 12).filter(bool)
 slot = st.builds(Fraction, nonzero, st.sampled_from([1, 1, 2, 3, 5]))
 # (-3, -10) ramifies at the real place and at 2, 3 and 5
-division = st.one_of(st.just((-3, -10)), st.tuples(slot, slot)).map(
-    lambda ab: QuatAlgebra(*ab)).filter(lambda A: not n_q_class(A).is_zero())
+algebra = st.one_of(st.just((-3, -10)), st.tuples(slot, slot)).map(
+    lambda ab: QuatAlgebra(*ab))
+division = algebra.filter(lambda A: not n_q_class(A).is_zero())
 entry = st.sampled_from([1, -1, 2, -2, 3, -3, 5, -5, 6, -6, 7, -7, 10, -10,
                          11, -13, 15, -30])
 
@@ -160,6 +164,78 @@ def test_nq_membership_equals_the_hilbert_symbol_reference():
         seen[n_q_class(A).is_zero(), got] += 1
     assert set(seen) == {(split, verdict) for split in (True, False)
                          for verdict in ("member", "nonmember")}, seen
+
+
+def _per_place_ramified_places(A):
+    """The ramified places with one `local_anisotropic_dim` per place that
+    `witt_invariants` keys: the reference for the one local reading."""
+    n = norm_form(A)
+    return tuple(v for v in witt_invariants(n).hasse
+                 if local_anisotropic_dim(n, v) == 4)
+
+
+def _per_place_nq_membership(x, A):
+    """`nq_membership` with one `local_anisotropic_dim` per place that
+    `witt_invariants` keys, and the ramified places found the same way."""
+    ramified = _per_place_ramified_places(A)
+    if not ramified:
+        return "member" if x.is_zero() else "nonmember"
+    q = x.anis
+    if q.dim % 2 or signed_disc(q) != 1:
+        return "nonmember"
+    nonzero = {v for v in witt_invariants(q).hasse
+               if local_anisotropic_dim(q, v)}
+    if nonzero - set(ramified):
+        return "nonmember"
+    clifford = {p in nonzero for p in ramified if p != -1}
+    return "member" if len(clifford) <= 1 else "nonmember"
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(algebra, entry, entry, st.lists(entry, max_size=2),
+                  st.lists(entry, max_size=2), st.lists(entry, max_size=3))
+# <<-1, -1, -1>> is 0 at every prime but not at the real place, where
+# (-1, 3) splits: only the real place makes it a nonmember
+@hypothesis.example(QuatAlgebra(-1, 3), -1, -1, [1, 1], [], [])
+def test_one_local_reading_equals_the_per_place_reference(A, c, d, u, y, w):
+    """x = <<c, d>> u + n_Q y + w over split and division algebras,
+    rational a and b included: in I^2 when w is 0 or cancels, a member
+    when u and w are, and often neither.  The ramified places come in
+    order: the real place first, then the primes ascending."""
+    x = (witt_class(pfister([c, d])) * _form(u) + n_q_class(A) * _form(y)
+         + _form(w))
+    places = ramified_places(A)
+    assert places == _per_place_ramified_places(A)
+    primes = places[1:] if places[:1] == (-1,) else places
+    assert list(primes) == sorted(set(primes)) and -1 not in primes
+    got = nq_membership(x, A)
+    hypothesis.event(f"{'split' if not places else 'division'}: {got}")
+    assert got == _per_place_nq_membership(x, A)
+
+
+def test_nq_membership_reads_the_class_locally_once(monkeypatch):
+    """One `_local_q` of x gives every place; the algebra's ramified places
+    are read (and cached) before the count starts."""
+    A = QuatAlgebra(-3, -10)
+    assert ramified_places(A) == (-1, 2, 3, 5)
+    reads = []
+    local_q = quadforms._local_q
+
+    def spy(q):
+        reads.append(q)
+        return local_q(q)
+
+    monkeypatch.setattr(quadforms, "_local_q", spy)
+    # 3 n_Q is in I^2, nonzero at every ramified place
+    x = n_q_class(A) * _form([1, 1, 1])
+    reads.clear()
+    assert nq_membership(x, A) == "member"
+    assert reads == [x.anis]
+    # <<-1, -1>> = <1, 1, 1, 1> is in I^2, 0 at 3 and 5 but not at 2
+    x = witt_class(pfister([-1, -1]))
+    reads.clear()
+    assert nq_membership(x, A) == "nonmember"
+    assert reads == [x.anis]
 
 
 def _reference_lambda_all(h):

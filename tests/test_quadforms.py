@@ -9,6 +9,7 @@ from quatwitt import quadforms
 from quatwitt.errors import (
     DegenerateForm,
     EvenOrCompositeModulus,
+    FieldMismatch,
     UnsupportedField,
     VerificationFailed,
 )
@@ -33,6 +34,7 @@ from quatwitt.quadforms import (
     witt_class,
     witt_equal,
     witt_invariants,
+    witt_zero,
 )
 
 
@@ -182,6 +184,28 @@ def test_witt_class_hash():
 def test_witt_zero():
     assert is_witt_zero(qf([1, -1, 2, -2]))
     assert not is_witt_zero(qf([1, 1]))
+
+
+@pytest.mark.parametrize("values, field", [
+    ([1, 1, 1], None), ([3, -5, 7, 7, 7], None), ([2, -6], None), ([1], None),
+    ([1, 1], Fp(7)), ([2], Fp(7)), ([1, 2, 3], Fp(5)),
+])
+def test_sum_with_zero_is_the_other_class(values, field):
+    """For x != 0, x + 0 and 0 + x are x itself, with the kernel that
+    witt_class gave it; over another field the sum with 0 still refuses."""
+    field = field or quadforms.QQ
+    x = witt_class(qf(values, field))
+    assert not x.is_zero()
+    zero = witt_zero(field)
+    assert x + zero is x
+    assert zero + x is x
+    assert (x + zero).anis == witt_class(x.anis).anis
+    assert zero + zero is zero
+    other = witt_zero(Fp(3) if field.p is None else quadforms.QQ)
+    with pytest.raises(FieldMismatch):
+        x + other
+    with pytest.raises(FieldMismatch):
+        other + x
 
 
 def test_fp_witt_invariants():

@@ -32,6 +32,7 @@ from quatwitt.quadforms import (  # noqa: E402
     _signed,
     cancel_pairs,
     diagonalize,
+    integer_gram_form,
     is_isotropic,
     qf,
     signed_disc,
@@ -132,6 +133,43 @@ def test_local_data_and_kernel_equal_the_adjoin_reference(reps):
     assert kernel == _reference_kernel(reps)
 
 
+@st.composite
+def definite_part_diagonal(draw):
+    """Sorted squarefree entries: a definite part of 4-8 entries of one sign
+    and 1-4 pairs <r, -s>, so the signature, and so the kernel dimension,
+    is 4-8, and the peel runs its slots of k >= 4.  In half the draws one
+    more pair has a product of two primes above 10^3 (more of them would
+    leave the slots below 4 a search through 2^n products of primes)."""
+    sign = draw(st.sampled_from([1, -1]))
+    definite = draw(st.lists(st.integers(1, 60), min_size=4, max_size=8))
+    small = st.integers(1, 60)
+    pairs = draw(st.lists(st.tuples(small, small), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pairs.append(draw(st.tuples(semiprime.map(abs), small)))
+    values = [sign * v for v in definite] + [v for r, s in pairs
+                                             for v in (r, -s)]
+    return tuple(sorted(qf(values).reps()))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(definite_part_diagonal())
+def test_signature_alone_decides_the_peel_slots_from_4_up(reps):
+    """Each slot of kernel dimension k >= 4 accepts exactly the candidates
+    the every-place reference accepts, on the first 64 of them, and the
+    peeled kernel is the reference's."""
+    loc = _local_data(reps)
+    n = _anis_dim(loc)
+    assert 4 <= n <= 8 and n < len(reps)
+    hypothesis.event(f"kernel of dimension {n}")
+    for k in range(n, 3, -1):
+        represents = _represented_by_kernel(loc, k)
+        for c in itertools.islice(_kernel_candidates(reps, loc), 64):
+            assert represents(c) == _reference_splits_off(loc, c, k), (c, k)
+        c = next(filter(represents, _kernel_candidates(reps, loc)))
+        loc = _adjoin(loc, -c)
+    assert _anisotropic_reps_q_cached(reps) == _reference_kernel(reps)
+
+
 def _entries(n):
     return st.lists(st.one_of(entry, semiprime), min_size=n, max_size=n)
 
@@ -230,8 +268,8 @@ def degenerate_matrix(draw):
 
 def _integer_values(g):
     den = lcm(*(x.denominator for row in g for x in row))
-    return _diagonalize_inplace([[int(x * den) for x in row] for row in g],
-                                den)
+    return [Fraction(n, d) for n, d in _diagonalize_inplace(
+        [[int(x * den) for x in row] for row in g], den)]
 
 
 def _outcome(f, g):
@@ -261,6 +299,55 @@ def test_fraction_free_refuses_degenerate(g):
         _integer_values(g)
     with pytest.raises(DegenerateForm):
         diagonalize(g)
+
+
+# trial division cannot certify this cofactor prime, so factoring refuses
+UNCERTIFIED = 1000041000577
+
+
+@st.composite
+def integer_gram(draw):
+    """A symmetric integer matrix of size 1-6 and a denominator; half of
+    them have a zero diagonal, so the first pivot is made by
+    e_i <- e_i + e_j.  Entries and pivots of either sign; in one draw in
+    eight the denominator or an entry is the cofactor that factoring
+    refuses."""
+    n = draw(st.integers(1, 6))
+    zero_diagonal = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or not zero_diagonal:
+                m[i][j] = m[j][i] = draw(st.integers(-30, 30))
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+    where = draw(st.integers(0, 15))
+    if where == 0:
+        den = UNCERTIFIED
+    elif where == 1:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] = m[j][i] = UNCERTIFIED
+    return m, den
+
+
+def _fraction_route(m, den):
+    """The reference for `integer_gram_form`: each pivot pair as a Fraction,
+    classified as a rational by qf."""
+    return qf([Fraction(n, d) for n, d in _diagonalize_inplace(m, den)])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(integer_gram())
+def test_integer_gram_form_equals_the_fraction_route(m_den):
+    m, den = m_den
+    want = _outcome(lambda m: _fraction_route([r[:] for r in m], den).reps(),
+                    m)
+    if not isinstance(want, str):
+        pairs = _diagonalize_inplace([r[:] for r in m], den)
+        hypothesis.event("negative pivot" if any(n < 0 for n, _ in pairs)
+                         else "positive pivots")
+    hypothesis.event(want if isinstance(want, str) else "regular")
+    assert _outcome(lambda m: integer_gram_form([r[:] for r in m],
+                                                den).reps(), m) == want
 
 
 def _reference_witt_equal_fp(q1, q2):

@@ -127,8 +127,8 @@ def test_diagonal_values_against_determinant_and_inertia():
         if det == 0:
             continue
         den = lcm(*(x.denominator for row in g for x in row))
-        values = _diagonalize_inplace(
-            [[int(x * den) for x in row] for row in g], den)
+        values = [Fraction(n, d) for n, d in _diagonalize_inplace(
+            [[int(x * den) for x in row] for row in g], den)]
         assert len(values) == n
         assert sympy.Rational(prod(values)) == det, g
         assert sum(v < 0 for v in values) == _negative_inertia(s), g
