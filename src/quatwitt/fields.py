@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, prod
 
 from .errors import (
     EvenOrCompositeModulus,
@@ -23,6 +24,8 @@ from .errors import (
 from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**6
+# factorize reads the primes up to 10^6 of a longer n from one gcd
+GCD_BITS = 1000
 # A function keeps an lru_cache where its hits save at least 1% of
 # `quatwitt check all` or of a benchmark stream (hits times the measured
 # cost of computing less that of a hit).  Each bound is at least 4x the
@@ -83,18 +86,25 @@ def factorize(n: int):
     composite without such a factor is 1000003^2.  Past that it is
     certified when it is the square s^2 of some s <= (10^6 + 1)^2, which
     is then prime, and any other raises FactorizationLimitExceeded.
+
+    Past GCD_BITS bits, n meets its primes up to 10^6 through g =
+    gcd(n, P), P their product (`_small_primes_product`): g is their
+    product over those dividing n, so trial division of g finds exactly
+    the primes trial division of n would, and they are divided out of n in
+    the same increasing order.  A huge n with no such prime is then
+    refused without 333,334 trial divisions.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
-    factors = []
-    for p in _trial_divisors():
-        if p * p > n:
-            break
-        if n % p == 0:
+    if n.bit_length() > GCD_BITS:
+        factors = []
+        for p, _ in _trial_division(gcd(n, _small_primes_product()))[0]:
             e, n = _val_and_unit(n, p)
             factors.append((p, e))
+    else:
+        factors, n = _trial_division(n)
     if n > 1:
         certified = (TRIAL_DIVISION_BOUND + 1) ** 2
         if n <= certified:
@@ -106,6 +116,41 @@ def factorize(n: int):
                     f"cofactor {quoted(n)} not certified")
             factors.append((s, 2))
     return sign, tuple(factors)
+
+
+def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The (prime, exponent) pairs of n > 0 found by trial division up to
+    10^6 and sqrt of what is left, in increasing order, and the cofactor
+    left: 1, a prime, or a number with no prime factor up to 10^6."""
+    factors = []
+    for p in _trial_divisors():
+        if p * p > n:
+            break
+        if n % p == 0:
+            e, n = _val_and_unit(n, p)
+            factors.append((p, e))
+    if 1 < n <= TRIAL_DIVISION_BOUND:
+        # no prime up to its square root divides it: it is prime
+        factors.append((n, 1))
+        n = 1
+    return factors, n
+
+
+# the one product of primes a process keeps: about 180 kB
+@lru_cache(maxsize=1)
+def _small_primes_product() -> int:
+    """The product of the primes up to 10^6, by a product tree (pairwise
+    products of balanced sizes), sieved once on first need."""
+    bound = TRIAL_DIVISION_BOUND
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = bytes(2)
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+    level = list(compress(range(bound + 1), sieve))
+    while len(level) > 1:
+        level = [prod(level[k:k + 2]) for k in range(0, len(level), 2)]
+    return level[0]
 
 
 def _trial_divisors():

@@ -1,7 +1,8 @@
 """Anti-hermitian (-1-hermitian) forms over (Q, gamma).
 
 Diagonal forms carry pure invertible quaternion entries.  In the split case
-Morita transfer along a nilpotent pure quaternion turns everything into
+square-multiple pairs <z, -lambda^2 z> cancel as hyperbolic planes, and
+Morita transfer along a nilpotent pure quaternion turns what is left into
 quadratic forms over the base field, where the decisions are complete.
 Over a division algebra, isometry of rank-1 forms is decided exactly: a
 square multiple lambda^2 z of z is isometric to it at once (p = lambda),
@@ -210,7 +211,21 @@ def _mixed_pivot(pair, pool, algebra) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rank-1 isometry and pairwise cancellation (division algebras)
+# square multiples, rank-1 isometry and pairwise cancellation
+
+
+def square_multiple(z1: Quaternion, z2: Quaternion) -> bool:
+    """Whether z2 = lambda^2 z1 for a rational lambda; then <z1>_gamma ~
+    <z2>_gamma over any quaternion algebra: the scalar p = lambda has
+    gamma(p) = lambda, so gamma(p) z1 p = lambda^2 z1 = z2.  With g_k the
+    gcd of the integer numerators of z_k, z2 = (g2 den1 / (g1 den2)) z1 iff
+    num2 g1 = num1 g2, and that positive ratio is a square iff
+    g1 g2 den1 den2 is one.  Nothing is factored."""
+    g1, g2 = gcd(*z1.num), gcd(*z2.num)
+    if any(x * g1 != y * g2 for x, y in zip(z2.num, z1.num)):
+        return False
+    m = g1 * g2 * z1.den * z2.den
+    return isqrt(m) ** 2 == m
 
 
 def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
@@ -230,17 +245,11 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     <-a, -b, ab, -n1, -c'> = H + B + <-c'> is 1-dimensional (B is
     anisotropic), read from square classes: ab is never factored.
 
-    A square multiple z2 = lambda^2 z1, lambda rational, is answered first,
-    with nothing factored: the scalar p = lambda has gamma(p) = lambda, so
-    gamma(p) z1 p = lambda^2 z1 = z2.  With g_k the gcd of the integer
-    numerators of z_k, z2 = (g2 den1 / (g1 den2)) z1 iff num2 g1 = num1 g2,
-    and that positive ratio is a square iff g1 g2 den1 den2 is one.
+    A square multiple (`square_multiple`) is answered first, with nothing
+    factored.
     """
-    g1, g2 = gcd(*z1.num), gcd(*z2.num)
-    if all(x * g1 == y * g2 for x, y in zip(z2.num, z1.num)):
-        m = g1 * g2 * z1.den * z2.den
-        if isqrt(m) ** 2 == m:
-            return True
+    if square_multiple(z1, z2):
+        return True
     c = nrd_ratio_root(z1, z2)
     if c is None:
         return False
@@ -619,15 +628,24 @@ def _verify_witness(pair, witness):
 
 def herm_screen(h: AntiHermForm) -> str | None:
     """The exact, cheap tier of the zero test of h: "equal", "distinct" or
-    None.  Over a split algebra `is_witt_zero` decides on the Morita
-    transfer along `find_nilpotent`.  Over a division algebra h != 0 for
-    an odd rank or for a reduced-norm discriminant that is not a square:
-    at even rank, the product of the integer numerators Nrd(z) e den^2,
-    read by `isqrt` with nothing factored (the factors e den^2 multiply
-    to a square).  These screens are unsound over a split algebra, where
-    <i> over (1, 1) is 0."""
+    None.  Over a split algebra the pairs z, w with w = -lambda^2 z,
+    lambda rational, cancel first (`square_multiple`): (lambda, 1) is
+    isotropic in <z, -lambda^2 z> over any quaternion algebra, so each
+    such pair is a hyperbolic plane.  When nothing is left h = 0, and no
+    nilpotent is searched; otherwise `is_witt_zero` decides on the Morita
+    transfer of the leftover along `find_nilpotent`, which is Witt-
+    equivalent to h.  Over a division algebra h != 0 for an odd rank or
+    for a reduced-norm discriminant that is not a square: at even rank,
+    the product of the integer numerators Nrd(z) e den^2, read by `isqrt`
+    with nothing factored (the factors e den^2 multiply to a square).
+    These screens are unsound over a split algebra, where <i> over (1, 1)
+    is 0."""
     if is_split(h.algebra):
-        q = morita_transfer(h, find_nilpotent(h.algebra))
+        left = cancel_pairs(h.diag, lambda z, w: square_multiple(z, -w))
+        if not left:
+            return "equal"
+        q = morita_transfer(AntiHermForm(tuple(left), h.algebra),
+                            find_nilpotent(h.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
     disc = prod(z._nrd_num() for z in h.diag)
     square = not h.rank % 2 and disc > 0 and isqrt(disc) ** 2 == disc

@@ -411,9 +411,14 @@ def is_isotropic(q: QuadForm) -> bool:
 
 
 def witt_equal(q1: QuadForm, q2: QuadForm) -> bool:
-    """Complete equality decision in W(k) for k = Q or F_p."""
+    """Complete equality decision in W(k) for k = Q or F_p.  Two forms with
+    the same entries are equal at once, as q - q is hyperbolic; kernels
+    hold sorted representatives, so a class and a copy of it compare as
+    tuples, with nothing classified."""
     if q1.field != q2.field:
         raise FieldMismatch("Witt comparison across fields")
+    if q1.entries == q2.entries:
+        return True
     q = q1.perp(q2.neg())
     if q.dim % 2 or signed_disc(q) != 1:
         return False

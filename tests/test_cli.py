@@ -220,12 +220,35 @@ def test_split_algebra_with_its_least_zero_at_height_68(capsys):
 
 def test_split_algebra_without_a_zero_below_the_height_bound(capsys):
     # (1697, 162) is split, but no zero of its pure norm form has height
-    # <= 100
-    z = '{"odd": [["0", "1", "0", "0"]]}'
-    code, out, err = _run(capsys, ["--quat", "1697", "162", "decide", z, z])
+    # <= 100; <i> - <j> does not cancel in square-multiple pairs, so its
+    # transfer needs one
+    code, out, err = _run(capsys, [
+        "--quat", "1697", "162", "decide", '{"odd": [["0", "1", "0", "0"]]}',
+        '{"odd": [["0", "0", "1", "0"]]}'])
     assert code == 2
     assert out == ""
     assert "no zero of the pure norm form of height <= 100" in err
+
+
+@pytest.mark.parametrize("quat", [["1697", "162"], ["1e4000", "-1"]],
+                         ids=["no-small-zero", "huge-square"])
+@pytest.mark.parametrize("shape", ["odd", "herm_diag"])
+def test_split_difference_of_square_multiples_needs_no_nilpotent(
+        capsys, monkeypatch, quat, shape):
+    """<i> against itself over a split algebra cancels as <i, -i> before
+    any transfer, so no nilpotent is searched: (1697, 162) has none of
+    height <= 100, and over (10^4000, -1) the search ran 9 s before it
+    refused."""
+    def no_nilpotent(A):
+        raise AssertionError("find_nilpotent called")
+
+    for module in ("quaternions", "hermitian", "mixed", "cli"):
+        monkeypatch.setattr(importlib.import_module(f"quatwitt.{module}"),
+                            "find_nilpotent", no_nilpotent)
+    z = '{"%s": [["0", "1", "0", "0"]]}' % shape
+    code, out, err = _run(capsys, ["--quat", *quat, "decide", z, z])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"result": "equal"}
 
 
 @pytest.mark.parametrize("argv, message, pointer", [

@@ -1,14 +1,17 @@
 """Base field arithmetic: factorization, square classes, symbols."""
 
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
+from quatwitt import fields
 from quatwitt.errors import (
     EvenOrCompositeModulus,
     FactorizationLimitExceeded,
     ZeroArgument,
     ZeroElement,
+    quoted,
 )
 from quatwitt.fields import (
     Fp,
@@ -93,6 +96,72 @@ def test_is_prime_refuses_what_factorize_refuses():
     # and is_prime answers only from a whole factorization
     with pytest.raises(FactorizationLimitExceeded):
         is_prime(3 * 1000003 * 1000033)
+
+
+def _whole_trial_division(n):
+    """factorize as trial division of the whole of n, with no gcd: (sign,
+    factors), or the refusal message."""
+    sign, n, factors = (1 if n > 0 else -1), abs(n), []
+    for p in fields._trial_divisors():
+        if p * p > n:
+            break
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        if e:
+            factors.append((p, e))
+    certified = (fields.TRIAL_DIVISION_BOUND + 1) ** 2
+    if 1 < n <= certified:
+        factors.append((n, 1))
+    elif n > 1:
+        s = isqrt(n)
+        if s * s != n or s > certified:
+            return f"cofactor {quoted(n)} not certified"
+        factors.append((s, 2))
+    return sign, tuple(factors)
+
+
+def _factorize_or_message(n):
+    try:
+        return factorize(n)
+    except FactorizationLimitExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [
+    2 ** 1001 * 3 ** 5 * 999983 * 1000003,   # a prime cofactor
+    -(2 ** 1001) * 999983 ** 2,              # the last prime of g repeats
+    7 ** 400 * 1000003 ** 2,                 # the square of a prime
+    10 ** 4000,
+    3 * 1000003 * 1000033 * 2 ** 1000,      # an uncertified cofactor
+    5 * 1000003 ** 61,                       # a cofactor of 1,216 bits
+    prod(p for p in range(2, 18500) if is_prime(p)),
+], ids=["prime-cofactor", "repeated", "square", "power-of-10",
+        "uncertified", "huge-cofactor", "primorial"])
+def test_factorize_past_the_gcd_threshold_equals_whole_trial_division(n):
+    assert n.bit_length() > fields.GCD_BITS
+    assert _factorize_or_message(n) == _whole_trial_division(n)
+
+
+def test_huge_integer_without_a_small_prime_skips_trial_division(
+        monkeypatch):
+    """1000003^61 has no prime up to 10^6, so gcd(n, P) = 1 leaves
+    nothing to trial-divide; whole trial division runs all 333,334
+    divisors before it refuses the same cofactor."""
+    steps = 0
+    divisors = fields._trial_divisors
+
+    def counted():
+        nonlocal steps
+        for d in divisors():
+            steps += 1
+            yield d
+
+    monkeypatch.setattr(fields, "_trial_divisors", counted)
+    with pytest.raises(FactorizationLimitExceeded,
+                       match="cofactor <1216-bit integer> not certified"):
+        factorize(1000003 ** 61)
+    assert steps <= 1
 
 
 def test_factorize_zero():

@@ -18,17 +18,20 @@ from quatwitt.hermitian import (  # noqa: E402
     cancel_hyperbolic_pairs,
     herm_screen,
     hyperbolicity_certificate,
+    morita_transfer,
     rank_one_isometric,
 )
 from quatwitt.quadforms import (  # noqa: E402
     QuadForm,
     is_isotropic,
+    is_witt_zero,
     qf,
     witt_class,
 )
 from quatwitt.quaternions import (  # noqa: E402
     QuatAlgebra,
     _mul_coords,
+    find_nilpotent,
     norm_form,
     nrd_class,
     nrd_ratio_root,
@@ -338,6 +341,59 @@ def test_cancel_hyperbolic_pairs_equals_the_reference_loop(h):
     left = cancel_hyperbolic_pairs(h).diag
     hypothesis.event(f"{h.rank} -> {len(left)}")
     assert left == _reference_cancel(h)
+
+
+def _transfer_everything_screen(h):
+    """`herm_screen` over a split algebra without the square-multiple
+    cancellation: the whole form is transferred along `find_nilpotent`."""
+    q = morita_transfer(h, find_nilpotent(h.algebra))
+    return "equal" if is_witt_zero(q) else "distinct"
+
+
+SPLIT_ALGEBRAS = [(1, 1), (2, 7), (5, -1)]
+
+
+@st.composite
+def split_forms(draw):
+    """Shuffled entries over a split algebra from one to three pure
+    invertible z, each with up to two partners: -lambda^2 z, which cancels
+    z, and lambda^2 z, -c z (c = 2..7), gamma(q) z q and independent
+    entries, which need not; lambda is negative or fractional as often as
+    not."""
+    A = QuatAlgebra(*draw(st.sampled_from(SPLIT_ALGEBRAS)))
+    invertible = pure.map(lambda c: A.pure(*c)).filter(
+        lambda z: z.is_invertible())
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        z = draw(invertible)
+        entries.append(z)
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["-square", "-square", "square",
+                                         "-multiple", "sandwich",
+                                         "independent"]))
+            if kind == "-multiple":
+                entries.append(z.scale(-draw(st.integers(2, 7))))
+            elif kind == "sandwich":
+                q = A.element(*draw(st.tuples(coord, coord, coord, coord)))
+                hypothesis.assume(q.is_invertible())
+                entries.append(q.conj() * z * q)
+            elif kind == "independent":
+                entries.append(draw(invertible))
+            else:
+                lam = draw(ratio)
+                entries.append(z.scale(lam * lam if kind == "square"
+                                       else -lam * lam))
+    return AntiHermForm(tuple(draw(st.permutations(entries))), A)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(split_forms())
+def test_split_screen_equals_the_whole_form_transfer(h):
+    """Cancelling square-multiple pairs before the transfer changes no
+    verdict of the split screen."""
+    want = _transfer_everything_screen(h)
+    hypothesis.event(f"rank {h.rank}: {want}")
+    assert herm_screen(h) == want
 
 
 @st.composite

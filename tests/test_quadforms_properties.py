@@ -16,7 +16,7 @@ from quatwitt.errors import (  # noqa: E402
     DegenerateForm,
     FactorizationLimitExceeded,
 )
-from quatwitt.fields import Fp, is_prime, sq_mul  # noqa: E402
+from quatwitt.fields import QQ, Fp, is_prime, sq_mul  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
     _adjoin,
     _anis_dim,
@@ -30,14 +30,17 @@ from quatwitt.quadforms import (  # noqa: E402
     _local_q,
     _represented_by_kernel,
     _signed,
+    QuadForm,
     cancel_pairs,
     diagonalize,
+    hyperbolic,
     integer_gram_form,
     is_isotropic,
     qf,
     signed_disc,
     witt_class,
     witt_equal,
+    witt_invariants,
 )
 
 entry = st.integers(-60, 60).filter(bool)
@@ -367,6 +370,61 @@ def test_witt_equal_over_fp_equals_the_invariant_comparison(data):
     q2 = qf(data.draw(values), Fp(p))
     want = _reference_witt_equal_fp(q1, q2)
     hypothesis.event(f"{want}")
+    assert witt_equal(q1, q2) == want
+
+
+@st.composite
+def field_and_values(draw):
+    """Q or F_p, with a strategy for lists of nonzero entries over it."""
+    p = draw(st.sampled_from([None, 3, 5, 7, 11]))
+    if p is None:
+        return QQ, st.lists(st.integers(-30, 30).filter(bool), max_size=6)
+    return Fp(p), st.lists(st.integers(1, p - 1), max_size=6)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.data())
+def test_a_form_and_its_class_are_witt_equal_to_themselves(data):
+    field, values = data.draw(field_and_values())
+    q = qf(data.draw(values), field)
+    assert witt_equal(q, q)
+    assert witt_equal(q, QuadForm(q.entries, field))
+    assert witt_class(q) == witt_class(q)
+
+
+def _padded_invariants(q, dim):
+    """witt_invariants of q _|_ <1, -1>^k at dimension dim, with the Hasse
+    symbols that are 1 dropped: forms of one dimension are Witt-equal iff
+    isometric, and these classify isometry over Q and over F_p."""
+    inv = witt_invariants(q.perp(hyperbolic((dim - q.dim) // 2, q.field)))
+    hasse = {v: s for v, s in inv.hasse.items() if s != 1}
+    return inv.dim, inv.signed_disc, hasse, inv.signature
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.data())
+def test_witt_equal_equals_the_invariant_comparison(data):
+    """Pairs are exact copies, rearranged copies, copies with a hyperbolic
+    plane, or independent forms."""
+    field, values = data.draw(field_and_values())
+    q1 = qf(data.draw(values), field)
+    kind = data.draw(st.sampled_from(["copy", "shuffled", "plane",
+                                      "independent"]))
+    if kind == "copy":
+        q2 = QuadForm(q1.entries, field)
+    elif kind == "shuffled":
+        q2 = QuadForm(tuple(data.draw(st.permutations(q1.entries))), field)
+    elif kind == "plane":
+        c = data.draw(values.filter(bool))[0]
+        q2 = q1.perp(qf([c, -c], field))
+    else:
+        q2 = qf(data.draw(values), field)
+    if q1.dim % 2 != q2.dim % 2:
+        want = False
+    else:
+        dim = max(q1.dim, q2.dim)
+        want = _padded_invariants(q1, dim) == _padded_invariants(q2, dim)
+    hypothesis.event(f"{kind}: {want}")
     assert witt_equal(q1, q2) == want
 
 
