@@ -24,8 +24,10 @@ from .errors import (
 from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**6
-# factorize reads the primes up to 10^6 of a longer n from one gcd
+# factorize reads the primes up to 10^6 of a longer n from one gcd, after
+# dividing out the primes below SMALL_PRIME_BOUND
 GCD_BITS = 1000
+SMALL_PRIME_BOUND = 1000
 # A function keeps an lru_cache where its hits save at least 1% of
 # `quatwitt check all` or of a benchmark stream (hits times the measured
 # cost of computing less that of a hit).  Each bound is at least 4x the
@@ -87,24 +89,34 @@ def factorize(n: int):
     certified when it is the square s^2 of some s <= (10^6 + 1)^2, which
     is then prime, and any other raises FactorizationLimitExceeded.
 
-    Past GCD_BITS bits, n meets its primes up to 10^6 through g =
-    gcd(n, P), P their product (`_small_primes_product`): g is their
-    product over those dividing n, so trial division of g finds exactly
-    the primes trial division of n would, and they are divided out of n in
-    the same increasing order.  A huge n with no such prime is then
+    Past GCD_BITS bits, the primes below SMALL_PRIME_BOUND are divided out
+    of n first, which leaves 1 or a short cofactor for a smooth n such as
+    10^4000.  A cofactor still past GCD_BITS bits meets its primes up to
+    10^6 through g = gcd(n, P), P their product (`_small_primes_product`):
+    g is their product over those dividing n, so trial division of g finds
+    exactly the primes trial division of n would, and they are divided out
+    of n in the same increasing order.  A huge n with no such prime is then
     refused without 333,334 trial divisions.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
     sign = 1 if n > 0 else -1
     n = abs(n)
+    factors = []
     if n.bit_length() > GCD_BITS:
-        factors = []
+        for p in _small_primes():
+            if n % p == 0:
+                e, n = _val_and_unit(n, p)
+                factors.append((p, e))
+    if n.bit_length() > GCD_BITS:
         for p, _ in _trial_division(gcd(n, _small_primes_product()))[0]:
             e, n = _val_and_unit(n, p)
             factors.append((p, e))
     else:
-        factors, n = _trial_division(n)
+        # no prime below SMALL_PRIME_BOUND divides n past the first pass,
+        # so the primes found here come after those of the factors so far
+        more, n = _trial_division(n)
+        factors += more
     if n > 1:
         certified = (TRIAL_DIVISION_BOUND + 1) ** 2
         if n <= certified:
@@ -136,18 +148,30 @@ def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
     return factors, n
 
 
-# the one product of primes a process keeps: about 180 kB
-@lru_cache(maxsize=1)
-def _small_primes_product() -> int:
-    """The product of the primes up to 10^6, by a product tree (pairwise
-    products of balanced sizes), sieved once on first need."""
-    bound = TRIAL_DIVISION_BOUND
+def _primes_up_to(bound: int) -> list[int]:
+    """The primes up to bound, in increasing order, by a sieve."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = bytes(2)
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    level = list(compress(range(bound + 1), sieve))
+    return list(compress(range(bound + 1), sieve))
+
+
+# a constant, sieved on first need so that importing the library does not
+# pay for it
+@lru_cache(maxsize=1)
+def _small_primes() -> tuple[int, ...]:
+    """The 168 primes below SMALL_PRIME_BOUND."""
+    return tuple(_primes_up_to(SMALL_PRIME_BOUND))
+
+
+# the one product of primes a process keeps: about 180 kB
+@lru_cache(maxsize=1)
+def _small_primes_product() -> int:
+    """The product of the primes up to 10^6, by a product tree (pairwise
+    products of balanced sizes), sieved once on first need."""
+    level = _primes_up_to(TRIAL_DIVISION_BOUND)
     while len(level) > 1:
         level = [prod(level[k:k + 2]) for k in range(0, len(level), 2)]
     return level[0]

@@ -17,6 +17,14 @@ opposite, so past height 1 the pair searches run only where the exact
 rank-1 test pairs two slots.
 `herm_verdict` runs these tiers as the one test of whether a form is 0 in
 the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
+
+Entries are checked (pure, invertible, in the form's algebra) where they
+enter: by `AntiHermForm(...)`, so by `herm_diag`, `mixed`, the parsers, the
+suites and the certificate's Gram-Schmidt values.  Operations that keep
+those properties carry the checks over and do not repeat them: `neg`,
+`perp`, the leftovers of both pair cancellations and the odd entries of a
+mixed product.  The pair tests compare z with -w without building -w
+(`hyperbolic_pair`).
 """
 
 from __future__ import annotations
@@ -73,7 +81,12 @@ def check_search_bound(name: str, bound: int) -> None:
 
 
 class AntiHermForm(Record):
-    """Diagonal anti-hermitian form <z_1,...,z_r>_gamma."""
+    """Diagonal anti-hermitian form <z_1,...,z_r>_gamma.
+
+    `AntiHermForm(...)` checks that every entry is pure, invertible and in
+    `algebra`.  `neg`, `perp` and the cancellations carry those checks over
+    from the forms they start from (`_carried`), so a form is checked once,
+    where its entries enter the library."""
 
     __slots__ = ("diag", "algebra")
 
@@ -85,6 +98,17 @@ class AntiHermForm(Record):
                 raise NotPureInvertible(f"{quoted(z)} is not pure invertible")
         self.diag = diag
         self.algebra = algebra
+
+    @classmethod
+    def _carried(cls, diag: tuple[Quaternion, ...],
+                 algebra: QuatAlgebra) -> "AntiHermForm":
+        """The form on entries made from those of checked forms by an
+        operation that keeps them pure, invertible and in `algebra`;
+        nothing is checked again.  Each caller says why."""
+        h = object.__new__(cls)
+        h.diag = diag
+        h.algebra = algebra
+        return h
 
     def __eq__(self, other):
         if other.__class__ is not AntiHermForm:
@@ -106,10 +130,13 @@ class AntiHermForm(Record):
             return self
         if not self.diag:
             return other
-        return AntiHermForm(self.diag + other.diag, self.algebra)
+        # entries of two checked forms over one algebra
+        return AntiHermForm._carried(self.diag + other.diag, self.algebra)
 
     def neg(self) -> "AntiHermForm":
-        return AntiHermForm(tuple(-z for z in self.diag), self.algebra)
+        # -z is pure and invertible with z, and in its algebra
+        return AntiHermForm._carried(tuple(-z for z in self.diag),
+                                     self.algebra)
 
     def __repr__(self):
         return f"Herm<{', '.join(repr(z) for z in self.diag)}>"
@@ -214,15 +241,17 @@ def _mixed_pivot(pair, pool, algebra) -> int:
 # square multiples, rank-1 isometry and pairwise cancellation
 
 
-def square_multiple(z1: Quaternion, z2: Quaternion) -> bool:
-    """Whether z2 = lambda^2 z1 for a rational lambda; then <z1>_gamma ~
-    <z2>_gamma over any quaternion algebra: the scalar p = lambda has
-    gamma(p) = lambda, so gamma(p) z1 p = lambda^2 z1 = z2.  With g_k the
-    gcd of the integer numerators of z_k, z2 = (g2 den1 / (g1 den2)) z1 iff
-    num2 g1 = num1 g2, and that positive ratio is a square iff
-    g1 g2 den1 den2 is one.  Nothing is factored."""
+def square_multiple(z1: Quaternion, z2: Quaternion, sign: int = 1) -> bool:
+    """Whether sign z2 = lambda^2 z1 for a rational lambda (sign is 1 or
+    -1); then <z1>_gamma ~ <sign z2>_gamma over any quaternion algebra: the
+    scalar p = lambda has gamma(p) = lambda, so gamma(p) z1 p = lambda^2 z1.
+    With g_k the gcd of the integer numerators of z_k, which is also that
+    of -z_k, sign z2 = (g2 den1 / (g1 den2)) z1 iff num2 sign g1 = num1 g2,
+    and that positive ratio is a square iff g1 g2 den1 den2 is one.  Nothing
+    is factored, and -z2 is not built."""
     g1, g2 = gcd(*z1.num), gcd(*z2.num)
-    if any(x * g1 != y * g2 for x, y in zip(z2.num, z1.num)):
+    s1 = sign * g1
+    if any(x * s1 != y * g2 for x, y in zip(z2.num, z1.num)):
         return False
     m = g1 * g2 * z1.den * z2.den
     return isqrt(m) ** 2 == m
@@ -267,15 +296,26 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     return False
 
 
+def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
+    """rank_one_isometric(z, -w): whether <z, w>_gamma is a hyperbolic
+    plane, over a division algebra.  -w is built only for the full test:
+    the square-multiple test takes the sign, and Nrd(-w) = Nrd(w), so a
+    norm ratio of z and w that is not a square rules the pair out first."""
+    if square_multiple(z, w, -1):
+        return True
+    return nrd_ratio_root(z, w) is not None and rank_one_isometric(z, -w)
+
+
 def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
     """What is left of h, over a division algebra, after greedily cancelling
-    pairs of entries z, w with <z> ~ <-w>: each such <z, w> is a hyperbolic
-    plane, so the leftover is Witt-equivalent to h.  Every two leftover
-    entries were tested against each other, so a rank-2 leftover is
-    anisotropic (an isotropic plane is hyperbolic) and h is not 0 in the
-    Witt group."""
-    left = cancel_pairs(h.diag, lambda z, w: rank_one_isometric(z, -w))
-    return AntiHermForm(tuple(left), h.algebra)
+    pairs of entries z, w with <z> ~ <-w> (`hyperbolic_pair`): each such
+    <z, w> is a hyperbolic plane, so the leftover is Witt-equivalent to h.
+    Every two leftover entries were tested against each other, so a rank-2
+    leftover is anisotropic (an isotropic plane is hyperbolic) and h is not
+    0 in the Witt group."""
+    # the leftover entries are entries of h
+    return AntiHermForm._carried(tuple(cancel_pairs(h.diag, hyperbolic_pair)),
+                                 h.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +681,11 @@ def herm_screen(h: AntiHermForm) -> str | None:
     These screens are unsound over a split algebra, where <i> over (1, 1)
     is 0."""
     if is_split(h.algebra):
-        left = cancel_pairs(h.diag, lambda z, w: square_multiple(z, -w))
+        left = cancel_pairs(h.diag, lambda z, w: square_multiple(z, w, -1))
         if not left:
             return "equal"
-        q = morita_transfer(AntiHermForm(tuple(left), h.algebra),
+        # the leftover entries are entries of h
+        q = morita_transfer(AntiHermForm._carried(tuple(left), h.algebra),
                             find_nilpotent(h.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
     disc = prod(z._nrd_num() for z in h.diag)

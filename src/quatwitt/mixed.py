@@ -149,7 +149,10 @@ class MixedClass(Record):
         for c in other.even.anis.reps():
             for z in self.odd.diag:
                 odd_entries.append(z.scale(c))
-        return MixedClass(even, AntiHermForm(tuple(odd_entries), self.algebra),
+        # entries of checked forms times the nonzero representatives of a
+        # kernel: still pure, invertible and in the algebra
+        return MixedClass(even, AntiHermForm._carried(tuple(odd_entries),
+                                                      self.algebra),
                           self.algebra)
 
     def _check(self, other: "MixedClass"):

@@ -575,7 +575,12 @@ def _anisotropic_reps_q_cached(reps_key) -> tuple:
             loc = _adjoin(loc, -c)
         if n:
             out.append(_signed(loc.dim, loc.disc))
-    return tuple(sorted(out, key=lambda r: (abs(r), r)))
+    return tuple(sorted(out, key=_kernel_order))
+
+
+def _kernel_order(r: int) -> tuple[int, int]:
+    """A kernel's entries over Q go by absolute value, negative first."""
+    return abs(r), r
 
 
 def _anisotropic_reps_fp(q: QuadForm) -> tuple:
@@ -618,16 +623,29 @@ class WittClass(Record):
         return witt_class(self.anis.perp(other.anis))
 
     def __neg__(self) -> "WittClass":
-        return witt_class(self.anis.neg())
+        return self.scale(-1)
 
     def __sub__(self, other: "WittClass") -> "WittClass":
         return self + (-other)
 
     def __mul__(self, other: "WittClass") -> "WittClass":
+        # a product with a rank-1 class <c> is the other class times <c>
+        if self.field == other.field:
+            if other.anis.dim == 1:
+                return self.scale(other.anis.entries[0])
+            if self.anis.dim == 1:
+                return other.scale(self.anis.entries[0])
         return witt_class(self.anis.tensor(other.anis))
 
     def scale(self, c: int) -> "WittClass":
-        return witt_class(self.anis.scale(c))
+        """<c> times the class, for the representative c of a square class.
+        <c> q is isotropic exactly when q is, so over Q the scaled kernel is
+        the kernel, in `witt_class`'s order, and nothing is classified."""
+        q = self.anis.scale(c)
+        if q.field.p is not None:
+            return witt_class(q)
+        return WittClass(QuadForm(tuple(sorted(q.entries, key=_kernel_order)),
+                                  q.field))
 
     def __eq__(self, other):
         if not isinstance(other, WittClass):

@@ -168,7 +168,8 @@ class Quaternion(Record):
                         dx * dy, self.algebra)
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(tuple(-x for x in self.num), self.den, self.algebra)
+        n0, n1, n2, n3 = self.num
+        return Quaternion((-n0, -n1, -n2, -n3), self.den, self.algebra)
 
     def __sub__(self, other: "Quaternion") -> "Quaternion":
         return self + (-other)

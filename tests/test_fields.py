@@ -136,8 +136,11 @@ def _factorize_or_message(n):
     3 * 1000003 * 1000033 * 2 ** 1000,      # an uncertified cofactor
     5 * 1000003 ** 61,                       # a cofactor of 1,216 bits
     prod(p for p in range(2, 18500) if is_prime(p)),
+    2 ** 1000 * 1009 ** 3 * 999983,         # short past the primes < 1,000
+    3 ** 700 * 1009 ** 200 * 999983,        # still long past them
 ], ids=["prime-cofactor", "repeated", "square", "power-of-10",
-        "uncertified", "huge-cofactor", "primorial"])
+        "uncertified", "huge-cofactor", "primorial", "short-after-small",
+        "long-after-small"])
 def test_factorize_past_the_gcd_threshold_equals_whole_trial_division(n):
     assert n.bit_length() > fields.GCD_BITS
     assert _factorize_or_message(n) == _whole_trial_division(n)
@@ -162,6 +165,15 @@ def test_huge_integer_without_a_small_prime_skips_trial_division(
                        match="cofactor <1216-bit integer> not certified"):
         factorize(1000003 ** 61)
     assert steps <= 1
+
+
+def test_smooth_huge_integer_needs_no_primes_product():
+    """10^4000 has only the primes 2 and 5, below 1,000: dividing them out
+    leaves 1, so the product of the primes up to 10^6 is never built."""
+    fields.factorize.cache_clear()
+    fields._small_primes_product.cache_clear()
+    assert square_class(10 ** 4000) == 1
+    assert fields._small_primes_product.cache_info().currsize == 0
 
 
 def test_factorize_zero():

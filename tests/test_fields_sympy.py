@@ -4,9 +4,16 @@ oracle that shares none of their code (skipped without sympy)."""
 import pytest
 
 sympy = pytest.importorskip("sympy")
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt.errors import FactorizationLimitExceeded  # noqa: E402
-from quatwitt.fields import factorize, is_prime, legendre_symbol  # noqa: E402
+from quatwitt.fields import (  # noqa: E402
+    GCD_BITS,
+    factorize,
+    is_prime,
+    legendre_symbol,
+)
 
 
 def test_factorize_against_sympy():
@@ -67,3 +74,41 @@ def test_factorize_just_past_the_square_of_bound_plus_one():
         else:
             assert dict(factorize(n)[1]) == sympy.factorint(n), n
             assert not is_prime(n)
+
+
+small_prime = st.sampled_from(list(sympy.primerange(2, 1000)))
+# primes in (1,000, 10^6] and in (10^6, 10^12]: a cofactor of one of the
+# latter, or of its square, is certified
+middle_prime = st.integers(1000, 10 ** 6 - 20).map(sympy.nextprime)
+large_prime = st.integers(10 ** 6, 10 ** 12).map(sympy.nextprime)
+
+
+@st.composite
+def huge_integers(draw):
+    """Integers past GCD_BITS bits: smooth (primes below 1,000 only), or
+    with primes up to 10^6 in high or low powers, and maybe one prime in
+    (10^6, 10^12] or its square."""
+    kind = draw(st.sampled_from(["smooth", "middle", "large"]))
+    n = 1
+    for p in draw(st.lists(small_prime, max_size=4)):
+        n *= p ** draw(st.integers(1, 400))
+    if kind != "smooth":
+        for p in draw(st.lists(middle_prime, min_size=1, max_size=3)):
+            n *= p ** draw(st.integers(1, 120))
+    if kind == "large":
+        n *= draw(large_prime) ** draw(st.integers(1, 2))
+    p = draw(small_prime if kind == "smooth" else middle_prime)
+    while n.bit_length() <= GCD_BITS:
+        n *= p
+    return kind, draw(st.sampled_from([1, -1])) * n
+
+
+@hypothesis.settings(max_examples=60, deadline=None)
+@hypothesis.given(huge_integers())
+def test_factorize_huge_integers_against_sympy(data):
+    kind, n = data
+    sign, factors = factorize(n)
+    expect = sympy.factorint(abs(n))
+    hypothesis.event(kind)
+    assert sign == (1 if n > 0 else -1)
+    assert list(factors) == sorted(expect.items())

@@ -17,10 +17,13 @@ from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
     cancel_hyperbolic_pairs,
     herm_screen,
+    hyperbolic_pair,
     hyperbolicity_certificate,
     morita_transfer,
     rank_one_isometric,
+    square_multiple,
 )
+from quatwitt.mixed import mixed  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
     QuadForm,
     is_isotropic,
@@ -337,10 +340,14 @@ def cancel_forms(draw):
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(cancel_forms())
 def test_cancel_hyperbolic_pairs_equals_the_reference_loop(h):
-    """The same entries are left, in the same order."""
-    left = cancel_hyperbolic_pairs(h).diag
-    hypothesis.event(f"{h.rank} -> {len(left)}")
-    assert left == _reference_cancel(h)
+    """The same entries are left, in the same order, as by the reference
+    rank-1 test and by the library's test on the negated entry; the
+    leftover, built without checks, passes them."""
+    left = cancel_hyperbolic_pairs(h)
+    hypothesis.event(f"{h.rank} -> {left.rank}")
+    assert left.diag == _reference_cancel(h)
+    assert left == _negating_cancel(h, rank_one_isometric)
+    assert AntiHermForm(left.diag, h.algebra) == left
 
 
 def _transfer_everything_screen(h):
@@ -394,6 +401,112 @@ def test_split_screen_equals_the_whole_form_transfer(h):
     want = _transfer_everything_screen(h)
     hypothesis.event(f"rank {h.rank}: {want}")
     assert herm_screen(h) == want
+
+
+# ---------------------------------------------------------------------------
+# pair tests that take the sign, and forms that carry their checks over
+
+
+def _negating_cancel(h, same):
+    """The leftover of h when each pair test builds -w and asks same(z, -w):
+    the cancellation as it was before the pair tests took the sign."""
+    left = []
+    for z in h.diag:
+        k = next((k for k, w in enumerate(left) if same(z, -w)), None)
+        if k is None:
+            left.append(z)
+        else:
+            del left[k]
+    return AntiHermForm(tuple(left), h.algebra)
+
+
+@st.composite
+def entry_pairs(draw):
+    """(kind, z, w) over a division or a split algebra: w is -z,
+    -lambda^2 z or lambda^2 z (lambda negative or fractional as often as
+    not), gamma(q) z q or its negative, or unrelated to z."""
+    A = QuatAlgebra(*draw(st.sampled_from(ALGEBRAS + SPLIT_ALGEBRAS)))
+    invertible = pure.map(lambda c: A.pure(*c)).filter(
+        lambda z: z.is_invertible())
+    z = draw(invertible)
+    kind = draw(st.sampled_from(["negated", "-square", "square", "sandwich",
+                                 "-sandwich", "unrelated"]))
+    if kind == "negated":
+        w = -z
+    elif kind in ("-square", "square"):
+        lam = draw(ratio)
+        w = z.scale(lam * lam if kind == "square" else -lam * lam)
+    elif kind == "unrelated":
+        w = draw(invertible)
+    else:
+        q = A.element(*draw(st.tuples(coord, coord, coord, coord)))
+        hypothesis.assume(q.is_invertible())
+        w = q.conj() * z * q
+        w = w if kind == "sandwich" else -w
+    return kind, z, w
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(entry_pairs())
+def test_pair_tests_with_the_sign_equal_the_tests_on_the_negated_entry(
+        pair):
+    """Over a split algebra the rank-1 test may meet a zero divisor
+    (r = z1 + z2 / c of norm 0) and raise: the two tests then raise
+    alike."""
+    kind, z, w = pair
+    got = _outcome(hyperbolic_pair, z, w)
+    hypothesis.event(f"{kind}: {got}")
+    assert got == _outcome(rank_one_isometric, z, -w)
+    assert square_multiple(z, w, -1) == square_multiple(z, -w)
+
+
+def _outcome(test, z, w):
+    try:
+        return test(z, w)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(split_forms())
+def test_split_screen_cancels_as_the_negating_loop(h):
+    """The leftover `herm_screen` transfers over a split algebra has the
+    entries, in order, that cancelling with square_multiple(z, -w) leaves,
+    and passes the checks it was not put through."""
+    transferred = []
+
+    def spy(left, z0):
+        transferred.append(left)
+        return morita_transfer(left, z0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hermitian, "morita_transfer", spy)
+        verdict = herm_screen(h)
+    want = _negating_cancel(h, square_multiple)
+    hypothesis.event(f"{h.rank} -> {want.rank}")
+    if not want.diag:
+        assert verdict == "equal" and transferred == []
+    else:
+        assert transferred == [want]
+        assert AntiHermForm(want.diag, h.algebra) == transferred[0]
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(st.sampled_from(ALGEBRAS + SPLIT_ALGEBRAS), st.data())
+def test_forms_that_carry_the_checks_over_pass_them(ab, data):
+    """neg, perp and the odd part of a mixed product build their forms
+    without checking the entries; checking them finds nothing wrong."""
+    A = QuatAlgebra(*ab)
+    invertible = pure.map(lambda c: A.pure(*c)).filter(
+        lambda z: z.is_invertible())
+    h1, h2 = (AntiHermForm(tuple(data.draw(st.lists(invertible, max_size=3))),
+                           A) for _ in range(2))
+    even = st.lists(st.integers(-30, 30).filter(bool), max_size=2).map(
+        lambda vs: witt_class(qf(vs)))
+    x = mixed(A, data.draw(even), h1.diag)
+    y = mixed(A, data.draw(even), h2.diag[:1])
+    for f in (h1.neg(), h1.perp(h2), h1.perp(h2.neg()), (x * y).odd):
+        assert AntiHermForm(f.diag, A) == f
 
 
 @st.composite

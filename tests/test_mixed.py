@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quatwitt import hermitian
+from quatwitt.hermitian import AntiHermForm
 from quatwitt.errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
 from quatwitt.mixed import (
     mixed,
@@ -18,7 +19,7 @@ from quatwitt.mixed import (
     twisted_trace_form,
 )
 from quatwitt.quadforms import qf, witt_class, witt_equal, witt_zero
-from quatwitt.quaternions import QuatAlgebra, find_nilpotent
+from quatwitt.quaternions import QuatAlgebra, Quaternion, find_nilpotent
 
 H = QuatAlgebra(-1, -1)
 M2 = QuatAlgebra(1, 1)
@@ -286,3 +287,68 @@ def test_mixed_equal_needs_the_full_bound_search():
                               i.scale(-2) + j.scale(3) - ij))
     assert mixed_equal(x, y, search_bound=4) == "unknown"
     assert mixed_equal(x, y, search_bound=8) == "equal"
+
+
+def _odd_pairs(A):
+    """(odd entries of x, of y, verdict of x against y) over A.  Over
+    (-1, -1) every difference is answered by the screen or by pairs that
+    cancel, with no certificate: i and j, or i and 3i, have norm ratio 1 or
+    9, a square, so those pairs go through the full rank-1 test."""
+    i, j, ij = A.i(), A.j(), A.ij()
+    split = A == M2
+    return [
+        ((i,), (i.scale(4),), "equal"),
+        ((i, i + j), ((i + j).scale(Fraction(9, 4)), i.scale(4)), "equal"),
+        ((i, i + j, ij), (ij.scale(Fraction(1, 4)), i, (i + j).scale(9)),
+         "equal"),
+        ((i,), (j,), "equal"),
+        ((i,), (i + j,), "distinct"),
+        ((i,), (), "equal" if split else "distinct"),
+        ((i,), (i.scale(3),), "equal" if split else "distinct"),
+    ]
+
+
+@pytest.mark.parametrize("A", [H, M2], ids=["division", "split"])
+def test_mixed_equal_checks_no_entry_again(A, monkeypatch):
+    """The entries of x and y were checked by `mixed`; the difference
+    x.odd _|_ -y.odd and what is left of it after cancellation carry those
+    checks over, so no AntiHermForm is built with checks."""
+    cases = [(mixed(A, odd_entries=a), mixed(A, odd_entries=b), want)
+             for a, b, want in _odd_pairs(A)]
+    calls = []
+    init = AntiHermForm.__init__
+
+    def counted(self, diag, algebra):
+        calls.append(diag)
+        init(self, diag, algebra)
+
+    monkeypatch.setattr(AntiHermForm, "__init__", counted)
+    assert [mixed_equal(x, y) for x, y, _ in cases] == [
+        want for _, _, want in cases]
+    assert calls == []
+
+
+@pytest.mark.parametrize("A", [H, M2], ids=["division", "split"])
+def test_square_multiple_pairs_negate_only_the_entries_of_y(A, monkeypatch):
+    """Each entry of y is negated once, for y.odd.neg(); the pair tests
+    compare z with -w on the numerators of w.  Entries of x are i and
+    i + j, whose norm ratio 2 is not a square, so no pair of them reaches
+    the full rank-1 test."""
+    i, j = A.i(), A.j()
+    pairs = [((i,), (i.scale(Fraction(1, 9)),)),
+             ((i, i + j), ((i + j).scale(Fraction(9, 4)), i.scale(4))),
+             ((i + j, i), (i.scale(25), (i + j).scale(Fraction(1, 16))))]
+    cases = [(mixed(A, odd_entries=a), mixed(A, odd_entries=b))
+             for a, b in pairs]
+    negated = []
+    neg = Quaternion.__neg__
+
+    def counted(z):
+        negated.append(z)
+        return neg(z)
+
+    monkeypatch.setattr(Quaternion, "__neg__", counted)
+    for x, y in cases:
+        negated.clear()
+        assert mixed_equal(x, y) == "equal"
+        assert len(negated) <= y.odd.rank

@@ -294,3 +294,24 @@ def test_bareiss_refuses_an_inexact_division(monkeypatch):
     monkeypatch.setattr(quadforms, "divmod", inexact, raising=False)
     with pytest.raises(VerificationFailed, match="inexact Bareiss"):
         diagonalize(gram)
+
+
+def test_scaling_a_witt_class_over_q_classifies_nothing():
+    """<c> times a kernel is a kernel: scale, negation and a product with
+    a rank-1 class read no local invariants, and give the kernel that
+    witt_class finds for the scaled form."""
+    w = witt_class(qf([1, 1, 2, 7]))
+    one = witt_class(qf([-15]))
+    before = quadforms._local_data.cache_info()
+    got = [w.scale(3), w.scale(-30), -w, w * one, one * w]
+    assert quadforms._local_data.cache_info() == before
+    assert [g.anis.entries for g in got] == [
+        witt_class(w.anis.scale(c)).anis.entries for c in (3, -30, -1, -15,
+                                                           -15)]
+
+
+def test_rank_one_products_across_fields_are_refused():
+    with pytest.raises(FieldMismatch):
+        witt_class(qf([1, 2])) * witt_class(qf([1], Fp(3)))
+    with pytest.raises(FieldMismatch):
+        witt_class(qf([3], Fp(5))) * witt_class(qf([1, 2]))

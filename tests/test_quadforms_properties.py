@@ -392,6 +392,22 @@ def test_a_form_and_its_class_are_witt_equal_to_themselves(data):
     assert witt_class(q) == witt_class(q)
 
 
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.data())
+def test_scaled_classes_equal_the_classes_of_the_scaled_forms(data):
+    """scale, negation and products with a rank-1 class give the kernel
+    `witt_class` gives the scaled form, over Q and over F_p."""
+    field, values = data.draw(field_and_values())
+    w = witt_class(qf(data.draw(values), field))
+    c = qf(data.draw(values.filter(bool))[:1], field).entries[0]
+    one = witt_class(qf([c], field))
+    want = witt_class(w.anis.scale(c)).anis
+    assert w.scale(c).anis == want
+    assert (w * one).anis == want
+    assert (one * w).anis == want
+    assert (-w).anis == witt_class(w.anis.neg()).anis
+
+
 def _padded_invariants(q, dim):
     """witt_invariants of q _|_ <1, -1>^k at dimension dim, with the Hasse
     symbols that are 1 dropped: forms of one dimension are Witt-equal iff
