@@ -249,9 +249,20 @@ def square_multiple(z1: Quaternion, z2: Quaternion, sign: int = 1) -> bool:
     of -z_k, sign z2 = (g2 den1 / (g1 den2)) z1 iff num2 sign g1 = num1 g2,
     and that positive ratio is a square iff g1 g2 den1 den2 is one.  Nothing
     is factored, and -z2 is not built."""
-    g1, g2 = gcd(*z1.num), gcd(*z2.num)
+    return _square_multiple(_with_content(z1), _with_content(z2), sign)
+
+
+def _with_content(z: Quaternion) -> tuple[Quaternion, int]:
+    """(z, the gcd of its integer numerators): an entry as the pair tests
+    take it, so that a cancellation takes each entry's content once."""
+    return z, gcd(*z.num)
+
+
+def _square_multiple(x, y, sign: int) -> bool:
+    """`square_multiple` of entries with their contents."""
+    (z1, g1), (z2, g2) = x, y
     s1 = sign * g1
-    if any(x * s1 != y * g2 for x, y in zip(z2.num, z1.num)):
+    if any(a * s1 != b * g2 for a, b in zip(z2.num, z1.num)):
         return False
     m = g1 * g2 * z1.den * z2.den
     return isqrt(m) ** 2 == m
@@ -280,8 +291,12 @@ def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     if square_multiple(z1, z2):
         return True
     c = nrd_ratio_root(z1, z2)
-    if c is None:
-        return False
+    return c is not None and _isometric_by_norms(z1, z2, c)
+
+
+def _isometric_by_norms(z1: Quaternion, z2: Quaternion, c: Fraction) -> bool:
+    """The test of `rank_one_isometric` past its square multiples, for the
+    root c = `nrd_ratio_root`(z1, z2)."""
     n1 = nrd_class(z1)
     for root in (c, -c):
         r = z1 + z2.scale(1 / root)
@@ -301,9 +316,16 @@ def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
     plane, over a division algebra.  -w is built only for the full test:
     the square-multiple test takes the sign, and Nrd(-w) = Nrd(w), so a
     norm ratio of z and w that is not a square rules the pair out first."""
-    if square_multiple(z, w, -1):
+    return _hyperbolic_pair(_with_content(z), _with_content(w))
+
+
+def _hyperbolic_pair(x, y) -> bool:
+    """`hyperbolic_pair` of entries with their contents."""
+    if _square_multiple(x, y, -1):
         return True
-    return nrd_ratio_root(z, w) is not None and rank_one_isometric(z, -w)
+    z, w = x[0], y[0]
+    c = nrd_ratio_root(z, w)
+    return c is not None and _isometric_by_norms(z, -w, c)
 
 
 def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
@@ -313,9 +335,9 @@ def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
     Every two leftover entries were tested against each other, so a rank-2
     leftover is anisotropic (an isotropic plane is hyperbolic) and h is not
     0 in the Witt group."""
+    left = cancel_pairs(map(_with_content, h.diag), _hyperbolic_pair)
     # the leftover entries are entries of h
-    return AntiHermForm._carried(tuple(cancel_pairs(h.diag, hyperbolic_pair)),
-                                 h.algebra)
+    return AntiHermForm._carried(tuple(z for z, _ in left), h.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -681,11 +703,13 @@ def herm_screen(h: AntiHermForm) -> str | None:
     These screens are unsound over a split algebra, where <i> over (1, 1)
     is 0."""
     if is_split(h.algebra):
-        left = cancel_pairs(h.diag, lambda z, w: square_multiple(z, w, -1))
+        left = cancel_pairs(map(_with_content, h.diag),
+                            lambda x, y: _square_multiple(x, y, -1))
         if not left:
             return "equal"
         # the leftover entries are entries of h
-        q = morita_transfer(AntiHermForm._carried(tuple(left), h.algebra),
+        q = morita_transfer(AntiHermForm._carried(tuple(z for z, _ in left),
+                                                  h.algebra),
                             find_nilpotent(h.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
     disc = prod(z._nrd_num() for z in h.diag)

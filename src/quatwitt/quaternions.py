@@ -34,9 +34,10 @@ class QuatAlgebra(Record):
 
     `table` is (D, D a, D b, D ab) with D = den(a) den(b): the coefficients
     1, a, b, ab of the multiplication table, cleared of denominators once
-    per algebra so that products of integer numerators stay integral.
-    Algebras compare and hash by their integer `table`, which is as exact
-    as (a, b) and cheaper to hash: a = table[1] / table[0] and
+    per algebra so that products of integer numerators stay integral, and
+    built from the numerators and denominators of a and b with no Fraction
+    product.  Algebras compare and hash by their integer `table`, which is
+    as exact as (a, b) and cheaper to hash: a = table[1] / table[0] and
     b = table[2] / table[0], so equal tables have equal (a, b).
     """
 
@@ -44,12 +45,12 @@ class QuatAlgebra(Record):
 
     def __init__(self, a, b):
         a, b = Fraction(a), Fraction(b)
-        if a == 0 or b == 0:
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        if not an or not bn:
             raise ZeroArgument("quaternion algebra parameters must be nonzero")
-        d = a.denominator * b.denominator
         self.a = a
         self.b = b
-        self.table = (d, int(d * a), int(d * b), int(d * a * b))
+        self.table = (ad * bd, an * bd, bn * ad, an * bn)
 
     def __eq__(self, other):
         if other.__class__ is not QuatAlgebra:

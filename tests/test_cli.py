@@ -12,7 +12,7 @@ from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
 from quatwitt.hermitian import MAX_SEARCH_BOUND
 from quatwitt.quaternions import QuatAlgebra
-from quatwitt.serialize import MAX_INVARIANT_RANK, parse_input
+from quatwitt.serialize import MAX_INVARIANT_RANK, _checked_factor, parse_input
 from quatwitt.suites import RunConfig
 
 
@@ -249,6 +249,38 @@ def test_split_difference_of_square_multiples_needs_no_nilpotent(
     code, out, err = _run(capsys, ["--quat", *quat, "decide", z, z])
     assert (code, err) == (0, "")
     assert json.loads(out) == {"result": "equal"}
+
+
+def test_decides_in_one_process_check_each_factor_once(capsys,
+                                                     monkeypatch):
+    """Two decides of the same psi images in one process: the first checks
+    each distinct factor of its two documents once, the second none."""
+    from quatwitt import polys as P
+
+    quat = ["--quat", "2", "7", "--output", "json"]
+    docs = []
+    for x in ('{"even": [1, -3], "odd": [["0", "1", "2", "0"], '
+              '["0", "0", "3", "1"]]}',
+              '{"even": [5], "odd": [["0", "2", "-1", "1"]]}'):
+        code, out, _ = _run(capsys, quat + ["psi", x])
+        assert code == 0
+        docs.append(out)
+    distinct = {tuple(f["poly"]) for doc in docs
+                for e in json.loads(doc)["entries"] for f in e["factors"]}
+    seen = []
+    real = P.is_irreducible
+
+    def counted(pol):
+        seen.append(pol)
+        return real(pol)
+
+    _checked_factor.cache_clear()
+    monkeypatch.setattr(P, "is_irreducible", counted)
+    for checks in (len(distinct), 0):
+        seen.clear()
+        code, out, err = _run(capsys, quat + ["decide", *docs])
+        assert (code, err, json.loads(out)) == (0, "", {"result": "distinct"})
+        assert len(seen) == checks == len(set(seen))
 
 
 @pytest.mark.parametrize("argv, message, pointer", [

@@ -329,6 +329,27 @@ def test_mixed_equal_checks_no_entry_again(A, monkeypatch):
 
 
 @pytest.mark.parametrize("A", [H, M2], ids=["division", "split"])
+def test_pair_tests_take_each_entry_content_once(A, monkeypatch):
+    """A cancellation takes the gcd of each entry's numerators once, not
+    once for every pair it tests: no decision of `_odd_pairs` calls gcd in
+    `hermitian` more times than the rank of the difference."""
+    cases = [(mixed(A, odd_entries=a), mixed(A, odd_entries=b), want)
+             for a, b, want in _odd_pairs(A)]
+    calls = []
+    gcd = hermitian.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(hermitian, "gcd", counted)
+    for x, y, want in cases:
+        calls.clear()
+        assert mixed_equal(x, y) == want
+        assert len(calls) <= x.odd.rank + y.odd.rank
+
+
+@pytest.mark.parametrize("A", [H, M2], ids=["division", "split"])
 def test_square_multiple_pairs_negate_only_the_entries_of_y(A, monkeypatch):
     """Each entry of y is negated once, for y.odd.neg(); the pair tests
     compare z with -w on the numerators of w.  Entries of x are i and

@@ -19,6 +19,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt.errors import ZeroArgument  # noqa: E402
 from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
 from quatwitt.quadforms import is_isotropic  # noqa: E402
 from quatwitt.quaternions import (  # noqa: E402
@@ -128,6 +129,43 @@ def test_repr_pinned():
     assert repr(A.element(Fraction(1, 2), -1, 0, Fraction(-4, 6))) == \
         "Quat('1/2', '-1', '0', '-2/3')"
     assert repr(A.element(0, 0, 0, 0)) == "Quat('0', '0', '0', '0')"
+
+
+# rationals of every sign, fractional or not, small or long, as an int
+# where the denominator is 1
+rational = st.one_of(
+    st.builds(Fraction, st.integers(-10**40, 10**40),
+              st.integers(1, 10**30)),
+    st.fractions(max_denominator=50),
+    st.integers(-10**40, 10**40),
+).map(lambda x: int(x) if Fraction(x).denominator == 1 else x)
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(rational, rational)
+def test_integer_table_matches_fraction_products(a, b):
+    """The table built on numerators and denominators is (d, d a, d b,
+    d a b) of the Fraction products, d = den(a) den(b); algebras of equal
+    parameters compare, hash and print alike however the parameters are
+    given, and a zero parameter is refused."""
+    fa, fb = Fraction(a), Fraction(b)
+    if not fa or not fb:
+        with pytest.raises(ZeroArgument):
+            QuatAlgebra(a, b)
+        return
+    A = QuatAlgebra(a, b)
+    d = fa.denominator * fb.denominator
+    assert A.table == tuple(int(x) for x in (d, d * fa, d * fb, d * fa * fb))
+    assert all(type(x) is int for x in A.table)
+    B = QuatAlgebra(fa, fb)
+    assert A == B and hash(A) == hash(B)
+    assert (A.a, A.b) == (fa, fb)
+    assert repr(A) == repr(B) == f"({fa},{fb}|Q)"
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroArgument):
+            QuatAlgebra(zero, b)
+        with pytest.raises(ZeroArgument):
+            QuatAlgebra(a, zero)
 
 
 # square factors and denominators among the parameters

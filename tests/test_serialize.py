@@ -17,6 +17,7 @@ from quatwitt.mixed import mixed
 from quatwitt.quadforms import QuadForm, qf, witt_class
 from quatwitt.quaternions import QuatAlgebra
 from quatwitt.serialize import (
+    _checked_factor,
     parse_ffform,
     parse_hermform,
     parse_input,
@@ -118,7 +119,9 @@ def test_ffform_factor_validation():
     assert exc.value.pointer.endswith("/unit")
 
 
-def test_ffform_checks_each_distinct_factor_once(monkeypatch):
+def _counted_checks(monkeypatch):
+    """The polynomials P.is_irreducible is called on from now, with the
+    process-wide cache of checked factors emptied first."""
     from quatwitt import polys as P
 
     seen = []
@@ -128,7 +131,15 @@ def test_ffform_checks_each_distinct_factor_once(monkeypatch):
         seen.append(pol)
         return real(pol)
 
+    _checked_factor.cache_clear()
     monkeypatch.setattr(P, "is_irreducible", counted)
+    return seen
+
+
+def test_ffform_checks_each_distinct_factor_once(monkeypatch):
+    from quatwitt import polys as P
+
+    seen = _counted_checks(monkeypatch)
     d = {"poly": ["1", "0", "1"], "exp": 1, "irreducible": True}
     t = {"poly": ["0", "1"], "exp": 1, "irreducible": True}
     doc = {"entries": [{"unit": u, "factors": fs} for u, fs in
@@ -136,18 +147,22 @@ def test_ffform_checks_each_distinct_factor_once(monkeypatch):
     assert parse_ffform(doc).entries == ff_form(
         [[0, 1, 0, 1], [0, -2, 0, -2], [3, 0, 3], 5]).entries
     assert sorted(seen) == sorted({tuple(P.poly(f["poly"])) for f in (d, t)})
-    # each document is checked afresh
-    parse_ffform(doc)
-    assert len(seen) == 4
-    # a reducible factor is refused at its first occurrence, and a new one
-    # after factors already checked is still checked
+    # once per process: a later document checks nothing again
+    assert parse_ffform(doc) == parse_ffform(doc)
+    assert len(seen) == 2
+    # a reducible factor is never cached: it is checked again, and refused
+    # at its first occurrence, in every document it appears in, also after
+    # factors already checked
     bad = {"poly": ["-1", "0", "1"], "exp": 1, "irreducible": True}
     for factors, where in (([d, bad, bad], "/entries/0/factors/1/poly"),
+                           ([d], "/entries/1/factors/0/poly"),
                            ([d], "/entries/1/factors/0/poly")):
+        seen.clear()
         entries = [{"factors": factors}, {"factors": [bad] + factors}]
         with pytest.raises(SchemaViolation) as exc:
             parse_ffform({"entries": entries})
-        assert exc.value.pointer == where
+        assert str(exc.value) == f"factor is not irreducible (at {where})"
+        assert seen == [P.poly(bad["poly"])]
 
 
 @pytest.mark.parametrize("part", ["even", "odd"])
@@ -173,19 +188,25 @@ def test_factor_written_as_true_is_refused_after_the_same_with_1():
 
 
 def test_factors_written_apart_are_each_read_and_checked_once(monkeypatch):
-    from quatwitt import polys as P
-
-    seen = []
-    real = P.is_irreducible
-
-    def counted(pol):
-        seen.append(pol)
-        return real(pol)
-
-    monkeypatch.setattr(P, "is_irreducible", counted)
+    seen = _counted_checks(monkeypatch)
     doc = _factor_entries([1.0, 0, 1], [1, 0, 1], [1.0, 0, 1], [1, 0, 1])
     assert parse_ffform(doc).entries == ff_form([[1, 0, 1]] * 4).entries
     assert seen == [(1, 0, 1), (1, 0, 1)]
+
+
+def test_a_factor_checked_earlier_lets_no_other_spelling_through(
+        monkeypatch):
+    """[1, 1] checked in one document does not pass [true, 1] in a later
+    one, and [1.0, 1] reads as the same factor."""
+    seen = _counted_checks(monkeypatch)
+    one = parse_input(json.dumps(_factor_entries([1, 1])))
+    with pytest.raises(SchemaViolation) as exc:
+        parse_input(json.dumps(_factor_entries([True, 1])))
+    assert str(exc.value) == ("not a rational number: True "
+                              "(at /entries/0/factors/0/poly/0)")
+    assert parse_input(json.dumps(_factor_entries([1.0, 1]))) == one
+    assert parse_input(json.dumps(_factor_entries([1, 1]))) == one
+    assert seen == [(1, 1), (1, 1)]
 
 
 def test_factor_with_a_list_coefficient_is_refused_at_its_pointer():
@@ -196,15 +217,6 @@ def test_factor_with_a_list_coefficient_is_refused_at_its_pointer():
 
 
 def test_psi_image_checks_each_distinct_factor_once(monkeypatch):
-    from quatwitt import polys as P
-
-    seen = []
-    real = P.is_irreducible
-
-    def counted(pol):
-        seen.append(pol)
-        return real(pol)
-
     A = QuatAlgebra(1, 1)
     x = parse_mixed({"even": [1, -3],
                      "odd": [[0, 1, 2, 0], [0, 0, 3, 1], [0, 2, -1, 1]]}, A)
@@ -212,7 +224,9 @@ def test_psi_image_checks_each_distinct_factor_once(monkeypatch):
     doc = serialize(img)
     written = [tuple(f["poly"]) for e in doc["entries"] for f in e["factors"]]
     assert len(written) > len(set(written)) > 1
-    monkeypatch.setattr(P, "is_irreducible", counted)
+    seen = _counted_checks(monkeypatch)
+    assert parse_input(json.dumps(doc)) == img
+    assert len(seen) == len(set(written))
     assert parse_input(json.dumps(doc)) == img
     assert len(seen) == len(set(written))
 

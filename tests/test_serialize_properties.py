@@ -5,8 +5,9 @@ The reference number parser reads every value as Fraction(str(raw)); a
 string with a character past ASCII, which Fraction may read, is refused
 instead.  The
 reference Q(t) parse re-parses every occurrence of a factor, checks each
-distinct polynomial once per document through a set, and pairs off the
-factors of odd exponent in a set of monic polynomials.  Both must accept
+distinct polynomial once per document through a set (or every occurrence
+afresh), and pairs off the factors of odd exponent in a set of monic
+polynomials.  Both must accept
 the same inputs, give the same values, and refuse with the same message at
 the same pointer."""
 
@@ -34,6 +35,7 @@ from quatwitt.funcfield import (  # noqa: E402
     ff_class,
 )
 from quatwitt.serialize import (  # noqa: E402
+    _checked_factor,
     parse_ffform,
     parse_input,
     parse_number,
@@ -299,6 +301,55 @@ def test_ffform_parse_matches_reference(doc):
     want = _outcome(_reference_parse_ffform, doc)
     assert _outcome(parse_ffform, doc) == want
     assert _outcome(parse_input, json.dumps(doc)) == want
+
+
+class _KeepsNothing(set):
+    """A set of checked polynomials that keeps none."""
+
+    def add(self, pol):
+        pass
+
+
+def _afresh_parse_ffform(doc):
+    """The reference parse with every occurrence of a factor checked
+    afresh."""
+    entries = []
+    for i, e in enumerate(doc["entries"]):
+        eptr = f"/entries/{i}"
+        try:
+            entries.append(_reference_entry(e, eptr, _KeepsNothing()))
+        except _FACTORING_REFUSALS as exc:
+            raise SchemaViolation(str(exc), eptr) from exc
+    return FunctionFieldForm(tuple(entries))
+
+
+@st.composite
+def ff_doc_pairs(draw):
+    """Two documents over the same one to three polynomials, often with
+    t^2 - 1 among them, which is reducible and mostly flagged irreducible."""
+    pols = draw(st.lists(st.sampled_from(POOL), min_size=1, max_size=3))
+    if not one_in(draw, 3):
+        pols.append(BAD[0])
+    return [{"entries": draw(st.lists(entry_docs(pols), min_size=1,
+                                      max_size=4))} for _ in range(2)]
+
+
+@settings
+@hypothesis.given(ff_doc_pairs())
+# a factor checked in one document lets no other spelling through in the
+# next; a refused factor is refused again
+@hypothesis.example([_doc([_t(1, 0, 1)]), _doc([_t(True, 0, 1)])])
+@hypothesis.example([_doc([_t(1, 0, 1)]), _doc([_t(1.0, 0, 1)], [_t(1, 0, 1)])])
+@hypothesis.example([_doc([_t(-1, 0, 1)]), _doc([_t(1, 0, 1)], [_t(-1, 0, 1)])])
+def test_ffform_parse_with_the_process_cache_matches_afresh_checks(docs):
+    """The documents parsed one after the other, then in the other order,
+    in one process from an empty cache of checked factors: each parse
+    equals the reference that checks every factor afresh."""
+    _checked_factor.cache_clear()
+    for doc in docs + docs[::-1]:
+        want = _outcome(_afresh_parse_ffform, doc)
+        assert _outcome(parse_ffform, doc) == want
+        assert _outcome(parse_input, json.dumps(doc)) == want
 
 
 @settings
