@@ -223,25 +223,34 @@ def rational_sqrt(x: Fraction):
     return Fraction(rn, rd)
 
 
+def ratio_class(n: int, d: int) -> int:
+    """The square class of n / d for integers n and d: the numerator and
+    the denominator of Fraction(n, d), factored apart (n first), with no
+    Fraction built.  n = 0 raises ZeroElement, d = 0 ZeroDivisionError."""
+    if not n:
+        raise ZeroElement("square class of 0")
+    if not d:
+        raise ZeroDivisionError("square class of a ratio over 0")
+    if d < 0:
+        n, d = -n, -d
+    g = gcd(n, d)
+    if g == d:
+        return squarefree_part(n // g)
+    return squarefree_part(n // g) * squarefree_part(d // g)
+
+
 def square_class(x, field: FieldSpec = QQ) -> int:
     """Canonical representative of the square class of a nonzero element.
 
-    Over Q, x may be an int or Fraction: n/d and n*d share a class, so the
-    representative is the squarefree integer squarefree_part(n*d).  Over
+    Over Q, x may be an int or a Fraction, whose class is the squarefree
+    integer `ratio_class` reads from its numerator and denominator.  Over
     F_p a rational n/d stands for n * d^-1 mod p, and the representative
-    is 1 or the smallest non-residue.
-    """
+    is 1 or the smallest non-residue."""
     if field.p is None:
-        if not isinstance(x, int):
-            x = Fraction(x)
-            if x.denominator != 1:
-                # numerator and denominator are coprime: reduce them apart
-                return (squarefree_part(x.numerator)
-                        * squarefree_part(x.denominator))
-            x = x.numerator
-        if x == 0:
-            raise ZeroElement("square class of 0")
-        return squarefree_part(x)
+        if isinstance(x, int) and x:
+            return squarefree_part(x)
+        x = Fraction(x)
+        return ratio_class(x.numerator, x.denominator)
     p = field.p
     x = Fraction(x)
     if x.denominator % p == 0:

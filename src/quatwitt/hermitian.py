@@ -4,11 +4,11 @@ Diagonal forms carry pure invertible quaternion entries.  In the split case
 square-multiple pairs <z, -lambda^2 z> cancel as hyperbolic planes, and
 Morita transfer along a nilpotent pure quaternion turns what is left into
 quadratic forms over the base field, where the decisions are complete.
-Over a division algebra, isometry of rank-1 forms is decided exactly: a
-square multiple lambda^2 z of z is isometric to it at once (p = lambda),
-with nothing factored, and any other pair by Skolem-Noether and
-Hasse-Minkowski, on reduced norms read from integer numerators
-(`nrd_class`, `nrd_ratio_root`).  Larger forms get hyperbolicity
+Over a division algebra, isometry of rank-1 forms is decided exactly, by
+`hyperbolic_pair` alone: a square multiple at once (p = lambda), with
+nothing factored, and any other pair by Skolem-Noether and
+Hasse-Minkowski, on classes read from integer numerators (`nrd_class`,
+`nrd_ratio_root`, `ratio_class`).  Larger forms get hyperbolicity
 certificates from a bounded search, which refuses split algebras.  The
 search splits off one hyperbolic plane at a time: a plane found on two
 slots of the current orthogonal basis drops those slots without a new
@@ -22,9 +22,8 @@ Entries are checked (pure, invertible, in the form's algebra) where they
 enter: by `AntiHermForm(...)`, so by `herm_diag`, `mixed`, the parsers, the
 suites and the certificate's Gram-Schmidt values.  Operations that keep
 those properties carry the checks over and do not repeat them: `neg`,
-`perp`, the leftovers of both pair cancellations and the odd entries of a
-mixed product.  The pair tests compare z with -w without building -w
-(`hyperbolic_pair`).
+`perp`, the leftovers of both pair cancellations (`_cancelled`) and the
+odd entries of a mixed product.  The pair tests never build -w.
 """
 
 from __future__ import annotations
@@ -47,12 +46,14 @@ from .errors import (
     VerificationFailed,
     quoted,
 )
-from .fields import sq_mul, square_class
+from .fields import ratio_class, sq_mul, square_class
 from .quadforms import (QuadForm, _anis_dim, _local_q, cancel_pairs,
                         is_isotropic, is_witt_zero)
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
+    _nrd_parts,
+    _trd_parts,
     find_nilpotent,
     is_split,
     norm_form,
@@ -245,10 +246,9 @@ def square_multiple(z1: Quaternion, z2: Quaternion, sign: int = 1) -> bool:
     """Whether sign z2 = lambda^2 z1 for a rational lambda (sign is 1 or
     -1); then <z1>_gamma ~ <sign z2>_gamma over any quaternion algebra: the
     scalar p = lambda has gamma(p) = lambda, so gamma(p) z1 p = lambda^2 z1.
-    With g_k the gcd of the integer numerators of z_k, which is also that
-    of -z_k, sign z2 = (g2 den1 / (g1 den2)) z1 iff num2 sign g1 = num1 g2,
-    and that positive ratio is a square iff g1 g2 den1 den2 is one.  Nothing
-    is factored, and -z2 is not built."""
+    With g_k the gcd of the integer numerators of z_k, sign z2 = (g2 den1 /
+    (g1 den2)) z1 iff num2 sign g1 = num1 g2, and that positive ratio is a
+    square iff g1 g2 den1 den2 is one: nothing is factored or negated."""
     return _square_multiple(_with_content(z1), _with_content(z2), sign)
 
 
@@ -270,52 +270,28 @@ def _square_multiple(x, y, sign: int) -> bool:
 
 def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     """Exact decision of <z1>_gamma ~ <z2>_gamma for pure invertible z1, z2
-    over a division algebra.
-
-    The forms are isometric iff gamma(p) z1 p = z2 for some p.  Since
-    gamma(p) = Nrd(p) p^-1 this is p^-1 z1 p = z2 / Nrd(p), and comparing
-    reduced norms gives Nrd(p)^2 = n2 / n1 (n_k = Nrd(z_k)): no p unless
-    n2 / n1 is a square c^2, and then Nrd(p) = c' for c' = c or -c.  By
-    Skolem-Noether r^-1 z1 r = z2 / c' has the solution r = z1 + z2 / c'
-    (z1 r = z1 z2 / c' - n1 = r z2 / c').  All solutions are p = s r with s
-    in Q(z1)^*, whose reduced norms are the values of <1, n1>; so p exists
-    iff <1, n1, -c' / Nrd(r)> is isotropic (Hasse-Minkowski).  When r = 0,
-    p anticommutes with z1: it is pure and orthogonal to z1, so Nrd(p) is
-    a value of B, <n1> + B = <-a, -b, ab>.  So p exists iff the kernel of
-    <-a, -b, ab, -n1, -c'> = H + B + <-c'> is 1-dimensional (B is
-    anisotropic), read from square classes: ab is never factored.
-
-    A square multiple (`square_multiple`) is answered first, with nothing
-    factored.
-    """
-    if square_multiple(z1, z2):
-        return True
-    c = nrd_ratio_root(z1, z2)
-    return c is not None and _isometric_by_norms(z1, z2, c)
-
-
-def _isometric_by_norms(z1: Quaternion, z2: Quaternion, c: Fraction) -> bool:
-    """The test of `rank_one_isometric` past its square multiples, for the
-    root c = `nrd_ratio_root`(z1, z2)."""
-    n1 = nrd_class(z1)
-    for root in (c, -c):
-        r = z1 + z2.scale(1 / root)
-        if r.is_zero():
-            diag = QuadForm(norm_form(z1.algebra).reps()[1:]
-                            + (-n1, -square_class(root)))
-            if _anis_dim(_local_q(diag)) == 1:
-                return True
-        elif is_isotropic(QuadForm((1, n1,
-                                    square_class(-root / r.nrd())))):
-            return True
-    return False
+    over a division algebra: <z1> ~ <-(-z2)>."""
+    return hyperbolic_pair(z1, -z2)
 
 
 def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
-    """rank_one_isometric(z, -w): whether <z, w>_gamma is a hyperbolic
-    plane, over a division algebra.  -w is built only for the full test:
-    the square-multiple test takes the sign, and Nrd(-w) = Nrd(w), so a
-    norm ratio of z and w that is not a square rules the pair out first."""
+    """Whether <z, w>_gamma is a hyperbolic plane, that is <z> ~ <-w>, for
+    pure invertible z, w over a division algebra; -w is never built.
+
+    The forms are isometric iff gamma(p) z p = -w for some p.  Since
+    gamma(p) = Nrd(p) p^-1 this is p^-1 z p = -w / Nrd(p), and comparing
+    reduced norms gives Nrd(p)^2 = n2 / n1 (n1 = Nrd(z), n2 = Nrd(w) =
+    Nrd(-w)): no p unless n2 / n1 is a square c^2, and then Nrd(p) = c'
+    for c' = c or -c.  By Skolem-Noether r^-1 z r = -w / c' has the
+    solution r = z - w / c' (z r = -z w / c' - n1 = -r w / c').  All
+    solutions are p = s r with s in Q(z)^*, whose reduced norms are the
+    values of <1, n1>; so p exists iff <1, n1, -c' / Nrd(r)> is isotropic
+    (Hasse-Minkowski).  When r = 0, p anticommutes with z: it is pure and
+    orthogonal to z, so Nrd(p) is a value of B, <n1> + B = <-a, -b, ab>.
+    So p exists iff the kernel of <-a, -b, ab, -n1, -c'> = H + B + <-c'>
+    is 1-dimensional (B is anisotropic), read from square classes, so ab
+    is never factored.  Square multiples (`square_multiple`) and norm
+    ratios that are not squares (`nrd_ratio_root`) come first, unfactored."""
     return _hyperbolic_pair(_with_content(z), _with_content(w))
 
 
@@ -325,7 +301,29 @@ def _hyperbolic_pair(x, y) -> bool:
         return True
     z, w = x[0], y[0]
     c = nrd_ratio_root(z, w)
-    return c is not None and _isometric_by_norms(z, -w, c)
+    if c is None:
+        return False
+    n1 = nrd_class(z)
+    for root in (c, -c):
+        r = z + w.scale(-1 / root)
+        if r.is_zero():
+            diag = QuadForm(norm_form(z.algebra).reps()[1:]
+                            + (-n1, -square_class(root)))
+            if _anis_dim(_local_q(diag)) == 1:
+                return True
+            continue
+        n, d = _nrd_parts(r)  # -root / Nrd(r) = -root d / n
+        t = ratio_class(-root.numerator * d, root.denominator * n)
+        if is_isotropic(QuadForm((1, n1, t))):
+            return True
+    return False
+
+
+def _cancelled(h: AntiHermForm, opposite) -> AntiHermForm:
+    """What `cancel_pairs` leaves of h for a pair test `opposite` on entries
+    with their contents: entries of h, so nothing is checked again."""
+    left = cancel_pairs(map(_with_content, h.diag), opposite)
+    return AntiHermForm._carried(tuple(z for z, _ in left), h.algebra)
 
 
 def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
@@ -335,9 +333,7 @@ def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
     Every two leftover entries were tested against each other, so a rank-2
     leftover is anisotropic (an isotropic plane is hyperbolic) and h is not
     0 in the Witt group."""
-    left = cancel_pairs(map(_with_content, h.diag), _hyperbolic_pair)
-    # the leftover entries are entries of h
-    return AntiHermForm._carried(tuple(z for z, _ in left), h.algebra)
+    return _cancelled(h, _hyperbolic_pair)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +350,7 @@ def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
     """The quadratic form transferred along the nilpotent z0: <-T, T z^2>
     per slot with T = Trd(z z0), and <1, -1> when T = 0.  Each entry is
     built from the square classes of T and z^2 = -Nrd(z), so their
-    product is never factored whole."""
+    product is never factored whole; T is read from `_trd_parts`."""
     if h.algebra != z0.algebra:
         raise AlgebraMismatch("transfer datum from a different algebra")
     if not is_split(h.algebra):
@@ -362,11 +358,11 @@ def morita_transfer(h: AntiHermForm, z0: Quaternion) -> QuadForm:
     _check_nilpotent(z0)
     entries = []
     for z in h.diag:
-        t = (z * z0).trd()
-        if not t:
+        tn, td = _trd_parts(z, z0)
+        if not tn:
             entries += [1, -1]
         else:
-            st = square_class(t)
+            st = ratio_class(tn, td)
             entries += [-st, sq_mul(st, -nrd_class(z))]
     return QuadForm(tuple(entries))
 
@@ -568,7 +564,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
     """Search a totally isotropic half-rank subspace of h over a division
     algebra, splitting hyperbolic planes off recursively; the witness is
     re-verified exactly.  Past height 1 the pair searches run only when
-    rank_one_isometric pairs two remaining slots or cannot factor.
+    `hyperbolic_pair` pairs two remaining slots or cannot factor.
 
     A split algebra is refused (NotDivision): Morita transfer decides
     hyperbolicity there exactly (`herm_screen`, `morita_transfer`)."""
@@ -600,8 +596,8 @@ def hyperbolicity_certificate(h: AntiHermForm,
         # An isotropic e_s p + e_t q has invertible p, q (p = 0 would leave
         # gamma(q) d_t q = 0), so <d_s> ~ <-d_t>: later pair rungs need it.
         try:  # a pair the test cannot factor counts as possible
-            pairs = found is None and bound >= 2 and any(rank_one_isometric(
-                x, -y) for x, y in itertools.combinations(diag, 2))
+            pairs = found is None and bound >= 2 and any(hyperbolic_pair(
+                x, y) for x, y in itertools.combinations(diag, 2))
         except FactorizationLimitExceeded:
             pairs = True
         if pairs:
@@ -703,14 +699,10 @@ def herm_screen(h: AntiHermForm) -> str | None:
     These screens are unsound over a split algebra, where <i> over (1, 1)
     is 0."""
     if is_split(h.algebra):
-        left = cancel_pairs(map(_with_content, h.diag),
-                            lambda x, y: _square_multiple(x, y, -1))
-        if not left:
+        left = _cancelled(h, lambda x, y: _square_multiple(x, y, -1))
+        if not left.diag:
             return "equal"
-        # the leftover entries are entries of h
-        q = morita_transfer(AntiHermForm._carried(tuple(z for z, _ in left),
-                                                  h.algebra),
-                            find_nilpotent(h.algebra))
+        q = morita_transfer(left, find_nilpotent(h.algebra))
         return "equal" if is_witt_zero(q) else "distinct"
     disc = prod(z._nrd_num() for z in h.diag)
     square = not h.rank % 2 and disc > 0 and isqrt(disc) ** 2 == disc

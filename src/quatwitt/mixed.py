@@ -12,7 +12,7 @@ from __future__ import annotations
 
 
 from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
-from .fields import sq_mul, square_class
+from .fields import ratio_class, sq_mul
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
     AntiHermForm,
@@ -33,6 +33,7 @@ from .quaternions import (
     QuatAlgebra,
     Quaternion,
     _mul_coords,
+    _trd_parts,
     find_nilpotent,
     norm_form,
     nrd_class,
@@ -82,13 +83,13 @@ def closed_form_diag(z1: Quaternion, z2: Quaternion) -> QuadForm:
     Pfister form <<z1^2, z2^2>> is <1, n1> <1, n2> = <1, n2, n1, n1 n2>,
     so the entries are c v for v in (1, n2, n1, n1 n2) and then in the
     negated entries of n_Q: products of squarefree integers, taken by
-    `sq_mul`."""
-    t = (z1 * z2).trd()
-    if t == 0:
+    `sq_mul`.  t is read from integers (`_trd_parts`), with no product."""
+    tn, td = _trd_parts(z1, z2)
+    if not tn:
         return EMPTY
     if not (z1.is_invertible() and z2.is_invertible()):
         raise ZeroSlot("Pfister slot must be nonzero")
-    c = square_class(-t)
+    c = ratio_class(-tn, td)
     n1, n2 = nrd_class(z1), nrd_class(z2)
     vs = (1, n2, n1, sq_mul(n1, n2)) + tuple(
         -r for r in norm_form(z1.algebra).reps())

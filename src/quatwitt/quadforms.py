@@ -40,7 +40,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 from .errors import (
     DegenerateForm,
@@ -60,9 +60,9 @@ from .fields import (
     is_padic_square,
     is_prime,
     legendre_symbol,
+    ratio_class,
     sq_mul,
     square_class,
-    squarefree_part,
 )
 from .record import Record
 
@@ -472,19 +472,10 @@ def integer_gram_form(m: list[list[int]], den: int) -> QuadForm:
     """The diagonal form of the Gram matrix m / den, for a square symmetric
     integer matrix m (not checked here) and den > 0.  m is overwritten.
 
-    Each diagonal value is the pair (n, d) for n / d, read as `square_class`
-    reads Fraction(n, d): the sign moves to n and both are divided by their
-    gcd, then n and d are reduced apart, so the same integers are factored
-    and no Fraction is built."""
-    entries = []
-    for n, d in _diagonalize_inplace(m, den):
-        if d < 0:
-            n, d = -n, -d
-        g = gcd(n, d)
-        n, d = n // g, d // g
-        entries.append(squarefree_part(n) if d == 1
-                       else squarefree_part(n) * squarefree_part(d))
-    return QuadForm(tuple(entries), QQ)
+    Each diagonal value is the integer pair (n, d) for n / d, whose class
+    `ratio_class` reads with no Fraction built."""
+    return QuadForm(tuple(ratio_class(n, d)
+                          for n, d in _diagonalize_inplace(m, den)), QQ)
 
 
 def _diagonalize_inplace(m: list[list[int]], den: int

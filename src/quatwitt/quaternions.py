@@ -21,10 +21,9 @@ from .errors import (
     NotSplit,
     SearchBoundExceeded,
     ZeroArgument,
-    ZeroElement,
     quoted,
 )
-from .fields import sq_mul, square_class, squarefree_part
+from .fields import ratio_class, sq_mul, square_class
 from .quadforms import QuadForm, local_anisotropic_dims
 from .record import Record
 
@@ -202,8 +201,7 @@ class Quaternion(Record):
         return e * n0 * n0 - a * n1 * n1 - b * n2 * n2 + ab * n3 * n3
 
     def nrd(self) -> Fraction:
-        return Fraction(self._nrd_num(),
-                        self.algebra.table[0] * self.den * self.den)
+        return Fraction(*_nrd_parts(self))
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -218,19 +216,22 @@ class Quaternion(Record):
         return f"Quat{tuple(str(c) for c in self.coords)}"
 
 
+def _nrd_parts(z: Quaternion) -> tuple[int, int]:
+    """Nrd(z) = n / d for the integers n = Nrd(z) d and d = e den^2."""
+    return z._nrd_num(), z.algebra.table[0] * z.den * z.den
+
+
+def _trd_parts(z1: Quaternion, z2: Quaternion) -> tuple[int, int]:
+    """Trd(z1 z2) = n / d for the integers n = 2 s, s the first coordinate
+    of the numerators' product on the table, and d = e den1 den2."""
+    z1._check(z2)
+    k = z1.algebra.table
+    return 2 * _mul_coords(z1.num, z2.num, k)[0], k[0] * z1.den * z2.den
+
+
 def nrd_class(z: Quaternion) -> int:
-    """square_class(z.nrd()), read from the integers Nrd(z) e den^2 and
-    e den^2 (e = table[0]).  Divided by their gcd they are the numerator
-    and the denominator of the Fraction z.nrd(), which `square_class`
-    factors apart; so are they here, and the same inputs are refused."""
-    n = z._nrd_num()
-    if not n:
-        raise ZeroElement("square class of 0")
-    d = z.algebra.table[0] * z.den * z.den
-    g = gcd(n, d)
-    if g == d:
-        return squarefree_part(n // g)
-    return squarefree_part(n // g) * squarefree_part(d // g)
+    """square_class(z.nrd()), read from `_nrd_parts` by `ratio_class`."""
+    return ratio_class(*_nrd_parts(z))
 
 
 def nrd_ratio_root(z1: Quaternion, z2: Quaternion):

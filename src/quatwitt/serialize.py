@@ -201,16 +201,19 @@ def parse_ffform(doc: dict, ptr: str = "") -> FunctionFieldForm:
 class _Written:
     """The coefficients of a factor as a document writes them, with the
     factor's pointer: the argument of `_checked_factor`.  It is equal and
-    hashed by the repr of the coefficients alone, so JSON true, 1.0, "1" and
-    1 stay apart, a list coefficient is never hashed, and a check runs with
-    the pointer of the occurrence that missed the cache."""
+    hashed by the coefficients and their types alone, so "1", 1.0 and 1
+    stay apart.  Only ints, strs and floats are keyed, which hash at any
+    size; JSON true or a list is checked afresh, and never hashed.  A check
+    runs with the pointer of the occurrence that missed the cache."""
 
-    __slots__ = ("coeffs", "ptr", "key")
+    __slots__ = ("coeffs", "ptr", "key", "keyed")
 
     def __init__(self, coeffs: list, ptr: str):
         self.coeffs = coeffs
         self.ptr = ptr
-        self.key = repr(coeffs)
+        types = tuple(map(type, coeffs))
+        self.key = (types, *coeffs)
+        self.keyed = {int, str, float}.issuperset(types)
 
     def __eq__(self, other):
         return self.key == other.key
@@ -270,7 +273,9 @@ def _parse_ffentry(e, eptr: str):
             _factor_poly(coeffs, fptr)  # a malformed polynomial comes first
             raise SchemaViolation("factor lacks irreducibility flag",
                                   fptr + "/irreducible")
-        pol = _checked_factor(_Written(coeffs, fptr))
+        written = _Written(coeffs, fptr)
+        pol = (_checked_factor(written) if written.keyed
+               else _checked_factor.__wrapped__(written))
         exp = f.get("exp", 1)
         if type(exp) is not int or exp < 1:  # JSON true is a bool
             raise SchemaViolation("exponent must be a positive integer",

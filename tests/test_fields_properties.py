@@ -9,12 +9,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt import fields  # noqa: E402
+from quatwitt.errors import QuatWittError, ZeroElement  # noqa: E402
 from quatwitt.fields import (  # noqa: E402
     QQ,
     Fp,
     class_mul,
     factorize,
     hilbert_symbol,
+    ratio_class,
     square_class,
 )
 from quatwitt.quadforms import qf, signed_disc, witt_class  # noqa: E402
@@ -117,3 +120,59 @@ def test_signed_disc_is_the_class_of_the_signed_product(case):
     n = len(xs)
     sign = -1 if n * (n - 1) // 2 % 2 else 1
     assert signed_disc(qf(xs, field)) == square_class(sign * prod(xs), field)
+
+
+# small primes, a certified prime past the trial divisors, and cofactors
+# past the factoring bound: 1000003 * 1000033 is not certified, and 2^1100
+# is past GCD_BITS
+_PRIMES = (2, 3, 5, 7, 11, 13, 97, 1000003)
+_PAST = (1, 1, 1, 1000003 * 1000033, 2**1100)
+ratio_part = st.builds(
+    lambda sign, ps, past: sign * prod(ps) * past,
+    st.sampled_from((1, -1)),
+    st.lists(st.sampled_from(_PRIMES), max_size=8),
+    st.sampled_from(_PAST))
+
+
+def _reference_fraction_class(x: Fraction) -> int:
+    """The class of x != 0 from the numerator and the denominator of the
+    Fraction, factored apart, numerator first."""
+    if not x:
+        raise ZeroElement("square class of 0")
+    if x.denominator == 1:
+        return fields.squarefree_part(x.numerator)
+    return (fields.squarefree_part(x.numerator)
+            * fields.squarefree_part(x.denominator))
+
+
+@settings
+@hypothesis.given(st.one_of(st.just(0), ratio_part), ratio_part,
+                  st.integers(1, 10**6))
+def test_ratio_class_is_the_class_of_the_fraction(n, d, g):
+    """ratio_class(n, d) is square_class(Fraction(n, d)), and the class read
+    from that Fraction's numerator and denominator, for n and d of both
+    signs from 1 to past the factoring bound, with a common factor g: the
+    same integers are factored in the same order, and a refusal raises the
+    same exception with the same message."""
+    n, d = n * g, d * g
+    factored = []
+
+    def spy(m):
+        factored.append(m)
+        return factorize(m)
+
+    outcomes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fields, "factorize", spy)
+        for read in (lambda: ratio_class(n, d),
+                     lambda: square_class(Fraction(n, d)),
+                     lambda: _reference_fraction_class(Fraction(n, d))):
+            try:
+                outcomes.append(read())
+            except QuatWittError as exc:
+                outcomes.append((type(exc), str(exc)))
+            outcomes.append(factored[:])
+            factored.clear()
+    hypothesis.event("refused" if isinstance(outcomes[0], tuple)
+                     else "read")
+    assert outcomes[:2] == outcomes[2:4] == outcomes[4:]

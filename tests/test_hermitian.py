@@ -677,7 +677,7 @@ def test_a_refused_rank_one_test_leaves_every_pair_search(monkeypatch):
     search (the rank-1 test always passing) and raises nothing: on the
     pinned forms, on <i, j + ij> at bound 8, which the test rules out, and
     on <2i, 156i - 52ij> over (-1, -7), which needs the height-4 rung."""
-    def refuse(z1, z2):
+    def refuse(z, w):
         raise FactorizationLimitExceeded("cofactor not certified")
 
     cases = [(AntiHermForm(entries, A), 4) for A, entries, _, _ in PINNED]
@@ -685,10 +685,9 @@ def test_a_refused_rank_one_test_leaves_every_pair_search(monkeypatch):
     cases.append((herm_diag([_pure(SEVEN, 2, 0, 0), _pure(SEVEN, 156, 0, -52)],
                             SEVEN), 4))
     for h, bound in cases:
-        monkeypatch.setattr(hermitian, "rank_one_isometric",
-                            lambda z1, z2: True)
+        monkeypatch.setattr(hermitian, "hyperbolic_pair", lambda z, w: True)
         ungated = hyperbolicity_certificate(h, bound)
-        monkeypatch.setattr(hermitian, "rank_one_isometric", refuse)
+        monkeypatch.setattr(hermitian, "hyperbolic_pair", refuse)
         assert hyperbolicity_certificate(h, bound) == ungated, h
 
 

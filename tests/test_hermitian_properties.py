@@ -23,8 +23,9 @@ from quatwitt.hermitian import (  # noqa: E402
     rank_one_isometric,
     square_multiple,
 )
-from quatwitt.mixed import mixed  # noqa: E402
+from quatwitt.mixed import closed_form_diag, mixed  # noqa: E402
 from quatwitt.quadforms import (  # noqa: E402
+    EMPTY,
     QuadForm,
     is_isotropic,
     is_witt_zero,
@@ -35,6 +36,7 @@ from quatwitt.quaternions import (  # noqa: E402
     QuatAlgebra,
     _mul_coords,
     find_nilpotent,
+    is_split,
     norm_form,
     nrd_class,
     nrd_ratio_root,
@@ -450,13 +452,15 @@ def entry_pairs(draw):
 @hypothesis.given(entry_pairs())
 def test_pair_tests_with_the_sign_equal_the_tests_on_the_negated_entry(
         pair):
-    """Over a split algebra the rank-1 test may meet a zero divisor
-    (r = z1 + z2 / c of norm 0) and raise: the two tests then raise
-    alike."""
+    """`hyperbolic_pair`(z, w) is the Fraction-route reference on z, -w.
+    Over a split algebra the rank-1 test may meet a zero divisor (r = z1 +
+    z2 / c of norm 0) and raise: the two then raise alike.  The reference
+    reads the kernel when r = 0, since there the commutator that
+    `_reference_rank_one_isometric` builds may be a zero divisor too."""
     kind, z, w = pair
     got = _outcome(hyperbolic_pair, z, w)
     hypothesis.event(f"{kind}: {got}")
-    assert got == _outcome(rank_one_isometric, z, -w)
+    assert got == _outcome(_peeling_rank_one_isometric, z, -w)
     assert square_multiple(z, w, -1) == square_multiple(z, -w)
 
 
@@ -587,12 +591,15 @@ def early_return_forms(draw):
 
 
 H = QuatAlgebra(-1, -1)
+SEVEN = QuatAlgebra(-1, -7)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
 @hypothesis.given(early_return_forms())
 # the norm ratio 2 is not a square: the rank-1 test pairs no slots
 @hypothesis.example((H, [H.pure(1, 0, 0), H.pure(0, 1, 1)], 4))
+# hyperbolic, but only the height-4 pair rung, which the gate opens, finds it
+@hypothesis.example((SEVEN, [SEVEN.pure(2, 0, 0), SEVEN.pure(156, 0, -52)], 4))
 def test_early_return_changes_no_result(data):
     """The pair rule, which runs the pair searches past height 1 only when
     the rank-1 test pairs two slots, gives the status and witness of the
@@ -601,17 +608,17 @@ def test_early_return_changes_no_result(data):
     A, quats, bound = data
     h = AntiHermForm(tuple(quats), A)
     refuted = []
-    exact = hermitian.rank_one_isometric
+    exact = hermitian.hyperbolic_pair
 
-    def spy(z1, z2):
-        out = exact(z1, z2)
+    def spy(z, w):
+        out = exact(z, w)
         refuted.append(not out)
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(hermitian, "rank_one_isometric", spy)
+        mp.setattr(hermitian, "hyperbolic_pair", spy)
         cert = hyperbolicity_certificate(h, bound)
-        mp.setattr(hermitian, "rank_one_isometric", lambda z1, z2: True)
+        mp.setattr(hermitian, "hyperbolic_pair", lambda z, w: True)
         reference = hyperbolicity_certificate(h, bound)
     assert cert == reference
     hypothesis.event("a pair ruled out" if any(refuted) else
@@ -780,3 +787,84 @@ def test_certificate_matches_the_reference_search(data):
     for s, t, ns, nt in hits:
         assert rational_sqrt(nt / ns) is not None, (s, t)
     hypothesis.event(reference.status)
+
+
+# ---------------------------------------------------------------------------
+# traces read from the integer table
+
+
+# split, with a and b rational: (2/9, 7) ~ (2, 7), (-3/4, 3) ~ (-3, 3), and
+# 1/4 is a square
+RATIONAL_SPLIT = [(Fraction(2, 9), 7), (Fraction(-3, 4), 3),
+                  (Fraction(1, 4), Fraction(-5, 7))]
+
+
+def _reference_trace(x, y):
+    """Trd(x y) as a Fraction, from the coordinates and the product written
+    out above."""
+    A = x.algebra
+    return 2 * _mul(x.coords, y.coords, A.a, A.b)[0]
+
+
+def _reference_closed_form_diag(z1, z2):
+    """`closed_form_diag` with t = Trd(z1 z2) and the reduced norms read as
+    Fractions by `square_class`."""
+    t = _reference_trace(z1, z2)
+    if not t:
+        return EMPTY
+    c = square_class(-t)
+    n1, n2 = square_class(z1.nrd()), square_class(z2.nrd())
+    vs = (1, n2, n1, sq_mul(n1, n2)) + tuple(
+        -r for r in norm_form(z1.algebra).reps())
+    return QuadForm(tuple(sq_mul(c, v) for v in vs))
+
+
+def _reference_morita_transfer(h, z0):
+    """<-T, T z^2> per slot, T = Trd(z z0) as a Fraction and the class of
+    T z^2 = -T Nrd(z) factored whole; <1, -1> when T = 0."""
+    entries = []
+    for z in h.diag:
+        t = _reference_trace(z, z0)
+        entries += ([1, -1] if not t
+                    else [-square_class(t), square_class(-t * z.nrd())])
+    return QuadForm(tuple(entries))
+
+
+def _trace_free(x, u):
+    """x u - u x, whose trace against the pure x is 0."""
+    return x * u - u * x
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.sampled_from(ALGEBRAS + SPLIT_ALGEBRAS + RATIONAL_SPLIT),
+                  wide_pure, wide_pure, st.booleans())
+def test_closed_form_diag_equals_the_fraction_route(ab, c1, c2, trace_free):
+    A = QuatAlgebra(*ab)
+    z1, z2 = A.pure(*c1), A.pure(*c2)
+    if trace_free:
+        z2 = _trace_free(z1, z2)
+    hypothesis.assume(z1.is_invertible() and z2.is_invertible())
+    want = _reference_closed_form_diag(z1, z2)
+    hypothesis.event(f"{'split' if is_split(A) else 'division'}, "
+                     f"t {'= 0' if not want.dim else '!= 0'}")
+    assert closed_form_diag(z1, z2) == want
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(st.sampled_from(SPLIT_ALGEBRAS + RATIONAL_SPLIT),
+                  st.lists(st.tuples(wide_pure, st.booleans()), min_size=1,
+                           max_size=4), ratio)
+def test_morita_transfer_equals_the_fraction_route(ab, drawn, lam):
+    """Over split algebras, along a multiple of `find_nilpotent` with a
+    denominator as often as not; some entries have T = 0."""
+    A = QuatAlgebra(*ab)
+    z0 = find_nilpotent(A).scale(lam)
+    entries = []
+    for c, trace_free in drawn:
+        z = A.pure(*c)
+        entries.append(_trace_free(z0, z) if trace_free else z)
+    hypothesis.assume(all(z.is_invertible() for z in entries))
+    h = AntiHermForm(tuple(entries), A)
+    hypothesis.event(f"{sum(not _reference_trace(z, z0) for z in entries)}"
+                     " slots of T = 0")
+    assert morita_transfer(h, z0) == _reference_morita_transfer(h, z0)

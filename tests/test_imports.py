@@ -1,7 +1,8 @@
 """Every imported name is used: the library modules (but not the package
 `__init__.py`, whose imports are re-exports) and the test files.  Every
 name a library module defines at its top level is read somewhere in the
-library, the tests, the demos or the benchmark harness.  Importing the
+library, the tests, the demos or the benchmark harness.  The library has
+no `assert` statement, which `python -O` would strip.  Importing the
 library does not load `dataclasses` or `inspect`, which would take most of
 the start-up time of a single CLI call, nor `typing`."""
 
@@ -47,6 +48,17 @@ def test_no_unused_imports(path):
     unused = [f"{name} (line {line})" for name, line in _imported(tree)
               if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_library_has_no_assert_statements():
+    """Verification steps are explicit raises: `python -O` strips an
+    assert, also one that no test happens to reach."""
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(),
+                                              filename=str(path)))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, f"assert statements in the library: {asserts}"
 
 
 def _top_level(tree):

@@ -10,6 +10,7 @@ from quatwitt import hermitian
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
 from quatwitt.mixed import (
+    closed_form_diag,
     mixed,
     mixed_equal,
     mixed_one,
@@ -240,6 +241,34 @@ def test_mixed_equal_certificate_fallback(monkeypatch):
 def test_algebra_mismatch():
     with pytest.raises(AlgebraMismatch):
         mixed(H, odd_entries=(H.i(),)) * mixed(M2, odd_entries=(M2.i(),))
+    with pytest.raises(AlgebraMismatch):
+        closed_form_diag(H.i(), M2.i())
+
+
+def test_traces_are_read_without_a_quaternion_product(monkeypatch):
+    """closed_form_diag reads Trd(z1 z2) from the numerators on the integer
+    table, with no Quaternion product; morita_transfer multiplies only to
+    check that z0 z0 = 0, once per call and not once per entry."""
+    products = []
+    mul = Quaternion.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    half = Fraction(1, 2)
+    z = H.pure(half, 1, Fraction(-2, 3))
+    pairs = [(H.i(), H.i()), (H.i(), H.j()), (z, H.i() + H.ij()),
+             (M2.i(), M2.j().scale(half))]
+    want = [closed_form_diag(z1, z2) for z1, z2 in pairs]
+    z0 = find_nilpotent(M2)
+    h = AntiHermForm((M2.i(), M2.j().scale(half), M2.pure(1, 2, 3)), M2)
+    transferred = hermitian.morita_transfer(h, z0)
+    monkeypatch.setattr(Quaternion, "__mul__", counted)
+    assert [closed_form_diag(z1, z2) for z1, z2 in pairs] == want
+    assert products == []
+    assert hermitian.morita_transfer(h, z0) == transferred
+    assert products == [(z0, z0)]
 
 
 def test_phi_multiplicative_split():

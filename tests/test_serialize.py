@@ -209,6 +209,22 @@ def test_a_factor_checked_earlier_lets_no_other_spelling_through(
     assert seen == [(1, 1), (1, 1)]
 
 
+def test_factor_past_the_digit_limit_is_read_and_checked_once(monkeypatch):
+    """An int coefficient past the digit limit for integer text, which a
+    library caller can pass (a JSON document cannot), is read and checked
+    like any other, once per process; one inside a list coefficient is
+    refused at its pointer."""
+    seen = _counted_checks(monkeypatch)
+    big = 10**5000
+    doc = _factor_entries([big, 1])
+    form = parse_ffform(doc)
+    assert parse_ffform(doc) == form
+    assert seen == [(big, 1)]
+    with pytest.raises(SchemaViolation) as exc:
+        parse_ffform(_factor_entries([[big], 1]))
+    assert exc.value.pointer == "/entries/0/factors/0/poly/0"
+
+
 def test_factor_with_a_list_coefficient_is_refused_at_its_pointer():
     for polys in ([[[1], 0, 1]], [[1, 0, 1], [[1], 0, 1]]):
         with pytest.raises(SchemaViolation) as exc:
