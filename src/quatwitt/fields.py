@@ -49,14 +49,6 @@ class FieldSpec(Record):
             raise EvenOrCompositeModulus(f"not an odd prime: {quoted(p)}")
         self.p = p
 
-    def __eq__(self, other):
-        if other.__class__ is not FieldSpec:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p,))
-
     def __repr__(self):
         return "Q" if self.p is None else f"F_{self.p}"
 

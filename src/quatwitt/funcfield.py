@@ -38,7 +38,13 @@ from .quadforms import (
     qf,
     witt_class,
 )
-from .quaternions import QuatAlgebra, is_split, nrd_class, pure_norm_zeros
+from .quaternions import (
+    QuatAlgebra,
+    _trd_parts,
+    is_split,
+    nrd_class,
+    pure_norm_zeros,
+)
 from .record import Record
 
 
@@ -447,17 +453,18 @@ def psi_split(x: MixedClass, conic: ConicData | None = None
 
     Each odd slot z gives <-T, T z^2> with T = Trd(z (x(t) i + y(t) j +
     ij)) = L/D for the polynomial L = l1 X + l2 Y + l3 D of degree <= 2,
-    l_k = Trd(z e_k) for e_k in (i, j, ij); up to squares T is L D, whose
-    entry is the product of the entries of L and D.  L != 0: (l1, l2, l3)
-    != 0 for z != 0, and X, Y, D are linearly independent, as the conic
-    points (X/D, Y/D) lie on no line."""
+    l_k = Trd(z e_k) for e_k in (i, j, ij), read from the integer table
+    (`_trd_parts`) with no product; up to squares T is L D, whose entry is
+    the product of the entries of L and D.  L != 0: (l1, l2, l3) != 0 for
+    z != 0, and X, Y, D are linearly independent, as the conic points
+    (X/D, Y/D) lie on no line."""
     A = x.algebra
     if conic is None:
         conic = conic_parametrize(A)
     basis = (A.i(), A.j(), A.ij())
     entries = [FFEntry(r, ()) for r in x.even.anis.reps()]
     for z in x.odd.diag:
-        l1, l2, l3 = ((z * e).trd() for e in basis)
+        l1, l2, l3 = (Fraction(*_trd_parts(z, e)) for e in basis)
         L = P.padd(P.padd(P.pscale(l1, conic.X), P.pscale(l2, conic.Y)),
                    P.pscale(l3, conic.D))
         ld = ff_entry_product(ff_entry(L), conic.D_entry)

@@ -9,12 +9,13 @@ Over a division algebra, isometry of rank-1 forms is decided exactly, by
 nothing factored, and any other pair by Skolem-Noether and
 Hasse-Minkowski, on classes read from integer numerators (`nrd_class`,
 `nrd_ratio_root`, `ratio_class`).  Larger forms get hyperbolicity
-certificates from a bounded search, which refuses split algebras.  The
-search splits off one hyperbolic plane at a time: a plane found on two
-slots of the current orthogonal basis drops those slots without a new
-Gram-Schmidt.  A plane on two slots needs their rank-1 forms to be
-opposite, so past height 1 the pair searches run only where the exact
-rank-1 test pairs two slots.
+certificates from a bounded search.  The pair tests and the certificates
+refuse split algebras, which the first tiers decide.  The search splits
+off one hyperbolic plane at a time: a plane found on two slots of the
+current orthogonal basis drops those slots without a new Gram-Schmidt.  A
+plane on two slots needs their rank-1 forms to be opposite, so past
+height 1 the pair searches run only where the exact rank-1 test pairs two
+slots.
 `herm_verdict` runs these tiers as the one test of whether a form is 0 in
 the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 
@@ -110,14 +111,6 @@ class AntiHermForm(Record):
         h.diag = diag
         h.algebra = algebra
         return h
-
-    def __eq__(self, other):
-        if other.__class__ is not AntiHermForm:
-            return NotImplemented
-        return (self.diag, self.algebra) == (other.diag, other.algebra)
-
-    def __hash__(self):
-        return hash((self.diag, self.algebra))
 
     @property
     def rank(self) -> int:
@@ -270,8 +263,15 @@ def _square_multiple(x, y, sign: int) -> bool:
 
 def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
     """Exact decision of <z1>_gamma ~ <z2>_gamma for pure invertible z1, z2
-    over a division algebra: <z1> ~ <-(-z2)>."""
+    over a division algebra: <z1> ~ <-(-z2)>.  A split algebra is refused
+    as `hyperbolic_pair` refuses it."""
     return hyperbolic_pair(z1, -z2)
+
+
+def _refuse_split(algebra: QuatAlgebra, what: str, use: str):
+    if is_split(algebra):
+        raise NotDivision(f"{what} need a division algebra; over a split "
+                          f"one use {use}")
 
 
 def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
@@ -291,7 +291,11 @@ def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
     So p exists iff the kernel of <-a, -b, ab, -n1, -c'> = H + B + <-c'>
     is 1-dimensional (B is anisotropic), read from square classes, so ab
     is never factored.  Square multiples (`square_multiple`) and norm
-    ratios that are not squares (`nrd_ratio_root`) come first, unfactored."""
+    ratios that are not squares (`nrd_ratio_root`) come first, unfactored.
+
+    A split algebra is refused (NotDivision): there r may be a zero
+    divisor, and `herm_verdict` and `morita_transfer` decide exactly."""
+    _refuse_split(z.algebra, "pair tests", "herm_verdict or morita_transfer")
     return _hyperbolic_pair(_with_content(z), _with_content(w))
 
 
@@ -332,7 +336,9 @@ def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
     <z, w> is a hyperbolic plane, so the leftover is Witt-equivalent to h.
     Every two leftover entries were tested against each other, so a rank-2
     leftover is anisotropic (an isotropic plane is hyperbolic) and h is not
-    0 in the Witt group."""
+    0 in the Witt group.  A split algebra is refused (NotDivision), as by
+    `hyperbolic_pair`."""
+    _refuse_split(h.algebra, "pair tests", "herm_verdict or morita_transfer")
     return _cancelled(h, _hyperbolic_pair)
 
 
@@ -569,9 +575,7 @@ def hyperbolicity_certificate(h: AntiHermForm,
     A split algebra is refused (NotDivision): Morita transfer decides
     hyperbolicity there exactly (`herm_screen`, `morita_transfer`)."""
     check_search_bound("bound", bound)
-    if is_split(h.algebra):
-        raise NotDivision("certificates need a division algebra; over a "
-                          "split one use mixed_equal or morita_transfer")
+    _refuse_split(h.algebra, "certificates", "mixed_equal or morita_transfer")
     if h.rank % 2:
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
@@ -596,8 +600,9 @@ def hyperbolicity_certificate(h: AntiHermForm,
         # An isotropic e_s p + e_t q has invertible p, q (p = 0 would leave
         # gamma(q) d_t q = 0), so <d_s> ~ <-d_t>: later pair rungs need it.
         try:  # a pair the test cannot factor counts as possible
-            pairs = found is None and bound >= 2 and any(hyperbolic_pair(
-                x, y) for x, y in itertools.combinations(diag, 2))
+            pairs = found is None and bound >= 2 and any(_hyperbolic_pair(
+                x, y) for x, y in itertools.combinations(
+                    map(_with_content, diag), 2))
         except FactorizationLimitExceeded:
             pairs = True
         if pairs:
@@ -719,7 +724,8 @@ def herm_verdict(h: AntiHermForm,
     verdict = herm_screen(h)
     if verdict is not None:
         return verdict
-    left = cancel_hyperbolic_pairs(h)
+    # herm_screen has decided every split algebra
+    left = _cancelled(h, _hyperbolic_pair)
     if left.rank < 4:
         return "distinct" if left.rank else "equal"
     cert = hyperbolicity_certificate(left, bound=search_bound)

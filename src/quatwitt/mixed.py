@@ -112,15 +112,6 @@ class MixedClass(Record):
         self.odd = odd
         self.algebra = algebra
 
-    def __eq__(self, other):
-        if other.__class__ is not MixedClass:
-            return NotImplemented
-        return ((self.even, self.odd, self.algebra)
-                == (other.even, other.odd, other.algebra))
-
-    def __hash__(self):
-        return hash((self.even, self.odd, self.algebra))
-
     def __add__(self, other: "MixedClass") -> "MixedClass":
         self._check(other)
         return MixedClass(self.even + other.even,

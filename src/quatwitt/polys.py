@@ -15,6 +15,7 @@ from math import gcd
 
 from .errors import MissingFactorization
 from .fields import factorize, rational_sqrt
+from .record import Record
 
 Poly = tuple  # tuple[Fraction, ...]
 
@@ -302,7 +303,7 @@ def factor_poly(p: Poly):
     return unit, sorted(factors.items())
 
 
-class RationalFunction:
+class RationalFunction(Record):
     """Value of Q(t): a quotient of polynomials, kept in lowest terms with
     a monic denominator, that can be compared and evaluated."""
 
@@ -328,14 +329,6 @@ class RationalFunction:
 
     def is_zero(self):
         return not self.num
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def evaluate(self, c) -> Fraction:
         d = peval(self.den, c)

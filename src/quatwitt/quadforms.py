@@ -81,14 +81,6 @@ class QuadForm(Record):
         self.entries = entries
         self.field = field
 
-    def __eq__(self, other):
-        if other.__class__ is not QuadForm:
-            return NotImplemented
-        return (self.entries, self.field) == (other.entries, other.field)
-
-    def __hash__(self):
-        return hash((self.entries, self.field))
-
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -638,6 +630,8 @@ class WittClass(Record):
         return WittClass(QuadForm(tuple(sorted(q.entries, key=_kernel_order)),
                                   q.field))
 
+    # Not Record's rule: two classes are equal when their representatives
+    # are Witt-equal, which differs from equal fields.
     def __eq__(self, other):
         if not isinstance(other, WittClass):
             return NotImplemented

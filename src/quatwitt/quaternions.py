@@ -51,6 +51,10 @@ class QuatAlgebra(Record):
         self.b = b
         self.table = (ad * bd, an * bd, bn * ad, an * bn)
 
+    # Not Record's rule over (a, b, table): the table alone decides
+    # equality, and its hash skips a and b, Fractions that hash by a
+    # modular inverse (timeit: 0.17-0.18 us per hash, 0.9-1.4 us over all
+    # three fields).
     def __eq__(self, other):
         if other.__class__ is not QuatAlgebra:
             return NotImplemented
@@ -141,15 +145,6 @@ class Quaternion(Record):
         self.num = num
         self.den = den
         self.algebra = algebra
-
-    def __eq__(self, other):
-        if other.__class__ is not Quaternion:
-            return NotImplemented
-        return ((self.num, self.den, self.algebra)
-                == (other.num, other.den, other.algebra))
-
-    def __hash__(self):
-        return hash((self.num, self.den, self.algebra))
 
     @property
     def coords(self) -> tuple[Fraction, ...]:

@@ -1,5 +1,7 @@
 """The base of the library's value types."""
 
+from operator import attrgetter
+
 
 class Record:
     """A value type with slotted fields.
@@ -7,24 +9,31 @@ class Record:
     A subclass names its fields in `__slots__`, in order, and sets every
     one of them in its `__init__`; nothing reassigns a field after that.
     Two records are equal when they are of the same type and their fields
-    are equal in order, and the hash is that of the tuple of fields, so
-    equal records hash equal.  The repr is `Name(field=value, ...)`.
+    are equal in order, and equal records hash equal: a record of several
+    fields hashes the tuple of its fields, a record of one field that
+    field.  The repr is `Name(field=value, ...)`.
 
-    A type on a hot path writes its own `__eq__` and `__hash__`, with the
-    same meaning: the generic ones here cost a getattr per field."""
+    Every record compares and hashes by this one rule, through a getter of
+    its fields that each subclass builds once, when it is defined.  Two
+    types answer other questions and write their own: `QuatAlgebra` hashes
+    its integer table alone, and `WittClass` compares by Witt equality."""
 
     __slots__ = ()
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = attrgetter(*cls.__slots__)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        key = self._key
+        return key(self) == key(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._key(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"

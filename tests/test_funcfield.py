@@ -33,7 +33,7 @@ from quatwitt.funcfield import (
 from quatwitt.mixed import mixed
 from quatwitt.polys import RationalFunction
 from quatwitt.quadforms import qf, witt_class, witt_equal
-from quatwitt.quaternions import QuatAlgebra, draw_pure
+from quatwitt.quaternions import QuatAlgebra, Quaternion, draw_pure
 
 T = [0, 1]
 PLACE_T = Place("poly", pi=P.poly([F(0), F(1)]))
@@ -265,8 +265,8 @@ def test_psi_images_unramified_when_a_plus_bt2_splits(ab):
 
 def test_psi_split_matches_closed_form_trace():
     """The linear form L = l1 X + l2 Y + l3 D of each odd slot, with l_k =
-    Trd(z e_k) from the quaternion product, is the closed form (2a z1,
-    2b z2, -2ab z3)/d for z = (z1 i + z2 j + z3 ij)/d."""
+    Trd(z e_k), is the closed form (2a z1, 2b z2, -2ab z3)/d for z = (z1 i
+    + z2 j + z3 ij)/d."""
     rng = random.Random(4)
     for a, b in [(1, 1), (2, 7), (5, -1), (F(1, 4), F(-5, 7))]:
         A = QuatAlgebra(a, b)
@@ -287,6 +287,22 @@ def test_psi_split_matches_closed_form_trace():
             assert [(e.unit, e.factors) for e in img.entries] == [
                 (-ld.unit, ld.factors),
                 (sq_mul(ld.unit, zsq), ld.factors)]
+
+
+def test_psi_split_multiplies_no_quaternions(monkeypatch):
+    """Each odd slot's traces Trd(z e_k) are read from the integer table,
+    with no quaternion product."""
+    A = QuatAlgebra(F(1, 4), F(-5, 7))
+    conic = conic_parametrize(A)
+    x = mixed(A, even=witt_class(qf([3])),
+              odd_entries=(A.pure(1, F(-2, 3), 5), A.ij()))
+    want = psi_split(x, conic)
+    products = []
+    mul = Quaternion.__mul__
+    monkeypatch.setattr(Quaternion, "__mul__",
+                        lambda y, z: products.append(z) or mul(y, z))
+    assert psi_split(x, conic) == want
+    assert products == []
 
 
 def test_w0_membership_defaults_to_the_support():

@@ -600,6 +600,43 @@ def test_certificate_refuses_a_split_algebra():
     assert mixed_equal(MixedClass(witt_zero(), h, M2), zero) == "equal"
 
 
+def test_pair_tests_refuse_a_split_algebra():
+    """Over (1, 1), z = i + j + ij and w = i have Nrd(z) = Nrd(w) = -1, so
+    the rank-1 test's r = z - w = j + ij is a zero divisor.  The public
+    pair tests refuse every split algebra, as the certificate does, and
+    point to the exact decisions; `herm_screen` decides such a form."""
+    z, w = M2.pure(1, 1, 1), M2.i()
+    h = herm_diag([z, w], M2)
+    for test in (lambda: hermitian.hyperbolic_pair(z, w),
+                 lambda: hermitian.rank_one_isometric(z, w),
+                 lambda: hermitian.cancel_hyperbolic_pairs(h)):
+        with pytest.raises(NotDivision,
+                           match="herm_verdict or morita_transfer"):
+            test()
+    assert herm_verdict(h) == herm_screen(h) == "equal"
+
+
+def test_the_split_check_runs_once_per_public_call(monkeypatch):
+    """`herm_verdict` asks whether the algebra splits in its screen only,
+    and a certificate once, however many pairs its search tests."""
+    calls = []
+
+    def spy(A):
+        calls.append(A)
+        return False
+
+    monkeypatch.setattr(hermitian, "is_split", spy)
+    assert herm_verdict(herm_diag([H.i(), H.j()], H)) == "equal"
+    assert len(calls) == 1
+    calls.clear()
+    pairs = []
+    monkeypatch.setattr(hermitian, "_hyperbolic_pair",
+                        lambda x, y: pairs.append(x) or False)
+    h = herm_diag([H.i(), H.j(), H.ij(), H.pure(1, 1, 1)], H)
+    hyperbolicity_certificate(h, bound=2)
+    assert len(calls) == 1 and pairs
+
+
 def test_certificate_refuses_a_bound_below_one():
     """Bound 0 would still run the height-1 hash search; it is refused as
     RunConfig and the CLI refuse it."""
@@ -677,7 +714,7 @@ def test_a_refused_rank_one_test_leaves_every_pair_search(monkeypatch):
     search (the rank-1 test always passing) and raises nothing: on the
     pinned forms, on <i, j + ij> at bound 8, which the test rules out, and
     on <2i, 156i - 52ij> over (-1, -7), which needs the height-4 rung."""
-    def refuse(z, w):
+    def refuse(x, y):
         raise FactorizationLimitExceeded("cofactor not certified")
 
     cases = [(AntiHermForm(entries, A), 4) for A, entries, _, _ in PINNED]
@@ -685,9 +722,9 @@ def test_a_refused_rank_one_test_leaves_every_pair_search(monkeypatch):
     cases.append((herm_diag([_pure(SEVEN, 2, 0, 0), _pure(SEVEN, 156, 0, -52)],
                             SEVEN), 4))
     for h, bound in cases:
-        monkeypatch.setattr(hermitian, "hyperbolic_pair", lambda z, w: True)
+        monkeypatch.setattr(hermitian, "_hyperbolic_pair", lambda x, y: True)
         ungated = hyperbolicity_certificate(h, bound)
-        monkeypatch.setattr(hermitian, "hyperbolic_pair", refuse)
+        monkeypatch.setattr(hermitian, "_hyperbolic_pair", refuse)
         assert hyperbolicity_certificate(h, bound) == ungated, h
 
 

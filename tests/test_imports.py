@@ -2,9 +2,11 @@
 `__init__.py`, whose imports are re-exports) and the test files.  Every
 name a library module defines at its top level is read somewhere in the
 library, the tests, the demos or the benchmark harness.  The library has
-no `assert` statement, which `python -O` would strip.  Importing the
-library does not load `dataclasses` or `inspect`, which would take most of
-the start-up time of a single CLI call, nor `typing`."""
+no `assert` statement, which `python -O` would strip, and its records
+compare and hash by `Record`'s rule, with two stated exceptions.
+Importing the library does not load `dataclasses` or `inspect`, which
+would take most of the start-up time of a single CLI call, nor
+`typing`."""
 
 import ast
 import os
@@ -59,6 +61,44 @@ def test_library_has_no_assert_statements():
                                               filename=str(path)))
                if isinstance(node, ast.Assert)]
     assert not asserts, f"assert statements in the library: {asserts}"
+
+
+# Record's docstring says why these two compare or hash their own way
+OWN_EQUALITY = {"QuatAlgebra", "WittClass"}
+
+
+def test_records_compare_and_hash_by_one_rule():
+    """No class that derives from `Record`, directly or through another
+    library class, defines `__eq__` or `__hash__` but the two above; a
+    record may still set `__hash__ = None` to have no hash."""
+    classes = [node
+               for path in sorted((ROOT / "src" / "quatwitt").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(),
+                                              filename=str(path)))
+               if isinstance(node, ast.ClassDef)]
+    records = {"Record"}
+    for _ in classes:
+        records |= {c.name for c in classes
+                    if {b.id for b in c.bases if isinstance(b, ast.Name)}
+                    & records}
+    own = []
+    for c in classes:
+        if c.name == "Record" or c.name not in records:
+            continue
+        for node in c.body:
+            if isinstance(node, ast.FunctionDef):
+                names = {node.name}
+            elif isinstance(node, ast.Assign) and not (
+                    isinstance(node.value, ast.Constant)
+                    and node.value.value is None):
+                names = {t.id for t in node.targets
+                         if isinstance(t, ast.Name)}
+            else:
+                continue
+            own += [f"{c.name}.{n}" for n in names & {"__eq__", "__hash__"}]
+    assert records > OWN_EQUALITY
+    assert sorted(own) == [f"{name}.{method}" for name in sorted(OWN_EQUALITY)
+                           for method in ("__eq__", "__hash__")]
 
 
 def _top_level(tree):

@@ -46,6 +46,7 @@ from quatwitt.invariants import (
     lambda_basis_invariant,
 )
 from quatwitt.mixed import MixedClass, mixed, mixed_zero
+from quatwitt.polys import RationalFunction
 from quatwitt.quadforms import (
     GroupRingElem,
     QuadForm,
@@ -56,6 +57,7 @@ from quatwitt.quadforms import (
     witt_invariants,
 )
 from quatwitt.quaternions import QuatAlgebra, Quaternion
+from quatwitt.record import Record
 from quatwitt.suites import Report, RunConfig
 
 A = QuatAlgebra(-1, -3)
@@ -86,6 +88,7 @@ def _samples():
         ff_entry([1, 0, 1]),
         ff_form([F(2, 3), [0, 1], [-2, 0, 1]]),
         conic_parametrize(QuatAlgebra(2, 7)),
+        conic_parametrize(QuatAlgebra(2, 7)).x_t,
         RunConfig(seed=3, search_bound=4),
         Report("morita", [{"id": "m1", "status": "pass"}]),
     ]
@@ -94,7 +97,7 @@ def _samples():
 VALUE_TYPES = {FieldSpec, QuadForm, WittInvariants, WittClass, GroupRingElem,
                QuatAlgebra, Quaternion, AntiHermForm, HyperbolicityResult,
                MixedClass, LambdaInvariant, ConstancyResult, SampleCheck,
-               Place, FFEntry, FunctionFieldForm, ConicData,
+               Place, FFEntry, FunctionFieldForm, ConicData, RationalFunction,
                RunConfig, Report}
 # records that a run mutates in place, or that hold a dict, have no hash
 UNHASHABLE = {WittInvariants, RunConfig, Report}
@@ -133,6 +136,20 @@ def test_deepcopy_keeps_the_value(x):
 def test_equal_only_within_one_type(x):
     assert x != _fields(x) and _fields(x) != x
     assert x != object()
+
+
+@pytest.mark.parametrize("x", _samples(), ids=lambda x: type(x).__name__)
+def test_a_record_hashes_its_fields(x):
+    """An equal record built apart hashes as the tuple of the fields does,
+    or as the field itself when there is one.  Types with no hash or their
+    own are skipped; `test_imports` names the only ones with their own."""
+    if type(x) in UNHASHABLE or type(x).__hash__ is not Record.__hash__:
+        return
+    y = pickle.loads(pickle.dumps(x))
+    assert y is not x and y == x
+    fields = _fields(x)
+    want = hash(fields) if len(fields) > 1 else hash(fields[0])
+    assert hash(y) == hash(x) == want
 
 
 def test_records_of_two_types_with_equal_fields_differ():
