@@ -25,9 +25,8 @@ from .record import Record
 
 TRIAL_DIVISION_BOUND = 10**6
 # factorize reads the primes up to 10^6 of a longer n from one gcd, after
-# dividing out the primes below SMALL_PRIME_BOUND
+# dividing out the primes below 2^10
 GCD_BITS = 1000
-SMALL_PRIME_BOUND = 1000
 # A function keeps an lru_cache where its hits save at least 1% of
 # `quatwitt check all` or of a benchmark stream (hits times the measured
 # cost of computing less that of a hit).  Each bound is at least 4x the
@@ -74,21 +73,24 @@ def is_prime(n: int) -> bool:
 def factorize(n: int):
     """Factor a nonzero integer: returns (sign, [(prime, exponent), ...]).
 
-    Pure trial division up to 10^6, with no bound on n itself.  The
-    cofactor left has no prime factor up to 10^6, so it is prime up to
-    (10^6 + 1)^2: 10^6 + 1 = 101 * 9901 is composite, and the smallest
-    composite without such a factor is 1000003^2.  Past that it is
-    certified when it is the square s^2 of some s <= (10^6 + 1)^2, which
-    is then prime, and any other raises FactorizationLimitExceeded.
+    Pure trial division by the primes up to 10^6, with no bound on n
+    itself.  The cofactor left has no prime factor up to 10^6, so it is
+    prime up to (10^6 + 1)^2: 10^6 + 1 = 101 * 9901 is composite, and the
+    smallest composite without such a factor is 1000003^2.  Past that it
+    is certified when it is the square s^2 of some s <= (10^6 + 1)^2,
+    which is then prime, and any other raises FactorizationLimitExceeded.
+    Every prime tried comes from one sieve (`_primes`), sized to the
+    square root of n and capped at 10^6, so an n of at most 1,000 bits
+    with no prime up to 10^6 is refused after its 78,498 primes.
 
-    Past GCD_BITS bits, the primes below SMALL_PRIME_BOUND are divided out
-    of n first, which leaves 1 or a short cofactor for a smooth n such as
+    Past GCD_BITS bits, the 172 primes below 2^10 are divided out of n
+    first, which leaves 1 or a short cofactor for a smooth n such as
     10^4000.  A cofactor still past GCD_BITS bits meets its primes up to
     10^6 through g = gcd(n, P), P their product (`_small_primes_product`):
     g is their product over those dividing n, so trial division of g finds
     exactly the primes trial division of n would, and they are divided out
     of n in the same increasing order.  A huge n with no such prime is then
-    refused without 333,334 trial divisions.
+    refused with no trial division past the first 172 primes.
     """
     if n == 0:
         raise ZeroElement("cannot factor 0")
@@ -96,7 +98,7 @@ def factorize(n: int):
     n = abs(n)
     factors = []
     if n.bit_length() > GCD_BITS:
-        for p in _small_primes():
+        for p in _primes(10):
             if n % p == 0:
                 e, n = _val_and_unit(n, p)
                 factors.append((p, e))
@@ -105,8 +107,8 @@ def factorize(n: int):
             e, n = _val_and_unit(n, p)
             factors.append((p, e))
     else:
-        # no prime below SMALL_PRIME_BOUND divides n past the first pass,
-        # so the primes found here come after those of the factors so far
+        # no prime below 2^10 divides n past the first pass, so the
+        # primes found here come after those of the factors so far
         more, n = _trial_division(n)
         factors += more
     if n > 1:
@@ -127,7 +129,7 @@ def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
     10^6 and sqrt of what is left, in increasing order, and the cofactor
     left: 1, a prime, or a number with no prime factor up to 10^6."""
     factors = []
-    for p in _trial_divisors():
+    for p in _primes(min(isqrt(n), TRIAL_DIVISION_BOUND).bit_length()):
         if p * p > n:
             break
         if n % p == 0:
@@ -140,48 +142,32 @@ def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
     return factors, n
 
 
-def _primes_up_to(bound: int) -> list[int]:
-    """The primes up to bound, in increasing order, by a sieve."""
+# the one source of primes, sieved on first need of each size so that
+# importing the library, or factoring small integers, does not pay for the
+# 78,498 primes up to 10^6 (about 3 MB); the keys are 1 ... 20, so none
+# evicts, and all 20 hold about 7 MB
+@lru_cache(maxsize=2**5)
+def _primes(bits: int) -> tuple[int, ...]:
+    """The primes up to min(2^bits, 10^6), in increasing order, by a sieve.
+    Trial division of n reads _primes(min(isqrt(n), 10^6).bit_length())."""
+    bound = min(1 << bits, TRIAL_DIVISION_BOUND)
     sieve = bytearray([1]) * (bound + 1)
     sieve[:2] = bytes(2)
     for p in range(2, isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    return list(compress(range(bound + 1), sieve))
-
-
-# a constant, sieved on first need so that importing the library does not
-# pay for it
-@lru_cache(maxsize=1)
-def _small_primes() -> tuple[int, ...]:
-    """The 168 primes below SMALL_PRIME_BOUND."""
-    return tuple(_primes_up_to(SMALL_PRIME_BOUND))
+    return tuple(compress(range(bound + 1), sieve))
 
 
 # the one product of primes a process keeps: about 180 kB
 @lru_cache(maxsize=1)
 def _small_primes_product() -> int:
     """The product of the primes up to 10^6, by a product tree (pairwise
-    products of balanced sizes), sieved once on first need."""
-    level = _primes_up_to(TRIAL_DIVISION_BOUND)
+    products of balanced sizes), built once on first need."""
+    level = _primes(TRIAL_DIVISION_BOUND.bit_length())
     while len(level) > 1:
         level = [prod(level[k:k + 2]) for k in range(0, len(level), 2)]
     return level[0]
-
-
-def _trial_divisors():
-    """2, 3 and every 6k +- 1 up to 10^6: 333,334 divisors, all 78,498
-    primes among them.  A composite d among them never divides what is
-    left of n, as its prime factors are smaller and were divided out
-    first."""
-    yield 2
-    yield 3
-    d = 5
-    step = 2
-    while d <= TRIAL_DIVISION_BOUND:
-        yield d
-        d += step
-        step = 6 - step
 
 
 def squarefree_part(n: int) -> int:

@@ -309,11 +309,7 @@ class RationalFunction(Record):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=ONE):
-        if isinstance(num, (int, Fraction)):
-            num = constant(num)
-        if isinstance(den, (int, Fraction)):
-            den = constant(den)
+    def __init__(self, num: Poly, den: Poly = ONE):
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:

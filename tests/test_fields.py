@@ -5,7 +5,7 @@ from math import isqrt, prod
 
 import pytest
 
-from quatwitt import fields
+from quatwitt import fields, quadforms
 from quatwitt.errors import (
     EvenOrCompositeModulus,
     FactorizationLimitExceeded,
@@ -22,10 +22,12 @@ from quatwitt.fields import (
     is_padic_square,
     is_prime,
     legendre_symbol,
+    ratio_class,
     smallest_nonresidue,
     square_class,
     squarefree_part,
 )
+from quatwitt.quaternions import QuatAlgebra, is_split, ramified_places
 
 
 def test_is_prime_small():
@@ -98,11 +100,20 @@ def test_is_prime_refuses_what_factorize_refuses():
         is_prime(3 * 1000003 * 1000033)
 
 
+def _wheel():
+    """2, 3 and every 6k +- 1 up to 10^6: every prime up to 10^6 is among
+    them, and a composite one never divides what is left of n, as its
+    prime factors are smaller and were divided out first."""
+    yield from (2, 3)
+    for d in range(6, 10 ** 6 + 2, 6):
+        yield from (d - 1, d + 1)
+
+
 def _whole_trial_division(n):
-    """factorize as trial division of the whole of n, with no gcd: (sign,
-    factors), or the refusal message."""
+    """factorize as trial division of the whole of n, with no gcd and no
+    sieve: (sign, factors), or the refusal message."""
     sign, n, factors = (1 if n > 0 else -1), abs(n), []
-    for p in fields._trial_divisors():
+    for p in _wheel():
         if p * p > n:
             break
         e = 0
@@ -110,7 +121,7 @@ def _whole_trial_division(n):
             n, e = n // p, e + 1
         if e:
             factors.append((p, e))
-    certified = (fields.TRIAL_DIVISION_BOUND + 1) ** 2
+    certified = (10 ** 6 + 1) ** 2
     if 1 < n <= certified:
         factors.append((n, 1))
     elif n > 1:
@@ -146,34 +157,82 @@ def test_factorize_past_the_gcd_threshold_equals_whole_trial_division(n):
     assert _factorize_or_message(n) == _whole_trial_division(n)
 
 
+def _spy_on_the_sieve(monkeypatch):
+    """Route `fields._primes` through a spy: returns the list of the sieve
+    sizes asked for, in bits, and the count of primes drawn, a one-element
+    list."""
+    sieve, sizes, tried = fields._primes, [], [0]
+
+    def counted(bits):
+        sizes.append(bits)
+        for p in sieve(bits):
+            tried[0] += 1
+            yield p
+
+    monkeypatch.setattr(fields, "_primes", counted)
+    return sizes, tried
+
+
 def test_huge_integer_without_a_small_prime_skips_trial_division(
         monkeypatch):
-    """1000003^61 has no prime up to 10^6, so gcd(n, P) = 1 leaves
-    nothing to trial-divide; whole trial division runs all 333,334
-    divisors before it refuses the same cofactor."""
-    steps = 0
-    divisors = fields._trial_divisors
-
-    def counted():
-        nonlocal steps
-        for d in divisors():
-            steps += 1
-            yield d
-
-    monkeypatch.setattr(fields, "_trial_divisors", counted)
+    """1000003^61 has no prime up to 10^6, so after the 172 primes below
+    2^10 the gcd with their product leaves nothing to trial-divide; whole
+    trial division tries all 78,498 primes before it refuses the same
+    cofactor."""
+    fields._small_primes_product()  # built before the spy counts primes
+    _, tried = _spy_on_the_sieve(monkeypatch)
     with pytest.raises(FactorizationLimitExceeded,
                        match="cofactor <1216-bit integer> not certified"):
         factorize(1000003 ** 61)
-    assert steps <= 1
+    assert 172 <= tried[0] <= 172 + 1
 
 
-def test_smooth_huge_integer_needs_no_primes_product():
+def test_short_integer_is_refused_after_one_pass_over_the_primes(
+        monkeypatch):
+    """1000003^50 (997 bits) is trial-divided whole: one pass over the
+    78,498 primes up to 10^6, with no composite among the divisors, ends
+    in the refusal that whole trial division gives."""
+    _, tried = _spy_on_the_sieve(monkeypatch)
+    n = 1000003 ** 50
+    with pytest.raises(FactorizationLimitExceeded) as refused:
+        factorize(n)
+    assert str(refused.value) == _whole_trial_division(n) == (
+        "cofactor <997-bit integer> not certified")
+    # every prime up to 10^6 is tried, through the sieve, and no composite
+    assert 78498 <= tried[0] <= 78498 + 172
+
+
+def test_smooth_huge_integer_needs_no_primes_product(monkeypatch):
     """10^4000 has only the primes 2 and 5, below 1,000: dividing them out
-    leaves 1, so the product of the primes up to 10^6 is never built."""
+    leaves 1, so the product of the primes up to 10^6 is never built, and
+    no sieve past 2^10 is read."""
     fields.factorize.cache_clear()
     fields._small_primes_product.cache_clear()
+    sizes, _ = _spy_on_the_sieve(monkeypatch)
     assert square_class(10 ** 4000) == 1
     assert fields._small_primes_product.cache_info().currsize == 0
+    assert sizes and max(sizes) <= 10
+
+
+def test_splitting_test_of_a_small_algebra_reads_no_sieve_past_2_to_the_10(
+        monkeypatch):
+    """The sieve is sized to the square root of what is trial-divided: from
+    cleared caches, the splitting test of (-1, -1), whose norm form has
+    entries of one digit, reads no sieve of more than 10 bits."""
+    fields.factorize.cache_clear()
+    ramified_places.cache_clear()
+    quadforms._local_data.cache_clear()
+    sizes, _ = _spy_on_the_sieve(monkeypatch)
+    assert not is_split(QuatAlgebra(-1, -1))
+    assert sizes and max(sizes) <= 10
+
+
+def test_ratio_class_refuses_a_zero_denominator():
+    with pytest.raises(ZeroDivisionError,
+                       match="^square class of a ratio over 0$"):
+        ratio_class(3, 0)
+    with pytest.raises(ZeroElement, match="^square class of 0$"):
+        ratio_class(0, 0)
 
 
 def test_factorize_zero():

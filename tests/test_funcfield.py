@@ -11,6 +11,7 @@ from quatwitt.errors import (
     NoGoodSpecializationPoint,
     UnsupportedResidueField,
     VerificationFailed,
+    ZeroElement,
 )
 from quatwitt.fields import sq_mul, square_class
 from quatwitt.funcfield import (
@@ -61,6 +62,14 @@ def test_ff_entry_normalization():
                                    P.poly([F(0), F(1)])))
     assert e3.unit == 1
     assert len(e3.factors) == 2
+
+
+@pytest.mark.parametrize("x", [0, F(0), [0], P.ZERO],
+                         ids=["int", "fraction", "list", "poly"])
+def test_ff_entry_refuses_zero(x):
+    with pytest.raises(ZeroElement,
+                       match="^zero entry in a function-field form$"):
+        ff_entry(x)
 
 
 def test_ff_class_pairs_off_repeated_factors():

@@ -87,6 +87,15 @@ def test_lambda_sum_formula_rank2():
             assert mixed_equal(lam[d], acc) != "distinct"
 
 
+def test_int_multiple_of_zero_is_the_zero_class():
+    A = QuatAlgebra(-1, -1)
+    x = mixed(A, witt_class(qf([1, 3])), (A.pure(1, 0, 0),))
+    zero = int_multiple(0, x)
+    assert zero == mixed_zero(A)
+    assert mixed_equal(int_multiple(2, x) + int_multiple(-2, x), zero) \
+        == "equal"
+
+
 def test_lambda_herm_indexes_one_convolution(monkeypatch):
     """lambda_herm(d, h) is coefficient d of lambda_all(h), which runs the
     convolution once: one odd factor <z> per entry of h."""

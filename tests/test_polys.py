@@ -152,6 +152,20 @@ def test_rational_function_den_monic():
     assert RationalFunction(P.ZERO, x.num).is_zero()
 
 
+def test_zero_polynomials_and_poles_are_refused():
+    one = P.poly([1])
+    with pytest.raises(ZeroDivisionError,
+                       match="^polynomial division by zero$"):
+        P.pdivmod(one, P.ZERO)
+    for f in (P.rational_roots, P.factor_poly):
+        with pytest.raises(ValueError, match="^zero polynomial$"):
+            f(P.ZERO)
+    with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+        RationalFunction(one, P.ZERO)
+    with pytest.raises(ZeroDivisionError, match="^pole at t=1$"):
+        RationalFunction(one, P.poly([-1, 1])).evaluate(F(1))
+
+
 def test_monic_returns_a_monic_polynomial_itself():
     """An already monic polynomial is returned as it is, not rescaled by 1;
     any other is divided by its leading coefficient."""

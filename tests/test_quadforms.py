@@ -27,6 +27,7 @@ from quatwitt.quadforms import (
     is_isotropic,
     is_witt_zero,
     local_anisotropic_dim,
+    local_anisotropic_dims,
     pfister,
     qf,
     signature,
@@ -96,6 +97,27 @@ def test_local_anisotropic_dim():
     # a Q_p question has no answer for a form over F_5
     with pytest.raises(UnsupportedField):
         local_anisotropic_dim(qf([1, 3], Fp(5)), 2)
+
+
+def test_local_anisotropic_dims_only_over_q():
+    assert local_anisotropic_dims(qf([1, 1, 1])) == {-1: 3, 2: 3}
+    with pytest.raises(UnsupportedField, match="only over Q$"):
+        local_anisotropic_dims(qf([1, 3], Fp(5)))
+
+
+def test_kernel_peel_keeps_an_entry_of_two_primes_past_trial_bound():
+    """The kernel of this form holds 1000037 * 1000213, the product of two
+    primes of its entries past 10^6, which trial division cannot certify
+    on its own.  Each slot of the peel adds the candidate's invariants to
+    those it has, factoring only the candidate's primes outside them, so
+    the peel answers.  Re-reading the invariants of the grown diagonal
+    instead factors the candidate before the larger entries that hold
+    those primes, and refuses."""
+    q = qf([-6761829963070, -2310769230, -1874730, 1352078, 12562985526,
+            43026386810, 1009507350390, 17161624956630])
+    assert witt_class(q).anis.entries == (
+        2, 1000037 * 1000213, -6761829963070,
+        255602579744060901183840033675204555)
 
 
 def test_isotropy_matches_brute_force():

@@ -16,13 +16,18 @@ from quatwitt.errors import (  # noqa: E402
     DegenerateForm,
     FactorizationLimitExceeded,
 )
-from quatwitt.fields import QQ, Fp, is_prime, sq_mul  # noqa: E402
+from quatwitt.fields import (  # noqa: E402
+    QQ,
+    Fp,
+    factorize,
+    hilbert_symbol_p,
+    is_prime,
+    sq_mul,
+)
 from quatwitt.quadforms import (  # noqa: E402
-    _adjoin,
     _anis_dim,
     _anisotropic_reps_q_cached,
     _diagonalize_inplace,
-    _hasse_with,
     _kernel_candidates,
     _Local,
     _local_data,
@@ -56,14 +61,27 @@ def test_kernel_is_anisotropic_and_witt_equal(diag):
     assert witt_equal(q, k)
 
 
+def _reference_adjoin(loc, c):
+    """The invariants of x + <c> from those of x, for a squarefree integer
+    c: each Hasse symbol picks up the Hilbert symbol (disc x, c)_p, and an
+    odd prime new in c enters after the primes of x, in increasing
+    order."""
+    primes = list(loc.hasse)
+    primes += [p for p, _ in factorize(c)[1] if p not in loc.hasse]
+    hasse = {p: loc.hasse.get(p, 1) * hilbert_symbol_p(loc.disc, c, p)
+             for p in primes}
+    return _Local(loc.dim + 1, sq_mul(loc.disc, c),
+                  loc.sig + (1 if c > 0 else -1), hasse)
+
+
 def _reference_local_data(reps):
     """The invariants by adjoining one entry at a time, in increasing
     absolute value as `_local_data` collects its primes, each Hasse symbol
-    updated by the Hilbert symbols of `_hasse_with`: the reference for the
-    one-pass closed form of `_local_data`."""
+    updated by a Hilbert symbol: the reference for the one-pass closed
+    form of `_local_data`."""
     loc = _Local(0, 1, 0, {2: 1})
     for r in sorted(reps, key=abs):
-        loc = _adjoin(loc, r)
+        loc = _reference_adjoin(loc, r)
     return loc
 
 
@@ -73,9 +91,9 @@ def _reference_splits_off(loc, c, k):
     verdict tables of the kernel peel."""
     if abs(loc.sig - (1 if c > 0 else -1)) >= k:
         return False
-    disc = sq_mul(loc.disc, -c)
-    return all(_local_dim(loc.dim + 1, disc, s, p) < k
-               for p, s in _hasse_with(loc, -c))
+    grown = _reference_adjoin(loc, -c)
+    return all(_local_dim(grown.dim, grown.disc, s, p) < k
+               for p, s in grown.hasse.items())
 
 
 def _reference_kernel(reps):
@@ -89,7 +107,7 @@ def _reference_kernel(reps):
             c = next(c for c in _kernel_candidates(reps, loc)
                      if _reference_splits_off(loc, c, k))
             out.append(c)
-            loc = _adjoin(loc, -c)
+            loc = _reference_adjoin(loc, -c)
         if n:
             out.append(_signed(loc.dim, loc.disc))
     return tuple(sorted(out, key=lambda r: (abs(r), r)))
@@ -169,7 +187,7 @@ def test_signature_alone_decides_the_peel_slots_from_4_up(reps):
         for c in itertools.islice(_kernel_candidates(reps, loc), 64):
             assert represents(c) == _reference_splits_off(loc, c, k), (c, k)
         c = next(filter(represents, _kernel_candidates(reps, loc)))
-        loc = _adjoin(loc, -c)
+        loc = _reference_adjoin(loc, -c)
     assert _anisotropic_reps_q_cached(reps) == _reference_kernel(reps)
 
 

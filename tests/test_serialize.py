@@ -1,6 +1,7 @@
 """JSON parsing and serialization round trips."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -261,6 +262,11 @@ def test_invariant_coeff_count():
     with pytest.raises(SchemaViolation) as exc:
         parse_input({"r": 2, "coeffs": [{}]}, algebra=H)
     assert exc.value.pointer == "/coeffs"
+
+
+def test_serialize_refuses_a_type_it_does_not_write():
+    with pytest.raises(TypeError, match="^cannot serialize Fraction$"):
+        serialize(Fraction(1, 2))
 
 
 def test_parse_input_dispatch_and_errors():
