@@ -14,12 +14,12 @@ All runs are deterministic for a fixed configuration.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import polys as P
 from .errors import (
@@ -71,84 +71,139 @@ def _rational(text: str, flag: str) -> int | Fraction:
             f"{flag}: not a rational number: {quoted(text)}") from None
 
 
-def _integer(text: str) -> int:
+def _read_integer(text: str) -> int | None:
     """An integer flag or argument: ASCII digits with an optional sign,
-    read as a JSON document's integer strings are."""
+    read as a JSON document's integer strings are; None for any other
+    text."""
     try:
         x = parse_number(text, "")
-        if type(x) is int:  # exactly for ASCII digits with a sign
-            return x
     except SchemaViolation:
-        pass
-    raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}")
+        return None
+    # an int exactly for ASCII digits with a sign
+    return x if type(x) is int else None
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every argument starting with a minus
-    and a digit, such as -1/5000, as a value, the way it already reads -1
-    and -0.0002: none of the options looks like a number."""
+def _integer(text: str) -> int:
+    """_read_integer as an argparse type, which refuses any other text."""
+    x = _read_integer(text)
+    if x is None:
+        import argparse  # a refused command line alone needs it
+        raise argparse.ArgumentTypeError(f"not an integer: {quoted(text)}")
+    return x
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+# The grammar of the command line, read by both _read_plain and
+# _build_parser: the global flags, and each subcommand with its help line
+# and its own arguments, positionals in order, each with the keyword
+# arguments of add_argument.
+_GLOBALS = {
+    "--field": {"default": "Q", "help": "base field: Q or F<p> (default Q)"},
+    "--quat": {"nargs": 2, "default": ("-1", "-1"), "metavar": ("a", "b"),
+               "help": "quaternion algebra parameters (default -1 -1)"},
+    "--seed": {"type": _integer, "default": 0},
+    "--search-bound": {"type": _integer, "default": DEFAULT_SEARCH_BOUND},
+    "--output": {"choices": ("text", "json"), "default": "text"},
+}
+_COMMANDS = {
+    "prod": ("multiply two mixed classes", {"lhs": {}, "rhs": {}}),
+    "lambda": ("lambda power of an anti-hermitian form",
+               {"degree": {"type": _integer}, "form": {}}),
+    "transfer": ("Morita transfer to W(k)", {"form": {}}),
+    "residue": ("residues of a Q(t) form", {"form": {}, "--place": {
+        "required": True,
+        "help": '"inf" or the comma-separated coefficients of an '
+                'irreducible polynomial, ascending (e.g. "0,1" for t)'}}),
+    "decide": ("equality decision for two inputs", {"lhs": {}, "rhs": {}}),
+    "psi": ("generic-splitting image of a mixed class", {"input": {}}),
+    "check": ("run a verification suite", {"suite": {}}),
+}
+
+# an argument starting with a minus and a digit, such as -1/5000, is a
+# value, the way argparse already reads -1 and -0.0002: none of the
+# options looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
-def _add_globals(ap: argparse.ArgumentParser, suppress: bool):
-    def d(v):
-        return argparse.SUPPRESS if suppress else v
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value in."""
+    return flag[2:].replace("-", "_")
 
-    ap.add_argument("--field", default=d("Q"),
-                    help="base field: Q or F<p> (default Q)")
-    ap.add_argument("--quat", nargs=2, default=d(("-1", "-1")),
-                    metavar=("a", "b"),
-                    help="quaternion algebra parameters (default -1 -1)")
-    ap.add_argument("--seed", type=_integer, default=d(0))
-    ap.add_argument("--search-bound", type=_integer,
-                    default=d(DEFAULT_SEARCH_BOUND))
-    ap.add_argument("--output", choices=["text", "json"], default=d("text"))
+
+def _plain_value(text: str | None, kw: dict):
+    """text read as argparse reads a value of the argument that kw
+    describes, or None where argparse would read an option or refuse it."""
+    if text is None or (text.startswith("-")
+                        and not _NEGATIVE_NUMBER.match(text)):
+        return None
+    if "type" in kw:  # _integer, the grammar's one type
+        return _read_integer(text)
+    return text if text in kw.get("choices", (text,)) else None
+
+
+def _read_plain(argv):
+    """The namespace parse_args gives a plain command line, read without
+    argparse: global flags spelled in full, before or after one subcommand
+    with exactly its positionals, and values argparse reads as values and
+    accepts.  A repeated flag keeps its last value.  None for any other
+    command line, which is left to argparse: help, abbreviations, `=`
+    and `--`, and every refusal."""
+    args = {_dest(flag): kw["default"] for flag, kw in _GLOBALS.items()}
+    options, positionals = _GLOBALS, None
+    tokens = iter(argv)
+    for token in tokens:
+        kw = options.get(token)
+        if kw is not None:
+            name = _dest(token)
+            values = [next(tokens, None) for _ in range(kw.get("nargs", 1))]
+        elif positionals is None:
+            if token not in _COMMANDS:
+                return None
+            args["command"] = token
+            arguments = _COMMANDS[token][1]
+            options = {**_GLOBALS, **{n: a for n, a in arguments.items()
+                                      if n.startswith("--")}}
+            positionals = [(n, a) for n, a in arguments.items()
+                           if not n.startswith("--")]
+            continue
+        elif positionals:
+            (name, kw), values = positionals.pop(0), [token]
+        else:
+            return None
+        values = [_plain_value(v, kw) for v in values]
+        if None in values:
+            return None
+        args[name] = values if "nargs" in kw else values[0]
+    if positionals is None or positionals or any(
+            kw.get("required") and _dest(flag) not in args
+            for flag, kw in options.items()):
+        return None
+    return SimpleNamespace(**args)
 
 
 @functools.lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later one:
-    parse_args keeps no state in it, and its defaults are immutable."""
-    ap = _Parser(prog="quatwitt")
-    _add_globals(ap, suppress=False)
-    sub = ap.add_subparsers(dest="command", required=True)
+def _build_parser():
+    """The parser of every command line _read_plain leaves, built on the
+    first call and shared by every later one: parse_args keeps no state in
+    it, and its defaults are immutable."""
+    import argparse
 
-    def add(name, help_text):
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+    ap = Parser(prog="quatwitt")
+    for name, kw in _GLOBALS.items():
+        ap.add_argument(name, **kw)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         # accept the global flags after the subcommand as well; SUPPRESS
         # keeps the subparser from clobbering values given before it
-        p = sub.add_parser(name, help=help_text)
-        _add_globals(p, suppress=True)
-        return p
-
-    p = add("prod", "multiply two mixed classes")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = add("lambda", "lambda power of an anti-hermitian form")
-    p.add_argument("degree", type=_integer)
-    p.add_argument("form")
-
-    p = add("transfer", "Morita transfer to W(k)")
-    p.add_argument("form")
-
-    p = add("residue", "residues of a Q(t) form")
-    p.add_argument("form")
-    p.add_argument("--place", required=True,
-                   help='"inf" or the comma-separated coefficients of an '
-                        'irreducible polynomial, ascending (e.g. "0,1" for t)')
-
-    p = add("decide", "equality decision for two inputs")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = add("psi", "generic-splitting image of a mixed class")
-    p.add_argument("input")
-
-    p = add("check", "run a verification suite")
-    p.add_argument("suite")
+        for name, kw in _GLOBALS.items():
+            p.add_argument(name, **{**kw, "default": argparse.SUPPRESS})
+        for name, kw in arguments.items():
+            p.add_argument(name, **kw)
     return ap
 
 
@@ -187,7 +242,9 @@ def _parse(text: str, A: QuatAlgebra, field, shape=object, refusal=""):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv) or _build_parser().parse_args(argv)
     try:
         check_search_bound("--search-bound", args.search_bound)
         field = _field_spec(args.field)

@@ -9,9 +9,11 @@ up to a fixed bound, never probabilistic.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -142,21 +144,28 @@ def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
     return factors, n
 
 
-# the one source of primes, sieved on first need of each size so that
-# importing the library, or factoring small integers, does not pay for the
-# 78,498 primes up to 10^6 (about 3 MB); the keys are 1 ... 20, so none
-# evicts, and all 20 hold about 7 MB
-@lru_cache(maxsize=2**5)
-def _primes(bits: int) -> tuple[int, ...]:
-    """The primes up to min(2^bits, 10^6), in increasing order, by a sieve.
-    Trial division of n reads _primes(min(isqrt(n), 10^6).bit_length())."""
+# the one list of primes a process keeps, as [its bound, the primes up to
+# it]: sieved on first need, and again only for a larger bound, which
+# replaces it, so that importing the library, or factoring small integers,
+# does not pay for the 78,498 primes up to 10^6 (about 3 MB), and no
+# smaller list is kept beside them
+_sieved = [1, ()]
+
+
+def _primes(bits: int) -> Iterator[int]:
+    """The primes up to min(2^bits, 10^6), in increasing order, read from
+    the one list.  Trial division of n reads
+    _primes(min(isqrt(n), 10^6).bit_length())."""
     bound = min(1 << bits, TRIAL_DIVISION_BOUND)
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = bytes(2)
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
-    return tuple(compress(range(bound + 1), sieve))
+    if bound > _sieved[0]:
+        sieve = bytearray([1]) * (bound + 1)
+        sieve[:2] = bytes(2)
+        for p in range(2, isqrt(bound) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, bound + 1, p)))
+        _sieved[:] = bound, tuple(compress(range(bound + 1), sieve))
+    primes = _sieved[1]
+    return islice(primes, bisect_right(primes, bound))
 
 
 # the one product of primes a process keeps: about 180 kB
@@ -164,7 +173,7 @@ def _primes(bits: int) -> tuple[int, ...]:
 def _small_primes_product() -> int:
     """The product of the primes up to 10^6, by a product tree (pairwise
     products of balanced sizes), built once on first need."""
-    level = _primes(TRIAL_DIVISION_BOUND.bit_length())
+    level = list(_primes(TRIAL_DIVISION_BOUND.bit_length()))
     while len(level) > 1:
         level = [prod(level[k:k + 2]) for k in range(0, len(level), 2)]
     return level[0]

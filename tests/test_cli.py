@@ -923,10 +923,16 @@ def test_refused_library_arguments_carry_no_pointer():
     (["lambda", "2.0", '{"herm_diag": [["0", "1", "0", "0"]]}'], "degree"),
 ], ids=["search-bound", "seed", "degree", "decimal-degree"])
 def test_integer_flags_take_ascii_digits_only(capsys, argv, name):
+    """Refused by argparse, which prints the usage and the message."""
+    assert cli._read_plain(argv) is None
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
-    assert f"argument {name}: not an integer: " in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: quatwitt")
+    value = argv[argv.index(name) + 1] if name in argv else argv[1]
+    assert err.endswith(
+        f": error: argument {name}: not an integer: {value!r}\n")
 
 
 def test_field_modulus_with_leading_zeros(capsys):
@@ -1041,6 +1047,15 @@ def _outcome(capsys, argv):
     return code, capsys.readouterr().out
 
 
+def _parsed(capsys, parser, argv):
+    """What parser.parse_args makes of argv: the namespace's attributes,
+    or the exit code and the message."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().err
+
+
 def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     assert cli._build_parser() is cli._build_parser()
     reused = [_outcome(capsys, argv) for argv, _ in _REUSE_SEQUENCE]
@@ -1052,6 +1067,75 @@ def test_parser_reuse_leaks_no_state(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
     fresh = [_outcome(capsys, argv) for argv, _ in _REUSE_SEQUENCE]
     assert reused == fresh
+    # main leaves most of the sequence to no parser at all, so the parser
+    # itself reads it too: one parser in turn, and a fresh one for each
+    monkeypatch.undo()
+    parser = cli._build_parser()
+    assert [_parsed(capsys, parser, argv) for argv, _ in _REUSE_SEQUENCE] \
+        == [_parsed(capsys, cli._build_parser.__wrapped__(), argv)
+            for argv, _ in _REUSE_SEQUENCE]
+
+
+_MIXED_DOC = '{"even": ["2", "3"], "odd": [["0", "1", "0", "0"]]}'
+_HERM_DOC = '{"herm_diag": [["0", "0", "0", "1"]]}'
+# shaped like the benchmark's calls, which add --output json last, with
+# the other flags before and after each subcommand
+_PLAIN = [
+    ["--quat", "-1", "-3", "prod", _MIXED_DOC, _PSI_DOC, "--output", "json"],
+    ["--quat", "-1", "-1", "lambda", "2", _HERM_DOC, "--output", "json"],
+    ["transfer", _HERM_DOC, "--quat", "1", "1", "--output", "json"],
+    ["--quat", "1", "1", "residue", '{"entries": [[0, 1], 1]}',
+     "--place", "-1,1", "--output", "json"],
+    ["--search-bound", "3", "decide", _MIXED_DOC, _MIXED_DOC,
+     "--quat", "-1", "-3", "--output", "json"],
+    ["decide", '{"entries": [[0, 1], 1]}', '{"entries": [1, [0, 1]]}',
+     "--output", "json"],
+    ["--quat", "1", "1", "psi", _PSI_DOC, "--output", "json"],
+    ["--seed", "1", "check", "morita", "--search-bound", "3",
+     "--output", "json"],
+]
+
+
+def test_plain_command_lines_build_no_parser(capsys, monkeypatch):
+    def no_parser():
+        raise AssertionError("argparse read a plain command line")
+
+    monkeypatch.setattr(cli, "_build_parser", no_parser)
+    for argv in _PLAIN:
+        assert main(argv) == 0, capsys.readouterr().err
+        assert json.loads(capsys.readouterr().out)
+    # main() reads sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["quatwitt", *_PLAIN[4]])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["result"] == "equal"
+
+
+_DIAGS = ['{"diag": [1, 2]}', '{"diag": [3, 6]}']
+
+
+@pytest.mark.parametrize("argv, same_as", [
+    (["--out", "json", "check", "morita"],
+     ["--output", "json", "check", "morita"]),
+    (["--field=F5", "decide", *_DIAGS], ["--field", "F5", "decide", *_DIAGS]),
+], ids=["abbreviation", "equals-sign"])
+def test_argparse_reads_what_the_plain_reading_leaves(capsys, argv,
+                                                       same_as):
+    assert cli._read_plain(argv) is None
+    assert _run(capsys, argv) == _run(capsys, same_as)
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: quatwitt [-h]"),
+    (["decide", "--help"], "usage: quatwitt decide [-h]"),
+], ids=["help", "subcommand-help"])
+def test_help_is_argparse_s(capsys, argv, usage):
+    assert cli._read_plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    assert out.startswith(usage)
+    assert "--search-bound SEARCH_BOUND" in out
 
 
 @pytest.mark.parametrize("rhs, result", [

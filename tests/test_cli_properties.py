@@ -2,7 +2,9 @@
 flags and documents it is given, main returns 0 or 2, or argparse exits
 with 2.  The flag values mix ASCII digits with other Unicode digits (a
 superscript two, an Arabic-Indic three), signs, blanks, fractions,
-decimals and numbers past the interpreter's limit on integer digits."""
+decimals and numbers past the interpreter's limit on integer digits.
+Where the command line is plain enough for main to read it without
+argparse, it reads the namespace argparse would give."""
 
 import io
 import json
@@ -13,6 +15,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
+from quatwitt import cli  # noqa: E402
 from quatwitt.cli import main  # noqa: E402
 
 BIG = "7" * 5000
@@ -114,3 +117,54 @@ def test_main_exits_0_or_2_and_never_raises(argv):
         assert code == 2
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+
+
+# runs of tokens that argparse reads in ways the plain reading leaves to
+# it, or that land where another kind of token belongs: help, an
+# abbreviation, "=", "--", an unknown option, a minus and a blank, the
+# empty argument, negative numbers, flags where values belong, and
+# --place before residue
+SOUP = [("-h",), ("--help",), ("--out", "json"), ("--field=F5",),
+        ("--place=0,1",), ("--",), ("-x",), ("- 1",), ("",), ("-.5",),
+        ("-1/2",), ("--field",), ("--quat",), ("--seed",), ("--output",),
+        ("--search-bound",), ("--place",), ("--place", "0,1"),
+        ("--quat", "1"), ("--quat", "-1", "-.5"), ("--seed", "-1"),
+        ("--output", "yaml"), ("json",), ("decide",), ("residue",),
+        ("check", "morita")]
+
+
+@st.composite
+def soupy_argvs(draw):
+    """An argv of argvs() with runs of SOUP put in, each in place of up to
+    two tokens or between two."""
+    argv = draw(argvs())
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(argv)))
+        drop = draw(st.integers(0, 2))
+        argv[at:at + drop] = draw(st.sampled_from(SOUP))
+    return argv
+
+
+def _argparse_reads(argv):
+    """The attributes of the namespace argparse gives argv, or None where
+    it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@hypothesis.settings(max_examples=500, deadline=None)
+@hypothesis.example(["--quat", "-1", "-3", "decide", '{"even": [1]}',
+                     '{"even": [1]}', "--output", "json"])
+@hypothesis.example(["residue", QT[1], "--place", "-1,1", "--seed", "-2"])
+@hypothesis.example(["--place", "0,1", "residue", QT[1]])
+@hypothesis.example(["residue", QT[1], "--output", "json"])
+@hypothesis.example(["--quat", "1", "2", "psi", MIXED[3], "--quat", "3",
+                     "4"])
+@hypothesis.given(st.one_of(argvs(), soupy_argvs()))
+def test_plain_reading_equals_argparse(argv):
+    plain = cli._read_plain(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_reads(argv)

@@ -1,5 +1,6 @@
 """Base field arithmetic: factorization, square classes, symbols."""
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -158,9 +159,10 @@ def test_factorize_past_the_gcd_threshold_equals_whole_trial_division(n):
 
 
 def _spy_on_the_sieve(monkeypatch):
-    """Route `fields._primes` through a spy: returns the list of the sieve
-    sizes asked for, in bits, and the count of primes drawn, a one-element
-    list."""
+    """Route `fields._primes` through a spy, from no list of primes held:
+    returns the list of the sieve sizes asked for, in bits, and the count
+    of primes drawn, a one-element list."""
+    monkeypatch.setattr(fields, "_sieved", [1, ()])
     sieve, sizes, tried = fields._primes, [], [0]
 
     def counted(bits):
@@ -212,6 +214,7 @@ def test_smooth_huge_integer_needs_no_primes_product(monkeypatch):
     assert square_class(10 ** 4000) == 1
     assert fields._small_primes_product.cache_info().currsize == 0
     assert sizes and max(sizes) <= 10
+    assert fields._sieved[0] == 1 << 10
 
 
 def test_splitting_test_of_a_small_algebra_reads_no_sieve_past_2_to_the_10(
@@ -225,6 +228,29 @@ def test_splitting_test_of_a_small_algebra_reads_no_sieve_past_2_to_the_10(
     sizes, _ = _spy_on_the_sieve(monkeypatch)
     assert not is_split(QuatAlgebra(-1, -1))
     assert sizes and max(sizes) <= 10
+    assert fields._sieved[0] <= 1 << 10
+
+
+def test_one_list_of_primes_is_kept(monkeypatch):
+    """Every size from 1 to 20 bits, smallest first, is read from one list
+    that the larger sizes replace: what stays allocated is within 10% of
+    the list up to 10^6 alone (about 3 MB), where a list kept for each
+    size retained about twice that."""
+    def retained(sizes):
+        monkeypatch.setattr(fields, "_sieved", [1, ()])
+        tracemalloc.start()
+        try:
+            drawn = [sum(1 for _ in fields._primes(bits)) for bits in sizes]
+            return drawn, tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    drawn, every_size = retained(range(1, 21))
+    assert drawn[:10] == [1, 2, 4, 6, 11, 18, 31, 54, 97, 172]
+    assert drawn[-1] == 78498
+    assert fields._sieved[0] == fields.TRIAL_DIVISION_BOUND
+    _, largest_alone = retained([20])
+    assert every_size <= 1.1 * largest_alone
 
 
 def test_ratio_class_refuses_a_zero_denominator():
