@@ -131,30 +131,45 @@ def _dest(flag: str) -> str:
 
 def _plain_value(text: str | None, kw: dict):
     """text read as argparse reads a value of the argument that kw
-    describes, or None where argparse would read an option or refuse it."""
-    if text is None or (text.startswith("-")
-                        and not _NEGATIVE_NUMBER.match(text)):
+    describes, or None where argparse would refuse it."""
+    if text is None:
         return None
     if "type" in kw:  # _integer, the grammar's one type
         return _read_integer(text)
     return text if text in kw.get("choices", (text,)) else None
 
 
+def _separate(text: str | None) -> str | None:
+    """A token of its own where a value belongs, or None where argparse
+    would read it as an option."""
+    if text is None or (text.startswith("-")
+                        and not _NEGATIVE_NUMBER.match(text)):
+        return None
+    return text
+
+
 def _read_plain(argv):
     """The namespace parse_args gives a plain command line, read without
     argparse: global flags spelled in full, before or after one subcommand
     with exactly its positionals, and values argparse reads as values and
-    accepts.  A repeated flag keeps its last value.  None for any other
-    command line, which is left to argparse: help, abbreviations, `=`
-    and `--`, and every refusal."""
+    accepts.  A flag of one value may be given as `--flag=value`, whose
+    value is everything after the first `=`, empty or starting with `-`
+    as it may be.  A repeated flag keeps its last value.  None for any
+    other command line, which is left to argparse: help, abbreviations,
+    `--quat=`, `--` and every refusal."""
     args = {_dest(flag): kw["default"] for flag, kw in _GLOBALS.items()}
     options, positionals = _GLOBALS, None
     tokens = iter(argv)
     for token in tokens:
-        kw = options.get(token)
+        flag, eq, explicit = token.partition("=")
+        kw = options.get(flag)
         if kw is not None:
-            name = _dest(token)
-            values = [next(tokens, None) for _ in range(kw.get("nargs", 1))]
+            name = _dest(flag)
+            if not eq:
+                values = [_separate(next(tokens, None))
+                          for _ in range(kw.get("nargs", 1))]
+            else:  # --quat=… is left to argparse
+                values = [None] if "nargs" in kw else [explicit]
         elif positionals is None:
             if token not in _COMMANDS:
                 return None
@@ -166,7 +181,7 @@ def _read_plain(argv):
                            if not n.startswith("--")]
             continue
         elif positionals:
-            (name, kw), values = positionals.pop(0), [token]
+            (name, kw), values = positionals.pop(0), [_separate(token)]
         else:
             return None
         values = [_plain_value(v, kw) for v in values]

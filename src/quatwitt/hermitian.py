@@ -5,17 +5,17 @@ square-multiple pairs <z, -lambda^2 z> cancel as hyperbolic planes, and
 Morita transfer along a nilpotent pure quaternion turns what is left into
 quadratic forms over the base field, where the decisions are complete.
 Over a division algebra, isometry of rank-1 forms is decided exactly, by
-`hyperbolic_pair` alone: a square multiple at once (p = lambda), with
-nothing factored, and any other pair by Skolem-Noether and
-Hasse-Minkowski, on classes read from integer numerators (`nrd_class`,
-`nrd_ratio_root`, `ratio_class`).  Larger forms get hyperbolicity
-certificates from a bounded search.  The pair tests and the certificates
-refuse split algebras, which the first tiers decide.  The search splits
-off one hyperbolic plane at a time: a plane found on two slots of the
-current orthogonal basis drops those slots without a new Gram-Schmidt.  A
-plane on two slots needs their rank-1 forms to be opposite, so past
-height 1 the pair searches run only where the exact rank-1 test pairs two
-slots.
+`hyperbolic_pair` alone: a square multiple at once (p = lambda), read
+by cross-multiplying the integer numerators, with nothing factored, and
+any other pair by Skolem-Noether and Hasse-Minkowski, on classes read
+from integer numerators (`nrd_class`, `nrd_ratio_root`, `ratio_class`).
+Larger forms get hyperbolicity certificates from a bounded search.  The
+pair tests and the certificates refuse split algebras, which the first
+tiers decide.  The search splits off one hyperbolic plane at a time: a
+plane found on two slots of the current orthogonal basis drops those
+slots without a new Gram-Schmidt.  A plane on two slots needs their
+rank-1 forms to be opposite, so past height 1 the pair searches run only
+where the exact rank-1 test pairs two slots.
 `herm_verdict` runs these tiers as the one test of whether a form is 0 in
 the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 
@@ -148,10 +148,7 @@ def _identity(algebra: QuatAlgebra, n: int):
 
 
 def _quat_inv(x: Quaternion) -> Quaternion:
-    n = x.nrd()
-    if not n:
-        raise ZeroDivisionError("non-invertible quaternion")
-    return x.conj().scale(1 / n)
+    return x.conj().scale(1 / x.nrd())
 
 
 def _height_box(bound: int) -> tuple:
@@ -237,35 +234,20 @@ def _mixed_pivot(pair, pool, algebra) -> int:
 
 def square_multiple(z1: Quaternion, z2: Quaternion, sign: int = 1) -> bool:
     """Whether sign z2 = lambda^2 z1 for a rational lambda (sign is 1 or
-    -1); then <z1>_gamma ~ <sign z2>_gamma over any quaternion algebra: the
-    scalar p = lambda has gamma(p) = lambda, so gamma(p) z1 p = lambda^2 z1.
-    With g_k the gcd of the integer numerators of z_k, sign z2 = (g2 den1 /
-    (g1 den2)) z1 iff num2 sign g1 = num1 g2, and that positive ratio is a
-    square iff g1 g2 den1 den2 is one: nothing is factored or negated."""
-    return _square_multiple(_with_content(z1), _with_content(z2), sign)
-
-
-def _with_content(z: Quaternion) -> tuple[Quaternion, int]:
-    """(z, the gcd of its integer numerators): an entry as the pair tests
-    take it, so that a cancellation takes each entry's content once."""
-    return z, gcd(*z.num)
-
-
-def _square_multiple(x, y, sign: int) -> bool:
-    """`square_multiple` of entries with their contents."""
-    (z1, g1), (z2, g2) = x, y
-    s1 = sign * g1
-    if any(a * s1 != b * g2 for a, b in zip(z2.num, z1.num)):
+    -1), for pure z1 and z2; then <z1>_gamma ~ <sign z2>_gamma over any
+    quaternion algebra: the scalar p = lambda has gamma(p) = lambda, so
+    gamma(p) z1 p = lambda^2 z1.  It reads the integer numerators n1, n2
+    and the denominators den1, den2.  With c the first nonzero pure
+    coordinate of z1, the numerators are proportional iff n2[k] n1[c] =
+    n2[c] n1[k] for k = 1, 2, 3, and then lambda^2 = sign n2[c] den1 /
+    (n1[c] den2), a square iff sign n1[c] n2[c] den1 den2 is one: nothing
+    is factored or negated."""
+    (_, x1, x2, x3), (_, y1, y2, y3) = z1.num, z2.num
+    x, y = (x1, y1) if x1 else (x2, y2) if x2 else (x3, y3)  # n1[c], n2[c]
+    if y1 * x != x1 * y or y2 * x != x2 * y or y3 * x != x3 * y:
         return False
-    m = g1 * g2 * z1.den * z2.den
-    return isqrt(m) ** 2 == m
-
-
-def rank_one_isometric(z1: Quaternion, z2: Quaternion) -> bool:
-    """Exact decision of <z1>_gamma ~ <z2>_gamma for pure invertible z1, z2
-    over a division algebra: <z1> ~ <-(-z2)>.  A split algebra is refused
-    as `hyperbolic_pair` refuses it."""
-    return hyperbolic_pair(z1, -z2)
+    m = sign * x * y * z1.den * z2.den
+    return m >= 0 and isqrt(m) ** 2 == m
 
 
 def _refuse_split(algebra: QuatAlgebra, what: str, use: str):
@@ -290,20 +272,21 @@ def hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
     orthogonal to z, so Nrd(p) is a value of B, <n1> + B = <-a, -b, ab>.
     So p exists iff the kernel of <-a, -b, ab, -n1, -c'> = H + B + <-c'>
     is 1-dimensional (B is anisotropic), read from square classes, so ab
-    is never factored.  Square multiples (`square_multiple`) and norm
-    ratios that are not squares (`nrd_ratio_root`) come first, unfactored.
+    is never factored.  Square multiples (`square_multiple`, on the
+    numerators and denominators of z and w) and norm ratios that are not
+    squares (`nrd_ratio_root`, on the integer reduced norms) come first,
+    unfactored.
 
     A split algebra is refused (NotDivision): there r may be a zero
     divisor, and `herm_verdict` and `morita_transfer` decide exactly."""
     _refuse_split(z.algebra, "pair tests", "herm_verdict or morita_transfer")
-    return _hyperbolic_pair(_with_content(z), _with_content(w))
+    return _hyperbolic_pair(z, w)
 
 
-def _hyperbolic_pair(x, y) -> bool:
-    """`hyperbolic_pair` of entries with their contents."""
-    if _square_multiple(x, y, -1):
+def _hyperbolic_pair(z: Quaternion, w: Quaternion) -> bool:
+    """`hyperbolic_pair` with no split check."""
+    if square_multiple(z, w, -1):
         return True
-    z, w = x[0], y[0]
     c = nrd_ratio_root(z, w)
     if c is None:
         return False
@@ -324,10 +307,10 @@ def _hyperbolic_pair(x, y) -> bool:
 
 
 def _cancelled(h: AntiHermForm, opposite) -> AntiHermForm:
-    """What `cancel_pairs` leaves of h for a pair test `opposite` on entries
-    with their contents: entries of h, so nothing is checked again."""
-    left = cancel_pairs(map(_with_content, h.diag), opposite)
-    return AntiHermForm._carried(tuple(z for z, _ in left), h.algebra)
+    """What `cancel_pairs` leaves of h for a pair test `opposite` on two
+    entries of h: entries of h, so nothing is checked again."""
+    return AntiHermForm._carried(tuple(cancel_pairs(h.diag, opposite)),
+                                 h.algebra)
 
 
 def cancel_hyperbolic_pairs(h: AntiHermForm) -> AntiHermForm:
@@ -600,9 +583,9 @@ def hyperbolicity_certificate(h: AntiHermForm,
         # An isotropic e_s p + e_t q has invertible p, q (p = 0 would leave
         # gamma(q) d_t q = 0), so <d_s> ~ <-d_t>: later pair rungs need it.
         try:  # a pair the test cannot factor counts as possible
-            pairs = found is None and bound >= 2 and any(_hyperbolic_pair(
-                x, y) for x, y in itertools.combinations(
-                    map(_with_content, diag), 2))
+            pairs = found is None and bound >= 2 and any(
+                _hyperbolic_pair(z, w)
+                for z, w in itertools.combinations(diag, 2))
         except FactorizationLimitExceeded:
             pairs = True
         if pairs:
@@ -704,7 +687,7 @@ def herm_screen(h: AntiHermForm) -> str | None:
     These screens are unsound over a split algebra, where <i> over (1, 1)
     is 0."""
     if is_split(h.algebra):
-        left = _cancelled(h, lambda x, y: _square_multiple(x, y, -1))
+        left = _cancelled(h, lambda z, w: square_multiple(z, w, -1))
         if not left.diag:
             return "equal"
         q = morita_transfer(left, find_nilpotent(h.algebra))

@@ -11,6 +11,7 @@ import json
 import sys
 import time
 
+from quatwitt import suites
 from quatwitt.suites import RunConfig, Report, _case, emit_report, run_suite
 
 _CACHE = {}
@@ -143,6 +144,20 @@ def test_suite_reports_match_recorded_digests():
     for name, digest in SUITE_DIGESTS.items():
         report = emit_report(_suite(name), "json")
         assert hashlib.sha256(report.encode()).hexdigest() == digest, name
+
+
+# SHA-256 of `quatwitt check all --output json`, which CI also checks
+ALL_DIGEST = "8c6efee50bb9d02cf34fd3a4cd42ab0cbc8e61f4802a3fadaeceffecb81ca5d7"
+
+
+def test_the_all_report_joins_the_suite_reports(monkeypatch):
+    """run_suite("all") puts the six suites' cases together in name order
+    into the report `check all` prints; the suites come from the session
+    cache, so none runs again."""
+    monkeypatch.setattr(suites, "SUITES", {
+        name: (lambda cfg, name=name: _suite(name)) for name in SUITE_DIGESTS})
+    report = emit_report(run_suite("all"), "json")
+    assert hashlib.sha256(report.encode()).hexdigest() == ALL_DIGEST
 
 
 def test_reports_are_deterministic():

@@ -1093,6 +1093,8 @@ _PLAIN = [
     ["--quat", "1", "1", "psi", _PSI_DOC, "--output", "json"],
     ["--seed", "1", "check", "morita", "--search-bound", "3",
      "--output", "json"],
+    ["--quat", "1", "1", "residue", '{"entries": [[0, 1], 1]}',
+     "--place=-1,1", "--output=json"],
 ]
 
 
@@ -1116,7 +1118,7 @@ _DIAGS = ['{"diag": [1, 2]}', '{"diag": [3, 6]}']
 @pytest.mark.parametrize("argv, same_as", [
     (["--out", "json", "check", "morita"],
      ["--output", "json", "check", "morita"]),
-    (["--field=F5", "decide", *_DIAGS], ["--field", "F5", "decide", *_DIAGS]),
+    (["--fie=F5", "decide", *_DIAGS], ["--field", "F5", "decide", *_DIAGS]),
 ], ids=["abbreviation", "equals-sign"])
 def test_argparse_reads_what_the_plain_reading_leaves(capsys, argv,
                                                        same_as):

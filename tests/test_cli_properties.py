@@ -121,16 +121,23 @@ def test_main_exits_0_or_2_and_never_raises(argv):
 
 # runs of tokens that argparse reads in ways the plain reading leaves to
 # it, or that land where another kind of token belongs: help, an
-# abbreviation, "=", "--", an unknown option, a minus and a blank, the
-# empty argument, negative numbers, flags where values belong, and
-# --place before residue
+# abbreviation, "--", an unknown option, a minus and a blank, the empty
+# argument, negative numbers, flags where values belong, and --place
+# before residue.  A flag spelled --flag=value takes everything after the
+# first "=" as its value, so the soup has such values empty, negative,
+# option-like and holding a second "=", a repeated flag, and --quat=,
+# which argparse refuses, as --quat takes two values
 SOUP = [("-h",), ("--help",), ("--out", "json"), ("--field=F5",),
         ("--place=0,1",), ("--",), ("-x",), ("- 1",), ("",), ("-.5",),
         ("-1/2",), ("--field",), ("--quat",), ("--seed",), ("--output",),
         ("--search-bound",), ("--place",), ("--place", "0,1"),
         ("--quat", "1"), ("--quat", "-1", "-.5"), ("--seed", "-1"),
         ("--output", "yaml"), ("json",), ("decide",), ("residue",),
-        ("check", "morita")]
+        ("check", "morita"), ("--field=",), ("--field=-x",),
+        ("--field=F5=3",), ("--seed=",), ("--seed=-1",), ("--seed=x",),
+        ("--search-bound=3", "--search-bound=-2"), ("--output=json",),
+        ("--output=",), ("--output=-1",), ("--place=-1,1",), ("--place=",),
+        ("--quat=1",), ("--quat=1", "2"), ("--out=json",), ("--fie=F5",)]
 
 
 @st.composite
@@ -160,6 +167,10 @@ def _argparse_reads(argv):
                      '{"even": [1]}', "--output", "json"])
 @hypothesis.example(["residue", QT[1], "--place", "-1,1", "--seed", "-2"])
 @hypothesis.example(["--place", "0,1", "residue", QT[1]])
+@hypothesis.example(["residue", QT[1], "--place=-1,1", "--output=json",
+                     "--seed=", "--seed=-2"])
+@hypothesis.example(["--field=", "decide", DIAG[0], DIAG[1], "--field=F5"])
+@hypothesis.example(["--quat=1", "-1", "decide", DIAG[0], DIAG[1]])
 @hypothesis.example(["residue", QT[1], "--output", "json"])
 @hypothesis.example(["--quat", "1", "2", "psi", MIXED[3], "--quat", "3",
                      "4"])

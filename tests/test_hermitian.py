@@ -608,7 +608,6 @@ def test_pair_tests_refuse_a_split_algebra():
     z, w = M2.pure(1, 1, 1), M2.i()
     h = herm_diag([z, w], M2)
     for test in (lambda: hermitian.hyperbolic_pair(z, w),
-                 lambda: hermitian.rank_one_isometric(z, w),
                  lambda: hermitian.cancel_hyperbolic_pairs(h)):
         with pytest.raises(NotDivision,
                            match="herm_verdict or morita_transfer"):

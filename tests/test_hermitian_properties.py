@@ -23,7 +23,6 @@ from quatwitt.hermitian import (  # noqa: E402
     hyperbolic_pair,
     hyperbolicity_certificate,
     morita_transfer,
-    rank_one_isometric,
     square_multiple,
 )
 from quatwitt.mixed import closed_form_diag, mixed  # noqa: E402
@@ -176,7 +175,7 @@ def test_rank_one_isometric_equals_the_commutator_reference(ab, c1, c2, m,
     z1 = A.pure(*c1)
     z2 = _second_entry(A, z1, c2, m, shape, k)
     hypothesis.assume(z2.is_invertible())
-    got = rank_one_isometric(z1, z2)
+    got = hyperbolic_pair(z1, -z2)
     hypothesis.event(shape + (", isometric" if got else ", not isometric"))
     assert got == _reference_rank_one_isometric(z1, z2)
 
@@ -191,7 +190,7 @@ def test_rank_one_isometric_on_multiples_equals_the_peeling_reference(
     dimension read from the local invariants decides as the peel did."""
     A = QuatAlgebra(*ab)
     z1 = A.pure(*c)
-    got = rank_one_isometric(z1, z1.scale(m))
+    got = hyperbolic_pair(z1, -z1.scale(m))
     hypothesis.event("isometric" if got else "not isometric")
     assert got == _peeling_rank_one_isometric(z1, z1.scale(m))
 
@@ -212,8 +211,49 @@ def test_square_multiples_are_isometric(ab, c, lam):
     A = QuatAlgebra(*ab)
     z = A.pure(*c)
     z2 = z.scale(lam * lam)
-    assert rank_one_isometric(z, z2)
+    assert hyperbolic_pair(z, -z2)
     assert _reference_rank_one_isometric(z, z2)
+
+
+def _reference_square_multiple(z1, z2, sign):
+    """sign z2 = lambda^2 z1 read from Fraction coordinates: each pure
+    coordinate of sign z2 over that of z1 is one rational, 0 over 0
+    anything, and `rational_sqrt` finds its root."""
+    pairs = list(zip(z1.coords[1:], z2.coords[1:]))
+    if any(c2 and not c1 for c1, c2 in pairs):
+        return False
+    ratios = {sign * c2 / c1 for c1, c2 in pairs if c1}
+    return len(ratios) == 1 and rational_sqrt(ratios.pop()) is not None
+
+
+@st.composite
+def square_multiple_cases(draw):
+    """(kind, z1, z2, sign): z1 with up to two zero leading pure
+    coordinates, z2 one of lambda^2 z1, -lambda^2 z1 and 2 lambda^2 z1 or
+    independent of z1, over division, split and non-integral algebras."""
+    A = QuatAlgebra(*draw(st.sampled_from(
+        ALGEBRAS + [(1, 1), (2, 7), (Fraction(1, 4), -3)])))
+    lead = draw(st.integers(0, 2))
+    z1 = A.pure(*(0,) * lead,
+                *draw(st.tuples(*[coord] * (3 - lead)).filter(any)))
+    kind = draw(st.sampled_from(["square", "-square", "twice square",
+                                 "independent"]))
+    if kind == "independent":
+        z2 = A.pure(*draw(pure))
+    else:
+        lam = draw(ratio)
+        z2 = z1.scale({"square": 1, "-square": -1,
+                       "twice square": 2}[kind] * lam * lam)
+    return kind, z1, z2, draw(st.sampled_from([1, -1]))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(square_multiple_cases())
+def test_square_multiple_equals_the_fraction_definition(case):
+    kind, z1, z2, sign = case
+    got = square_multiple(z1, z2, sign)
+    hypothesis.event(f"{kind}, sign {sign}: {got}")
+    assert got == _reference_square_multiple(z1, z2, sign)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -351,7 +391,8 @@ def test_cancel_hyperbolic_pairs_equals_the_reference_loop(h):
     left = cancel_hyperbolic_pairs(h)
     hypothesis.event(f"{h.rank} -> {left.rank}")
     assert left.diag == _reference_cancel(h)
-    assert left == _negating_cancel(h, rank_one_isometric)
+    assert left == _negating_cancel(
+        h, lambda z, w: hyperbolic_pair(z, -w))
     assert AntiHermForm(left.diag, h.algebra) == left
 
 
@@ -704,7 +745,7 @@ def _reference_certificate(h, bound, hits):
         sub = AntiHermForm(tuple(diag), A)
         found = pair(sub, 1)
         if (found is None and sub.rank == 2
-                and not hermitian.rank_one_isometric(diag[0], -diag[1])):
+                and not hermitian.hyperbolic_pair(diag[0], diag[1])):
             return hermitian.HyperbolicityResult("anisotropic-at-bound")
         if found is None and bound >= 2:
             found = pair(sub, 2)

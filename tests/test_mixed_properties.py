@@ -20,8 +20,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt.hermitian import (  # noqa: E402
     AntiHermForm,
+    hyperbolic_pair,
     hyperbolicity_certificate,
-    rank_one_isometric,
 )
 from quatwitt.mixed import odd_product_closed_form, twisted_trace_form  # noqa: E402
 from quatwitt.quadforms import witt_class  # noqa: E402
@@ -67,7 +67,7 @@ def test_sandwich_is_rank_one_isometric(ab, c, p):
     A = QuatAlgebra(*ab)
     w = _sandwich(p, (0,) + c, *ab)
     assert w[0] == 0
-    assert rank_one_isometric(A.pure(*c), A.pure(*w[1:]))
+    assert hyperbolic_pair(A.pure(*c), -A.pure(*w[1:]))
 
 
 @hypothesis.settings(max_examples=80, deadline=None)
@@ -78,7 +78,7 @@ def test_not_isometric_has_no_witness(ab, c, p, s):
     A = QuatAlgebra(*ab)
     z1 = (0,) + c
     z2 = tuple(s * v for v in _sandwich(p, z1, *ab))
-    iso = rank_one_isometric(A.pure(*c), A.pure(*z2[1:]))
+    iso = hyperbolic_pair(A.pure(*c), -A.pure(*z2[1:]))
     entries = [z1, tuple(-v for v in z2)]
     h = AntiHermForm(tuple(A.pure(*z[1:]) for z in entries), A)
     cert = hyperbolicity_certificate(h, bound=2)

@@ -166,6 +166,16 @@ def test_zero_polynomials_and_poles_are_refused():
         RationalFunction(one, P.poly([-1, 1])).evaluate(F(1))
 
 
+def test_zero_and_constant_polynomials_at_the_public_helpers():
+    """The zero polynomial has leading coefficient 0, content 0 and the
+    text "0"; no constant is irreducible."""
+    assert P.leading(P.ZERO) == 0
+    assert P.content_primitive(P.ZERO) == (0, P.ZERO)
+    assert P.poly_str(P.ZERO) == "0"
+    for p in (P.ZERO, P.poly([3]), P.ONE):
+        assert not P.is_irreducible(p)
+
+
 def test_monic_returns_a_monic_polynomial_itself():
     """An already monic polynomial is returned as it is, not rescaled by 1;
     any other is divided by its leading coefficient."""
