@@ -29,6 +29,7 @@ from .hermitian import (
 )
 from .mixed import (
     MixedClass,
+    _sum,
     mixed_equal,
     mixed_even,
     mixed_odd,
@@ -55,13 +56,8 @@ def n_q_mixed(A: QuatAlgebra) -> MixedClass:
 
 
 def int_multiple(n: int, x: MixedClass) -> MixedClass:
-    """n x as x + x + ... (|n| terms, of -x for n < 0)."""
-    if not n:
-        return mixed_zero(x.algebra)
-    out = step = x if n > 0 else -x
-    for _ in range(abs(n) - 1):
-        out = out + step
-    return out
+    """n x as the orthogonal sum of |n| copies of x (of -x for n < 0)."""
+    return _sum(x.algebra, [x if n > 0 else -x] * abs(n))
 
 
 # ---------------------------------------------------------------------------
@@ -73,28 +69,33 @@ def lambda_herm(d: int, h: AntiHermForm) -> MixedClass:
     r = h.rank
     if d < 0 or d > 2 * r:
         raise DegreeTooLarge(f"lambda^{quoted(d)} of a rank-{r} form")
-    return lambda_all(h)[d]
+    return _lambda_upto(d, h)[d]
 
 
 def lambda_all(h: AntiHermForm) -> list[MixedClass]:
-    """lambda^0, ..., lambda^{2r} of h, from one convolution.
+    """lambda^0, ..., lambda^{2r} of h, from one convolution."""
+    return _lambda_upto(2 * h.rank, h)
 
-    Multiplying by the factor 1 + <z> t + <n> t^2, n = Nrd z, gives the
-    coefficients c'_d = c_{d-2} <n> + c_{d-1} <z> + c_d, summed in that
-    order.  The product by 1 is left out, and so is the sum with 0: each
-    returns its argument exactly, as a kernel is its own kernel.  The
-    product by the even <n> runs no odd-by-odd terms."""
+
+def _lambda_upto(top: int, h: AntiHermForm) -> list[MixedClass]:
+    """lambda^0, ..., lambda^top of h.  Multiplying by the factor
+    1 + <z> t + <n> t^2, n = Nrd z, gives the coefficients
+    c'_d = c_{d-2} <n> + c_{d-1} <z> + c_d, summed in that order, so the
+    convolution stops at degree top: no c'_d up to top reads past it.  The
+    product by 1 is left out, and so is the sum with 0: each returns its
+    argument exactly, as a kernel is its own kernel.  The product by the
+    even <n> runs no odd-by-odd terms."""
     A = h.algebra
     coeffs = [mixed_one(A)]
     for z in h.diag:
         odd = mixed_odd(A, z)
         nrd = mixed_even(A, witt_class(QuadForm((nrd_class(z),))))
-        times_z = [c * odd for c in coeffs]
-        times_n = [c * nrd for c in coeffs]
+        times_z = [c * odd for c in coeffs[:top]]
+        times_n = [c * nrd for c in coeffs[:max(top - 1, 0)]]
         new = []
-        for d in range(len(coeffs) + 2):
+        for d in range(min(len(coeffs) + 2, top + 1)):
             terms = [t[i] for t, i in ((times_n, d - 2), (times_z, d - 1),
-                                       (coeffs, d)) if 0 <= i < len(coeffs)]
+                                       (coeffs, d)) if 0 <= i < len(t)]
             new.append(sum(terms[1:], terms[0]))
         coeffs = new
     return coeffs
@@ -145,21 +146,16 @@ def lambda_basis_invariant(r: int, d: int, A: QuatAlgebra,
 def eval_invariant(alpha: LambdaInvariant, h: AntiHermForm) -> MixedClass:
     if h.rank != alpha.r:
         raise RankMismatch(f"form has rank {h.rank}, invariant expects {alpha.r}")
-    lam = lambda_all(h)
-    out = mixed_zero(alpha.algebra)
-    for x, l in zip(alpha.coeffs, lam):
-        out = out + x * l
-    return out
+    return _sum(alpha.algebra,
+                [x * l for x, l in zip(alpha.coeffs, lambda_all(h))])
 
 
 def chi(r: int, coeffs: Sequence[MixedClass]) -> MixedClass:
     """sum_i C(r, i) x_{2i}."""
     if len(coeffs) != 2 * r + 1:
         raise LengthMismatch(f"expected {2 * r + 1} coefficients")
-    out = coeffs[0]
-    for i in range(1, r + 1):
-        out = out + int_multiple(comb(r, i), coeffs[2 * i])
-    return out
+    return _sum(coeffs[0].algebra, [x for i in range(r + 1)
+                                    for x in [coeffs[2 * i]] * comb(r, i)])
 
 
 # ---------------------------------------------------------------------------

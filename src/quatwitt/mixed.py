@@ -11,7 +11,8 @@ by one Witt-equality decision on its 8-entry diagonal.
 from __future__ import annotations
 
 
-from .errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
+from .errors import (AlgebraMismatch, AsymmetryDetected, FieldMismatch,
+                     ZeroSlot)
 from .fields import ratio_class, sq_mul
 from .hermitian import (
     DEFAULT_SEARCH_BOUND,
@@ -178,16 +179,38 @@ def mixed_one(algebra: QuatAlgebra) -> MixedClass:
     return mixed(algebra, even=witt_class(qf([1])))
 
 
+def _sum(A: QuatAlgebra, terms: list[MixedClass]) -> MixedClass:
+    """The sum of `terms` over A, by one `witt_class` call on their joined
+    even parts.  As `+` does, it refuses terms over two algebras or fields,
+    adds nothing for a 0 even part and keeps a lone kernel as it stands."""
+    kernels, odd = [], []
+    for x in terms:
+        if x.algebra != A:
+            raise AlgebraMismatch("mixed classes over different algebras")
+        if x.even.field != terms[0].even.field:
+            raise FieldMismatch("orthogonal sum over different fields")
+        if x.even.anis.entries:
+            kernels.append(x.even)
+        odd += x.odd.diag
+    if len(kernels) > 1:
+        entries = tuple(e for k in kernels for e in k.anis.entries)
+        kernels = [witt_class(QuadForm(entries, kernels[0].field))]
+    even = kernels[0] if kernels else terms[0].even if terms else witt_zero()
+    # entries of checked forms over one algebra
+    return MixedClass(even, AntiHermForm._carried(tuple(odd), A), A)
+
+
 # ---------------------------------------------------------------------------
 # equality
 
 
 def phi_z0(x: MixedClass, z0: Quaternion | None = None) -> WittClass:
     """The Morita isomorphism onto W(k) in the split case: identity on the
-    even part, transfer along z0 on the odd part."""
+    even part, transfer along z0 on the odd part, joined and peeled once."""
     if z0 is None:
         z0 = find_nilpotent(x.algebra)
-    return x.even + witt_class(morita_transfer(x.odd, z0))
+    q = x.even.anis.perp(morita_transfer(x.odd, z0))
+    return witt_class(q) if q.dim > x.even.dim else x.even
 
 
 def mixed_equal(x: MixedClass, y: MixedClass,

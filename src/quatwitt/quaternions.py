@@ -19,6 +19,7 @@ from .errors import (
     GenericBasisUnavailable,
     NotNilpotent,
     NotSplit,
+    SchemaViolation,
     SearchBoundExceeded,
     ZeroArgument,
     quoted,
@@ -315,10 +316,9 @@ def find_nilpotent(A: QuatAlgebra) -> Quaternion:
 def draw_pure(rng: random.Random, A: QuatAlgebra, height: int) -> Quaternion:
     """Invertible pure quaternion with integer coordinates of absolute value
     <= height, drawn from rng (three randint calls per attempt)."""
+    if height < 1:  # at height 0 every draw is 0, which is not invertible
+        raise SchemaViolation(f"height: must be at least 1: {quoted(height)}")
     while True:
-        c = [rng.randint(-height, height) for _ in range(3)]
-        if not any(c):
-            continue
-        z = A.pure(*c)
+        z = A.pure(*(rng.randint(-height, height) for _ in range(3)))
         if z.is_invertible():
             return z

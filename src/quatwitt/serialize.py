@@ -284,8 +284,8 @@ def _parse_ffentry(e, eptr: str):
     return ff_class(unit, factors)
 
 
-# The constant value chi sums each x_{2i} C(r, i) times, 2^r additions in
-# all: past rank 10 a document of a few hundred bytes runs for seconds
+# chi is one peel of sum_i C(r, i) dim x_{2i} entries: for the lambda^d of
+# a (-1, -1) form, 0.26 s at rank 10 and 3.5 s at rank 12 (2 vCPUs)
 MAX_INVARIANT_RANK = 10
 
 

@@ -1,13 +1,22 @@
 """Lambda operations and the module of formal invariants."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
 from quatwitt import invariants as inv
-from quatwitt.errors import DegreeTooLarge, UnsupportedField
+from quatwitt import quadforms
+from quatwitt.errors import (
+    AlgebraMismatch,
+    DegreeTooLarge,
+    FieldMismatch,
+    SchemaViolation,
+    UnsupportedField,
+)
 from quatwitt.fields import Fp
 from quatwitt.hermitian import AntiHermForm
 from quatwitt.invariants import (
@@ -24,12 +33,32 @@ from quatwitt.invariants import (
     nq_membership,
     versal_sample_check,
 )
-from quatwitt.mixed import mixed, mixed_equal, mixed_one, mixed_zero
+from quatwitt.mixed import (
+    MixedClass,
+    mixed,
+    mixed_equal,
+    mixed_one,
+    mixed_zero,
+    phi_z0,
+)
 from quatwitt.quadforms import qf, witt_class
 from quatwitt.quaternions import QuatAlgebra
+from test_quaternions import DrawLimit
 
 H = QuatAlgebra(-1, -1)
 M2 = QuatAlgebra(1, 1)
+
+
+def _drawn_form(r):
+    """A rank-r form over (-1, -1), each entry of coordinates -2..2 drawn
+    by random.Random(1), all-zero draws skipped."""
+    rng = random.Random(1)
+    diag = []
+    while len(diag) < r:
+        c = [rng.randint(-2, 2) for _ in range(3)]
+        if any(c):
+            diag.append(H.pure(*c))
+    return AntiHermForm(tuple(diag), H)
 
 
 def _rand_pure(rng, A, h=5):
@@ -97,22 +126,25 @@ def test_int_multiple_of_zero_is_the_zero_class():
 
 
 def test_lambda_herm_indexes_one_convolution(monkeypatch):
-    """lambda_herm(d, h) is coefficient d of lambda_all(h), which runs the
-    convolution once: one odd factor <z> per entry of h."""
+    """lambda_all(h) runs the convolution once: one odd factor <z> per
+    entry of h.  lambda_herm(d, h) runs it once too, stopped at degree d,
+    and prints coefficient d of lambda_all(h)."""
     rng = random.Random(3)
     mixed_odd = inv.mixed_odd
     calls = []
     monkeypatch.setattr(inv, "mixed_odd",
                         lambda A, *zs: calls.append(zs) or mixed_odd(A, *zs))
-    for A in (H, M2):
-        for r in (1, 2, 3):
+    for A in (H, M2, QuatAlgebra(Fraction(-2, 3), Fraction(-5, 7))):
+        for r in (1, 2, 3, 4):
             h = AntiHermForm(tuple(_rand_pure(rng, A) for _ in range(r)), A)
             calls.clear()
             lam = lambda_all(h)
             assert calls == [(z,) for z in h.diag]
             assert len(lam) == 2 * r + 1
             for d in range(2 * r + 1):
+                calls.clear()
                 assert repr(lambda_herm(d, h)) == repr(lam[d])
+                assert calls == [(z,) for z in h.diag]
             for d in (-1, 2 * r + 1):
                 with pytest.raises(DegreeTooLarge):
                     lambda_herm(d, h)
@@ -125,6 +157,59 @@ def test_chi_binomials():
         coeffs[2 * i] = mixed_one(A)
     out = chi(3, coeffs)
     assert out.even == witt_class(qf([1] * 8))  # sum C(3,i) = 8 copies of <1>
+
+
+def test_lambda_power_stops_at_its_degree(monkeypatch):
+    """lambda^2 of a rank-20 form takes at most three products per entry,
+    c_0 <z>, c_1 <z> and c_0 <Nrd z>, where the full convolution takes
+    400; the count stops the call before it could run for minutes."""
+    h = _drawn_form(20)
+    mul = MixedClass.__mul__
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        assert len(calls) <= 3 * h.rank, "lambda^2 ran past degree 2"
+        return mul(x, y)
+
+    monkeypatch.setattr(MixedClass, "__mul__", counted)
+    lam2 = lambda_herm(2, h)
+    assert lam2.odd.rank == 0
+
+
+def test_chi_at_rank_ten_peels_once(monkeypatch):
+    """chi(10, lambda_all(h)) sums 2^10 copies of the even coefficients
+    with one `witt_class` call, where one `+` per copy made about 2^10."""
+    lam = lambda_all(_drawn_form(10))
+    witt = quadforms.witt_class
+    calls = []
+
+    def counted(q):
+        calls.append(q.dim)
+        return witt(q)
+
+    for module in (quadforms, importlib.import_module("quatwitt.mixed")):
+        monkeypatch.setattr(module, "witt_class", counted)
+    chi(10, lam)
+    assert calls == [sum(comb(10, i) * lam[2 * i].even.dim
+                         for i in range(11))]
+
+
+def test_sums_refuse_mixed_algebras_and_fields():
+    """The one-peel sum refuses what `+` refuses: classes over two algebras,
+    and even parts over two fields, a 0 over Q against one over F_5
+    included."""
+    x = mixed(H, witt_class(qf([1, 3])), (H.pure(1, 0, 0),))
+    with pytest.raises(AlgebraMismatch):
+        chi(1, [x, mixed_zero(H), mixed(M2, witt_class(qf([2])))])
+    over_f5 = mixed(H, witt_class(qf([2], Fp(5))))
+    zero = mixed_zero(H)
+    for coeffs in ([x, zero, over_f5], [over_f5, zero, zero]):
+        with pytest.raises(FieldMismatch):
+            chi(1, coeffs)
+    assert int_multiple(2, over_f5).even == witt_class(qf([2, 2], Fp(5)))
+    with pytest.raises(FieldMismatch):
+        phi_z0(mixed(M2, witt_class(qf([2], Fp(5)))))
 
 
 # (-3, -10) ramifies at the real place (a, b < 0), at 3 ((-10 | 3) = -1),
@@ -286,3 +371,13 @@ def test_versal_sample_accepts_a_zero_odd_part_over_split_algebras():
         assert mixed_equal(mixed_one(A), claim) == "equal"
         check = versal_sample_check(lambda_basis_invariant(1, 0, A), claim)
         assert check == inv.SampleCheck("consistent")
+
+
+def test_versal_sampling_refuses_a_height_below_one(monkeypatch):
+    """At height 0 every draw would be 0; the sampler's rng stops after a
+    few draws, so a loop fails the test instead of hanging it."""
+    monkeypatch.setattr(inv, "random",
+                        SimpleNamespace(Random=lambda seed: DrawLimit()))
+    with pytest.raises(SchemaViolation, match="height: must be at least 1"):
+        versal_sample_check(lambda_basis_invariant(1, 0, H), mixed_one(H),
+                            height=0)

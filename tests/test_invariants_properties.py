@@ -12,12 +12,17 @@ lambda_all must print, term by term, what the full convolution prints:
 every product c * e of a coefficient and a factor entry, the products by 1
 and by <Nrd z> included, each added to a running sum that starts at 0.
 
+int_multiple, chi, eval_invariant and phi_z0 each peel their sum once.
+Each must give the class of the term-by-term sum below, with the same odd
+diagonal in the same order.
+
 A point where versal sampling refutes a claimed constant value must be one
 where mixed_equal finds the value and the claim distinct."""
 
 import random
 from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,10 +31,12 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from quatwitt import quadforms  # noqa: E402
 from quatwitt.fields import factorize, hilbert_symbol  # noqa: E402
-from quatwitt.hermitian import AntiHermForm  # noqa: E402
+from quatwitt.hermitian import AntiHermForm, morita_transfer  # noqa: E402
 from quatwitt.invariants import (  # noqa: E402
     LambdaInvariant,
+    chi,
     eval_invariant,
+    int_multiple,
     lambda_all,
     n_q_class,
     nq_membership,
@@ -42,6 +49,7 @@ from quatwitt.mixed import (  # noqa: E402
     mixed_odd,
     mixed_one,
     mixed_zero,
+    phi_z0,
 )
 from quatwitt.quadforms import (  # noqa: E402
     is_isotropic,
@@ -55,6 +63,7 @@ from quatwitt.quadforms import (  # noqa: E402
 )
 from quatwitt.quaternions import (  # noqa: E402
     QuatAlgebra,
+    find_nilpotent,
     is_split,
     norm_form,
     ramified_places,
@@ -313,3 +322,61 @@ def test_versal_refutations_are_distinct(ab, data, seed):
     if check.status == "refuted":
         h = AntiHermForm(tuple(A.pure(*p) for p in check.point), A)
         assert mixed_equal(eval_invariant(alpha, h), claimed) == "distinct"
+
+
+# ---------------------------------------------------------------------------
+# sums from one peel
+
+
+def _reference_int_multiple(n, x):
+    """n x as x + x + ... (|n| terms, of -x for n < 0)."""
+    if not n:
+        return mixed_zero(x.algebra)
+    out = step = x if n > 0 else -x
+    for _ in range(abs(n) - 1):
+        out = out + step
+    return out
+
+
+def _reference_chi(r, coeffs):
+    out = coeffs[0]
+    for i in range(1, r + 1):
+        out = out + _reference_int_multiple(comb(r, i), coeffs[2 * i])
+    return out
+
+
+def _reference_eval(alpha, h):
+    out = mixed_zero(alpha.algebra)
+    for x, l in zip(alpha.coeffs, lambda_all(h)):
+        out = out + x * l
+    return out
+
+
+def _same_sum(got, ref):
+    return got.odd.diag == ref.odd.diag and mixed_equal(got, ref) == "equal"
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(st.sampled_from(DIGEST_ALGEBRAS), st.integers(-3, 3),
+                  st.integers(1, 3), st.data())
+def test_sums_from_one_peel_equal_the_term_by_term_sums(ab, n, r, data):
+    """Over the split, division and rational algebras of the digest, with
+    coefficients that are often 0, so that a lone or no nonzero even part
+    occurs as well as several."""
+    A = QuatAlgebra(*ab)
+    x = _mixed_class(data.draw, A, 3, 2)
+    assert _same_sum(int_multiple(n, x), _reference_int_multiple(n, x))
+    coeffs = tuple(_mixed_class(data.draw, A, 2, 1)
+                   if data.draw(st.booleans()) else mixed_zero(A)
+                   for _ in range(2 * r + 1))
+    assert _same_sum(chi(r, coeffs), _reference_chi(r, coeffs))
+    pure = st.tuples(small, small, small).filter(any).map(
+        lambda c: A.pure(*c)).filter(lambda z: z.is_invertible())
+    h = AntiHermForm(tuple(data.draw(pure) for _ in range(r)), A)
+    alpha = LambdaInvariant(r, coeffs)
+    assert _same_sum(eval_invariant(alpha, h), _reference_eval(alpha, h))
+    hypothesis.event(f"{'split' if is_split(A) else 'division'}")
+    if is_split(A):
+        z0 = find_nilpotent(A)
+        assert phi_z0(x, z0) == (x.even
+                                 + witt_class(morita_transfer(x.odd, z0)))

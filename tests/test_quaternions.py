@@ -12,6 +12,7 @@ from quatwitt.errors import (
     NotNilpotent,
     NotPureInvertible,
     NotSplit,
+    SchemaViolation,
     SearchBoundExceeded,
 )
 from quatwitt.fields import square_class
@@ -30,6 +31,21 @@ from quatwitt.quaternions import (
 
 H = QuatAlgebra(-1, -1)
 M2 = QuatAlgebra(1, 1)
+
+
+class DrawLimit:
+    """An rng that raises after 30 draws: a draw loop that never ends
+    fails a test at once instead of hanging it."""
+
+    def __init__(self):
+        self.rng = random.Random(0)
+        self.draws = 0
+
+    def randint(self, lo, hi):
+        self.draws += 1
+        if self.draws > 30:
+            raise RuntimeError("drew past the limit")
+        return self.rng.randint(lo, hi)
 
 
 def _rand(rng, A, h=6):
@@ -214,3 +230,12 @@ def test_norm_class_refuses_what_square_class_refuses():
         with pytest.raises(FactorizationLimitExceeded,
                            match="cofactor 1000041000577 not certified"):
             read(z)
+
+
+@pytest.mark.parametrize("height", [0, -1])
+def test_draw_pure_refuses_a_height_below_one(height):
+    """At height 0 every draw is 0 and none would return; at -1 `random`
+    would refuse the range with a bare ValueError."""
+    with pytest.raises(SchemaViolation, match="height: must be at least 1"):
+        draw_pure(DrawLimit(), H, height)
+    assert draw_pure(DrawLimit(), H, 1).is_pure()
