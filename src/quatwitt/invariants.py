@@ -18,6 +18,7 @@ from .errors import (
     DegreeTooLarge,
     LengthMismatch,
     RankMismatch,
+    SchemaViolation,
     UnsupportedField,
     quoted,
 )
@@ -138,6 +139,8 @@ class LambdaInvariant(Record):
 def lambda_basis_invariant(r: int, d: int, A: QuatAlgebra,
                            scale: MixedClass | None = None) -> LambdaInvariant:
     """The invariant x * lambda^d (x defaults to 1)."""
+    if d < 0 or d > 2 * r:
+        raise DegreeTooLarge(f"lambda^{quoted(d)} of a rank-{r} form")
     coeffs = [mixed_zero(A) for _ in range(2 * r + 1)]
     coeffs[d] = mixed_one(A) if scale is None else scale
     return LambdaInvariant(r, tuple(coeffs))
@@ -283,6 +286,9 @@ def versal_sample_check(alpha: LambdaInvariant, claimed: MixedClass,
     form <s i + t j + u ij, ...> (pure-norm vanishing locus rejected) and
     compare against the claimed constant value: the even parts exactly,
     the odd difference by the exact tier of its zero test, `herm_screen`."""
+    if n_samples < 1:  # with no draw, "consistent" would rest on nothing
+        raise SchemaViolation(
+            f"n_samples: must be at least 1: {quoted(n_samples)}")
     A = alpha.algebra
     rng = random.Random(seed)
     for _ in range(n_samples):

@@ -1,6 +1,6 @@
-"""The mixed Witt ring W(k) + W^{-1}(Q, gamma).
+"""The mixed Witt ring W(Q) + W^{-1}(Q, gamma).
 
-Elements have an even part (a Witt class of quadratic forms over k) and an
+Elements have an even part (a Witt class of quadratic forms over Q) and an
 odd part (an anti-hermitian form over (Q, gamma) up to Witt equivalence).
 The odd*odd product lands in the even part through the twisted trace form,
 whose Gram matrix is built and diagonalized on integers.  Every product is
@@ -11,7 +11,7 @@ by one Witt-equality decision on its 8-entry diagonal.
 from __future__ import annotations
 
 
-from .errors import (AlgebraMismatch, AsymmetryDetected, FieldMismatch,
+from .errors import (AlgebraMismatch, AsymmetryDetected, UnsupportedField,
                      ZeroSlot)
 from .fields import ratio_class, sq_mul
 from .hermitian import (
@@ -103,23 +103,26 @@ def odd_product_closed_form(z1: Quaternion, z2: Quaternion) -> WittClass:
 
 
 class MixedClass(Record):
-    """even + odd element of the mixed Witt ring."""
+    """even + odd element of the mixed Witt ring W(Q) + W^{-1}(Q, gamma)."""
 
-    __slots__ = ("even", "odd", "algebra")
+    __slots__ = ("even", "odd")
 
-    def __init__(self, even: WittClass, odd: AntiHermForm,
-                 algebra: QuatAlgebra):
+    def __init__(self, even: WittClass, odd: AntiHermForm):
+        if even.field.p is not None:
+            raise UnsupportedField("the even part of a mixed class is over Q")
         self.even = even
         self.odd = odd
-        self.algebra = algebra
+
+    @property
+    def algebra(self) -> QuatAlgebra:
+        return self.odd.algebra
 
     def __add__(self, other: "MixedClass") -> "MixedClass":
         self._check(other)
-        return MixedClass(self.even + other.even,
-                          self.odd.perp(other.odd), self.algebra)
+        return MixedClass(self.even + other.even, self.odd.perp(other.odd))
 
     def __neg__(self) -> "MixedClass":
-        return MixedClass(-self.even, self.odd.neg(), self.algebra)
+        return MixedClass(-self.even, self.odd.neg())
 
     def __sub__(self, other: "MixedClass") -> "MixedClass":
         return self + (-other)
@@ -145,8 +148,7 @@ class MixedClass(Record):
         # entries of checked forms times the nonzero representatives of a
         # kernel: still pure, invertible and in the algebra
         return MixedClass(even, AntiHermForm._carried(tuple(odd_entries),
-                                                      self.algebra),
-                          self.algebra)
+                                                      self.algebra))
 
     def _check(self, other: "MixedClass"):
         if self.algebra != other.algebra:
@@ -160,7 +162,7 @@ def mixed(algebra: QuatAlgebra, even: WittClass | None = None,
           odd_entries: tuple[Quaternion, ...] = ()) -> MixedClass:
     if even is None:
         even = witt_zero()
-    return MixedClass(even, AntiHermForm(tuple(odd_entries), algebra), algebra)
+    return MixedClass(even, AntiHermForm(tuple(odd_entries), algebra))
 
 
 def mixed_even(algebra: QuatAlgebra, cls: WittClass) -> MixedClass:
@@ -181,23 +183,21 @@ def mixed_one(algebra: QuatAlgebra) -> MixedClass:
 
 def _sum(A: QuatAlgebra, terms: list[MixedClass]) -> MixedClass:
     """The sum of `terms` over A, by one `witt_class` call on their joined
-    even parts.  As `+` does, it refuses terms over two algebras or fields,
-    adds nothing for a 0 even part and keeps a lone kernel as it stands."""
+    even parts.  As `+` does, it refuses terms over two algebras, adds
+    nothing for a 0 even part and keeps a lone kernel as it stands."""
     kernels, odd = [], []
     for x in terms:
         if x.algebra != A:
             raise AlgebraMismatch("mixed classes over different algebras")
-        if x.even.field != terms[0].even.field:
-            raise FieldMismatch("orthogonal sum over different fields")
         if x.even.anis.entries:
             kernels.append(x.even)
         odd += x.odd.diag
     if len(kernels) > 1:
         entries = tuple(e for k in kernels for e in k.anis.entries)
-        kernels = [witt_class(QuadForm(entries, kernels[0].field))]
-    even = kernels[0] if kernels else terms[0].even if terms else witt_zero()
+        kernels = [witt_class(QuadForm(entries))]
+    even = kernels[0] if kernels else witt_zero()
     # entries of checked forms over one algebra
-    return MixedClass(even, AntiHermForm._carried(tuple(odd), A), A)
+    return MixedClass(even, AntiHermForm._carried(tuple(odd), A))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _sum(A: QuatAlgebra, terms: list[MixedClass]) -> MixedClass:
 
 
 def phi_z0(x: MixedClass, z0: Quaternion | None = None) -> WittClass:
-    """The Morita isomorphism onto W(k) in the split case: identity on the
+    """The Morita isomorphism onto W(Q) in the split case: identity on the
     even part, transfer along z0 on the odd part, joined and peeled once."""
     if z0 is None:
         z0 = find_nilpotent(x.algebra)

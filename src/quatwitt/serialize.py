@@ -172,7 +172,7 @@ def parse_mixed(doc: dict, A: QuatAlgebra, ptr: str = "") -> MixedClass:
                                   f"{ptr}/{part}")
     even = witt_class(parse_quadform(doc.get("even", []), QQ, ptr + "/even"))
     odd = parse_hermform(doc.get("odd", []), A, ptr + "/odd")
-    return MixedClass(even, odd, A)
+    return MixedClass(even, odd)
 
 
 _FACTORING_REFUSALS = (MissingFactorization, FactorizationLimitExceeded)

@@ -11,6 +11,8 @@ import json
 import sys
 import time
 
+import pytest
+
 from quatwitt import suites
 from quatwitt.suites import RunConfig, Report, _case, emit_report, run_suite
 
@@ -158,6 +160,24 @@ def test_the_all_report_joins_the_suite_reports(monkeypatch):
         name: (lambda cfg, name=name: _suite(name)) for name in SUITE_DIGESTS})
     report = emit_report(run_suite("all"), "json")
     assert hashlib.sha256(report.encode()).hexdigest() == ALL_DIGEST
+
+
+@pytest.mark.parametrize("verdict, status, code",
+                         [("unknown", "unknown", 0), ("distinct", "fail", 1)])
+def test_relations_report_a_presentation_verdict_other_than_equal(
+        monkeypatch, verdict, status, code):
+    """A presentation relation whose `invariant_equal` verdict is not
+    "equal" is reported as unknown or failed, with the verdict as its
+    witness; only a failure sets the exit code."""
+    monkeypatch.setattr(suites, "invariant_equal", lambda *a, **k: verdict)
+    rep = run_suite("relations")
+    presentation = _select(rep, "relations/presentation/")
+    assert len(presentation) == 18
+    assert all(c["status"] == status and c["witness"] == verdict
+               for c in presentation)
+    assert all(c["status"] == "pass" for c in rep.cases
+               if c not in presentation)
+    assert rep.exit_code == code
 
 
 def test_reports_are_deterministic():

@@ -596,8 +596,8 @@ def test_certificate_refuses_a_split_algebra():
             with pytest.raises(NotDivision, match="mixed_equal"):
                 hyperbolicity_certificate(form, bound=bound)
     assert witt_equal(morita_transfer(h, find_nilpotent(M2)), qf([]))
-    zero = MixedClass(witt_zero(), AntiHermForm((), M2), M2)
-    assert mixed_equal(MixedClass(witt_zero(), h, M2), zero) == "equal"
+    zero = MixedClass(witt_zero(), AntiHermForm((), M2))
+    assert mixed_equal(MixedClass(witt_zero(), h), zero) == "equal"
 
 
 def test_pair_tests_refuse_a_split_algebra():

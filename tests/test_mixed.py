@@ -7,9 +7,11 @@ from fractions import Fraction
 import pytest
 
 from quatwitt import hermitian
-from quatwitt.hermitian import AntiHermForm
+from quatwitt.hermitian import AntiHermForm, herm_diag
 from quatwitt.errors import AlgebraMismatch, AsymmetryDetected, ZeroSlot
+from quatwitt.invariants import int_multiple
 from quatwitt.mixed import (
+    MixedClass,
     closed_form_diag,
     mixed,
     mixed_equal,
@@ -42,6 +44,16 @@ def _rand_mixed(rng, A):
         if rng.random() < 0.8 else witt_zero()
     odd = tuple(_rand_pure(rng, A, 4) for _ in range(rng.randint(0, 1)))
     return mixed(A, even=even, odd_entries=odd)
+
+
+def test_a_mixed_class_takes_its_algebra_from_its_odd_part():
+    """`MixedClass(even, odd)` holds its algebra once, in its odd part, so
+    a class built from it is over that same algebra."""
+    for even in (witt_zero(), witt_class(qf([1, 3]))):
+        x = MixedClass(even, herm_diag([H.i()], H))
+        assert x.algebra is x.odd.algebra is H
+        for y in (int_multiple(2, x), x * x, x + x, -x):
+            assert y.algebra is y.odd.algebra is H
 
 
 def test_twisted_trace_symmetric_and_matches_closed_form():

@@ -10,12 +10,14 @@ from quatwitt import hermitian
 from quatwitt.cli import main
 from quatwitt.errors import (
     AlgebraMismatch,
+    DegreeTooLarge,
     FieldMismatch,
     GenericBasisUnavailable,
     LengthMismatch,
     NonSymmetricMatrix,
     NotNilpotent,
     RankMismatch,
+    SchemaViolation,
     UnsupportedField,
     VerificationFailed,
     ZeroArgument,
@@ -26,8 +28,9 @@ from quatwitt.errors import (
 from quatwitt.fields import Fp, is_padic_square, square_class
 from quatwitt.funcfield import kernel_generator
 from quatwitt.hermitian import AntiHermForm, herm_diag, morita_transfer
-from quatwitt.invariants import LambdaInvariant, chi, eval_invariant
-from quatwitt.mixed import mixed_zero, twisted_trace_form
+from quatwitt.invariants import (LambdaInvariant, chi, eval_invariant,
+                                 lambda_basis_invariant, versal_sample_check)
+from quatwitt.mixed import mixed_one, mixed_zero, twisted_trace_form
 from quatwitt.quadforms import (
     GroupRingElem,
     diagonalize,
@@ -69,6 +72,17 @@ def test_decide_invariants_of_different_r_exits_2(capsys):
      "form has rank 2, invariant expects 1"),
     (lambda: chi(1, [mixed_zero(H)] * 2), LengthMismatch,
      "expected 3 coefficients"),
+    (lambda: lambda_basis_invariant(1, -1, H), DegreeTooLarge,
+     r"lambda\^-1 of a rank-1 form"),
+    (lambda: lambda_basis_invariant(1, 3, H), DegreeTooLarge,
+     r"lambda\^3 of a rank-1 form"),
+    # lambda^2 is not constant, which 5 samples show
+    (lambda: versal_sample_check(lambda_basis_invariant(1, 2, H),
+                                 mixed_one(H), n_samples=0), SchemaViolation,
+     "n_samples: must be at least 1: 0"),
+    (lambda: versal_sample_check(lambda_basis_invariant(1, 2, H),
+                                 mixed_one(H), n_samples=-3), SchemaViolation,
+     "n_samples: must be at least 1: -3"),
 ])
 def test_invariant_refusals(call, error, message):
     with pytest.raises(error, match=message):
