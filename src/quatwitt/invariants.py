@@ -106,14 +106,18 @@ def _lambda_upto(top: int, h: AntiHermForm) -> list[MixedClass]:
 # formal invariants
 
 
+def _require_rank(r: int):
+    if r < 1:
+        raise RankMismatch("r must be at least 1")
+
+
 class LambdaInvariant(Record):
     """Formal invariant sum_{d=0}^{2r} x_d lambda^d with mixed coefficients."""
 
     __slots__ = ("r", "coeffs")
 
     def __init__(self, r: int, coeffs: tuple[MixedClass, ...]):
-        if r < 1:
-            raise RankMismatch("r must be at least 1")
+        _require_rank(r)
         if len(coeffs) != 2 * r + 1:
             raise LengthMismatch(
                 f"expected {2 * r + 1} coefficients, got {len(coeffs)}"
@@ -139,6 +143,7 @@ class LambdaInvariant(Record):
 def lambda_basis_invariant(r: int, d: int, A: QuatAlgebra,
                            scale: MixedClass | None = None) -> LambdaInvariant:
     """The invariant x * lambda^d (x defaults to 1)."""
+    _require_rank(r)
     if d < 0 or d > 2 * r:
         raise DegreeTooLarge(f"lambda^{quoted(d)} of a rank-{r} form")
     coeffs = [mixed_zero(A) for _ in range(2 * r + 1)]
@@ -192,8 +197,10 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     is 0, or, when Q ramifies at the real place, a multiple 8k, and then
     x - e n_Q = k n_Q <1, 1>.  The places of x checked are those that
     `local_anisotropic_dims` reads, all from one local reading of x: the
-    real place, 2 and the primes of x.  At any other prime every entry of x
-    is a unit, so x, already in I^2, is 0 there; that holds at a ramified
+    real place, 2 and the primes of x.  x is read from `x.form`, any
+    diagonal of its class, as the parity and the local dimensions are Witt
+    invariants, so no kernel is peeled.  At any other prime every entry of
+    x is a unit, so x, already in I^2, is 0 there; that holds at a ramified
     prime x does not touch too.
     """
     if x.field.p is not None:
@@ -201,7 +208,7 @@ def nq_membership(x: WittClass, A: QuatAlgebra) -> str:
     ramified = ramified_places(A)
     if not ramified:
         return "member" if x.is_zero() else "nonmember"
-    q = x.anis
+    q = x.form
     if q.dim % 2:
         return "nonmember"
     dims = local_anisotropic_dims(q)

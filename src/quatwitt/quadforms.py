@@ -5,6 +5,12 @@ square class: a squarefree integer over Q, 1 or the smallest non-residue
 over F_p.  Over F_p the pair (dim mod 2, signed discriminant) classifies
 W(F_p).
 
+A Witt class keeps a diagonal of itself and peels its anisotropic kernel
+only when the kernel is read, from the same entries an eager peel would
+take, so every kernel, and every printed byte, is the same.  Equality, the
+hash and the zero test decide on any diagonal of the class and peel
+nothing.
+
 Over Q one local classification does the work (Serre, *A Course in
 Arithmetic*, Ch. IV).  A diagonal of squarefree entries is summarised by its
 dimension, discriminant, signature and Hasse symbols at 2 and at the primes
@@ -579,31 +585,65 @@ def _anisotropic_reps_fp(q: QuadForm) -> tuple:
 
 
 class WittClass(Record):
-    """Element of W(k), stored via an anisotropic diagonal representative."""
+    """Element of W(k): a diagonal `form` of the class and its anisotropic
+    kernel `anis`.
 
-    __slots__ = ("anis",)
+    Over Q the kernel is peeled on its first read, from exactly the entries
+    an eager peel would take: the diagonal `witt_class` was given, or for a
+    sum x + y the kernels of x and y joined, so every kernel is the same
+    whenever it is read.  A sum keeps its summands until then; a chain of
+    sums keeps them in one tuple, folded by the rule of `+` on kernels.
+    Once peeled, `form` is the kernel.  Equality, the hash and the zero
+    test are Witt invariants, so they read `form` and peel nothing.  Over
+    F_p the kernel is found at once."""
 
-    def __init__(self, anis: QuadForm):
-        self.anis = anis
+    __slots__ = ("form", "_terms", "_anis")
+
+    def __init__(self, form: QuadForm, terms: tuple | None = None):
+        # terms None: form is the kernel; (): the kernel is peeled from
+        # form; else it is the fold of the terms' kernels
+        self.form = form
+        self._terms = terms
+        self._anis = form if terms is None else None
+
+    @property
+    def anis(self) -> QuadForm:
+        if self._anis is None:
+            if self._terms:
+                k = self._terms[0].anis
+                for t in self._terms[1:]:
+                    k = _add_kernels(k, t.anis)
+            else:
+                k = _peel(self.form)
+            self.form = self._anis = k
+            self._terms = ()
+        return self._anis
 
     @property
     def field(self) -> FieldSpec:
-        return self.anis.field
+        return self.form.field
 
     @property
     def dim(self) -> int:
         return self.anis.dim
 
     def is_zero(self) -> bool:
-        return self.anis.dim == 0
+        if self._anis is not None:
+            return not self._anis.entries
+        return is_witt_zero(self.form)
 
     def __add__(self, other: "WittClass") -> "WittClass":
-        # the sum with 0 is the other class as it stands, a kernel already
-        if not other.anis.entries and self.field == other.field:
+        form = self.form.perp(other.form)
+        # the sum with 0 is the other class as it stands
+        if not other.form.entries:
             return self
-        if not self.anis.entries and self.field == other.field:
+        if not self.form.entries:
             return other
-        return witt_class(self.anis.perp(other.anis))
+        if form.field.p is not None:
+            return witt_class(form)
+        if self._anis is None and self._terms:
+            return WittClass(form, self._terms + (other,))
+        return WittClass(form, (self, other))
 
     def __neg__(self) -> "WittClass":
         return self.scale(-1)
@@ -613,12 +653,13 @@ class WittClass(Record):
 
     def __mul__(self, other: "WittClass") -> "WittClass":
         # a product with a rank-1 class <c> is the other class times <c>
-        if self.field == other.field:
-            if other.anis.dim == 1:
-                return self.scale(other.anis.entries[0])
-            if self.anis.dim == 1:
-                return other.scale(self.anis.entries[0])
-        return witt_class(self.anis.tensor(other.anis))
+        x, y = self.anis, other.anis
+        if x.field == y.field:
+            if y.dim == 1:
+                return self.scale(y.entries[0])
+            if x.dim == 1:
+                return other.scale(x.entries[0])
+        return witt_class(x.tensor(y))
 
     def scale(self, c: int) -> "WittClass":
         """<c> times the class, for the representative c of a square class.
@@ -630,30 +671,45 @@ class WittClass(Record):
         return WittClass(QuadForm(tuple(sorted(q.entries, key=_kernel_order)),
                                   q.field))
 
-    # Not Record's rule: two classes are equal when their representatives
-    # are Witt-equal, which differs from equal fields.
+    # Not Record's rule: two classes are equal when their diagonals are
+    # Witt-equal, which differs from equal fields.
     def __eq__(self, other):
         if not isinstance(other, WittClass):
             return NotImplemented
-        return witt_equal(self.anis, other.anis)
+        return witt_equal(self.form, other.form)
 
     def __hash__(self):
         # Witt invariants of the class, so Witt-equal classes hash equal
-        sig = signature(self.anis) if self.field.p is None else None
-        return hash((self.field, self.dim % 2, signed_disc(self.anis), sig))
+        q = self.form
+        sig = signature(q) if q.field.p is None else None
+        return hash((q.field, q.dim % 2, signed_disc(q), sig))
 
     def __repr__(self):
         return f"W{self.anis!r}"
 
 
+def _peel(q: QuadForm) -> QuadForm:
+    """The anisotropic kernel of q over Q; its entries are representatives
+    already, so none is classified again."""
+    return QuadForm(_anisotropic_reps_q_cached(tuple(sorted(q.reps()))),
+                    q.field)
+
+
+def _add_kernels(x: QuadForm, y: QuadForm) -> QuadForm:
+    """The kernel of x + y over Q from the kernels x and y, by the rule of
+    `+`: a kernel plus 0 is the kernel as it stands."""
+    if not y.entries:
+        return x
+    if not x.entries:
+        return y
+    return _peel(x.perp(y))
+
+
 def witt_class(q: QuadForm) -> WittClass:
+    """The class of q; over Q its kernel is peeled when first read."""
     if q.field.p is None:
-        reps = _anisotropic_reps_q_cached(tuple(sorted(q.reps())))
-    else:
-        reps = _anisotropic_reps_fp(q)
-    # the kernel's entries are representatives already: none is classified
-    # again
-    return WittClass(QuadForm(reps, q.field))
+        return WittClass(q, ())
+    return WittClass(QuadForm(_anisotropic_reps_fp(q), q.field))
 
 
 def witt_zero(field: FieldSpec = QQ) -> WittClass:

@@ -16,7 +16,9 @@ class Record:
     Every record compares and hashes by this one rule, through a getter of
     its fields that each subclass builds once, when it is defined.  Two
     types answer other questions and write their own: `QuatAlgebra` hashes
-    its integer table alone, and `WittClass` compares by Witt equality."""
+    its integer table alone, and `WittClass` compares by Witt equality.
+    `WittClass` also keeps its kernel unpeeled until it is read, and then
+    stores it in place of its diagonal: a class's value never changes."""
 
     __slots__ = ()
 

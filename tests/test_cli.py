@@ -93,6 +93,29 @@ def test_decide(capsys):
     assert json.loads(out)["result"] == "distinct"
 
 
+def test_decide_of_two_even_parts_peels_no_kernel(capsys, monkeypatch):
+    """Ten entries against <1>: equality reads the two diagonals, and their
+    dimensions differ in parity, so no kernel is peeled.  The peel of the
+    ten entries, which nothing prints, took seconds."""
+    from quatwitt import quadforms
+
+    peels = []
+    real = quadforms._anisotropic_reps_q_cached
+
+    def counted(reps):
+        peels.append(reps)
+        return real(reps)
+
+    monkeypatch.setattr(quadforms, "_anisotropic_reps_q_cached", counted)
+    code, out, _ = _run(capsys, [
+        "decide", '{"even": [47759, -5389, 6931, -9881, -57263, -55417, '
+        '82079, -86881, 47759, -47759]}', '{"even": [1]}',
+    ])
+    assert code == 0
+    assert json.loads(out)["result"] == "distinct"
+    assert peels == []
+
+
 def test_decide_invariants(capsys):
     one = '{"r": 1, "coeffs": [{"even": [1]}, {}, {}]}'
     lam1 = '{"r": 1, "coeffs": [{}, {"even": [1]}, {}]}'

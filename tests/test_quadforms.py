@@ -321,9 +321,11 @@ def test_bareiss_refuses_an_inexact_division(monkeypatch):
 def test_scaling_a_witt_class_over_q_classifies_nothing():
     """<c> times a kernel is a kernel: scale, negation and a product with
     a rank-1 class read no local invariants, and give the kernel that
-    witt_class finds for the scaled form."""
+    witt_class finds for the scaled form.  The kernels are read first, as
+    a class peels its own kernel on the first read."""
     w = witt_class(qf([1, 1, 2, 7]))
     one = witt_class(qf([-15]))
+    w.anis, one.anis
     before = quadforms._local_data.cache_info()
     got = [w.scale(3), w.scale(-30), -w, w * one, one * w]
     assert quadforms._local_data.cache_info() == before

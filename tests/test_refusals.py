@@ -76,6 +76,11 @@ def test_decide_invariants_of_different_r_exits_2(capsys):
      r"lambda\^-1 of a rank-1 form"),
     (lambda: lambda_basis_invariant(1, 3, H), DegreeTooLarge,
      r"lambda\^3 of a rank-1 form"),
+    # the rank is checked before the degree
+    pytest.param(lambda: lambda_basis_invariant(-1, 0, H), RankMismatch,
+                 "r must be at least 1", id="lambda-basis-rank--1-degree-0"),
+    pytest.param(lambda: lambda_basis_invariant(0, 1, H), RankMismatch,
+                 "r must be at least 1", id="lambda-basis-rank-0-degree-1"),
     # lambda^2 is not constant, which 5 samples show
     (lambda: versal_sample_check(lambda_basis_invariant(1, 2, H),
                                  mixed_one(H), n_samples=0), SchemaViolation,
