@@ -148,6 +148,27 @@ def _separate(text: str | None) -> str | None:
     return text
 
 
+# The grammar as _read_plain reads it, built once at import: the
+# namespace's defaults, each global flag with its dest and keywords, and
+# for each subcommand its flags (the global ones and its own, each with
+# its dest and keywords), its positionals in order and the dests of its
+# required flags.
+_PLAIN_DEFAULTS = {_dest(flag): kw["default"] for flag, kw in _GLOBALS.items()}
+_PLAIN_GLOBALS = {flag: (_dest(flag), kw) for flag, kw in _GLOBALS.items()}
+
+
+def _plain_grammar(arguments: dict) -> tuple:
+    flags = {n: (_dest(n), a) for n, a in arguments.items()
+             if n.startswith("--")}
+    return ({**_PLAIN_GLOBALS, **flags},
+            tuple((n, a) for n, a in arguments.items() if n not in flags),
+            tuple(dest for dest, a in flags.values() if a.get("required")))
+
+
+_PLAIN_COMMANDS = {command: _plain_grammar(spec[1])
+                   for command, spec in _COMMANDS.items()}
+
+
 def _read_plain(argv):
     """The namespace parse_args gives a plain command line, read without
     argparse: global flags spelled in full, before or after one subcommand
@@ -157,28 +178,26 @@ def _read_plain(argv):
     as it may be.  A repeated flag keeps its last value.  None for any
     other command line, which is left to argparse: help, abbreviations,
     `--quat=`, `--` and every refusal."""
-    args = {_dest(flag): kw["default"] for flag, kw in _GLOBALS.items()}
-    options, positionals = _GLOBALS, None
+    args = dict(_PLAIN_DEFAULTS)
+    options, positionals, required = _PLAIN_GLOBALS, None, ()
     tokens = iter(argv)
     for token in tokens:
         flag, eq, explicit = token.partition("=")
-        kw = options.get(flag)
-        if kw is not None:
-            name = _dest(flag)
+        option = options.get(flag)
+        if option is not None:
+            name, kw = option
             if not eq:
                 values = [_separate(next(tokens, None))
                           for _ in range(kw.get("nargs", 1))]
             else:  # --quat=… is left to argparse
                 values = [None] if "nargs" in kw else [explicit]
         elif positionals is None:
-            if token not in _COMMANDS:
+            grammar = _PLAIN_COMMANDS.get(token)
+            if grammar is None:
                 return None
             args["command"] = token
-            arguments = _COMMANDS[token][1]
-            options = {**_GLOBALS, **{n: a for n, a in arguments.items()
-                                      if n.startswith("--")}}
-            positionals = [(n, a) for n, a in arguments.items()
-                           if not n.startswith("--")]
+            options, positionals, required = grammar
+            positionals = list(positionals)
             continue
         elif positionals:
             (name, kw), values = positionals.pop(0), [_separate(token)]
@@ -189,8 +208,7 @@ def _read_plain(argv):
             return None
         args[name] = values if "nargs" in kw else values[0]
     if positionals is None or positionals or any(
-            kw.get("required") and _dest(flag) not in args
-            for flag, kw in options.items()):
+            name not in args for name in required):
         return None
     return SimpleNamespace(**args)
 
@@ -222,8 +240,16 @@ def _build_parser():
     return ap
 
 
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def _emit(doc: dict):
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_json(doc))
+
+
+# what decide prints for each verdict, written once at import
+_VERDICTS = {v: _json({"result": v}) for v in ("equal", "distinct", "unknown")}
 
 
 def _parse_place(text: str) -> Place:
@@ -299,7 +325,7 @@ def main(argv=None) -> int:
                                           search_bound=args.search_bound)
             else:  # an AntiHermForm, the last shape parse_input returns
                 verdict = herm_verdict(x.perp(y.neg()), args.search_bound)
-            _emit({"result": verdict})
+            print(_VERDICTS[verdict])
         elif args.command == "psi":
             x = _parse(args.input, A, field, MixedClass,
                        "psi expects a mixed class")

@@ -436,14 +436,22 @@ def cancel_pairs(items: Iterable, opposite) -> list:
     itself), the classes left and their counts do not depend on the order
     of the items: C and -C are never both left, as the later item would
     have cancelled, so |n(C) - n(-C)| items of the larger are left (n(C)
-    mod 2 when C = -C), and none exactly when C and -C match up perfectly."""
+    mod 2 when C = -C), and none exactly when C and -C match up perfectly.
+
+    Each item is tested against the items still left, earliest first, up
+    to its first match, and against no other.  A refusal raised inside
+    `opposite` (`_hyperbolic_pair`'s `FactorizationLimitExceeded`)
+    depends on that order: it comes from the first pair tested that
+    raises, so a predicate that raises on some pair refuses only when
+    that pair is reached."""
     left = []
     for x in items:
-        k = next((k for k, y in enumerate(left) if opposite(x, y)), None)
-        if k is None:
-            left.append(x)
+        for k, y in enumerate(left):
+            if opposite(x, y):
+                del left[k]
+                break
         else:
-            del left[k]
+            left.append(x)
     return left
 
 

@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, flag placement, exit codes."""
 
+import ast
 import importlib
+import inspect
 import json
 import sys
+import textwrap
 import time
 
 import pytest
@@ -11,6 +14,8 @@ from quatwitt import cli, hermitian
 from quatwitt.cli import main
 from quatwitt.errors import SchemaViolation
 from quatwitt.hermitian import MAX_SEARCH_BOUND
+from quatwitt.invariants import invariant_equal
+from quatwitt.mixed import mixed_equal
 from quatwitt.quaternions import QuatAlgebra
 from quatwitt.serialize import MAX_INVARIANT_RANK, _checked_factor, parse_input
 from quatwitt.suites import RunConfig
@@ -91,6 +96,62 @@ def test_decide(capsys):
     ])
     assert code == 0
     assert json.loads(out)["result"] == "distinct"
+
+
+# the (-1, -7) pair of tests/test_mixed.py::
+# test_mixed_equal_needs_the_full_bound_search, certified only at bound 8
+UNKNOWN_AT_BOUND_4 = [
+    "--quat", "-1", "-7", "--search-bound", "4", "decide",
+    '{"odd": [["0", "-3", "2", "-3"], ["0", "1", "1", "-2"]]}',
+    '{"odd": [["0", "-2", "3", "1"], ["0", "-2", "3", "-1"]]}',
+]
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["decide", '{"diag": [1, -1, 5]}', '{"diag": [5]}'], "equal"),
+    (["decide", '{"diag": [1]}', '{"diag": [3]}'], "distinct"),
+    (UNKNOWN_AT_BOUND_4, "unknown"),
+])
+def test_decide_prints_each_verdict_as_its_document(capsys, argv, verdict):
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"result": verdict}, indent=2,
+                             sort_keys=True) + "\n"
+
+
+def _returned(fn):
+    """What fn's return statements give, one node for each branch of a
+    conditional expression."""
+    def branches(node):
+        if isinstance(node, ast.IfExp):
+            yield from branches(node.body)
+            yield from branches(node.orelse)
+        else:
+            yield node
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return [b for node in ast.walk(tree) if isinstance(node, ast.Return)
+            for b in branches(node.value)]
+
+
+def test_decide_prints_every_verdict_its_deciders_return():
+    """The verdict documents cover every string that mixed_equal,
+    herm_verdict (through herm_screen) and invariant_equal return, and
+    nothing else: a verdict missing from the table would end in a
+    traceback.  Each returns a constant, the result of another of them,
+    or (herm_verdict) the verdict herm_screen gave when it is not None."""
+    deciders = (mixed_equal, hermitian.herm_verdict, hermitian.herm_screen,
+                invariant_equal)
+    verdicts = set()
+    for f in deciders:
+        for node in _returned(f):
+            if isinstance(node, ast.Constant):
+                verdicts.add(node.value)
+            elif isinstance(node, ast.Call):
+                assert node.func.id in {g.__name__ for g in deciders}
+            else:
+                assert (f, ast.unparse(node)) == (hermitian.herm_verdict,
+                                                  "verdict")
+    assert verdicts - {None} == set(cli._VERDICTS)
 
 
 def test_decide_of_two_even_parts_peels_no_kernel(capsys, monkeypatch):

@@ -497,3 +497,63 @@ def test_cancel_pairs_leaves_the_unmatched_count_of_each_class(
     rnd.shuffle(shuffled)
     assert Counter(cls(x) for x in cancel_pairs(shuffled, opposite)) \
         == Counter(cls(x) for x in left)
+
+
+def _reference_cancel_pairs(items, opposite):
+    """cancel_pairs as first written, with a generator per item: the
+    reference for which pairs are tested, and in which order."""
+    left = []
+    for x in items:
+        k = next((k for k, y in enumerate(left) if opposite(x, y)), None)
+        if k is None:
+            left.append(x)
+        else:
+            del left[k]
+    return left
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.lists(st.integers(-6, 6), max_size=12),
+                  st.sampled_from(["x == -y", "mod 6", "x + 2y mod 5",
+                                   "y == x + 1", "refuses"]),
+                  st.data())
+def test_cancel_pairs_tests_the_pairs_the_reference_tests(values, relation,
+                                                          data):
+    """Against the generator version: the same items left in the same
+    order, the same calls opposite(item, earlier) in the same order, and a
+    refusal raised inside opposite raised from the same call.  Items carry
+    their positions, so equal values stay apart.  The relations are
+    symmetric (x == -y, -x mod 6), asymmetric (x + 2y mod 5, y == x + 1),
+    or x == -y refusing on a pair of values drawn from the items."""
+    items = list(enumerate(values))
+    refused = ()
+    if relation == "refuses" and values:
+        refused = (data.draw(st.sampled_from(values)),
+                   data.draw(st.sampled_from(values)))
+    relate = {
+        "x == -y": lambda x, y: x == -y,
+        "mod 6": lambda x, y: (x + y) % 6 == 0,
+        "x + 2y mod 5": lambda x, y: (x + 2 * y) % 5 == 0,
+        "y == x + 1": lambda x, y: y == x + 1,
+        "refuses": lambda x, y: x == -y,
+    }[relation]
+
+    def run(cancel):
+        calls = []
+
+        def opposite(item, earlier):
+            calls.append((item, earlier))
+            if (item[1], earlier[1]) == refused:
+                raise FactorizationLimitExceeded(f"{item} against {earlier}")
+            return relate(item[1], earlier[1])
+
+        try:
+            outcome = cancel(items, opposite)
+        except FactorizationLimitExceeded as exc:
+            outcome = str(exc)
+        return outcome, calls
+
+    got, want = run(cancel_pairs), run(_reference_cancel_pairs)
+    hypothesis.event(f"{relation}: "
+                     f"{'refused' if isinstance(want[0], str) else 'left'}")
+    assert got == want
