@@ -5,11 +5,11 @@ square class: a squarefree integer over Q, 1 or the smallest non-residue
 over F_p.  Over F_p the pair (dim mod 2, signed discriminant) classifies
 W(F_p).
 
-A Witt class keeps a diagonal of itself and peels its anisotropic kernel
-only when the kernel is read, from the same entries an eager peel would
-take, so every kernel, and every printed byte, is the same.  Equality, the
-hash and the zero test decide on any diagonal of the class and peel
-nothing.
+A Witt class, over Q and F_p alike, is the class of a diagonal and peels
+its anisotropic kernel only when the kernel is read, from the same entries
+an eager peel would take, so every kernel, and every printed byte, is the
+same.  Equality, the hash and the zero test decide on any diagonal of the
+class and peel nothing.
 
 Over Q one local classification does the work (Serre, *A Course in
 Arithmetic*, Ch. IV).  A diagonal of squarefree entries is summarised by its
@@ -593,39 +593,32 @@ def _anisotropic_reps_fp(q: QuadForm) -> tuple:
 
 
 class WittClass(Record):
-    """Element of W(k): a diagonal `form` of the class and its anisotropic
-    kernel `anis`.
+    """Element of W(k): the class of the diagonal `form`, whose anisotropic
+    kernel `anis` is peeled on its first read, over Q and F_p alike.
 
-    Over Q the kernel is peeled on its first read, from exactly the entries
-    an eager peel would take: the diagonal `witt_class` was given, or for a
+    The peel takes exactly the entries an eager one would: `form`, or for a
     sum x + y the kernels of x and y joined, so every kernel is the same
-    whenever it is read.  A sum keeps its summands until then; a chain of
-    sums keeps them in one tuple, folded by the rule of `+` on kernels.
-    Once peeled, `form` is the kernel.  Equality, the hash and the zero
-    test are Witt invariants, so they read `form` and peel nothing.  Over
-    F_p the kernel is found at once."""
+    whenever it is read.  `_terms` is () until then, or for a sum its
+    summands, a chain of sums in one tuple folded by the rule of `+` on
+    kernels; it is None once `form` is the kernel, as `witt_zero` and
+    `scale` over Q make it.  Equality, the hash and the zero test are Witt
+    invariants, so they read `form` and peel nothing."""
 
-    __slots__ = ("form", "_terms", "_anis")
+    __slots__ = ("form", "_terms")
 
-    def __init__(self, form: QuadForm, terms: tuple | None = None):
-        # terms None: form is the kernel; (): the kernel is peeled from
-        # form; else it is the fold of the terms' kernels
+    def __init__(self, form: QuadForm):
         self.form = form
-        self._terms = terms
-        self._anis = form if terms is None else None
+        self._terms = ()
 
     @property
     def anis(self) -> QuadForm:
-        if self._anis is None:
-            if self._terms:
-                k = self._terms[0].anis
-                for t in self._terms[1:]:
-                    k = _add_kernels(k, t.anis)
-            else:
-                k = _peel(self.form)
-            self.form = self._anis = k
-            self._terms = ()
-        return self._anis
+        if self._terms is not None:
+            k = self._terms[0].anis if self._terms else _peel(self.form)
+            for t in self._terms[1:]:
+                k = _add_kernels(k, t.anis)
+            self.form = k
+            self._terms = None
+        return self.form
 
     @property
     def field(self) -> FieldSpec:
@@ -636,8 +629,8 @@ class WittClass(Record):
         return self.anis.dim
 
     def is_zero(self) -> bool:
-        if self._anis is not None:
-            return not self._anis.entries
+        if self._terms is None:
+            return not self.form.entries
         return is_witt_zero(self.form)
 
     def __add__(self, other: "WittClass") -> "WittClass":
@@ -647,11 +640,8 @@ class WittClass(Record):
             return self
         if not self.form.entries:
             return other
-        if form.field.p is not None:
-            return witt_class(form)
-        if self._anis is None and self._terms:
-            return WittClass(form, self._terms + (other,))
-        return WittClass(form, (self, other))
+        # a chain of sums not yet read keeps one tuple of summands
+        return _witt(form, (self._terms or (self,)) + (other,))
 
     def __neg__(self) -> "WittClass":
         return self.scale(-1)
@@ -672,12 +662,12 @@ class WittClass(Record):
     def scale(self, c: int) -> "WittClass":
         """<c> times the class, for the representative c of a square class.
         <c> q is isotropic exactly when q is, so over Q the scaled kernel is
-        the kernel, in `witt_class`'s order, and nothing is classified."""
+        the kernel, sorted, with nothing classified; over F_p it is peeled."""
         q = self.anis.scale(c)
         if q.field.p is not None:
-            return witt_class(q)
-        return WittClass(QuadForm(tuple(sorted(q.entries, key=_kernel_order)),
-                                  q.field))
+            return WittClass(q)
+        return _witt(QuadForm(tuple(sorted(q.entries, key=_kernel_order)),
+                              q.field), None)
 
     # Not Record's rule: two classes are equal when their diagonals are
     # Witt-equal, which differs from equal fields.
@@ -696,16 +686,25 @@ class WittClass(Record):
         return f"W{self.anis!r}"
 
 
+def _witt(form: QuadForm, terms: tuple | None) -> WittClass:
+    """A class in a state the constructor does not make (see `WittClass`)."""
+    w = WittClass(form)
+    w._terms = terms
+    return w
+
+
 def _peel(q: QuadForm) -> QuadForm:
-    """The anisotropic kernel of q over Q; its entries are representatives
-    already, so none is classified again."""
+    """The anisotropic kernel of q, by its field's peel; over Q its entries
+    are representatives already, so none is classified again."""
+    if q.field.p is not None:
+        return QuadForm(_anisotropic_reps_fp(q), q.field)
     return QuadForm(_anisotropic_reps_q_cached(tuple(sorted(q.reps()))),
                     q.field)
 
 
 def _add_kernels(x: QuadForm, y: QuadForm) -> QuadForm:
-    """The kernel of x + y over Q from the kernels x and y, by the rule of
-    `+`: a kernel plus 0 is the kernel as it stands."""
+    """The kernel of x + y from the kernels x and y, by the rule of `+`: a
+    kernel plus 0 is the kernel as it stands."""
     if not y.entries:
         return x
     if not x.entries:
@@ -714,14 +713,12 @@ def _add_kernels(x: QuadForm, y: QuadForm) -> QuadForm:
 
 
 def witt_class(q: QuadForm) -> WittClass:
-    """The class of q; over Q its kernel is peeled when first read."""
-    if q.field.p is None:
-        return WittClass(q, ())
-    return WittClass(QuadForm(_anisotropic_reps_fp(q), q.field))
+    """The class of q; its kernel is peeled when first read."""
+    return WittClass(q)
 
 
 def witt_zero(field: FieldSpec = QQ) -> WittClass:
-    return WittClass(QuadForm((), field))
+    return _witt(QuadForm((), field), None)
 
 
 # ---------------------------------------------------------------------------

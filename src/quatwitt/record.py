@@ -18,7 +18,8 @@ class Record:
     types answer other questions and write their own: `QuatAlgebra` hashes
     its integer table alone, and `WittClass` compares by Witt equality.
     `WittClass` also keeps its kernel unpeeled until it is read, and then
-    stores it in place of its diagonal: a class's value never changes."""
+    stores it in `form` in place of its diagonal and sets `_terms` to None:
+    a class's value never changes."""
 
     __slots__ = ()
 

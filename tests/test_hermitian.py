@@ -659,6 +659,28 @@ def test_certificate_pair_search_at_bound_three():
         assert cert == hermitian.HyperbolicityResult("hyperbolic", witness)
 
 
+def test_certificate_at_bound_two_runs_the_height_two_hash_search():
+    """Over (-1, -7), h = <2i - 2j, -j, 3j - 3ij, -3i + 2j + 3ij> has a
+    certificate at bound 2, from the height-2 hash search that rank <= 4
+    runs from bound 2 on, and none at bound 1."""
+    h = AntiHermForm((_pure(SEVEN, 2, -2, 0), _pure(SEVEN, 0, -1, 0),
+                      _pure(SEVEN, 0, 3, -3), _pure(SEVEN, -3, 2, 3)), SEVEN)
+    assert hyperbolicity_certificate(h, bound=1).status == \
+        "anisotropic-at-bound"
+    cert = hyperbolicity_certificate(h, bound=2)
+    assert cert.status == "hyperbolic"
+    assert len(cert.witness) == 2
+    zero = _q(SEVEN, 0, 0, 0, 0)
+
+    def pair(x, y):
+        acc = zero
+        for xk, z, yk in zip(x, h.diag, y):
+            acc = acc + xk.conj() * z * yk
+        return acc
+
+    hermitian._verify_witness(pair, list(cert.witness))
+
+
 def test_certificate_stops_at_a_non_isometric_rank2_form(monkeypatch):
     """<i, j + ij> over (-1, -1): the norm ratio Nrd(j + ij) / Nrd(i) = 2
     is not a square, so <i> and <-(j + ij)> are not isometric and the

@@ -266,11 +266,21 @@ def test_group_ring_elems_with_witt_equal_parts_are_equal():
     """<2, 2> = <1, 1> and <3, 5, -5> = <3> in W(Q), each written with
     other representatives: the elements compare and hash equal."""
     x = GroupRingElem(witt_class(qf([2, 2])), witt_class(qf([3])))
-    y = GroupRingElem(witt_class(qf([1, 1])), WittClass(qf([3, 5, -5])))
-    assert x.even.anis.reps() != y.even.anis.reps()
-    assert x.odd.anis.reps() != y.odd.anis.reps()
+    y = GroupRingElem(witt_class(qf([1, 1])), witt_class(qf([3, 5, -5])))
+    assert x.even.form.reps() != y.even.form.reps()
+    assert x.odd.form.reps() != y.odd.form.reps()
     assert x == y and hash(x) == hash(y)
     assert x != GroupRingElem(y.even, witt_class(qf([1])))
+
+
+def test_witt_class_is_the_class_of_its_diagonal():
+    """The constructor takes any diagonal, not only a kernel: <1, -1> is
+    the zero class, and <3, 5, -5> has the kernel <3>."""
+    w = WittClass(qf([1, -1]))
+    assert w.is_zero()
+    assert w.dim == 0
+    assert w.anis == qf([])
+    assert WittClass(qf([3, 5, -5])).anis == qf([3])
 
 
 def test_q_witt_invariants():
