@@ -71,10 +71,12 @@ MAX_SEARCH_BOUND = 16
 
 
 def check_search_bound(name: str, bound: int) -> None:
-    """Refuse (SchemaViolation, naming `name`) a search bound outside
-    1..MAX_SEARCH_BOUND.  Bound 0 would still run the height-1 searches;
-    past the maximum, the memory of the full-bound pair search grows as
-    the fourth power of the bound."""
+    """Refuse (SchemaViolation, naming `name`) a search bound that is not
+    an int (True is a bool) or is outside 1..MAX_SEARCH_BOUND.  Bound 0
+    would still run the height-1 searches; past the maximum, the memory of
+    the full-bound pair search grows as the fourth power of the bound."""
+    if type(bound) is not int:
+        raise SchemaViolation(f"{name}: must be an integer: {quoted(bound)}")
     if bound < 1:
         raise SchemaViolation(f"{name}: must be at least 1: {quoted(bound)}")
     if bound > MAX_SEARCH_BOUND:

@@ -613,11 +613,10 @@ class WittClass(Record):
     @property
     def anis(self) -> QuadForm:
         if self._terms is not None:
-            k = self._terms[0].anis if self._terms else _peel(self.form)
-            for t in self._terms[1:]:
-                k = _add_kernels(k, t.anis)
-            self.form = k
-            self._terms = None
+            if self._terms:
+                _read(self)
+            else:
+                self.form, self._terms = _peel(self.form), None
         return self.form
 
     @property
@@ -691,6 +690,28 @@ def _witt(form: QuadForm, terms: tuple | None) -> WittClass:
     w = WittClass(form)
     w._terms = terms
     return w
+
+
+def _read(w: WittClass) -> None:
+    """Read the unread sum w: its kernel is its summands' kernels folded
+    left to right by `_add_kernels`.  A stack in place of recursion reads
+    each summand that is an unread sum first, so a chain of sums nested
+    thousands deep is read as a flat one is."""
+    stack = [w]
+    while stack:
+        x = stack.pop()
+        if x._terms is None:  # read as a summand of an earlier sum
+            continue
+        sums = [t for t in x._terms if t._terms]
+        if sums:
+            stack.append(x)
+            stack.extend(reversed(sums))
+            continue
+        terms = iter(x._terms)
+        k = next(terms).anis
+        for t in terms:
+            k = _add_kernels(k, t.anis)
+        x.form, x._terms = k, None
 
 
 def _peel(q: QuadForm) -> QuadForm:

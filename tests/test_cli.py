@@ -442,57 +442,6 @@ def test_over_long_json_integer_exits_2(capsys):
     assert err.endswith("(at /)\n")
 
 
-def test_deeply_nested_json_exits_2(capsys):
-    """The JSON decoder raises RecursionError, not ValueError, on arrays
-    nested past its depth limit; the document is refused as invalid JSON
-    at the root, by parse_input and on the command line."""
-    depth = 100_000
-    doc = '{"diag": ' + "[" * depth + "]" * depth + "}"
-    with pytest.raises(SchemaViolation, match="invalid JSON") as exc:
-        parse_input(doc)
-    assert exc.value.pointer == ""
-    code, out, err = _run(capsys, ["decide", doc, '{"diag": [1]}'])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: invalid JSON: ")
-    assert err.endswith("(at /)\n")
-
-
-def test_decimal_exponent_past_the_digit_limit_exits_2(capsys):
-    """Fraction builds 10**exp for any exponent, and square_class then
-    divides out each 2 and 5; a numerator or denominator with more digits
-    than an integer literal may have is refused before that, in a document
-    and at --quat alike.  Just under the limit the number is read."""
-    # Python 3.10 has no limit; the parser then uses 3.11's default
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
-    if not limit:
-        pytest.skip("this interpreter sets no limit on integer digits")
-    for number in (f"1e{limit}", f"-3e-{limit}", f"1e{10 * limit}"):
-        code, out, err = _run(capsys, ["decide", '{"diag": ["%s"]}' % number,
-                                       '{"diag": [1]}'])
-        assert code == 2
-        assert out == ""
-        assert f"not a rational number: '{number}' (at /diag/0)" in err
-    code, out, err = _run(capsys, ["--quat", f"1e{10 * limit}", "-1",
-                                   "decide", '{"diag": [1]}', '{"diag": [1]}'])
-    assert code == 2
-    assert err.startswith("error: --quat: not a rational number: '1e")
-    # 10**(limit - 1) has limit digits and the square class of 10**(its
-    # exponent mod 2)
-    code, out, err = _run(capsys, ["--output", "json", "decide",
-                                   '{"diag": ["1e%d"]}' % (limit - 1),
-                                   '{"diag": [%d]}' % 10 ** ((limit - 1) % 2)])
-    assert code == 0, err
-    assert json.loads(out)["result"] == "equal"
-    # a zero mantissa is 0 whatever its exponent
-    code, out, err = _run(capsys, [
-        "--output", "json", "decide",
-        '{"herm_diag": [["0e%d", "1", "0", "0"]]}' % (10 * limit),
-        '{"herm_diag": [["0", "1", "0", "0"]]}'])
-    assert code == 0, err
-    assert json.loads(out)["result"] == "equal"
-
-
 @pytest.mark.parametrize("doc", [
     {"herm_diag": [["0", "1", "0", "0"]]},
     {"odd": [["0", "1", "0", "0"]]},
@@ -526,35 +475,6 @@ def test_decide_reads_entries_up_to_squares(capsys, lhs, rhs):
     code, out, _ = _run(capsys, ["--output", "json", "decide", lhs, rhs])
     assert code == 0
     assert json.loads(out)["result"] == "equal"
-
-
-def test_decide_refuses_uncancelled_degree2_residue(capsys):
-    # pi<1, 1> and pi<2, 2>, pi = t^2 + 3: <1, 1> = <2, 2> over Q, but the
-    # residues at pi do not cancel in pairs over Q(sqrt -3)
-    code, out, err = _run(capsys, [
-        "decide", '{"entries": [[3, 0, 1], [3, 0, 1]]}',
-        '{"entries": [[6, 0, 2], [6, 0, 2]]}',
-    ])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
-
-
-def test_decide_cancels_a_degree3_factor_before_its_residue(capsys):
-    # <t^3 - 2> against itself: the difference <t^3 - 2, -(t^3 - 2)> is one
-    # pair <e, -e>, hyperbolic, so it is "equal" although Q[t]/(t^3 - 2)
-    # is a residue field of degree 3
-    cubic = '{"entries": [[-2, 0, 0, 1]]}'
-    code, out, err = _run(capsys, ["--output", "json", "decide", cubic, cubic])
-    assert code == 0, err
-    assert json.loads(out)["result"] == "equal"
-    # <t^3 - 2> against <2(t^3 - 2)>: units 1 and 2, nothing cancels, and
-    # the second residue at t^3 - 2 is still refused
-    code, out, err = _run(capsys, [
-        "decide", cubic, '{"entries": [[-4, 0, 0, 2]]}'])
-    assert code == 2
-    assert out == ""
-    assert err == "error: only degree <= 2 residue fields\n"
 
 
 def test_decide_certificate_with_large_algebra_denominator(capsys):
@@ -728,6 +648,29 @@ def test_invariant_at_the_maximum_rank_decides(capsys):
         code, out, _ = _run(capsys, ["--output", "json", "decide", a, b])
         assert code == 0
         assert json.loads(out)["result"] == result
+
+
+def test_invariant_decide_at_the_maximum_rank_peels_no_constant_value(
+        capsys, monkeypatch):
+    """The constant value of n_Q in every even degree against 0 is the sum
+    of 2^r copies of <1, 1, 1, 1>; equality reads its diagonal, so no peel
+    takes 2^r entries or more."""
+    from quatwitt import quadforms
+
+    peeled = []
+    real = quadforms._anisotropic_reps_q_cached
+
+    def counted(reps):
+        peeled.append(len(reps))
+        return real(reps)
+
+    monkeypatch.setattr(quadforms, "_anisotropic_reps_q_cached", counted)
+    r = MAX_INVARIANT_RANK
+    nq, zero = _invariant(r, [1, 1, 1, 1]), _invariant(r, [])
+    for a, b, result in ((nq, zero, "distinct"), (nq, nq, "equal")):
+        code, out, _ = _run(capsys, ["decide", a, b])
+        assert (code, json.loads(out)) == (0, {"result": result})
+    assert peeled and max(peeled) < 2 ** r
 
 
 @pytest.mark.parametrize("place", ["0", "5", "0,0", "-1/2"])
@@ -931,27 +874,6 @@ def test_long_values_are_cut_or_named_by_their_size(capsys, argv, line):
     assert (code, err) == (2, line + "\n")
 
 
-_Z = '{"odd": [["0", "1000008", "1000033", "1"]]}'
-
-
-def test_odd_part_against_itself_needs_no_factoring(capsys):
-    """Nrd(1000008 i + 1000033 j + ij) over (-1, -1) is 2 * 1000041000577,
-    whose cofactor trial division cannot certify; <z, -z> has the square
-    discriminant Nrd(z)^2 and cancels as a square multiple."""
-    code, out, err = _run(capsys, ["decide", _Z, _Z])
-    assert (code, json.loads(out), err) == (0, {"result": "equal"}, "")
-
-
-def test_odd_part_against_a_conjugate_is_refused_by_the_rank_one_test(
-        capsys):
-    """gamma(i) z i = 1000008 i - 1000033 j - ij has the norm of z, and
-    the rank-1 test factors it."""
-    code, out, err = _run(capsys, [
-        "decide", _Z, '{"odd": [["0", "1000008", "-1000033", "-1"]]}'])
-    assert (code, out) == (2, "")
-    assert err == "error: cofactor 1000041000577 not certified\n"
-
-
 @pytest.mark.parametrize("argv, message", [
     (["--quat", "٣", "-1", "decide", '{"diag": [1]}', '{"diag": [1]}'],
      "error: --quat: not a rational number: '٣'"),
@@ -997,6 +919,23 @@ def test_refused_library_arguments_carry_no_pointer():
         with pytest.raises(SchemaViolation) as exc:
             call()
         assert (str(exc.value), exc.value.pointer) == (message, None)
+
+
+@pytest.mark.parametrize("bound, text", [
+    (True, "True"), (2.5, "2.5"), ("3", "'3'"),
+], ids=["true", "float", "str"])
+def test_search_bound_that_is_not_an_int_is_refused(bound, text):
+    """As JSON true is refused for r: True would run as bound 1, 2.5 was
+    accepted and "3" ended in a bare TypeError."""
+    H = QuatAlgebra(-1, -1)
+    h = hermitian.herm_diag([H.i(), H.i()], H)
+    for call, name in [
+            (lambda: hermitian.hyperbolicity_certificate(h, bound), "bound"),
+            (lambda: RunConfig(search_bound=bound), "search_bound")]:
+        with pytest.raises(SchemaViolation) as exc:
+            call()
+        assert (str(exc.value), exc.value.pointer) == (
+            f"{name}: must be an integer: {text}", None)
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -14,6 +14,7 @@ from quatwitt.errors import (
     VerificationFailed,
 )
 from quatwitt.fields import (
+    QQ,
     Fp,
     hilbert_symbol_p,
     is_prime,
@@ -281,6 +282,19 @@ def test_witt_class_is_the_class_of_its_diagonal():
     assert w.dim == 0
     assert w.anis == qf([])
     assert WittClass(qf([3, 5, -5])).anis == qf([3])
+
+
+@pytest.mark.parametrize("field", [QQ, Fp(7)], ids=["Q", "F7"])
+def test_a_sum_nested_thousands_deep_is_read_without_recursion(field):
+    """x = b + x in a loop nests each unread sum on the right; its kernel
+    is the fold of the summands' kernels, here computed in a loop."""
+    x = witt_class(qf([5], field))
+    ref = x.anis
+    for n in range(3000):
+        b = witt_class(qf([3 if n % 2 else -3], field))
+        x = b + x
+        ref = quadforms._add_kernels(witt_class(b.form).anis, ref)
+    assert x.anis == ref
 
 
 def test_q_witt_invariants():
