@@ -15,7 +15,12 @@ tiers decide.  The search splits off one hyperbolic plane at a time: a
 plane found on two slots of the current orthogonal basis drops those
 slots without a new Gram-Schmidt.  A plane on two slots needs their
 rank-1 forms to be opposite, so past height 1 the pair searches run only
-where the exact rank-1 test pairs two slots.
+where the exact rank-1 test pairs two slots.  The searches work on integer
+numerators (`_sandwich_row`); while every split is two-slot the witness is
+the quaternions they return, placed at their original slots, and only a
+split on 3 or 4 slots updates basis rows in quaternion arithmetic.  The
+final check reads the witness as integer numerators too, but sums h(x, y)
+with the table product `_mul_coords`, never with `_sandwich_row`.
 `herm_verdict` runs these tiers as the one test of whether a form is 0 in
 the Witt group W^{-1}(Q, gamma); every odd-part verdict asks it.
 
@@ -23,15 +28,15 @@ Entries are checked (pure, invertible, in the form's algebra) where they
 enter: by `AntiHermForm(...)`, so by `herm_diag`, `mixed`, the parsers, the
 suites and the certificate's Gram-Schmidt values.  Operations that keep
 those properties carry the checks over and do not repeat them: `neg`,
-`perp`, the leftovers of both pair cancellations (`_cancelled`) and the
-odd entries of a mixed product.  The pair tests never build -w.
+`perp`, the leftovers of both pair cancellations (`_cancelled`), the slots
+a two-slot split leaves and the odd entries of a mixed product.  The pair
+tests never build -w.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm, prod
 
@@ -53,7 +58,9 @@ from .quadforms import (QuadForm, _anis_dim, _local_q, cancel_pairs,
 from .quaternions import (
     QuatAlgebra,
     Quaternion,
+    _mul_coords,
     _nrd_parts,
+    _reduced,
     _trd_parts,
     find_nilpotent,
     is_split,
@@ -140,13 +147,6 @@ class AntiHermForm(Record):
 
 def herm_diag(entries: Sequence[Quaternion], algebra: QuatAlgebra) -> AntiHermForm:
     return AntiHermForm(tuple(entries), algebra)
-
-
-def _identity(algebra: QuatAlgebra, n: int):
-    # integer coordinates are in lowest terms over the denominator 1
-    zero = Quaternion((0, 0, 0, 0), 1, algebra)
-    one = Quaternion((1, 0, 0, 0), 1, algebra)
-    return [[one if s == t else zero for t in range(n)] for s in range(n)]
 
 
 def _quat_inv(x: Quaternion) -> Quaternion:
@@ -384,16 +384,18 @@ class HyperbolicityResult(Record):
         self.witness = witness
 
 
-def _scaled_entries(h: AntiHermForm):
-    """The entries of h as integer numerator tuples over d, the lcm of
-    their denominators."""
-    d = lcm(*(z.den for z in h.diag))
-    return [tuple(d // z.den * c for c in z.num) for z in h.diag]
+def _numerators(qs):
+    """The quaternions qs as integer numerator tuples over d, the lcm of
+    their denominators, read from `num` and `den` with no gcd: the entries
+    of a form, or a vector's lane."""
+    d = lcm(*(q.den for q in qs))
+    return [q.num if q.den == d else tuple(d // q.den * c for c in q.num)
+            for q in qs]
 
 
 def _sandwich_row(z, box, k):
     """(p, gamma(p) z p) for p in box, lazily, for an integer entry z of
-    `_scaled_entries` on the integer table k = (e, A, B, AB): the one
+    `_numerators` on the integer table k = (e, A, B, AB): the one
     sandwich routine of both isotropy searches.
 
     For pure z and p = p0 + v, v pure, gamma(p) z p = (p0^2 + v^2) z +
@@ -424,7 +426,7 @@ def _sandwich_tables(h: AntiHermForm, box):
     where those of the true values do.
     """
     k = h.algebra.table
-    return [list(_sandwich_row(z, box, k)) for z in _scaled_entries(h)]
+    return [list(_sandwich_row(z, box, k)) for z in _numerators(h.diag)]
 
 
 def _isotropic_pair_vector(h: AntiHermForm, bound: int):
@@ -447,7 +449,7 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
     order never returns to it; row t is streamed until its first hit."""
     k = h.algebra.table
     box = _normalized_box(bound)
-    zs = _scaled_entries(h)
+    zs = _numerators(h.diag)
     slot = None
     for s, t in itertools.combinations(range(h.rank), 2):
         if nrd_ratio_root(h.diag[s], h.diag[t]) is None:
@@ -464,7 +466,7 @@ def _isotropic_pair_vector(h: AntiHermForm, bound: int):
                     continue
                 vec = [Quaternion((0, 0, 0, 0), 1, h.algebra)] * h.rank
                 vec[s] = Quaternion(p, 1, h.algebra)
-                vec[t] = Quaternion(q, 1, h.algebra).scale(Fraction(root, gq))
+                vec[t] = _reduced(tuple(root * c for c in q), gq, h.algebra)
                 return vec
             row = None  # a miss has drawn the whole row into the table
     return None
@@ -557,6 +559,13 @@ def hyperbolicity_certificate(h: AntiHermForm,
     re-verified exactly.  Past height 1 the pair searches run only when
     `hyperbolic_pair` pairs two remaining slots or cannot factor.
 
+    The witness keeps the quaternions the searches return: while every
+    split has been two-slot the basis rows are unit vectors, and each
+    found vector is placed at their original slots with no arithmetic.  A
+    split on 3 or 4 slots builds the rows and updates them (`_split_plane`).
+    `_verify_witness` checks the witness on integer numerators with the
+    table product, independently of the searches.
+
     A split algebra is refused (NotDivision): Morita transfer decides
     hyperbolicity there exactly (`herm_screen`, `morita_transfer`)."""
     check_search_bound("bound", bound)
@@ -564,30 +573,21 @@ def hyperbolicity_certificate(h: AntiHermForm,
     if h.rank % 2:
         return HyperbolicityResult("anisotropic-at-bound")
     alg = h.algebra
-    r0 = h.rank
     zero = Quaternion((0, 0, 0, 0), 1, alg)
-    # work with the Gram (diagonal) and a basis in original coordinates
-    basis = _identity(alg, r0)
-    diag = list(h.diag)
+    sub = h
+    # the original slot of each basis row while the rows are unit vectors;
+    # `basis` holds the rows from the first split on 3 or 4 slots on
+    rows = range(h.rank)
+    basis = None
     witness = []
-
-    def gram_eval(x, y):
-        # basis columns, witnesses and projections are mostly zero slots
-        acc = zero
-        for xk, z, yk in zip(x, h.diag, y):
-            if not (xk.is_zero() or yk.is_zero()):
-                acc = acc + xk.conj() * z * yk
-        return acc
-
-    while diag:
-        sub = AntiHermForm(tuple(diag), alg)
+    while sub.diag:
         found = _isotropic_pair_vector(sub, 1)
         # An isotropic e_s p + e_t q has invertible p, q (p = 0 would leave
         # gamma(q) d_t q = 0), so <d_s> ~ <-d_t>: later pair rungs need it.
         try:  # a pair the test cannot factor counts as possible
             pairs = found is None and bound >= 2 and any(
                 _hyperbolic_pair(z, w)
-                for z, w in itertools.combinations(diag, 2))
+                for z, w in itertools.combinations(sub.diag, 2))
         except FactorizationLimitExceeded:
             pairs = True
         if pairs:
@@ -602,72 +602,136 @@ def hyperbolicity_certificate(h: AntiHermForm,
             found = _isotropic_hash_vector(sub, 2, single_bound=2)
         if found is None:
             return HyperbolicityResult("anisotropic-at-bound")
-        m = len(diag)
         slots = [i for i, f in enumerate(found) if not f.is_zero()]
-        v = [zero] * r0
-        for i in slots:
-            v = [vk if xk.is_zero() else vk + xk * found[i]
-                 for vk, xk in zip(v, basis[i])]
+        v = [zero] * h.rank
+        if basis is None and len(slots) == 2:
+            for i in slots:
+                v[rows[i]] = found[i]
+        else:
+            if basis is None:
+                one = Quaternion((1, 0, 0, 0), 1, alg)
+                basis = [[one if k == o else zero for k in range(h.rank)]
+                         for o in rows]
+            for i in slots:
+                v = [vk if xk.is_zero() else vk + xk * found[i]
+                     for vk, xk in zip(v, basis[i])]
         witness.append(tuple(v))
         if len(slots) == 2:
             # v = b_s f_s + b_t f_t on the orthogonal basis, s < t, with
             # f_s, f_t != 0 (gamma(f) d f = 0 needs f = 0).  h(v, b_i) =
             # gamma(f_i) d_i is nonzero exactly at s and t, so the general
-            # split below would pick w = b_s, and span(v, b_s) =
-            # span(b_s, b_t) as f_t is invertible.  Its update fixes every
-            # other b_i, sends b_s to 0 and b_t to 2 v f_t^-1, which pairs
-            # to zero with all that is left; Gram-Schmidt drops it and
-            # returns the other b_i and d_i unchanged and in order.
-            basis = [x for i, x in enumerate(basis) if i not in slots]
-            diag = [d for i, d in enumerate(diag) if i not in slots]
+            # split would pick w = b_s, and span(v, b_s) = span(b_s, b_t)
+            # as f_t is invertible.  Its update fixes every other b_i,
+            # sends b_s to 0 and b_t to 2 v f_t^-1, which pairs to zero
+            # with all that is left; Gram-Schmidt drops it and returns the
+            # other b_i and d_i unchanged and in order.  They are entries
+            # of the checked form `sub`.
+            if basis is None:
+                rows = [o for i, o in enumerate(rows) if i not in slots]
+            else:
+                basis = [x for i, x in enumerate(basis) if i not in slots]
+            sub = AntiHermForm._carried(
+                tuple(d for i, d in enumerate(sub.diag) if i not in slots),
+                alg)
             continue
-        # a basis vector w with h(v, w) != 0, hence invertible: v != 0 and
-        # the span's form is nondegenerate
-        w = next(x for x in basis if not gram_eval(v, x).is_zero())
-        beta = gram_eval(v, w)
-        binv = _quat_inv(beta)
-        hww = gram_eval(w, w)
-        gamma_binv = _quat_inv(beta.conj())
-        # x' = x - v acoef - w bcoef has h(v, x') = 0 but h(w, x') =
-        # 2 (h(w, x) - hww bcoef), as h(w, v) = -gamma(beta): not the
-        # projection onto the plane's complement.  It maps the span onto
-        # v^perp (w to 0, v to 2 v), whose radical v D Gram-Schmidt
-        # drops, leaving a form isometric to v^perp / v D, the complement
-        # of the plane span(v, w).  The witnesses depend on this update.
-        new_basis = []
-        for idx in range(m):
-            x = basis[idx]
-            bcoef = binv * gram_eval(v, x)
-            acoef = gamma_binv * (gram_eval(w, x) - hww * bcoef)
-            new_basis.append(_sub_multiple(_sub_multiple(x, v, acoef),
-                                           w, bcoef))
-        # re-diagonalize v^perp; rank drops by exactly 2
-        basis, diag = _orthogonalize(gram_eval, new_basis, alg)
-        if len(diag) != m - 2:
-            raise DegenerateForm("hyperbolic split lost the wrong rank")
-    _verify_witness(gram_eval, witness)
+        basis, values = _split_plane(h, basis, v)
+        # the Gram-Schmidt values are new entries, checked where they enter
+        sub = AntiHermForm(tuple(values), alg)
+    _verify_witness(h, witness)
     return HyperbolicityResult("hyperbolic", tuple(witness))
 
 
-def _verify_witness(pair, witness):
-    """Exact check that the witness vectors span a totally isotropic
-    subspace of dimension len(witness): every two pair to 0 under `pair`,
-    and elimination with scalars on the right finds a pivot in each (the
-    two-slot split skips the general split's rank check)."""
-    for x in witness:
-        for y in witness:
-            if not pair(x, y).is_zero():
+def _split_plane(h: AntiHermForm, basis, v):
+    """The orthogonal basis rows and values of the complement of a
+    hyperbolic plane through the isotropic v in the span of `basis`, in
+    quaternion arithmetic on the original slots of h; the rank drops by
+    exactly 2 (DegenerateForm otherwise)."""
+    zero = Quaternion((0, 0, 0, 0), 1, h.algebra)
+
+    def gram_eval(x, y):
+        # basis rows, witnesses and projections are mostly zero slots
+        acc = zero
+        for xk, z, yk in zip(x, h.diag, y):
+            if not (xk.is_zero() or yk.is_zero()):
+                acc = acc + xk.conj() * z * yk
+        return acc
+
+    # a basis vector w with h(v, w) != 0, hence invertible: v != 0 and
+    # the span's form is nondegenerate
+    w = next(x for x in basis if not gram_eval(v, x).is_zero())
+    beta = gram_eval(v, w)
+    binv = _quat_inv(beta)
+    hww = gram_eval(w, w)
+    gamma_binv = _quat_inv(beta.conj())
+    # x' = x - v acoef - w bcoef has h(v, x') = 0 but h(w, x') =
+    # 2 (h(w, x) - hww bcoef), as h(w, v) = -gamma(beta): not the
+    # projection onto the plane's complement.  It maps the span onto
+    # v^perp (w to 0, v to 2 v), whose radical v D Gram-Schmidt
+    # drops, leaving a form isometric to v^perp / v D, the complement
+    # of the plane span(v, w).  The witnesses depend on this update.
+    new_basis = []
+    for x in basis:
+        bcoef = binv * gram_eval(v, x)
+        acoef = gamma_binv * (gram_eval(w, x) - hww * bcoef)
+        new_basis.append(_sub_multiple(_sub_multiple(x, v, acoef),
+                                       w, bcoef))
+    # re-diagonalize v^perp; rank drops by exactly 2
+    basis_out, values = _orthogonalize(gram_eval, new_basis, h.algebra)
+    if len(values) != len(basis) - 2:
+        raise DegenerateForm("hyperbolic split lost the wrong rank")
+    return basis_out, values
+
+
+def _conj_coords(x):
+    x0, x1, x2, x3 = x
+    return x0, -x1, -x2, -x3
+
+
+def _verify_witness(h: AntiHermForm, witness) -> None:
+    """Exact check, independent of the search, that the witness vectors
+    span a totally isotropic subspace of h of dimension len(witness);
+    VerificationFailed otherwise.
+
+    Each vector is read as a lane, the integer numerators of its slots
+    over one denominator (`_numerators`), as the entries z_k of h are.
+    h(x, y) = sum gamma(x_k) z_k y_k, summed on them with `_mul_coords`,
+    is a positive multiple of the true value and must be 0 for every x
+    and every y from x on: h(y, x) = -gamma(h(x, y)), as each z_k is pure.
+
+    Right-linear independence is fraction-free elimination on the same
+    integers: a pivot lane u with u_k != 0 clears slot k of a later lane
+    x by x Nrd(u_k) - u gamma(u_k) x_k, a nonzero multiple of x - u u_k^-1
+    x_k.  Each table product carries a factor e = table[0], so the table
+    gives the second term times e^2 and Nrd(u_k) times e, which x is
+    scaled by times e.  A lane that reaches 0 is dependent.  The two-slot
+    split skips the general split's rank check, so this checks the
+    dimension."""
+    k = h.algebra.table
+    e = k[0]
+    zs = _numerators(h.diag)
+    lanes = [_numerators(x) for x in witness]
+    for n, x in enumerate(lanes):
+        left = [(s, _mul_coords(_conj_coords(xs), zs[s], k))
+                for s, xs in enumerate(x) if any(xs)]
+        for y in lanes[n:]:
+            terms = [_mul_coords(ls, y[s], k) for s, ls in left if any(y[s])]
+            if any(map(sum, zip(*terms))):
                 raise VerificationFailed("witness failed exact verification")
-    pivots = []  # (k, u): u[k] != 0, u[k'] = 0 at every earlier pivot k'
-    for x in witness:
-        for k, u in pivots:
-            if not x[k].is_zero():
-                x = _sub_multiple(x, u, _quat_inv(u[k]) * x[k])
-        k = next((k for k, c in enumerate(x) if not c.is_zero()), None)
-        if k is None:
+    pivots = []  # (s, u): u[s] != 0, u[s'] = 0 at every earlier pivot s'
+    for x in lanes:
+        for s, u in pivots:
+            if any(x[s]):
+                g = _conj_coords(u[s])
+                scale = e * _mul_coords(g, u[s], k)[0]
+                c = _mul_coords(g, x[s], k)
+                x = [tuple(scale * a - b
+                           for a, b in zip(xj, _mul_coords(uj, c, k)))
+                     for xj, uj in zip(x, u)]
+        s = next((s for s, xs in enumerate(x) if any(xs)), None)
+        if s is None:
             raise VerificationFailed("witness vectors are right-linearly "
                                      "dependent")
-        pivots.append((k, x))
+        pivots.append((s, x))
 
 
 # ---------------------------------------------------------------------------

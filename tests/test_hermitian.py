@@ -19,6 +19,7 @@ from quatwitt.errors import (
     VerificationFailed,
 )
 from quatwitt.hermitian import (
+    DEFAULT_SEARCH_BOUND,
     MAX_SEARCH_BOUND,
     AntiHermForm,
     herm_diag,
@@ -353,18 +354,52 @@ def test_witness_verification_needs_independent_vectors():
     the certificate refuses it (explicitly, also under python -O)."""
     h = herm_diag([H.i(), -H.i(), H.j(), -H.j()], H)
     zero = H.element(0, 0, 0, 0)
-
-    def pair(x, y):
-        acc = zero
-        for xk, z, yk in zip(x, h.diag, y):
-            acc = acc + xk.conj() * z * yk
-        return acc
-
     v = (H.one(), H.one(), zero, zero)
     w = (zero, zero, H.one(), H.one())
-    hermitian._verify_witness(pair, [v, w])
+    hermitian._verify_witness(h, [v, w])
     with pytest.raises(VerificationFailed, match="dependent"):
-        hermitian._verify_witness(pair, [v, tuple(c * H.j() for c in v)])
+        hermitian._verify_witness(h, [v, tuple(c * H.j() for c in v)])
+
+
+def test_witness_verification_needs_independent_vectors_when_e_is_not_1():
+    """Over (-2/3, -5/7), whose table has e = 21, the elimination scale
+    must carry e: with v = e_1 + e_2 and w = (e_3 + e_4) j, (v, w) spans
+    a totally isotropic plane of <W1, -W1, W2, -W2> in either order, while
+    (v, v j) and (w, w q) are totally isotropic but dependent, and are
+    refused."""
+    assert SEVENTHS.table[0] == 21
+    h = AntiHermForm((W1, -W1, W2, -W2), SEVENTHS)
+    zero, one, j = _q(SEVENTHS, 0, 0, 0, 0), SEVENTHS.one(), SEVENTHS.j()
+    v = (one, one, zero, zero)
+    w = (zero, zero, j, j)
+    hermitian._verify_witness(h, [v, w])
+    hermitian._verify_witness(h, [w, v])
+    for dependent in ([v, tuple(c * j for c in v)],
+                      [w, tuple(c * _q(SEVENTHS, 2, 1, 0, -3) for c in w)]):
+        with pytest.raises(VerificationFailed, match="dependent"):
+            hermitian._verify_witness(h, dependent)
+
+
+def test_certificate_refuses_a_witness_from_a_lying_search(monkeypatch):
+    """<i, -3i> over (-1, -1) is not hyperbolic: 3 is not a sum of two
+    rational squares, and `herm_verdict` answers "distinct".  A sandwich
+    routine that computes gamma(p) (-i) p in place of gamma(p) (-3i) p
+    makes the pair search return e_1 p + e_2 p; the final check, which
+    never calls `_sandwich_row`, refuses it (explicitly, also under
+    python -O)."""
+    h = herm_diag([H.i(), H.pure(-3, 0, 0)], H)
+    assert herm_verdict(h) == "distinct"
+    row = hermitian._sandwich_row
+
+    def lying(z, box, k):
+        return row((0, -1 if z[1] < 0 else 1, 0, 0), box, k)
+
+    monkeypatch.setattr(hermitian, "_sandwich_row", lying)
+    box = hermitian._normalized_box(1)
+    assert hermitian._isotropic_pair_vector(h, 1) == \
+        [Quaternion(box[0], 1, H)] * 2
+    with pytest.raises(VerificationFailed, match="exact verification"):
+        hyperbolicity_certificate(h)
 
 
 @pytest.mark.parametrize("single_bound, builds", [(1, 1), (2, 2)])
@@ -670,15 +705,52 @@ def test_certificate_at_bound_two_runs_the_height_two_hash_search():
     cert = hyperbolicity_certificate(h, bound=2)
     assert cert.status == "hyperbolic"
     assert len(cert.witness) == 2
-    zero = _q(SEVEN, 0, 0, 0, 0)
+    hermitian._verify_witness(h, cert.witness)
 
-    def pair(x, y):
-        acc = zero
-        for xk, z, yk in zip(x, h.diag, y):
-            acc = acc + xk.conj() * z * yk
-        return acc
 
-    hermitian._verify_witness(pair, list(cert.witness))
+def test_certificate_runs_the_full_bound_pair_search_past_height_four():
+    """<j - 2ij, 67 (2i + j)> over (-1, -1) has no pair-search hit of
+    height <= 4 and one of height 5: a bound outside 1, 2 and 4 runs the
+    pair search at the bound itself."""
+    h = herm_diag([H.pure(0, 1, -2), H.pure(134, 67, 0)], H)
+    assert hyperbolicity_certificate(h, bound=4).status == \
+        "anisotropic-at-bound"
+    assert hyperbolicity_certificate(h, bound=5) == \
+        hermitian.HyperbolicityResult(
+            "hyperbolic", ((_q(H, 1, -5, -4, 5), H.ij()),))
+
+
+def test_height_one_hash_search_keeps_height_four_singles_past_bound_four():
+    """n_Q <3i + 3j + 2ij> over (-2, -5) finds its first vector in the
+    height-1 hash search, whose single slots stop at height 4 at every
+    bound: the default-bound certificate is the bound-4 one.  Singles of
+    height 5 would give another witness."""
+    A = QuatAlgebra(-2, -5)
+    h = AntiHermForm(_nq_times(A, A.pure(3, 3, 2)), A)
+    zero = _q(A, 0, 0, 0, 0)
+    witness = ((zero, _q(A, 0, 0, 0, -1), _q(A, 0, 0, 0, -1),
+                _q(A, 0, -1, -1, 0)),
+               (_q(A, 0, 1, 1, 0), _q(A, 0, 0, 0, -1), _q(A, 0, 0, 0, "-3/10"),
+                _q(A, 0, "-1/2", "-1/2", 0)))
+    for bound in (4, 5, DEFAULT_SEARCH_BOUND):
+        assert hyperbolicity_certificate(h, bound) == \
+            hermitian.HyperbolicityResult("hyperbolic", witness)
+
+
+def test_two_slot_split_after_a_general_split_keeps_the_other_rows(
+        monkeypatch):
+    """n_Q <2i + j + ij> + <i + 2j + ij, -(5i + 26j + 5ij)> over (-1, -1):
+    the first plane comes from the hash search on three slots, so the
+    split is general and the basis rows are no longer unit vectors; the
+    next two planes are two-slot splits of those rows, each dropping the
+    two rows it used and keeping the others for the next placement."""
+    split = _spy_orthogonalize(monkeypatch)
+    z0 = H.pure(2, 1, 1)
+    h = herm_diag([z0] * 4 + [H.pure(1, 2, 1), H.pure(-5, -26, -5)], H)
+    cert = hyperbolicity_certificate(h, bound=4)
+    assert cert.status == "hyperbolic"
+    assert len(cert.witness) == 3
+    assert split == [6]
 
 
 def test_certificate_stops_at_a_non_isometric_rank2_form(monkeypatch):

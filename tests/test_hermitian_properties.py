@@ -726,7 +726,8 @@ def _reference_certificate(h, bound, hits):
     if h.rank % 2:
         return hermitian.HyperbolicityResult("anisotropic-at-bound")
     zero = A.element(0, 0, 0, 0)
-    basis = hermitian._identity(A, h.rank)
+    basis = [[A.element(int(s == t), 0, 0, 0) for t in range(h.rank)]
+             for s in range(h.rank)]
     diag = list(h.diag)
     witness = []
 
